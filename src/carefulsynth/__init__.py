@@ -2,8 +2,8 @@
 with multiple bounded shared resources.
 
 The pipeline: `arena` (data model + lasso semantics) -> `unfolding` (bounded
-resource product with an underflow sink) -> `zerosum` (attractors, fragment
-and parity solving, punishment regions) -> `synthesis` (equilibrium search
+resource product with an underflow sink) -> `zerosum` (attractors and
+Zielonka's parity algorithm, punishment regions) -> `synthesis` (equilibrium search
 and certificate checking). `ltl` provides the objective language and its
 Büchi translation; `reduction` generates hardness instances from two-counter
 automata; `cli` is the command-line front end.

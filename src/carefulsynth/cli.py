@@ -88,24 +88,16 @@ def _load_dpas(pairs: Sequence[str], a: Arena) -> dict[int, ParityAutomaton]:
     return dpas
 
 
-def _saturation_caveat(a: Arena, bounds) -> None:
+def _saturation_caveat(result: synthesis.SolveResult) -> None:
     """Bounded verdicts on instances designed for exact counting (e.g.
     generated hardness games) are only trustworthy when saturation never
     fires; warn whenever some reachable step was clipped."""
-    u = unfold(a, bounds)
-    for us in u.states:
-        if not isinstance(us, tuple):
-            continue
-        s, c = us
-        for t in a.successors(s):
-            w = a.edges[(s, t)]
-            if any(ci + wi > bi for ci, wi, bi in zip(c, w, bounds)):
-                _warn(
-                    "capacity saturation occurred in the reachable unfolding; "
-                    "for generated reduction instances the verdict is a "
-                    "semi-decision only"
-                )
-                return
+    if result.clipped:
+        _warn(
+            "capacity saturation occurred in the reachable unfolding; "
+            "for generated reduction instances the verdict is a "
+            "semi-decision only"
+        )
 
 
 def _pretty_outcome(profile: synthesis.StrategyProfile) -> str:
@@ -129,10 +121,10 @@ def _cmd_solve(args) -> int:
             "unbounded careful synthesis is undecidable and is refused"
         )
     dpas = _load_dpas(args.dpa, a)
-    result = synthesis.solve(a, bounds, dpas=dpas, jobs=args.jobs)
+    result = synthesis.solve(a, bounds, dpas=dpas)
     if result.status == synthesis.SolveResult.UNSUPPORTED:
         return _fail(f"unsupported objective: {result.reason}")
-    _saturation_caveat(a, bounds)
+    _saturation_caveat(result)
     doc = synthesis.result_to_document(result)
     doc["bounds"] = list(bounds)
     pretty = None
@@ -257,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--dpa", action="append", default=[], metavar="PLAYER=FILE",
                    help="deterministic parity automaton for a player's objective")
-    p.add_argument("--jobs", type=int, default=None, help="worker cap for per-player solving")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("unfold", help="emit the reachable bounded unfolding")

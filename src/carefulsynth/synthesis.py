@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -28,7 +27,6 @@ from .errors import (
     UnsupportedObjectiveError,
 )
 from .unfolding import (
-    AVOID_BOT,
     BOT,
     DEFAULT_STATE_BUDGET,
     UState,
@@ -38,7 +36,7 @@ from .unfolding import (
     saturating_add,
     unfold,
 )
-from .zerosum import ParityAutomaton, PunishRegions, dpa_step, punish_region
+from .zerosum import ParityAutomaton, dpa_step, punish_region
 
 DEFAULT_PRODUCT_BUDGET = 10**7
 
@@ -63,6 +61,9 @@ class SolveResult:
     profile: Optional[StrategyProfile] = None
     diagnostics: tuple[tuple[tuple[int, ...], str], ...] = ()
     reason: Optional[str] = None
+    # some reachable step of the unfolding saturated a resource; not part of
+    # the certificate document
+    clipped: bool = False
 
     SOLUTION = "solution"
     NO_SOLUTION = "no-solution"
@@ -230,7 +231,6 @@ def solve(
     dpas: Optional[Mapping[int, ParityAutomaton]] = None,
     max_states: int = DEFAULT_STATE_BUDGET,
     max_product: int = DEFAULT_PRODUCT_BUDGET,
-    jobs: Optional[int] = None,
 ) -> SolveResult:
     """Decide careful cooperative rational synthesis under capacity vector
     `bounds` and construct a certificate when a solution exists. Unbounded
@@ -239,22 +239,16 @@ def solve(
     dpas = dict(dpas or {})
     u = unfold(a, bounds, max_states=max_states)
 
-    def region_for(i: int) -> PunishRegions:
-        return punish_region(u, i, a.objective_of(i), dpas.get(i))
-
     players = list(range(1, a.players + 1))
     try:
-        if jobs is not None and jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                regions = dict(zip(players, pool.map(region_for, players)))
-        else:
-            regions = {i: region_for(i) for i in players}
+        regions = {i: punish_region(u, i, a.objective_of(i), dpas.get(i)) for i in players}
     except UnsupportedObjectiveError as e:
         return SolveResult(SolveResult.UNSUPPORTED, reason=str(e))
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
     for winner_set in _winner_sets(a.players):
-        required = [a.system_objective, AVOID_BOT] + [
+        # the sink is never in `allowed`, so the lasso avoids it already
+        required = [a.system_objective] + [
             a.objective_of(i) for i in sorted(winner_set)
         ]
         forbidden = {
@@ -290,8 +284,10 @@ def solve(
             punishment={i: dict(regions[i].punishment) for i in players},
             dpa_players=frozenset(dpas),
         )
-        return SolveResult(SolveResult.SOLUTION, profile=profile)
-    return SolveResult(SolveResult.NO_SOLUTION, diagnostics=tuple(diagnostics))
+        return SolveResult(SolveResult.SOLUTION, profile=profile, clipped=u.clipped)
+    return SolveResult(
+        SolveResult.NO_SOLUTION, diagnostics=tuple(diagnostics), clipped=u.clipped
+    )
 
 
 def _dpa_accepts(dpa: ParityAutomaton, u: UnfoldedArena, stem, loop) -> bool:

@@ -74,6 +74,7 @@ class UnfoldedArena:
     initial: UState
     states: tuple[UState, ...]  # reachable only; deterministic order
     succ: dict[UState, tuple[UState, ...]] = field(repr=False)
+    clipped: bool = False  # some reachable step saturated a resource
 
     def owner(self, us: UState) -> int:
         if us is BOT:
@@ -109,6 +110,7 @@ def unfold(
     succ: dict[UState, list[UState]] = {}
     queue: deque[UState] = deque([init])
     seen: set[UState] = {init}
+    clipped = False
     while queue:
         us = queue.popleft()
         s, c = us
@@ -117,6 +119,8 @@ def unfold(
         for s2 in a.successors(s):
             w = a.edges[(s, s2)]
             c2 = saturating_add(c, w, b)
+            if not clipped:
+                clipped = any(ci + wi > bi for ci, wi, bi in zip(c, w, b))
             if all(v >= 0 for v in c2):
                 out.append((s2, c2))
             else:
@@ -142,6 +146,7 @@ def unfold(
         initial=init,
         states=states,
         succ={us: tuple(sorted(succ[us], key=_ustate_key)) for us in states},
+        clipped=clipped,
     )
 
 

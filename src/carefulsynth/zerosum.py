@@ -1,6 +1,8 @@
-"""Two-player zero-sum solving on game graphs: attractors, the four
-classical fragment solvers, a Zielonka parity solver, and the per-player
-punishment regions used by the equilibrium characterization.
+"""Two-player zero-sum solving on game graphs: attractors, Zielonka's
+parity algorithm, and the per-player punishment regions used by the
+equilibrium characterization. Reach and Safe objectives are single
+attractor computations; Büchi and co-Büchi objectives, like parity
+automata, are solved as parity games.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -10,7 +12,6 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Optional
 
@@ -35,7 +36,7 @@ class ZeroSumGame:
     succ: Mapping[State, tuple[State, ...]]
     is_protagonist: Mapping[State, bool]
     labels: Mapping[State, frozenset[str]]
-    losing_sinks: frozenset[State] = frozenset()
+    losing_sinks: frozenset[State] = frozenset()  # absorbing: self-loop only
     pred: Mapping[State, tuple[State, ...]] = field(repr=False, default=None)
 
 
@@ -88,14 +89,19 @@ def attractor(
 ) -> tuple[set[State], dict[State, State]]:
     """Least fixpoint containing `target`: the attracting side's states with
     one successor inside, the other side's states with all successors
-    inside. The strategy picks a rank-decreasing edge."""
-    domain = set(g.states) if within is None else set(within)
+    inside. The strategy picks a rank-decreasing edge. The frontier is
+    seeded in `g.states` order, so ties between targets do not depend on
+    hashing."""
+    if within is None:
+        domain = g.succ  # keyed by every state
+    elif isinstance(within, (set, frozenset)):
+        domain = within
+    else:
+        domain = set(within)
     attr = set(t for t in target if t in domain)
     strategy: dict[State, State] = {}
-    degree = {}
-    for s in domain:
-        degree[s] = sum(1 for t in g.succ[s] if t in domain)
-    frontier = list(attr)
+    degree: dict[State, int] = {}  # in-domain successors not yet attracted
+    frontier = [s for s in g.states if s in attr]
     while frontier:
         new_frontier = []
         for t in frontier:
@@ -106,11 +112,17 @@ def attractor(
                     attr.add(s)
                     strategy[s] = t
                     new_frontier.append(s)
-                else:
-                    degree[s] -= 1
-                    if degree[s] == 0:
-                        attr.add(s)
-                        new_frontier.append(s)
+                    continue
+                left = degree.get(s)
+                if left is None:
+                    left = 0
+                    for x in g.succ[s]:
+                        if x in domain:
+                            left += 1
+                degree[s] = left - 1
+                if left == 1:
+                    attr.add(s)
+                    new_frontier.append(s)
         frontier = new_frontier
     return attr, strategy
 
@@ -163,6 +175,12 @@ def _solve_fragment(g: ZeroSumGame, frag: FragmentClass) -> WinningRegions:
     beta = frag.beta
     sat = {s: s not in g.losing_sinks and _holds(beta, g.labels[s]) for s in g.states}
 
+    if frag.kind in (FragmentClass.BUCHI, FragmentClass.COBUCHI):
+        # G F beta: beta -> 2, else 1.  F G beta: beta -> 0, else 1.  Sinks
+        # are self-loops with priority 1, so carefulness stays losing.
+        good = 2 if frag.kind == FragmentClass.BUCHI else 0
+        return solve_parity(g, {s: good if sat[s] else 1 for s in g.states})
+
     if frag.kind == FragmentClass.SAFE:
         bad = {s for s in g.states if not sat[s]}
         b_region, ant_strat = attractor(g, bad, for_protagonist=False)
@@ -174,8 +192,8 @@ def _solve_fragment(g: ZeroSumGame, frag: FragmentClass) -> WinningRegions:
                 ant_strat[s] = g.succ[s][0]
         return WinningRegions(frozenset(w), frozenset(b_region), pro_strat, ant_strat)
 
-    # Reach / Büchi / co-Büchi: first confine the protagonist to the region
-    # where it can avoid the sinks forever.
+    # Reach: first confine the protagonist to the region where it can avoid
+    # the sinks forever.
     sink_attr, sink_strat = attractor(g, g.losing_sinks, for_protagonist=False)
     safe = set(g.states) - sink_attr
 
@@ -200,81 +218,7 @@ def _solve_fragment(g: ZeroSumGame, frag: FragmentClass) -> WinningRegions:
                 ant_strat[s] = g.succ[s][0]  # at/after the sink, anything goes
         return WinningRegions(frozenset(w_pro), frozenset(w_ant), pro_strat, ant_strat)
 
-    if frag.kind == FragmentClass.BUCHI:
-        sub = _Subgame.restrict(g, safe)
-        w_pro, pro_strat, w_ant_sub, ant_strat = _solve_buchi(
-            sub, {s for s in safe if sat[s]}
-        )
-        w_ant = w_ant_sub | sink_attr
-        full_ant = dict(ant_strat)
-        for s, t in sink_strat.items():
-            full_ant.setdefault(s, t)
-        for s in sink_attr:
-            if not g.is_protagonist[s] and s not in full_ant:
-                full_ant[s] = g.succ[s][0]
-        return WinningRegions(frozenset(w_pro), frozenset(w_ant), pro_strat, full_ant)
-
-    if frag.kind == FragmentClass.COBUCHI:
-        # The coalition's complementary objective is Büchi: visit a
-        # (!beta or sink) state infinitely often.
-        swapped = make_game(
-            g.states,
-            g.succ,
-            {s: not g.is_protagonist[s] for s in g.states},
-            g.labels,
-        )
-        targets = {s for s in g.states if not sat[s]}
-        sub = _Subgame.restrict(swapped, set(g.states))
-        w_ant, ant_strat, w_pro, pro_strat = _solve_buchi(sub, targets)
-        return WinningRegions(frozenset(w_pro), frozenset(w_ant), pro_strat, ant_strat)
-
     raise UnsupportedObjectiveError(f"unknown fragment kind {frag.kind!r}")
-
-
-class _Subgame:
-    """A total restriction of a game to a subset of its states."""
-
-    @staticmethod
-    def restrict(g: ZeroSumGame, domain: set[State]) -> ZeroSumGame:
-        states = [s for s in g.states if s in domain]
-        succ = {s: tuple(t for t in g.succ[s] if t in domain) for s in states}
-        return make_game(
-            states, succ, {s: g.is_protagonist[s] for s in states},
-            {s: g.labels[s] for s in states},
-        )
-
-
-def _solve_buchi(g: ZeroSumGame, targets: set[State]):
-    """Classical repeated-attractor fixpoint. The protagonist wins where it
-    can visit `targets` infinitely often. Returns regions and memoryless
-    strategies for both sides."""
-    current = set(g.states)
-    ant_strat: dict[State, State] = {}
-    while True:
-        sub = _Subgame.restrict(g, current)
-        t_now = targets & current
-        reach, reach_strat = attractor(sub, t_now, for_protagonist=True)
-        dead = current - reach
-        if not dead:
-            pro_strat = dict(reach_strat)
-            for s in current:
-                if sub.is_protagonist[s] and s not in pro_strat:
-                    # on a target state: step anywhere inside, the attractor
-                    # pulls the play back to a target
-                    pro_strat[s] = sub.succ[s][0]
-            w_ant = set(g.states) - current
-            for s in w_ant:
-                if not g.is_protagonist[s] and s not in ant_strat:
-                    ant_strat[s] = g.succ[s][0]
-            return current, pro_strat, w_ant, ant_strat
-        removed, rem_strat = attractor(sub, dead, for_protagonist=False)
-        for s, t in rem_strat.items():
-            ant_strat.setdefault(s, t)
-        for s in dead:
-            if not sub.is_protagonist[s] and s not in ant_strat:
-                # stay outside the protagonist's reach-region
-                ant_strat[s] = next(t for t in sub.succ[s] if t not in reach)
-        current -= removed
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +226,8 @@ def _solve_buchi(g: ZeroSumGame, targets: set[State]):
 
 
 def solve_parity(g: ZeroSumGame, priority: Mapping[State, int]) -> WinningRegions:
-    """Zielonka's recursive algorithm. The protagonist wins a play iff the
-    maximum priority seen infinitely often is even."""
+    """Zielonka's algorithm. The protagonist wins a play iff the maximum
+    priority seen infinitely often is even."""
     missing = [s for s in g.states if s not in priority]
     if missing:
         raise DocumentSemanticError(f"missing priorities for {len(missing)} state(s)")
@@ -292,43 +236,47 @@ def solve_parity(g: ZeroSumGame, priority: Mapping[State, int]) -> WinningRegion
         raise DocumentSemanticError(
             f"priority {top} exceeds the configured bound {MAX_PRIORITY}"
         )
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(g.states) + 100))
     w0, s0, w1, s1 = _zielonka(g, set(g.states), priority)
     return WinningRegions(frozenset(w0), frozenset(w1), s0, s1)
 
 
 def _zielonka(g: ZeroSumGame, domain: set[State], priority):
+    """Solve the subgame on `domain`, a set of states that each keep a
+    successor inside. Returns (protagonist region, its strategy, coalition
+    region, its strategy). Recursion drops the top priority each time, so
+    its depth stays at most MAX_PRIORITY + 1; the regions the opponent of
+    the top priority's owner wins are peeled off in a loop."""
     if not domain:
         return set(), {}, set(), {}
-    sub = _Subgame.restrict(g, domain)
-    p = max(priority[s] for s in domain)
+    present = {priority[s] for s in domain}
+    p = max(present)
     j_is_pro = p % 2 == 0
-    top = {s for s in domain if priority[s] == p}
-    a_region, tau = attractor(sub, top, for_protagonist=j_is_pro)
-    w0p, s0p, w1p, s1p = _zielonka(g, domain - a_region, priority)
-    wjp, sjp = (w0p, s0p) if j_is_pro else (w1p, s1p)
-    wop, sop = (w1p, s1p) if j_is_pro else (w0p, s0p)
-    if not wop:
-        wj = set(domain)
+    if all(q % 2 == p % 2 for q in present):
+        # every play inside is won by the owner of p's parity
+        wj, sj, wo, so = domain, _escape_strategy(g, domain, j_is_pro), set(), {}
+    else:
+        wo, so = set(), {}
+        while True:
+            top = {s for s in domain if priority[s] == p}
+            a_region, tau = attractor(g, top, for_protagonist=j_is_pro, within=domain)
+            w0p, s0p, w1p, s1p = _zielonka(g, domain - a_region, priority)
+            sjp, wop, sop = (s0p, w1p, s1p) if j_is_pro else (s1p, w0p, s0p)
+            if not wop:
+                break
+            b_region, tau2 = attractor(g, wop, for_protagonist=not j_is_pro, within=domain)
+            wo |= b_region
+            so.update(sop)
+            so.update(tau2)
+            domain = domain - b_region
+        wj = domain
         sj = dict(sjp)
         sj.update(tau)
         for s in top:
-            if sub.is_protagonist[s] == j_is_pro and s not in sj:
-                sj[s] = sub.succ[s][0]
-        if j_is_pro:
-            return wj, sj, set(), {}
-        return set(), {}, wj, sj
-    b_region, tau2 = attractor(sub, wop, for_protagonist=not j_is_pro)
-    w0q, s0q, w1q, s1q = _zielonka(g, domain - b_region, priority)
-    woq, soq = (w1q, s1q) if j_is_pro else (w0q, s0q)
-    wjq, sjq = (w0q, s0q) if j_is_pro else (w1q, s1q)
-    wo = woq | b_region
-    so = dict(sop)
-    so.update(tau2)
-    so.update(soq)
+            if g.is_protagonist[s] == j_is_pro and s not in sj:
+                sj[s] = next(t for t in g.succ[s] if t in domain)
     if j_is_pro:
-        return wjq, sjq, wo, so
-    return wo, so, wjq, sjq
+        return wj, sj, wo, so
+    return wo, so, wj, sj
 
 
 # ---------------------------------------------------------------------------

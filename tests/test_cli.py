@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import carefulsynth
 from carefulsynth.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run
 
 from corpus import CORPUS
@@ -68,8 +73,69 @@ def test_solve_bounds_flag_overrides_document(fig1_text, tmp_path, capsys):
 
 def test_solve_output_is_byte_identical_across_runs(fig1_path, capsys):
     _, out1, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
-    _, out2, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3", "--jobs", "3")
+    _, out2, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
     assert out1 == out2
+
+
+# Two Büchi players whose punishment tables come from multi-target
+# attractors; the tie-breaking order once followed string hashing.
+HASH_SENSITIVE_ARENA = {
+    "players": 2,
+    "dimensions": 1,
+    "atoms": ["x", "y"],
+    "states": [
+        {"id": "s0", "owner": 2, "labels": ["y"]},
+        {"id": "s1", "owner": 2, "labels": ["x"]},
+        {"id": "s2", "owner": 1, "labels": ["x"]},
+        {"id": "s3", "owner": 1, "labels": ["y"]},
+        {"id": "s4", "owner": 1, "labels": []},
+        {"id": "s5", "owner": 2, "labels": ["x"]},
+    ],
+    "initial": "s0",
+    "edges": [
+        {"src": x, "dst": y, "cost": [c]}
+        for x, y, c in [
+            ("s0", "s0", 0), ("s0", "s5", 1), ("s1", "s0", 0), ("s1", "s3", -1),
+            ("s2", "s1", -1), ("s2", "s2", 1), ("s2", "s4", 1), ("s3", "s3", 0),
+            ("s4", "s0", -1), ("s4", "s4", 0), ("s4", "s5", 1), ("s5", "s2", 1),
+        ]
+    ],
+    "objectives": {"system": "true", "players": {"1": "G F x", "2": "G F y"}},
+}
+
+
+def test_solve_output_is_byte_identical_across_hash_seeds(tmp_path):
+    path = tmp_path / "arena.json"
+    path.write_text(json.dumps(HASH_SENSITIVE_ARENA))
+    src = str(pathlib.Path(carefulsynth.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "carefulsynth.cli", "solve", str(path), "--bounds", "2"],
+            env=env, capture_output=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_saturation_warning_only_when_a_step_clips(fig1_path, tmp_path, capsys):
+    _, _, err = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
+    assert "capacity saturation" in err
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "players": 1,
+        "dimensions": 1,
+        "atoms": [],
+        "states": [{"id": "s", "owner": 1, "labels": []}],
+        "initial": "s",
+        "edges": [{"src": "s", "dst": "s", "cost": [0]}],
+        "objectives": {"system": "true", "players": {"1": "true"}},
+    }))
+    code, _, err = _run(capsys, "solve", str(path), "--bounds", "1")
+    assert code == EXIT_POSITIVE
+    assert "capacity saturation" not in err
 
 
 def test_solve_pretty_appends_trace(fig1_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,28 +145,42 @@ def _simulate(g, strat, start, rng, other_is_pro):
     return path, seen[pos]
 
 
+def _strategy_cases(g, rng):
+    """(regions, the protagonist's winning test on a lasso) for every
+    fragment and for a random priority map."""
+    sat = {
+        s: s not in g.losing_sinks and ltl.eval_bool(P, g.labels[s])
+        for s in g.states
+    }
+
+    def careful(won):
+        return lambda path, loop: not (set(path) & g.losing_sinks) and won(path, loop)
+
+    wins = {
+        FragmentClass.REACH: careful(lambda path, loop: any(sat[x] for x in path)),
+        FragmentClass.SAFE: careful(lambda path, loop: all(sat[x] for x in path)),
+        FragmentClass.BUCHI: careful(lambda path, loop: any(sat[x] for x in loop)),
+        FragmentClass.COBUCHI: careful(lambda path, loop: all(sat[x] for x in loop)),
+    }
+    for kind, won in wins.items():
+        yield solve_fragment(g, FragmentClass(kind, P)), won
+    priority = {s: rng.randrange(0, 5) for s in g.states}
+    yield (
+        solve_parity(g, priority),
+        lambda path, loop: max(priority[x] for x in loop) % 2 == 0,
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_protagonist_strategy_wins_under_random_opposition(seed):
     rng = random.Random(seed)
     g = random_game(rng)
-    for kind in (FragmentClass.REACH, FragmentClass.SAFE, FragmentClass.BUCHI):
-        reg = solve_fragment(g, FragmentClass(kind, P))
-        sat = {
-            s: s not in g.losing_sinks and ltl.eval_bool(P, g.labels[s])
-            for s in g.states
-        }
+    for reg, won in _strategy_cases(g, rng):
         for s in reg.protagonist:
             for _ in range(10):
                 path, k = _simulate(g, reg.protagonist_strategy, s, rng, True)
-                loop = path[k:]
-                assert not (set(path) & g.losing_sinks)
-                if kind == FragmentClass.REACH:
-                    assert any(sat[x] for x in path)
-                elif kind == FragmentClass.SAFE:
-                    assert all(sat[x] for x in path)
-                else:
-                    assert any(sat[x] for x in loop)
+                assert won(path, path[k:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,25 +188,11 @@ def test_protagonist_strategy_wins_under_random_opposition(seed):
 def test_antagonist_strategy_spoils_under_random_opposition(seed):
     rng = random.Random(seed)
     g = random_game(rng)
-    for kind in (FragmentClass.REACH, FragmentClass.SAFE, FragmentClass.BUCHI):
-        reg = solve_fragment(g, FragmentClass(kind, P))
-        sat = {
-            s: s not in g.losing_sinks and ltl.eval_bool(P, g.labels[s])
-            for s in g.states
-        }
+    for reg, won in _strategy_cases(g, rng):
         for s in reg.antagonist:
             for _ in range(10):
                 path, k = _simulate(g, reg.antagonist_strategy, s, rng, False)
-                loop = path[k:]
-                won = not (set(path) & g.losing_sinks)
-                if won:
-                    if kind == FragmentClass.REACH:
-                        won = any(sat[x] for x in path)
-                    elif kind == FragmentClass.SAFE:
-                        won = all(sat[x] for x in path)
-                    else:
-                        won = any(sat[x] for x in loop)
-                assert not won
+                assert not won(path, path[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +221,27 @@ def test_parity_matches_strategy_enumeration(seed):
     assert set(reg.protagonist) == oracle_parity_region(g, priority)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_two_priority_parity_equals_buchi(seed):
-    rng = random.Random(seed)
-    g = random_game(rng, sink_prob=0.0)
-    priority = {
-        s: 2 if ltl.eval_bool(P, g.labels[s]) else 1 for s in g.states
-    }
-    reg_p = solve_parity(g, priority)
-    reg_b = solve_fragment(g, FragmentClass(FragmentClass.BUCHI, P))
-    assert set(reg_p.protagonist) == set(reg_b.protagonist)
+def test_parity_long_countdown_keeps_the_recursion_limit():
+    # From t_i the play is forced down to u_{i-1}; at u_i the protagonist
+    # either loops on priority 1 or visits t_i. It loses everywhere, and
+    # Zielonka peels off two states per round.
+    k = 1500
+    states = ["u0"] + [f"{x}{i}" for i in range(1, k + 1) for x in "tu"]
+    succ = {"u0": ("u0",)}
+    priority = {"u0": 1}
+    for i in range(1, k + 1):
+        succ[f"t{i}"] = (f"u{i - 1}",)
+        succ[f"u{i}"] = (f"t{i}", f"u{i}")
+        priority[f"t{i}"] = 2
+        priority[f"u{i}"] = 1
+    g = make_game(
+        states, succ, {s: True for s in states}, {s: frozenset() for s in states}
+    )
+    assert len(g.states) >= 3000
+    limit = sys.getrecursionlimit()
+    reg = solve_parity(g, priority)
+    assert sys.getrecursionlimit() == limit
+    assert reg.antagonist == frozenset(states)
 
 
 # ---------------------------------------------------------------------------
