@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import ltl
-from .errors import (
-    CostOverflowError,
-    DocumentSemanticError,
-    DocumentSyntaxError,
-)
+from .errors import CostOverflowError, DocumentSemanticError, load_json
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
 RESERVED_ATOM = "bot"  # claimed by the unfolding's sink state
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not 1
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ def build_arena(
 ) -> Arena:
     """Validate and construct an Arena; raises DocumentSemanticError on any
     invariant violation."""
-    if not isinstance(players, int) or players < 1:
+    if not _is_int(players) or players < 1:
         raise DocumentSemanticError(f"players must be a positive integer, got {players!r}")
-    if not isinstance(dimensions, int) or dimensions < 1:
+    if not _is_int(dimensions) or dimensions < 1:
         raise DocumentSemanticError(f"dimensions must be a positive integer, got {dimensions!r}")
 
     state_list = list(states)
@@ -88,7 +88,7 @@ def build_arena(
     if set(owner) != stateset:
         raise DocumentSemanticError("owner map must cover exactly the states")
     for s, p in owner.items():
-        if not isinstance(p, int) or not 1 <= p <= players:
+        if not _is_int(p) or not 1 <= p <= players:
             raise DocumentSemanticError(f"state {s!r}: owner {p!r} not in 1..{players}")
 
     if initial not in stateset:
@@ -112,7 +112,7 @@ def build_arena(
                 f"edge ({src!r}, {dst!r}): cost has {len(c)} components, expected {dimensions}"
             )
         for v in c:
-            if not isinstance(v, int) or not I64_MIN <= v <= I64_MAX:
+            if not _is_int(v) or not I64_MIN <= v <= I64_MAX:
                 raise DocumentSemanticError(
                     f"edge ({src!r}, {dst!r}): cost component {v!r} not a 64-bit integer"
                 )
@@ -134,7 +134,7 @@ def build_arena(
                 f"bounds has {len(b)} components, expected {dimensions}"
             )
         for v in b:
-            if not isinstance(v, int) or v < 0 or v > I64_MAX:
+            if not _is_int(v) or v < 0 or v > I64_MAX:
                 raise DocumentSemanticError(f"bounds component {v!r} must be a nonnegative integer")
     else:
         b = None
@@ -175,10 +175,7 @@ def build_arena(
 
 
 def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise DocumentSemanticError("arena document must be a JSON object")
 
@@ -209,7 +206,7 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
     if not isinstance(objectives, dict) or "system" not in objectives:
         raise DocumentSemanticError("objectives must carry a 'system' formula")
     players = doc["players"]
-    if not isinstance(players, int) or players < 1:
+    if not _is_int(players) or players < 1:
         raise DocumentSemanticError(f"players must be a positive integer, got {players!r}")
     per_player = objectives.get("players", {})
     player_objs = []

@@ -23,7 +23,7 @@ from .arena import (
     serialize_arena,
     validate_lasso,
 )
-from .errors import CarefulSynthError
+from .errors import CarefulSynthError, DocumentSemanticError, load_json
 from .unfolding import to_dot, unfold, unfolded_to_arena
 from .zerosum import ParityAutomaton, parse_dpa
 
@@ -79,7 +79,7 @@ def _load_dpas(pairs: Sequence[str], a: Arena) -> dict[int, ParityAutomaton]:
     dpas: dict[int, ParityAutomaton] = {}
     for pair in pairs:
         player_str, _, path = pair.partition("=")
-        if not path:
+        if not path or not player_str.isdecimal():
             raise CarefulSynthError(f"--dpa expects player=file, got {pair!r}")
         player = int(player_str)
         if not 1 <= player <= a.players:
@@ -164,8 +164,11 @@ def _cmd_check(args) -> int:
 
 
 def _parse_lasso_document(text: str) -> Lasso:
-    doc = json.loads(text)
-    return Lasso(stem=tuple(doc["stem"]), loop=tuple(doc["loop"]))
+    doc = load_json(text)
+    try:
+        return Lasso(stem=tuple(doc["stem"]), loop=tuple(doc["loop"]))
+    except (KeyError, TypeError) as e:
+        raise DocumentSemanticError(f"bad lasso document: {e}") from e
 
 
 def _cmd_mc(args) -> int:

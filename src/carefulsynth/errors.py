@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the JSON decoding step
+every document reader starts with."""
+
+import json
 
 
 class CarefulSynthError(Exception):
@@ -48,3 +51,12 @@ class UnsupportedObjectiveError(CarefulSynthError):
 
 class MalformedProfileError(CarefulSynthError):
     """A strategy-profile certificate is structurally broken."""
+
+
+def load_json(text: str):
+    """Decode a document; bad JSON becomes a DocumentSyntaxError that gives
+    its line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e

@@ -12,14 +12,13 @@ target is reachable.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import ltl
 from .arena import Arena, build_arena
-from .errors import DocumentSemanticError, DocumentSyntaxError
+from .errors import DocumentSemanticError, load_json
 
 OMEGA = "omega"
 
@@ -56,10 +55,7 @@ class CounterRun:
 
 
 def parse_counter_automaton(text: str) -> CounterAutomaton:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise DocumentSemanticError("counter automaton document must be an object")
     for key in ("counters", "locations", "initial", "target", "transitions"):

@@ -4,17 +4,16 @@ Pipeline: unfold the arena, compute each player's punishment region, then
 for each candidate winner set search the restricted unfolding for a lasso
 satisfying the system objective, the winners' objectives, and sink
 avoidance. A found lasso plus the precomputed punishment tables form the
-equilibrium certificate; `check_certificate` re-derives everything from
-scratch.
+equilibrium certificate; `check_certificate` checks it without the game
+solver, by an emptiness test per loser on the graph its table leaves.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import random
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from functools import cache, partial
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
 from ._graphs import shortest_path, strongly_connected_components
@@ -22,9 +21,9 @@ from .arena import Arena, Lasso, RESERVED_ATOM
 from .errors import (
     BudgetExceededError,
     DocumentSemanticError,
-    DocumentSyntaxError,
     MalformedProfileError,
     UnsupportedObjectiveError,
+    load_json,
 )
 from .unfolding import (
     BOT,
@@ -36,6 +35,7 @@ from .unfolding import (
     saturating_add,
     unfold,
 )
+from .ltl import FragmentClass
 from .zerosum import ParityAutomaton, dpa_step, punish_region
 
 DEFAULT_PRODUCT_BUDGET = 10**7
@@ -206,6 +206,67 @@ def find_witness_lasso(
 
 
 # ---------------------------------------------------------------------------
+# Objective trackers
+
+
+class Tracker(NamedTuple):
+    """A deterministic parity automaton, read-then-move: a position carries
+    the state q reached before it, with priority `priority(q)`, and its
+    letter steps to `step(q, letter)`. A play is won iff the maximum
+    priority seen infinitely often is even."""
+
+    initial: Hashable
+    step: Callable[[Hashable, frozenset], Hashable]
+    priority: Callable[[Hashable], int]
+
+
+def objective_tracker(
+    objective: ltl.Formula, dpa: Optional[ParityAutomaton] = None
+) -> Tracker:
+    """A supplied parity automaton as given. A fragment objective's state is
+    one flag about beta: seen (F), failed (G), held one position back (G F,
+    F G)."""
+    if dpa is not None:
+        return Tracker(dpa.initial, partial(dpa_step, dpa), dpa.priority.__getitem__)
+    frag = ltl.classify_fragment(objective)
+    if frag.kind == FragmentClass.GENERAL:
+        raise UnsupportedObjectiveError(
+            f"objective {objective} is outside the solvable fragments; "
+            "supply a deterministic parity automaton"
+        )
+    holds = cache(partial(ltl.eval_bool, frag.beta))
+    if frag.kind == FragmentClass.REACH:
+        return Tracker(False, lambda seen, x: seen or holds(x), lambda seen: 2 if seen else 1)
+    if frag.kind == FragmentClass.SAFE:
+        return Tracker(False, lambda bad, x: bad or not holds(x), lambda bad: 1 if bad else 2)
+    good = 2 if frag.kind == FragmentClass.BUCHI else 0
+    return Tracker(False, lambda _, x: holds(x), lambda held: good if held else 1)
+
+
+def run_lasso(tracker: Tracker, stem: Sequence, loop: Sequence) -> tuple[list, int]:
+    """Run `tracker` over the letters stem . loop^k until its state at the
+    loop head repeats. Returns the state each visited position carries and
+    the index where the settled cycle starts."""
+    q = tracker.initial
+    qs = []
+    for letter in stem:
+        qs.append(q)
+        q = tracker.step(q, letter)
+    heads: dict = {}
+    while q not in heads:
+        heads[q] = len(qs)
+        for letter in loop:
+            qs.append(q)
+            q = tracker.step(q, letter)
+    return qs, heads[q]
+
+
+def tracker_accepts(tracker: Tracker, stem: Sequence, loop: Sequence) -> bool:
+    qs, cycle = run_lasso(tracker, stem, loop)
+    return max(map(tracker.priority, qs[cycle:])) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
 # Solving
 
 
@@ -242,6 +303,7 @@ def solve(
     players = list(range(1, a.players + 1))
     try:
         regions = {i: punish_region(u, i, a.objective_of(i), dpas.get(i)) for i in players}
+        trackers = {i: objective_tracker(a.objective_of(i), dpas.get(i)) for i in players}
     except UnsupportedObjectiveError as e:
         return SolveResult(SolveResult.UNSUPPORTED, reason=str(e))
 
@@ -269,13 +331,9 @@ def solve(
         stem_labels = [u.labels(s) for s in stem]
         loop_labels = [u.labels(s) for s in loop]
         winners = frozenset(
-            i
-            for i in players
-            if i not in dpas
-            and ltl.eval_on_lasso(
-                a.objective_of(i), stem_labels, loop_labels, atoms=a.atoms
-            )
-        ) | frozenset(i for i in dpas if _dpa_accepts(dpas[i], u, stem, loop))
+            i for i in players
+            if tracker_accepts(trackers[i], stem_labels, loop_labels)
+        )
         profile = StrategyProfile(
             outcome=outcome,
             outcome_stem=stem,
@@ -290,27 +348,6 @@ def solve(
     )
 
 
-def _dpa_accepts(dpa: ParityAutomaton, u: UnfoldedArena, stem, loop) -> bool:
-    """Run the deterministic automaton over the lasso; decide by the parity
-    of the maximum priority inside the settled loop."""
-    seq = list(stem) + list(loop)
-    q = dpa.initial
-    states_seen = []
-    for us in seq:
-        states_seen.append(q)
-        q = dpa_step(dpa, q, u.labels(us))
-    # iterate the loop until the automaton state at the loop head repeats
-    heads = {}
-    loop_qs: list[str] = []
-    while q not in heads:
-        heads[q] = len(loop_qs)
-        for us in loop:
-            loop_qs.append(q)
-            q = dpa_step(dpa, q, u.labels(us))
-    cycle = loop_qs[heads[q] * len(loop):]
-    return max(dpa.priority[x] for x in cycle) % 2 == 0
-
-
 # ---------------------------------------------------------------------------
 # Certificate checking
 
@@ -321,10 +358,12 @@ def check_certificate(
     profile: StrategyProfile,
     dpas: Optional[Mapping[int, ParityAutomaton]] = None,
     max_states: int = DEFAULT_STATE_BUDGET,
-    spot_checks: int = 25,
-    seed: int = 0,
 ) -> list[str]:
-    """Independently recompute every clause of the solution definition.
+    """Check every clause of the solution definition against the arena
+    alone: the outcome replays in the unfolding, meets the system objective
+    and names its winners; every punishment table is made of edges; and no
+    loser has a careful profitable deviation against the others following
+    its table, decided exactly by an emptiness check on a one-player graph.
     Returns a list of violations; empty means the certificate is valid."""
     dpas = dict(dpas or {})
     violations: list[str] = []
@@ -341,11 +380,10 @@ def check_certificate(
     if not ltl.eval_on_lasso(a.system_objective, stem_labels, loop_labels, atoms=atoms):
         violations.append("outcome does not satisfy the system objective")
 
-    regions = {i: punish_region(u, i, a.objective_of(i), dpas.get(i)) for i in range(1, a.players + 1)}
-    rng = random.Random(seed)
     for i in range(1, a.players + 1):
+        tracker = objective_tracker(a.objective_of(i), dpas.get(i))
         if i in dpas:
-            satisfied = _dpa_accepts(dpas[i], u, stem, loop)
+            satisfied = tracker_accepts(tracker, stem_labels, loop_labels)
         else:
             satisfied = ltl.eval_on_lasso(
                 a.objective_of(i), stem_labels, loop_labels, atoms=atoms
@@ -355,19 +393,19 @@ def check_certificate(
                 f"player {i}: declared {'winner' if i in profile.winners else 'loser'}, "
                 f"outcome says otherwise"
             )
-        if not satisfied:
-            offenders = [
-                s for s in list(stem) + list(loop)
-                if u.owner(s) == i and s in regions[i].win
-            ]
-            for s in offenders:
+        table = profile.punishment.get(i)
+        if table is None:
+            violations.append(f"player {i}: missing punishment table")
+            continue
+        for key, value in table.items():
+            s = key[0] if i in dpas else key
+            if s not in u.succ or value not in u.succ[s]:
                 violations.append(
-                    f"player {i}: outcome visits {render_ustate(s)}, where a careful "
-                    f"profitable deviation exists"
+                    f"player {i}: punishment entry {key!r} -> {value!r} is not an edge"
                 )
-        violations.extend(
-            _check_punishment(u, a, i, profile, regions[i], dpas.get(i), rng, spot_checks)
-        )
+                break
+        if not satisfied:
+            violations.extend(_deviation_faults(u, i, tracker, table, i in dpas, stem, loop))
     return violations
 
 
@@ -404,83 +442,60 @@ def _replay(u: UnfoldedArena, outcome: Lasso) -> tuple[tuple, tuple]:
     return tuple(ustates[:loop_start]), tuple(ustates[loop_start:])
 
 
-def _check_punishment(u, a, player, profile, region, dpa, rng, spot_checks):
-    violations = []
-    table = profile.punishment.get(player)
-    if table is None:
-        return [f"player {player}: missing punishment table"]
-    keyed_by_product = dpa is not None
-    for key, value in table.items():
-        s = key[0] if keyed_by_product else key
-        if s not in u.succ or value not in u.succ[s]:
-            violations.append(
-                f"player {player}: punishment entry {key!r} -> {value!r} is not an edge"
-            )
-            return violations
+def _deviation_faults(u, player, tracker, table, keyed_by_q, stem, loop) -> list[str]:
+    """Explore (unfolded state, tracker state) from every way `player` can
+    leave the outcome: it takes any sink-free successor at its own states,
+    the coalition follows `table` (keyed by (s, q) for automaton objectives,
+    by s otherwise). A reachable cycle whose top priority is even is a
+    careful profitable deviation."""
+    qs, _ = run_lasso(tracker, [u.labels(s) for s in stem], [u.labels(s) for s in loop])
+    path = stem + loop * (len(qs) // len(loop) + 1)  # long enough to index k + 1
+    origin: dict = {}  # node -> the outcome position its deviation left from
+    for k, q in enumerate(qs):
+        if u.owner(path[k]) == player:
+            q2 = tracker.step(q, u.labels(path[k]))
+            for t in u.succ[path[k]]:
+                if t is not BOT and t != path[k + 1]:
+                    origin.setdefault((t, q2), path[k])
 
-    starts = [s for s in region.lose if s is not BOT and any(t is not BOT for t in u.succ[s])]
-    starts.sort(key=render_ustate)
-    if not starts:
-        return violations
-    atoms = a.atoms | {RESERVED_ATOM}
-    for _ in range(spot_checks):
-        start = starts[rng.randrange(len(starts))]
-        ok = _simulate_punishment(u, a, player, table, start, dpa, rng, atoms)
-        if not ok:
-            violations.append(
-                f"player {player}: punishment fails from {render_ustate(start)}"
-            )
-            break
-    return violations
+    succ: dict = {}
+    stack = list(origin)
+    while stack:
+        node = stack.pop()
+        s, q = node
+        moves = u.succ[s]
+        if u.owner(s) != player:
+            key = (s, q) if keyed_by_q else s
+            if table.get(key) not in moves:
+                return [
+                    f"player {player}: a deviation from {render_ustate(origin[node])} "
+                    f"reaches {render_ustate(s)}, where the punishment table has no edge"
+                ]
+            moves = (table[key],)
+        q2 = tracker.step(q, u.labels(s))
+        succ[node] = [(t, q2) for t in moves if t is not BOT]
+        for nxt in succ[node]:
+            if nxt not in origin:
+                origin[nxt] = origin[node]
+                stack.append(nxt)
 
-
-def _simulate_punishment(u, a, player, table, start, dpa, rng, atoms):
-    """One trial: the deviator plays a random memoryless strategy, the
-    coalition follows its table; the induced lasso must not be both careful
-    and objective-satisfying for the deviator."""
-    deviator_choice: dict = {}
-    q = dpa.initial if dpa is not None else None
-    pos = start
-    path = []
-    seen_at: dict = {}
-    while True:
-        config = (pos, q)
-        if config in seen_at:
-            loop_start = seen_at[config]
-            break
-        seen_at[config] = len(path)
-        path.append(config)
-        if pos is BOT:
-            nxt = BOT
-        elif u.owner(pos) == player:
-            if pos not in deviator_choice:
-                options = u.succ[pos]
-                deviator_choice[pos] = options[rng.randrange(len(options))]
-            nxt = deviator_choice[pos]
-        else:
-            key = (pos, q) if dpa is not None else pos
-            if key not in table:
-                return False  # incomplete table counts as a punishment failure
-            nxt = table[key]
-        if dpa is not None:
-            q = dpa_step(dpa, q, u.labels(pos))
-        pos = nxt
-
-    stem_cfg, loop_cfg = path[:loop_start], path[loop_start:]
-    careful = all(p is not BOT for (p, _) in path)
-    if not careful:
-        return True
-    if dpa is not None:
-        best = max(dpa.priority[qq] for (_, qq) in loop_cfg)
-        satisfied = best % 2 == 0
-    else:
-        satisfied = ltl.eval_on_lasso(
-            a.objective_of(player),
-            [u.labels(p) for (p, _) in stem_cfg],
-            [u.labels(p) for (p, _) in loop_cfg],
-            atoms=atoms,
-        )
-    return not satisfied
+    priority = {node: tracker.priority(node[1]) for node in succ}
+    for p in sorted({x for x in priority.values() if x % 2 == 0}):
+        low = {node for node in succ if priority[node] <= p}
+        won = {
+            node
+            for comp in strongly_connected_components(low, succ.__getitem__)
+            if (len(comp) > 1 or comp[0] in succ[comp[0]])
+            and any(priority[x] == p for x in comp)
+            for node in comp
+        }
+        for node in succ:  # name the first found, independent of set order
+            if node in won:
+                return [
+                    f"player {player}: careful profitable deviation from "
+                    f"{render_ustate(origin[node])}"
+                ]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +540,7 @@ def result_to_document(result: SolveResult) -> dict:
 
 
 def parse_profile(text: str) -> StrategyProfile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = load_json(text)
     try:
         outcome = doc["outcome"]
         stem = tuple(outcome["stem"])

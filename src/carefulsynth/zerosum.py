@@ -11,17 +11,12 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Optional
 
 from . import ltl
 from .arena import RESERVED_ATOM
-from .errors import (
-    DocumentSemanticError,
-    DocumentSyntaxError,
-    UnsupportedObjectiveError,
-)
+from .errors import DocumentSemanticError, UnsupportedObjectiveError, load_json
 from .ltl import FragmentClass
 from .unfolding import BOT, UnfoldedArena
 
@@ -300,10 +295,7 @@ class ParityAutomaton:
 
 
 def parse_dpa(text: str) -> ParityAutomaton:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = load_json(text)
     try:
         states = tuple(doc["states"])
         initial = doc["initial"]
@@ -354,15 +346,10 @@ def dpa_step(dpa: ParityAutomaton, q: str, letter: frozenset[str]) -> str:
 class PunishRegions:
     """Deviator-winning region over unfolded states, plus the coalition's
     punishment strategy. For parity-automaton objectives the strategy is
-    keyed by (unfolded state, automaton state) pairs and `tracked` is the
-    automaton used to follow the play."""
+    keyed by (unfolded state, automaton state) pairs."""
 
     win: frozenset[State]
-    lose: frozenset[State]
-    protagonist_strategy: dict
     punishment: dict
-    tracked: Optional[ParityAutomaton] = None
-    product_antagonist: Optional[frozenset] = None
 
 
 def punish_region(
@@ -384,12 +371,7 @@ def punish_region(
         )
     g = game_from_unfolded(u, {player})
     regions = solve_fragment(g, frag)
-    return PunishRegions(
-        win=regions.protagonist,
-        lose=regions.antagonist,
-        protagonist_strategy=regions.protagonist_strategy,
-        punishment=regions.antagonist_strategy,
-    )
+    return PunishRegions(win=regions.protagonist, punishment=regions.antagonist_strategy)
 
 
 def _punish_region_dpa(u: UnfoldedArena, player: int, dpa: ParityAutomaton):
@@ -424,15 +406,8 @@ def _punish_region_dpa(u: UnfoldedArena, player: int, dpa: ParityAutomaton):
     win = frozenset(
         s for (s, q) in regions.protagonist if (s, q) in reachable
     )
+    # the strategy is keyed by (state, q) but the chosen move is just the
+    # successor state; the next q is determined by the automaton
     return PunishRegions(
-        win=win,
-        lose=frozenset(s for s in u.states if s not in win),
-        # strategies are keyed by (state, q) but the chosen move is just the
-        # successor state; the next q is determined by the automaton
-        protagonist_strategy={
-            k: v[0] for k, v in regions.protagonist_strategy.items()
-        },
-        punishment={k: v[0] for k, v in regions.antagonist_strategy.items()},
-        tracked=dpa,
-        product_antagonist=regions.antagonist,
+        win=win, punishment={k: v[0] for k, v in regions.antagonist_strategy.items()}
     )

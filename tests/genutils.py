@@ -27,7 +27,7 @@ from carefulsynth.zerosum import ZeroSumGame, make_game
 FORMULA_ATOMS = ("p", "q")
 
 
-def random_formula(rng: random.Random, depth: int) -> ltl.Formula:
+def random_formula(rng: random.Random, depth: int, atoms=FORMULA_ATOMS) -> ltl.Formula:
     if depth <= 0:
         op = rng.choice(("atom", "atom", "lit"))
     else:
@@ -35,22 +35,22 @@ def random_formula(rng: random.Random, depth: int) -> ltl.Formula:
             ("atom", "lit", "not", "and", "or", "next", "until", "finally", "globally")
         )
     if op == "atom":
-        return ltl.Atom(rng.choice(FORMULA_ATOMS))
+        return ltl.Atom(rng.choice(atoms))
     if op == "lit":
         return ltl.Lit(rng.random() < 0.5)
     if op == "not":
-        return ltl.Not(random_formula(rng, depth - 1))
+        return ltl.Not(random_formula(rng, depth - 1, atoms))
     if op == "and":
-        return ltl.And(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+        return ltl.And(random_formula(rng, depth - 1, atoms), random_formula(rng, depth - 1, atoms))
     if op == "or":
-        return ltl.Or(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+        return ltl.Or(random_formula(rng, depth - 1, atoms), random_formula(rng, depth - 1, atoms))
     if op == "next":
-        return ltl.Next(random_formula(rng, depth - 1))
+        return ltl.Next(random_formula(rng, depth - 1, atoms))
     if op == "until":
-        return ltl.Until(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+        return ltl.Until(random_formula(rng, depth - 1, atoms), random_formula(rng, depth - 1, atoms))
     if op == "finally":
-        return ltl.Eventually(random_formula(rng, depth - 1))
-    return ltl.Always(random_formula(rng, depth - 1))
+        return ltl.Eventually(random_formula(rng, depth - 1, atoms))
+    return ltl.Always(random_formula(rng, depth - 1, atoms))
 
 
 def random_word(rng: random.Random, max_stem=4, max_loop=4):
@@ -373,4 +373,52 @@ def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
                 break
         if not advanced:
             stack.pop()
+    return False
+
+
+# ---------------------------------------------------------------------------
+# The deviation oracle for certificate checking (fragment objectives)
+
+
+def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem, loop) -> bool:
+    """Does `player` have a careful deviation from the outcome stem . loop^omega
+    (unfolded states) that satisfies its `F`, `G`, `G F` or `F G` objective
+    while every other player follows `table` (keyed by unfolded state)?
+    Decided on the table-restricted one-player graph by reachability and
+    cycles; the `F` / `G` flags come from the outcome prefix through stem and
+    two loop passes."""
+    frag = ltl.classify_fragment(objective)
+    nodes = {s for s in u.states if s is not BOT}
+    succ = {
+        s: [t for t in (u.succ[s] if u.owner(s) == player else (table[s],)) if t is not BOT]
+        for s in nodes
+    }
+    good = {s for s in nodes if ltl.eval_bool(frag.beta, u.labels(s))}
+    cycles = _cycle_states(nodes, succ)
+    good_cycles = _cycle_states(good, succ)
+    prefix = list(stem) + list(loop) * 2
+    for k, s in enumerate(prefix):
+        if u.owner(s) != player:
+            continue
+        seen = any(x in good for x in prefix[: k + 1])
+        failed = not all(x in good for x in prefix[: k + 1])
+        nxt = prefix[k + 1] if k + 1 < len(prefix) else loop[0]
+        for t in succ[s]:
+            if t == nxt:
+                continue
+            r = _reach_states(succ, t)
+            if frag.kind == FragmentClass.REACH:
+                wins = bool(r & cycles) and (
+                    seen or any(_reach_states(succ, x) & cycles for x in r & good)
+                )
+            elif frag.kind == FragmentClass.SAFE:
+                wins = not failed and bool(_reach_states(succ, t, allowed=good) & good_cycles)
+            elif frag.kind == FragmentClass.BUCHI:
+                wins = bool(good & _cycle_states(r, succ))
+            elif frag.kind == FragmentClass.COBUCHI:
+                wins = bool(_cycle_states(r & good, succ))
+            else:
+                raise ValueError(frag.kind)
+            if wins:
+                return True
     return False

@@ -255,6 +255,18 @@ def test_mc_bounded_energy_report(fig1_path, lasso_file, capsys):
     assert bounded["trace"][-1] == [0, 0]
 
 
+@pytest.mark.parametrize(
+    "text", ['{"stem": ["a", "a"], "loop"', '{"stem": ["a", "a"]}', '["a"]']
+)
+def test_mc_malformed_lasso_document_is_an_error(fig1_path, tmp_path, capsys, text):
+    # truncated JSON, a missing key, the wrong shape
+    path = tmp_path / "lasso.json"
+    path.write_text(text)
+    code, _, err = _run(capsys, "mc", fig1_path, str(path), "F circ")
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")
+
+
 def test_mc_rejects_invalid_lasso(fig1_path, tmp_path, capsys):
     path = tmp_path / "lasso.json"
     path.write_text(json.dumps({"stem": ["a"], "loop": ["boxdiam"]}))
@@ -310,3 +322,46 @@ def test_bad_bounds_flag_is_an_error(fig1_path, capsys):
 def test_negative_bounds_flag_is_an_error(fig1_path, capsys):
     code, _, _ = _run(capsys, "solve", fig1_path, "--bounds", "-1,3")
     assert code == EXIT_ERROR
+
+
+def test_dpa_flag_with_a_non_numeric_player_is_an_error(fig1_path, tmp_path, capsys):
+    dpa_path = tmp_path / "dpa.json"
+    dpa_path.write_text("{}")
+    code, _, err = _run(
+        capsys, "solve", fig1_path, "--bounds", "3,3", "--dpa", f"x={dpa_path}"
+    )
+    assert code == EXIT_ERROR
+    assert "--dpa expects player=file" in err
+
+
+def _one_state_document():
+    return {
+        "players": 1,
+        "dimensions": 1,
+        "bounds": [1],
+        "atoms": [],
+        "states": [{"id": "s", "owner": 1, "labels": []}],
+        "initial": "s",
+        "edges": [{"src": "s", "dst": "s", "cost": [0]}],
+        "objectives": {"system": "true"},
+    }
+
+
+@pytest.mark.parametrize("field", ["players", "dimensions", "owner", "cost", "bounds"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, field):
+    doc = _one_state_document()
+    path = tmp_path / "arena.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, "solve", str(path))[0] == EXIT_POSITIVE
+    if field in ("players", "dimensions"):
+        doc[field] = True
+    elif field == "owner":
+        doc["states"][0]["owner"] = True
+    elif field == "cost":
+        doc["edges"][0]["cost"] = [False]
+    else:
+        doc["bounds"] = [True]
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "solve", str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")

@@ -11,15 +11,25 @@ from carefulsynth.synthesis import (
     SolveResult,
     check_certificate,
     find_witness_lasso,
+    objective_tracker,
     parse_profile,
     profile_to_document,
     result_to_document,
     solve,
+    tracker_accepts,
 )
 from carefulsynth.unfolding import AVOID_BOT, BOT, unfold
 from carefulsynth.zerosum import parse_dpa, punish_region
 
-from genutils import OracleTooBig, oracle_solution_exists, random_arena
+from genutils import (
+    ARENA_ATOMS,
+    OracleTooBig,
+    oracle_profitable_deviation,
+    oracle_solution_exists,
+    random_arena,
+    random_formula,
+    random_word,
+)
 
 
 GOLDEN_STEM = ("a", "a", "a", "a", "b", "c")
@@ -249,13 +259,72 @@ def test_checker_rejects_underflowing_outcome(fig1):
     assert any("depletes" in v for v in violations)
 
 
-def test_checker_rejects_truncated_punishment_table(fig1):
-    p = solve(fig1, (3, 3)).profile
-    tables = {i: dict(t) for i, t in p.punishment.items()}
-    tables[3] = {}
-    bad = dataclasses.replace(p, punishment=tables)
-    violations = check_certificate(fig1, (3, 3), bad)
-    assert any("player 3" in v and "punishment" in v for v in violations)
+def _one_choice_arena(n=40):
+    # player 1 owns d and may deviate to any ek; there player 2 either
+    # punishes (z) or concedes p (pk). The outcome x d s^omega never sees p.
+    from carefulsynth.arena import parse_arena
+
+    es = [f"e{k:02d}" for k in range(n)]
+    edges = [("x", "d"), ("d", "s"), ("s", "s"), ("z", "z")]
+    for k, e in enumerate(es):
+        edges += [("d", e), (e, "z"), (e, f"p{k:02d}"), (f"p{k:02d}", f"p{k:02d}")]
+    states = [("x", 2, []), ("d", 1, []), ("s", 1, ["q"]), ("z", 1, [])]
+    states += [(e, 2, []) for e in es] + [(f"p{k:02d}", 1, ["p"]) for k in range(n)]
+    return parse_arena(json.dumps({
+        "players": 2,
+        "dimensions": 1,
+        "atoms": ["p", "q"],
+        "states": [{"id": i, "owner": o, "labels": l} for i, o, l in states],
+        "initial": "x",
+        "edges": [{"src": a, "dst": b, "cost": [0]} for a, b in edges],
+        "objectives": {"system": "F q", "players": {"1": "F p", "2": "true"}},
+    }))
+
+
+def test_checker_rejects_truncated_punishment_table():
+    # every deviation of player 1 meets a coalition state, so its table is
+    # consulted (at fig1 (3,3) player 3's deviations all underflow, and an
+    # empty table there is a valid certificate)
+    a = _one_choice_arena()
+    p = solve(a, (0,)).profile
+    assert check_certificate(a, (0,), p) == []
+    bad = dataclasses.replace(p, punishment={1: {}, 2: p.punishment[2]})
+    violations = check_certificate(a, (0,), bad)
+    assert any("player 1" in v and "punishment" in v for v in violations)
+    assert all("player 2" not in v for v in violations)
+
+
+def test_checker_rejects_a_table_that_fails_against_one_deviator_choice():
+    # of player 1's 40 deviations, only the one through e00 is left
+    # unpunished; a sampled deviator can miss it
+    a = _one_choice_arena()
+    result = solve(a, (0,))
+    p = result.profile
+    assert result.status == SolveResult.SOLUTION and p.winners == frozenset({2})
+    assert p.outcome.stem + p.outcome.loop == ("x", "d", "s")
+    table = dict(p.punishment[1])
+    assert table[("e00", (0,))] == ("z", (0,))
+    table[("e00", (0,))] = ("p00", (0,))
+    bad = dataclasses.replace(p, punishment={1: table, 2: p.punishment[2]})
+    violations = check_certificate(a, (0,), bad)
+    assert violations == ["player 1: careful profitable deviation from d@0"]
+
+
+def test_checker_accepts_a_loser_that_has_already_lost():
+    # player 1 (G !p) lost at y and owns only s, where it has no other move
+    from carefulsynth.arena import Lasso
+    from carefulsynth.synthesis import StrategyProfile
+
+    a = _late_loser_arena("F p", "G !p")
+    x, y, s = ("x", (0,)), ("y", (0,)), ("s", (0,))
+    profile = StrategyProfile(
+        outcome=Lasso(stem=("x", "y"), loop=("s",), trace=((0,), (0,), (0,))),
+        outcome_stem=(x, y),
+        outcome_loop=(s,),
+        winners=frozenset({2}),
+        punishment={1: {x: y, y: s}, 2: {s: s}},
+    )
+    assert check_certificate(a, (1,), profile) == []
 
 
 def test_checker_rejects_tampered_trace(fig1):
@@ -313,3 +382,120 @@ def test_solve_agrees_with_lasso_enumeration(seed):
     assert (result.status == SolveResult.SOLUTION) == expected
     if result.profile is not None:
         assert check_certificate(a, bounds, result.profile) == []
+
+
+# ---------------------------------------------------------------------------
+# Trackers and the exact deviation check against independent references
+
+
+FRAGMENT_SHAPES = ("F {}", "G {}", "G F {}", "F G {}", "! F {}", "! G F {}")
+
+
+def _random_fragment(rng, atoms=("p", "q")):
+    # beta is temporal-free and neither valid nor unsatisfiable
+    letters = [frozenset(), frozenset(atoms[:1]), frozenset(atoms[1:]), frozenset(atoms)]
+    beta = ltl.TRUE
+    while not (
+        ltl.is_temporal_free(beta) and len({ltl.eval_bool(beta, x) for x in letters}) == 2
+    ):
+        beta = random_formula(rng, 2, atoms)
+    return ltl.parse_ltl(rng.choice(FRAGMENT_SHAPES).format(f"({ltl.formula_to_str(beta)})"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_tracker_verdict_matches_lasso_evaluation(seed):
+    rng = random.Random(seed)
+    phi = _random_fragment(rng)
+    stem, loop = random_word(rng)
+    assert tracker_accepts(objective_tracker(phi), stem, loop) == ltl.eval_on_lasso(
+        phi, stem, loop
+    )
+
+
+def _random_fragment_arena(rng):
+    a = random_arena(rng, max_states=5, max_players=3)
+    objectives = [_random_fragment(rng, ARENA_ATOMS) for _ in range(a.players + 1)]
+    a = dataclasses.replace(
+        a, system_objective=objectives[0], player_objectives=tuple(objectives[1:])
+    )
+    return a, tuple(rng.randrange(0, 3) for _ in range(a.dimensions))
+
+
+def _deviation_verdicts(a, bounds, u, profile):
+    """(checker, oracle) verdict on a profitable deviation, per loser."""
+    violations = check_certificate(a, bounds, profile)
+    return [
+        (
+            any(v.startswith(f"player {i}:") and "deviation" in v for v in violations),
+            oracle_profitable_deviation(
+                u, i, a.objective_of(i), profile.punishment[i],
+                profile.outcome_stem, profile.outcome_loop,
+            ),
+        )
+        for i in range(1, a.players + 1)
+        if i not in profile.winners
+    ]
+
+
+def test_checker_finds_exactly_the_deviations_the_oracle_finds():
+    # solver certificates, each loser's table changed at one or two
+    # coalition states
+    verdicts = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        a, bounds = _random_fragment_arena(rng)
+        p = solve(a, bounds).profile
+        if p is None:
+            continue
+        assert check_certificate(a, bounds, p) == [], seed
+        u = unfold(a, bounds)
+        tables = {i: dict(t) for i, t in p.punishment.items()}
+        for i in set(tables) - p.winners:
+            keys = [s for s in tables[i] if s is not BOT and u.owner(s) != i]
+            for s in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
+                tables[i][s] = rng.choice(u.succ[s])
+        got = _deviation_verdicts(a, bounds, u, dataclasses.replace(p, punishment=tables))
+        assert all(found == expected for found, expected in got), seed
+        verdicts += got
+    assert len(verdicts) >= 50 and (True, True) in verdicts
+
+
+def test_checker_agrees_with_the_oracle_on_random_profiles():
+    # a random sink-free lasso of the unfolding as the outcome and a random
+    # table per player; deviations are profitable far more often here
+    from carefulsynth.synthesis import StrategyProfile, outcome_lasso
+
+    verdicts = []
+    for seed in range(1500):
+        rng = random.Random(seed)
+        a, bounds = _random_fragment_arena(rng)
+        u = unfold(a, bounds)
+        path = [u.initial]
+        while True:
+            moves = [t for t in u.succ[path[-1]] if t is not BOT]
+            if not moves:
+                break
+            t = rng.choice(moves)
+            if t in path:
+                break
+            path.append(t)
+        if not moves or t == u.initial:
+            continue
+        stem, loop = tuple(path[: path.index(t)]), tuple(path[path.index(t):])
+        labels = [u.labels(s) for s in stem], [u.labels(s) for s in loop]
+        players = range(1, a.players + 1)
+        profile = StrategyProfile(
+            outcome=outcome_lasso(u, stem, loop),
+            outcome_stem=stem,
+            outcome_loop=loop,
+            winners=frozenset(i for i in players if ltl.eval_on_lasso(a.objective_of(i), *labels)),
+            punishment={
+                i: {s: rng.choice(u.succ[s]) for s in u.states if s is not BOT and u.owner(s) != i}
+                for i in players
+            },
+        )
+        got = _deviation_verdicts(a, bounds, u, profile)
+        assert all(found == expected for found, expected in got), seed
+        verdicts += got
+    assert verdicts.count((True, True)) >= 20 and verdicts.count((False, False)) >= 20
