@@ -2,9 +2,9 @@
 with multiple bounded shared resources.
 
 The pipeline: `arena` (data model + lasso semantics) -> `unfolding` (bounded
-resource product with an underflow sink) -> `zerosum` (attractors and
-Zielonka's parity algorithm, punishment regions) -> `synthesis` (equilibrium search
-and certificate checking). `ltl` provides the objective language and its
+resource product with an underflow sink) -> `zerosum` (attractors, Zielonka's
+parity algorithm, objective trackers, punishment regions) -> `synthesis`
+(equilibrium search and certificate checking). `ltl` provides the objective language and its
 Büchi translation; `reduction` generates hardness instances from two-counter
 automata; `cli` is the command-line front end.
 """
@@ -61,7 +61,6 @@ from .zerosum import (
     game_from_unfolded,
     parse_dpa,
     punish_region,
-    solve_fragment,
     solve_parity,
 )
 

@@ -13,16 +13,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import ltl
-from .errors import CostOverflowError, DocumentSemanticError, load_json
+from .errors import CostOverflowError, DocumentSemanticError, is_int, load_json
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
 RESERVED_ATOM = "bot"  # claimed by the unfolding's sink state
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not 1
 
 
 @dataclass(frozen=True)
@@ -67,9 +63,9 @@ def build_arena(
 ) -> Arena:
     """Validate and construct an Arena; raises DocumentSemanticError on any
     invariant violation."""
-    if not _is_int(players) or players < 1:
+    if not is_int(players) or players < 1:
         raise DocumentSemanticError(f"players must be a positive integer, got {players!r}")
-    if not _is_int(dimensions) or dimensions < 1:
+    if not is_int(dimensions) or dimensions < 1:
         raise DocumentSemanticError(f"dimensions must be a positive integer, got {dimensions!r}")
 
     state_list = list(states)
@@ -88,7 +84,7 @@ def build_arena(
     if set(owner) != stateset:
         raise DocumentSemanticError("owner map must cover exactly the states")
     for s, p in owner.items():
-        if not _is_int(p) or not 1 <= p <= players:
+        if not is_int(p) or not 1 <= p <= players:
             raise DocumentSemanticError(f"state {s!r}: owner {p!r} not in 1..{players}")
 
     if initial not in stateset:
@@ -112,7 +108,7 @@ def build_arena(
                 f"edge ({src!r}, {dst!r}): cost has {len(c)} components, expected {dimensions}"
             )
         for v in c:
-            if not _is_int(v) or not I64_MIN <= v <= I64_MAX:
+            if not is_int(v) or not I64_MIN <= v <= I64_MAX:
                 raise DocumentSemanticError(
                     f"edge ({src!r}, {dst!r}): cost component {v!r} not a 64-bit integer"
                 )
@@ -134,7 +130,7 @@ def build_arena(
                 f"bounds has {len(b)} components, expected {dimensions}"
             )
         for v in b:
-            if not _is_int(v) or v < 0 or v > I64_MAX:
+            if not is_int(v) or v < 0 or v > I64_MAX:
                 raise DocumentSemanticError(f"bounds component {v!r} must be a nonnegative integer")
     else:
         b = None
@@ -184,6 +180,9 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
     if missing:
         raise DocumentSemanticError(f"missing field(s): {sorted(missing)}")
 
+    for key in ("states", "edges"):
+        if not isinstance(doc[key], list):
+            raise DocumentSemanticError(f"{key} must be a list, got {doc[key]!r}")
     states, owner, labels = [], {}, {}
     for item in doc["states"]:
         if not isinstance(item, dict) or "id" not in item or "owner" not in item:
@@ -206,13 +205,21 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
     if not isinstance(objectives, dict) or "system" not in objectives:
         raise DocumentSemanticError("objectives must carry a 'system' formula")
     players = doc["players"]
-    if not _is_int(players) or players < 1:
+    if not is_int(players) or players < 1:
         raise DocumentSemanticError(f"players must be a positive integer, got {players!r}")
     per_player = objectives.get("players", {})
+    if not isinstance(per_player, dict):
+        raise DocumentSemanticError(f"player objectives must be an object, got {per_player!r}")
+
+    def formula(src, whose):
+        if not isinstance(src, str):
+            raise DocumentSemanticError(f"{whose} objective must be a string, got {src!r}")
+        return ltl.parse_ltl(src)
+
     player_objs = []
     for i in range(1, players + 1):
         src = per_player.get(str(i))
-        player_objs.append(ltl.parse_ltl(src) if src is not None else ltl.TRUE)
+        player_objs.append(formula(src, f"player {i}") if src is not None else ltl.TRUE)
     extra = set(per_player) - {str(i) for i in range(1, players + 1)}
     if extra:
         raise DocumentSemanticError(f"objectives for unknown player(s): {sorted(extra)}")
@@ -226,7 +233,7 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
         edges=edges,
         atoms=doc["atoms"],
         labels=labels,
-        system_objective=ltl.parse_ltl(objectives["system"]),
+        system_objective=formula(objectives["system"], "system"),
         player_objectives=player_objs,
         bounds=doc.get("bounds"),
         allow_reserved_atom=allow_reserved_atom,

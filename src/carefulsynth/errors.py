@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, and the JSON decoding step
-every document reader starts with."""
+and integer test every document reader uses."""
 
 import json
 
@@ -60,3 +60,8 @@ def load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+
+
+def is_int(v) -> bool:
+    """A JSON integer: `true` and `2.0` are not."""
+    return isinstance(v, int) and not isinstance(v, bool)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import ltl
 from ._graphs import shortest_path, strongly_connected_components
@@ -23,6 +22,7 @@ from .errors import (
     DocumentSemanticError,
     MalformedProfileError,
     UnsupportedObjectiveError,
+    is_int,
     load_json,
 )
 from .unfolding import (
@@ -35,8 +35,7 @@ from .unfolding import (
     saturating_add,
     unfold,
 )
-from .ltl import FragmentClass
-from .zerosum import ParityAutomaton, dpa_step, punish_region
+from .zerosum import ParityAutomaton, Tracker, objective_tracker, punish_region
 
 DEFAULT_PRODUCT_BUDGET = 10**7
 
@@ -206,41 +205,7 @@ def find_witness_lasso(
 
 
 # ---------------------------------------------------------------------------
-# Objective trackers
-
-
-class Tracker(NamedTuple):
-    """A deterministic parity automaton, read-then-move: a position carries
-    the state q reached before it, with priority `priority(q)`, and its
-    letter steps to `step(q, letter)`. A play is won iff the maximum
-    priority seen infinitely often is even."""
-
-    initial: Hashable
-    step: Callable[[Hashable, frozenset], Hashable]
-    priority: Callable[[Hashable], int]
-
-
-def objective_tracker(
-    objective: ltl.Formula, dpa: Optional[ParityAutomaton] = None
-) -> Tracker:
-    """A supplied parity automaton as given. A fragment objective's state is
-    one flag about beta: seen (F), failed (G), held one position back (G F,
-    F G)."""
-    if dpa is not None:
-        return Tracker(dpa.initial, partial(dpa_step, dpa), dpa.priority.__getitem__)
-    frag = ltl.classify_fragment(objective)
-    if frag.kind == FragmentClass.GENERAL:
-        raise UnsupportedObjectiveError(
-            f"objective {objective} is outside the solvable fragments; "
-            "supply a deterministic parity automaton"
-        )
-    holds = cache(partial(ltl.eval_bool, frag.beta))
-    if frag.kind == FragmentClass.REACH:
-        return Tracker(False, lambda seen, x: seen or holds(x), lambda seen: 2 if seen else 1)
-    if frag.kind == FragmentClass.SAFE:
-        return Tracker(False, lambda bad, x: bad or not holds(x), lambda bad: 1 if bad else 2)
-    good = 2 if frag.kind == FragmentClass.BUCHI else 0
-    return Tracker(False, lambda _, x: holds(x), lambda held: good if held else 1)
+# Tracker runs over lassos
 
 
 def run_lasso(tracker: Tracker, stem: Sequence, loop: Sequence) -> tuple[list, int]:
@@ -546,8 +511,12 @@ def parse_profile(text: str) -> StrategyProfile:
         stem = tuple(outcome["stem"])
         loop = tuple(outcome["loop"])
         trace = tuple(tuple(v) for v in outcome["trace"])
-        winners = frozenset(int(i) for i in doc["winners"])
-        dpa_players = frozenset(int(i) for i in doc.get("dpa_players", []))
+        if not all(map(is_int, [*doc["winners"], *doc.get("dpa_players", [])])):
+            raise MalformedProfileError(
+                "bad profile document: winners and dpa_players must list integers"
+            )
+        winners = frozenset(doc["winners"])
+        dpa_players = frozenset(doc.get("dpa_players", []))
         punishment = {}
         for i_str, table in doc.get("punishment", {}).items():
             i = int(i_str)

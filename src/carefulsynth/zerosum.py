@@ -1,8 +1,9 @@
 """Two-player zero-sum solving on game graphs: attractors, Zielonka's
-parity algorithm, and the per-player punishment regions used by the
-equilibrium characterization. Reach and Safe objectives are single
-attractor computations; Büchi and co-Büchi objectives, like parity
-automata, are solved as parity games.
+parity algorithm, objective trackers, and the per-player punishment regions
+used by the equilibrium characterization. Every objective becomes a
+deterministic parity tracker (a flag for `F`, `G`, `G F` and `F G`, or a
+supplied parity automaton); a punishment region is the product of the
+unfolding with that tracker, solved by Zielonka's algorithm.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -12,11 +13,11 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional
+from functools import cache, partial
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
-from .arena import RESERVED_ATOM
-from .errors import DocumentSemanticError, UnsupportedObjectiveError, load_json
+from .errors import DocumentSemanticError, UnsupportedObjectiveError, is_int, load_json
 from .ltl import FragmentClass
 from .unfolding import BOT, UnfoldedArena
 
@@ -136,87 +137,6 @@ def _escape_strategy(g, region, owned_side):
 
 
 # ---------------------------------------------------------------------------
-# Fragment solvers
-
-
-def _holds(beta: ltl.Formula, letter: frozenset[str]) -> bool:
-    return ltl.eval_bool(beta, letter)
-
-
-def _totalize(g: ZeroSumGame, regions: WinningRegions) -> WinningRegions:
-    """Extend both strategy maps to every owned state. Outside the owner's
-    winning region (or once the objective is already decided) any edge is as
-    good as another; total maps keep simulations and certificate checks
-    simple."""
-    pro = dict(regions.protagonist_strategy)
-    ant = dict(regions.antagonist_strategy)
-    for s in g.states:
-        if g.is_protagonist[s]:
-            pro.setdefault(s, g.succ[s][0])
-        else:
-            ant.setdefault(s, g.succ[s][0])
-    return WinningRegions(regions.protagonist, regions.antagonist, pro, ant)
-
-
-def solve_fragment(g: ZeroSumGame, frag: FragmentClass) -> WinningRegions:
-    """Reach / Safe / Büchi / co-Büchi solving; losing sinks are folded in
-    as states the protagonist must avoid forever."""
-    return _totalize(g, _solve_fragment(g, frag))
-
-
-def _solve_fragment(g: ZeroSumGame, frag: FragmentClass) -> WinningRegions:
-    if frag.kind == FragmentClass.GENERAL:
-        raise UnsupportedObjectiveError("cannot solve the General fragment directly")
-    beta = frag.beta
-    sat = {s: s not in g.losing_sinks and _holds(beta, g.labels[s]) for s in g.states}
-
-    if frag.kind in (FragmentClass.BUCHI, FragmentClass.COBUCHI):
-        # G F beta: beta -> 2, else 1.  F G beta: beta -> 0, else 1.  Sinks
-        # are self-loops with priority 1, so carefulness stays losing.
-        good = 2 if frag.kind == FragmentClass.BUCHI else 0
-        return solve_parity(g, {s: good if sat[s] else 1 for s in g.states})
-
-    if frag.kind == FragmentClass.SAFE:
-        bad = {s for s in g.states if not sat[s]}
-        b_region, ant_strat = attractor(g, bad, for_protagonist=False)
-        w = set(g.states) - b_region
-        pro_strat = _escape_strategy(g, w, True)
-        # inside the already-lost region any move will do
-        for s in b_region:
-            if not g.is_protagonist[s] and s not in ant_strat:
-                ant_strat[s] = g.succ[s][0]
-        return WinningRegions(frozenset(w), frozenset(b_region), pro_strat, ant_strat)
-
-    # Reach: first confine the protagonist to the region where it can avoid
-    # the sinks forever.
-    sink_attr, sink_strat = attractor(g, g.losing_sinks, for_protagonist=False)
-    safe = set(g.states) - sink_attr
-
-    if frag.kind == FragmentClass.REACH:
-        targets = {s for s in safe if sat[s]}
-        a_region, a_strat = attractor(g, targets, for_protagonist=True, within=safe)
-        w_pro = a_region
-        pro_strat = dict(a_strat)
-        # after the target is reached the play may drift anywhere in the
-        # sink-avoiding region; keep the strategy total there
-        stay = _escape_strategy(g, safe, True)
-        for s, t in stay.items():
-            pro_strat.setdefault(s, t)
-        w_ant = set(g.states) - w_pro
-        ant_strat = dict(sink_strat)
-        rest = safe - a_region
-        for s in rest:
-            if not g.is_protagonist[s]:
-                ant_strat[s] = next(t for t in g.succ[s] if t not in a_region)
-        for s in sink_attr:
-            if not g.is_protagonist[s] and s not in ant_strat:
-                ant_strat[s] = g.succ[s][0]  # at/after the sink, anything goes
-        return WinningRegions(frozenset(w_pro), frozenset(w_ant), pro_strat, ant_strat)
-
-    raise UnsupportedObjectiveError(f"unknown fragment kind {frag.kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Parity (Zielonka)
 
 
@@ -299,7 +219,7 @@ def parse_dpa(text: str) -> ParityAutomaton:
     try:
         states = tuple(doc["states"])
         initial = doc["initial"]
-        priority = {q: int(p) for q, p in doc["priorities"].items()}
+        priority = doc["priorities"]
         transitions = tuple(
             DpaTransition(
                 t["src"],
@@ -313,6 +233,8 @@ def parse_dpa(text: str) -> ParityAutomaton:
         raise DocumentSemanticError(f"bad parity automaton document: {e}") from e
     if initial not in states:
         raise DocumentSemanticError(f"initial state {initial!r} unknown")
+    if not isinstance(priority, dict) or not all(map(is_int, priority.values())):
+        raise DocumentSemanticError(f"priorities must map states to integers, got {priority!r}")
     if set(priority) != set(states):
         raise DocumentSemanticError("priority map must cover exactly the states")
     for t in transitions:
@@ -339,6 +261,80 @@ def dpa_step(dpa: ParityAutomaton, q: str, letter: frozenset[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Objective trackers
+
+
+class Tracker(NamedTuple):
+    """A deterministic parity automaton over letters: a run reads a word
+    from `initial` through `step(q, letter)` and is won iff the maximum
+    `priority` of its states seen infinitely often is even. Pairing each
+    position with the state before its letter or after it shifts the run by
+    one and does not change that maximum."""
+
+    initial: Hashable
+    step: Callable[[Hashable, frozenset], Hashable]
+    priority: Callable[[Hashable], int]
+
+
+def objective_tracker(
+    objective: ltl.Formula, dpa: Optional[ParityAutomaton] = None
+) -> Tracker:
+    """A supplied parity automaton as given. A fragment objective's state is
+    one flag about beta: seen (F), failed (G), held at the last letter (G F,
+    F G)."""
+    if dpa is not None:
+        return Tracker(dpa.initial, partial(dpa_step, dpa), dpa.priority.__getitem__)
+    frag = ltl.classify_fragment(objective)
+    if frag.kind == FragmentClass.GENERAL:
+        raise UnsupportedObjectiveError(
+            f"objective {objective} is outside the solvable fragments; "
+            "supply a deterministic parity automaton"
+        )
+    holds = cache(partial(ltl.eval_bool, frag.beta))
+    if frag.kind == FragmentClass.REACH:
+        return Tracker(False, lambda seen, x: seen or holds(x), lambda seen: 2 if seen else 1)
+    if frag.kind == FragmentClass.SAFE:
+        return Tracker(False, lambda bad, x: bad or not holds(x), lambda bad: 1 if bad else 2)
+    good = 2 if frag.kind == FragmentClass.BUCHI else 0
+    return Tracker(False, lambda _, x: holds(x), lambda held: good if held else 1)
+
+
+class TrackerProduct(NamedTuple):
+    game: ZeroSumGame  # nodes (s, q): q is the tracker state after reading s
+    priority: dict
+    start: dict  # s -> the node where a play starting at s begins
+
+
+def tracker_product(g: ZeroSumGame, tracker: Tracker) -> TrackerProduct:
+    """The part of g x tracker reachable from every state's start node. A
+    node carries the tracker state after its own letter, so a tracker whose
+    state is the current letter's verdict (G F, F G) adds no nodes. Losing
+    sinks get priority 1, so carefulness stays losing."""
+    step, labels = cache(tracker.step), g.labels
+    start = {s: (s, step(tracker.initial, labels[s])) for s in g.states}
+    nodes = list(dict.fromkeys(start.values()))
+    seen = set(nodes)
+    succ = {}
+    for node in nodes:  # breadth-first: the list grows while it is read
+        s, q = node
+        succ[node] = out = [(t, step(q, labels[t])) for t in g.succ[s]]
+        for n in out:
+            if n not in seen:
+                seen.add(n)
+                nodes.append(n)
+    sinks = frozenset(n for n in nodes if n[0] in g.losing_sinks)
+    game = make_game(
+        nodes,
+        succ,
+        {n: g.is_protagonist[n[0]] for n in nodes},
+        {n: g.labels[n[0]] for n in nodes},
+        sinks,
+    )
+    priority = {n: 1 if n in sinks else tracker.priority(n[1]) for n in nodes}
+    return TrackerProduct(game, priority, start)
+
+
+# ---------------------------------------------------------------------------
 # Punishment regions
 
 
@@ -346,7 +342,7 @@ def dpa_step(dpa: ParityAutomaton, q: str, letter: frozenset[str]) -> str:
 class PunishRegions:
     """Deviator-winning region over unfolded states, plus the coalition's
     punishment strategy. For parity-automaton objectives the strategy is
-    keyed by (unfolded state, automaton state) pairs."""
+    keyed by (unfolded state, automaton state before reading it)."""
 
     win: frozenset[State]
     punishment: dict
@@ -360,54 +356,49 @@ def punish_region(
 ) -> PunishRegions:
     """Where can `player`, alone against the coalition, achieve its
     objective while staying careful? Visiting this region while unsatisfied
-    breaks an equilibrium candidate."""
-    if dpa is not None:
-        return _punish_region_dpa(u, player, dpa)
-    frag = ltl.classify_fragment(objective)
-    if frag.kind == FragmentClass.GENERAL:
-        raise UnsupportedObjectiveError(
-            f"player {player}: objective {objective} is outside the solvable "
-            "fragments; supply a deterministic parity automaton"
-        )
-    g = game_from_unfolded(u, {player})
-    regions = solve_fragment(g, frag)
-    return PunishRegions(win=regions.protagonist, punishment=regions.antagonist_strategy)
-
-
-def _punish_region_dpa(u: UnfoldedArena, player: int, dpa: ParityAutomaton):
-    # Product with the automaton, tracked on current-state labels; sink
-    # product states get an odd priority so carefulness stays losing.
-    start_states = [(s, q) for s in u.states for q in dpa.states]
-    succ = {}
-    for s, q in start_states:
-        q2 = dpa_step(dpa, q, u.labels(s))
-        succ[(s, q)] = tuple((t, q2) for t in u.succ[s])
-    g = make_game(
-        states=start_states,
-        succ=succ,
-        is_protagonist={(s, q): u.owner(s) == player for (s, q) in start_states},
-        labels={(s, q): u.labels(s) for (s, q) in start_states},
-    )
-    priority = {
-        (s, q): 1 if s is BOT else dpa.priority[q] for (s, q) in start_states
-    }
-    regions = solve_parity(g, priority)
-    # Project to unfolded states, but only through automaton states that can
-    # actually accompany the play there: a deviation at s carries the q
-    # reached along some history from the initial state.
-    reachable = {(u.initial, dpa.initial)}
-    stack = [(u.initial, dpa.initial)]
+    breaks an equilibrium candidate. Every objective is one parity game:
+    the unfolding in product with the objective's tracker."""
+    try:
+        tracker = objective_tracker(objective, dpa)
+    except UnsupportedObjectiveError as e:
+        raise UnsupportedObjectiveError(f"player {player}: {e}") from None
+    game, priority, start = tracker_product(game_from_unfolded(u, {player}), tracker)
+    regions = solve_parity(game, priority)
+    punish = regions.antagonist_strategy
+    if dpa is None:
+        # Fragment objectives need no memory on U. The region is read at the
+        # start nodes. The table takes each state's move from its
+        # coalition-won node of top priority: for F the seen node, whose move
+        # forces the sink and so also punishes a play that has not seen
+        # beta; for G the node not yet failed. Where the coalition wins no
+        # node of the state, any move will do.
+        win = frozenset(s for s in u.states if start[s] in regions.protagonist)
+        node_of: dict = {}
+        for n in game.states:
+            best = node_of.get(n[0])
+            if n in punish and (best is None or priority[n] > priority[best]):
+                node_of[n[0]] = n
+        table = {
+            s: punish[node_of[s]][0] if s in node_of else u.succ[s][0]
+            for s in u.states
+            if u.owner(s) != player
+        }
+        return PunishRegions(win, table)
+    # Project through the automaton states a play can carry: a deviation at
+    # s reads it in some q reached along a history from the initial state.
+    reachable = {start[u.initial]}
+    stack = [start[u.initial]]
     while stack:
-        node = stack.pop()
-        for nxt in succ[node]:
-            if nxt not in reachable:
-                reachable.add(nxt)
-                stack.append(nxt)
-    win = frozenset(
-        s for (s, q) in regions.protagonist if (s, q) in reachable
-    )
-    # the strategy is keyed by (state, q) but the chosen move is just the
-    # successor state; the next q is determined by the automaton
-    return PunishRegions(
-        win=win, punishment={k: v[0] for k, v in regions.antagonist_strategy.items()}
-    )
+        for n in game.succ[stack.pop()]:
+            if n not in reachable:
+                reachable.add(n)
+                stack.append(n)
+    win = frozenset(s for (s, q) in reachable if (s, q) in regions.protagonist)
+    table = {}
+    for s in u.states:
+        if u.owner(s) != player:
+            for q in dpa.states:
+                node = (s, dpa_step(dpa, q, u.labels(s)))
+                if node in punish:
+                    table[(s, q)] = punish[node][0]
+    return PunishRegions(win, table)

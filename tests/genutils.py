@@ -9,6 +9,7 @@ enumerations exact references.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -377,7 +378,61 @@ def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The deviation oracle for certificate checking (fragment objectives)
+# Random fragment objectives and the deviation oracles (fragment objectives)
+
+
+FRAGMENT_SHAPES = ("F {}", "G {}", "G F {}", "F G {}", "! F {}", "! G F {}")
+
+
+def random_fragment(rng: random.Random, atoms=FORMULA_ATOMS) -> ltl.Formula:
+    """A random `F`, `G`, `G F` or `F G` objective whose beta is
+    temporal-free and neither valid nor unsatisfiable."""
+    letters = [frozenset(), frozenset(atoms[:1]), frozenset(atoms[1:]), frozenset(atoms)]
+    beta = ltl.TRUE
+    while not (
+        ltl.is_temporal_free(beta) and len({ltl.eval_bool(beta, x) for x in letters}) == 2
+    ):
+        beta = random_formula(rng, 2, atoms)
+    return ltl.parse_ltl(rng.choice(FRAGMENT_SHAPES).format(f"({ltl.formula_to_str(beta)})"))
+
+
+def random_fragment_arena(rng: random.Random):
+    """A random arena whose system and player objectives are all random
+    fragment objectives, with random bounds."""
+    a = random_arena(rng, max_states=5, max_players=3)
+    objectives = [random_fragment(rng, ARENA_ATOMS) for _ in range(a.players + 1)]
+    a = dataclasses.replace(
+        a, system_objective=objectives[0], player_objectives=tuple(objectives[1:])
+    )
+    return a, tuple(rng.randrange(0, 3) for _ in range(a.dimensions))
+
+
+def _table_graph(u: UnfoldedArena, player, table):
+    """The careful one-player graph: `player` moves freely, everyone else
+    follows `table` (keyed by unfolded state); the sink is left out."""
+    nodes = {s for s in u.states if s is not BOT}
+    return nodes, {
+        s: [t for t in (u.succ[s] if u.owner(s) == player else (table[s],)) if t is not BOT]
+        for s in nodes
+    }
+
+
+def _play_wins(kind, succ, good, cycles, good_cycles, t, seen, failed) -> bool:
+    """Is there an infinite play from `t` in the one-player graph `succ`
+    that meets the objective, given whether beta was seen, or failed,
+    before `t`?"""
+    r = _reach_states(succ, t)
+    if kind == FragmentClass.REACH:
+        return bool(r & cycles) and (
+            seen or any(_reach_states(succ, x) & cycles for x in r & good)
+        )
+    if kind == FragmentClass.SAFE:
+        return not failed and bool(_reach_states(succ, t, allowed=good) & good_cycles)
+    if kind == FragmentClass.BUCHI:
+        return bool(good & _cycle_states(r, succ))
+    if kind == FragmentClass.COBUCHI:
+        return bool(_cycle_states(r & good, succ))
+    raise ValueError(kind)
 
 
 def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem, loop) -> bool:
@@ -388,11 +443,7 @@ def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem
     cycles; the `F` / `G` flags come from the outcome prefix through stem and
     two loop passes."""
     frag = ltl.classify_fragment(objective)
-    nodes = {s for s in u.states if s is not BOT}
-    succ = {
-        s: [t for t in (u.succ[s] if u.owner(s) == player else (table[s],)) if t is not BOT]
-        for s in nodes
-    }
+    nodes, succ = _table_graph(u, player, table)
     good = {s for s in nodes if ltl.eval_bool(frag.beta, u.labels(s))}
     cycles = _cycle_states(nodes, succ)
     good_cycles = _cycle_states(good, succ)
@@ -404,21 +455,21 @@ def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem
         failed = not all(x in good for x in prefix[: k + 1])
         nxt = prefix[k + 1] if k + 1 < len(prefix) else loop[0]
         for t in succ[s]:
-            if t == nxt:
-                continue
-            r = _reach_states(succ, t)
-            if frag.kind == FragmentClass.REACH:
-                wins = bool(r & cycles) and (
-                    seen or any(_reach_states(succ, x) & cycles for x in r & good)
-                )
-            elif frag.kind == FragmentClass.SAFE:
-                wins = not failed and bool(_reach_states(succ, t, allowed=good) & good_cycles)
-            elif frag.kind == FragmentClass.BUCHI:
-                wins = bool(good & _cycle_states(r, succ))
-            elif frag.kind == FragmentClass.COBUCHI:
-                wins = bool(_cycle_states(r & good, succ))
-            else:
-                raise ValueError(frag.kind)
-            if wins:
+            if t != nxt and _play_wins(frag.kind, succ, good, cycles, good_cycles, t, seen, failed):
                 return True
     return False
+
+
+def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> set:
+    """The states from which `player`, starting afresh, has a careful play
+    meeting its `F`, `G`, `G F` or `F G` objective while every other player
+    follows `table` (keyed by unfolded state)."""
+    frag = ltl.classify_fragment(objective)
+    nodes, succ = _table_graph(u, player, table)
+    good = {s for s in nodes if ltl.eval_bool(frag.beta, u.labels(s))}
+    cycles = _cycle_states(nodes, succ)
+    good_cycles = _cycle_states(good, succ)
+    return {
+        s for s in nodes
+        if _play_wins(frag.kind, succ, good, cycles, good_cycles, s, False, False)
+    }

@@ -19,7 +19,7 @@ from carefulsynth.reduction import (
 )
 from carefulsynth.synthesis import SolveResult, check_certificate, solve
 from carefulsynth.unfolding import BOT, lift, project, saturating_add, unfold
-from carefulsynth.zerosum import attractor, solve_fragment, solve_parity
+from carefulsynth.zerosum import attractor, objective_tracker, solve_parity, tracker_product
 
 from corpus import CORPUS
 from genutils import (
@@ -112,9 +112,15 @@ def test_criterion_4_zero_sum_regions():
         att, _ = attractor(g, targets)
         if att != oracle_attractor(g, targets):
             mismatches += 1
-        for kind in (FragmentClass.BUCHI, FragmentClass.COBUCHI):
-            reg = solve_fragment(g, FragmentClass(kind, p))
-            if set(reg.protagonist) != oracle_fragment_region(g, kind, p):
+        for kind, objective in (
+            (FragmentClass.BUCHI, ltl.Always(ltl.Eventually(p))),
+            (FragmentClass.COBUCHI, ltl.Eventually(ltl.Always(p))),
+        ):
+            product = tracker_product(g, objective_tracker(objective))
+            won = solve_parity(product.game, product.priority).protagonist
+            if {s for s in g.states if product.start[s] in won} != oracle_fragment_region(
+                g, kind, p
+            ):
                 mismatches += 1
         if not g.losing_sinks:
             priority = {s: rng.randrange(0, 5) for s in g.states}

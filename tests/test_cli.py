@@ -365,3 +365,53 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, field):
     code, _, err = _run(capsys, "solve", str(path))
     assert code == EXIT_ERROR
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", ["states", "objective"])
+def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, field):
+    doc = _one_state_document()
+    if field == "states":
+        doc["states"] = 5
+    else:
+        doc["objectives"]["players"] = {"1": 5}
+    path = tmp_path / "arena.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "solve", str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", ["winners", "dpa_players"])
+def test_profile_players_must_be_json_integers(fig1_path, tmp_path, capsys, field):
+    _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
+    doc = json.loads(out)
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")[0] == EXIT_POSITIVE
+    doc[field] = [True, 2.9] if field == "winners" else [True]
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")
+
+
+def test_dpa_priorities_must_be_json_integers(fig1_path, tmp_path, capsys):
+    dpa = {
+        "states": ["n", "y"],
+        "initial": "n",
+        "priorities": {"n": 1, "y": 2},
+        "transitions": [
+            {"src": "n", "pos": ["circ"], "dst": "y"},
+            {"src": "n", "neg": ["circ"], "dst": "n"},
+            {"src": "y", "dst": "y"},
+        ],
+    }
+    path = tmp_path / "dpa.json"
+    argv = ("solve", fig1_path, "--bounds", "3,3", "--dpa", f"1={path}")
+    path.write_text(json.dumps(dpa))
+    assert _run(capsys, *argv)[0] == EXIT_POSITIVE
+    dpa["priorities"] = {"n": True, "y": 2.5}
+    path.write_text(json.dumps(dpa))
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")

@@ -11,7 +11,6 @@ from carefulsynth.synthesis import (
     SolveResult,
     check_certificate,
     find_witness_lasso,
-    objective_tracker,
     parse_profile,
     profile_to_document,
     result_to_document,
@@ -19,15 +18,15 @@ from carefulsynth.synthesis import (
     tracker_accepts,
 )
 from carefulsynth.unfolding import AVOID_BOT, BOT, unfold
-from carefulsynth.zerosum import parse_dpa, punish_region
+from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
 from genutils import (
-    ARENA_ATOMS,
     OracleTooBig,
     oracle_profitable_deviation,
     oracle_solution_exists,
     random_arena,
-    random_formula,
+    random_fragment,
+    random_fragment_arena,
     random_word,
 )
 
@@ -259,7 +258,7 @@ def test_checker_rejects_underflowing_outcome(fig1):
     assert any("depletes" in v for v in violations)
 
 
-def _one_choice_arena(n=40):
+def _one_choice_arena(n=40, e_labels=()):
     # player 1 owns d and may deviate to any ek; there player 2 either
     # punishes (z) or concedes p (pk). The outcome x d s^omega never sees p.
     from carefulsynth.arena import parse_arena
@@ -269,11 +268,11 @@ def _one_choice_arena(n=40):
     for k, e in enumerate(es):
         edges += [("d", e), (e, "z"), (e, f"p{k:02d}"), (f"p{k:02d}", f"p{k:02d}")]
     states = [("x", 2, []), ("d", 1, []), ("s", 1, ["q"]), ("z", 1, [])]
-    states += [(e, 2, []) for e in es] + [(f"p{k:02d}", 1, ["p"]) for k in range(n)]
+    states += [(e, 2, list(e_labels)) for e in es] + [(f"p{k:02d}", 1, ["p"]) for k in range(n)]
     return parse_arena(json.dumps({
         "players": 2,
         "dimensions": 1,
-        "atoms": ["p", "q"],
+        "atoms": ["p", "q", *e_labels],
         "states": [{"id": i, "owner": o, "labels": l} for i, o, l in states],
         "initial": "x",
         "edges": [{"src": a, "dst": b, "cost": [0]} for a, b in edges],
@@ -308,6 +307,91 @@ def test_checker_rejects_a_table_that_fails_against_one_deviator_choice():
     bad = dataclasses.replace(p, punishment={1: table, 2: p.punishment[2]})
     violations = check_certificate(a, (0,), bad)
     assert violations == ["player 1: careful profitable deviation from d@0"]
+
+
+# F p that also moves on r; the coalition states ek are labelled r, so the
+# automaton state before reading ek (the table key) is not the one after it
+DPA_F_P_MOVED_BY_R = {
+    "states": ["wait", "waitr", "good"],
+    "initial": "wait",
+    "priorities": {"wait": 1, "waitr": 1, "good": 2},
+    "transitions": [
+        {"src": q, "pos": ["p"], "dst": "good"} for q in ("wait", "waitr")
+    ] + [
+        {"src": "wait", "pos": ["r"], "neg": ["p"], "dst": "waitr"},
+        {"src": "wait", "neg": ["p", "r"], "dst": "wait"},
+        {"src": "waitr", "neg": ["p"], "dst": "waitr"},
+        {"src": "good", "dst": "good"},
+    ],
+}
+
+
+def test_automaton_loser_table_is_read_before_the_letter(tmp_path, capsys):
+    from carefulsynth.arena import arena_to_document
+    from carefulsynth.cli import run
+
+    arena = tmp_path / "arena.json"
+    arena.write_text(json.dumps(arena_to_document(_one_choice_arena(e_labels=["r"]))))
+    dpa = tmp_path / "dpa.json"
+    dpa.write_text(json.dumps(DPA_F_P_MOVED_BY_R))
+
+    def cli(*argv):
+        code = run([*map(str, argv), "--bounds", "0", "--dpa", f"1={dpa}"])
+        return code, capsys.readouterr().out
+
+    assert run(["solve", str(arena), "--bounds", "0"]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    code, out = cli("solve", arena)
+    via_dpa = json.loads(out)
+    assert code == 0
+    for key in ("status", "outcome", "winners"):
+        assert via_dpa[key] == direct[key], key
+    assert via_dpa["winners"] == [2] and via_dpa["dpa_players"] == [1]
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(out)
+    assert cli("check", arena, certificate)[0] == 0
+    # the entry a deviation through e00 consults: e00 read in state wait
+    assert via_dpa["punishment"]["1"]["e00@0|wait"] == "z@0"
+    via_dpa["punishment"]["1"]["e00@0|wait"] = "p00@0"
+    certificate.write_text(json.dumps(via_dpa))
+    code, out = cli("check", arena, certificate)
+    assert code == 1
+    assert "player 1: careful profitable deviation from d@0" in out
+
+
+def test_reach_loser_table_forces_the_sink_once_the_target_is_seen():
+    # player 1 (F p) may deviate d -> s, seeing p at s; at e the coalition
+    # must take the underflowing edge to z, not the p-free loop at y, even
+    # though from a play that has not seen p both moves punish
+    from carefulsynth.arena import parse_arena
+
+    a = parse_arena(json.dumps({
+        "players": 2,
+        "dimensions": 1,
+        "atoms": ["p", "q"],
+        "states": [
+            {"id": i, "owner": o, "labels": l}
+            for i, o, l in [
+                ("x", 2, []), ("d", 1, []), ("o", 2, ["q"]), ("s", 1, ["p"]),
+                ("e", 2, []), ("y", 2, []), ("z", 2, []),
+            ]
+        ],
+        "initial": "x",
+        "edges": [
+            {"src": a, "dst": b, "cost": [c]}
+            for a, b, c in [
+                ("x", "d", 0), ("d", "o", 0), ("o", "o", 0), ("d", "s", 0),
+                ("s", "e", 0), ("e", "y", 0), ("e", "z", -1), ("y", "y", 0),
+                ("z", "z", 0),
+            ]
+        ],
+        "objectives": {"system": "F q", "players": {"1": "F p", "2": "true"}},
+    }))
+    p = solve(a, (0,)).profile
+    assert p.outcome.stem + p.outcome.loop == ("x", "d", "o")
+    assert p.winners == frozenset({2})
+    assert p.punishment[1][("e", (0,))] is BOT
+    assert check_certificate(a, (0,), p) == []
 
 
 def test_checker_accepts_a_loser_that_has_already_lost():
@@ -388,38 +472,15 @@ def test_solve_agrees_with_lasso_enumeration(seed):
 # Trackers and the exact deviation check against independent references
 
 
-FRAGMENT_SHAPES = ("F {}", "G {}", "G F {}", "F G {}", "! F {}", "! G F {}")
-
-
-def _random_fragment(rng, atoms=("p", "q")):
-    # beta is temporal-free and neither valid nor unsatisfiable
-    letters = [frozenset(), frozenset(atoms[:1]), frozenset(atoms[1:]), frozenset(atoms)]
-    beta = ltl.TRUE
-    while not (
-        ltl.is_temporal_free(beta) and len({ltl.eval_bool(beta, x) for x in letters}) == 2
-    ):
-        beta = random_formula(rng, 2, atoms)
-    return ltl.parse_ltl(rng.choice(FRAGMENT_SHAPES).format(f"({ltl.formula_to_str(beta)})"))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_tracker_verdict_matches_lasso_evaluation(seed):
     rng = random.Random(seed)
-    phi = _random_fragment(rng)
+    phi = random_fragment(rng)
     stem, loop = random_word(rng)
     assert tracker_accepts(objective_tracker(phi), stem, loop) == ltl.eval_on_lasso(
         phi, stem, loop
     )
-
-
-def _random_fragment_arena(rng):
-    a = random_arena(rng, max_states=5, max_players=3)
-    objectives = [_random_fragment(rng, ARENA_ATOMS) for _ in range(a.players + 1)]
-    a = dataclasses.replace(
-        a, system_objective=objectives[0], player_objectives=tuple(objectives[1:])
-    )
-    return a, tuple(rng.randrange(0, 3) for _ in range(a.dimensions))
 
 
 def _deviation_verdicts(a, bounds, u, profile):
@@ -444,7 +505,7 @@ def test_checker_finds_exactly_the_deviations_the_oracle_finds():
     verdicts = []
     for seed in range(300):
         rng = random.Random(seed)
-        a, bounds = _random_fragment_arena(rng)
+        a, bounds = random_fragment_arena(rng)
         p = solve(a, bounds).profile
         if p is None:
             continue
@@ -469,7 +530,7 @@ def test_checker_agrees_with_the_oracle_on_random_profiles():
     verdicts = []
     for seed in range(1500):
         rng = random.Random(seed)
-        a, bounds = _random_fragment_arena(rng)
+        a, bounds = random_fragment_arena(rng)
         u = unfold(a, bounds)
         path = [u.initial]
         while True:

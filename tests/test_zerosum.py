@@ -14,16 +14,19 @@ from carefulsynth.zerosum import (
     dpa_step,
     game_from_unfolded,
     make_game,
+    objective_tracker,
     parse_dpa,
     punish_region,
-    solve_fragment,
     solve_parity,
+    tracker_product,
 )
 
 from genutils import (
     oracle_attractor,
     oracle_fragment_region,
     oracle_parity_region,
+    oracle_wins_against_table,
+    random_fragment_arena,
     random_game,
 )
 
@@ -85,15 +88,31 @@ def test_attractor_matches_strategy_enumeration(seed):
 
 
 # ---------------------------------------------------------------------------
-# Fragment solving
+# Fragment objectives: tracker products solved by Zielonka
+
+
+FRAGMENT_OBJECTIVE = {
+    FragmentClass.REACH: ltl.Eventually(P),
+    FragmentClass.SAFE: ltl.Always(P),
+    FragmentClass.BUCHI: ltl.Always(ltl.Eventually(P)),
+    FragmentClass.COBUCHI: ltl.Eventually(ltl.Always(P)),
+}
+
+
+def _solve_fragment(g, kind):
+    """The product of g with the tracker of kind's objective over p, its
+    regions, and the protagonist's region read at the start nodes."""
+    product = tracker_product(g, objective_tracker(FRAGMENT_OBJECTIVE[kind]))
+    reg = solve_parity(product.game, product.priority)
+    return product, reg, {s for s in g.states if product.start[s] in reg.protagonist}
 
 
 def test_reach_initial_target():
     g = make_game(
         ["s"], {"s": ("s",)}, {"s": True}, {"s": frozenset({"p"})}
     )
-    reg = solve_fragment(g, FragmentClass(FragmentClass.REACH, P))
-    assert "s" in reg.protagonist
+    _, _, win = _solve_fragment(g, FragmentClass.REACH)
+    assert "s" in win
 
 
 def test_buchi_self_loop_pulls_in_reachers():
@@ -103,14 +122,14 @@ def test_buchi_self_loop_pulls_in_reachers():
         {"s0": True, "s1": True},
         {"s0": frozenset(), "s1": frozenset({"p"})},
     )
-    reg = solve_fragment(g, FragmentClass(FragmentClass.BUCHI, P))
-    assert set(reg.protagonist) == {"s0", "s1"}
+    product, _, win = _solve_fragment(g, FragmentClass.BUCHI)
+    assert win == {"s0", "s1"}
+    assert len(product.game.states) == 2  # G F adds no tracker state
 
 
 def test_general_fragment_is_rejected():
-    g = random_game(random.Random(1))
     with pytest.raises(UnsupportedObjectiveError):
-        solve_fragment(g, FragmentClass(FragmentClass.GENERAL))
+        objective_tracker(ltl.parse_ltl("F (p & X p)"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,16 +137,11 @@ def test_general_fragment_is_rejected():
 def test_fragment_regions_match_strategy_enumeration(seed):
     rng = random.Random(seed)
     g = random_game(rng)
-    for kind in (
-        FragmentClass.REACH,
-        FragmentClass.SAFE,
-        FragmentClass.BUCHI,
-        FragmentClass.COBUCHI,
-    ):
-        reg = solve_fragment(g, FragmentClass(kind, P))
-        assert set(reg.protagonist) == oracle_fragment_region(g, kind, P), kind
-        # determinacy: regions partition the states
-        assert reg.protagonist | reg.antagonist == set(g.states)
+    for kind in FRAGMENT_OBJECTIVE:
+        product, reg, win = _solve_fragment(g, kind)
+        assert win == oracle_fragment_region(g, kind, P), kind
+        # determinacy: regions partition the product
+        assert reg.protagonist | reg.antagonist == set(product.game.states)
         assert not (reg.protagonist & reg.antagonist)
 
 
@@ -146,8 +160,9 @@ def _simulate(g, strat, start, rng, other_is_pro):
 
 
 def _strategy_cases(g, rng):
-    """(regions, the protagonist's winning test on a lasso) for every
-    fragment and for a random priority map."""
+    """(game, its regions, the node where each of g's states starts, the
+    protagonist's winning test on a lasso) for every fragment, played on its
+    tracker product, and for a random priority map on g itself."""
     sat = {
         s: s not in g.losing_sinks and ltl.eval_bool(P, g.labels[s])
         for s in g.states
@@ -162,11 +177,18 @@ def _strategy_cases(g, rng):
         FragmentClass.BUCHI: careful(lambda path, loop: any(sat[x] for x in loop)),
         FragmentClass.COBUCHI: careful(lambda path, loop: all(sat[x] for x in loop)),
     }
+
+    def on_nodes(won):
+        return lambda path, loop: won([n[0] for n in path], [n[0] for n in loop])
+
     for kind, won in wins.items():
-        yield solve_fragment(g, FragmentClass(kind, P)), won
+        product, reg, _ = _solve_fragment(g, kind)
+        yield product.game, reg, product.start.values(), on_nodes(won)
     priority = {s: rng.randrange(0, 5) for s in g.states}
     yield (
+        g,
         solve_parity(g, priority),
+        g.states,
         lambda path, loop: max(priority[x] for x in loop) % 2 == 0,
     )
 
@@ -176,11 +198,12 @@ def _strategy_cases(g, rng):
 def test_protagonist_strategy_wins_under_random_opposition(seed):
     rng = random.Random(seed)
     g = random_game(rng)
-    for reg, won in _strategy_cases(g, rng):
-        for s in reg.protagonist:
-            for _ in range(10):
-                path, k = _simulate(g, reg.protagonist_strategy, s, rng, True)
-                assert won(path, path[k:])
+    for game, reg, starts, won in _strategy_cases(g, rng):
+        for node in starts:
+            if node in reg.protagonist:
+                for _ in range(10):
+                    path, k = _simulate(game, reg.protagonist_strategy, node, rng, True)
+                    assert won(path, path[k:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,11 +211,12 @@ def test_protagonist_strategy_wins_under_random_opposition(seed):
 def test_antagonist_strategy_spoils_under_random_opposition(seed):
     rng = random.Random(seed)
     g = random_game(rng)
-    for reg, won in _strategy_cases(g, rng):
-        for s in reg.antagonist:
-            for _ in range(10):
-                path, k = _simulate(g, reg.antagonist_strategy, s, rng, False)
-                assert not won(path, path[k:])
+    for game, reg, starts, won in _strategy_cases(g, rng):
+        for node in starts:
+            if node in reg.antagonist:
+                for _ in range(10):
+                    path, k = _simulate(game, reg.antagonist_strategy, node, rng, False)
+                    assert not won(path, path[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +359,24 @@ def test_punish_region_dpa_matches_fragment_region(fig1):
     via_dpa = punish_region(u, 2, fig1.objective_of(2), dpa)
     assert set(via_dpa.win) == set(direct.win)
     assert BOT not in via_dpa.win
+
+
+def test_no_state_outside_the_region_wins_against_the_table():
+    # exact: the deviator starts afresh at each state outside Win_i, the
+    # coalition follows the projected table, and the oracle searches the
+    # resulting one-player graph
+    kinds, outside, won_inside = set(), 0, 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        a, bounds = random_fragment_arena(rng)
+        u = unfold(a, bounds)
+        for i in range(1, a.players + 1):
+            objective = a.objective_of(i)
+            kinds.add(ltl.classify_fragment(objective).kind)
+            r = punish_region(u, i, objective)
+            wins = oracle_wins_against_table(u, i, objective, r.punishment)
+            assert not wins - r.win, (seed, i)
+            outside += len(set(u.states) - r.win)
+            won_inside += len(wins)
+    assert kinds == set(FRAGMENT_OBJECTIVE)
+    assert outside >= 1000 and won_inside >= 100
