@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import ltl
-from .errors import CostOverflowError, DocumentSemanticError, is_int, load_json
+from .errors import CostOverflowError, DocumentSemanticError, is_int, load_json, string_list
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -183,20 +183,22 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
     for key in ("states", "edges"):
         if not isinstance(doc[key], list):
             raise DocumentSemanticError(f"{key} must be a list, got {doc[key]!r}")
+    if not isinstance(doc["initial"], str):
+        raise DocumentSemanticError(f"initial must be a state id, got {doc['initial']!r}")
     states, owner, labels = [], {}, {}
     for item in doc["states"]:
-        if not isinstance(item, dict) or "id" not in item or "owner" not in item:
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str) or "owner" not in item:
             raise DocumentSemanticError(f"bad state entry: {item!r}")
         sid = item["id"]
         states.append(sid)
         owner[sid] = item["owner"]
-        labels[sid] = item.get("labels", [])
+        labels[sid] = string_list(item.get("labels", []), f"labels of {sid!r}")
 
     edges = {}
     for item in doc["edges"]:
         if not isinstance(item, dict) or not {"src", "dst", "cost"} <= item.keys():
             raise DocumentSemanticError(f"bad edge entry: {item!r}")
-        key = (item["src"], item["dst"])
+        key = tuple(string_list([item["src"], item["dst"]], "edge endpoints"))
         if key in edges:
             raise DocumentSemanticError(f"duplicate edge {key!r}")
         edges[key] = item["cost"]
@@ -231,7 +233,7 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
         owner=owner,
         initial=doc["initial"],
         edges=edges,
-        atoms=doc["atoms"],
+        atoms=string_list(doc["atoms"], "atoms"),
         labels=labels,
         system_objective=formula(objectives["system"], "system"),
         player_objectives=player_objs,

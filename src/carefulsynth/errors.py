@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, and the JSON decoding step
-and integer test every document reader uses."""
+and value tests every document reader uses."""
 
 import json
 
@@ -65,3 +65,11 @@ def load_json(text: str):
 def is_int(v) -> bool:
     """A JSON integer: `true` and `2.0` are not."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def string_list(v, what: str) -> list:
+    """`v` if it is a JSON list of strings: a string is not read as its
+    characters."""
+    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+        raise DocumentSemanticError(f"{what} must be a list of strings, got {v!r}")
+    return v

@@ -1,17 +1,19 @@
 """Deciding careful cooperative rational synthesis on bounded instances.
 
-Pipeline: unfold the arena, compute each player's punishment region, then
-for each candidate winner set search the restricted unfolding for a lasso
-satisfying the system objective, the winners' objectives, and sink
-avoidance. A found lasso plus the precomputed punishment tables form the
-equilibrium certificate; `check_certificate` checks it without the game
-solver, by an emptiness test per loser on the graph its table leaves.
+Pipeline: unfold the arena, compute each player's punishment region and
+objective tracker, then for each candidate winner set search the
+restricted, sink-free unfolding for a lasso that the system objective's
+Büchi automaton and every winner's tracker accept. A found lasso plus the
+precomputed punishment tables form the equilibrium certificate;
+`check_certificate` checks it without the game solver, by an emptiness test
+per loser on the graph its table leaves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 from . import ltl
@@ -73,26 +75,23 @@ class SolveResult:
 # Witness search
 
 
-def _node_key(node):
-    us, qs = node
-    return (render_ustate(us), qs)
-
-
 def find_witness_lasso(
     u: UnfoldedArena,
-    required: Sequence[ltl.Formula],
+    system: ltl.NBA,
+    trackers: Sequence[Tracker],
     forbidden_states: set[UState],
     max_product: int = DEFAULT_PRODUCT_BUDGET,
 ) -> Optional[tuple[tuple[UState, ...], tuple[UState, ...]]]:
     """Search the sink-free, restriction-respecting unfolding for a lasso
-    whose projection satisfies every required formula. Returns (stem, loop)
-    over unfolded states, deterministically minimized (shortest stem first,
-    then a short loop), or None."""
-    allowed = {
-        s
-        for s in u.states
-        if s not in forbidden_states and RESERVED_ATOM not in u.labels(s)
-    }
+    accepted by the system objective's Büchi automaton and by every
+    tracker. A product node is (unfolded state, automaton state before the
+    state's letter, tracker states after it). Each component is a parity
+    condition, the automaton's accepting states at 2 and the rest at 1; a
+    cycle is accepting when every component's top priority on it is even,
+    decided by SCC refinement. Returns (stem, loop) over unfolded states,
+    deterministically minimized (shortest stem first, then a loop through
+    one top-priority node per component), or None."""
+    allowed = {s for s in u.states if s is not BOT and s not in forbidden_states}
     # drop states that cannot continue inside the restriction
     changed = True
     while changed:
@@ -104,47 +103,33 @@ def find_witness_lasso(
     if u.initial not in allowed:
         return None
 
-    nbas = [ltl.to_nba(f) for f in required]
-    m = len(nbas)
+    steps = [cache(t.step) for t in trackers]
 
-    succ_cache: dict = {}
+    def after(qs, s):
+        letter = u.labels(s)
+        return tuple(step(q, letter) for step, q in zip(steps, qs))
+
+    succ: dict = {}
 
     def successors(node):
-        if node in succ_cache:
-            return succ_cache[node]
-        us, qs = node
-        letter = u.labels(us)
-        per_nba = []
-        for k in range(m):
-            dsts = sorted(
-                {
-                    tr.dst
-                    for tr in nbas[k].transitions[qs[k]]
-                    if ltl.guard_matches(tr, letter)
-                }
-            )
-            per_nba.append(dsts)
-        out = []
-        for t in u.succ[us]:
-            if t not in allowed:
-                continue
-            for combo in itertools.product(*per_nba):
-                out.append((t, combo))
-        out.sort(key=_node_key)
-        succ_cache[node] = out
+        out = succ.get(node)
+        if out is None:
+            s, q, qs = node
+            letter = u.labels(s)
+            dsts = sorted({tr.dst for tr in system.transitions[q] if ltl.guard_matches(tr, letter)})
+            out = succ[node] = [
+                (t, d, after(qs, t)) for t in u.succ[s] if t in allowed for d in dsts
+            ]
         return out
 
-    initials = sorted(
-        ((u.initial, combo) for combo in itertools.product(*(sorted(n.initial) for n in nbas))),
-        key=_node_key,
-    )
+    start = after([t.initial for t in trackers], u.initial)
+    initials = [(u.initial, q, start) for q in sorted(system.initial)]
 
     # reachable product
     seen = set(initials)
     stack = list(initials)
     while stack:
-        node = stack.pop()
-        for nxt in successors(node):
+        for nxt in successors(stack.pop()):
             if nxt not in seen:
                 if len(seen) >= max_product:
                     raise BudgetExceededError(
@@ -153,52 +138,52 @@ def find_witness_lasso(
                 seen.add(nxt)
                 stack.append(nxt)
 
-    def in_acc(node, k):
-        return node[1][k] in nbas[k].accepting
-
-    accepting_nodes: set = set()
-    comp_of: dict = {}
-    for comp in strongly_connected_components(seen, successors):
-        compset = set(comp)
-        has_edge = any(t in compset for s in comp for t in successors(s))
-        if not has_edge:
-            continue
-        if all(any(in_acc(node, k) for node in comp) for k in range(m)):
+    prio = {
+        node: (2 if node[1] in system.accepting else 1,
+               *(t.priority(x) for t, x in zip(trackers, node[2])))
+        for node in seen
+    }
+    # a nontrivial SCC whose top priorities are all even is accepting; else
+    # its nodes carrying an odd top lie on no accepting cycle, so drop them
+    # and split the rest again
+    accepting: dict = {}  # node -> (its accepting SCC, that SCC's top priorities)
+    pending = [seen]
+    while pending:
+        for comp in strongly_connected_components(pending.pop(), successors):
+            if len(comp) == 1 and comp[0] not in successors(comp[0]):
+                continue
+            tops = tuple(map(max, zip(*(prio[node] for node in comp))))
+            odd = [k for k, p in enumerate(tops) if p % 2]
+            if odd:
+                pending.append({n for n in comp if all(prio[n][k] != tops[k] for k in odd)})
+                continue
+            compset = set(comp)
             for node in comp:
-                comp_of[node] = compset
-                accepting_nodes.add(node)
+                accepting[node] = (compset, tops)
 
-    if not accepting_nodes:
+    if not accepting:
         return None
 
-    stem_path = shortest_path(initials, successors, lambda n: n in accepting_nodes)
-    if stem_path is None:
-        return None
+    stem_path = shortest_path(initials, successors, accepting.__contains__)
     anchor = stem_path[-1]
-    comp = comp_of[anchor]
+    comp, tops = accepting[anchor]
 
-    def within(node):
-        return node in comp
-
-    # cycle through one representative of every acceptance set, then home
+    # cycle through one top-priority node of every component, then home
     loop_nodes = [anchor]
-    current = anchor
-    for k in range(m):
-        if any(in_acc(node, k) for node in loop_nodes):
+    for k, top in enumerate(tops):
+        if any(prio[n][k] == top for n in loop_nodes):
             continue
-        seg = shortest_path([current], successors, lambda n: in_acc(n, k), allowed=within)
+        seg = shortest_path(
+            loop_nodes[-1:], successors, lambda n: prio[n][k] == top, allowed=comp.__contains__
+        )
         loop_nodes.extend(seg[1:])
-        current = seg[-1]
-    closing_sources = [t for t in successors(current) if t in comp]
-    if current is anchor and len(loop_nodes) == 1:
-        back = shortest_path(closing_sources, successors, lambda n: n == anchor, allowed=within)
-        loop_nodes.extend(back[:-1])
-    elif current != anchor:
-        back = shortest_path([current], successors, lambda n: n == anchor, allowed=within)
-        loop_nodes.extend(back[1:-1])
+    back = shortest_path(
+        successors(loop_nodes[-1]), successors, lambda n: n == anchor, allowed=comp.__contains__
+    )
+    loop_nodes.extend(back[:-1])
 
-    stem = tuple(us for (us, _) in stem_path[:-1])
-    loop = tuple(us for (us, _) in loop_nodes)
+    stem = tuple(node[0] for node in stem_path[:-1])
+    loop = tuple(node[0] for node in loop_nodes)
     if not stem:
         stem = loop  # plays are stem . loop^omega; keep the stem nonempty
     return stem, loop
@@ -271,13 +256,10 @@ def solve(
         trackers = {i: objective_tracker(a.objective_of(i), dpas.get(i)) for i in players}
     except UnsupportedObjectiveError as e:
         return SolveResult(SolveResult.UNSUPPORTED, reason=str(e))
+    system = ltl.to_nba(a.system_objective)
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
     for winner_set in _winner_sets(a.players):
-        # the sink is never in `allowed`, so the lasso avoids it already
-        required = [a.system_objective] + [
-            a.objective_of(i) for i in sorted(winner_set)
-        ]
         forbidden = {
             s
             for i in players
@@ -285,7 +267,9 @@ def solve(
             for s in regions[i].win
             if s is not BOT and u.owner(s) == i
         }
-        found = find_witness_lasso(u, required, forbidden, max_product=max_product)
+        found = find_witness_lasso(
+            u, system, [trackers[i] for i in sorted(winner_set)], forbidden, max_product=max_product
+        )
         if found is None:
             diagnostics.append(
                 (tuple(sorted(winner_set)), "no equilibrium-supportable witness lasso")
@@ -528,7 +512,7 @@ def parse_profile(text: str) -> StrategyProfile:
                 else:
                     entries[parse_ustate(k)] = parse_ustate(v)
             punishment[i] = entries
-    except (KeyError, TypeError, ValueError, DocumentSemanticError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, DocumentSemanticError) as e:
         raise MalformedProfileError(f"bad profile document: {e}") from e
     ustates = tuple(zip(stem + loop, trace))
     return StrategyProfile(

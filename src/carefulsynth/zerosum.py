@@ -12,12 +12,12 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import cache, cached_property, partial
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
-from .errors import DocumentSemanticError, UnsupportedObjectiveError, is_int, load_json
+from .errors import DocumentSemanticError, UnsupportedObjectiveError, is_int, load_json, string_list
 from .ltl import FragmentClass
 from .unfolding import BOT, UnfoldedArena
 
@@ -33,21 +33,23 @@ class ZeroSumGame:
     is_protagonist: Mapping[State, bool]
     labels: Mapping[State, frozenset[str]]
     losing_sinks: frozenset[State] = frozenset()  # absorbing: self-loop only
-    pred: Mapping[State, tuple[State, ...]] = field(repr=False, default=None)
+
+    @cached_property
+    def pred(self) -> dict[State, list[State]]:  # built when an attractor first needs it
+        pred: dict[State, list[State]] = {s: [] for s in self.states}
+        for s in self.states:
+            for t in self.succ[s]:
+                pred[t].append(s)
+        return pred
 
 
 def make_game(states, succ, is_protagonist, labels, losing_sinks=frozenset()) -> ZeroSumGame:
-    pred: dict[State, list[State]] = {s: [] for s in states}
-    for s in states:
-        for t in succ[s]:
-            pred[t].append(s)
     return ZeroSumGame(
         states=tuple(states),
         succ={s: tuple(succ[s]) for s in states},
         is_protagonist=dict(is_protagonist),
         labels=dict(labels),
         losing_sinks=frozenset(losing_sinks),
-        pred={s: tuple(ps) for s, ps in pred.items()},
     )
 
 
@@ -55,7 +57,7 @@ def game_from_unfolded(u: UnfoldedArena, protagonist_players: Iterable[int]) -> 
     protos = set(protagonist_players)
     if not protos <= set(range(1, u.base.players + 1)):
         raise DocumentSemanticError(f"unknown player(s) in {sorted(protos)}")
-    return make_game(
+    return ZeroSumGame(
         states=u.states,
         succ=u.succ,
         is_protagonist={s: u.owner(s) in protos for s in u.states},
@@ -217,14 +219,14 @@ class ParityAutomaton:
 def parse_dpa(text: str) -> ParityAutomaton:
     doc = load_json(text)
     try:
-        states = tuple(doc["states"])
+        states = tuple(string_list(doc["states"], "states"))
         initial = doc["initial"]
         priority = doc["priorities"]
         transitions = tuple(
             DpaTransition(
                 t["src"],
-                frozenset(t.get("pos", [])),
-                frozenset(t.get("neg", [])),
+                frozenset(string_list(t.get("pos", []), "pos")),
+                frozenset(string_list(t.get("neg", []), "neg")),
                 t["dst"],
             )
             for t in doc["transitions"]

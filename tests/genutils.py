@@ -407,6 +407,68 @@ def random_fragment_arena(rng: random.Random):
     return a, tuple(rng.randrange(0, 3) for _ in range(a.dimensions))
 
 
+def oracle_witness_exists(u: UnfoldedArena, formulas, forbidden, max_states: int = 14) -> bool:
+    """Does some sink-free lasso of `u` that avoids `forbidden` satisfy every
+    `F`, `G`, `G F` and `F G` formula? A lasso meets them through the set V
+    of states it visits and the set L its loop repeats: `F β` needs V∩β,
+    `G β` needs V⊆β, `G F β` needs L∩β and `F G β` needs L⊆β. So every
+    strongly connected L with an edge is enumerated, and a search over
+    (state, `F` targets seen) inside the `G`-safe states looks for a path
+    into L that, with L, meets every `F` target. Uses no automaton."""
+    allowed = {s for s in u.states if s is not BOT and s not in forbidden}
+    loop_ok = set(allowed)
+    reach, buchi = [], []
+    for f in map(ltl.classify_fragment, formulas):
+        beta = {s for s in allowed if ltl.eval_bool(f.beta, u.labels(s))}
+        if f.kind == FragmentClass.SAFE:
+            allowed &= beta
+        elif f.kind == FragmentClass.REACH:
+            reach.append(beta)
+        elif f.kind == FragmentClass.BUCHI:
+            buchi.append(beta)
+        elif f.kind == FragmentClass.COBUCHI:
+            loop_ok &= beta
+        else:
+            raise ValueError(f.kind)
+    if len(allowed) > max_states:
+        raise OracleTooBig
+    if u.initial not in allowed:
+        return False
+    loop_ok &= allowed
+    full = (1 << len(reach)) - 1
+
+    def seen(states):
+        return sum(1 << k for k, beta in enumerate(reach) if beta & set(states))
+
+    # every (state, F targets seen) a path from the initial state reaches
+    configs = {(u.initial, seen([u.initial]))}
+    stack = list(configs)
+    while stack:
+        s, mask = stack.pop()
+        for t in u.succ[s]:
+            nxt = (t, mask | seen([t]))
+            if t in allowed and nxt not in configs:
+                configs.add(nxt)
+                stack.append(nxt)
+
+    candidates = list(loop_ok)
+    for bits in range(1, 1 << len(candidates)):
+        loop = {s for k, s in enumerate(candidates) if bits >> k & 1}
+        root = next(iter(loop))
+        inside = {s: [t for t in u.succ[s] if t in loop] for s in loop}
+        if not inside[root] or _reach_states(inside, root) != loop:
+            continue
+        backward = {s: [t for t in loop if s in inside[t]] for s in loop}
+        if _reach_states(backward, root) != loop:
+            continue
+        if not all(beta & loop for beta in buchi):
+            continue
+        loop_mask = seen(loop)
+        if any(s in loop and mask | loop_mask == full for s, mask in configs):
+            return True
+    return False
+
+
 def _table_graph(u: UnfoldedArena, player, table):
     """The careful one-player graph: `player` moves freely, everyone else
     follows `table` (keyed by unfolded state); the sink is left out."""

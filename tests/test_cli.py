@@ -71,6 +71,11 @@ def test_solve_bounds_flag_overrides_document(fig1_text, tmp_path, capsys):
     assert json.loads(out)["bounds"] == [3, 3]
 
 
+def test_solve_fig1_prints_the_committed_certificate(fig1_path, capsys):
+    golden = fig1_path.with_name("fig1-3-3.solution.json").read_text(encoding="utf-8")
+    assert _run(capsys, "solve", fig1_path, "--bounds", "3,3")[1] == golden
+
+
 def test_solve_output_is_byte_identical_across_runs(fig1_path, capsys):
     _, out1, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
     _, out2, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
@@ -173,6 +178,50 @@ def test_solve_with_automaton_objective(fig1_path, tmp_path, capsys):
     )
     assert code == EXIT_POSITIVE
     assert json.loads(out)["dpa_players"] == [1]
+
+
+def test_automaton_objective_beyond_the_tableau_cap(tmp_path, capsys):
+    # twelve p in a row: its closure has 25 members, over the tableau's cap
+    # of 20, so the winner's objective is tracked only by its automaton
+    objective = "p"
+    for _ in range(11):
+        objective = f"p & X ({objective})"
+    arena = tmp_path / "arena.json"
+    arena.write_text(json.dumps({
+        "players": 1,
+        "dimensions": 1,
+        "atoms": ["p", "q"],
+        "states": [
+            {"id": "x", "owner": 1, "labels": ["p"]},
+            {"id": "y", "owner": 1, "labels": ["q"]},
+        ],
+        "initial": "x",
+        "edges": [
+            {"src": a, "dst": b, "cost": [0]} for a, b in [("x", "x"), ("x", "y"), ("y", "y")]
+        ],
+        "objectives": {"system": "F q", "players": {"1": f"F ({objective})"}},
+    }))
+    counts = [f"c{k}" for k in range(12)] + ["good"]
+    dpa = tmp_path / "dpa.json"
+    dpa.write_text(json.dumps({
+        "states": counts,
+        "initial": "c0",
+        "priorities": {c: 2 if c == "good" else 1 for c in counts},
+        "transitions": [
+            t
+            for c, up in zip(counts, counts[1:])
+            for t in ({"src": c, "pos": ["p"], "dst": up}, {"src": c, "neg": ["p"], "dst": "c0"})
+        ] + [{"src": "good", "dst": "good"}],
+    }))
+    code, out, _ = _run(capsys, "solve", arena, "--bounds", "0", "--dpa", f"1={dpa}")
+    assert code == EXIT_POSITIVE
+    doc = json.loads(out)
+    assert doc["winners"] == [1]
+    assert doc["outcome"]["stem"].count("x") == 12 and doc["outcome"]["loop"] == ["y"]
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(out)
+    check = _run(capsys, "check", arena, certificate, "--bounds", "0", "--dpa", f"1={dpa}")
+    assert check[0] == EXIT_POSITIVE
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +416,19 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, field):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("field", ["states", "objective"])
+@pytest.mark.parametrize("field", ["states", "objective", "id", "atoms", "src"])
 def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, field):
     doc = _one_state_document()
     if field == "states":
         doc["states"] = 5
-    else:
+    elif field == "objective":
         doc["objectives"]["players"] = {"1": 5}
+    elif field == "id":
+        doc["states"][0]["id"] = ["s"]
+    elif field == "atoms":
+        doc["atoms"] = [["p"]]
+    else:
+        doc["edges"][0]["src"] = ["s"]
     path = tmp_path / "arena.json"
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, "solve", str(path))
@@ -381,21 +436,29 @@ def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, field):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("field", ["winners", "dpa_players"])
+@pytest.mark.parametrize("field", ["winners", "dpa_players", "punishment", "table"])
 def test_profile_players_must_be_json_integers(fig1_path, tmp_path, capsys, field):
     _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
     doc = json.loads(out)
     path = tmp_path / "certificate.json"
     path.write_text(json.dumps(doc))
     assert _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")[0] == EXIT_POSITIVE
-    doc[field] = [True, 2.9] if field == "winners" else [True]
+    if field == "winners":
+        doc[field] = [True, 2.9]
+    elif field == "dpa_players":
+        doc[field] = [True]
+    elif field == "punishment":
+        doc[field] = []
+    else:
+        doc["punishment"]["1"] = []
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
     assert code == EXIT_ERROR
     assert err.startswith("error:")
 
 
-def test_dpa_priorities_must_be_json_integers(fig1_path, tmp_path, capsys):
+@pytest.mark.parametrize("field", ["priorities", "states", "pos"])
+def test_dpa_fields_must_be_well_typed(fig1_path, tmp_path, capsys, field):
     dpa = {
         "states": ["n", "y"],
         "initial": "n",
@@ -410,8 +473,13 @@ def test_dpa_priorities_must_be_json_integers(fig1_path, tmp_path, capsys):
     argv = ("solve", fig1_path, "--bounds", "3,3", "--dpa", f"1={path}")
     path.write_text(json.dumps(dpa))
     assert _run(capsys, *argv)[0] == EXIT_POSITIVE
-    dpa["priorities"] = {"n": True, "y": 2.5}
+    if field == "priorities":
+        dpa[field] = {"n": True, "y": 2.5}
+    elif field == "states":
+        dpa[field] = ["n", ["y"]]
+    else:
+        dpa["transitions"][0][field] = "circ"  # not the atoms c, i, r
     path.write_text(json.dumps(dpa))
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_ERROR
-    assert err.startswith("error:")
+    assert err.startswith("error:") and field in err

@@ -17,13 +17,15 @@ from carefulsynth.synthesis import (
     solve,
     tracker_accepts,
 )
-from carefulsynth.unfolding import AVOID_BOT, BOT, unfold
+from carefulsynth.unfolding import BOT, unfold
 from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
 from genutils import (
+    ARENA_ATOMS,
     OracleTooBig,
     oracle_profitable_deviation,
     oracle_solution_exists,
+    oracle_witness_exists,
     random_arena,
     random_fragment,
     random_fragment_arena,
@@ -42,7 +44,7 @@ GOLDEN_TRACE = ((0, 0), (2, 1), (3, 2), (3, 3), (3, 2), (1, 1), (0, 0))
 
 def test_witness_exists_for_trivial_requirement(fig1):
     u = unfold(fig1, (3, 3))
-    got = find_witness_lasso(u, [ltl.TRUE], set())
+    got = find_witness_lasso(u, ltl.to_nba(ltl.TRUE), [], set())
     assert got is not None
     stem, loop = got
     assert stem and loop
@@ -56,8 +58,8 @@ def test_witness_respects_forbidden_deviation_states(fig1):
     u = unfold(fig1, (3, 3))
     r3 = punish_region(u, 3, fig1.objective_of(3))
     forbidden = {s for s in r3.win if s is not BOT and u.owner(s) == 3}
-    required = [ltl.parse_ltl("F circ"), ltl.parse_ltl("F box"), AVOID_BOT]
-    got = find_witness_lasso(u, required, forbidden)
+    system = ltl.to_nba(ltl.parse_ltl("F circ"))
+    got = find_witness_lasso(u, system, [objective_tracker(ltl.parse_ltl("F box"))], forbidden)
     assert got is not None
     stem, loop = got
     assert tuple(us[0] for us in stem) == GOLDEN_STEM
@@ -66,14 +68,43 @@ def test_witness_respects_forbidden_deviation_states(fig1):
 
 def test_contradictory_requirements_have_no_witness(fig1):
     u = unfold(fig1, (3, 3))
-    required = [ltl.parse_ltl("F circ"), ltl.parse_ltl("G ! circ")]
-    assert find_witness_lasso(u, required, set()) is None
+    system = ltl.to_nba(ltl.parse_ltl("F circ"))
+    assert find_witness_lasso(u, system, [objective_tracker(ltl.parse_ltl("G ! circ"))], set()) is None
+
+
+def test_witness_search_agrees_with_loop_set_enumeration():
+    # the first requirement is the system objective, the rest are winners
+    positives = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        a, bounds = random_fragment_arena(rng)
+        u = unfold(a, bounds)
+        forbidden = {s for s in u.states if rng.random() < 0.2}
+        formulas = [random_fragment(rng, ARENA_ATOMS) for _ in range(rng.randrange(1, 4))]
+        try:
+            expected = oracle_witness_exists(u, formulas, forbidden)
+        except OracleTooBig:
+            continue
+        got = find_witness_lasso(
+            u, ltl.to_nba(formulas[0]), [objective_tracker(f) for f in formulas[1:]], forbidden
+        )
+        assert (got is not None) == expected, seed
+        if got is None:
+            continue
+        positives += 1
+        stem, loop = got
+        path = stem + loop + loop[:1]
+        assert stem[0] == u.initial and not forbidden & set(path), seed
+        assert all(t in u.succ[s] and t is not BOT for s, t in zip(path, path[1:])), seed
+        labels = [u.labels(s) for s in stem], [u.labels(s) for s in loop]
+        assert all(ltl.eval_on_lasso(f, *labels) for f in formulas), seed
+    assert positives >= 50
 
 
 def test_witness_search_budget(fig1):
     u = unfold(fig1, (3, 3))
     with pytest.raises(BudgetExceededError):
-        find_witness_lasso(u, [ltl.parse_ltl("F circ")], set(), max_product=3)
+        find_witness_lasso(u, ltl.to_nba(ltl.parse_ltl("F circ")), [], set(), max_product=3)
 
 
 # ---------------------------------------------------------------------------
