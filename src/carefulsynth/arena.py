@@ -20,6 +20,10 @@ I64_MAX = 2**63 - 1
 
 RESERVED_ATOM = "bot"  # claimed by the unfolding's sink state
 
+# The most players an arena may have: `synthesis.solve` may try all 2^players
+# winner sets. Beside `zerosum.MAX_PRIORITY`, the other size cap on documents.
+MAX_PLAYERS = 16
+
 
 @dataclass(frozen=True)
 class Arena:
@@ -63,8 +67,7 @@ def build_arena(
 ) -> Arena:
     """Validate and construct an Arena; raises DocumentSemanticError on any
     invariant violation."""
-    if not is_int(players) or players < 1:
-        raise DocumentSemanticError(f"players must be a positive integer, got {players!r}")
+    _check_players(players)
     if not is_int(dimensions) or dimensions < 1:
         raise DocumentSemanticError(f"dimensions must be a positive integer, got {dimensions!r}")
 
@@ -102,6 +105,10 @@ def build_arena(
     for (src, dst), cost in edges.items():
         if src not in stateset or dst not in stateset:
             raise DocumentSemanticError(f"edge ({src!r}, {dst!r}): dangling endpoint")
+        if not isinstance(cost, (list, tuple)):
+            raise DocumentSemanticError(
+                f"edge ({src!r}, {dst!r}): cost must be a list of integers, got {cost!r}"
+            )
         c = tuple(cost)
         if len(c) != dimensions:
             raise DocumentSemanticError(
@@ -166,6 +173,13 @@ def build_arena(
     )
 
 
+def _check_players(players) -> None:
+    if not is_int(players) or not 1 <= players <= MAX_PLAYERS:
+        raise DocumentSemanticError(
+            f"players must be an integer from 1 to {MAX_PLAYERS}, got {players!r}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Document format
 
@@ -207,8 +221,7 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
     if not isinstance(objectives, dict) or "system" not in objectives:
         raise DocumentSemanticError("objectives must carry a 'system' formula")
     players = doc["players"]
-    if not is_int(players) or players < 1:
-        raise DocumentSemanticError(f"players must be a positive integer, got {players!r}")
+    _check_players(players)  # before any loop over the players
     per_player = objectives.get("players", {})
     if not isinstance(per_player, dict):
         raise DocumentSemanticError(f"player objectives must be an object, got {per_player!r}")

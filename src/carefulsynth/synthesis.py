@@ -1,10 +1,11 @@
 """Deciding careful cooperative rational synthesis on bounded instances.
 
-Pipeline: unfold the arena, compute each player's punishment region and
-objective tracker, then for each candidate winner set search the
-restricted, sink-free unfolding for a lasso that the system objective's
-Büchi automaton and every winner's tracker accept. A found lasso plus the
-precomputed punishment tables form the equilibrium certificate;
+Pipeline: unfold the arena, build each player's objective tracker, then for
+each candidate winner set search the restricted, sink-free unfolding for a
+lasso that the system objective's Büchi automaton and every winner's
+tracker accept. A player's punishment region is solved the first time it
+is a loser, since only a loser has a reason to deviate. A found lasso plus
+the losers' punishment tables form the equilibrium certificate;
 `check_certificate` checks it without the game solver, by an emptiness test
 per loser on the graph its table leaves.
 """
@@ -26,6 +27,7 @@ from .errors import (
     UnsupportedObjectiveError,
     is_int,
     load_json,
+    string_list,
 )
 from .unfolding import (
     BOT,
@@ -46,7 +48,7 @@ DEFAULT_PRODUCT_BUDGET = 10**7
 class StrategyProfile:
     """Finite-memory equilibrium certificate: the on-path lasso plus one
     punishment table per player, activated at that player's first
-    deviation."""
+    deviation. A winner's table is empty: it has no reason to deviate."""
 
     outcome: Lasso  # base-arena projection, with resource trace
     outcome_stem: tuple[UState, ...]
@@ -221,12 +223,10 @@ def tracker_accepts(tracker: Tracker, stem: Sequence, loop: Sequence) -> bool:
 
 
 def _winner_sets(n: int):
-    players = list(range(1, n + 1))
-    sets = []
+    """Every set of players, largest first, generated as they are tried."""
+    players = range(1, n + 1)
     for r in range(n, -1, -1):
-        for combo in itertools.combinations(players, r):
-            sets.append(frozenset(combo))
-    return sets
+        yield from map(frozenset, itertools.combinations(players, r))
 
 
 def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
@@ -251,15 +251,20 @@ def solve(
     u = unfold(a, bounds, max_states=max_states)
 
     players = list(range(1, a.players + 1))
-    try:
-        regions = {i: punish_region(u, i, a.objective_of(i), dpas.get(i)) for i in players}
-        trackers = {i: objective_tracker(a.objective_of(i), dpas.get(i)) for i in players}
-    except UnsupportedObjectiveError as e:
-        return SolveResult(SolveResult.UNSUPPORTED, reason=str(e))
+    trackers = {}
+    for i in players:
+        try:
+            trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
+        except UnsupportedObjectiveError as e:
+            return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
     system = ltl.to_nba(a.system_objective)
+    regions = {}  # a player's punishment region, solved when it first loses
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
     for winner_set in _winner_sets(a.players):
+        for i in players:
+            if i not in winner_set and i not in regions:
+                regions[i] = punish_region(u, i, a.objective_of(i), dpas.get(i))
         forbidden = {
             s
             for i in players
@@ -288,7 +293,7 @@ def solve(
             outcome_stem=stem,
             outcome_loop=loop,
             winners=winners,
-            punishment={i: dict(regions[i].punishment) for i in players},
+            punishment={i: dict({} if i in winners else regions[i].punishment) for i in players},
             dpa_players=frozenset(dpas),
         )
         return SolveResult(SolveResult.SOLUTION, profile=profile, clipped=u.clipped)
@@ -492,8 +497,8 @@ def parse_profile(text: str) -> StrategyProfile:
     doc = load_json(text)
     try:
         outcome = doc["outcome"]
-        stem = tuple(outcome["stem"])
-        loop = tuple(outcome["loop"])
+        stem = tuple(string_list(outcome["stem"], "outcome stem"))
+        loop = tuple(string_list(outcome["loop"], "outcome loop"))
         trace = tuple(tuple(v) for v in outcome["trace"])
         if not all(map(is_int, [*doc["winners"], *doc.get("dpa_players", [])])):
             raise MalformedProfileError(

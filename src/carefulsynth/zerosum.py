@@ -21,6 +21,8 @@ from .errors import DocumentSemanticError, UnsupportedObjectiveError, is_int, lo
 from .ltl import FragmentClass
 from .unfolding import BOT, UnfoldedArena
 
+# The largest priority a parity game or automaton may use: Zielonka's
+# recursion depth grows with it.
 MAX_PRIORITY = 16
 
 State = Hashable
@@ -237,6 +239,10 @@ def parse_dpa(text: str) -> ParityAutomaton:
         raise DocumentSemanticError(f"initial state {initial!r} unknown")
     if not isinstance(priority, dict) or not all(map(is_int, priority.values())):
         raise DocumentSemanticError(f"priorities must map states to integers, got {priority!r}")
+    if any(p > MAX_PRIORITY for p in priority.values()):
+        raise DocumentSemanticError(
+            f"priorities must not exceed {MAX_PRIORITY}, got {max(priority.values())}"
+        )
     if set(priority) != set(states):
         raise DocumentSemanticError("priority map must cover exactly the states")
     for t in transitions:
@@ -305,6 +311,7 @@ class TrackerProduct(NamedTuple):
     game: ZeroSumGame  # nodes (s, q): q is the tracker state after reading s
     priority: dict
     start: dict  # s -> the node where a play starting at s begins
+    step: Callable[[Hashable, frozenset], Hashable]  # the tracker's step, cached
 
 
 def tracker_product(g: ZeroSumGame, tracker: Tracker) -> TrackerProduct:
@@ -319,21 +326,21 @@ def tracker_product(g: ZeroSumGame, tracker: Tracker) -> TrackerProduct:
     succ = {}
     for node in nodes:  # breadth-first: the list grows while it is read
         s, q = node
-        succ[node] = out = [(t, step(q, labels[t])) for t in g.succ[s]]
+        succ[node] = out = tuple([(t, step(q, labels[t])) for t in g.succ[s]])
         for n in out:
             if n not in seen:
                 seen.add(n)
                 nodes.append(n)
     sinks = frozenset(n for n in nodes if n[0] in g.losing_sinks)
-    game = make_game(
-        nodes,
-        succ,
-        {n: g.is_protagonist[n[0]] for n in nodes},
-        {n: g.labels[n[0]] for n in nodes},
-        sinks,
+    game = ZeroSumGame(
+        states=tuple(nodes),
+        succ=succ,
+        is_protagonist={n: g.is_protagonist[n[0]] for n in nodes},
+        labels={n: labels[n[0]] for n in nodes},
+        losing_sinks=sinks,
     )
     priority = {n: 1 if n in sinks else tracker.priority(n[1]) for n in nodes}
-    return TrackerProduct(game, priority, start)
+    return TrackerProduct(game, priority, start, step)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +371,7 @@ def punish_region(
         tracker = objective_tracker(objective, dpa)
     except UnsupportedObjectiveError as e:
         raise UnsupportedObjectiveError(f"player {player}: {e}") from None
-    game, priority, start = tracker_product(game_from_unfolded(u, {player}), tracker)
+    game, priority, start, step = tracker_product(game_from_unfolded(u, {player}), tracker)
     regions = solve_parity(game, priority)
     punish = regions.antagonist_strategy
     if dpa is None:
@@ -400,7 +407,7 @@ def punish_region(
     for s in u.states:
         if u.owner(s) != player:
             for q in dpa.states:
-                node = (s, dpa_step(dpa, q, u.labels(s)))
+                node = (s, step(q, u.labels(s)))
                 if node in punish:
                     table[(s, q)] = punish[node][0]
     return PunishRegions(win, table)

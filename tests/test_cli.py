@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import carefulsynth
+from carefulsynth.arena import MAX_PLAYERS
 from carefulsynth.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run
+from carefulsynth.zerosum import MAX_PRIORITY
 
 from corpus import CORPUS
 
@@ -416,11 +418,13 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, field):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("field", ["states", "objective", "id", "atoms", "src"])
+@pytest.mark.parametrize("field", ["states", "objective", "id", "atoms", "src", "cost"])
 def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, field):
     doc = _one_state_document()
     if field == "states":
         doc["states"] = 5
+    elif field == "cost":
+        doc["edges"][0]["cost"] = 5
     elif field == "objective":
         doc["objectives"]["players"] = {"1": 5}
     elif field == "id":
@@ -433,7 +437,32 @@ def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, field):
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, "solve", str(path))
     assert code == EXIT_ERROR
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("players", [MAX_PLAYERS + 1, 10**30])
+def test_player_count_is_capped_before_any_loop_over_players(tmp_path, capsys, players):
+    # 10**30 would hang in the loop over player objectives, and a count
+    # just over the cap would have solve try 2^17 winner sets
+    doc = _one_state_document()
+    doc["players"] = players
+    path = tmp_path / "arena.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "solve", str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error: players") and str(MAX_PLAYERS) in err
+
+
+@pytest.mark.parametrize("part", ["stem", "loop"])
+def test_outcome_entries_must_be_state_ids(fig1_path, tmp_path, capsys, part):
+    _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
+    doc = json.loads(out)
+    doc["outcome"][part][-1] = [doc["outcome"][part][-1]]
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and f"outcome {part}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["winners", "dpa_players", "punishment", "table"])
@@ -483,3 +512,30 @@ def test_dpa_fields_must_be_well_typed(fig1_path, tmp_path, capsys, field):
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_ERROR
     assert err.startswith("error:") and field in err
+
+
+def test_dpa_priorities_above_the_bound_are_refused(tmp_path, capsys):
+    # the player wins at the first winner set, so no parity game ever sees
+    # the automaton; the document is refused on reading, by solve and check
+    dpa = {
+        "states": ["start", "ok"],
+        "initial": "start",
+        "priorities": {"start": 1, "ok": 2},
+        "transitions": [{"src": "start", "dst": "ok"}, {"src": "ok", "dst": "ok"}],
+    }
+    arena = tmp_path / "arena.json"
+    arena.write_text(json.dumps(_one_state_document()))
+    path = tmp_path / "dpa.json"
+    path.write_text(json.dumps(dpa))
+    code, out, _ = _run(capsys, "solve", arena, "--dpa", f"1={path}")
+    assert code == EXIT_POSITIVE and json.loads(out)["winners"] == [1]
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(out)
+    check = ("check", arena, certificate, "--dpa", f"1={path}")
+    assert _run(capsys, *check)[0] == EXIT_POSITIVE
+    dpa["priorities"]["start"] = MAX_PRIORITY + 1
+    path.write_text(json.dumps(dpa))
+    for argv in [("solve", arena, "--dpa", f"1={path}"), check]:
+        code, _, err = _run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert err.startswith("error: priorities") and str(MAX_PRIORITY + 1) in err

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carefulsynth import ltl
+from carefulsynth import ltl, synthesis
 from carefulsynth.errors import BudgetExceededError
 from carefulsynth.synthesis import (
     SolveResult,
@@ -158,6 +158,68 @@ def test_solve_trace_stays_within_bounds(fig1):
             continue
         for vec in result.profile.outcome.trace:
             assert all(0 <= v <= b for v, b in zip(vec, bounds))
+
+
+# ---------------------------------------------------------------------------
+# Punishment regions, solved for losers only
+
+
+def _counted_regions(monkeypatch):
+    """Record the player of every punishment region `solve` asks for."""
+    calls = []
+
+    def counted(u, player, *args):
+        calls.append(player)
+        return punish_region(u, player, *args)
+
+    monkeypatch.setattr(synthesis, "punish_region", counted)
+    return calls
+
+
+def test_no_region_is_solved_when_every_player_wins(monkeypatch):
+    calls = _counted_regions(monkeypatch)
+    result = solve(_late_loser_arena("true", "F p"), (1,))
+    assert result.profile.winners == frozenset({1, 2})
+    assert result.profile.punishment == {1: {}, 2: {}}
+    assert calls == []
+
+
+@pytest.mark.parametrize("bounds, expected", [((3, 3), [3]), ((10, 10), [1, 2, 3])])
+def test_a_region_is_solved_once_when_its_player_first_loses(fig1, monkeypatch, bounds, expected):
+    # at (3,3) the first set, all three, fails and {1, 2} succeeds; at
+    # (10,10) all 8 sets fail, and each player loses in some of them
+    calls = _counted_regions(monkeypatch)
+    solve(fig1, bounds)
+    assert sorted(calls) == expected
+
+
+def test_winner_sets_are_generated_as_they_are_tried():
+    sets = synthesis._winner_sets(3)
+    assert iter(sets) is sets  # an iterator, not a list of all 2^n sets
+    assert list(sets) == [
+        frozenset(s) for s in [(1, 2, 3), (1, 2), (1, 3), (2, 3), (1,), (2,), (3,), ()]
+    ]
+
+
+def test_only_losers_carry_a_punishment_table():
+    solved = losers = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        a, bounds = random_fragment_arena(rng)
+        p = solve(a, bounds).profile
+        if p is None:
+            continue
+        u = unfold(a, bounds)
+        for i in range(1, a.players + 1):
+            if i in p.winners:
+                assert p.punishment[i] == {}, seed
+            else:
+                region = punish_region(u, i, a.objective_of(i))
+                assert p.punishment[i] == dict(region.punishment), seed
+                losers += 1
+        assert check_certificate(a, bounds, p) == [], seed
+        solved += 1
+    assert solved >= 80 and losers >= 80
 
 
 # ---------------------------------------------------------------------------
