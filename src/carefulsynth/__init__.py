@@ -42,6 +42,7 @@ from .reduction import (
     simulate_reachability,
 )
 from .synthesis import (
+    NoWitness,
     SolveResult,
     StrategyProfile,
     check_certificate,
@@ -50,6 +51,7 @@ from .synthesis import (
     profile_to_document,
     result_to_document,
     solve,
+    witness_product,
 )
 from .unfolding import BOT, UnfoldedArena, lift, project, unfold
 from .zerosum import (

@@ -23,7 +23,7 @@ from .arena import (
     serialize_arena,
     validate_lasso,
 )
-from .errors import CarefulSynthError, DocumentSemanticError, load_json
+from .errors import CarefulSynthError, DocumentSemanticError, load_json, string_list
 from .unfolding import to_dot, unfold, unfolded_to_arena
 from .zerosum import ParityAutomaton, parse_dpa
 
@@ -166,7 +166,10 @@ def _cmd_check(args) -> int:
 def _parse_lasso_document(text: str) -> Lasso:
     doc = load_json(text)
     try:
-        return Lasso(stem=tuple(doc["stem"]), loop=tuple(doc["loop"]))
+        return Lasso(
+            stem=tuple(string_list(doc["stem"], "lasso stem")),
+            loop=tuple(string_list(doc["loop"], "lasso loop")),
+        )
     except (KeyError, TypeError) as e:
         raise DocumentSemanticError(f"bad lasso document: {e}") from e
 

@@ -1,13 +1,16 @@
 """Deciding careful cooperative rational synthesis on bounded instances.
 
-Pipeline: unfold the arena, build each player's objective tracker, then for
-each candidate winner set search the restricted, sink-free unfolding for a
-lasso that the system objective's Büchi automaton and every winner's
-tracker accept. A player's punishment region is solved the first time it
-is a loser, since only a loser has a reason to deviate. A found lasso plus
-the losers' punishment tables form the equilibrium certificate;
-`check_certificate` checks it without the game solver, by an emptiness test
-per loser on the graph its table leaves.
+Pipeline: unfold the arena, build each player's objective tracker, and
+build once the product of the sink-free unfolding with the system
+objective's Büchi automaton and every player's tracker. For each candidate
+winner set, search that product for a lasso that the system automaton and
+every winner's tracker accept, without the nodes where a loser owns the
+state and its punishment region holds (state, its tracker state there). A
+player's punishment region is solved the first time it is a loser, since
+only a loser has a reason to deviate. A found lasso plus the losers'
+punishment tables form the equilibrium certificate; `check_certificate`
+checks it without the game solver, by an emptiness test per loser on the
+graph its table leaves.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
 from ._graphs import shortest_path, strongly_connected_components
@@ -48,14 +51,16 @@ DEFAULT_PRODUCT_BUDGET = 10**7
 class StrategyProfile:
     """Finite-memory equilibrium certificate: the on-path lasso plus one
     punishment table per player, activated at that player's first
-    deviation. A winner's table is empty: it has no reason to deviate."""
+    deviation. A table is keyed by the node (unfolded state, the player's
+    tracker state after reading it, written by `str`) and names the
+    successor the coalition takes there. A winner's table is empty: it has
+    no reason to deviate."""
 
     outcome: Lasso  # base-arena projection, with resource trace
     outcome_stem: tuple[UState, ...]
     outcome_loop: tuple[UState, ...]
     winners: frozenset[int]
-    punishment: Mapping[int, Mapping]  # player -> (state or (state, q)) -> successor
-    dpa_players: frozenset[int] = frozenset()
+    punishment: Mapping[int, Mapping]  # player -> (state, str(tracker state)) -> successor
 
 
 @dataclass(frozen=True)
@@ -77,61 +82,44 @@ class SolveResult:
 # Witness search
 
 
-def find_witness_lasso(
+class WitnessProduct(NamedTuple):
+    """The reachable, sink-free part of the unfolding in product with the
+    system objective's Büchi automaton and a list of trackers. A node is
+    (unfolded state, automaton state before the state's letter, tracker
+    states after it)."""
+
+    initials: list
+    succ: dict  # node -> its successor nodes, in a deterministic order
+    priority: dict  # node -> (system priority, each tracker's priority)
+
+
+def witness_product(
     u: UnfoldedArena,
     system: ltl.NBA,
     trackers: Sequence[Tracker],
-    forbidden_states: set[UState],
     max_product: int = DEFAULT_PRODUCT_BUDGET,
-) -> Optional[tuple[tuple[UState, ...], tuple[UState, ...]]]:
-    """Search the sink-free, restriction-respecting unfolding for a lasso
-    accepted by the system objective's Büchi automaton and by every
-    tracker. A product node is (unfolded state, automaton state before the
-    state's letter, tracker states after it). Each component is a parity
-    condition, the automaton's accepting states at 2 and the rest at 1; a
-    cycle is accepting when every component's top priority on it is even,
-    decided by SCC refinement. Returns (stem, loop) over unfolded states,
-    deterministically minimized (shortest stem first, then a loop through
-    one top-priority node per component), or None."""
-    allowed = {s for s in u.states if s is not BOT and s not in forbidden_states}
-    # drop states that cannot continue inside the restriction
-    changed = True
-    while changed:
-        changed = False
-        for s in list(allowed):
-            if not any(t in allowed for t in u.succ[s]):
-                allowed.discard(s)
-                changed = True
-    if u.initial not in allowed:
-        return None
-
+) -> WitnessProduct:
+    """Build the product once; every winner set is searched on it. Each
+    component is a parity condition: the automaton's accepting states at 2
+    and the rest at 1, a tracker's states at their priorities."""
     steps = [cache(t.step) for t in trackers]
 
     def after(qs, s):
         letter = u.labels(s)
         return tuple(step(q, letter) for step, q in zip(steps, qs))
 
-    succ: dict = {}
-
-    def successors(node):
-        out = succ.get(node)
-        if out is None:
-            s, q, qs = node
-            letter = u.labels(s)
-            dsts = sorted({tr.dst for tr in system.transitions[q] if ltl.guard_matches(tr, letter)})
-            out = succ[node] = [
-                (t, d, after(qs, t)) for t in u.succ[s] if t in allowed for d in dsts
-            ]
-        return out
-
     start = after([t.initial for t in trackers], u.initial)
     initials = [(u.initial, q, start) for q in sorted(system.initial)]
-
-    # reachable product
     seen = set(initials)
     stack = list(initials)
+    succ: dict = {}
     while stack:
-        for nxt in successors(stack.pop()):
+        node = stack.pop()
+        s, q, qs = node
+        letter = u.labels(s)
+        dsts = sorted({tr.dst for tr in system.transitions[q] if ltl.guard_matches(tr, letter)})
+        succ[node] = out = [(t, d, after(qs, t)) for t in u.succ[s] if t is not BOT for d in dsts]
+        for nxt in out:
             if nxt not in seen:
                 if len(seen) >= max_product:
                     raise BudgetExceededError(
@@ -139,40 +127,79 @@ def find_witness_lasso(
                     )
                 seen.add(nxt)
                 stack.append(nxt)
-
-    prio = {
+    priority = {
         node: (2 if node[1] in system.accepting else 1,
                *(t.priority(x) for t, x in zip(trackers, node[2])))
-        for node in seen
+        for node in succ
     }
+    return WitnessProduct(initials, succ, priority)
+
+
+class NoWitness(Exception):
+    """The witness search failed; the message names the cause."""
+
+
+def find_witness_lasso(
+    product: WitnessProduct,
+    winners: Sequence[int],
+    forbidden: AbstractSet,
+) -> tuple[tuple[UState, ...], tuple[UState, ...]]:
+    """Search `product`, without the nodes in `forbidden`, for a lasso that
+    the system automaton and the trackers at positions `winners` accept: a
+    cycle whose top priority in each of those components is even, decided
+    by SCC refinement. Returns (stem, loop) over unfolded states,
+    deterministically minimized (shortest stem first, then a loop through
+    one top-priority node per component). Raises NoWitness naming why
+    none exists: the initial state is forbidden, the restricted product
+    has no cycle, or no SCC is accepting."""
+    initials = [n for n in product.initials if n not in forbidden]
+    if not initials:
+        raise NoWitness("initial state forbidden")
+    successors, prio = product.succ.__getitem__, product.priority
+    # with nothing forbidden, every node is reachable
+    seen = set(initials) if forbidden else set(product.succ)
+    stack = list(initials) if forbidden else []
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt not in seen and nxt not in forbidden:
+                seen.add(nxt)
+                stack.append(nxt)
+
+    components = (0, *(k + 1 for k in winners))
     # a nontrivial SCC whose top priorities are all even is accepting; else
     # its nodes carrying an odd top lie on no accepting cycle, so drop them
     # and split the rest again
-    accepting: dict = {}  # node -> (its accepting SCC, that SCC's top priorities)
+    accepting: dict = {}  # node -> (its accepting SCC, that SCC's tops per component)
+    cyclic = False
     pending = [seen]
     while pending:
+        # every SCC lies in `seen`, whose nodes are all allowed
         for comp in strongly_connected_components(pending.pop(), successors):
             if len(comp) == 1 and comp[0] not in successors(comp[0]):
                 continue
-            tops = tuple(map(max, zip(*(prio[node] for node in comp))))
-            odd = [k for k, p in enumerate(tops) if p % 2]
+            cyclic = True
+            top = tuple(map(max, zip(*(prio[node] for node in comp))))
+            tops = [(k, top[k]) for k in components]
+            odd = [(k, p) for k, p in tops if p % 2]
             if odd:
-                pending.append({n for n in comp if all(prio[n][k] != tops[k] for k in odd)})
+                pending.append({n for n in comp if all(prio[n][k] != p for k, p in odd)})
                 continue
             compset = set(comp)
             for node in comp:
                 accepting[node] = (compset, tops)
 
     if not accepting:
-        return None
+        raise NoWitness("no accepting SCC" if cyclic else "no cycle in the restricted product")
 
-    stem_path = shortest_path(initials, successors, accepting.__contains__)
+    stem_path = shortest_path(
+        initials, successors, accepting.__contains__, allowed=seen.__contains__
+    )
     anchor = stem_path[-1]
     comp, tops = accepting[anchor]
 
     # cycle through one top-priority node of every component, then home
     loop_nodes = [anchor]
-    for k, top in enumerate(tops):
+    for k, top in tops:
         if any(prio[n][k] == top for n in loop_nodes):
             continue
         seg = shortest_path(
@@ -197,19 +224,19 @@ def find_witness_lasso(
 
 def run_lasso(tracker: Tracker, stem: Sequence, loop: Sequence) -> tuple[list, int]:
     """Run `tracker` over the letters stem . loop^k until its state at the
-    loop head repeats. Returns the state each visited position carries and
-    the index where the settled cycle starts."""
+    loop head repeats. Returns the state after each visited position's
+    letter and the index where the settled cycle starts."""
     q = tracker.initial
     qs = []
     for letter in stem:
-        qs.append(q)
         q = tracker.step(q, letter)
+        qs.append(q)
     heads: dict = {}
     while q not in heads:
         heads[q] = len(qs)
         for letter in loop:
-            qs.append(q)
             q = tracker.step(q, letter)
+            qs.append(q)
     return qs, heads[q]
 
 
@@ -257,7 +284,9 @@ def solve(
             trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
-    system = ltl.to_nba(a.system_objective)
+    product = witness_product(
+        u, ltl.to_nba(a.system_objective), [trackers[i] for i in players], max_product
+    )
     regions = {}  # a player's punishment region, solved when it first loses
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
@@ -265,22 +294,21 @@ def solve(
         for i in players:
             if i not in winner_set and i not in regions:
                 regions[i] = punish_region(u, i, a.objective_of(i), dpas.get(i))
+        # a loser's own node from which it could deviate and still win
         forbidden = {
-            s
+            node
             for i in players
             if i not in winner_set
-            for s in regions[i].win
-            if s is not BOT and u.owner(s) == i
+            for node in product.succ
+            if (node[0], node[2][i - 1]) in regions[i].win and u.owner(node[0]) == i
         }
-        found = find_witness_lasso(
-            u, system, [trackers[i] for i in sorted(winner_set)], forbidden, max_product=max_product
-        )
-        if found is None:
-            diagnostics.append(
-                (tuple(sorted(winner_set)), "no equilibrium-supportable witness lasso")
+        try:
+            stem, loop = find_witness_lasso(
+                product, [i - 1 for i in sorted(winner_set)], forbidden
             )
+        except NoWitness as e:
+            diagnostics.append((tuple(sorted(winner_set)), str(e)))
             continue
-        stem, loop = found
         outcome = outcome_lasso(u, stem, loop)
         stem_labels = [u.labels(s) for s in stem]
         loop_labels = [u.labels(s) for s in loop]
@@ -294,7 +322,6 @@ def solve(
             outcome_loop=loop,
             winners=winners,
             punishment={i: dict({} if i in winners else regions[i].punishment) for i in players},
-            dpa_players=frozenset(dpas),
         )
         return SolveResult(SolveResult.SOLUTION, profile=profile, clipped=u.clipped)
     return SolveResult(
@@ -352,14 +379,14 @@ def check_certificate(
             violations.append(f"player {i}: missing punishment table")
             continue
         for key, value in table.items():
-            s = key[0] if i in dpas else key
+            s = key[0]
             if s not in u.succ or value not in u.succ[s]:
                 violations.append(
                     f"player {i}: punishment entry {key!r} -> {value!r} is not an edge"
                 )
                 break
         if not satisfied:
-            violations.extend(_deviation_faults(u, i, tracker, table, i in dpas, stem, loop))
+            violations.extend(_deviation_faults(u, i, tracker, table, stem, loop))
     return violations
 
 
@@ -396,21 +423,20 @@ def _replay(u: UnfoldedArena, outcome: Lasso) -> tuple[tuple, tuple]:
     return tuple(ustates[:loop_start]), tuple(ustates[loop_start:])
 
 
-def _deviation_faults(u, player, tracker, table, keyed_by_q, stem, loop) -> list[str]:
-    """Explore (unfolded state, tracker state) from every way `player` can
-    leave the outcome: it takes any sink-free successor at its own states,
-    the coalition follows `table` (keyed by (s, q) for automaton objectives,
-    by s otherwise). A reachable cycle whose top priority is even is a
-    careful profitable deviation."""
+def _deviation_faults(u, player, tracker, table, stem, loop) -> list[str]:
+    """Explore the nodes (unfolded state, tracker state after reading it)
+    from every way `player` can leave the outcome: it takes any sink-free
+    successor at its own states, the coalition follows `table` at the node,
+    its tracker state written by `str`. A reachable cycle whose top
+    priority is even is a careful profitable deviation."""
     qs, _ = run_lasso(tracker, [u.labels(s) for s in stem], [u.labels(s) for s in loop])
     path = stem + loop * (len(qs) // len(loop) + 1)  # long enough to index k + 1
     origin: dict = {}  # node -> the outcome position its deviation left from
     for k, q in enumerate(qs):
         if u.owner(path[k]) == player:
-            q2 = tracker.step(q, u.labels(path[k]))
             for t in u.succ[path[k]]:
                 if t is not BOT and t != path[k + 1]:
-                    origin.setdefault((t, q2), path[k])
+                    origin.setdefault((t, tracker.step(q, u.labels(t))), path[k])
 
     succ: dict = {}
     stack = list(origin)
@@ -419,15 +445,14 @@ def _deviation_faults(u, player, tracker, table, keyed_by_q, stem, loop) -> list
         s, q = node
         moves = u.succ[s]
         if u.owner(s) != player:
-            key = (s, q) if keyed_by_q else s
-            if table.get(key) not in moves:
+            t = table.get((s, str(q)))
+            if t not in moves:
                 return [
                     f"player {player}: a deviation from {render_ustate(origin[node])} "
                     f"reaches {render_ustate(s)}, where the punishment table has no edge"
                 ]
-            moves = (table[key],)
-        q2 = tracker.step(q, u.labels(s))
-        succ[node] = [(t, q2) for t in moves if t is not BOT]
+            moves = (t,)
+        succ[node] = [(t, tracker.step(q, u.labels(t))) for t in moves if t is not BOT]
         for nxt in succ[node]:
             if nxt not in origin:
                 origin[nxt] = origin[node]
@@ -456,12 +481,12 @@ def _deviation_faults(u, player, tracker, table, keyed_by_q, stem, loop) -> list
 # Documents
 
 
-def profile_to_document(profile: StrategyProfile) -> dict:
-    def render_key(player, key):
-        if player in profile.dpa_players:
-            return f"{render_ustate(key[0])}|{key[1]}"
-        return render_ustate(key)
+def _render_key(key) -> str:
+    s, q = key
+    return f"{render_ustate(s)}|{q}"
 
+
+def profile_to_document(profile: StrategyProfile) -> dict:
     return {
         "outcome": {
             "stem": list(profile.outcome.stem),
@@ -471,12 +496,11 @@ def profile_to_document(profile: StrategyProfile) -> dict:
         "winners": sorted(profile.winners),
         "punishment": {
             str(i): {
-                render_key(i, k): render_ustate(v)
-                for k, v in sorted(table.items(), key=lambda kv: render_key(i, kv[0]))
+                _render_key(k): render_ustate(v)
+                for k, v in sorted(table.items(), key=lambda kv: _render_key(kv[0]))
             }
             for i, table in sorted(profile.punishment.items())
         },
-        "dpa_players": sorted(profile.dpa_players),
     }
 
 
@@ -500,23 +524,18 @@ def parse_profile(text: str) -> StrategyProfile:
         stem = tuple(string_list(outcome["stem"], "outcome stem"))
         loop = tuple(string_list(outcome["loop"], "outcome loop"))
         trace = tuple(tuple(v) for v in outcome["trace"])
-        if not all(map(is_int, [*doc["winners"], *doc.get("dpa_players", [])])):
+        if not all(map(is_int, [*doc["winners"], *(c for v in trace for c in v)])):
             raise MalformedProfileError(
-                "bad profile document: winners and dpa_players must list integers"
+                "bad profile document: winners and the trace must list integers"
             )
         winners = frozenset(doc["winners"])
-        dpa_players = frozenset(doc.get("dpa_players", []))
         punishment = {}
         for i_str, table in doc.get("punishment", {}).items():
-            i = int(i_str)
             entries = {}
             for k, v in table.items():
-                if i in dpa_players:
-                    state_part, _, q = k.rpartition("|")
-                    entries[(parse_ustate(state_part), q)] = parse_ustate(v)
-                else:
-                    entries[parse_ustate(k)] = parse_ustate(v)
-            punishment[i] = entries
+                state, _, q = k.rpartition("|")
+                entries[(parse_ustate(state), q)] = parse_ustate(v)
+            punishment[int(i_str)] = entries
     except (AttributeError, KeyError, TypeError, ValueError, DocumentSemanticError) as e:
         raise MalformedProfileError(f"bad profile document: {e}") from e
     ustates = tuple(zip(stem + loop, trace))
@@ -526,5 +545,4 @@ def parse_profile(text: str) -> StrategyProfile:
         outcome_loop=ustates[len(stem):],
         winners=winners,
         punishment=punishment,
-        dpa_players=dpa_players,
     )

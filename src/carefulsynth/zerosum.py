@@ -3,7 +3,9 @@ parity algorithm, objective trackers, and the per-player punishment regions
 used by the equilibrium characterization. Every objective becomes a
 deterministic parity tracker (a flag for `F`, `G`, `G F` and `F G`, or a
 supplied parity automaton); a punishment region is the product of the
-unfolding with that tracker, solved by Zielonka's algorithm.
+unfolding with that tracker, solved by Zielonka's algorithm. Its nodes
+(s, q) pair an unfolded state with the tracker state after reading s; the
+winning region and the punishment table are both read at those nodes.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -310,18 +312,16 @@ def objective_tracker(
 class TrackerProduct(NamedTuple):
     game: ZeroSumGame  # nodes (s, q): q is the tracker state after reading s
     priority: dict
-    start: dict  # s -> the node where a play starting at s begins
-    step: Callable[[Hashable, frozenset], Hashable]  # the tracker's step, cached
 
 
 def tracker_product(g: ZeroSumGame, tracker: Tracker) -> TrackerProduct:
-    """The part of g x tracker reachable from every state's start node. A
-    node carries the tracker state after its own letter, so a tracker whose
+    """The part of g x tracker reachable from every state's start node
+    (s, the tracker state after reading s from its initial state). A node
+    carries the tracker state after its own letter, so a tracker whose
     state is the current letter's verdict (G F, F G) adds no nodes. Losing
     sinks get priority 1, so carefulness stays losing."""
     step, labels = cache(tracker.step), g.labels
-    start = {s: (s, step(tracker.initial, labels[s])) for s in g.states}
-    nodes = list(dict.fromkeys(start.values()))
+    nodes = list(dict.fromkeys((s, step(tracker.initial, labels[s])) for s in g.states))
     seen = set(nodes)
     succ = {}
     for node in nodes:  # breadth-first: the list grows while it is read
@@ -340,7 +340,7 @@ def tracker_product(g: ZeroSumGame, tracker: Tracker) -> TrackerProduct:
         losing_sinks=sinks,
     )
     priority = {n: 1 if n in sinks else tracker.priority(n[1]) for n in nodes}
-    return TrackerProduct(game, priority, start, step)
+    return TrackerProduct(game, priority)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +349,14 @@ def tracker_product(g: ZeroSumGame, tracker: Tracker) -> TrackerProduct:
 
 @dataclass(frozen=True)
 class PunishRegions:
-    """Deviator-winning region over unfolded states, plus the coalition's
-    punishment strategy. For parity-automaton objectives the strategy is
-    keyed by (unfolded state, automaton state before reading it)."""
+    """A player's punishment game, solved on the nodes (s, q) of the
+    unfolding in product with its objective's tracker, q the tracker state
+    after reading s. `win` holds the nodes from which the player, alone,
+    carefully meets its objective. `punishment` maps each coalition-owned
+    node the coalition wins to the unfolded state it moves to there; its
+    keys write q by `str`, as certificates do."""
 
-    win: frozenset[State]
+    win: frozenset
     punishment: dict
 
 
@@ -364,50 +367,16 @@ def punish_region(
     dpa: Optional[ParityAutomaton] = None,
 ) -> PunishRegions:
     """Where can `player`, alone against the coalition, achieve its
-    objective while staying careful? Visiting this region while unsatisfied
-    breaks an equilibrium candidate. Every objective is one parity game:
-    the unfolding in product with the objective's tracker."""
+    objective while staying careful, given the tracker state its history
+    has reached? An outcome on which the player loses must not visit a
+    node it owns in this region. Every objective is one parity game: the
+    unfolding in product with the objective's tracker, solved by Zielonka's
+    algorithm, whose coalition strategy is the punishment table."""
     try:
         tracker = objective_tracker(objective, dpa)
     except UnsupportedObjectiveError as e:
         raise UnsupportedObjectiveError(f"player {player}: {e}") from None
-    game, priority, start, step = tracker_product(game_from_unfolded(u, {player}), tracker)
+    game, priority = tracker_product(game_from_unfolded(u, {player}), tracker)
     regions = solve_parity(game, priority)
-    punish = regions.antagonist_strategy
-    if dpa is None:
-        # Fragment objectives need no memory on U. The region is read at the
-        # start nodes. The table takes each state's move from its
-        # coalition-won node of top priority: for F the seen node, whose move
-        # forces the sink and so also punishes a play that has not seen
-        # beta; for G the node not yet failed. Where the coalition wins no
-        # node of the state, any move will do.
-        win = frozenset(s for s in u.states if start[s] in regions.protagonist)
-        node_of: dict = {}
-        for n in game.states:
-            best = node_of.get(n[0])
-            if n in punish and (best is None or priority[n] > priority[best]):
-                node_of[n[0]] = n
-        table = {
-            s: punish[node_of[s]][0] if s in node_of else u.succ[s][0]
-            for s in u.states
-            if u.owner(s) != player
-        }
-        return PunishRegions(win, table)
-    # Project through the automaton states a play can carry: a deviation at
-    # s reads it in some q reached along a history from the initial state.
-    reachable = {start[u.initial]}
-    stack = [start[u.initial]]
-    while stack:
-        for n in game.succ[stack.pop()]:
-            if n not in reachable:
-                reachable.add(n)
-                stack.append(n)
-    win = frozenset(s for (s, q) in reachable if (s, q) in regions.protagonist)
-    table = {}
-    for s in u.states:
-        if u.owner(s) != player:
-            for q in dpa.states:
-                node = (s, step(q, u.labels(s)))
-                if node in punish:
-                    table[(s, q)] = punish[node][0]
-    return PunishRegions(win, table)
+    table = {(s, str(q)): t[0] for (s, q), t in regions.antagonist_strategy.items()}
+    return PunishRegions(regions.protagonist, table)

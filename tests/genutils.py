@@ -294,28 +294,42 @@ def random_arena(rng: random.Random, max_states=4, max_players=2, max_dims=2) ->
     )
 
 
-def oracle_deviator_region(u: UnfoldedArena, player: int, beta: ltl.Formula) -> set:
-    """Naive-iteration fixpoints: first the region where `player` can avoid
-    the sink forever, then forced reachability of beta inside it."""
-    safe = {s for s in u.states if s is not BOT}
+def _oracle_stay(u: UnfoldedArena, player: int, keep: set) -> set:
+    """The states of `keep` from which `player` can stay inside `keep`
+    forever, by naive iteration of the greatest fixpoint."""
+    stay = set(keep)
     changed = True
     while changed:
         changed = False
-        for s in list(safe):
+        for s in list(stay):
             if u.owner(s) == player:
-                ok = any(t in safe for t in u.succ[s])
+                ok = any(t in stay for t in u.succ[s])
             else:
-                ok = all(t in safe for t in u.succ[s])
+                ok = all(t in stay for t in u.succ[s])
             if not ok:
-                safe.discard(s)
+                stay.discard(s)
                 changed = True
-    win = {s for s in safe if ltl.eval_bool(beta, u.labels(s))}
+    return stay
+
+
+def oracle_deviator_region(u: UnfoldedArena, player: int, objective: ltl.Formula) -> dict:
+    """Where `player`, alone against everyone, carefully meets its `F β` or
+    `G β` objective, by the flag the objective carries after the state
+    (`F`: β seen, `G`: β failed). Naive-iteration fixpoints: the states
+    where `player` can avoid the sink forever (inside β for `G`), then
+    forced reachability of β inside them for an `F` not yet seen."""
+    frag = ltl.classify_fragment(objective)
+    beta = {s for s in u.states if s is not BOT and ltl.eval_bool(frag.beta, u.labels(s))}
+    if frag.kind == FragmentClass.SAFE:
+        return {False: _oracle_stay(u, player, beta), True: set()}
+    if frag.kind != FragmentClass.REACH:
+        raise ValueError(frag.kind)
+    safe = _oracle_stay(u, player, {s for s in u.states if s is not BOT})
+    win = safe & beta
     changed = True
     while changed:
         changed = False
-        for s in safe:
-            if s in win:
-                continue
+        for s in safe - win:
             if u.owner(s) == player:
                 ok = any(t in win for t in u.succ[s])
             else:
@@ -323,7 +337,7 @@ def oracle_deviator_region(u: UnfoldedArena, player: int, beta: ltl.Formula) -> 
             if ok:
                 win.add(s)
                 changed = True
-    return win
+    return {False: win, True: safe}
 
 
 class OracleTooBig(Exception):
@@ -331,30 +345,35 @@ class OracleTooBig(Exception):
 
 
 def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
-    """Reference decision for arenas whose objectives are all `F atom`:
-    enumerate every simple lasso of the sink-free unfolding (these are
-    exactly the outcomes of memoryless profiles) and test the equilibrium
-    conditions with independently recomputed deviation regions."""
+    """Reference decision for arenas whose objectives are all `F β` or
+    `G β`: enumerate every simple lasso of the sink-free unfolding in
+    product with one flag per objective (β seen for `F`, β failed for `G`),
+    and test the equilibrium conditions with independently recomputed
+    deviation regions, each read at the flag the outcome carries. Flags only
+    rise, so they are constant on a loop and decide who wins; and every
+    equilibrium outcome leaves such a lasso inside the nodes it visits."""
     u = unfold(a, bounds)
-    wins = {
-        i: oracle_deviator_region(u, i, a.objective_of(i).sub)
-        for i in range(1, a.players + 1)
-    }
-    sys_beta = a.system_objective.sub
+    players = range(1, a.players + 1)
+    frags = [ltl.classify_fragment(f) for f in (a.system_objective, *map(a.objective_of, players))]
+    reach = [f.kind == FragmentClass.REACH for f in frags]
+    wins = {i: oracle_deviator_region(u, i, a.objective_of(i)) for i in players}
+
+    def node(flags, s):
+        return s, tuple(_oracle_flag(u, f, flag, s) for flag, f in zip(flags, frags))
 
     def supportable(path):
-        if not any(ltl.eval_bool(sys_beta, u.labels(s)) for s in path):
+        good = [flag == r for flag, r in zip(path[-1][1], reach)]
+        if not good[0]:
             return False
-        for i in range(1, a.players + 1):
-            beta = a.objective_of(i).sub
-            if any(ltl.eval_bool(beta, u.labels(s)) for s in path):
-                continue
-            if any(u.owner(s) == i and s in wins[i] for s in path):
-                return False
-        return True
+        return not any(
+            not good[i] and u.owner(s) == i and s in wins[i][flags[i]]
+            for s, flags in path
+            for i in players
+        )
 
     count = 0
-    stack = [([u.initial], {u.initial}, iter(u.succ[u.initial]))]
+    start = node([False] * len(frags), u.initial)
+    stack = [([start], {start}, iter(u.succ[u.initial]))]
     while stack:
         path, onpath, it = stack[-1]
         advanced = False
@@ -364,12 +383,12 @@ def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
             count += 1
             if count > cap:
                 raise OracleTooBig
-            if t in onpath:
+            nxt = node(path[-1][1], t)
+            if nxt in onpath:
                 if supportable(path):
                     return True
             else:
-                path2 = path + [t]
-                stack.append((path2, onpath | {t}, iter(u.succ[t])))
+                stack.append((path + [nxt], onpath | {nxt}, iter(u.succ[t])))
                 advanced = True
                 break
         if not advanced:
@@ -382,25 +401,27 @@ def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
 
 
 FRAGMENT_SHAPES = ("F {}", "G {}", "G F {}", "F G {}", "! F {}", "! G F {}")
+REACH_SAFE_SHAPES = ("F {}", "G {}", "! F {}")
 
 
-def random_fragment(rng: random.Random, atoms=FORMULA_ATOMS) -> ltl.Formula:
-    """A random `F`, `G`, `G F` or `F G` objective whose beta is
-    temporal-free and neither valid nor unsatisfiable."""
+def random_fragment(rng: random.Random, atoms=FORMULA_ATOMS, shapes=FRAGMENT_SHAPES) -> ltl.Formula:
+    """A random objective of one of `shapes` (by default `F`, `G`, `G F` or
+    `F G`) whose beta is temporal-free and neither valid nor
+    unsatisfiable."""
     letters = [frozenset(), frozenset(atoms[:1]), frozenset(atoms[1:]), frozenset(atoms)]
     beta = ltl.TRUE
     while not (
         ltl.is_temporal_free(beta) and len({ltl.eval_bool(beta, x) for x in letters}) == 2
     ):
         beta = random_formula(rng, 2, atoms)
-    return ltl.parse_ltl(rng.choice(FRAGMENT_SHAPES).format(f"({ltl.formula_to_str(beta)})"))
+    return ltl.parse_ltl(rng.choice(shapes).format(f"({ltl.formula_to_str(beta)})"))
 
 
-def random_fragment_arena(rng: random.Random):
+def random_fragment_arena(rng: random.Random, shapes=FRAGMENT_SHAPES):
     """A random arena whose system and player objectives are all random
-    fragment objectives, with random bounds."""
+    fragment objectives of `shapes`, with random bounds."""
     a = random_arena(rng, max_states=5, max_players=3)
-    objectives = [random_fragment(rng, ARENA_ATOMS) for _ in range(a.players + 1)]
+    objectives = [random_fragment(rng, ARENA_ATOMS, shapes) for _ in range(a.players + 1)]
     a = dataclasses.replace(
         a, system_objective=objectives[0], player_objectives=tuple(objectives[1:])
     )
@@ -469,69 +490,81 @@ def oracle_witness_exists(u: UnfoldedArena, formulas, forbidden, max_states: int
     return False
 
 
-def _table_graph(u: UnfoldedArena, player, table):
-    """The careful one-player graph: `player` moves freely, everyone else
-    follows `table` (keyed by unfolded state); the sink is left out."""
-    nodes = {s for s in u.states if s is not BOT}
-    return nodes, {
-        s: [t for t in (u.succ[s] if u.owner(s) == player else (table[s],)) if t is not BOT]
-        for s in nodes
-    }
+def _oracle_flag(u: UnfoldedArena, frag, flag: bool, s) -> bool:
+    """An `F`, `G`, `G F` or `F G` objective's flag after `s`, from the flag
+    before it: beta seen (`F`), beta failed (`G`), beta holds at `s` (`G F`,
+    `F G`)."""
+    holds = ltl.eval_bool(frag.beta, u.labels(s))
+    if frag.kind == FragmentClass.REACH:
+        return flag or holds
+    if frag.kind == FragmentClass.SAFE:
+        return flag or not holds
+    return holds
 
 
-def _play_wins(kind, succ, good, cycles, good_cycles, t, seen, failed) -> bool:
-    """Is there an infinite play from `t` in the one-player graph `succ`
-    that meets the objective, given whether beta was seen, or failed,
-    before `t`?"""
-    r = _reach_states(succ, t)
-    if kind == FragmentClass.REACH:
-        return bool(r & cycles) and (
-            seen or any(_reach_states(succ, x) & cycles for x in r & good)
-        )
-    if kind == FragmentClass.SAFE:
-        return not failed and bool(_reach_states(succ, t, allowed=good) & good_cycles)
-    if kind == FragmentClass.BUCHI:
-        return bool(good & _cycle_states(r, succ))
-    if kind == FragmentClass.COBUCHI:
-        return bool(_cycle_states(r & good, succ))
-    raise ValueError(kind)
+def _oracle_wins(u: UnfoldedArena, player, objective, table):
+    """The objective's class and a test on nodes (unfolded state, flag after
+    it) of the careful one-player graph where `player` moves freely and
+    everyone else follows `table`, read through its documented key
+    (state, str(flag)); the sink is left out. From a node, does `player`
+    have an infinite play meeting its objective, decided by reachability
+    and cycles, or can it reach a node where the table names no edge?"""
+    frag = ltl.classify_fragment(objective)
+    nodes = {(s, f) for s in u.states if s is not BOT for f in (False, True)}
+    succ, missing = {}, set()
+    for s, f in nodes:
+        moves = u.succ[s]
+        if u.owner(s) != player:
+            t = table.get((s, str(f)))
+            moves = (t,) if t in moves else ()
+            if not moves:
+                missing.add((s, f))
+        succ[(s, f)] = [(t, _oracle_flag(u, frag, f, t)) for t in moves if t is not BOT]
+    # the flag is good once beta is seen (F), while it has not failed (G),
+    # where beta holds (G F, F G)
+    good = {n for n in nodes if n[1] != (frag.kind == FragmentClass.SAFE)}
+    good_cycles = _cycle_states(good, succ)
+
+    def wins(node) -> bool:
+        r = _reach_states(succ, node)
+        if r & missing:
+            return True
+        if frag.kind in (FragmentClass.REACH, FragmentClass.SAFE):
+            return bool(r & good_cycles)  # the flag never changes back
+        if frag.kind == FragmentClass.BUCHI:
+            return bool(good & _cycle_states(r, succ))
+        if frag.kind == FragmentClass.COBUCHI:
+            return bool(_cycle_states(r & good, succ))
+        raise ValueError(frag.kind)
+
+    return frag, wins
 
 
 def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem, loop) -> bool:
     """Does `player` have a careful deviation from the outcome stem . loop^omega
     (unfolded states) that satisfies its `F`, `G`, `G F` or `F G` objective
-    while every other player follows `table` (keyed by unfolded state)?
-    Decided on the table-restricted one-player graph by reachability and
-    cycles; the `F` / `G` flags come from the outcome prefix through stem and
-    two loop passes."""
-    frag = ltl.classify_fragment(objective)
-    nodes, succ = _table_graph(u, player, table)
-    good = {s for s in nodes if ltl.eval_bool(frag.beta, u.labels(s))}
-    cycles = _cycle_states(nodes, succ)
-    good_cycles = _cycle_states(good, succ)
+    while every other player follows `table`, or that reaches a node where
+    the table names no edge? The flags come from the outcome prefix through
+    stem and two loop passes."""
+    frag, wins = _oracle_wins(u, player, objective, table)
     prefix = list(stem) + list(loop) * 2
+    flag = False
     for k, s in enumerate(prefix):
+        flag = _oracle_flag(u, frag, flag, s)
         if u.owner(s) != player:
             continue
-        seen = any(x in good for x in prefix[: k + 1])
-        failed = not all(x in good for x in prefix[: k + 1])
         nxt = prefix[k + 1] if k + 1 < len(prefix) else loop[0]
-        for t in succ[s]:
-            if t != nxt and _play_wins(frag.kind, succ, good, cycles, good_cycles, t, seen, failed):
+        for t in u.succ[s]:
+            if t is not BOT and t != nxt and wins((t, _oracle_flag(u, frag, flag, t))):
                 return True
     return False
 
 
-def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> set:
-    """The states from which `player`, starting afresh, has a careful play
+def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dict:
+    """For the node where a fresh play starts at each state (the state and
+    the flag after it), whether `player` has a careful play from there
     meeting its `F`, `G`, `G F` or `F G` objective while every other player
-    follows `table` (keyed by unfolded state)."""
-    frag = ltl.classify_fragment(objective)
-    nodes, succ = _table_graph(u, player, table)
-    good = {s for s in nodes if ltl.eval_bool(frag.beta, u.labels(s))}
-    cycles = _cycle_states(nodes, succ)
-    good_cycles = _cycle_states(good, succ)
-    return {
-        s for s in nodes
-        if _play_wins(frag.kind, succ, good, cycles, good_cycles, s, False, False)
-    }
+    follows `table`."""
+    frag, wins = _oracle_wins(u, player, objective, table)
+    starts = [(s, _oracle_flag(u, frag, False, s)) for s in u.states if s is not BOT]
+    return {node: wins(node) for node in starts}

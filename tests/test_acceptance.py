@@ -116,9 +116,11 @@ def test_criterion_4_zero_sum_regions():
             (FragmentClass.BUCHI, ltl.Always(ltl.Eventually(p))),
             (FragmentClass.COBUCHI, ltl.Eventually(ltl.Always(p))),
         ):
-            product = tracker_product(g, objective_tracker(objective))
+            tracker = objective_tracker(objective)
+            product = tracker_product(g, tracker)
             won = solve_parity(product.game, product.priority).protagonist
-            if {s for s in g.states if product.start[s] in won} != oracle_fragment_region(
+            start = {s: (s, tracker.step(tracker.initial, g.labels[s])) for s in g.states}
+            if {s for s in g.states if start[s] in won} != oracle_fragment_region(
                 g, kind, p
             ):
                 mismatches += 1

@@ -179,7 +179,7 @@ def test_solve_with_automaton_objective(fig1_path, tmp_path, capsys):
         capsys, "solve", fig1_path, "--bounds", "3,3", "--dpa", f"1={path}"
     )
     assert code == EXIT_POSITIVE
-    assert json.loads(out)["dpa_players"] == [1]
+    assert json.loads(out)["winners"] == [1, 2]
 
 
 def test_automaton_objective_beyond_the_tableau_cap(tmp_path, capsys):
@@ -307,10 +307,18 @@ def test_mc_bounded_energy_report(fig1_path, lasso_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"stem": ["a", "a"], "loop"', '{"stem": ["a", "a"]}', '["a"]']
+    "text",
+    [
+        '{"stem": ["a", "a"], "loop"',
+        '{"stem": ["a", "a"]}',
+        '["a"]',
+        '{"stem": "a", "loop": ["a"]}',
+        '{"stem": ["a"], "loop": "a"}',
+    ],
 )
 def test_mc_malformed_lasso_document_is_an_error(fig1_path, tmp_path, capsys, text):
-    # truncated JSON, a missing key, the wrong shape
+    # truncated JSON, a missing key, the wrong shape, a string where a list
+    # of states belongs (not read as its characters)
     path = tmp_path / "lasso.json"
     path.write_text(text)
     code, _, err = _run(capsys, "mc", fig1_path, str(path), "F circ")
@@ -465,8 +473,11 @@ def test_outcome_entries_must_be_state_ids(fig1_path, tmp_path, capsys, part):
     assert err.startswith("error:") and f"outcome {part}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field", ["winners", "dpa_players", "punishment", "table"])
+@pytest.mark.parametrize(
+    "field", ["winners", "punishment", "table", "trace_bool", "trace_float"]
+)
 def test_profile_players_must_be_json_integers(fig1_path, tmp_path, capsys, field):
+    # booleans and floats compare equal to the integers of a trace
     _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
     doc = json.loads(out)
     path = tmp_path / "certificate.json"
@@ -474,8 +485,10 @@ def test_profile_players_must_be_json_integers(fig1_path, tmp_path, capsys, fiel
     assert _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")[0] == EXIT_POSITIVE
     if field == "winners":
         doc[field] = [True, 2.9]
-    elif field == "dpa_players":
-        doc[field] = [True]
+    elif field == "trace_bool":
+        doc["outcome"]["trace"][0] = [False, False]
+    elif field == "trace_float":
+        doc["outcome"]["trace"][0] = [0.0, 0.0]
     elif field == "punishment":
         doc[field] = []
     else:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from carefulsynth import ltl, synthesis
 from carefulsynth.errors import BudgetExceededError
 from carefulsynth.synthesis import (
+    NoWitness,
     SolveResult,
     check_certificate,
     find_witness_lasso,
@@ -16,12 +17,14 @@ from carefulsynth.synthesis import (
     result_to_document,
     solve,
     tracker_accepts,
+    witness_product,
 )
 from carefulsynth.unfolding import BOT, unfold
 from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
 from genutils import (
     ARENA_ATOMS,
+    REACH_SAFE_SHAPES,
     OracleTooBig,
     oracle_profitable_deviation,
     oracle_solution_exists,
@@ -42,34 +45,42 @@ GOLDEN_TRACE = ((0, 0), (2, 1), (3, 2), (3, 3), (3, 2), (1, 1), (0, 0))
 # Witness search
 
 
+def _search(u, system, requirements, forbidden_states=frozenset()):
+    """The witness search for `system` with every requirement's tracker a
+    winner, every node at a state of `forbidden_states` forbidden."""
+    product = witness_product(u, ltl.to_nba(system), [objective_tracker(f) for f in requirements])
+    forbidden = {node for node in product.succ if node[0] in forbidden_states}
+    return find_witness_lasso(product, range(len(requirements)), forbidden)
+
+
 def test_witness_exists_for_trivial_requirement(fig1):
     u = unfold(fig1, (3, 3))
-    got = find_witness_lasso(u, ltl.to_nba(ltl.TRUE), [], set())
-    assert got is not None
-    stem, loop = got
+    stem, loop = _search(u, ltl.TRUE, [])
     assert stem and loop
     assert BOT not in stem and BOT not in loop
 
 
 def test_witness_respects_forbidden_deviation_states(fig1):
-    # forbid exactly player 3's owned states where it could profitably
+    # forbid exactly player 3's owned nodes where it could profitably
     # deviate; the survivor is the pump-then-descend lasso ending in the
     # circle/box sink
     u = unfold(fig1, (3, 3))
     r3 = punish_region(u, 3, fig1.objective_of(3))
-    forbidden = {s for s in r3.win if s is not BOT and u.owner(s) == 3}
-    system = ltl.to_nba(ltl.parse_ltl("F circ"))
-    got = find_witness_lasso(u, system, [objective_tracker(ltl.parse_ltl("F box"))], forbidden)
-    assert got is not None
-    stem, loop = got
+    product = witness_product(
+        u,
+        ltl.to_nba(ltl.parse_ltl("F circ")),
+        [objective_tracker(ltl.parse_ltl("F box")), objective_tracker(fig1.objective_of(3))],
+    )
+    forbidden = {n for n in product.succ if u.owner(n[0]) == 3 and (n[0], n[2][1]) in r3.win}
+    stem, loop = find_witness_lasso(product, [0], forbidden)
     assert tuple(us[0] for us in stem) == GOLDEN_STEM
     assert tuple(us[0] for us in loop) == GOLDEN_LOOP
 
 
 def test_contradictory_requirements_have_no_witness(fig1):
     u = unfold(fig1, (3, 3))
-    system = ltl.to_nba(ltl.parse_ltl("F circ"))
-    assert find_witness_lasso(u, system, [objective_tracker(ltl.parse_ltl("G ! circ"))], set()) is None
+    with pytest.raises(NoWitness, match="no accepting SCC"):
+        _search(u, ltl.parse_ltl("F circ"), [ltl.parse_ltl("G ! circ")])
 
 
 def test_witness_search_agrees_with_loop_set_enumeration():
@@ -85,14 +96,13 @@ def test_witness_search_agrees_with_loop_set_enumeration():
             expected = oracle_witness_exists(u, formulas, forbidden)
         except OracleTooBig:
             continue
-        got = find_witness_lasso(
-            u, ltl.to_nba(formulas[0]), [objective_tracker(f) for f in formulas[1:]], forbidden
-        )
-        assert (got is not None) == expected, seed
-        if got is None:
+        try:
+            stem, loop = _search(u, formulas[0], formulas[1:], forbidden)
+        except NoWitness:
+            assert not expected, seed
             continue
+        assert expected, seed
         positives += 1
-        stem, loop = got
         path = stem + loop + loop[:1]
         assert stem[0] == u.initial and not forbidden & set(path), seed
         assert all(t in u.succ[s] and t is not BOT for s, t in zip(path, path[1:])), seed
@@ -104,7 +114,7 @@ def test_witness_search_agrees_with_loop_set_enumeration():
 def test_witness_search_budget(fig1):
     u = unfold(fig1, (3, 3))
     with pytest.raises(BudgetExceededError):
-        find_witness_lasso(u, ltl.to_nba(ltl.parse_ltl("F circ")), [], set(), max_product=3)
+        witness_product(u, ltl.to_nba(ltl.parse_ltl("F circ")), [], max_product=3)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +140,43 @@ def test_solve_fig1_large_bounds_has_no_equilibrium(fig1):
     # every candidate winner set is reported with a reason
     assert len(result.diagnostics) == 2 ** fig1.players
     assert all(reason for _, reason in result.diagnostics)
+
+
+def _small_arena(owned, labels, edges, system, objective):
+    # one player, one resource; edges are (src, dst, cost)
+    from carefulsynth.arena import parse_arena
+
+    return parse_arena(json.dumps({
+        "players": 1,
+        "dimensions": 1,
+        "atoms": ["p"],
+        "states": [{"id": s, "owner": 1, "labels": labels.get(s, [])} for s in owned],
+        "initial": owned[0],
+        "edges": [{"src": a, "dst": b, "cost": [c]} for a, b, c in edges],
+        "objectives": {"system": system, "players": {"1": objective}},
+    }))
+
+
+@pytest.mark.parametrize("case", ["fig1", "forbidden", "acyclic"])
+def test_each_failed_winner_set_names_its_cause(fig1, case):
+    if case == "fig1":
+        # at (10,10) cycles survive every winner set's restriction, but none
+        # meets the system objective and the winners' objectives together
+        a, bounds = fig1, (10, 10)
+        expected = {w: "no accepting SCC" for w in
+                    [(1, 2, 3), (1, 2), (1, 3), (2, 3), (1,), (2,), (3,), ()]}
+    elif case == "forbidden":
+        # the loser can reach p from the initial state, which the system forbids
+        edges = [("x", "x", 0), ("x", "y", 0), ("y", "y", 0)]
+        a, bounds = _small_arena(["x", "y"], {"y": ["p"]}, edges, "G !p", "F p"), (0,)
+        expected = {(1,): "no accepting SCC", (): "initial state forbidden"}
+    else:
+        # the only move underflows
+        a, bounds = _small_arena(["x"], {}, [("x", "x", -1)], "true", "true"), (0,)
+        expected = {w: "no cycle in the restricted product" for w in [(1,), ()]}
+    result = solve(a, bounds)
+    assert result.status == SolveResult.NO_SOLUTION
+    assert dict(result.diagnostics) == expected
 
 
 def test_solve_unsatisfiable_system_objective(fig1_text):
@@ -245,12 +292,11 @@ def test_solve_with_automaton_objective_matches_formula_solve(fig1):
     assert via_dpa.status == SolveResult.SOLUTION
     assert via_dpa.profile.outcome == direct.profile.outcome
     assert via_dpa.profile.winners == direct.profile.winners
-    assert via_dpa.profile.dpa_players == frozenset({1})
     assert not check_certificate(fig1, (3, 3), via_dpa.profile, dpas={1: dpa})
 
 
 # ---------------------------------------------------------------------------
-# Loser punishment regions over-approximate (known defect)
+# Loser punishment regions, read at the tracker state the outcome carries
 
 
 def _late_loser_arena(system, p1_objective):
@@ -275,8 +321,6 @@ def _late_loser_arena(system, p1_objective):
     }))
 
 
-@pytest.mark.xfail(strict=True, reason="product regions are projected through every "
-                   "reachable automaton state, not the one the outcome carries")
 def test_automaton_loser_region_agrees_with_formula_path():
     a = _late_loser_arena("G !p", "F p")
     direct = solve(a, (1,))
@@ -287,8 +331,6 @@ def test_automaton_loser_region_agrees_with_formula_path():
     assert solve(a, (1,), dpas={1: dpa}).status == SolveResult.SOLUTION
 
 
-@pytest.mark.xfail(strict=True, reason="a loser who has already lost is still "
-                   "charged with the region its objective's suffix could win")
 def test_loser_that_already_lost_does_not_block_the_outcome():
     # x y s^omega is an equilibrium: player 1 has lost once y is visited
     # and has no move to deviate with afterwards
@@ -395,15 +437,15 @@ def test_checker_rejects_a_table_that_fails_against_one_deviator_choice():
     assert result.status == SolveResult.SOLUTION and p.winners == frozenset({2})
     assert p.outcome.stem + p.outcome.loop == ("x", "d", "s")
     table = dict(p.punishment[1])
-    assert table[("e00", (0,))] == ("z", (0,))
-    table[("e00", (0,))] = ("p00", (0,))
+    assert table[(("e00", (0,)), "False")] == ("z", (0,))
+    table[(("e00", (0,)), "False")] = ("p00", (0,))
     bad = dataclasses.replace(p, punishment={1: table, 2: p.punishment[2]})
     violations = check_certificate(a, (0,), bad)
     assert violations == ["player 1: careful profitable deviation from d@0"]
 
 
 # F p that also moves on r; the coalition states ek are labelled r, so the
-# automaton state before reading ek (the table key) is not the one after it
+# automaton state after reading ek (the table key) is not the one before it
 DPA_F_P_MOVED_BY_R = {
     "states": ["wait", "waitr", "good"],
     "initial": "wait",
@@ -419,7 +461,7 @@ DPA_F_P_MOVED_BY_R = {
 }
 
 
-def test_automaton_loser_table_is_read_before_the_letter(tmp_path, capsys):
+def test_automaton_loser_table_is_read_after_the_letter(tmp_path, capsys):
     from carefulsynth.arena import arena_to_document
     from carefulsynth.cli import run
 
@@ -439,13 +481,14 @@ def test_automaton_loser_table_is_read_before_the_letter(tmp_path, capsys):
     assert code == 0
     for key in ("status", "outcome", "winners"):
         assert via_dpa[key] == direct[key], key
-    assert via_dpa["winners"] == [2] and via_dpa["dpa_players"] == [1]
+    assert via_dpa["winners"] == [2] and "dpa_players" not in via_dpa
     certificate = tmp_path / "certificate.json"
     certificate.write_text(out)
     assert cli("check", arena, certificate)[0] == 0
-    # the entry a deviation through e00 consults: e00 read in state wait
-    assert via_dpa["punishment"]["1"]["e00@0|wait"] == "z@0"
-    via_dpa["punishment"]["1"]["e00@0|wait"] = "p00@0"
+    # the entry a deviation through e00 consults: e00 read from wait
+    # leaves the automaton in waitr
+    assert via_dpa["punishment"]["1"]["e00@0|waitr"] == "z@0"
+    via_dpa["punishment"]["1"]["e00@0|waitr"] = "p00@0"
     certificate.write_text(json.dumps(via_dpa))
     code, out = cli("check", arena, certificate)
     assert code == 1
@@ -483,7 +526,7 @@ def test_reach_loser_table_forces_the_sink_once_the_target_is_seen():
     p = solve(a, (0,)).profile
     assert p.outcome.stem + p.outcome.loop == ("x", "d", "o")
     assert p.winners == frozenset({2})
-    assert p.punishment[1][("e", (0,))] is BOT
+    assert p.punishment[1][(("e", (0,)), "True")] is BOT
     assert check_certificate(a, (0,), p) == []
 
 
@@ -499,7 +542,7 @@ def test_checker_accepts_a_loser_that_has_already_lost():
         outcome_stem=(x, y),
         outcome_loop=(s,),
         winners=frozenset({2}),
-        punishment={1: {x: y, y: s}, 2: {s: s}},
+        punishment={1: {(x, "False"): y, (y, "True"): s}, 2: {}},
     )
     assert check_certificate(a, (1,), profile) == []
 
@@ -561,6 +604,26 @@ def test_solve_agrees_with_lasso_enumeration(seed):
         assert check_certificate(a, bounds, result.profile) == []
 
 
+def test_solve_agrees_with_lasso_enumeration_on_f_and_g_objectives():
+    # a loser's region must be read at the flag the outcome carries: the
+    # late-loser arenas first, then random arenas with F and G objectives
+    cases = [(_late_loser_arena("G !p", "F p"), (1,)), (_late_loser_arena("F p", "G !p"), (1,))]
+    cases += [random_fragment_arena(random.Random(seed), REACH_SAFE_SHAPES) for seed in range(400)]
+    checked = solved = 0
+    for k, (a, bounds) in enumerate(cases):
+        try:
+            expected = oracle_solution_exists(a, bounds, cap=30_000)  # skips 3 slow arenas
+        except OracleTooBig:
+            continue
+        result = solve(a, bounds)
+        assert (result.status == SolveResult.SOLUTION) == expected, k
+        if result.profile is not None:
+            assert check_certificate(a, bounds, result.profile) == [], k
+            solved += 1
+        checked += 1
+    assert checked >= 300 and solved >= 100
+
+
 # ---------------------------------------------------------------------------
 # Trackers and the exact deviation check against independent references
 
@@ -606,9 +669,9 @@ def test_checker_finds_exactly_the_deviations_the_oracle_finds():
         u = unfold(a, bounds)
         tables = {i: dict(t) for i, t in p.punishment.items()}
         for i in set(tables) - p.winners:
-            keys = [s for s in tables[i] if s is not BOT and u.owner(s) != i]
-            for s in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
-                tables[i][s] = rng.choice(u.succ[s])
+            keys = sorted(k for k in tables[i] if k[0] is not BOT and u.owner(k[0]) != i)
+            for k in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
+                tables[i][k] = rng.choice(u.succ[k[0]])
         got = _deviation_verdicts(a, bounds, u, dataclasses.replace(p, punishment=tables))
         assert all(found == expected for found, expected in got), seed
         verdicts += got
@@ -645,7 +708,11 @@ def test_checker_agrees_with_the_oracle_on_random_profiles():
             outcome_loop=loop,
             winners=frozenset(i for i in players if ltl.eval_on_lasso(a.objective_of(i), *labels)),
             punishment={
-                i: {s: rng.choice(u.succ[s]) for s in u.states if s is not BOT and u.owner(s) != i}
+                i: {
+                    (s, str(flag)): rng.choice(u.succ[s])
+                    for s in u.states if s is not BOT and u.owner(s) != i
+                    for flag in (False, True)
+                }
                 for i in players
             },
         )

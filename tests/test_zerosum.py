@@ -101,17 +101,20 @@ FRAGMENT_OBJECTIVE = {
 
 def _solve_fragment(g, kind):
     """The product of g with the tracker of kind's objective over p, its
-    regions, and the protagonist's region read at the start nodes."""
-    product = tracker_product(g, objective_tracker(FRAGMENT_OBJECTIVE[kind]))
+    regions, the protagonist's region read at the start nodes, and those
+    nodes (s, the tracker state after reading s)."""
+    tracker = objective_tracker(FRAGMENT_OBJECTIVE[kind])
+    product = tracker_product(g, tracker)
     reg = solve_parity(product.game, product.priority)
-    return product, reg, {s for s in g.states if product.start[s] in reg.protagonist}
+    start = {s: (s, tracker.step(tracker.initial, g.labels[s])) for s in g.states}
+    return product, reg, {s for s in g.states if start[s] in reg.protagonist}, start.values()
 
 
 def test_reach_initial_target():
     g = make_game(
         ["s"], {"s": ("s",)}, {"s": True}, {"s": frozenset({"p"})}
     )
-    _, _, win = _solve_fragment(g, FragmentClass.REACH)
+    _, _, win, _ = _solve_fragment(g, FragmentClass.REACH)
     assert "s" in win
 
 
@@ -122,7 +125,7 @@ def test_buchi_self_loop_pulls_in_reachers():
         {"s0": True, "s1": True},
         {"s0": frozenset(), "s1": frozenset({"p"})},
     )
-    product, _, win = _solve_fragment(g, FragmentClass.BUCHI)
+    product, _, win, _ = _solve_fragment(g, FragmentClass.BUCHI)
     assert win == {"s0", "s1"}
     assert len(product.game.states) == 2  # G F adds no tracker state
 
@@ -138,7 +141,7 @@ def test_fragment_regions_match_strategy_enumeration(seed):
     rng = random.Random(seed)
     g = random_game(rng)
     for kind in FRAGMENT_OBJECTIVE:
-        product, reg, win = _solve_fragment(g, kind)
+        product, reg, win, _ = _solve_fragment(g, kind)
         assert win == oracle_fragment_region(g, kind, P), kind
         # determinacy: regions partition the product
         assert reg.protagonist | reg.antagonist == set(product.game.states)
@@ -182,8 +185,8 @@ def _strategy_cases(g, rng):
         return lambda path, loop: won([n[0] for n in path], [n[0] for n in loop])
 
     for kind, won in wins.items():
-        product, reg, _ = _solve_fragment(g, kind)
-        yield product.game, reg, product.start.values(), on_nodes(won)
+        product, reg, _, start = _solve_fragment(g, kind)
+        yield product.game, reg, start, on_nodes(won)
     priority = {s: rng.randrange(0, 5) for s in g.states}
     yield (
         g,
@@ -313,14 +316,15 @@ def test_dpa_missing_transition_rejected():
 def test_punish_region_fig1_small_bounds(fig1):
     u = unfold(fig1, (3, 3))
     r = punish_region(u, 3, fig1.objective_of(3))
-    assert ("c", (1, 1)) not in r.win
-    assert BOT not in r.win
+    # nodes pair a state with player 3's flag: F diam seen after it
+    assert (("c", (1, 1)), False) not in r.win
+    assert all(s is not BOT for s, _ in r.win)
 
 
 def test_punish_region_fig1_large_bounds(fig1):
     u = unfold(fig1, (10, 10))
     r = punish_region(u, 3, fig1.objective_of(3))
-    assert ("c", (4, 1)) in r.win
+    assert (("c", (4, 1)), False) in r.win
 
 
 def test_punish_region_trivial_objective_no_negative_costs():
@@ -340,7 +344,8 @@ def test_punish_region_trivial_objective_no_negative_costs():
     )
     u = unfold(a, (2,))
     r = punish_region(u, 1, ltl.TRUE)
-    assert set(r.win) == set(u.states)  # carefulness alone, no underflow anywhere
+    # carefulness alone, no underflow anywhere; true never fails
+    assert set(r.win) == {(s, False) for s in u.states}
 
 
 def test_punish_region_general_requires_dpa(fig1):
@@ -357,14 +362,15 @@ def test_punish_region_dpa_matches_fragment_region(fig1):
     u = unfold(fig1, (3, 3))
     direct = punish_region(u, 2, fig1.objective_of(2))
     via_dpa = punish_region(u, 2, fig1.objective_of(2), dpa)
-    assert set(via_dpa.win) == set(direct.win)
-    assert BOT not in via_dpa.win
+    # the automaton's state good is the flag "box seen"
+    assert {(s, q == "good") for s, q in via_dpa.win} == set(direct.win)
+    assert all(s is not BOT for s, _ in via_dpa.win)
 
 
 def test_no_state_outside_the_region_wins_against_the_table():
-    # exact: the deviator starts afresh at each state outside Win_i, the
-    # coalition follows the projected table, and the oracle searches the
-    # resulting one-player graph
+    # exact: the deviator starts afresh at each state whose start node is
+    # outside Win_i, the coalition follows the table at the nodes, and the
+    # oracle searches the resulting one-player graph
     kinds, outside, won_inside = set(), 0, 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -374,9 +380,9 @@ def test_no_state_outside_the_region_wins_against_the_table():
             objective = a.objective_of(i)
             kinds.add(ltl.classify_fragment(objective).kind)
             r = punish_region(u, i, objective)
-            wins = oracle_wins_against_table(u, i, objective, r.punishment)
-            assert not wins - r.win, (seed, i)
-            outside += len(set(u.states) - r.win)
-            won_inside += len(wins)
+            won = oracle_wins_against_table(u, i, objective, r.punishment)
+            assert not {n for n, w in won.items() if w and n not in r.win}, (seed, i)
+            outside += sum(n not in r.win for n in won)
+            won_inside += sum(won.values())
     assert kinds == set(FRAGMENT_OBJECTIVE)
     assert outside >= 1000 and won_inside >= 100
