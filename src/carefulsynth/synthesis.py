@@ -156,9 +156,7 @@ def find_witness_lasso(
     if not initials:
         raise NoWitness("initial state forbidden")
     successors, prio = product.succ.__getitem__, product.priority
-    # with nothing forbidden, every node is reachable
-    seen = set(initials) if forbidden else set(product.succ)
-    stack = list(initials) if forbidden else []
+    seen, stack = set(initials), list(initials)
     while stack:
         for nxt in successors(stack.pop()):
             if nxt not in seen and nxt not in forbidden:

@@ -239,6 +239,9 @@ def parse_dpa(text: str) -> ParityAutomaton:
         raise DocumentSemanticError(f"bad parity automaton document: {e}") from e
     if initial not in states:
         raise DocumentSemanticError(f"initial state {initial!r} unknown")
+    if any("|" in q for q in states):
+        # a punishment-table key ends in |q; the checker splits at the last |
+        raise DocumentSemanticError(f"state names must not contain '|', got {states!r}")
     if not isinstance(priority, dict) or not all(map(is_int, priority.values())):
         raise DocumentSemanticError(f"priorities must map states to integers, got {priority!r}")
     if any(p > MAX_PRIORITY for p in priority.values()):

@@ -508,7 +508,8 @@ def _oracle_wins(u: UnfoldedArena, player, objective, table):
     everyone else follows `table`, read through its documented key
     (state, str(flag)); the sink is left out. From a node, does `player`
     have an infinite play meeting its objective, decided by reachability
-    and cycles, or can it reach a node where the table names no edge?"""
+    and cycles ("play"), or else can it reach a node where the table names
+    no edge ("missing entry")? The test returns "" when neither holds."""
     frag = ltl.classify_fragment(objective)
     nodes = {(s, f) for s in u.states if s is not BOT for f in (False, True)}
     succ, missing = {}, set()
@@ -525,10 +526,7 @@ def _oracle_wins(u: UnfoldedArena, player, objective, table):
     good = {n for n in nodes if n[1] != (frag.kind == FragmentClass.SAFE)}
     good_cycles = _cycle_states(good, succ)
 
-    def wins(node) -> bool:
-        r = _reach_states(succ, node)
-        if r & missing:
-            return True
+    def play_wins(r: set) -> bool:
         if frag.kind in (FragmentClass.REACH, FragmentClass.SAFE):
             return bool(r & good_cycles)  # the flag never changes back
         if frag.kind == FragmentClass.BUCHI:
@@ -536,6 +534,12 @@ def _oracle_wins(u: UnfoldedArena, player, objective, table):
         if frag.kind == FragmentClass.COBUCHI:
             return bool(_cycle_states(r & good, succ))
         raise ValueError(frag.kind)
+
+    def wins(node) -> str:
+        r = _reach_states(succ, node)
+        if play_wins(r):
+            return "play"
+        return "missing entry" if r & missing else ""
 
     return frag, wins
 
@@ -562,9 +566,10 @@ def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem
 
 def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dict:
     """For the node where a fresh play starts at each state (the state and
-    the flag after it), whether `player` has a careful play from there
-    meeting its `F`, `G`, `G F` or `F G` objective while every other player
-    follows `table`."""
+    the flag after it), how `player` wins from there while every other
+    player follows `table`: "play" for a careful play meeting its `F`, `G`,
+    `G F` or `F G` objective, "missing entry" for reaching a node where the
+    table names no edge, "" when it does not win."""
     frag, wins = _oracle_wins(u, player, objective, table)
     starts = [(s, _oracle_flag(u, frag, False, s)) for s in u.states if s is not BOT]
     return {node: wins(node) for node in starts}

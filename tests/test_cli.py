@@ -552,3 +552,24 @@ def test_dpa_priorities_above_the_bound_are_refused(tmp_path, capsys):
         code, _, err = _run(capsys, *argv)
         assert code == EXIT_ERROR
         assert err.startswith("error: priorities") and str(MAX_PRIORITY + 1) in err
+
+
+def test_dpa_state_names_with_a_bar_are_refused(tmp_path, capsys):
+    # a table key reads s@c|q and is split at its last |, so a state name
+    # holding | would make check misread the solver's own certificate
+    dpa = {
+        "states": ["start", "o|k"],
+        "initial": "start",
+        "priorities": {"start": 1, "o|k": 2},
+        "transitions": [{"src": "start", "dst": "o|k"}, {"src": "o|k", "dst": "o|k"}],
+    }
+    arena = tmp_path / "arena.json"
+    arena.write_text(json.dumps(_one_state_document()))
+    path = tmp_path / "dpa.json"
+    path.write_text(json.dumps(dpa))
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text("{}")
+    for argv in [("solve", arena), ("check", arena, certificate)]:
+        code, _, err = _run(capsys, *argv, "--dpa", f"1={path}")
+        assert code == EXIT_ERROR
+        assert err.startswith("error: state names must not contain '|'")
