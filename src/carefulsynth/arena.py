@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import ltl
-from .errors import CostOverflowError, DocumentSemanticError, is_int, load_json, string_list
+from .errors import CostOverflowError, DocumentSemanticError, expect, is_int, load_json, member
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -123,9 +123,10 @@ def build_arena(
             raise DocumentSemanticError(f"duplicate edge ({src!r}, {dst!r})")
         edge_map[(src, dst)] = c
 
-    succ: dict[str, tuple[str, ...]] = {
-        s: tuple(sorted(d for (a, d) in edge_map if a == s)) for s in state_list
-    }
+    targets: dict[str, list[str]] = {s: [] for s in state_list}
+    for src, dst in edge_map:
+        targets[src].append(dst)
+    succ = {s: tuple(sorted(ds)) for s, ds in targets.items()}
     for s in state_list:
         if not succ[s]:
             raise DocumentSemanticError(f"state without successor: {s!r}")
@@ -185,72 +186,45 @@ def _check_players(players) -> None:
 
 
 def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
-    doc = load_json(text)
-    if not isinstance(doc, dict):
-        raise DocumentSemanticError("arena document must be a JSON object")
-
-    required = {"players", "dimensions", "atoms", "states", "initial", "edges", "objectives"}
-    missing = required - doc.keys()
-    if missing:
-        raise DocumentSemanticError(f"missing field(s): {sorted(missing)}")
-
-    for key in ("states", "edges"):
-        if not isinstance(doc[key], list):
-            raise DocumentSemanticError(f"{key} must be a list, got {doc[key]!r}")
-    if not isinstance(doc["initial"], str):
-        raise DocumentSemanticError(f"initial must be a state id, got {doc['initial']!r}")
+    doc = expect(load_json(text), dict, "arena document")
+    players = member(doc, "players", int, "players")
+    _check_players(players)  # before any loop over the players
     states, owner, labels = [], {}, {}
-    for item in doc["states"]:
-        if not isinstance(item, dict) or not isinstance(item.get("id"), str) or "owner" not in item:
-            raise DocumentSemanticError(f"bad state entry: {item!r}")
-        sid = item["id"]
+    for item in member(doc, "states", [dict], "states"):
+        sid = member(item, "id", str, "state id")
         states.append(sid)
-        owner[sid] = item["owner"]
-        labels[sid] = string_list(item.get("labels", []), f"labels of {sid!r}")
+        owner[sid] = member(item, "owner", int, f"owner of {sid!r}")
+        labels[sid] = member(item, "labels", [str], f"labels of {sid!r}", [])
 
     edges = {}
-    for item in doc["edges"]:
-        if not isinstance(item, dict) or not {"src", "dst", "cost"} <= item.keys():
-            raise DocumentSemanticError(f"bad edge entry: {item!r}")
-        key = tuple(string_list([item["src"], item["dst"]], "edge endpoints"))
+    for item in member(doc, "edges", [dict], "edges"):
+        key = (member(item, "src", str, "edge source"), member(item, "dst", str, "edge target"))
         if key in edges:
             raise DocumentSemanticError(f"duplicate edge {key!r}")
-        edges[key] = item["cost"]
+        edges[key] = member(item, "cost", [int], f"cost of edge {key!r}")
 
-    objectives = doc["objectives"]
-    if not isinstance(objectives, dict) or "system" not in objectives:
-        raise DocumentSemanticError("objectives must carry a 'system' formula")
-    players = doc["players"]
-    _check_players(players)  # before any loop over the players
-    per_player = objectives.get("players", {})
-    if not isinstance(per_player, dict):
-        raise DocumentSemanticError(f"player objectives must be an object, got {per_player!r}")
-
-    def formula(src, whose):
-        if not isinstance(src, str):
-            raise DocumentSemanticError(f"{whose} objective must be a string, got {src!r}")
-        return ltl.parse_ltl(src)
-
+    objectives = member(doc, "objectives", dict, "objectives")
+    per_player = member(objectives, "players", dict, "player objectives", {})
     player_objs = []
     for i in range(1, players + 1):
-        src = per_player.get(str(i))
-        player_objs.append(formula(src, f"player {i}") if src is not None else ltl.TRUE)
+        src = member(per_player, str(i), str, f"player {i} objective", None)
+        player_objs.append(ltl.TRUE if src is None else ltl.parse_ltl(src))
     extra = set(per_player) - {str(i) for i in range(1, players + 1)}
     if extra:
         raise DocumentSemanticError(f"objectives for unknown player(s): {sorted(extra)}")
 
     return build_arena(
         players=players,
-        dimensions=doc["dimensions"],
+        dimensions=member(doc, "dimensions", int, "dimensions"),
         states=states,
         owner=owner,
-        initial=doc["initial"],
+        initial=member(doc, "initial", str, "initial state"),
         edges=edges,
-        atoms=string_list(doc["atoms"], "atoms"),
+        atoms=member(doc, "atoms", [str], "atoms"),
         labels=labels,
-        system_objective=formula(objectives["system"], "system"),
+        system_objective=ltl.parse_ltl(member(objectives, "system", str, "system objective")),
         player_objectives=player_objs,
-        bounds=doc.get("bounds"),
+        bounds=member(doc, "bounds", [int], "bounds", None),
         allow_reserved_atom=allow_reserved_atom,
     )
 

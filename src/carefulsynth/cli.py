@@ -23,7 +23,7 @@ from .arena import (
     serialize_arena,
     validate_lasso,
 )
-from .errors import CarefulSynthError, DocumentSemanticError, load_json, string_list
+from .errors import CarefulSynthError, load_json, member
 from .unfolding import to_dot, unfold, unfolded_to_arena
 from .zerosum import ParityAutomaton, parse_dpa
 
@@ -165,13 +165,10 @@ def _cmd_check(args) -> int:
 
 def _parse_lasso_document(text: str) -> Lasso:
     doc = load_json(text)
-    try:
-        return Lasso(
-            stem=tuple(string_list(doc["stem"], "lasso stem")),
-            loop=tuple(string_list(doc["loop"], "lasso loop")),
-        )
-    except (KeyError, TypeError) as e:
-        raise DocumentSemanticError(f"bad lasso document: {e}") from e
+    return Lasso(
+        stem=tuple(member(doc, "stem", [str], "lasso stem")),
+        loop=tuple(member(doc, "loop", [str], "lasso loop")),
+    )
 
 
 def _cmd_mc(args) -> int:
@@ -187,6 +184,7 @@ def _cmd_mc(args) -> int:
         "holds": holds,
         "energy": {"unbounded_careful": multi_energy_check_unbounded(a, lasso)},
     }
+    pretty = None
     if bounds is not None:
         trace = lasso_trace(a, lasso, bounds=bounds)
         doc["energy"]["bounded"] = {
@@ -194,14 +192,12 @@ def _cmd_mc(args) -> int:
             "careful": all(v >= 0 for vec in trace for v in vec),
             "trace": [list(v) for v in trace],
         }
-    pretty = None
-    if args.pretty and bounds is not None:
-        seq = list(lasso.stem) + list(lasso.loop)
-        trace = lasso_trace(a, lasso, bounds=bounds)
-        rendered = " ".join(
-            f"{s}@{','.join(map(str, v))}" for s, v in zip(seq, trace)
-        )
-        pretty = f"\ntrace: {rendered}"
+        if args.pretty:
+            seq = list(lasso.stem) + list(lasso.loop)
+            rendered = " ".join(
+                f"{s}@{','.join(map(str, v))}" for s, v in zip(seq, trace)
+            )
+            pretty = f"\ntrace: {rendered}"
     _emit(doc, pretty)
     return EXIT_POSITIVE if holds else EXIT_NEGATIVE
 
@@ -242,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, bounds=True, pretty=True):
-        if bounds:
-            p.add_argument("--bounds", type=_parse_bounds_flag, default=None,
-                           help="capacity vector, e.g. 3,3 (overrides the arena document)")
+    def add_common(p, pretty=True):
+        p.add_argument("--bounds", type=_parse_bounds_flag, default=None,
+                       help="capacity vector, e.g. 3,3 (overrides the arena document)")
         if pretty:
             p.add_argument("--pretty", action="store_true",
                            help="append a human-readable trace rendering")

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, and the JSON decoding step
-and value tests every document reader uses."""
+and shape checks every document reader uses."""
 
 import json
 
@@ -67,9 +67,42 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def string_list(v, what: str) -> list:
-    """`v` if it is a JSON list of strings: a string is not read as its
-    characters."""
-    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
-        raise DocumentSemanticError(f"{what} must be a list of strings, got {v!r}")
+_KINDS = {int: ("an integer", "integers"), str: ("a string", "strings"),
+          list: ("a list", "lists"), dict: ("an object", "objects")}
+
+
+def _has(v, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(v, list) and all(_has(x, kind[0]) for x in v)
+    return is_int(v) if kind is int else isinstance(v, kind)
+
+
+def _name(kind, plural=False) -> str:
+    if isinstance(kind, list):
+        return ("lists of " if plural else "a list of ") + _name(kind[0], plural=True)
+    return _KINDS[kind][plural]
+
+
+def expect(v, kind, what: str):
+    """`v` if it has the JSON shape `kind`, else a DocumentSemanticError
+    naming `what`. A kind is `int` (a JSON integer), `str`, `list`, `dict`,
+    or `[k]` for a list of values of kind `k`; a string is never read as a
+    list of its characters."""
+    if not _has(v, kind):
+        raise DocumentSemanticError(f"{what} must be {_name(kind)}, got {v!r}")
     return v
+
+
+_REQUIRED = object()
+
+
+def member(doc, key: str, kind, what: str, default=_REQUIRED):
+    """`doc[key]`, checked by `expect`, where `doc` must be an object. An
+    absent member reads as `default` and is an error without one; with the
+    default `None`, a `null` member reads as absent too."""
+    if not isinstance(doc, dict):
+        raise DocumentSemanticError(f"{what} must be read from an object, got {doc!r}")
+    v = doc.get(key, default)
+    if v is _REQUIRED:
+        raise DocumentSemanticError(f"missing {what}")
+    return v if v is default else expect(v, kind, what)

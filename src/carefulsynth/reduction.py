@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 from . import ltl
 from .arena import Arena, build_arena
-from .errors import DocumentSemanticError, load_json
+from .errors import DocumentSemanticError, expect, is_int, load_json, member
 
 OMEGA = "omega"
 
@@ -55,35 +55,35 @@ class CounterRun:
 
 
 def parse_counter_automaton(text: str) -> CounterAutomaton:
-    doc = load_json(text)
-    if not isinstance(doc, dict):
-        raise DocumentSemanticError("counter automaton document must be an object")
-    for key in ("counters", "locations", "initial", "target", "transitions"):
-        if key not in doc:
-            raise DocumentSemanticError(f"missing field {key!r}")
-    if doc["counters"] != 2:
+    doc = expect(load_json(text), dict, "counter automaton document")
+    if member(doc, "counters", int, "counters") != 2:
         raise DocumentSemanticError("only two-counter automata are supported")
-    locations = list(doc["locations"])
+    locations = member(doc, "locations", [str], "locations")
     if len(set(locations)) != len(locations):
         raise DocumentSemanticError("duplicate location names")
     locset = set(locations)
-    for name in (doc["initial"], doc["target"]):
+    initial = member(doc, "initial", str, "initial location")
+    target = member(doc, "target", str, "target location")
+    for name in (initial, target):
         if name not in locset:
             raise DocumentSemanticError(f"unknown location {name!r}")
     transitions = []
-    for t in doc["transitions"]:
-        src, dst = t["src"], t["dst"]
+    for t in member(doc, "transitions", [dict], "transitions"):
+        src = member(t, "src", str, "transition source")
+        dst = member(t, "dst", str, "transition target")
         if src not in locset or dst not in locset:
             raise DocumentSemanticError(f"transition endpoint not a location: {t!r}")
-        weights = tuple(t["weights"])
-        if len(weights) != 2 or not all(isinstance(w, int) for w in weights):
+        weights = tuple(member(t, "weights", [int], "weights"))
+        if len(weights) != 2:
             raise DocumentSemanticError(f"weights must be two integers: {t!r}")
         guards = []
-        for g in t["guards"]:
+        for g in member(t, "guards", [list], "guards"):
+            if len(g) != 2:
+                raise DocumentSemanticError(f"a guard must be [lower, upper]: {t!r}")
             lo, up = g
-            if not isinstance(lo, int) or lo < 0:
+            if not is_int(lo) or lo < 0:
                 raise DocumentSemanticError(f"lower guard must be a natural: {t!r}")
-            if up != OMEGA and (not isinstance(up, int) or up < lo):
+            if up != OMEGA and (not is_int(up) or up < lo):
                 raise DocumentSemanticError(
                     f"upper guard must be {OMEGA!r} or an integer >= lower: {t!r}"
                 )
@@ -95,8 +95,8 @@ def parse_counter_automaton(text: str) -> CounterAutomaton:
         )
     return CounterAutomaton(
         locations=tuple(locations),
-        initial=doc["initial"],
-        target=doc["target"],
+        initial=initial,
+        target=target,
         transitions=tuple(transitions),
     )
 

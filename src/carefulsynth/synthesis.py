@@ -28,9 +28,9 @@ from .errors import (
     DocumentSemanticError,
     MalformedProfileError,
     UnsupportedObjectiveError,
-    is_int,
+    expect,
     load_json,
-    string_list,
+    member,
 )
 from .unfolding import (
     BOT,
@@ -359,7 +359,10 @@ def check_certificate(
     if not ltl.eval_on_lasso(a.system_objective, stem_labels, loop_labels, atoms=atoms):
         violations.append("outcome does not satisfy the system objective")
 
-    for i in range(1, a.players + 1):
+    players = range(1, a.players + 1)
+    for what, named in [("winner", profile.winners), ("punishment table of", profile.punishment)]:
+        violations += [f"{what} {i}: not a player" for i in sorted(named) if i not in players]
+    for i in players:
         tracker = objective_tracker(a.objective_of(i), dpas.get(i))
         if i in dpas:
             satisfied = tracker_accepts(tracker, stem_labels, loop_labels)
@@ -516,26 +519,21 @@ def result_to_document(result: SolveResult) -> dict:
 
 
 def parse_profile(text: str) -> StrategyProfile:
-    doc = load_json(text)
-    try:
-        outcome = doc["outcome"]
-        stem = tuple(string_list(outcome["stem"], "outcome stem"))
-        loop = tuple(string_list(outcome["loop"], "outcome loop"))
-        trace = tuple(tuple(v) for v in outcome["trace"])
-        if not all(map(is_int, [*doc["winners"], *(c for v in trace for c in v)])):
-            raise MalformedProfileError(
-                "bad profile document: winners and the trace must list integers"
-            )
-        winners = frozenset(doc["winners"])
-        punishment = {}
-        for i_str, table in doc.get("punishment", {}).items():
-            entries = {}
-            for k, v in table.items():
-                state, _, q = k.rpartition("|")
-                entries[(parse_ustate(state), q)] = parse_ustate(v)
-            punishment[int(i_str)] = entries
-    except (AttributeError, KeyError, TypeError, ValueError, DocumentSemanticError) as e:
-        raise MalformedProfileError(f"bad profile document: {e}") from e
+    doc = expect(load_json(text), dict, "profile document")
+    outcome = member(doc, "outcome", dict, "outcome")
+    stem = tuple(member(outcome, "stem", [str], "outcome stem"))
+    loop = tuple(member(outcome, "loop", [str], "outcome loop"))
+    trace = tuple(map(tuple, member(outcome, "trace", [[int]], "outcome trace")))
+    winners = frozenset(member(doc, "winners", [int], "winners"))
+    punishment = {}
+    for i_str, table in member(doc, "punishment", dict, "punishment", {}).items():
+        if not i_str.isdecimal():
+            raise DocumentSemanticError(f"punishment keys must be players, got {i_str!r}")
+        entries = {}
+        for k, v in expect(table, dict, f"punishment table of {i_str}").items():
+            state, _, q = k.rpartition("|")
+            entries[(parse_ustate(state), q)] = parse_ustate(expect(v, str, "punishment entry"))
+        punishment[int(i_str)] = entries
     ustates = tuple(zip(stem + loop, trace))
     return StrategyProfile(
         outcome=Lasso(stem=stem, loop=loop, trace=trace),

@@ -19,7 +19,9 @@ from functools import cache, cached_property, partial
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
-from .errors import DocumentSemanticError, UnsupportedObjectiveError, is_int, load_json, string_list
+from .errors import (
+    DocumentSemanticError, UnsupportedObjectiveError, expect, is_int, load_json, member,
+)
 from .ltl import FragmentClass
 from .unfolding import BOT, UnfoldedArena
 
@@ -221,32 +223,27 @@ class ParityAutomaton:
 
 
 def parse_dpa(text: str) -> ParityAutomaton:
-    doc = load_json(text)
-    try:
-        states = tuple(string_list(doc["states"], "states"))
-        initial = doc["initial"]
-        priority = doc["priorities"]
-        transitions = tuple(
-            DpaTransition(
-                t["src"],
-                frozenset(string_list(t.get("pos", []), "pos")),
-                frozenset(string_list(t.get("neg", []), "neg")),
-                t["dst"],
-            )
-            for t in doc["transitions"]
+    doc = expect(load_json(text), dict, "parity automaton document")
+    states = tuple(member(doc, "states", [str], "states"))
+    initial = member(doc, "initial", str, "initial state")
+    priority = member(doc, "priorities", dict, "priorities")
+    transitions = tuple(
+        DpaTransition(
+            member(t, "src", str, "transition source"),
+            frozenset(member(t, "pos", [str], "pos", [])),
+            frozenset(member(t, "neg", [str], "neg", [])),
+            member(t, "dst", str, "transition target"),
         )
-    except (KeyError, TypeError) as e:
-        raise DocumentSemanticError(f"bad parity automaton document: {e}") from e
+        for t in member(doc, "transitions", [dict], "transitions")
+    )
     if initial not in states:
         raise DocumentSemanticError(f"initial state {initial!r} unknown")
     if any("|" in q for q in states):
         # a punishment-table key ends in |q; the checker splits at the last |
         raise DocumentSemanticError(f"state names must not contain '|', got {states!r}")
-    if not isinstance(priority, dict) or not all(map(is_int, priority.values())):
-        raise DocumentSemanticError(f"priorities must map states to integers, got {priority!r}")
-    if any(p > MAX_PRIORITY for p in priority.values()):
+    if not all(is_int(p) and 0 <= p <= MAX_PRIORITY for p in priority.values()):
         raise DocumentSemanticError(
-            f"priorities must not exceed {MAX_PRIORITY}, got {max(priority.values())}"
+            f"priorities must be integers from 0 to {MAX_PRIORITY}, got {priority!r}"
         )
     if set(priority) != set(states):
         raise DocumentSemanticError("priority map must cover exactly the states")

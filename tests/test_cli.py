@@ -243,17 +243,19 @@ def test_solve_then_check_round_trip(fig1_path, tmp_path, capsys):
 
 def test_check_rejects_tampered_profile(fig1_path, tmp_path, capsys):
     _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
-    doc = json.loads(out)
-    doc["winners"] = [1, 2, 3]
-    profile_path = tmp_path / "profile.json"
-    profile_path.write_text(json.dumps(doc))
-    code, out2, _ = _run(
-        capsys, "check", fig1_path, str(profile_path), "--bounds", "3,3"
-    )
-    assert code == EXIT_NEGATIVE
-    verdict = json.loads(out2)
-    assert verdict["verdict"] == "invalid"
-    assert verdict["violations"]
+    original = json.loads(out)
+    # the last three name players the three-player arena lacks
+    for tampering in [{"winners": [1, 2, 3]}, {"winners": [1, 2, 99]}, {"winners": [0, 1, 2]},
+                      {"punishment": dict(original["punishment"], **{"7": {}})}]:
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({**original, **tampering}))
+        code, out2, _ = _run(
+            capsys, "check", fig1_path, str(profile_path), "--bounds", "3,3"
+        )
+        assert code == EXIT_NEGATIVE
+        verdict = json.loads(out2)
+        assert verdict["verdict"] == "invalid"
+        assert verdict["violations"]
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +428,11 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, field):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("field", ["states", "objective", "id", "atoms", "src", "cost"])
+@pytest.mark.parametrize("field", ["states", "objective", "id", "atoms", "src", "cost", "bounds"])
 def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, field):
     doc = _one_state_document()
-    if field == "states":
-        doc["states"] = 5
+    if field in ("states", "bounds"):
+        doc[field] = 5
     elif field == "cost":
         doc["edges"][0]["cost"] = 5
     elif field == "objective":
@@ -546,12 +548,15 @@ def test_dpa_priorities_above_the_bound_are_refused(tmp_path, capsys):
     certificate.write_text(out)
     check = ("check", arena, certificate, "--dpa", f"1={path}")
     assert _run(capsys, *check)[0] == EXIT_POSITIVE
-    dpa["priorities"]["start"] = MAX_PRIORITY + 1
-    path.write_text(json.dumps(dpa))
-    for argv in [("solve", arena, "--dpa", f"1={path}"), check]:
-        code, _, err = _run(capsys, *argv)
-        assert code == EXIT_ERROR
-        assert err.startswith("error: priorities") and str(MAX_PRIORITY + 1) in err
+    # a negative priority escaped the bound: distinct ones from -2 down to
+    # -1501 drove Zielonka into a RecursionError
+    for priority in [MAX_PRIORITY + 1, -1]:
+        dpa["priorities"]["start"] = priority
+        path.write_text(json.dumps(dpa))
+        for argv in [("solve", arena, "--dpa", f"1={path}"), check]:
+            code, _, err = _run(capsys, *argv)
+            assert code == EXIT_ERROR
+            assert err.startswith("error: priorities") and str(priority) in err
 
 
 def test_dpa_state_names_with_a_bar_are_refused(tmp_path, capsys):
