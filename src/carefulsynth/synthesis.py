@@ -9,13 +9,16 @@ state and its punishment region holds (state, its tracker state there). A
 player's punishment region is solved the first time it is a loser, since
 only a loser has a reason to deviate. A found lasso plus the losers'
 punishment tables form the equilibrium certificate; `check_certificate`
-checks it without the game solver, by an emptiness test per loser on the
-graph its table leaves.
+checks it without the game solver and without building the unfolding, by
+an emptiness test per loser on the graph its table leaves. It shares with
+the solver only `unfolding.step` and the objective trackers, and steps
+only the unfolded states a deviation or a table entry reaches.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
@@ -37,9 +40,11 @@ from .unfolding import (
     DEFAULT_STATE_BUDGET,
     UState,
     UnfoldedArena,
+    checked_bounds,
     parse_ustate,
     render_ustate,
     saturating_add,
+    step,
     unfold,
 )
 from .zerosum import ParityAutomaton, Tracker, objective_tracker, punish_region
@@ -101,14 +106,24 @@ def witness_product(
 ) -> WitnessProduct:
     """Build the product once; every winner set is searched on it. Each
     component is a parity condition: the automaton's accepting states at 2
-    and the rest at 1, a tracker's states at their priorities."""
-    steps = [cache(t.step) for t in trackers]
+    and the rest at 1, a tracker's states at their priorities. Each
+    transition and priority is computed once per solve, whatever the
+    number of product nodes that share it."""
+    labels = u.labels
 
-    def after(qs, s):
-        letter = u.labels(s)
-        return tuple(step(q, letter) for step, q in zip(steps, qs))
+    @cache
+    def after(qs, letter):
+        return tuple([t.step(q, letter) for t, q in zip(trackers, qs)])
 
-    start = after([t.initial for t in trackers], u.initial)
+    @cache
+    def moves(q, letter):
+        return sorted({tr.dst for tr in system.transitions[q] if ltl.guard_matches(tr, letter)})
+
+    @cache
+    def priority_of(q, qs):
+        return (2 if q in system.accepting else 1, *[t.priority(x) for t, x in zip(trackers, qs)])
+
+    start = after(tuple(t.initial for t in trackers), labels(u.initial))
     initials = [(u.initial, q, start) for q in sorted(system.initial)]
     seen = set(initials)
     stack = list(initials)
@@ -116,9 +131,12 @@ def witness_product(
     while stack:
         node = stack.pop()
         s, q, qs = node
-        letter = u.labels(s)
-        dsts = sorted({tr.dst for tr in system.transitions[q] if ltl.guard_matches(tr, letter)})
-        succ[node] = out = [(t, d, after(qs, t)) for t in u.succ[s] if t is not BOT for d in dsts]
+        dsts = moves(q, labels(s))
+        succ[node] = out = []
+        for t in u.succ[s]:
+            if t is not BOT:
+                qt = after(qs, labels(t))
+                out += [(t, d, qt) for d in dsts]
         for nxt in out:
             if nxt not in seen:
                 if len(seen) >= max_product:
@@ -127,11 +145,7 @@ def witness_product(
                     )
                 seen.add(nxt)
                 stack.append(nxt)
-    priority = {
-        node: (2 if node[1] in system.accepting else 1,
-               *(t.priority(x) for t, x in zip(trackers, node[2])))
-        for node in succ
-    }
+    priority = {node: priority_of(node[1], node[2]) for node in succ}
     return WitnessProduct(initials, succ, priority)
 
 
@@ -286,20 +300,20 @@ def solve(
         u, ltl.to_nba(a.system_objective), [trackers[i] for i in players], max_product
     )
     regions = {}  # a player's punishment region, solved when it first loses
+    blocked = {}  # a loser's own nodes from which it could deviate and still win
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
     for winner_set in _winner_sets(a.players):
         for i in players:
             if i not in winner_set and i not in regions:
                 regions[i] = punish_region(u, i, a.objective_of(i), dpas.get(i))
-        # a loser's own node from which it could deviate and still win
-        forbidden = {
-            node
-            for i in players
-            if i not in winner_set
-            for node in product.succ
-            if (node[0], node[2][i - 1]) in regions[i].win and u.owner(node[0]) == i
-        }
+                win = regions[i].win
+                blocked[i] = {
+                    node
+                    for node in product.succ
+                    if u.owner(node[0]) == i and (node[0], node[2][i - 1]) in win
+                }
+        forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
             stem, loop = find_witness_lasso(
                 product, [i - 1 for i in sorted(winner_set)], forbidden
@@ -340,21 +354,25 @@ def check_certificate(
 ) -> list[str]:
     """Check every clause of the solution definition against the arena
     alone: the outcome replays in the unfolding, meets the system objective
-    and names its winners; every punishment table is made of edges; and no
-    loser has a careful profitable deviation against the others following
-    its table, decided exactly by an emptiness check on a one-player graph.
-    Returns a list of violations; empty means the certificate is valid."""
+    and names its winners; every punishment entry is an edge out of a state
+    reachable from the initial one; and no loser has a careful profitable
+    deviation against the others following its table, decided exactly by
+    an emptiness check on a one-player graph. The unfolding is never built:
+    a state is stepped when a deviation or the search for a table entry's
+    state first reads its successors, and BudgetExceededError is raised
+    before more than `max_states` states are stepped. Returns a list of
+    violations; empty means the certificate is valid."""
     dpas = dict(dpas or {})
     violations: list[str] = []
-    u = unfold(a, bounds, max_states=max_states)
+    u = _SteppedUnfolding(a, checked_bounds(a, bounds), max_states)
 
     try:
         stem, loop = _replay(u, profile.outcome)
     except MalformedProfileError as e:
         return [str(e)]
 
-    stem_labels = [u.labels(s) for s in stem]
-    loop_labels = [u.labels(s) for s in loop]
+    stem_labels = [a.labels[s] for s, _ in stem]
+    loop_labels = [a.labels[s] for s, _ in loop]
     atoms = a.atoms | {RESERVED_ATOM}
     if not ltl.eval_on_lasso(a.system_objective, stem_labels, loop_labels, atoms=atoms):
         violations.append("outcome does not satisfy the system objective")
@@ -381,7 +399,7 @@ def check_certificate(
             continue
         for key, value in table.items():
             s = key[0]
-            if s not in u.succ or value not in u.succ[s]:
+            if not u.reachable(s) or value not in u.successors(s):
                 violations.append(
                     f"player {i}: punishment entry {key!r} -> {value!r} is not an edge"
                 )
@@ -391,27 +409,61 @@ def check_certificate(
     return violations
 
 
-def _replay(u: UnfoldedArena, outcome: Lasso) -> tuple[tuple, tuple]:
-    """Recompute the unfolded image of the outcome and verify lasso shape,
-    sink-freeness, and the cached trace."""
+class _SteppedUnfolding:
+    """The unfolding as the checker reads it: a state is stepped the first
+    time its successors are read, and the search for states reachable from
+    the initial one runs only as far as a query needs, resuming where it
+    stopped. At most `max_states` states are stepped, all of them in the
+    unfolding."""
+
+    def __init__(self, a: Arena, bounds: tuple[int, ...], max_states: int):
+        self.base, self.bounds, self.max_states = a, bounds, max_states
+        self.initial = (a.initial, (0,) * a.dimensions)
+        self.stepped: dict = {}
+        self.reached = {self.initial}
+        self.frontier = deque([self.initial])
+
+    def successors(self, us: UState) -> tuple[UState, ...]:
+        out = self.stepped.get(us)
+        if out is None:
+            if len(self.stepped) >= self.max_states:
+                raise BudgetExceededError(
+                    f"unfolding exceeds the state budget of {self.max_states}"
+                )
+            out = self.stepped[us] = step(self.base, self.bounds, us)[0]
+        return out
+
+    def reachable(self, us) -> bool:
+        while us not in self.reached and self.frontier:
+            for t in self.successors(self.frontier.popleft()):
+                if t not in self.reached:
+                    self.reached.add(t)
+                    self.frontier.append(t)
+        return us in self.reached
+
+
+def _replay(u: _SteppedUnfolding, outcome: Lasso) -> tuple[tuple, tuple]:
+    """Recompute the unfolded image of the outcome on base edges and verify
+    lasso shape, sink-freeness, and the cached trace."""
+    a = u.base
     if not outcome.stem or not outcome.loop:
         raise MalformedProfileError("outcome stem and loop must be nonempty")
-    if outcome.stem[0] != u.base.initial:
+    if outcome.stem[0] != a.initial:
         raise MalformedProfileError("outcome does not start at the initial state")
     seq = list(outcome.stem) + list(outcome.loop)
-    c = (0,) * u.base.dimensions
+    c = u.initial[1]
     ustates = [(seq[0], c)]
     for x, y in zip(seq, seq[1:]):
-        if (x, y) not in u.base.edges:
+        if (x, y) not in a.edges:
             raise MalformedProfileError(f"outcome uses the non-edge ({x!r}, {y!r})")
-        c = saturating_add(c, u.base.edges[(x, y)], u.bounds)
+        c = saturating_add(c, a.edges[(x, y)], u.bounds)
         if any(v < 0 for v in c):
             raise MalformedProfileError("outcome depletes a resource (reaches the sink)")
         ustates.append((y, c))
     head = outcome.loop[0]
-    if (outcome.loop[-1], head) not in u.base.edges:
+    if (outcome.loop[-1], head) not in a.edges:
         raise MalformedProfileError("loop does not close in the arena")
-    c2 = saturating_add(c, u.base.edges[(outcome.loop[-1], head)], u.bounds)
+    c2 = saturating_add(c, a.edges[(outcome.loop[-1], head)], u.bounds)
     if any(v < 0 for v in c2):
         raise MalformedProfileError("closing the loop depletes a resource")
     loop_start = len(outcome.stem)
@@ -424,28 +476,29 @@ def _replay(u: UnfoldedArena, outcome: Lasso) -> tuple[tuple, tuple]:
     return tuple(ustates[:loop_start]), tuple(ustates[loop_start:])
 
 
-def _deviation_faults(u, player, tracker, table, stem, loop) -> list[str]:
+def _deviation_faults(u: _SteppedUnfolding, player, tracker, table, stem, loop) -> list[str]:
     """Explore the nodes (unfolded state, tracker state after reading it)
     from every way `player` can leave the outcome: it takes any sink-free
     successor at its own states, the coalition follows `table` at the node,
     its tracker state written by `str`. A reachable cycle whose top
     priority is even is a careful profitable deviation."""
-    qs, _ = run_lasso(tracker, [u.labels(s) for s in stem], [u.labels(s) for s in loop])
+    owner, labels = u.base.owner, u.base.labels
+    qs, _ = run_lasso(tracker, [labels[s] for s, _ in stem], [labels[s] for s, _ in loop])
     path = stem + loop * (len(qs) // len(loop) + 1)  # long enough to index k + 1
     origin: dict = {}  # node -> the outcome position its deviation left from
     for k, q in enumerate(qs):
-        if u.owner(path[k]) == player:
-            for t in u.succ[path[k]]:
+        if owner[path[k][0]] == player:
+            for t in u.successors(path[k]):
                 if t is not BOT and t != path[k + 1]:
-                    origin.setdefault((t, tracker.step(q, u.labels(t))), path[k])
+                    origin.setdefault((t, tracker.step(q, labels[t[0]])), path[k])
 
     succ: dict = {}
     stack = list(origin)
     while stack:
         node = stack.pop()
         s, q = node
-        moves = u.succ[s]
-        if u.owner(s) != player:
+        moves = u.successors(s)
+        if owner[s[0]] != player:
             t = table.get((s, str(q)))
             if t not in moves:
                 return [
@@ -453,7 +506,7 @@ def _deviation_faults(u, player, tracker, table, stem, loop) -> list[str]:
                     f"reaches {render_ustate(s)}, where the punishment table has no edge"
                 ]
             moves = (t,)
-        succ[node] = [(t, tracker.step(q, u.labels(t))) for t in moves if t is not BOT]
+        succ[node] = [(t, tracker.step(q, labels[t[0]])) for t in moves if t is not BOT]
         for nxt in succ[node]:
             if nxt not in origin:
                 origin[nxt] = origin[node]

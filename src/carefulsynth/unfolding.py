@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional, Sequence, Union
 
 from . import arena as arena_mod
@@ -93,41 +94,54 @@ class UnfoldedArena:
 AVOID_BOT = ltl.Always(ltl.Not(ltl.Atom(RESERVED_ATOM)))
 
 
-def _ustate_key(us: UState):
-    return (1, "", ()) if us is BOT else (0, us[0], us[1])
+def checked_bounds(a: Arena, bounds: Sequence[int]) -> tuple[int, ...]:
+    """`bounds` as a tuple, refused unless it has one nonnegative
+    capacity per resource."""
+    b = tuple(bounds)
+    if len(b) != a.dimensions or any(v < 0 for v in b):
+        raise DocumentSemanticError(
+            f"bounds must be {a.dimensions} nonnegative components, got {b}"
+        )
+    return b
+
+
+def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[tuple[UState, ...], bool]:
+    """The successors of `us` in the unfolding under validated `bounds`, in
+    `a.successors` order with BOT last, and whether some edge out of `us`
+    saturated a resource."""
+    if us is BOT:
+        return (BOT,), False
+    s, c = us
+    out: list[UState] = []
+    to_bot = clipped = False
+    for s2 in a.successors(s):
+        raw = tuple(map(add, c, a.edges[(s, s2)]))
+        c2 = tuple(map(min, raw, bounds))
+        clipped = clipped or c2 != raw
+        if min(c2, default=0) >= 0:
+            out.append((s2, c2))
+        else:
+            to_bot = True
+    if to_bot:
+        out.append(BOT)
+    return tuple(out), clipped
 
 
 def unfold(
     a: Arena, bounds: Sequence[int], max_states: int = DEFAULT_STATE_BUDGET
 ) -> UnfoldedArena:
     """Breadth-first construction of the reachable bounded unfolding."""
-    b = tuple(bounds)
-    if len(b) != a.dimensions or any(v < 0 for v in b):
-        raise DocumentSemanticError(
-            f"bounds must be {a.dimensions} nonnegative components, got {b}"
-        )
+    b = checked_bounds(a, bounds)
     init: UState = (a.initial, (0,) * a.dimensions)
-    succ: dict[UState, list[UState]] = {}
+    succ: dict[UState, tuple[UState, ...]] = {}
     queue: deque[UState] = deque([init])
     seen: set[UState] = {init}
     clipped = False
     while queue:
         us = queue.popleft()
-        s, c = us
-        out: list[UState] = []
-        to_bot = False
-        for s2 in a.successors(s):
-            w = a.edges[(s, s2)]
-            c2 = saturating_add(c, w, b)
-            if not clipped:
-                clipped = any(ci + wi > bi for ci, wi, bi in zip(c, w, b))
-            if all(v >= 0 for v in c2):
-                out.append((s2, c2))
-            else:
-                to_bot = True
-        if to_bot:
-            out.append(BOT)
+        out, saturated = step(a, b, us)
         succ[us] = out
+        clipped = clipped or saturated
         for us2 in out:
             if us2 not in seen:
                 seen.add(us2)
@@ -135,17 +149,17 @@ def unfold(
                     raise BudgetExceededError(
                         f"unfolding exceeds the state budget of {max_states}"
                     )
-                if us2 is not BOT:
-                    queue.append(us2)
+                queue.append(us2)
+    # natural tuple order, the sink last: successors are already in it
+    states = sorted(seen - {BOT})
     if BOT in seen:
-        succ[BOT] = [BOT]
-    states = tuple(sorted(seen, key=_ustate_key))
+        states.append(BOT)
     return UnfoldedArena(
         base=a,
         bounds=b,
         initial=init,
-        states=states,
-        succ={us: tuple(sorted(succ[us], key=_ustate_key)) for us in states},
+        states=tuple(states),
+        succ=succ,
         clipped=clipped,
     )
 

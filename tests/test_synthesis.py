@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import json
 import random
 
@@ -558,6 +560,96 @@ def test_checker_rejects_tampered_trace(fig1):
     )
     violations = check_certificate(fig1, (3, 3), bad)
     assert any("trace" in v for v in violations)
+
+
+def _table_entries(rng, a, bounds, u):
+    """Entries of every kind the edge clause judges: a reachable key with a
+    successor and with a non-successor as its value, a well-formed key the
+    unfolding does not reach, an unknown base state, a component over the
+    bound, and the sink with itself and with another value."""
+    s = rng.choice(u.states)
+    others = [t for t in u.states if t not in u.succ[s]]
+    vectors = list(itertools.product(*(range(b + 1) for b in bounds)))
+    unreached = [(x, c) for x in sorted(a.states) for c in vectors if (x, c) not in u.succ]
+    entries = [
+        ("reachable", s, rng.choice(u.succ[s])),
+        ("unknown state", ("nowhere", (0,) * a.dimensions), u.initial),
+        ("over the bound", (a.initial, tuple(b + 1 for b in bounds)), u.initial),
+        ("sink", BOT, BOT),
+        ("sink", BOT, rng.choice(u.states)),
+    ]
+    if others:
+        entries.append(("non-successor", s, rng.choice(others)))
+    if unreached:
+        entries.append(("unreachable", rng.choice(unreached), rng.choice(u.states)))
+    return entries
+
+
+def test_table_entries_are_edges_exactly_when_the_unfolding_has_them():
+    # the clause read against the whole unfolding as the oracle: a key is
+    # an edge's source iff `unfold` reaches it, and the value one of its
+    # successors there
+    kinds = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        a, bounds = random_fragment_arena(rng)
+        p = solve(a, bounds).profile
+        if p is None:
+            continue
+        u = unfold(a, bounds)
+        for kind, s, value in _table_entries(rng, a, bounds, u):
+            i = rng.randrange(1, a.players + 1)
+            key = (s, rng.choice(["False", "True"]))
+            table = {**p.punishment[i], key: value}
+            tampered = dataclasses.replace(p, punishment={**p.punishment, i: table})
+            flagged = [v for v in check_certificate(a, bounds, tampered) if "is not an edge" in v]
+            edge = s in u.succ and value in u.succ[s]
+            expected = [] if edge else [
+                f"player {i}: punishment entry {key!r} -> {value!r} is not an edge"
+            ]
+            assert flagged == expected, (seed, kind)
+            kinds[kind, edge] += 1
+    assert kinds["unreachable", False] >= 50 and kinds["non-successor", False] >= 50
+    assert kinds["reachable", True] >= 50 and kinds["sink", True] >= 20
+    assert kinds["sink", False] >= 50
+
+
+def _winners_only():
+    a = _late_loser_arena("true", "F p")
+    p = solve(a, (1,)).profile
+    assert p.winners == frozenset({1, 2}) and p.punishment == {1: {}, 2: {}}
+    return a, (1,), p
+
+
+def test_the_checker_does_not_unfold(fig1, monkeypatch):
+    # fig1 (3,3) has a loser, whose table and deviations are read
+    certificates = [(fig1, (3, 3), solve(fig1, (3, 3)).profile), _winners_only()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checker unfolded the arena")
+
+    monkeypatch.setattr(synthesis, "unfold", refuse)
+    for a, bounds, p in certificates:
+        assert check_certificate(a, bounds, p) == []
+
+
+def test_the_state_budget_bounds_the_states_the_checker_steps(fig1):
+    # every player wins and every table is empty: no state is stepped, so a
+    # budget below the size of the unfolding does not matter
+    a, bounds, p = _winners_only()
+    assert len(unfold(a, bounds).states) > 1
+    assert check_certificate(a, bounds, p, max_states=1) == []
+    # an unreachable key makes the search for it walk the whole unfolding
+    size = len(unfold(fig1, (3, 3)).states)
+    p = solve(fig1, (3, 3)).profile
+    key = (("a", (1, 1)), "False")
+    table = {**p.punishment[3], key: ("a", (0, 0))}
+    p = dataclasses.replace(p, punishment={**p.punishment, 3: table})
+    with pytest.raises(BudgetExceededError, match=f"state budget of {size - 1}"):
+        check_certificate(fig1, (3, 3), p, max_states=size - 1)
+    assert check_certificate(fig1, (3, 3), p, max_states=size) == [
+        f"player 3: punishment entry {key!r} -> ('a', (0, 0)) is not an edge"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -108,28 +108,34 @@ def test_bad_bounds_rejected(fig1):
 
 def _check_laws(a, u, bounds):
     # every non-sink state within range, edges satisfy the saturating
-    # equation, sink edges exactly when some base edge underflows
+    # equation in `a.successors` order, sink edges last and exactly when
+    # some base edge underflows; states sorted with the sink last, and
+    # `clipped` exactly when some reachable edge saturates
     prod = 1
     for b in bounds:
         prod *= b + 1
     assert len(u.states) <= len(a.states) * prod + 1
+    states = [us for us in u.states if us is not BOT]
+    assert states == sorted(states) and list(u.states[len(states):]) in ([], [BOT])
+    clipped = False
     for us in u.states:
         if us is BOT:
             assert u.succ[us] == (BOT,)
             continue
         s, c = us
         assert all(0 <= ci <= bi for ci, bi in zip(c, bounds))
+        expected = []
         expect_sink = False
-        expected = set()
         for t in a.successors(s):
-            c2 = saturating_add(c, a.edges[(s, t)], bounds)
+            w = a.edges[(s, t)]
+            clipped = clipped or any(ci + wi > bi for ci, wi, bi in zip(c, w, bounds))
+            c2 = saturating_add(c, w, bounds)
             if all(v >= 0 for v in c2):
-                expected.add((t, c2))
+                expected.append((t, c2))
             else:
                 expect_sink = True
-        got = set(u.succ[us])
-        assert (BOT in got) == expect_sink
-        assert got - {BOT} == expected
+        assert u.succ[us] == tuple(expected + [BOT] * expect_sink)
+    assert u.clipped == clipped
 
 
 def test_unfolding_laws_on_fig1(fig1):
