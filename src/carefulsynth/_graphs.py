@@ -3,59 +3,52 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterable, Optional
+from typing import AbstractSet, Callable, Hashable, Iterable, Optional
 
 
 def strongly_connected_components(
     nodes: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
 ) -> list[list[Hashable]]:
     """Iterative Tarjan. Only nodes in `nodes` are visited; successors
-    outside the set are ignored."""
-    nodeset = set(nodes)
+    outside the set are ignored. A set is used as given, not copied."""
+    nodeset = nodes if isinstance(nodes, AbstractSet) else set(nodes)
+    done = len(nodeset)  # the index of a node once its component is out
     index: dict[Hashable, int] = {}
-    lowlink: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
+    low: dict[Hashable, int] = {}
     stack: list[Hashable] = []
     comps: list[list[Hashable]] = []
-    counter = 0
 
     for root in nodeset:
         if root in index:
             continue
-        work = [(root, iter([v for v in successors(root) if v in nodeset]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
+                if w not in nodeset:
+                    continue
                 if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([u for u in successors(w) if u in nodeset])))
-                    advanced = True
+                    work.append((w, iter(successors(w))))
                     break
-                elif w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                if index[w] < low[v]:  # never true once w's component is out
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
 
 

@@ -24,7 +24,7 @@ from .arena import (
     validate_lasso,
 )
 from .errors import CarefulSynthError, load_json, member
-from .unfolding import to_dot, unfold, unfolded_to_arena
+from .unfolding import checked_bounds, to_dot, unfold, unfolded_to_arena
 from .zerosum import ParityAutomaton, parse_dpa
 
 EXIT_POSITIVE = 0
@@ -186,6 +186,7 @@ def _cmd_mc(args) -> int:
     }
     pretty = None
     if bounds is not None:
+        bounds = checked_bounds(a, bounds)
         trace = lasso_trace(a, lasso, bounds=bounds)
         doc["energy"]["bounded"] = {
             "bounds": list(bounds),

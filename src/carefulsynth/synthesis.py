@@ -11,8 +11,9 @@ only a loser has a reason to deviate. A found lasso plus the losers'
 punishment tables form the equilibrium certificate; `check_certificate`
 checks it without the game solver and without building the unfolding, by
 an emptiness test per loser on the graph its table leaves. It shares with
-the solver only `unfolding.step` and the objective trackers, and steps
-only the unfolded states a deviation or a table entry reaches.
+the solver only `unfolding.step`, the objective trackers, their runs over
+a lasso and the SCC kernel, and steps only the unfolded states a
+deviation or a table entry reaches.
 """
 
 from __future__ import annotations
@@ -91,11 +92,13 @@ class WitnessProduct(NamedTuple):
     """The reachable, sink-free part of the unfolding in product with the
     system objective's Büchi automaton and a list of trackers. A node is
     (unfolded state, automaton state before the state's letter, tracker
-    states after it)."""
+    states after it); nodes are numbered once, and the search runs on the
+    numbers."""
 
-    initials: list
-    succ: dict  # node -> its successor nodes, in a deterministic order
-    priority: dict  # node -> (system priority, each tracker's priority)
+    nodes: list  # id -> node
+    initials: list  # ids
+    succ: list  # id -> its successor ids, in a deterministic order
+    priority: list  # id -> (system priority, each tracker's priority)
 
 
 def witness_product(
@@ -109,7 +112,7 @@ def witness_product(
     and the rest at 1, a tracker's states at their priorities. Each
     transition and priority is computed once per solve, whatever the
     number of product nodes that share it."""
-    labels = u.labels
+    labels = u.base.labels  # of base states; the search never enters the sink
 
     @cache
     def after(qs, letter):
@@ -123,30 +126,31 @@ def witness_product(
     def priority_of(q, qs):
         return (2 if q in system.accepting else 1, *[t.priority(x) for t, x in zip(trackers, qs)])
 
-    start = after(tuple(t.initial for t in trackers), labels(u.initial))
-    initials = [(u.initial, q, start) for q in sorted(system.initial)]
-    seen = set(initials)
-    stack = list(initials)
-    succ: dict = {}
-    while stack:
-        node = stack.pop()
-        s, q, qs = node
-        dsts = moves(q, labels(s))
-        succ[node] = out = []
+    start = after(tuple(t.initial for t in trackers), labels[u.initial[0]])
+    nodes = [(u.initial, q, start) for q in sorted(system.initial)]
+    initials = list(range(len(nodes)))
+    ids = {node: k for k, node in enumerate(nodes)}
+    succ = []
+    for s, q, qs in nodes:  # breadth-first: the list grows while it is read
+        dsts = moves(q, labels[s[0]])
+        out = []
         for t in u.succ[s]:
             if t is not BOT:
-                qt = after(qs, labels(t))
-                out += [(t, d, qt) for d in dsts]
-        for nxt in out:
-            if nxt not in seen:
-                if len(seen) >= max_product:
-                    raise BudgetExceededError(
-                        f"synchronous product exceeds the budget of {max_product}"
-                    )
-                seen.add(nxt)
-                stack.append(nxt)
-    priority = {node: priority_of(node[1], node[2]) for node in succ}
-    return WitnessProduct(initials, succ, priority)
+                qt = after(qs, labels[t[0]])
+                for d in dsts:
+                    nxt = (t, d, qt)
+                    k = ids.get(nxt)
+                    if k is None:
+                        if len(nodes) >= max_product:
+                            raise BudgetExceededError(
+                                f"synchronous product exceeds the budget of {max_product}"
+                            )
+                        k = ids[nxt] = len(nodes)
+                        nodes.append(nxt)
+                    out.append(k)
+        succ.append(out)
+    priority = [priority_of(q, qs) for _, q, qs in nodes]
+    return WitnessProduct(nodes, initials, succ, priority)
 
 
 class NoWitness(Exception):
@@ -158,7 +162,7 @@ def find_witness_lasso(
     winners: Sequence[int],
     forbidden: AbstractSet,
 ) -> tuple[tuple[UState, ...], tuple[UState, ...]]:
-    """Search `product`, without the nodes in `forbidden`, for a lasso that
+    """Search `product`, without the node ids in `forbidden`, for a lasso that
     the system automaton and the trackers at positions `winners` accept: a
     cycle whose top priority in each of those components is even, decided
     by SCC refinement. Returns (stem, loop) over unfolded states,
@@ -223,8 +227,8 @@ def find_witness_lasso(
     )
     loop_nodes.extend(back[:-1])
 
-    stem = tuple(node[0] for node in stem_path[:-1])
-    loop = tuple(node[0] for node in loop_nodes)
+    stem = tuple(product.nodes[k][0] for k in stem_path[:-1])
+    loop = tuple(product.nodes[k][0] for k in loop_nodes)
     if not stem:
         stem = loop  # plays are stem . loop^omega; keep the stem nonempty
     return stem, loop
@@ -309,9 +313,9 @@ def solve(
                 regions[i] = punish_region(u, i, a.objective_of(i), dpas.get(i))
                 win = regions[i].win
                 blocked[i] = {
-                    node
-                    for node in product.succ
-                    if u.owner(node[0]) == i and (node[0], node[2][i - 1]) in win
+                    k
+                    for k, (s, _, qs) in enumerate(product.nodes)
+                    if u.owner(s) == i and (s, qs[i - 1]) in win
                 }
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:

@@ -14,7 +14,6 @@ import itertools
 import random
 
 from carefulsynth import ltl
-from carefulsynth._graphs import strongly_connected_components
 from carefulsynth.arena import Arena, build_arena
 from carefulsynth.ltl import FragmentClass
 from carefulsynth.unfolding import BOT, UnfoldedArena, unfold
@@ -150,13 +149,25 @@ def _reach_states(succ, start, allowed=None):
     return seen
 
 
+def scc_partition(nodes, succ) -> list[set]:
+    """The strongly connected components of `succ` restricted to `nodes`,
+    as the classes of mutual reachability inside the set: quadratic, and
+    independent of the library's SCC kernel."""
+    nodes = set(nodes)
+    reach = {v: _reach_states(succ, v, allowed=nodes) for v in nodes}
+    comps: list[set] = []
+    placed: set = set()
+    for v in nodes:
+        if v not in placed:
+            comps.append({w for w in reach[v] if v in reach[w]})
+            placed |= comps[-1]
+    return comps
+
+
 def _cycle_states(nodes, succ):
     """States lying on some cycle inside the node set."""
     out = set()
-    for comp in strongly_connected_components(
-        nodes, lambda s: [t for t in succ[s] if t in nodes]
-    ):
-        cs = set(comp)
+    for cs in scc_partition(nodes, succ):
         if len(cs) > 1 or any(s in succ[s] for s in cs):
             out |= cs
     return out
@@ -197,10 +208,7 @@ def oracle_fragment_region(g: ZeroSumGame, kind: str, beta: ltl.Formula) -> set:
                     continue  # settle in a target-free cycle
             elif kind == FragmentClass.COBUCHI:
                 violated = False
-                for comp in strongly_connected_components(
-                    r, lambda v: [t for t in succ[v] if t in r]
-                ):
-                    cs = set(comp)
+                for cs in scc_partition(r, succ):
                     nontrivial = len(cs) > 1 or any(x in succ[x] for x in cs)
                     if nontrivial and any(not sat[x] for x in cs):
                         violated = True  # a cycle through a non-target state
@@ -243,10 +251,7 @@ def oracle_parity_region(g: ZeroSumGame, priority) -> set:
                 if p % 2 == 0:
                     continue
                 sub = {x for x in r if priority[x] <= p}
-                for comp in strongly_connected_components(
-                    sub, lambda v: [t for t in succ[v] if t in sub]
-                ):
-                    cs = set(comp)
+                for cs in scc_partition(sub, succ):
                     nontrivial = len(cs) > 1 or any(x in succ[x] for x in cs)
                     if nontrivial and any(priority[x] == p for x in cs):
                         violated = True

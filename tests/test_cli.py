@@ -308,6 +308,14 @@ def test_mc_bounded_energy_report(fig1_path, lasso_file, capsys):
     assert bounded["trace"][-1] == [0, 0]
 
 
+@pytest.mark.parametrize("bounds", ["3", "3,3,3"])
+def test_mc_bounds_of_the_wrong_length_are_an_error(fig1_path, lasso_file, capsys, bounds):
+    code, out, err = _run(capsys, "mc", fig1_path, lasso_file, "F circ", "--bounds", bounds)
+    assert code == EXIT_ERROR
+    assert "bounds must be 2 nonnegative components" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -51,7 +51,7 @@ def _search(u, system, requirements, forbidden_states=frozenset()):
     """The witness search for `system` with every requirement's tracker a
     winner, every node at a state of `forbidden_states` forbidden."""
     product = witness_product(u, ltl.to_nba(system), [objective_tracker(f) for f in requirements])
-    forbidden = {node for node in product.succ if node[0] in forbidden_states}
+    forbidden = {k for k, node in enumerate(product.nodes) if node[0] in forbidden_states}
     return find_witness_lasso(product, range(len(requirements)), forbidden)
 
 
@@ -73,7 +73,9 @@ def test_witness_respects_forbidden_deviation_states(fig1):
         ltl.to_nba(ltl.parse_ltl("F circ")),
         [objective_tracker(ltl.parse_ltl("F box")), objective_tracker(fig1.objective_of(3))],
     )
-    forbidden = {n for n in product.succ if u.owner(n[0]) == 3 and (n[0], n[2][1]) in r3.win}
+    forbidden = {
+        k for k, n in enumerate(product.nodes) if u.owner(n[0]) == 3 and (n[0], n[2][1]) in r3.win
+    }
     stem, loop = find_witness_lasso(product, [0], forbidden)
     assert tuple(us[0] for us in stem) == GOLDEN_STEM
     assert tuple(us[0] for us in loop) == GOLDEN_LOOP
@@ -117,6 +119,52 @@ def test_witness_search_budget(fig1):
     u = unfold(fig1, (3, 3))
     with pytest.raises(BudgetExceededError):
         witness_product(u, ltl.to_nba(ltl.parse_ltl("F circ")), [], max_product=3)
+
+
+def _check_product_laws(u, system, trackers):
+    """The numbered product against one built here from `u.succ`,
+    `ltl.guard_matches` and the trackers, node by node."""
+    nba = ltl.to_nba(system)
+    product = witness_product(u, nba, trackers)
+    nodes = product.nodes
+    assert len(set(nodes)) == len(nodes) == len(product.succ) == len(product.priority)
+    letter = u.labels
+    start = tuple(t.step(t.initial, letter(u.initial)) for t in trackers)
+    assert [nodes[k] for k in product.initials] == [
+        (u.initial, q, start) for q in sorted(nba.initial)
+    ]
+    reached = set(product.initials)
+    for k, (s, q, qs) in enumerate(nodes):
+        dsts = sorted({tr.dst for tr in nba.transitions[q] if ltl.guard_matches(tr, letter(s))})
+        expected = [
+            (t, d, tuple(tr.step(x, letter(t)) for tr, x in zip(trackers, qs)))
+            for t in u.succ[s]
+            if t is not BOT
+            for d in dsts
+        ]
+        assert [nodes[j] for j in product.succ[k]] == expected
+        assert product.priority[k] == (
+            2 if q in nba.accepting else 1,
+            *[tr.priority(x) for tr, x in zip(trackers, qs)],
+        )
+        reached.update(product.succ[k])
+    assert reached == set(range(len(nodes)))  # every node is reachable
+    witness_product(u, nba, trackers, max_product=len(nodes))
+    if len(nodes) > len(product.initials):  # only a node found after them can exceed it
+        with pytest.raises(BudgetExceededError):
+            witness_product(u, nba, trackers, max_product=len(nodes) - 1)
+    return len(nodes)
+
+
+def test_witness_product_laws(fig1):
+    trackers = [objective_tracker(fig1.objective_of(i)) for i in range(1, fig1.players + 1)]
+    _check_product_laws(unfold(fig1, (3, 3)), fig1.system_objective, trackers)
+    checked = 0
+    for seed in range(100):
+        a, bounds = random_fragment_arena(random.Random(seed))
+        trackers = [objective_tracker(a.objective_of(i)) for i in range(1, a.players + 1)]
+        checked += _check_product_laws(unfold(a, bounds), a.system_objective, trackers) > 1
+    assert checked >= 50
 
 
 # ---------------------------------------------------------------------------
