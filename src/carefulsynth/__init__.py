@@ -51,6 +51,7 @@ from .synthesis import (
     profile_to_document,
     result_to_document,
     solve,
+    system_component,
     witness_product,
 )
 from .unfolding import BOT, UnfoldedArena, lift, project, unfold

@@ -9,6 +9,7 @@ Output documents are UTF-8 JSON on stdout; warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -229,6 +230,7 @@ def _cmd_stats(args) -> int:
     return EXIT_POSITIVE
 
 
+@functools.cache  # once per process: building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carefulsynth",

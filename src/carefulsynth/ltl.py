@@ -403,7 +403,6 @@ class NBA:
     initial: frozenset[int]
     transitions: tuple[tuple[NbaTransition, ...], ...]  # indexed by source
     accepting: frozenset[int]
-    atoms: frozenset[str]
 
 
 def guard_matches(tr: NbaTransition, letter: frozenset[str]) -> bool:
@@ -445,15 +444,8 @@ def to_nba(phi: Formula) -> NBA:
         frozenset(index[s] for s in states if g not in s or g.right in s)
         for g in untils
     ]
-    nba = NBA(
-        n_states=len(states),
-        initial=initial,
-        transitions=tuple(tuple(t) for t in trans),
-        accepting=frozenset(range(len(states))),
-        atoms=atoms_of(phi),
-    )
-    nba = _degeneralize(nba, acc_sets)
-    return _reachable_part(nba)
+    nba = NBA(len(states), initial, tuple(tuple(t) for t in trans), frozenset(range(len(states))))
+    return _reachable_part(_degeneralize(nba, acc_sets))
 
 
 def _closure(f: Formula) -> list[Formula]:
@@ -527,7 +519,7 @@ def _degeneralize(nba: NBA, acc_sets: list[frozenset[int]]) -> NBA:
         return nba
     m = len(acc_sets)
     if m == 1:
-        return NBA(nba.n_states, nba.initial, nba.transitions, acc_sets[0], nba.atoms)
+        return NBA(nba.n_states, nba.initial, nba.transitions, acc_sets[0])
     # counter construction: layer advances when the current layer's set is hit
     idx: dict[tuple[int, int], int] = {}
     for q in range(nba.n_states):
@@ -541,13 +533,10 @@ def _degeneralize(nba: NBA, acc_sets: list[frozenset[int]]) -> NBA:
                 trans[idx[(q, i)]].append(NbaTransition(tr.pos, tr.neg, idx[(tr.dst, ni)]))
     initial = frozenset(idx[(q, 0)] for q in nba.initial)
     accepting = frozenset(idx[(q, 0)] for q in acc_sets[0])
-    return NBA(len(idx), initial, tuple(tuple(t) for t in trans), accepting, nba.atoms)
+    return NBA(len(idx), initial, tuple(tuple(t) for t in trans), accepting)
 
 
 def _reachable_part(nba: NBA) -> NBA:
-    if not nba.initial:
-        # empty language; keep one dead state to satisfy the shape invariant
-        return NBA(1, frozenset({0}), ((),), frozenset(), nba.atoms)
     seen = set(nba.initial)
     stack = list(nba.initial)
     while stack:
@@ -567,7 +556,6 @@ def _reachable_part(nba: NBA) -> NBA:
         frozenset(remap[q] for q in nba.initial),
         trans,
         frozenset(remap[q] for q in nba.accepting if q in seen),
-        nba.atoms,
     )
 
 

@@ -2,8 +2,9 @@
 
 Pipeline: unfold the arena, build each player's objective tracker, and
 build once the product of the sink-free unfolding with the system
-objective's Büchi automaton and every player's tracker. For each candidate
-winner set, search that product for a lasso that the system automaton and
+objective's tracker (its tableau automaton outside the fragments) and every
+player's tracker, each read after a state's letter. For each candidate
+winner set, search that product for a lasso that the system's component and
 every winner's tracker accept, without the nodes where a loser owns the
 state and its punishment region holds (state, its tracker state there). A
 player's punishment region is solved the first time it is a loser, since
@@ -88,57 +89,68 @@ class SolveResult:
 # Witness search
 
 
+def system_component(phi: ltl.Formula) -> Tracker:
+    """The system objective as a witness-product component whose `step`
+    lists its states after a letter: a fragment objective's tracker, else
+    its tableau automaton read from the pre-state None, accepting states at
+    priority 2 and the rest at 1 (the only path for general LTL)."""
+    if ltl.classify_fragment(phi).kind != ltl.FragmentClass.GENERAL:
+        tracker = objective_tracker(phi)
+        return Tracker(tracker.initial, lambda q, x: [tracker.step(q, x)], tracker.priority)
+    nba = ltl.to_nba(phi)
+
+    def step(q, letter):
+        trs = [tr for p in (nba.initial if q is None else (q,)) for tr in nba.transitions[p]]
+        return sorted({tr.dst for tr in trs if ltl.guard_matches(tr, letter)})
+
+    return Tracker(None, step, lambda q: 2 if q in nba.accepting else 1)
+
+
 class WitnessProduct(NamedTuple):
     """The reachable, sink-free part of the unfolding in product with the
-    system objective's Büchi automaton and a list of trackers. A node is
-    (unfolded state, automaton state before the state's letter, tracker
-    states after it); nodes are numbered once, and the search runs on the
-    numbers."""
+    system's component and a list of trackers. A node is (unfolded state,
+    each component's state after reading the state's letter, the system's
+    first); nodes are numbered once, and the search runs on the numbers."""
 
     nodes: list  # id -> node
     initials: list  # ids
     succ: list  # id -> its successor ids, in a deterministic order
-    priority: list  # id -> (system priority, each tracker's priority)
+    priority: list  # id -> each component's priority, the system's first
 
 
 def witness_product(
     u: UnfoldedArena,
-    system: ltl.NBA,
+    system: Tracker,
     trackers: Sequence[Tracker],
     max_product: int = DEFAULT_PRODUCT_BUDGET,
 ) -> WitnessProduct:
     """Build the product once; every winner set is searched on it. Each
-    component is a parity condition: the automaton's accepting states at 2
-    and the rest at 1, a tracker's states at their priorities. Each
-    transition and priority is computed once per solve, whatever the
-    number of product nodes that share it."""
+    component is a parity condition on its states' priorities; the system's
+    `step` lists its states after a letter (see `system_component`). Each
+    transition and priority is computed once per solve, whatever the number
+    of product nodes that share it."""
     labels = u.base.labels  # of base states; the search never enters the sink
 
     @cache
     def after(qs, letter):
-        return tuple([t.step(q, letter) for t, q in zip(trackers, qs)])
+        rest = [t.step(q, letter) for t, q in zip(trackers, qs[1:])]
+        return [(q, *rest) for q in system.step(qs[0], letter)]
 
     @cache
-    def moves(q, letter):
-        return sorted({tr.dst for tr in system.transitions[q] if ltl.guard_matches(tr, letter)})
+    def priority_of(qs):
+        return (system.priority(qs[0]), *[t.priority(q) for t, q in zip(trackers, qs[1:])])
 
-    @cache
-    def priority_of(q, qs):
-        return (2 if q in system.accepting else 1, *[t.priority(x) for t, x in zip(trackers, qs)])
-
-    start = after(tuple(t.initial for t in trackers), labels[u.initial[0]])
-    nodes = [(u.initial, q, start) for q in sorted(system.initial)]
+    start = (system.initial, *[t.initial for t in trackers])
+    nodes = [(u.initial, qs) for qs in after(start, labels[u.initial[0]])]
     initials = list(range(len(nodes)))
     ids = {node: k for k, node in enumerate(nodes)}
     succ = []
-    for s, q, qs in nodes:  # breadth-first: the list grows while it is read
-        dsts = moves(q, labels[s[0]])
+    for s, qs in nodes:  # breadth-first: the list grows while it is read
         out = []
         for t in u.succ[s]:
             if t is not BOT:
-                qt = after(qs, labels[t[0]])
-                for d in dsts:
-                    nxt = (t, d, qt)
+                for qt in after(qs, labels[t[0]]):
+                    nxt = (t, qt)
                     k = ids.get(nxt)
                     if k is None:
                         if len(nodes) >= max_product:
@@ -149,7 +161,7 @@ def witness_product(
                         nodes.append(nxt)
                     out.append(k)
         succ.append(out)
-    priority = [priority_of(q, qs) for _, q, qs in nodes]
+    priority = [priority_of(qs) for _, qs in nodes]
     return WitnessProduct(nodes, initials, succ, priority)
 
 
@@ -163,15 +175,15 @@ def find_witness_lasso(
     forbidden: AbstractSet,
 ) -> tuple[tuple[UState, ...], tuple[UState, ...]]:
     """Search `product`, without the node ids in `forbidden`, for a lasso that
-    the system automaton and the trackers at positions `winners` accept: a
-    cycle whose top priority in each of those components is even, decided
+    the system's component and the trackers at positions `winners` accept:
+    a cycle whose top priority in each of those components is even, decided
     by SCC refinement. Returns (stem, loop) over unfolded states,
     deterministically minimized (shortest stem first, then a loop through
     one top-priority node per component). Raises NoWitness naming why
-    none exists: the initial state is forbidden, the restricted product
-    has no cycle, or no SCC is accepting."""
+    none exists: every initial node is forbidden, the restricted product
+    has no cycle (or no node at all), or no SCC is accepting."""
     initials = [n for n in product.initials if n not in forbidden]
-    if not initials:
+    if product.initials and not initials:
         raise NoWitness("initial state forbidden")
     successors, prio = product.succ.__getitem__, product.priority
     seen, stack = set(initials), list(initials)
@@ -301,7 +313,7 @@ def solve(
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
     product = witness_product(
-        u, ltl.to_nba(a.system_objective), [trackers[i] for i in players], max_product
+        u, system_component(a.system_objective), [trackers[i] for i in players], max_product
     )
     regions = {}  # a player's punishment region, solved when it first loses
     blocked = {}  # a loser's own nodes from which it could deviate and still win
@@ -314,8 +326,8 @@ def solve(
                 win = regions[i].win
                 blocked[i] = {
                     k
-                    for k, (s, _, qs) in enumerate(product.nodes)
-                    if u.owner(s) == i and (s, qs[i - 1]) in win
+                    for k, (s, qs) in enumerate(product.nodes)
+                    if u.owner(s) == i and (s, qs[i]) in win
                 }
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:

@@ -349,29 +349,41 @@ class OracleTooBig(Exception):
     pass
 
 
+def _conjuncts(phi: ltl.Formula) -> list:
+    if isinstance(phi, ltl.And):
+        return _conjuncts(phi.left) + _conjuncts(phi.right)
+    return [phi]
+
+
 def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
-    """Reference decision for arenas whose objectives are all `F β` or
-    `G β`: enumerate every simple lasso of the sink-free unfolding in
-    product with one flag per objective (β seen for `F`, β failed for `G`),
-    and test the equilibrium conditions with independently recomputed
-    deviation regions, each read at the flag the outcome carries. Flags only
-    rise, so they are constant on a loop and decide who wins; and every
-    equilibrium outcome leaves such a lasso inside the nodes it visits."""
+    """Reference decision for arenas whose player objectives are all `F β`
+    or `G β`, and whose system objective is one of them or a conjunction of
+    them: enumerate every simple lasso of the sink-free unfolding in
+    product with one flag per player objective and per system conjunct (β
+    seen for `F`, β failed for `G`), and test the equilibrium conditions
+    with independently recomputed deviation regions, each read at the flag
+    the outcome carries. Flags only rise, so they are constant on a loop and
+    decide who wins; and every equilibrium outcome leaves such a lasso
+    inside the nodes it visits."""
     u = unfold(a, bounds)
     players = range(1, a.players + 1)
-    frags = [ltl.classify_fragment(f) for f in (a.system_objective, *map(a.objective_of, players))]
+    system = _conjuncts(a.system_objective)
+    frags = [ltl.classify_fragment(f) for f in (*system, *map(a.objective_of, players))]
+    if any(f.kind not in (FragmentClass.REACH, FragmentClass.SAFE) for f in frags):
+        raise ValueError("an objective is not F beta or G beta")
     reach = [f.kind == FragmentClass.REACH for f in frags]
     wins = {i: oracle_deviator_region(u, i, a.objective_of(i)) for i in players}
+    m = len(system) - 1  # player i's flag is at position m + i
 
     def node(flags, s):
         return s, tuple(_oracle_flag(u, f, flag, s) for flag, f in zip(flags, frags))
 
     def supportable(path):
         good = [flag == r for flag, r in zip(path[-1][1], reach)]
-        if not good[0]:
+        if not all(good[: m + 1]):
             return False
         return not any(
-            not good[i] and u.owner(s) == i and s in wins[i][flags[i]]
+            not good[m + i] and u.owner(s) == i and s in wins[i][flags[m + i]]
             for s, flags in path
             for i in players
         )

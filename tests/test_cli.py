@@ -403,6 +403,17 @@ def test_dpa_flag_with_a_non_numeric_player_is_an_error(fig1_path, tmp_path, cap
     assert "--dpa expects player=file" in err
 
 
+def test_a_dpa_flag_does_not_carry_over_to_the_next_run(fig1_path, tmp_path, capsys):
+    # the parser is built once per process, so each run must start from its
+    # defaults: an unreadable automaton given once fails that run only
+    dpa_path = tmp_path / "dpa.json"
+    dpa_path.write_text("{}")
+    code, _, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3", "--dpa", f"1={dpa_path}")
+    assert code == EXIT_ERROR
+    golden = fig1_path.with_name("fig1-3-3.solution.json").read_text(encoding="utf-8")
+    assert _run(capsys, "solve", fig1_path, "--bounds", "3,3")[:2] == (EXIT_POSITIVE, golden)
+
+
 def _one_state_document():
     return {
         "players": 1,

@@ -8,13 +8,11 @@ traceback exits 1, which the CLI reserves for a negative verdict. The
 cases are enumerated exhaustively, so the test is deterministic.
 """
 
-import functools
 import json
 import pathlib
 
 import pytest
 
-from carefulsynth import cli
 from carefulsynth.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run
 
 from corpus import CORPUS
@@ -82,9 +80,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("kind", list(CASES))
-def test_single_field_mutations_end_in_an_exit_code(kind, tmp_path, capsys, monkeypatch):
-    # one parser for every run: building it takes most of a short run's time
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_single_field_mutations_end_in_an_exit_code(kind, tmp_path, capsys):
     valid, command = CASES[kind]
     path = tmp_path / "document.json"
     argv = [a.replace("{doc}", str(path)) for a in command]

@@ -18,6 +18,7 @@ from carefulsynth.synthesis import (
     profile_to_document,
     result_to_document,
     solve,
+    system_component,
     tracker_accepts,
     witness_product,
 )
@@ -50,7 +51,9 @@ GOLDEN_TRACE = ((0, 0), (2, 1), (3, 2), (3, 3), (3, 2), (1, 1), (0, 0))
 def _search(u, system, requirements, forbidden_states=frozenset()):
     """The witness search for `system` with every requirement's tracker a
     winner, every node at a state of `forbidden_states` forbidden."""
-    product = witness_product(u, ltl.to_nba(system), [objective_tracker(f) for f in requirements])
+    product = witness_product(
+        u, system_component(system), [objective_tracker(f) for f in requirements]
+    )
     forbidden = {k for k, node in enumerate(product.nodes) if node[0] in forbidden_states}
     return find_witness_lasso(product, range(len(requirements)), forbidden)
 
@@ -70,11 +73,11 @@ def test_witness_respects_forbidden_deviation_states(fig1):
     r3 = punish_region(u, 3, fig1.objective_of(3))
     product = witness_product(
         u,
-        ltl.to_nba(ltl.parse_ltl("F circ")),
+        system_component(ltl.parse_ltl("F circ")),
         [objective_tracker(ltl.parse_ltl("F box")), objective_tracker(fig1.objective_of(3))],
     )
     forbidden = {
-        k for k, n in enumerate(product.nodes) if u.owner(n[0]) == 3 and (n[0], n[2][1]) in r3.win
+        k for k, n in enumerate(product.nodes) if u.owner(n[0]) == 3 and (n[0], n[1][2]) in r3.win
     }
     stem, loop = find_witness_lasso(product, [0], forbidden)
     assert tuple(us[0] for us in stem) == GOLDEN_STEM
@@ -88,77 +91,100 @@ def test_contradictory_requirements_have_no_witness(fig1):
 
 
 def test_witness_search_agrees_with_loop_set_enumeration():
-    # the first requirement is the system objective, the rest are winners
-    positives = 0
+    # the first requirement is the system objective, the rest are winners;
+    # every third seed the first two together are the system objective, a
+    # general formula that the search reads through its tableau automaton
+    positives = collections.Counter()
     for seed in range(600):
         rng = random.Random(seed)
+        general = seed % 3 == 0
         a, bounds = random_fragment_arena(rng)
         u = unfold(a, bounds)
         forbidden = {s for s in u.states if rng.random() < 0.2}
-        formulas = [random_fragment(rng, ARENA_ATOMS) for _ in range(rng.randrange(1, 4))]
+        n = rng.randrange(1 + general, 4)
+        formulas = [random_fragment(rng, ARENA_ATOMS) for _ in range(n)]
         try:
             expected = oracle_witness_exists(u, formulas, forbidden)
         except OracleTooBig:
             continue
+        system, requirements = formulas[0], formulas[1:]
+        if general:
+            system, requirements = ltl.And(formulas[0], formulas[1]), formulas[2:]
+            assert ltl.classify_fragment(system).kind == ltl.FragmentClass.GENERAL
         try:
-            stem, loop = _search(u, formulas[0], formulas[1:], forbidden)
+            stem, loop = _search(u, system, requirements, forbidden)
         except NoWitness:
             assert not expected, seed
             continue
         assert expected, seed
-        positives += 1
+        positives[general] += 1
         path = stem + loop + loop[:1]
         assert stem[0] == u.initial and not forbidden & set(path), seed
         assert all(t in u.succ[s] and t is not BOT for s, t in zip(path, path[1:])), seed
         labels = [u.labels(s) for s in stem], [u.labels(s) for s in loop]
         assert all(ltl.eval_on_lasso(f, *labels) for f in formulas), seed
-    assert positives >= 50
+    assert positives[False] >= 50 and positives[True] >= 10
 
 
 def test_witness_search_budget(fig1):
     u = unfold(fig1, (3, 3))
     with pytest.raises(BudgetExceededError):
-        witness_product(u, ltl.to_nba(ltl.parse_ltl("F circ")), [], max_product=3)
+        witness_product(u, system_component(ltl.parse_ltl("F circ")), [], max_product=3)
 
 
 def _check_product_laws(u, system, trackers):
-    """The numbered product against one built here from `u.succ`,
-    `ltl.guard_matches` and the trackers, node by node."""
-    nba = ltl.to_nba(system)
-    product = witness_product(u, nba, trackers)
+    """The numbered product against one built here, node by node, from
+    `u.succ`, the trackers and the system objective: its own tracker in the
+    fragments, else its tableau automaton stepped by `ltl.guard_matches`
+    from the initial states on the first letter."""
+    if ltl.classify_fragment(system).kind == ltl.FragmentClass.GENERAL:
+        nba = ltl.to_nba(system)
+
+        def system_after(q, letter):
+            trs = [tr for p in (nba.initial if q is None else [q]) for tr in nba.transitions[p]]
+            return sorted({tr.dst for tr in trs if ltl.guard_matches(tr, letter)})
+
+        system_start, system_priority = None, lambda q: 2 if q in nba.accepting else 1
+    else:
+        tracker = objective_tracker(system)
+        system_start, system_priority = tracker.initial, tracker.priority
+
+        def system_after(q, letter):
+            return [tracker.step(q, letter)]
+
+    def after(qs, t):  # the nodes at unfolded state t after the node states qs
+        rest = tuple(tr.step(x, u.labels(t)) for tr, x in zip(trackers, qs[1:]))
+        return [(t, (q, *rest)) for q in system_after(qs[0], u.labels(t))]
+
+    component = system_component(system)
+    product = witness_product(u, component, trackers)
     nodes = product.nodes
     assert len(set(nodes)) == len(nodes) == len(product.succ) == len(product.priority)
-    letter = u.labels
-    start = tuple(t.step(t.initial, letter(u.initial)) for t in trackers)
-    assert [nodes[k] for k in product.initials] == [
-        (u.initial, q, start) for q in sorted(nba.initial)
-    ]
+    start = (system_start, *[tr.initial for tr in trackers])
+    assert [nodes[k] for k in product.initials] == after(start, u.initial)
     reached = set(product.initials)
-    for k, (s, q, qs) in enumerate(nodes):
-        dsts = sorted({tr.dst for tr in nba.transitions[q] if ltl.guard_matches(tr, letter(s))})
-        expected = [
-            (t, d, tuple(tr.step(x, letter(t)) for tr, x in zip(trackers, qs)))
-            for t in u.succ[s]
-            if t is not BOT
-            for d in dsts
-        ]
+    for k, (s, qs) in enumerate(nodes):
+        expected = [n for t in u.succ[s] if t is not BOT for n in after(qs, t)]
         assert [nodes[j] for j in product.succ[k]] == expected
         assert product.priority[k] == (
-            2 if q in nba.accepting else 1,
-            *[tr.priority(x) for tr, x in zip(trackers, qs)],
+            system_priority(qs[0]),
+            *[tr.priority(x) for tr, x in zip(trackers, qs[1:])],
         )
         reached.update(product.succ[k])
     assert reached == set(range(len(nodes)))  # every node is reachable
-    witness_product(u, nba, trackers, max_product=len(nodes))
+    witness_product(u, component, trackers, max_product=len(nodes))
     if len(nodes) > len(product.initials):  # only a node found after them can exceed it
         with pytest.raises(BudgetExceededError):
-            witness_product(u, nba, trackers, max_product=len(nodes) - 1)
+            witness_product(u, component, trackers, max_product=len(nodes) - 1)
     return len(nodes)
 
 
 def test_witness_product_laws(fig1):
     trackers = [objective_tracker(fig1.objective_of(i)) for i in range(1, fig1.players + 1)]
-    _check_product_laws(unfold(fig1, (3, 3)), fig1.system_objective, trackers)
+    u = unfold(fig1, (3, 3))
+    _check_product_laws(u, fig1.system_objective, trackers)
+    # a general objective: its tableau automaton has more than one choice
+    assert _check_product_laws(u, ltl.parse_ltl("F (circ & X box) | G ! diam"), trackers) > 12
     checked = 0
     for seed in range(100):
         a, bounds = random_fragment_arena(random.Random(seed))
@@ -199,7 +225,7 @@ def _small_arena(owned, labels, edges, system, objective):
     return parse_arena(json.dumps({
         "players": 1,
         "dimensions": 1,
-        "atoms": ["p"],
+        "atoms": ["p", "q"],
         "states": [{"id": s, "owner": 1, "labels": labels.get(s, [])} for s in owned],
         "initial": owned[0],
         "edges": [{"src": a, "dst": b, "cost": [c]} for a, b, c in edges],
@@ -207,7 +233,7 @@ def _small_arena(owned, labels, edges, system, objective):
     }))
 
 
-@pytest.mark.parametrize("case", ["fig1", "forbidden", "acyclic"])
+@pytest.mark.parametrize("case", ["fig1", "forbidden", "acyclic", "unreadable"])
 def test_each_failed_winner_set_names_its_cause(fig1, case):
     if case == "fig1":
         # at (10,10) cycles survive every winner set's restriction, but none
@@ -220,9 +246,14 @@ def test_each_failed_winner_set_names_its_cause(fig1, case):
         edges = [("x", "x", 0), ("x", "y", 0), ("y", "y", 0)]
         a, bounds = _small_arena(["x", "y"], {"y": ["p"]}, edges, "G !p", "F p"), (0,)
         expected = {(1,): "no accepting SCC", (): "initial state forbidden"}
-    else:
+    elif case == "acyclic":
         # the only move underflows
         a, bounds = _small_arena(["x"], {}, [("x", "x", -1)], "true", "true"), (0,)
+        expected = {w: "no cycle in the restricted product" for w in [(1,), ()]}
+    else:
+        # the system's automaton cannot read the first letter, so the product
+        # has no node; no region makes the loser win, so nothing is forbidden
+        a, bounds = _small_arena(["x"], {}, [("x", "x", 0)], "p", "F q"), (0,)
         expected = {w: "no cycle in the restricted product" for w in [(1,), ()]}
     result = solve(a, bounds)
     assert result.status == SolveResult.NO_SOLUTION
@@ -744,12 +775,25 @@ def test_solve_agrees_with_lasso_enumeration(seed):
         assert check_certificate(a, bounds, result.profile) == []
 
 
+def _conjunction_system_arena(seed):
+    """A random arena with F and G objectives whose system objective is the
+    conjunction of two of them, outside the fragments."""
+    rng = random.Random(seed)
+    a, bounds = random_fragment_arena(rng, REACH_SAFE_SHAPES)
+    system = ltl.And(a.system_objective, random_fragment(rng, ARENA_ATOMS, REACH_SAFE_SHAPES))
+    return dataclasses.replace(a, system_objective=system), bounds
+
+
 def test_solve_agrees_with_lasso_enumeration_on_f_and_g_objectives():
     # a loser's region must be read at the flag the outcome carries: the
-    # late-loser arenas first, then random arenas with F and G objectives
+    # late-loser arenas first, then random arenas with F and G objectives,
+    # then with a conjunction of them as the system objective, which the
+    # witness search reads through its tableau automaton
     cases = [(_late_loser_arena("G !p", "F p"), (1,)), (_late_loser_arena("F p", "G !p"), (1,))]
     cases += [random_fragment_arena(random.Random(seed), REACH_SAFE_SHAPES) for seed in range(400)]
+    cases += [_conjunction_system_arena(seed) for seed in range(400, 600)]
     checked = solved = 0
+    general = collections.Counter()
     for k, (a, bounds) in enumerate(cases):
         try:
             expected = oracle_solution_exists(a, bounds, cap=30_000)  # skips 3 slow arenas
@@ -757,11 +801,15 @@ def test_solve_agrees_with_lasso_enumeration_on_f_and_g_objectives():
             continue
         result = solve(a, bounds)
         assert (result.status == SolveResult.SOLUTION) == expected, k
+        is_general = isinstance(a.system_objective, ltl.And)
         if result.profile is not None:
             assert check_certificate(a, bounds, result.profile) == [], k
             solved += 1
+            general["solved"] += is_general
         checked += 1
+        general["checked"] += is_general
     assert checked >= 300 and solved >= 100
+    assert general["checked"] >= 150 and general["solved"] >= 20, general
 
 
 # ---------------------------------------------------------------------------
