@@ -34,8 +34,10 @@ def main() -> int:
         dt = time.perf_counter() - t0
         if result.status == SolveResult.SOLUTION:
             p = result.profile
-            stem = " ".join(render_ustate(us) for us in p.outcome_stem)
-            loop = " ".join(render_ustate(us) for us in p.outcome_loop)
+            o = p.outcome
+            ustates = [render_ustate(us) for us in zip(o.stem + o.loop, o.trace)]
+            stem = " ".join(ustates[: len(o.stem)])
+            loop = " ".join(ustates[len(o.stem):])
             issues = check_certificate(arena, bounds, p)
             print(f"B={bounds}: solution in {dt * 1000:.1f} ms")
             print(f"  stem: {stem}")

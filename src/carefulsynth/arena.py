@@ -306,10 +306,9 @@ def cost_of_history(arena: Arena, h: History) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def validate_lasso(arena: Arena, l: Lasso, bounds: Optional[Sequence[int]] = None) -> None:
-    """Structural validation; with `bounds` (or arena bounds) present the
-    cached trace is checked against saturating recomputation, else against
-    the plain sum."""
+def validate_lasso(arena: Arena, l: Lasso) -> None:
+    """Structural validation; a cached trace is checked against the plain
+    (unbounded) sum."""
     validate_history(arena, l.stem)
     if not l.loop:
         raise DocumentSemanticError("lasso loop is empty")
@@ -317,25 +316,17 @@ def validate_lasso(arena: Arena, l: Lasso, bounds: Optional[Sequence[int]] = Non
     for a, b in zip(cycle, cycle[1:]):
         if (a, b) not in arena.edges:
             raise DocumentSemanticError(f"({a!r}, {b!r}) is not an edge")
-    if l.trace is not None:
-        expected = lasso_trace(arena, l, bounds)
-        if tuple(l.trace) != expected:
-            raise DocumentSemanticError("cached resource trace does not match recomputation")
+    if l.trace is not None and tuple(l.trace) != lasso_trace(arena, l):
+        raise DocumentSemanticError("cached resource trace does not match recomputation")
 
 
-def lasso_trace(
-    arena: Arena, l: Lasso, bounds: Optional[Sequence[int]] = None
-) -> tuple[tuple[int, ...], ...]:
-    b = tuple(bounds) if bounds is not None else arena.bounds
+def lasso_trace(arena: Arena, l: Lasso) -> tuple[tuple[int, ...], ...]:
+    """The cumulative (unbounded) cost at each position of stem + loop."""
     seq = list(l.stem) + list(l.loop)
     acc = [0] * arena.dimensions
     out = [tuple(acc)]
     for x, y in zip(seq, seq[1:]):
-        cost = arena.edges[(x, y)]
-        if b is None:
-            _checked_add(acc, cost)
-        else:
-            acc = [min(acc[i] + cost[i], b[i]) for i in range(arena.dimensions)]
+        _checked_add(acc, arena.edges[(x, y)])
         out.append(tuple(acc))
     return tuple(out)
 

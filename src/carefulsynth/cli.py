@@ -18,14 +18,13 @@ from . import ltl, reduction, synthesis
 from .arena import (
     Arena,
     Lasso,
-    lasso_trace,
     multi_energy_check_unbounded,
     parse_arena,
     serialize_arena,
     validate_lasso,
 )
-from .errors import CarefulSynthError, load_json, member
-from .unfolding import checked_bounds, to_dot, unfold, unfolded_to_arena
+from .errors import CarefulSynthError, UnderflowError, load_json, member
+from .unfolding import checked_bounds, lift, render_ustate, to_dot, unfold, unfolded_to_arena
 from .zerosum import ParityAutomaton, parse_dpa
 
 EXIT_POSITIVE = 0
@@ -103,10 +102,10 @@ def _saturation_caveat(result: synthesis.SolveResult) -> None:
 
 def _pretty_outcome(profile: synthesis.StrategyProfile) -> str:
     lines = ["", "outcome (state @ resources):"]
-    from .unfolding import render_ustate
-
-    stem = " ".join(render_ustate(us) for us in profile.outcome_stem)
-    loop = " ".join(render_ustate(us) for us in profile.outcome_loop)
+    o = profile.outcome
+    ustates = [render_ustate(us) for us in zip(o.stem + o.loop, o.trace)]
+    stem = " ".join(ustates[: len(o.stem)])
+    loop = " ".join(ustates[len(o.stem):])
     lines.append(f"  stem: {stem}")
     lines.append(f"  loop: ({loop})^omega")
     lines.append(f"  winners: {sorted(profile.winners)}")
@@ -172,6 +171,27 @@ def _parse_lasso_document(text: str) -> Lasso:
     )
 
 
+def _bounded_careful(a: Arena, bounds: tuple[int, ...], lasso: Lasso) -> tuple[bool, list]:
+    """Whether the play stem . loop^omega never enters the sink under
+    `bounds`, and the unfolded states of stem + loop before the sink.
+
+    Per resource, one pass of the loop maps the vector x at its head to
+    min(x + W, M), W the loop's net cost: with W >= 0 the head never falls
+    again after the first pass, with W < 0 it falls by |W| on every pass.
+    So two passes and the closing edge decide it: no underflow on them, and
+    the head after the second pass is nowhere below the head after the
+    first."""
+    stem, loop = list(lasso.stem), list(lasso.loop)
+    n = len(stem) + len(loop)
+    path = stem + loop + loop + loop[:1]
+    try:
+        ustates = lift(a, bounds, path)
+    except UnderflowError as e:
+        return False, lift(a, bounds, e.prefix[:-1])[:n]
+    careful = all(x <= y for x, y in zip(ustates[n][1], ustates[-1][1]))
+    return careful, ustates[:n]
+
+
 def _cmd_mc(args) -> int:
     a = parse_arena(_read(args.arena))
     bounds = _resolve_bounds(a, args.bounds)
@@ -188,18 +208,14 @@ def _cmd_mc(args) -> int:
     pretty = None
     if bounds is not None:
         bounds = checked_bounds(a, bounds)
-        trace = lasso_trace(a, lasso, bounds=bounds)
+        careful, ustates = _bounded_careful(a, bounds, lasso)
         doc["energy"]["bounded"] = {
             "bounds": list(bounds),
-            "careful": all(v >= 0 for vec in trace for v in vec),
-            "trace": [list(v) for v in trace],
+            "careful": careful,
+            "trace": [list(c) for _, c in ustates],
         }
         if args.pretty:
-            seq = list(lasso.stem) + list(lasso.loop)
-            rendered = " ".join(
-                f"{s}@{','.join(map(str, v))}" for s, v in zip(seq, trace)
-            )
-            pretty = f"\ntrace: {rendered}"
+            pretty = "\ntrace: " + " ".join(map(render_ustate, ustates))
     _emit(doc, pretty)
     return EXIT_POSITIVE if holds else EXIT_NEGATIVE
 

@@ -11,9 +11,10 @@ player's punishment region is solved the first time it is a loser, since
 only a loser has a reason to deviate. A found lasso plus the losers'
 punishment tables form the equilibrium certificate; `check_certificate`
 checks it without the game solver and without building the unfolding, by
-an emptiness test per loser on the graph its table leaves. It shares with
-the solver only `unfolding.step`, the objective trackers, their runs over
-a lasso and the SCC kernel, and steps only the unfolded states a
+an emptiness test per loser on the graph its table leaves. It replays the
+outcome with `unfolding.lift`, which the solver does not call; it shares
+with the solver only `unfolding.step`, the objective trackers, their runs
+over a lasso and the SCC kernel, and steps only the unfolded states a
 deviation or a table entry reaches.
 """
 
@@ -32,6 +33,7 @@ from .errors import (
     BudgetExceededError,
     DocumentSemanticError,
     MalformedProfileError,
+    UnderflowError,
     UnsupportedObjectiveError,
     expect,
     load_json,
@@ -43,9 +45,9 @@ from .unfolding import (
     UState,
     UnfoldedArena,
     checked_bounds,
+    lift,
     parse_ustate,
     render_ustate,
-    saturating_add,
     step,
     unfold,
 )
@@ -64,8 +66,6 @@ class StrategyProfile:
     no reason to deviate."""
 
     outcome: Lasso  # base-arena projection, with resource trace
-    outcome_stem: tuple[UState, ...]
-    outcome_loop: tuple[UState, ...]
     winners: frozenset[int]
     punishment: Mapping[int, Mapping]  # player -> (state, str(tracker state)) -> successor
 
@@ -295,15 +295,13 @@ def solve(
     a: Arena,
     bounds: Sequence[int],
     dpas: Optional[Mapping[int, ParityAutomaton]] = None,
-    max_states: int = DEFAULT_STATE_BUDGET,
-    max_product: int = DEFAULT_PRODUCT_BUDGET,
 ) -> SolveResult:
     """Decide careful cooperative rational synthesis under capacity vector
     `bounds` and construct a certificate when a solution exists. Unbounded
     solving is refused by the type of `bounds` (the unbounded problem is
     undecidable; only lasso checking is offered there)."""
     dpas = dict(dpas or {})
-    u = unfold(a, bounds, max_states=max_states)
+    u = unfold(a, bounds)
 
     players = list(range(1, a.players + 1))
     trackers = {}
@@ -313,7 +311,7 @@ def solve(
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
     product = witness_product(
-        u, system_component(a.system_objective), [trackers[i] for i in players], max_product
+        u, system_component(a.system_objective), [trackers[i] for i in players]
     )
     regions = {}  # a player's punishment region, solved when it first loses
     blocked = {}  # a loser's own nodes from which it could deviate and still win
@@ -346,8 +344,6 @@ def solve(
         )
         profile = StrategyProfile(
             outcome=outcome,
-            outcome_stem=stem,
-            outcome_loop=loop,
             winners=winners,
             punishment={i: dict({} if i in winners else regions[i].punishment) for i in players},
         )
@@ -459,37 +455,25 @@ class _SteppedUnfolding:
 
 
 def _replay(u: _SteppedUnfolding, outcome: Lasso) -> tuple[tuple, tuple]:
-    """Recompute the unfolded image of the outcome on base edges and verify
-    lasso shape, sink-freeness, and the cached trace."""
-    a = u.base
-    if not outcome.stem or not outcome.loop:
+    """Lift stem + loop + the loop's head into the unfolding and verify lasso
+    shape, sink-freeness, resource stability and the cached trace."""
+    stem, loop = list(outcome.stem), list(outcome.loop)
+    if not stem or not loop:
         raise MalformedProfileError("outcome stem and loop must be nonempty")
-    if outcome.stem[0] != a.initial:
-        raise MalformedProfileError("outcome does not start at the initial state")
-    seq = list(outcome.stem) + list(outcome.loop)
-    c = u.initial[1]
-    ustates = [(seq[0], c)]
-    for x, y in zip(seq, seq[1:]):
-        if (x, y) not in a.edges:
-            raise MalformedProfileError(f"outcome uses the non-edge ({x!r}, {y!r})")
-        c = saturating_add(c, a.edges[(x, y)], u.bounds)
-        if any(v < 0 for v in c):
-            raise MalformedProfileError("outcome depletes a resource (reaches the sink)")
-        ustates.append((y, c))
-    head = outcome.loop[0]
-    if (outcome.loop[-1], head) not in a.edges:
-        raise MalformedProfileError("loop does not close in the arena")
-    c2 = saturating_add(c, a.edges[(outcome.loop[-1], head)], u.bounds)
-    if any(v < 0 for v in c2):
-        raise MalformedProfileError("closing the loop depletes a resource")
-    loop_start = len(outcome.stem)
-    if ustates[loop_start] != (head, c2):
+    try:
+        ustates = lift(u.base, u.bounds, stem + loop + loop[:1])
+    except UnderflowError as e:
+        raise MalformedProfileError(f"outcome depletes a resource: {e}") from None
+    except DocumentSemanticError as e:
+        raise MalformedProfileError(f"outcome is not a lasso in the arena: {e}") from None
+    head, n = len(stem), len(stem) + len(loop)
+    if ustates[head] != ustates[n]:
         raise MalformedProfileError(
             "loop is not resource-stable: repeating it changes the resource vector"
         )
-    if outcome.trace is not None and tuple(outcome.trace) != tuple(us[1] for us in ustates):
+    if outcome.trace is not None and tuple(outcome.trace) != tuple(c for _, c in ustates[:n]):
         raise MalformedProfileError("cached resource trace does not match recomputation")
-    return tuple(ustates[:loop_start]), tuple(ustates[loop_start:])
+    return tuple(ustates[:head]), tuple(ustates[head:n])
 
 
 def _deviation_faults(u: _SteppedUnfolding, player, tracker, table, stem, loop) -> list[str]:
@@ -603,11 +587,8 @@ def parse_profile(text: str) -> StrategyProfile:
             state, _, q = k.rpartition("|")
             entries[(parse_ustate(state), q)] = parse_ustate(expect(v, str, "punishment entry"))
         punishment[int(i_str)] = entries
-    ustates = tuple(zip(stem + loop, trace))
     return StrategyProfile(
         outcome=Lasso(stem=stem, loop=loop, trace=trace),
-        outcome_stem=ustates[: len(stem)],
-        outcome_loop=ustates[len(stem):],
         winners=winners,
         punishment=punishment,
     )

@@ -164,14 +164,15 @@ def unfold(
     )
 
 
-def lift(u: UnfoldedArena, h: History) -> list[UState]:
-    """Map a base history to its unfolded image; errors at the first prefix
-    that drives a resource component negative."""
-    arena_mod.validate_history(u.base, h)
-    c = (0,) * u.base.dimensions
+def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
+    """The unfolded image of base history `h` under validated `bounds`: the
+    one replay of a path in the bounded semantics. Errors at the first
+    prefix that drives a resource component negative."""
+    arena_mod.validate_history(a, h)
+    c = (0,) * a.dimensions
     out: list[UState] = [(h[0], c)]
     for i, (x, y) in enumerate(zip(h, h[1:])):
-        c = saturating_add(c, u.base.edges[(x, y)], u.bounds)
+        c = saturating_add(c, a.edges[(x, y)], bounds)
         if any(v < 0 for v in c):
             bad = min(j for j, v in enumerate(c) if v < 0)
             raise UnderflowError(

@@ -299,6 +299,40 @@ def random_arena(rng: random.Random, max_states=4, max_players=2, max_dims=2) ->
     )
 
 
+def random_lasso(rng: random.Random, a: Arena, max_walk: int = 16):
+    """(stem, loop) of a random lasso of `a`: a random walk from the initial
+    state, cut at two visits of one state."""
+    path = [a.initial]
+    for _ in range(rng.randrange(1, max_walk)):
+        path.append(rng.choice(a.successors(path[-1])))
+    while len(set(path)) == len(path):
+        path.append(rng.choice(a.successors(path[-1])))
+    k, m = rng.choice(
+        [(k, m) for m in range(len(path)) for k in range(m) if path[k] == path[m]]
+    )
+    return path[: k + 1], path[k + 1 : m + 1]
+
+
+def oracle_bounded_careful(a: Arena, bounds, stem, loop) -> bool:
+    """Whether no resource of stem . loop^omega goes below zero when every
+    edge adds its cost and caps at `bounds`, by simulating stem . loop^k
+    until the vector at the loop head repeats."""
+
+    def walk(c, path):
+        for x, y in zip(path, path[1:]):
+            c = tuple(min(v + w, b) for v, w, b in zip(c, a.edges[(x, y)], bounds))
+            if any(v < 0 for v in c):
+                return None
+        return c
+
+    c = walk((0,) * a.dimensions, [*stem, loop[0]])
+    heads = set()
+    while c is not None and c not in heads:
+        heads.add(c)
+        c = walk(c, [*loop, loop[0]])
+    return c is not None
+
+
 def _oracle_stay(u: UnfoldedArena, player: int, keep: set) -> set:
     """The states of `keep` from which `player` can stay inside `keep`
     forever, by naive iteration of the greatest fixpoint."""

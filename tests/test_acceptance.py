@@ -193,7 +193,7 @@ def test_criterion_6_unfolding_laws():
             for _ in range(rng.randrange(0, 6)):
                 h.append(rng.choice(a.successors(h[-1])))
             try:
-                uh = lift(u, h)
+                uh = lift(a, bounds, h)
             except Exception:
                 continue
             if project(u, uh) != h:

@@ -1,17 +1,19 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import carefulsynth
-from carefulsynth.arena import MAX_PLAYERS
+from carefulsynth.arena import MAX_PLAYERS, serialize_arena
 from carefulsynth.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run
 from carefulsynth.zerosum import MAX_PRIORITY
 
 from corpus import CORPUS
+from genutils import oracle_bounded_careful, random_arena, random_lasso
 
 
 @pytest.fixture
@@ -297,15 +299,55 @@ def test_mc_formula_fails(fig1_path, lasso_file, capsys):
     assert json.loads(out)["holds"] is False
 
 
-def test_mc_bounded_energy_report(fig1_path, lasso_file, capsys):
-    code, out, _ = _run(
-        capsys, "mc", fig1_path, lasso_file, "F circ", "--bounds", "3,3"
-    )
+@pytest.mark.parametrize(
+    "lasso, formula, bounds, careful, last",
+    [
+        (
+            {"stem": ["a", "a", "a", "a", "b", "c"], "loop": ["circbox"]},
+            "F circ", "3,3", True, [0, 0],
+        ),
+        # the loop c costs (1,-2) per pass: the head falls (10,4), (10,2),
+        # (10,0) and the next pass underflows, past the first pass's trace
+        ({"stem": ["a"] * 11 + ["b", "c"], "loop": ["c"]}, "true", "10,10", False, [9, 6]),
+    ],
+    ids=["golden", "draining-loop"],
+)
+def test_mc_bounded_energy_report(
+    fig1_path, tmp_path, capsys, lasso, formula, bounds, careful, last
+):
+    path = tmp_path / "lasso.json"
+    path.write_text(json.dumps(lasso))
+    code, out, _ = _run(capsys, "mc", fig1_path, path, formula, "--bounds", bounds)
     assert code == EXIT_POSITIVE
     bounded = json.loads(out)["energy"]["bounded"]
-    assert bounded["careful"] is True
+    assert bounded["careful"] is careful
+    assert len(bounded["trace"]) == len(lasso["stem"]) + len(lasso["loop"])
     assert bounded["trace"][0] == [0, 0]
-    assert bounded["trace"][-1] == [0, 0]
+    assert bounded["trace"][-1] == last
+
+
+def test_mc_bounded_verdict_matches_explicit_simulation(tmp_path, capsys):
+    # seeded random lassos of random arenas, the verdict against simulating
+    # stem . loop^k until the vector at the loop head repeats
+    rng = random.Random(7)
+    arena_path, lasso_path = tmp_path / "arena.json", tmp_path / "lasso.json"
+    verdicts = []
+    while len(verdicts) < 1200:
+        a = random_arena(rng)
+        arena_path.write_text(serialize_arena(a))
+        for _ in range(4):
+            lasso = random_lasso(rng, a)
+            bounds = tuple(rng.randrange(0, 9) for _ in range(a.dimensions))
+            lasso_path.write_text(json.dumps({"stem": lasso[0], "loop": lasso[1]}))
+            _, out, _ = _run(
+                capsys, "mc", arena_path, lasso_path, "true",
+                "--bounds", ",".join(map(str, bounds)),
+            )
+            careful = json.loads(out)["energy"]["bounded"]["careful"]
+            expected = oracle_bounded_careful(a, bounds, *lasso)
+            assert careful == expected, (serialize_arena(a), lasso, bounds)
+            verdicts.append(careful)
+    assert 100 <= sum(verdicts) <= len(verdicts) - 100
 
 
 @pytest.mark.parametrize("bounds", ["3", "3,3,3"])
@@ -371,6 +413,26 @@ def test_stats_reports_sizes(fig1_path, capsys):
     assert doc["states"] == 6 and doc["edges"] == 10
     assert doc["players"] == 3
     assert doc["unfolded_states"] > 6
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+@pytest.mark.parametrize(
+    "script, args, line",
+    [
+        ("run_fig1.py", ["--bounds", "3,3"], "  stem: a@0,0 a@2,1 a@3,2 a@3,3 b@3,2 c@1,1"),
+        ("scaling_smoke.py", ["--capacities", "2", "4"], "within envelope: yes"),
+    ],
+)
+def test_scripts_run(script, args, line):
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / script
+    proc = subprocess.run(
+        [sys.executable, str(path), *args], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()
 
 
 # ---------------------------------------------------------------------------

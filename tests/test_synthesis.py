@@ -620,8 +620,6 @@ def test_checker_accepts_a_loser_that_has_already_lost():
     x, y, s = ("x", (0,)), ("y", (0,)), ("s", (0,))
     profile = StrategyProfile(
         outcome=Lasso(stem=("x", "y"), loop=("s",), trace=((0,), (0,), (0,))),
-        outcome_stem=(x, y),
-        outcome_loop=(s,),
         winners=frozenset({2}),
         punishment={1: {(x, "False"): y, (y, "True"): s}, 2: {}},
     )
@@ -740,8 +738,6 @@ def test_profile_document_round_trip(fig1):
     again = parse_profile(json.dumps(profile_to_document(p)))
     assert again.outcome == p.outcome
     assert again.winners == p.winners
-    assert again.outcome_stem == p.outcome_stem
-    assert again.outcome_loop == p.outcome_loop
     assert {i: dict(t) for i, t in again.punishment.items()} == {
         i: dict(t) for i, t in p.punishment.items()
     }
@@ -830,12 +826,14 @@ def test_tracker_verdict_matches_lasso_evaluation(seed):
 def _deviation_verdicts(a, bounds, u, profile):
     """(checker, oracle) verdict on a profitable deviation, per loser."""
     violations = check_certificate(a, bounds, profile)
+    o = profile.outcome
+    ustates = tuple(zip(o.stem + o.loop, o.trace))
     return [
         (
             any(v.startswith(f"player {i}:") and "deviation" in v for v in violations),
             oracle_profitable_deviation(
                 u, i, a.objective_of(i), profile.punishment[i],
-                profile.outcome_stem, profile.outcome_loop,
+                ustates[: len(o.stem)], ustates[len(o.stem):],
             ),
         )
         for i in range(1, a.players + 1)
@@ -892,8 +890,6 @@ def test_checker_agrees_with_the_oracle_on_random_profiles():
         players = range(1, a.players + 1)
         profile = StrategyProfile(
             outcome=outcome_lasso(u, stem, loop),
-            outcome_stem=stem,
-            outcome_loop=loop,
             winners=frozenset(i for i in players if ltl.eval_on_lasso(a.objective_of(i), *labels)),
             punishment={
                 i: {

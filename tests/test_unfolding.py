@@ -157,8 +157,7 @@ def test_unfolding_laws_on_random_arenas(seed):
 
 
 def test_lift_golden_history(fig1):
-    u = unfold(fig1, (3, 3))
-    got = lift(u, ["a", "a", "a", "a", "b", "c"])
+    got = lift(fig1, (3, 3), ["a", "a", "a", "a", "b", "c"])
     assert got == [
         ("a", (0, 0)),
         ("a", (2, 1)),
@@ -172,9 +171,8 @@ def test_lift_golden_history(fig1):
 def test_lift_reports_first_underflowing_prefix(fig1):
     # a -> b costs (0,-1) from (0,0), so the second resource dips below zero
     # already at the two-step prefix
-    u = unfold(fig1, (3, 3))
     with pytest.raises(UnderflowError) as e:
-        lift(u, ["a", "b", "c"])
+        lift(fig1, (3, 3), ["a", "b", "c"])
     assert e.value.prefix == ("a", "b")
     assert "resource 2" in str(e.value)
 
@@ -197,7 +195,7 @@ def test_project_lift_round_trip(seed):
         for _ in range(rng.randrange(0, 8)):
             h.append(rng.choice(a.successors(h[-1])))
         try:
-            uh = lift(u, h)
+            uh = lift(a, bounds, h)
         except UnderflowError:
             continue
         assert project(u, uh) == h

@@ -184,11 +184,17 @@ def _strategy_cases(g, rng):
     def on_nodes(won):
         return lambda path, loop: won([n[0] for n in path], [n[0] for n in loop])
 
+    def case(game, reg, starts, won):
+        # the callers simulate only from starts inside a region; a start
+        # outside the game would let them pass without simulating
+        assert all(n in reg.protagonist or n in reg.antagonist for n in starts)
+        return game, reg, starts, won
+
     for kind, won in wins.items():
         product, reg, _, start = _solve_fragment(g, kind)
-        yield product.game, reg, start, on_nodes(won)
+        yield case(product.game, reg, start, on_nodes(won))
     priority = {s: rng.randrange(0, 5) for s in g.states}
-    yield (
+    yield case(
         g,
         solve_parity(g, priority),
         g.states,
