@@ -13,10 +13,8 @@ from .arena import (
     Arena,
     Lasso,
     build_arena,
-    lasso_trace,
     multi_energy_check_unbounded,
     parse_arena,
-    payoff,
     serialize_arena,
     validate_lasso,
 )
@@ -32,7 +30,7 @@ from .errors import (
     UnknownAtomError,
     UnsupportedObjectiveError,
 )
-from .ltl import classify_fragment, eval_on_lasso, nba_accepts_lasso, parse_ltl, to_nba
+from .ltl import classify_fragment, eval_on_lasso, parse_ltl, to_nba
 from .reduction import (
     CounterAutomaton,
     CounterRun,
@@ -54,7 +52,7 @@ from .synthesis import (
     system_component,
     witness_product,
 )
-from .unfolding import BOT, UnfoldedArena, lift, project, unfold
+from .unfolding import BOT, UnfoldedArena, lift, unfold
 from .zerosum import (
     ParityAutomaton,
     PunishRegions,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from operator import add
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import ltl
 from .errors import CostOverflowError, DocumentSemanticError, expect, is_int, load_json, member
@@ -42,9 +43,6 @@ class Arena:
 
     def successors(self, s: str) -> tuple[str, ...]:
         return self.succ[s]
-
-    def cost(self, src: str, dst: str) -> tuple[int, ...]:
-        return self.edges[(src, dst)]
 
     def objective_of(self, player: int) -> ltl.Formula:
         return self.player_objectives[player - 1]
@@ -270,8 +268,9 @@ History = Sequence[str]
 @dataclass(frozen=True)
 class Lasso:
     """Finite representation stem . loop^omega of an ultimately periodic
-    play. The optional trace caches the resource vector at each position of
-    stem + first loop traversal; validation recomputes it."""
+    play. The optional trace is the resource vector at each position of
+    stem + first loop traversal in the bounded unfolding; the certificate
+    checker verifies it, `validate_lasso` does not read it."""
 
     stem: tuple[str, ...]
     loop: tuple[str, ...]
@@ -290,25 +289,9 @@ def validate_history(arena: Arena, h: History) -> None:
             raise DocumentSemanticError(f"({a!r}, {b!r}) is not an edge")
 
 
-def _checked_add(acc: list[int], cost: tuple[int, ...]) -> None:
-    for i, v in enumerate(cost):
-        acc[i] += v
-        if not I64_MIN <= acc[i] <= I64_MAX:
-            raise CostOverflowError(f"cumulative cost overflows 64 bits in component {i + 1}")
-
-
-def cost_of_history(arena: Arena, h: History) -> tuple[int, ...]:
-    """Componentwise (unbounded, non-saturating) sum of edge costs along h."""
-    validate_history(arena, h)
-    acc = [0] * arena.dimensions
-    for a, b in zip(h, h[1:]):
-        _checked_add(acc, arena.edges[(a, b)])
-    return tuple(acc)
-
-
 def validate_lasso(arena: Arena, l: Lasso) -> None:
-    """Structural validation; a cached trace is checked against the plain
-    (unbounded) sum."""
+    """Structure only: the stem is a history, the loop is nonempty, and
+    the loop closes through edges."""
     validate_history(arena, l.stem)
     if not l.loop:
         raise DocumentSemanticError("lasso loop is empty")
@@ -316,49 +299,32 @@ def validate_lasso(arena: Arena, l: Lasso) -> None:
     for a, b in zip(cycle, cycle[1:]):
         if (a, b) not in arena.edges:
             raise DocumentSemanticError(f"({a!r}, {b!r}) is not an edge")
-    if l.trace is not None and tuple(l.trace) != lasso_trace(arena, l):
-        raise DocumentSemanticError("cached resource trace does not match recomputation")
 
 
-def lasso_trace(arena: Arena, l: Lasso) -> tuple[tuple[int, ...], ...]:
-    """The cumulative (unbounded) cost at each position of stem + loop."""
-    seq = list(l.stem) + list(l.loop)
-    acc = [0] * arena.dimensions
-    out = [tuple(acc)]
-    for x, y in zip(seq, seq[1:]):
-        _checked_add(acc, arena.edges[(x, y)])
-        out.append(tuple(acc))
-    return tuple(out)
+def cumulative_costs(arena: Arena, path: History) -> Iterator[tuple[int, ...]]:
+    """The unbounded, non-saturating cost of each prefix of `path`, a path
+    of edges: the k-th vector sums its first k edges. Raises
+    CostOverflowError at the first sum that leaves 64 bits."""
+    acc = (0,) * arena.dimensions
+    yield acc
+    for x, y in zip(path, path[1:]):
+        acc = tuple(map(add, acc, arena.edges[(x, y)]))
+        for i, v in enumerate(acc):
+            if not I64_MIN <= v <= I64_MAX:
+                raise CostOverflowError(f"cumulative cost overflows 64 bits in component {i + 1}")
+        yield acc
 
 
 def multi_energy_check_unbounded(arena: Arena, l: Lasso) -> bool:
-    """True iff every prefix of stem . loop^omega has componentwise
-    nonnegative cumulative cost (arena bounds are ignored). Exact: checks
-    prefixes through one full loop traversal plus the loop's net cost."""
-    validate_lasso(arena, Lasso(l.stem, l.loop))
-    seq = list(l.stem) + list(l.loop) + [l.loop[0]]
-    acc = [0] * arena.dimensions
-    for x, y in zip(seq, seq[1:]):
-        _checked_add(acc, arena.edges[(x, y)])
-        if any(v < 0 for v in acc):
+    """True iff every prefix of stem . loop^omega of a lasso that
+    `validate_lasso` accepts has componentwise nonnegative cumulative cost
+    (arena bounds are ignored). Exact: no prefix through one loop traversal
+    and its closing edge goes negative, and the loop's net cost, the
+    closing vector minus the vector at the loop head, is nonnegative."""
+    head = None
+    for k, acc in enumerate(cumulative_costs(arena, list(l.stem) + list(l.loop) + [l.loop[0]])):
+        if min(acc) < 0:
             return False
-    cycle = list(l.loop) + [l.loop[0]]
-    net = [0] * arena.dimensions
-    for x, y in zip(cycle, cycle[1:]):
-        _checked_add(net, arena.edges[(x, y)])
-    return all(v >= 0 for v in net)
-
-
-def lasso_labels(
-    arena: Arena, l: Lasso
-) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
-    return [arena.labels[s] for s in l.stem], [arena.labels[s] for s in l.loop]
-
-
-def payoff(arena: Arena, l: Lasso, player: int) -> int:
-    """1 iff the lasso's label word satisfies the player's objective."""
-    if not 1 <= player <= arena.players:
-        raise DocumentSemanticError(f"no player {player}")
-    stem_labels, loop_labels = lasso_labels(arena, l)
-    obj = arena.objective_of(player)
-    return 1 if ltl.eval_on_lasso(obj, stem_labels, loop_labels, atoms=arena.atoms) else 0
+        if k == len(l.stem):
+            head = acc
+    return all(x <= y for x, y in zip(head, acc))

@@ -170,13 +170,8 @@ class _Parser:
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos and not text[pos:].strip():
-                break
             if m is None:
-                raise LtlSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            if m.group(0).strip() == "":
-                pos = m.end()
-                continue
+                break
             tok = m.group(1) or m.group(2)
             self.tokens.append((tok, m.start(1) if m.group(1) else m.start(2)))
             pos = m.end()
@@ -559,50 +554,6 @@ def _reachable_part(nba: NBA) -> NBA:
     )
 
 
-def nba_accepts_lasso(nba: NBA, stem, loop) -> bool:
-    """Membership of stem . loop^omega, by cycle search in the product of
-    word positions and automaton states."""
-    word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
-    n = len(word)
-    back = n - len(list(loop))
-
-    def nxt(i):
-        return i + 1 if i + 1 < n else back
-
-    succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def successors(node):
-        if node in succ:
-            return succ[node]
-        i, q = node
-        out = [
-            (nxt(i), tr.dst)
-            for tr in nba.transitions[q]
-            if guard_matches(tr, word[i])
-        ]
-        succ[node] = out
-        return out
-
-    start = [(0, q) for q in nba.initial]
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        node = stack.pop()
-        for node2 in successors(node):
-            if node2 not in seen:
-                seen.add(node2)
-                stack.append(node2)
-
-    from ._graphs import strongly_connected_components
-
-    for comp in strongly_connected_components(seen, successors):
-        compset = set(comp)
-        has_edge = any(v in compset for u in comp for v in successors(u))
-        if has_edge and any(q in nba.accepting for (_, q) in comp):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Fragment classification
 
@@ -619,60 +570,31 @@ class FragmentClass:
     GENERAL = "general"
 
 
-def _desugar(phi: Formula) -> Formula:
-    """Rewrite toward F/G shape: eliminate double negations, push negations
-    through F/G, and fold `true U x` back into F."""
-    if isinstance(phi, (Lit, Atom)):
-        return phi
-    if isinstance(phi, Not):
-        sub = _desugar(phi.sub)
-        if isinstance(sub, Not):
-            return sub.sub
-        if isinstance(sub, Lit):
-            return Lit(not sub.value)
-        if isinstance(sub, Eventually):
-            return _desugar(Always(Not(sub.sub)))
-        if isinstance(sub, Always):
-            return _desugar(Eventually(Not(sub.sub)))
-        return Not(sub)
-    if isinstance(phi, And):
-        return And(_desugar(phi.left), _desugar(phi.right))
-    if isinstance(phi, Or):
-        return Or(_desugar(phi.left), _desugar(phi.right))
-    if isinstance(phi, Next):
-        return Next(_desugar(phi.sub))
-    if isinstance(phi, Until):
-        l, r = _desugar(phi.left), _desugar(phi.right)
-        if l == TRUE:
-            return Eventually(r)
-        return Until(l, r)
-    if isinstance(phi, Release):
-        l, r = _desugar(phi.left), _desugar(phi.right)
-        if l == FALSE:
-            return Always(r)
-        return Release(l, r)
-    if isinstance(phi, Eventually):
-        return Eventually(_desugar(phi.sub))
-    if isinstance(phi, Always):
-        return Always(_desugar(phi.sub))
-    raise TypeError(f"unknown node {phi!r}")
+_SHAPES = {
+    "F": FragmentClass.REACH,
+    "G": FragmentClass.SAFE,
+    "GF": FragmentClass.BUCHI,
+    "FG": FragmentClass.COBUCHI,
+}
 
 
 def classify_fragment(phi: Formula) -> FragmentClass:
-    """Syntactic classification; sound but not complete (semantic
+    """Syntactic classification of nnf(phi), in which F beta is `true U
+    beta` and G beta is `false R beta`; sound but not complete (semantic
     equivalents of a fragment may land in General)."""
-    g = _desugar(phi)
+    g, shape = nnf(phi), ""
     if isinstance(g, Lit):
         # constants are position-independent: true = Safe(true), false = Safe(false)
         return FragmentClass(FragmentClass.SAFE, g)
-    if isinstance(g, Eventually):
-        if is_temporal_free(g.sub):
-            return FragmentClass(FragmentClass.REACH, g.sub)
-        if isinstance(g.sub, Always) and is_temporal_free(g.sub.sub):
-            return FragmentClass(FragmentClass.COBUCHI, g.sub.sub)
-    if isinstance(g, Always):
-        if is_temporal_free(g.sub):
-            return FragmentClass(FragmentClass.SAFE, g.sub)
-        if isinstance(g.sub, Eventually) and is_temporal_free(g.sub.sub):
-            return FragmentClass(FragmentClass.BUCHI, g.sub.sub)
-    return FragmentClass(FragmentClass.GENERAL)
+    while len(shape) < 2:
+        if isinstance(g, Until) and g.left == TRUE:
+            shape += "F"
+        elif isinstance(g, Release) and g.left == FALSE:
+            shape += "G"
+        else:
+            break
+        g = g.right
+    kind = _SHAPES.get(shape)
+    if kind is None or not is_temporal_free(g):
+        return FragmentClass(FragmentClass.GENERAL)
+    return FragmentClass(kind, g)

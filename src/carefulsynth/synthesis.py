@@ -28,7 +28,7 @@ from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
 from ._graphs import shortest_path, strongly_connected_components
-from .arena import Arena, Lasso, RESERVED_ATOM
+from .arena import Arena, Lasso, RESERVED_ATOM, validate_history
 from .errors import (
     BudgetExceededError,
     DocumentSemanticError,
@@ -320,7 +320,7 @@ def solve(
     for winner_set in _winner_sets(a.players):
         for i in players:
             if i not in winner_set and i not in regions:
-                regions[i] = punish_region(u, i, a.objective_of(i), dpas.get(i))
+                regions[i] = punish_region(u, i, trackers[i])
                 win = regions[i].win
                 blocked[i] = {
                     k
@@ -460,8 +460,10 @@ def _replay(u: _SteppedUnfolding, outcome: Lasso) -> tuple[tuple, tuple]:
     stem, loop = list(outcome.stem), list(outcome.loop)
     if not stem or not loop:
         raise MalformedProfileError("outcome stem and loop must be nonempty")
+    path = stem + loop + loop[:1]
     try:
-        ustates = lift(u.base, u.bounds, stem + loop + loop[:1])
+        validate_history(u.base, path)
+        ustates = lift(u.base, u.bounds, path)
     except UnderflowError as e:
         raise MalformedProfileError(f"outcome depletes a resource: {e}") from None
     except DocumentSemanticError as e:

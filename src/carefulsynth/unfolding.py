@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from . import arena as arena_mod
 from . import ltl
@@ -165,10 +165,10 @@ def unfold(
 
 
 def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
-    """The unfolded image of base history `h` under validated `bounds`: the
-    one replay of a path in the bounded semantics. Errors at the first
-    prefix that drives a resource component negative."""
-    arena_mod.validate_history(a, h)
+    """The unfolded image of a history `h` that `validate_history` accepts,
+    under validated `bounds`: the one replay of a path in the bounded
+    semantics. Errors at the first prefix that drives a resource component
+    negative."""
     c = (0,) * a.dimensions
     out: list[UState] = [(h[0], c)]
     for i, (x, y) in enumerate(zip(h, h[1:])):
@@ -180,16 +180,6 @@ def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
                 prefix=tuple(h[: i + 2]),
             )
         out.append((y, c))
-    return out
-
-
-def project(u: UnfoldedArena, uh: Sequence[UState]) -> list[str]:
-    """Base-state components of an unfolded history; rejects sink visits."""
-    out = []
-    for us in uh:
-        if us is BOT:
-            raise DocumentSemanticError("cannot project a history through the sink")
-        out.append(us[0])
     return out
 
 

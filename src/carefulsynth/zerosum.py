@@ -49,16 +49,6 @@ class ZeroSumGame:
         return pred
 
 
-def make_game(states, succ, is_protagonist, labels, losing_sinks=frozenset()) -> ZeroSumGame:
-    return ZeroSumGame(
-        states=tuple(states),
-        succ={s: tuple(succ[s]) for s in states},
-        is_protagonist=dict(is_protagonist),
-        labels=dict(labels),
-        losing_sinks=frozenset(losing_sinks),
-    )
-
-
 def game_from_unfolded(u: UnfoldedArena, protagonist_players: Iterable[int]) -> ZeroSumGame:
     protos = set(protagonist_players)
     if not protos <= set(range(1, u.base.players + 1)):
@@ -360,22 +350,14 @@ class PunishRegions:
     punishment: dict
 
 
-def punish_region(
-    u: UnfoldedArena,
-    player: int,
-    objective: ltl.Formula,
-    dpa: Optional[ParityAutomaton] = None,
-) -> PunishRegions:
-    """Where can `player`, alone against the coalition, achieve its
-    objective while staying careful, given the tracker state its history
-    has reached? An outcome on which the player loses must not visit a
-    node it owns in this region. Every objective is one parity game: the
-    unfolding in product with the objective's tracker, solved by Zielonka's
-    algorithm, whose coalition strategy is the punishment table."""
-    try:
-        tracker = objective_tracker(objective, dpa)
-    except UnsupportedObjectiveError as e:
-        raise UnsupportedObjectiveError(f"player {player}: {e}") from None
+def punish_region(u: UnfoldedArena, player: int, tracker: Tracker) -> PunishRegions:
+    """Where can `player`, alone against the coalition, achieve the
+    objective that `tracker` reads while staying careful, given the tracker
+    state its history has reached? An outcome on which the player loses
+    must not visit a node it owns in this region. Every objective is one
+    parity game: the unfolding in product with the tracker, solved by
+    Zielonka's algorithm, whose coalition strategy is the punishment
+    table."""
     game, priority = tracker_product(game_from_unfolded(u, {player}), tracker)
     regions = solve_parity(game, priority)
     table = {(s, str(q)): t[0] for (s, q), t in regions.antagonist_strategy.items()}

@@ -15,9 +15,10 @@ import random
 
 from carefulsynth import ltl
 from carefulsynth.arena import Arena, build_arena
+from carefulsynth.errors import DocumentSemanticError
 from carefulsynth.ltl import FragmentClass
 from carefulsynth.unfolding import BOT, UnfoldedArena, unfold
-from carefulsynth.zerosum import ZeroSumGame, make_game
+from carefulsynth.zerosum import ZeroSumGame
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +115,42 @@ def naive_eval(phi: ltl.Formula, stem, loop, pos: int = 0) -> bool:
     return ev(phi, pos)
 
 
+def nba_accepts_lasso(nba: ltl.NBA, stem, loop) -> bool:
+    """Membership of stem . loop^omega, the reference for `ltl.to_nba`: an
+    accepting node of the product of word positions and automaton states is
+    reachable from a start node and reaches itself again."""
+    word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
+    n = len(word)
+    back = n - len(list(loop))
+    succ = {
+        (i, q): [
+            (i + 1 if i + 1 < n else back, tr.dst)
+            for tr in nba.transitions[q]
+            if ltl.guard_matches(tr, word[i])
+        ]
+        for i in range(n)
+        for q in range(nba.n_states)
+    }
+    reached = set().union(*(_reach_states(succ, (0, q)) for q in nba.initial))
+    return any(
+        any(v in _reach_states(succ, w) for w in succ[v])
+        for v in reached
+        if v[1] in nba.accepting
+    )
+
+
 # ---------------------------------------------------------------------------
 # Random zero-sum games and the strategy-enumeration oracle
+
+
+def make_game(states, succ, is_protagonist, labels, losing_sinks=frozenset()) -> ZeroSumGame:
+    return ZeroSumGame(
+        states=tuple(states),
+        succ={s: tuple(succ[s]) for s in states},
+        is_protagonist=dict(is_protagonist),
+        labels=dict(labels),
+        losing_sinks=frozenset(losing_sinks),
+    )
 
 
 def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> ZeroSumGame:
@@ -331,6 +366,13 @@ def oracle_bounded_careful(a: Arena, bounds, stem, loop) -> bool:
         heads.add(c)
         c = walk(c, [*loop, loop[0]])
     return c is not None
+
+
+def project(uh) -> list[str]:
+    """Base-state components of an unfolded history; rejects sink visits."""
+    if BOT in uh:
+        raise DocumentSemanticError("cannot project a history through the sink")
+    return [us[0] for us in uh]
 
 
 def _oracle_stay(u: UnfoldedArena, player: int, keep: set) -> set:

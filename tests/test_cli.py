@@ -386,6 +386,24 @@ def test_mc_rejects_invalid_lasso(fig1_path, tmp_path, capsys):
     assert err
 
 
+def test_mc_cost_overflow_is_an_error(tmp_path, capsys):
+    # every pass of the self-loop adds 2^62, so the cumulative cost of
+    # stem . loop leaves 64 bits at the third edge
+    arena = {
+        "players": 1, "dimensions": 1, "atoms": [],
+        "states": [{"id": "s", "owner": 1}], "initial": "s",
+        "edges": [{"src": "s", "dst": "s", "cost": [2**62]}],
+        "objectives": {"system": "true"},
+    }
+    arena_path, lasso_path = tmp_path / "arena.json", tmp_path / "lasso.json"
+    arena_path.write_text(json.dumps(arena))
+    lasso_path.write_text(json.dumps({"stem": ["s", "s"], "loop": ["s"]}))
+    code, out, err = _run(capsys, "mc", arena_path, lasso_path, "true")
+    assert code == EXIT_ERROR
+    assert "overflows 64 bits" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # gen-reduction and stats
 

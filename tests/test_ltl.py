@@ -17,13 +17,12 @@ from carefulsynth.ltl import (
     classify_fragment,
     eval_on_lasso,
     formula_to_str,
-    nba_accepts_lasso,
     nnf,
     parse_ltl,
     to_nba,
 )
 
-from genutils import naive_eval, random_formula, random_word
+from genutils import naive_eval, nba_accepts_lasso, random_formula, random_word
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +179,39 @@ def test_classify_constants():
 def test_classify_negation_normalizes():
     # !F!p == G p
     assert classify_fragment(parse_ltl("! F ! p")).kind == FragmentClass.SAFE
+
+
+@pytest.mark.parametrize(
+    "text, kind, beta",
+    [
+        ("F p", FragmentClass.REACH, "p"),
+        ("G p", FragmentClass.SAFE, "p"),
+        ("G F p", FragmentClass.BUCHI, "p"),
+        ("F G p", FragmentClass.COBUCHI, "p"),
+        ("! F ! p", FragmentClass.SAFE, "p"),
+        ("! G F ! p", FragmentClass.COBUCHI, "p"),
+        ("true U p", FragmentClass.REACH, "p"),
+        ("!(true U !p)", FragmentClass.SAFE, "p"),
+        ("!!F p", FragmentClass.REACH, "p"),
+        ("(!false) U p", FragmentClass.REACH, "p"),
+        ("G !(p & q)", FragmentClass.SAFE, "!(p & q)"),
+        ("F F p", FragmentClass.GENERAL, None),
+        ("G (p | F q)", FragmentClass.GENERAL, None),
+        ("p", FragmentClass.GENERAL, None),
+        ("true", FragmentClass.SAFE, "true"),
+        ("false", FragmentClass.SAFE, "false"),
+    ],
+)
+def test_classify_shape_table(text, kind, beta):
+    frag = classify_fragment(parse_ltl(text))
+    assert frag.kind == kind
+    if beta is None:
+        assert frag.beta is None
+    else:
+        # beta is compared as a function of the letter, not as a tree
+        expected = parse_ltl(beta)
+        for letter in [frozenset(), {"p"}, {"q"}, {"p", "q"}]:
+            assert ltl.eval_bool(frag.beta, letter) == ltl.eval_bool(expected, letter)
 
 
 @settings(max_examples=150, deadline=None)

@@ -70,7 +70,7 @@ def test_witness_respects_forbidden_deviation_states(fig1):
     # deviate; the survivor is the pump-then-descend lasso ending in the
     # circle/box sink
     u = unfold(fig1, (3, 3))
-    r3 = punish_region(u, 3, fig1.objective_of(3))
+    r3 = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
     product = witness_product(
         u,
         system_component(ltl.parse_ltl("F circ")),
@@ -342,7 +342,7 @@ def test_only_losers_carry_a_punishment_table():
             if i in p.winners:
                 assert p.punishment[i] == {}, seed
             else:
-                region = punish_region(u, i, a.objective_of(i))
+                region = punish_region(u, i, objective_tracker(a.objective_of(i)))
                 assert p.punishment[i] == dict(region.punishment), seed
                 losers += 1
         assert check_certificate(a, bounds, p) == [], seed

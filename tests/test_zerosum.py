@@ -13,7 +13,6 @@ from carefulsynth.zerosum import (
     attractor,
     dpa_step,
     game_from_unfolded,
-    make_game,
     objective_tracker,
     parse_dpa,
     punish_region,
@@ -22,6 +21,7 @@ from carefulsynth.zerosum import (
 )
 
 from genutils import (
+    make_game,
     oracle_attractor,
     oracle_fragment_region,
     oracle_parity_region,
@@ -321,7 +321,7 @@ def test_dpa_missing_transition_rejected():
 
 def test_punish_region_fig1_small_bounds(fig1):
     u = unfold(fig1, (3, 3))
-    r = punish_region(u, 3, fig1.objective_of(3))
+    r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
     # nodes pair a state with player 3's flag: F diam seen after it
     assert (("c", (1, 1)), False) not in r.win
     assert all(s is not BOT for s, _ in r.win)
@@ -329,7 +329,7 @@ def test_punish_region_fig1_small_bounds(fig1):
 
 def test_punish_region_fig1_large_bounds(fig1):
     u = unfold(fig1, (10, 10))
-    r = punish_region(u, 3, fig1.objective_of(3))
+    r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
     assert (("c", (4, 1)), False) in r.win
 
 
@@ -349,7 +349,7 @@ def test_punish_region_trivial_objective_no_negative_costs():
         player_objectives=(ltl.TRUE, ltl.TRUE),
     )
     u = unfold(a, (2,))
-    r = punish_region(u, 1, ltl.TRUE)
+    r = punish_region(u, 1, objective_tracker(ltl.TRUE))
     # carefulness alone, no underflow anywhere; true never fails
     assert set(r.win) == {(s, False) for s in u.states}
 
@@ -357,7 +357,7 @@ def test_punish_region_trivial_objective_no_negative_costs():
 def test_punish_region_general_requires_dpa(fig1):
     u = unfold(fig1, (1, 1))
     with pytest.raises(UnsupportedObjectiveError):
-        punish_region(u, 1, ltl.parse_ltl("F (circ & X box)"))
+        punish_region(u, 1, objective_tracker(ltl.parse_ltl("F (circ & X box)")))
 
 
 def test_punish_region_dpa_matches_fragment_region(fig1):
@@ -366,8 +366,8 @@ def test_punish_region_dpa_matches_fragment_region(fig1):
     doc = json.loads(json.dumps(DPA_FP).replace('"p"', '"box"'))
     dpa = parse_dpa(json.dumps(doc))
     u = unfold(fig1, (3, 3))
-    direct = punish_region(u, 2, fig1.objective_of(2))
-    via_dpa = punish_region(u, 2, fig1.objective_of(2), dpa)
+    direct = punish_region(u, 2, objective_tracker(fig1.objective_of(2)))
+    via_dpa = punish_region(u, 2, objective_tracker(fig1.objective_of(2), dpa))
     # the automaton's state good is the flag "box seen"
     assert {(s, q == "good") for s, q in via_dpa.win} == set(direct.win)
     assert all(s is not BOT for s, _ in via_dpa.win)
@@ -385,7 +385,7 @@ def test_no_state_outside_the_region_wins_against_the_table():
         for i in range(1, a.players + 1):
             objective = a.objective_of(i)
             kinds.add(ltl.classify_fragment(objective).kind)
-            r = punish_region(u, i, objective)
+            r = punish_region(u, i, objective_tracker(objective))
             won = oracle_wins_against_table(u, i, objective, r.punishment)
             assert not {n for n, w in won.items() if w and n not in r.win}, (seed, i)
             outside += sum(n not in r.win for n in won)
