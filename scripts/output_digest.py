@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print one digest line per benchmark workload and seed, to compare the
+outputs of two commits:
+
+    python3 scripts/output_digest.py --workloads fig1-sweep reduction --seeds 1 2 3
+
+Each line gives the instance count and a sha256 over, for every instance in
+order: the `solve` stdout, the `check` stdout of its certificate (when it
+has one), and every player's punishment region with its won nodes and its
+table each sorted. The instances come from `bench/workloads.setup`, written
+to a temporary directory; the CLI runs in this process. Equal lines on two
+commits mean equal certificates, verdicts and regions.
+"""
+
+import argparse
+import hashlib
+import importlib
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # bench/workloads.py, read only
+
+from carefulsynth.arena import parse_arena
+from carefulsynth.unfolding import render_ustate, unfold
+from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
+
+
+def region_lines(inst: workloads.Instance) -> list[str]:
+    """Every player's region at the instance's bounds: its won nodes, then
+    its table entries, each rendered as in certificates and sorted."""
+    a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
+    dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
+    u = unfold(a, inst.bounds)
+    out = []
+    for i in range(1, a.players + 1):
+        r = punish_region(u, i, objective_tracker(a.objective_of(i), dpas.get(i)))
+        win = sorted(f"{render_ustate(s)}|{q}" for s, q in r.win)
+        table = sorted(f"{render_ustate(s)}|{q} -> {render_ustate(t)}"
+                       for (s, q), t in r.punishment.items())
+        out.append(f"player {i} win {win} table {table}")
+    return out
+
+
+def digest(name: str, seed: int, pkg: dict) -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        instances = workloads.setup(name, seed, workdir / "instances", pkg)
+        for inst in instances:
+            code, out = workloads.call_cli(pkg["cli"], inst.solve_argv())
+            h.update(f"{inst.id} solve {code}\n{out}".encode())
+            if code == 0:
+                certificate = workdir / "certificate.json"
+                certificate.write_text(out, encoding="utf-8")
+                code, out = workloads.call_cli(pkg["cli"], inst.check_argv(str(certificate)))
+                h.update(f"{inst.id} check {code}\n{out}".encode())
+            h.update("\n".join(region_lines(inst)).encode())
+    return f"{name} seed {seed}: {len(instances)} instances, sha256 {h.hexdigest()}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
+                        choices=list(workloads.WORKLOADS))
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    args = parser.parse_args()
+    pkg = {name: importlib.import_module(f"carefulsynth.{name}") for name in ("cli", "reduction")}
+    for name in args.workloads:
+        for seed in args.seeds:
+            print(digest(name, seed, pkg), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

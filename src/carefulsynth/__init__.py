@@ -3,7 +3,8 @@ with multiple bounded shared resources.
 
 The pipeline: `arena` (data model + lasso semantics) -> `unfolding` (bounded
 resource product with an underflow sink) -> `zerosum` (attractors, Zielonka's
-parity algorithm, objective trackers, punishment regions) -> `synthesis`
+parity algorithm, objective trackers, punishment regions solved on the
+numbered product of the unfolding with a tracker) -> `synthesis`
 (equilibrium search and certificate checking). `ltl` provides the objective language and its
 Büchi translation; `reduction` generates hardness instances from two-counter
 automata; `cli` is the command-line front end.
@@ -59,7 +60,6 @@ from .zerosum import (
     WinningRegions,
     ZeroSumGame,
     attractor,
-    game_from_unfolded,
     parse_dpa,
     punish_region,
     solve_parity,

@@ -306,8 +306,9 @@ def eval_on_lasso(
     The word is given as label sets per position. When ``atoms`` is
     supplied, formula atoms outside it raise UnknownAtomError.
     """
-    word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
-    nloop = len(word) - len(list(stem))
+    stem = [frozenset(x) for x in stem]
+    word = stem + [frozenset(x) for x in loop]
+    nloop = len(word) - len(stem)
     if nloop <= 0:
         raise ValueError("loop must be nonempty")
     if atoms is not None:

@@ -3,9 +3,9 @@ parity algorithm, objective trackers, and the per-player punishment regions
 used by the equilibrium characterization. Every objective becomes a
 deterministic parity tracker (a flag for `F`, `G`, `G F` and `F G`, or a
 supplied parity automaton); a punishment region is the product of the
-unfolding with that tracker, solved by Zielonka's algorithm. Its nodes
-(s, q) pair an unfolded state with the tracker state after reading s; the
-winning region and the punishment table are both read at those nodes.
+unfolding with that tracker, numbered and solved by Zielonka's algorithm.
+Its nodes (s, q) pair an unfolded state with the tracker state after
+reading s; the winning region and the punishment table are read at them.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
 from .errors import (
@@ -34,11 +34,11 @@ State = Hashable
 
 @dataclass(frozen=True)
 class ZeroSumGame:
-    states: tuple[State, ...]
-    succ: Mapping[State, tuple[State, ...]]
+    # `succ`, `is_protagonist` and a priority map are dicts over the states,
+    # or lists over the ids of a numbered game
+    states: Iterable[State]  # deterministic order; the tie-breaks follow it
+    succ: Mapping[State, Iterable[State]]
     is_protagonist: Mapping[State, bool]
-    labels: Mapping[State, frozenset[str]]
-    losing_sinks: frozenset[State] = frozenset()  # absorbing: self-loop only
 
     @cached_property
     def pred(self) -> dict[State, list[State]]:  # built when an attractor first needs it
@@ -47,19 +47,6 @@ class ZeroSumGame:
             for t in self.succ[s]:
                 pred[t].append(s)
         return pred
-
-
-def game_from_unfolded(u: UnfoldedArena, protagonist_players: Iterable[int]) -> ZeroSumGame:
-    protos = set(protagonist_players)
-    if not protos <= set(range(1, u.base.players + 1)):
-        raise DocumentSemanticError(f"unknown player(s) in {sorted(protos)}")
-    return ZeroSumGame(
-        states=u.states,
-        succ=u.succ,
-        is_protagonist={s: u.owner(s) in protos for s in u.states},
-        labels={s: u.labels(s) for s in u.states},
-        losing_sinks=frozenset(s for s in u.states if s is BOT),
-    )
 
 
 @dataclass(frozen=True)
@@ -78,29 +65,23 @@ def attractor(
     g: ZeroSumGame,
     target: Iterable[State],
     *,
-    for_protagonist: bool = True,
-    within: Optional[Iterable[State]] = None,
+    for_protagonist: bool,
+    within: AbstractSet[State],
 ) -> tuple[set[State], dict[State, State]]:
-    """Least fixpoint containing `target`: the attracting side's states with
-    one successor inside, the other side's states with all successors
-    inside. The strategy picks a rank-decreasing edge. The frontier is
-    seeded in `g.states` order, so ties between targets do not depend on
-    hashing."""
-    if within is None:
-        domain = g.succ  # keyed by every state
-    elif isinstance(within, (set, frozenset)):
-        domain = within
-    else:
-        domain = set(within)
-    attr = set(t for t in target if t in domain)
+    """Least fixpoint inside `within` containing `target`: the attracting
+    side's states with one successor inside, the other side's states with
+    all their successors in `within` inside. The strategy picks a
+    rank-decreasing edge. The frontier is seeded in `g.states` order, so
+    ties between targets do not depend on hashing."""
+    attr = set(t for t in target if t in within)
     strategy: dict[State, State] = {}
-    degree: dict[State, int] = {}  # in-domain successors not yet attracted
+    degree: dict[State, int] = {}  # successors in `within` not yet attracted
     frontier = [s for s in g.states if s in attr]
     while frontier:
         new_frontier = []
         for t in frontier:
             for s in g.pred[t]:
-                if s not in domain or s in attr:
+                if s not in within or s in attr:
                     continue
                 if g.is_protagonist[s] == for_protagonist:
                     attr.add(s)
@@ -111,7 +92,7 @@ def attractor(
                 if left is None:
                     left = 0
                     for x in g.succ[s]:
-                        if x in domain:
+                        if x in within:
                             left += 1
                 degree[s] = left - 1
                 if left == 1:
@@ -141,9 +122,6 @@ def _escape_strategy(g, region, owned_side):
 def solve_parity(g: ZeroSumGame, priority: Mapping[State, int]) -> WinningRegions:
     """Zielonka's algorithm. The protagonist wins a play iff the maximum
     priority seen infinitely often is even."""
-    missing = [s for s in g.states if s not in priority]
-    if missing:
-        raise DocumentSemanticError(f"missing priorities for {len(missing)} state(s)")
     top = max((priority[s] for s in g.states), default=0)
     if top > MAX_PRIORITY:
         raise DocumentSemanticError(
@@ -300,37 +278,39 @@ def objective_tracker(
 
 
 class TrackerProduct(NamedTuple):
-    game: ZeroSumGame  # nodes (s, q): q is the tracker state after reading s
-    priority: dict
+    nodes: list  # id -> (s, q): q is the tracker state after reading s
+    game: ZeroSumGame  # on the ids
+    priority: list  # id -> its priority
 
 
-def tracker_product(g: ZeroSumGame, tracker: Tracker) -> TrackerProduct:
-    """The part of g x tracker reachable from every state's start node
-    (s, the tracker state after reading s from its initial state). A node
-    carries the tracker state after its own letter, so a tracker whose
-    state is the current letter's verdict (G F, F G) adds no nodes. Losing
-    sinks get priority 1, so carefulness stays losing."""
-    step, labels = cache(tracker.step), g.labels
-    nodes = list(dict.fromkeys((s, step(tracker.initial, labels[s])) for s in g.states))
-    seen = set(nodes)
-    succ = {}
-    for node in nodes:  # breadth-first: the list grows while it is read
-        s, q = node
-        succ[node] = out = tuple([(t, step(q, labels[t])) for t in g.succ[s]])
-        for n in out:
-            if n not in seen:
-                seen.add(n)
-                nodes.append(n)
-    sinks = frozenset(n for n in nodes if n[0] in g.losing_sinks)
+def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> TrackerProduct:
+    """`player`'s punishment game: the part of the unfolding x tracker
+    reachable from every state's start node (s, the tracker state after
+    reading s), numbered breadth-first from the start nodes in `u.states`
+    order. A node carries the tracker state after its own letter, so a
+    tracker whose state is the current letter's verdict (G F, F G) adds no
+    nodes. The sink gets priority 1, so carefulness stays losing."""
+    step, labels = cache(tracker.step), u.labels
+    nodes = list(dict.fromkeys((s, step(tracker.initial, labels(s))) for s in u.states))
+    ids = {node: k for k, node in enumerate(nodes)}
+    succ = []
+    for s, q in nodes:  # breadth-first: the list grows while it is read
+        out = []
+        for t in u.succ[s]:
+            nxt = (t, step(q, labels(t)))
+            k = ids.get(nxt)
+            if k is None:
+                k = ids[nxt] = len(nodes)
+                nodes.append(nxt)
+            out.append(k)
+        succ.append(out)
     game = ZeroSumGame(
-        states=tuple(nodes),
+        states=range(len(nodes)),
         succ=succ,
-        is_protagonist={n: g.is_protagonist[n[0]] for n in nodes},
-        labels={n: labels[n[0]] for n in nodes},
-        losing_sinks=sinks,
+        is_protagonist=[u.owner(s) == player for s, _ in nodes],
     )
-    priority = {n: 1 if n in sinks else tracker.priority(n[1]) for n in nodes}
-    return TrackerProduct(game, priority)
+    priority = [1 if s is BOT else tracker.priority(q) for s, q in nodes]
+    return TrackerProduct(nodes, game, priority)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +338,10 @@ def punish_region(u: UnfoldedArena, player: int, tracker: Tracker) -> PunishRegi
     parity game: the unfolding in product with the tracker, solved by
     Zielonka's algorithm, whose coalition strategy is the punishment
     table."""
-    game, priority = tracker_product(game_from_unfolded(u, {player}), tracker)
+    nodes, game, priority = tracker_product(u, player, tracker)
     regions = solve_parity(game, priority)
-    table = {(s, str(q)): t[0] for (s, q), t in regions.antagonist_strategy.items()}
-    return PunishRegions(regions.protagonist, table)
+    table = {}
+    for k, t in regions.antagonist_strategy.items():
+        s, q = nodes[k]
+        table[(s, str(q))] = nodes[t][0]
+    return PunishRegions(frozenset(nodes[k] for k in regions.protagonist), table)

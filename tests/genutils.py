@@ -143,8 +143,17 @@ def nba_accepts_lasso(nba: ltl.NBA, stem, loop) -> bool:
 # Random zero-sum games and the strategy-enumeration oracle
 
 
-def make_game(states, succ, is_protagonist, labels, losing_sinks=frozenset()) -> ZeroSumGame:
-    return ZeroSumGame(
+@dataclasses.dataclass(frozen=True)
+class LabelledGame(ZeroSumGame):
+    """A game with a label per state and losing sinks (absorbing: self-loop
+    only), which the oracles read."""
+
+    labels: dict
+    losing_sinks: frozenset
+
+
+def make_game(states, succ, is_protagonist, labels, losing_sinks=frozenset()) -> LabelledGame:
+    return LabelledGame(
         states=tuple(states),
         succ={s: tuple(succ[s]) for s in states},
         is_protagonist=dict(is_protagonist),
@@ -153,7 +162,33 @@ def make_game(states, succ, is_protagonist, labels, losing_sinks=frozenset()) ->
     )
 
 
-def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> ZeroSumGame:
+def game_as_unfolding(g: LabelledGame) -> tuple[UnfoldedArena, dict]:
+    """`g` as the unfolding of a two-player arena with one resource and zero
+    costs: player 1 owns the protagonist's states, player 2 the rest, and
+    every losing sink becomes BOT. Returns it with the map from g's states
+    to its unfolded states; the package's region game for player 1 on it is
+    then g's game in product with a tracker."""
+    image = {s: BOT if s in g.losing_sinks else (s, (0,)) for s in g.states}
+    a = build_arena(
+        players=2,
+        dimensions=1,
+        states=list(g.states),
+        owner={s: 1 if g.is_protagonist[s] else 2 for s in g.states},
+        initial=g.states[0],
+        edges={(s, t): (0,) for s in g.states for t in g.succ[s]},
+        atoms=sorted(set().union(*g.labels.values())),
+        labels=g.labels,
+        system_objective=ltl.TRUE,
+        player_objectives=(ltl.TRUE, ltl.TRUE),
+    )
+    states = [image[s] for s in g.states if image[s] is not BOT]
+    if g.losing_sinks:
+        states.append(BOT)
+    succ = {image[s]: tuple(dict.fromkeys(image[t] for t in g.succ[s])) for s in g.states}
+    return UnfoldedArena(a, (0,), states[0], tuple(states), succ), image
+
+
+def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> LabelledGame:
     n = rng.randrange(2, max_states + 1)
     states = [f"s{i}" for i in range(n)]
     sinks, succ, is_pro, labels = set(), {}, {}, {}

@@ -24,6 +24,7 @@ from carefulsynth.zerosum import attractor, objective_tracker, solve_parity, tra
 from corpus import CORPUS
 from genutils import (
     OracleTooBig,
+    game_as_unfolding,
     nba_accepts_lasso,
     oracle_attractor,
     oracle_fragment_region,
@@ -111,7 +112,7 @@ def test_criterion_4_zero_sum_regions():
     for _ in range(300):
         g = random_game(rng, max_states=8, sink_prob=0.15)
         targets = {s for s in g.states if rng.random() < 0.3}
-        att, _ = attractor(g, targets)
+        att, _ = attractor(g, targets, for_protagonist=True, within=set(g.states))
         if att != oracle_attractor(g, targets):
             mismatches += 1
         for kind, objective in (
@@ -119,10 +120,15 @@ def test_criterion_4_zero_sum_regions():
             (FragmentClass.COBUCHI, ltl.Eventually(ltl.Always(p))),
         ):
             tracker = objective_tracker(objective)
-            product = tracker_product(g, tracker)
+            u, image = game_as_unfolding(g)
+            product = tracker_product(u, 1, tracker)
             won = solve_parity(product.game, product.priority).protagonist
-            start = {s: (s, tracker.step(tracker.initial, g.labels[s])) for s in g.states}
-            if {s for s in g.states if start[s] in won} != oracle_fragment_region(
+            won_nodes = {product.nodes[k] for k in won}
+            start = {
+                s: (image[s], tracker.step(tracker.initial, u.labels(image[s])))
+                for s in g.states
+            }
+            if {s for s in g.states if start[s] in won_nodes} != oracle_fragment_region(
                 g, kind, p
             ):
                 mismatches += 1

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -442,15 +443,22 @@ def test_stats_reports_sizes(fig1_path, capsys):
     [
         ("run_fig1.py", ["--bounds", "3,3"], "  stem: a@0,0 a@2,1 a@3,2 a@3,3 b@3,2 c@1,1"),
         ("scaling_smoke.py", ["--capacities", "2", "4"], "within envelope: yes"),
+        pytest.param(
+            "output_digest.py", ["--workloads", "fig1-sweep", "--seeds", "1"],
+            re.compile("fig1-sweep seed 1: 5 instances, sha256 [0-9a-f]{64}"),
+            id="output_digest.py",
+        ),
     ],
 )
 def test_scripts_run(script, args, line):
+    # one whole line of the output is `line`, or matches it if it is a pattern
     path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / script
     proc = subprocess.run(
         [sys.executable, str(path), *args], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert line in proc.stdout.splitlines()
+    pattern = line if isinstance(line, re.Pattern) else re.compile(re.escape(line))
+    assert any(pattern.fullmatch(out) for out in proc.stdout.splitlines()), proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,13 @@ def test_next_looks_one_step_ahead():
     assert eval_on_lasso(Next(Atom("p")), [frozenset(), frozenset({"p"})], [frozenset()])
 
 
+def test_stem_given_as_an_iterator_is_read_once():
+    # the stem's length must come from the same pass that builds the word
+    phi = parse_ltl("F G p")
+    assert eval_on_lasso(phi, iter([frozenset()]), [frozenset({"p"})])
+    assert eval_on_lasso(phi, [frozenset()], [frozenset({"p"})])
+
+
 def test_unknown_atom_is_an_error():
     with pytest.raises(UnknownAtomError):
         eval_on_lasso(Atom("zz"), [], [frozenset({"p"})], atoms={"p"})

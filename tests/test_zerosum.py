@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from carefulsynth.unfolding import BOT, unfold
 from carefulsynth.zerosum import (
     attractor,
     dpa_step,
-    game_from_unfolded,
     objective_tracker,
     parse_dpa,
     punish_region,
@@ -21,6 +21,7 @@ from carefulsynth.zerosum import (
 )
 
 from genutils import (
+    game_as_unfolding,
     make_game,
     oracle_attractor,
     oracle_fragment_region,
@@ -37,29 +38,35 @@ P = ltl.Atom("p")
 # Attractor
 
 
+def _attract(g, targets):
+    return attractor(g, targets, for_protagonist=True, within=set(g.states))
+
+
 def test_attractor_contains_targets():
     g = random_game(random.Random(0))
     targets = set(g.states[:2])
-    att, _ = attractor(g, targets)
+    att, _ = _attract(g, targets)
     assert targets <= att
+
+
+def _diamond_attractor(u, player):
+    """The unfolded states from which `player` forces a diamond state, on
+    its region game with a `true` tracker: one node per unfolded state."""
+    nodes, g, _ = tracker_product(u, player, objective_tracker(ltl.TRUE))
+    assert len(nodes) == len(u.states)
+    targets = {k for k, (s, _) in enumerate(nodes) if "diam" in u.labels(s)}
+    att, _ = _attract(g, targets)
+    return {nodes[k][0] for k in att}
 
 
 def test_attractor_fig1_careful_deviation_blocked(fig1):
     # player 3 cannot force the diamond from (c,1,1) under bounds (3,3):
     # moving costs (-3,0) and pumping first drops resource 2 below zero
-    u = unfold(fig1, (3, 3))
-    g = game_from_unfolded(u, {3})
-    targets = {s for s in u.states if "diam" in u.labels(s)}
-    att, _ = attractor(g, targets)
-    assert ("c", (1, 1)) not in att
+    assert ("c", (1, 1)) not in _diamond_attractor(unfold(fig1, (3, 3)), 3)
 
 
 def test_attractor_fig1_larger_bounds_enable_deviation(fig1):
-    u = unfold(fig1, (10, 10))
-    g = game_from_unfolded(u, {3})
-    targets = {s for s in u.states if "diam" in u.labels(s)}
-    att, _ = attractor(g, targets)
-    assert ("c", (4, 1)) in att
+    assert ("c", (4, 1)) in _diamond_attractor(unfold(fig1, (10, 10)), 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -70,8 +77,8 @@ def test_attractor_is_monotone(seed):
     k = rng.randrange(0, len(g.states))
     small = set(rng.sample(list(g.states), k))
     extra = set(rng.sample(list(g.states), rng.randrange(0, len(g.states))))
-    a1, _ = attractor(g, small)
-    a2, _ = attractor(g, small | extra)
+    a1, _ = _attract(g, small)
+    a2, _ = _attract(g, small | extra)
     assert a1 <= a2
 
 
@@ -81,7 +88,7 @@ def test_attractor_matches_strategy_enumeration(seed):
     rng = random.Random(seed)
     g = random_game(rng, max_states=6, sink_prob=0.0)
     targets = {s for s in g.states if rng.random() < 0.3}
-    att, strat = attractor(g, targets)
+    att, strat = _attract(g, targets)
     assert att == oracle_attractor(g, targets)
     for s, t in strat.items():
         assert t in g.succ[s]
@@ -100,13 +107,19 @@ FRAGMENT_OBJECTIVE = {
 
 
 def _solve_fragment(g, kind):
-    """The product of g with the tracker of kind's objective over p, its
-    regions, the protagonist's region read at the start nodes, and those
-    nodes (s, the tracker state after reading s)."""
+    """The product of g with the tracker of kind's objective over p, built
+    by the package as player 1's region game on g as an unfolding, its
+    regions, the protagonist's region read at the start nodes, and the ids
+    of those nodes (s, the tracker state after reading s)."""
     tracker = objective_tracker(FRAGMENT_OBJECTIVE[kind])
-    product = tracker_product(g, tracker)
+    u, image = game_as_unfolding(g)
+    product = tracker_product(u, 1, tracker)
     reg = solve_parity(product.game, product.priority)
-    start = {s: (s, tracker.step(tracker.initial, g.labels[s])) for s in g.states}
+    ids = {node: k for k, node in enumerate(product.nodes)}
+    start = {
+        s: ids[(image[s], tracker.step(tracker.initial, u.labels(image[s])))]
+        for s in g.states
+    }
     return product, reg, {s for s in g.states if start[s] in reg.protagonist}, start.values()
 
 
@@ -181,8 +194,14 @@ def _strategy_cases(g, rng):
         FragmentClass.COBUCHI: careful(lambda path, loop: all(sat[x] for x in loop)),
     }
 
-    def on_nodes(won):
-        return lambda path, loop: won([n[0] for n in path], [n[0] for n in loop])
+    # a state of g at each unfolded state: every losing sink is BOT there
+    state_of = {us: s for s, us in game_as_unfolding(g)[1].items()}
+
+    def on_nodes(nodes, won):
+        def at(path):
+            return [state_of[nodes[k][0]] for k in path]
+
+        return lambda path, loop: won(at(path), at(loop))
 
     def case(game, reg, starts, won):
         # the callers simulate only from starts inside a region; a start
@@ -192,7 +211,7 @@ def _strategy_cases(g, rng):
 
     for kind, won in wins.items():
         product, reg, _, start = _solve_fragment(g, kind)
-        yield case(product.game, reg, start, on_nodes(won))
+        yield case(product.game, reg, start, on_nodes(product.nodes, won))
     priority = {s: rng.randrange(0, 5) for s in g.states}
     yield case(
         g,
@@ -317,6 +336,54 @@ def test_dpa_missing_transition_rejected():
 
 # ---------------------------------------------------------------------------
 # Punishment regions
+
+
+def _check_region_game_laws(u, player, tracker):
+    """The numbered region game against one built here, node by node, from
+    `u.succ` and the tracker: nodes numbered breadth-first from the start
+    nodes in `u.states` order, successors in `u.succ` order, the player
+    owning exactly its own states, priority 1 at BOT and the tracker's
+    elsewhere. Zielonka's tie-breaks follow this order."""
+
+    def at(q, t):  # the node at unfolded state t after tracker state q
+        return (t, tracker.step(q, u.labels(t)))
+
+    order = list(dict.fromkeys(at(tracker.initial, s) for s in u.states))
+    queue, seen = deque(order), set(order)
+    while queue:
+        s, q = queue.popleft()
+        for n in (at(q, t) for t in u.succ[s]):
+            if n not in seen:
+                seen.add(n)
+                order.append(n)
+                queue.append(n)
+
+    nodes, game, priority = tracker_product(u, player, tracker)
+    assert nodes == order
+    assert list(game.states) == list(range(len(nodes)))
+    assert len(game.succ) == len(game.is_protagonist) == len(priority) == len(nodes)
+    for k, (s, q) in enumerate(nodes):
+        assert [nodes[j] for j in game.succ[k]] == [at(q, t) for t in u.succ[s]]
+        assert game.is_protagonist[k] == (u.owner(s) == player)
+        assert priority[k] == (1 if s is BOT else tracker.priority(q))
+    return {q for _, q in nodes}
+
+
+@pytest.mark.parametrize("bounds", [(3, 3), (10, 10)])
+def test_region_game_laws(fig1, bounds):
+    u = unfold(fig1, bounds)
+    assert BOT in u.states
+    for i in range(1, fig1.players + 1):
+        # F circ and F box reach both flags; F diam at (3,3) keeps one
+        flags = _check_region_game_laws(u, i, objective_tracker(fig1.objective_of(i)))
+        assert flags == {False, True} or i == 3
+
+
+def test_region_game_laws_with_a_parity_automaton(fig1):
+    dpa = parse_dpa(json.dumps(DPA_FP).replace('"p"', '"box"'))
+    u = unfold(fig1, (3, 3))
+    tracker = objective_tracker(fig1.objective_of(2), dpa)
+    assert _check_region_game_laws(u, 2, tracker) == {"wait", "good"}
 
 
 def test_punish_region_fig1_small_bounds(fig1):
