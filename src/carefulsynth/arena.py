@@ -117,8 +117,6 @@ def build_arena(
                 raise DocumentSemanticError(
                     f"edge ({src!r}, {dst!r}): cost component {v!r} not a 64-bit integer"
                 )
-        if (src, dst) in edge_map:
-            raise DocumentSemanticError(f"duplicate edge ({src!r}, {dst!r})")
         edge_map[(src, dst)] = c
 
     targets: dict[str, list[str]] = {s: [] for s in state_list}
@@ -183,7 +181,7 @@ def _check_players(players) -> None:
 # Document format
 
 
-def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
+def parse_arena(text: str) -> Arena:
     doc = expect(load_json(text), dict, "arena document")
     players = member(doc, "players", int, "players")
     _check_players(players)  # before any loop over the players
@@ -223,7 +221,6 @@ def parse_arena(text: str, *, allow_reserved_atom: bool = False) -> Arena:
         system_objective=ltl.parse_ltl(member(objectives, "system", str, "system objective")),
         player_objectives=player_objs,
         bounds=member(doc, "bounds", [int], "bounds", None),
-        allow_reserved_atom=allow_reserved_atom,
     )
 
 

@@ -1,19 +1,20 @@
 """LTL formulas: parsing, evaluation on ultimately periodic words, Büchi
-translation, and syntactic fragment classification.
+translation by a tableau built on the fly from its initial states, and
+syntactic fragment classification.
 
 Concrete syntax: atoms are identifiers; operators ``!``, ``&``, ``|``,
 ``X``, ``U``, ``F``, ``G``; parentheses. Precedence, tightest first:
 unary (``!``, ``X``, ``F``, ``G``), then ``U`` (right-associative),
 then ``&``, then ``|``. ``F``/``G`` are sugar (F phi = true U phi,
 G phi = !F !phi). The dual operator R exists only internally, for
-negation normal form.
+negation normal form. A parsed formula nests at most MAX_NESTING levels.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, LtlSyntaxError, UnknownAtomError
@@ -96,22 +97,21 @@ def atoms_of(phi: Formula) -> frozenset[str]:
         f = stack.pop()
         if isinstance(f, Atom):
             out.add(f.name)
-        elif isinstance(f, (Not, Next, Eventually, Always)):
-            stack.append(f.sub)
-        elif isinstance(f, (And, Or, Until, Release)):
-            stack.append(f.left)
-            stack.append(f.right)
+        stack.extend(_children(f))
     return frozenset(out)
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Not, Next, Eventually, Always)):
+        return (f.sub,)
+    if isinstance(f, (And, Or, Until, Release)):
+        return (f.left, f.right)
+    return ()
+
+
 def is_temporal_free(phi: Formula) -> bool:
-    if isinstance(phi, (Lit, Atom)):
-        return True
-    if isinstance(phi, Not):
-        return is_temporal_free(phi.sub)
-    if isinstance(phi, (And, Or)):
-        return is_temporal_free(phi.left) and is_temporal_free(phi.right)
-    return False
+    temporal = (Next, Until, Release, Eventually, Always)
+    return not isinstance(phi, temporal) and all(map(is_temporal_free, _children(phi)))
 
 
 def eval_bool(phi: Formula, letter: frozenset[str] | set[str]) -> bool:
@@ -133,34 +133,34 @@ def eval_bool(phi: Formula, letter: frozenset[str] | set[str]) -> bool:
 # Concrete syntax
 
 
+_SYMBOL = {
+    Not: "!", Next: "X", Eventually: "F", Always: "G", And: "&", Or: "|", Until: "U", Release: "R"
+}
+
+
 def formula_to_str(phi: Formula) -> str:
     """Canonical, fully parenthesized rendering; parses back to the same tree."""
     if isinstance(phi, Lit):
         return "true" if phi.value else "false"
     if isinstance(phi, Atom):
         return phi.name
-    if isinstance(phi, Not):
-        return f"(! {formula_to_str(phi.sub)})"
-    if isinstance(phi, Next):
-        return f"(X {formula_to_str(phi.sub)})"
-    if isinstance(phi, Eventually):
-        return f"(F {formula_to_str(phi.sub)})"
-    if isinstance(phi, Always):
-        return f"(G {formula_to_str(phi.sub)})"
-    if isinstance(phi, And):
-        return f"({formula_to_str(phi.left)} & {formula_to_str(phi.right)})"
-    if isinstance(phi, Or):
-        return f"({formula_to_str(phi.left)} | {formula_to_str(phi.right)})"
-    if isinstance(phi, Until):
-        return f"({formula_to_str(phi.left)} U {formula_to_str(phi.right)})"
-    if isinstance(phi, Release):
-        return f"({formula_to_str(phi.left)} R {formula_to_str(phi.right)})"
-    raise TypeError(f"unknown node {phi!r}")
+    symbol = _SYMBOL.get(type(phi))
+    if symbol is None:
+        raise TypeError(f"unknown node {phi!r}")
+    parts = [formula_to_str(g) for g in _children(phi)]
+    parts.insert(len(parts) - 1, symbol)  # prefix to one operand, infix to two
+    return f"({' '.join(parts)})"
 
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()]))")
 
-_UNARY = {"X": Next, "F": Eventually, "G": Always}
+_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+
+# Deepest nesting parse_ltl accepts, counted both in the text (operators and
+# parentheses the parser descends into) and in the tree it returns, so that
+# parsing and every recursive walk of a formula stay far below Python's
+# recursion limit.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -179,6 +179,7 @@ class _Parser:
         if rest:
             raise LtlSyntaxError(f"unexpected character {rest[0]!r}", text.index(rest[0], pos))
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -192,6 +193,14 @@ class _Parser:
             raise LtlSyntaxError("unexpected end of input", len(self.text))
         self.i += 1
         return tok
+
+    def nested(self, parse) -> Formula:
+        if self.depth == MAX_NESTING:
+            raise LtlSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", self.pos())
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     def parse(self) -> Formula:
         f = self.parse_or()
@@ -217,22 +226,19 @@ class _Parser:
         f = self.parse_unary()
         if self.peek() == "U":
             self.take()
-            return Until(f, self.parse_until())  # right-associative
+            return Until(f, self.nested(self.parse_until))  # right-associative
         return f
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
         if tok is None:
             raise LtlSyntaxError("unexpected end of input", len(self.text))
-        if tok == "!":
-            self.take()
-            return Not(self.parse_unary())
         if tok in _UNARY:
             self.take()
-            return _UNARY[tok](self.parse_unary())
+            return _UNARY[tok](self.nested(self.parse_unary))
         if tok == "(":
             self.take()
-            f = self.parse_or()
+            f = self.nested(self.parse_or)
             if self.peek() != ")":
                 raise LtlSyntaxError("expected ')'", self.pos())
             self.take()
@@ -250,7 +256,15 @@ class _Parser:
 
 
 def parse_ltl(text: str) -> Formula:
-    return _Parser(text).parse()
+    f = _Parser(text).parse()
+    # `&` and `|` chains nest to the left without the parser descending
+    stack = [(f, 0)]
+    while stack:
+        g, level = stack.pop()
+        if level > MAX_NESTING:
+            raise LtlSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", 0)
+        stack.extend((h, level + 1) for h in _children(g))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -405,154 +419,106 @@ def guard_matches(tr: NbaTransition, letter: frozenset[str]) -> bool:
     return tr.pos <= letter and not (tr.neg & letter)
 
 
-_CLOSURE_CAP = 20  # subsets are enumerated explicitly
+_CLOSURE_CAP = 20  # a state is a consistent subset of the closure: up to 2^cap
 
 
 def to_nba(phi: Formula) -> NBA:
-    """Declarative tableau translation; language equals the set of words
-    satisfying phi. Size is exponential in |phi| in the worst case."""
-    f = nnf(phi)
-    cl = _closure(f)
-    if len(cl) > _CLOSURE_CAP:
-        raise BudgetExceededError(
-            f"formula closure has {len(cl)} members (cap {_CLOSURE_CAP})"
-        )
-    atom_nodes = [g for g in cl if isinstance(g, Atom)]
-    untils = [g for g in cl if isinstance(g, Until)]
+    """On-the-fly tableau translation (Gerth, Peled, Vardi and Wolper,
+    1995); language equals the set of words satisfying phi.
 
-    states = [s for s in _subsets(cl) if _locally_consistent(s, cl)]
-    index = {s: k for k, s in enumerate(states)}
-    initial = frozenset(index[s] for s in states if f in s)
+    A state is a locally consistent subset of the closure of nnf(phi) (the
+    subformulas that hold at the current position), paired with the
+    degeneralization counter over its `U` members. Its guard is the letter
+    of its atoms; its successors are the consistent sets that meet its
+    obligations for the next position. States are built breadth-first from
+    the initial ones, so only reachable states exist. Size is exponential
+    in |phi| in the worst case."""
+    cl = _closure(nnf(phi))
+    index = {g: k for k, g in enumerate(cl)}
+    kids = [[index[h] for h in _children(g)] for g in cl]
+    atoms = [k for k, g in enumerate(cl) if isinstance(g, Atom)]
+    untils = [k for k, g in enumerate(cl) if isinstance(g, Until)]
 
-    def guard(s):
-        p = frozenset(a.name for a in atom_nodes if a in s)
-        ng = frozenset(a.name for a in atom_nodes if a not in s)
-        return p, ng
+    def options(k: int, s: int) -> tuple[bool, ...]:
+        # memberships of cl[k] that local consistency leaves to a set s
+        # that already decides cl[k]'s subformulas
+        g, below = cl[k], [bool(s >> i & 1) for i in kids[k]]
+        if isinstance(g, Lit):
+            return (g.value,)
+        if isinstance(g, Not):
+            return (not below[0],)
+        if isinstance(g, And):
+            return (all(below),)
+        if isinstance(g, Or):
+            return (any(below),)
+        if isinstance(g, Until):  # forced by its right side, open on its left alone
+            return (True,) if below[1] else (False, True) if below[0] else (False,)
+        if isinstance(g, Release):  # the dual
+            return (False,) if not below[1] else (True,) if below[0] else (False, True)
+        return (False, True)  # Atom, Next
 
-    trans: list[list[NbaTransition]] = [[] for _ in states]
-    for s in states:
-        p, ng = guard(s)
-        for s2 in states:
-            if _transition_ok(s, s2, cl):
-                trans[index[s]].append(NbaTransition(p, ng, index[s2]))
+    def consistent(fixed: dict[int, bool]) -> list[int]:
+        # every locally consistent set, as a bitmask over cl, that agrees
+        # with `fixed`; each member is decided after its subformulas
+        sets = [0]
+        for k in range(len(cl)):
+            sets = [s | v << k for s in sets for v in options(k, s) if fixed.get(k, v) == v]
+        return sets
 
-    acc_sets = [
-        frozenset(index[s] for s in states if g not in s or g.right in s)
-        for g in untils
-    ]
-    nba = NBA(len(states), initial, tuple(tuple(t) for t in trans), frozenset(range(len(states))))
-    return _reachable_part(_degeneralize(nba, acc_sets))
+    @cache
+    def successors(s: int) -> list[int]:
+        # each X g fixes g; each open U or R member fixes itself
+        fixed: dict[int, bool] = {}
+        for k, g in enumerate(cl):
+            if isinstance(g, Next):
+                target = kids[k][0]
+            elif isinstance(g, (Until, Release)) and len(options(k, s)) == 2:
+                target = k
+            else:
+                continue
+            if fixed.setdefault(target, bool(s >> k & 1)) != bool(s >> k & 1):
+                return []
+        return consistent(fixed)
+
+    states = [(s, 0) for s in consistent({len(cl) - 1: True})]  # the root is listed last
+    initial = frozenset(range(len(states)))
+    number = {q: n for n, q in enumerate(states)}
+    transitions, accepting = [], set()
+    for n, (s, i) in enumerate(states):  # the list grows while it is read
+        # the counter waits on U member untils[i]: absent, or its right side holds
+        done = not untils or not s >> untils[i] & 1 or bool(s >> kids[untils[i]][1] & 1)
+        if done and i == 0:
+            accepting.add(n)
+        after = (i + 1) % len(untils) if untils and done else i
+        pos = frozenset(cl[k].name for k in atoms if s >> k & 1)
+        neg = frozenset(cl[k].name for k in atoms if not s >> k & 1)
+        out = []
+        for s2 in successors(s):
+            q = (s2, after)
+            if q not in number:
+                number[q] = len(states)
+                states.append(q)
+            out.append(NbaTransition(pos, neg, number[q]))
+        transitions.append(tuple(out))
+    return NBA(len(states), initial, tuple(transitions), frozenset(accepting))
 
 
 def _closure(f: Formula) -> list[Formula]:
-    seen: list[Formula] = []
+    """The distinct subformulas of f, each listed after its own; raises
+    BudgetExceededError as soon as there are more than _CLOSURE_CAP."""
+    seen: dict[Formula, None] = {}
 
     def walk(g):
         if g in seen:
             return
-        seen.append(g)
-        if isinstance(g, (Not, Next)):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Until, Release)):
-            walk(g.left)
-            walk(g.right)
+        for h in _children(g):
+            walk(h)
+        seen[g] = None
+        if len(seen) > _CLOSURE_CAP:
+            raise BudgetExceededError(f"formula closure has more than {_CLOSURE_CAP} members")
 
     walk(f)
-    return seen
-
-
-def _subsets(cl):
-    for r in range(len(cl) + 1):
-        for combo in itertools.combinations(cl, r):
-            yield frozenset(combo)
-
-
-def _locally_consistent(s, cl) -> bool:
-    for g in cl:
-        if isinstance(g, Lit):
-            if g.value != (g in s):
-                return False
-        elif isinstance(g, Not):
-            if (g in s) == (g.sub in s):
-                return False
-        elif isinstance(g, And):
-            if (g in s) != (g.left in s and g.right in s):
-                return False
-        elif isinstance(g, Or):
-            if (g in s) != (g.left in s or g.right in s):
-                return False
-        elif isinstance(g, Until):
-            if g.right in s and g not in s:
-                return False
-            if g in s and g.right not in s and g.left not in s:
-                return False
-        elif isinstance(g, Release):
-            if g in s and g.right not in s:
-                return False
-            if g.left in s and g.right in s and g not in s:
-                return False
-    return True
-
-
-def _transition_ok(s, s2, cl) -> bool:
-    for g in cl:
-        if isinstance(g, Next):
-            if (g in s) != (g.sub in s2):
-                return False
-        elif isinstance(g, Until):
-            want = g.right in s or (g.left in s and g in s2)
-            if (g in s) != want:
-                return False
-        elif isinstance(g, Release):
-            want = g.right in s and (g.left in s or g in s2)
-            if (g in s) != want:
-                return False
-    return True
-
-
-def _degeneralize(nba: NBA, acc_sets: list[frozenset[int]]) -> NBA:
-    if not acc_sets:
-        return nba
-    m = len(acc_sets)
-    if m == 1:
-        return NBA(nba.n_states, nba.initial, nba.transitions, acc_sets[0])
-    # counter construction: layer advances when the current layer's set is hit
-    idx: dict[tuple[int, int], int] = {}
-    for q in range(nba.n_states):
-        for i in range(m):
-            idx[(q, i)] = len(idx)
-    trans: list[list[NbaTransition]] = [[] for _ in range(len(idx))]
-    for q in range(nba.n_states):
-        for i in range(m):
-            ni = (i + 1) % m if q in acc_sets[i] else i
-            for tr in nba.transitions[q]:
-                trans[idx[(q, i)]].append(NbaTransition(tr.pos, tr.neg, idx[(tr.dst, ni)]))
-    initial = frozenset(idx[(q, 0)] for q in nba.initial)
-    accepting = frozenset(idx[(q, 0)] for q in acc_sets[0])
-    return NBA(len(idx), initial, tuple(tuple(t) for t in trans), accepting)
-
-
-def _reachable_part(nba: NBA) -> NBA:
-    seen = set(nba.initial)
-    stack = list(nba.initial)
-    while stack:
-        q = stack.pop()
-        for tr in nba.transitions[q]:
-            if tr.dst not in seen:
-                seen.add(tr.dst)
-                stack.append(tr.dst)
-    order = sorted(seen)
-    remap = {q: k for k, q in enumerate(order)}
-    trans = tuple(
-        tuple(NbaTransition(tr.pos, tr.neg, remap[tr.dst]) for tr in nba.transitions[q])
-        for q in order
-    )
-    return NBA(
-        len(order),
-        frozenset(remap[q] for q in nba.initial),
-        trans,
-        frozenset(remap[q] for q in nba.accepting if q in seen),
-    )
+    return list(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -156,17 +156,13 @@ def simulate_reachability(
 W1, W2A, W2B = "win1", "win2a", "win2b"
 
 
-def build_game(ca: CounterAutomaton, target: Optional[str] = None) -> Arena:
+def build_game(ca: CounterAutomaton) -> Arena:
     """Encode counter reachability as a two-player instance over two
     resources. Counters live in the resource vector; guards become escape
     moves for player 2 (upper guards) and forced subtractions (lower
     guards). The instance has a careful solution, under bounds at least the
     largest counter values of a witness run, iff (target, (0, 0)) is
     reachable."""
-    if target is None:
-        target = ca.target
-    if target not in ca.locations:
-        raise DocumentSemanticError(f"unknown target location {target!r}")
     states: list[str] = []
     owner: dict[str, int] = {}
     labels: dict[str, list[str]] = {}
@@ -202,9 +198,9 @@ def build_game(ca: CounterAutomaton, target: Optional[str] = None) -> Arena:
 
     # target gadget: player 1 wins; player 2's escapes double as zero tests
     # (careful for player 2 exactly when a counter is still positive)
-    t_choice = f"{target}_done"
+    t_choice = f"{ca.target}_done"
     add_state(t_choice, 2)
-    edges[(target, t_choice)] = (0, 0)
+    edges[(ca.target, t_choice)] = (0, 0)
     edges[(t_choice, W1)] = (0, 0)
     edges[(t_choice, W2A)] = (-1, 0)
     edges[(t_choice, W2B)] = (0, -1)

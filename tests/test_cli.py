@@ -165,6 +165,31 @@ def test_solve_unsupported_objective_errors(fig1_text, tmp_path, capsys):
     assert "unsupported objective" in err
 
 
+DEEP_FORMULAS = {
+    "parentheses": "(" * 300 + "F circ" + ")" * 300,
+    "next": "X " * 2000 + "circ",
+    "until": " U ".join(["circ"] * 1200),
+    "and": " & ".join(["F circ"] * 1500),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_FORMULAS)
+def test_deeply_nested_objective_is_an_error(fig1_text, tmp_path, capsys, shape):
+    doc = json.loads(fig1_text)
+    doc["objectives"]["system"] = DEEP_FORMULAS[shape]
+    path = tmp_path / "arena.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "solve", str(path), "--bounds", "3,3")
+    assert code == EXIT_ERROR
+    assert "nested deeper than" in err and "Traceback" not in err
+
+
+def test_deeply_nested_mc_formula_is_an_error(fig1_path, lasso_file, capsys):
+    code, _, err = _run(capsys, "mc", fig1_path, lasso_file, DEEP_FORMULAS["parentheses"])
+    assert code == EXIT_ERROR
+    assert "nested deeper than" in err and "Traceback" not in err
+
+
 def test_solve_with_automaton_objective(fig1_path, tmp_path, capsys):
     dpa = {
         "states": ["wait", "good"],

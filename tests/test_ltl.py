@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carefulsynth import ltl
-from carefulsynth.errors import LtlSyntaxError, UnknownAtomError
+from carefulsynth.errors import BudgetExceededError, LtlSyntaxError, UnknownAtomError
 from carefulsynth.ltl import (
     Atom,
     Eventually,
@@ -146,11 +146,31 @@ def test_nba_membership_equals_direct_evaluation():
     # acceptance criterion 5 at unit scale; the full 200-pair run lives in
     # the acceptance suite
     rng = random.Random(99)
-    for _ in range(60):
-        phi = random_formula(rng, rng.randrange(0, 4))
+    translated = 0
+    for _ in range(210):
+        phi = random_formula(rng, rng.randrange(0, 6))
+        try:
+            nba = to_nba(phi)
+        except BudgetExceededError:  # closure over the cap
+            continue
+        translated += 1
+        for _ in range(5):
+            stem, loop = random_word(rng)
+            assert nba_accepts_lasso(nba, stem, loop) == eval_on_lasso(phi, stem, loop)
+    assert translated >= 200
+
+
+def test_tableau_cap_is_on_the_closure_size():
+    # one more X in the last conjunct makes 21 members
+    at_cap = parse_ltl("G F p & F G !q & (p U (q & X !p)) & G (p | X X q)")
+    assert len(ltl._closure(nnf(at_cap))) == ltl._CLOSURE_CAP == 20
+    nba = to_nba(at_cap)
+    rng = random.Random(20)
+    for _ in range(50):
         stem, loop = random_word(rng)
-        nba = to_nba(phi)
-        assert nba_accepts_lasso(nba, stem, loop) == eval_on_lasso(phi, stem, loop)
+        assert nba_accepts_lasso(nba, stem, loop) == eval_on_lasso(at_cap, stem, loop)
+    with pytest.raises(BudgetExceededError):
+        to_nba(parse_ltl("G F p & F G !q & (p U (q & X !p)) & G (p | X X X q)"))
 
 
 # ---------------------------------------------------------------------------
