@@ -38,7 +38,7 @@ def region_lines(inst: workloads.Instance) -> list[str]:
     out = []
     for i in range(1, a.players + 1):
         r = punish_region(u, i, objective_tracker(a.objective_of(i), dpas.get(i)))
-        win = sorted(f"{render_ustate(s)}|{q}" for s, q in r.win)
+        win = sorted(f"{render_ustate(u.states[k])}|{q}" for k, q in r.win)
         table = sorted(f"{render_ustate(s)}|{q} -> {render_ustate(t)}"
                        for (s, q), t in r.punishment.items())
         out.append(f"player {i} win {win} table {table}")

@@ -50,7 +50,7 @@ def main() -> int:
         u = unfold(a, (b, b))
         dt = time.perf_counter() - t0
         envelope = n * (b + 1) ** 2 + 1
-        edges = sum(len(u.succ[s]) for s in u.states)
+        edges = sum(map(len, u.succ))
         ok = ok and len(u.states) <= envelope
         print(
             f"{b:>8} {len(u.states):>8} {edges:>8} {envelope:>9} {dt * 1000:>7.1f}ms"

@@ -6,16 +6,16 @@ objective's tracker (its tableau automaton outside the fragments) and every
 player's tracker, each read after a state's letter. For each candidate
 winner set, search that product for a lasso that the system's component and
 every winner's tracker accept, without the nodes where a loser owns the
-state and its punishment region holds (state, its tracker state there). A
+state and its punishment region holds (state id, its tracker state). A
 player's punishment region is solved the first time it is a loser, since
 only a loser has a reason to deviate. A found lasso plus the losers'
 punishment tables form the equilibrium certificate; `check_certificate`
 checks it without the game solver and without building the unfolding, by
 an emptiness test per loser on the graph its table leaves. It replays the
 outcome with `unfolding.lift`, which the solver does not call; it shares
-with the solver only `unfolding.step`, the objective trackers, their runs
-over a lasso and the SCC kernel, and steps only the unfolded states a
-deviation or a table entry reaches.
+with the solver only `unfolding.credit_after` (through `step`), the
+objective trackers, their runs over a lasso and the SCC kernel, and steps
+only the unfolded states a deviation or a table entry reaches.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ def system_component(phi: ltl.Formula) -> Tracker:
 
 class WitnessProduct(NamedTuple):
     """The reachable, sink-free part of the unfolding in product with the
-    system's component and a list of trackers. A node is (unfolded state,
-    each component's state after reading the state's letter, the system's
-    first); nodes are numbered once, and the search runs on the numbers."""
+    system's component and a list of trackers. A node is (the id of an
+    unfolded state, each component's state after reading the state's
+    letter, the system's first); nodes are numbered once, and the search
+    runs on the numbers."""
 
     nodes: list  # id -> node
     initials: list  # ids
@@ -129,7 +130,7 @@ def witness_product(
     `step` lists its states after a letter (see `system_component`). Each
     transition and priority is computed once per solve, whatever the number
     of product nodes that share it."""
-    labels = u.base.labels  # of base states; the search never enters the sink
+    labels, states = u.labels, u.states
 
     @cache
     def after(qs, letter):
@@ -141,15 +142,15 @@ def witness_product(
         return (system.priority(qs[0]), *[t.priority(q) for t, q in zip(trackers, qs[1:])])
 
     start = (system.initial, *[t.initial for t in trackers])
-    nodes = [(u.initial, qs) for qs in after(start, labels[u.initial[0]])]
+    nodes = [(u.initial, qs) for qs in after(start, labels[u.initial])]
     initials = list(range(len(nodes)))
     ids = {node: k for k, node in enumerate(nodes)}
     succ = []
     for s, qs in nodes:  # breadth-first: the list grows while it is read
         out = []
         for t in u.succ[s]:
-            if t is not BOT:
-                for qt in after(qs, labels[t[0]]):
+            if states[t] is not BOT:  # the search never enters the sink
+                for qt in after(qs, labels[t]):
                     nxt = (t, qt)
                     k = ids.get(nxt)
                     if k is None:
@@ -173,11 +174,11 @@ def find_witness_lasso(
     product: WitnessProduct,
     winners: Sequence[int],
     forbidden: AbstractSet,
-) -> tuple[tuple[UState, ...], tuple[UState, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Search `product`, without the node ids in `forbidden`, for a lasso that
     the system's component and the trackers at positions `winners` accept:
     a cycle whose top priority in each of those components is even, decided
-    by SCC refinement. Returns (stem, loop) over unfolded states,
+    by SCC refinement. Returns (stem, loop) over unfolded-state ids,
     deterministically minimized (shortest stem first, then a loop through
     one top-priority node per component). Raises NoWitness naming why
     none exists: every initial node is forbidden, the restricted product
@@ -285,10 +286,10 @@ def _winner_sets(n: int):
 
 
 def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
-    base_stem = tuple(us[0] for us in stem)
-    base_loop = tuple(us[0] for us in loop)
-    trace = tuple(us[1] for us in stem) + tuple(us[1] for us in loop)
-    return Lasso(stem=base_stem, loop=base_loop, trace=trace)
+    """The lasso over unfolded-state ids as a base-arena lasso with its trace."""
+    stem, loop = [u.states[k] for k in stem], [u.states[k] for k in loop]
+    trace = tuple(c for _, c in stem + loop)
+    return Lasso(stem=tuple(s for s, _ in stem), loop=tuple(s for s, _ in loop), trace=trace)
 
 
 def solve(
@@ -325,7 +326,7 @@ def solve(
                 blocked[i] = {
                     k
                     for k, (s, qs) in enumerate(product.nodes)
-                    if u.owner(s) == i and (s, qs[i]) in win
+                    if u.owner[s] == i and (s, qs[i]) in win
                 }
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
@@ -336,8 +337,8 @@ def solve(
             diagnostics.append((tuple(sorted(winner_set)), str(e)))
             continue
         outcome = outcome_lasso(u, stem, loop)
-        stem_labels = [u.labels(s) for s in stem]
-        loop_labels = [u.labels(s) for s in loop]
+        stem_labels = [u.labels[k] for k in stem]
+        loop_labels = [u.labels[k] for k in loop]
         winners = frozenset(
             i for i in players
             if tracker_accepts(trackers[i], stem_labels, loop_labels)

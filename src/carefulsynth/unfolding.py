@@ -2,15 +2,16 @@
 vectors, plus the absorbing underflow sink.
 
 Only the fraction reachable from (initial, 0, ..., 0) is materialized; the
-full product is never allocated.
+full product is never allocated. Its states are numbered once, and every
+later layer reads successors, owners and labels by those numbers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from operator import add
-from typing import Sequence, Union
+from math import prod
+from operator import add, mul
+from typing import Optional, Sequence, Union
 
 from . import arena as arena_mod
 from . import ltl
@@ -70,22 +71,18 @@ def parse_ustate(text: str) -> UState:
 
 @dataclass(frozen=True)
 class UnfoldedArena:
+    """The reachable unfolding, numbered: id k names `states[k]`, in natural
+    tuple order with the sink last, and `succ`, `owner` and `labels` are
+    lists over the ids."""
+
     base: Arena
     bounds: tuple[int, ...]
-    initial: UState
-    states: tuple[UState, ...]  # reachable only; deterministic order
-    succ: dict[UState, tuple[UState, ...]] = field(repr=False)
+    initial: int
+    states: tuple[UState, ...]
+    succ: list[list[int]] = field(repr=False)  # in `step` order
+    owner: list[int] = field(repr=False)  # the sink's is fixed at 1
+    labels: list[frozenset[str]] = field(repr=False)
     clipped: bool = False  # some reachable step saturated a resource
-
-    def owner(self, us: UState) -> int:
-        if us is BOT:
-            return 1  # the sink is a sink; ownership is irrelevant but fixed
-        return self.base.owner[us[0]]
-
-    def labels(self, us: UState) -> frozenset[str]:
-        if us is BOT:
-            return frozenset({RESERVED_ATOM})
-        return self.base.labels[us[0]]
 
     def system_objective(self) -> ltl.Formula:
         return ltl.And(self.base.system_objective, AVOID_BOT)
@@ -105,6 +102,14 @@ def checked_bounds(a: Arena, bounds: Sequence[int]) -> tuple[int, ...]:
     return b
 
 
+def credit_after(c: tuple, w: tuple, bounds: tuple) -> tuple[Optional[tuple], bool]:
+    """The saturated credit after an edge of cost `w` from credit `c`, or None
+    when it goes below zero, and whether the edge saturated a resource."""
+    raw = tuple(map(add, c, w))
+    c2 = tuple(map(min, raw, bounds))
+    return (c2 if min(c2, default=0) >= 0 else None), c2 != raw
+
+
 def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[tuple[UState, ...], bool]:
     """The successors of `us` in the unfolding under validated `bounds`, in
     `a.successors` order with BOT last, and whether some edge out of `us`
@@ -115,13 +120,12 @@ def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[tuple[UState, .
     out: list[UState] = []
     to_bot = clipped = False
     for s2 in a.successors(s):
-        raw = tuple(map(add, c, a.edges[(s, s2)]))
-        c2 = tuple(map(min, raw, bounds))
-        clipped = clipped or c2 != raw
-        if min(c2, default=0) >= 0:
-            out.append((s2, c2))
-        else:
+        c2, saturated = credit_after(c, a.edges[(s, s2)], bounds)
+        clipped = clipped or saturated
+        if c2 is None:
             to_bot = True
+        else:
+            out.append((s2, c2))
     if to_bot:
         out.append(BOT)
     return tuple(out), clipped
@@ -130,37 +134,63 @@ def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[tuple[UState, .
 def unfold(
     a: Arena, bounds: Sequence[int], max_states: int = DEFAULT_STATE_BUDGET
 ) -> UnfoldedArena:
-    """Breadth-first construction of the reachable bounded unfolding."""
+    """Breadth-first construction of the reachable bounded unfolding, as
+    `step` reads it. A state (s, c) is keyed by one integer in its natural
+    tuple order: s's place among the sorted base states, then c in mixed
+    radix over the capacities. Each credit after an edge is computed once
+    per (credit, cost) pair. States are numbered as found, the sink as -1,
+    and renumbered at the end in key order, the sink last."""
     b = checked_bounds(a, bounds)
-    init: UState = (a.initial, (0,) * a.dimensions)
-    succ: dict[UState, tuple[UState, ...]] = {}
-    queue: deque[UState] = deque([init])
-    seen: set[UState] = {init}
-    clipped = False
-    while queue:
-        us = queue.popleft()
-        out, saturated = step(a, b, us)
-        succ[us] = out
-        clipped = clipped or saturated
-        for us2 in out:
-            if us2 not in seen:
-                seen.add(us2)
-                if len(seen) > max_states:
-                    raise BudgetExceededError(
-                        f"unfolding exceeds the state budget of {max_states}"
-                    )
-                queue.append(us2)
-    # natural tuple order, the sink last: successors are already in it
-    states = sorted(seen - {BOT})
-    if BOT in seen:
-        states.append(BOT)
+    names = sorted(a.states)
+    place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
+    width = prod(v + 1 for v in b)
+    costs = list(dict.fromkeys(a.edges.values()))
+    where = {s: k * width for k, s in enumerate(names)}
+    cost_id = {w: k for k, w in enumerate(costs)}
+    moves = [[(where[t], cost_id[a.edges[(s, t)]]) for t in a.successors(s)] for s in names]
+    credits = {0: (0,) * a.dimensions}  # credit key -> credit vector
+    after: dict = {}  # credit key * len(costs) + cost index -> credit key after, or -1
+    found = [where[a.initial]]
+    index = {found[0]: 0}
+    succ: list[list[int]] = []
+    m, sink, clipped = len(costs), False, False
+    for key in found:  # breadth-first: the list grows while it is read
+        s, c = divmod(key, width)
+        out = []
+        to_bot = False
+        for base, w in moves[s]:
+            c2 = after.get(c * m + w)
+            if c2 is None:
+                vec, saturated = credit_after(credits[c], costs[w], b)
+                clipped = clipped or saturated
+                c2 = after[c * m + w] = -1 if vec is None else sum(map(mul, vec, place))
+                credits[c2] = vec  # credits[-1] is never read
+            if c2 < 0:
+                to_bot = True
+                continue
+            k = index.get(base + c2)
+            if k is None:
+                k = index[base + c2] = len(found)
+                found.append(base + c2)
+            out.append(k)
+        if to_bot:
+            out.append(-1)
+            sink = True
+        succ.append(out)
+        if len(found) + sink > max_states:
+            raise BudgetExceededError(f"unfolding exceeds the state budget of {max_states}")
+    n = len(found)
+    order = sorted(range(n), key=found.__getitem__)
+    rank = [n] * (n + 1)  # rank[-1] is the sink's id
+    for new, old in enumerate(order):
+        rank[old] = new
+    states = [(names[found[k] // width], credits[found[k] % width]) for k in order]
     return UnfoldedArena(
-        base=a,
-        bounds=b,
-        initial=init,
-        states=tuple(states),
-        succ=succ,
-        clipped=clipped,
+        a, b, rank[0], tuple(states) + (BOT,) * sink,
+        [[rank[j] for j in succ[k]] for k in order] + [[n]] * sink,
+        [a.owner[s] for s, _ in states] + [1] * sink,
+        [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
+        clipped,
     )
 
 
@@ -187,20 +217,16 @@ def unfolded_to_arena(u: UnfoldedArena) -> Arena:
     """Render the unfolding in the ordinary arena data model (zero costs);
     used by serialization and DOT export."""
     zero = (0,) * u.base.dimensions
-    edges = {
-        (render_ustate(x), render_ustate(y)): zero
-        for x in u.states
-        for y in u.succ[x]
-    }
+    names = [render_ustate(s) for s in u.states]
     return arena_mod.build_arena(
         players=u.base.players,
         dimensions=u.base.dimensions,
-        states=[render_ustate(s) for s in u.states],
-        owner={render_ustate(s): u.owner(s) for s in u.states},
-        initial=render_ustate(u.initial),
-        edges=edges,
+        states=names,
+        owner=dict(zip(names, u.owner)),
+        initial=names[u.initial],
+        edges={(names[k], names[j]): zero for k in range(len(names)) for j in u.succ[k]},
         atoms=sorted(u.base.atoms | {RESERVED_ATOM}),
-        labels={render_ustate(s): sorted(u.labels(s)) for s in u.states},
+        labels={name: sorted(labs) for name, labs in zip(names, u.labels)},
         system_objective=u.system_objective(),
         player_objectives=u.base.player_objectives,
         bounds=None,
@@ -210,18 +236,18 @@ def unfolded_to_arena(u: UnfoldedArena) -> Arena:
 
 def to_dot(u: UnfoldedArena) -> str:
     """GraphViz rendering; state shape encodes the owning player."""
+    names = [render_ustate(s) for s in u.states]
     lines = ["digraph unfolding {"]
-    for s in u.states:
-        name = render_ustate(s)
-        labs = ",".join(sorted(u.labels(s)))
+    for k, name in enumerate(names):
+        labs = ",".join(sorted(u.labels[k]))
         label = name if not labs else f"{name}\\n{{{labs}}}"
-        shape = "doublecircle" if s == u.initial else "ellipse"
+        shape = "doublecircle" if k == u.initial else "ellipse"
         lines.append(
             f'  "{name}" [label="{label}", shape={shape}, '
-            f'xlabel="P{u.owner(s)}"];'
+            f'xlabel="P{u.owner[k]}"];'
         )
-    for s in u.states:
-        for t in u.succ[s]:
-            lines.append(f'  "{render_ustate(s)}" -> "{render_ustate(t)}";')
+    for k, name in enumerate(names):
+        for j in u.succ[k]:
+            lines.append(f'  "{name}" -> "{names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,8 +4,9 @@ used by the equilibrium characterization. Every objective becomes a
 deterministic parity tracker (a flag for `F`, `G`, `G F` and `F G`, or a
 supplied parity automaton); a punishment region is the product of the
 unfolding with that tracker, numbered and solved by Zielonka's algorithm.
-Its nodes (s, q) pair an unfolded state with the tracker state after
-reading s; the winning region and the punishment table are read at them.
+Its nodes (k, q) pair the id of an unfolded state with the tracker state
+after reading it; the winning region is read at them, and the punishment
+table at (state, str(q)).
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -71,12 +72,13 @@ def attractor(
     """Least fixpoint inside `within` containing `target`: the attracting
     side's states with one successor inside, the other side's states with
     all their successors in `within` inside. The strategy picks a
-    rank-decreasing edge. The frontier is seeded in `g.states` order, so
-    ties between targets do not depend on hashing."""
+    rank-decreasing edge. The frontier is seeded in sorted order, which is
+    `g.states` order on a numbered game, so ties between targets do not
+    depend on hashing."""
     attr = set(t for t in target if t in within)
     strategy: dict[State, State] = {}
     degree: dict[State, int] = {}  # successors in `within` not yet attracted
-    frontier = [s for s in g.states if s in attr]
+    frontier = sorted(attr)
     while frontier:
         new_frontier = []
         for t in frontier:
@@ -278,38 +280,38 @@ def objective_tracker(
 
 
 class TrackerProduct(NamedTuple):
-    nodes: list  # id -> (s, q): q is the tracker state after reading s
+    nodes: list  # id -> (k, q): q is the tracker state after reading state k
     game: ZeroSumGame  # on the ids
     priority: list  # id -> its priority
 
 
 def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> TrackerProduct:
     """`player`'s punishment game: the part of the unfolding x tracker
-    reachable from every state's start node (s, the tracker state after
-    reading s), numbered breadth-first from the start nodes in `u.states`
+    reachable from every state's start node (k, the tracker state after
+    reading state k), numbered breadth-first from the start nodes in id
     order. A node carries the tracker state after its own letter, so a
     tracker whose state is the current letter's verdict (G F, F G) adds no
     nodes. The sink gets priority 1, so carefulness stays losing."""
     step, labels = cache(tracker.step), u.labels
-    nodes = list(dict.fromkeys((s, step(tracker.initial, labels(s))) for s in u.states))
-    ids = {node: k for k, node in enumerate(nodes)}
+    nodes = list(dict.fromkeys((k, step(tracker.initial, x)) for k, x in enumerate(labels)))
+    ids = {node: j for j, node in enumerate(nodes)}
     succ = []
     for s, q in nodes:  # breadth-first: the list grows while it is read
         out = []
         for t in u.succ[s]:
-            nxt = (t, step(q, labels(t)))
-            k = ids.get(nxt)
-            if k is None:
-                k = ids[nxt] = len(nodes)
+            nxt = (t, step(q, labels[t]))
+            j = ids.get(nxt)
+            if j is None:
+                j = ids[nxt] = len(nodes)
                 nodes.append(nxt)
-            out.append(k)
+            out.append(j)
         succ.append(out)
     game = ZeroSumGame(
         states=range(len(nodes)),
         succ=succ,
-        is_protagonist=[u.owner(s) == player for s, _ in nodes],
+        is_protagonist=[u.owner[s] == player for s, _ in nodes],
     )
-    priority = [1 if s is BOT else tracker.priority(q) for s, q in nodes]
+    priority = [1 if u.states[s] is BOT else tracker.priority(q) for s, q in nodes]
     return TrackerProduct(nodes, game, priority)
 
 
@@ -319,12 +321,13 @@ def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> TrackerP
 
 @dataclass(frozen=True)
 class PunishRegions:
-    """A player's punishment game, solved on the nodes (s, q) of the
+    """A player's punishment game, solved on the nodes (k, q) of the
     unfolding in product with its objective's tracker, q the tracker state
-    after reading s. `win` holds the nodes from which the player, alone,
-    carefully meets its objective. `punishment` maps each coalition-owned
-    node the coalition wins to the unfolded state it moves to there; its
-    keys write q by `str`, as certificates do."""
+    after reading state k. `win` holds the nodes from which the player,
+    alone, carefully meets its objective. `punishment` maps each
+    coalition-owned node the coalition wins to the unfolded state it moves
+    to there; it is keyed by (unfolded state, q written by `str`), as
+    certificates are."""
 
     win: frozenset
     punishment: dict
@@ -341,7 +344,7 @@ def punish_region(u: UnfoldedArena, player: int, tracker: Tracker) -> PunishRegi
     nodes, game, priority = tracker_product(u, player, tracker)
     regions = solve_parity(game, priority)
     table = {}
-    for k, t in regions.antagonist_strategy.items():
-        s, q = nodes[k]
-        table[(s, str(q))] = nodes[t][0]
+    for j, t in regions.antagonist_strategy.items():
+        s, q = nodes[j]
+        table[(u.states[s], str(q))] = u.states[nodes[t][0]]
     return PunishRegions(frozenset(nodes[k] for k in regions.protagonist), table)

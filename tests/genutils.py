@@ -12,12 +12,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from typing import NamedTuple
 
 from carefulsynth import ltl
-from carefulsynth.arena import Arena, build_arena
+from carefulsynth.arena import RESERVED_ATOM, Arena, build_arena
 from carefulsynth.errors import DocumentSemanticError
 from carefulsynth.ltl import FragmentClass
-from carefulsynth.unfolding import BOT, UnfoldedArena, unfold
+from carefulsynth.unfolding import BOT, UnfoldedArena, UState, unfold
 from carefulsynth.zerosum import ZeroSumGame
 
 
@@ -118,24 +119,54 @@ def naive_eval(phi: ltl.Formula, stem, loop, pos: int = 0) -> bool:
 def nba_accepts_lasso(nba: ltl.NBA, stem, loop) -> bool:
     """Membership of stem . loop^omega, the reference for `ltl.to_nba`: an
     accepting node of the product of word positions and automaton states is
-    reachable from a start node and reaches itself again."""
+    reachable from a start node and lies on a cycle. Decided in time linear
+    in the reachable product by Kosaraju's two passes, written here apart
+    from the package's SCC kernel: the reachable nodes in the order a
+    depth-first search finishes them, then the components of the reversed
+    graph."""
     word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
     n = len(word)
     back = n - len(list(loop))
-    succ = {
-        (i, q): [
-            (i + 1 if i + 1 < n else back, tr.dst)
-            for tr in nba.transitions[q]
-            if ltl.guard_matches(tr, word[i])
-        ]
-        for i in range(n)
-        for q in range(nba.n_states)
-    }
-    reached = set().union(*(_reach_states(succ, (0, q)) for q in nba.initial))
+
+    def successors(i, q):
+        j = i + 1 if i + 1 < n else back
+        return [(j, tr.dst) for tr in nba.transitions[q] if ltl.guard_matches(tr, word[i])]
+
+    succ: dict = {}  # the reachable nodes, each with its successors
+    finished = []
+    for root in [(0, q) for q in nba.initial]:
+        if root in succ:
+            continue
+        succ[root] = successors(*root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if w not in succ:
+                    succ[w] = successors(*w)
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    pred: dict = {v: [] for v in succ}
+    for v, out in succ.items():
+        for w in out:
+            pred[w].append(v)
+    component = {}
+    for root in reversed(finished):
+        if root not in component:
+            component[root], stack = root, [root]
+            while stack:
+                for u in pred[stack.pop()]:
+                    if u not in component:
+                        component[u] = root
+                        stack.append(u)
     return any(
-        any(v in _reach_states(succ, w) for w in succ[v])
-        for v in reached
+        component[w] == component[v]
+        for v, out in succ.items()
         if v[1] in nba.accepting
+        for w in out
     )
 
 
@@ -166,9 +197,11 @@ def game_as_unfolding(g: LabelledGame) -> tuple[UnfoldedArena, dict]:
     """`g` as the unfolding of a two-player arena with one resource and zero
     costs: player 1 owns the protagonist's states, player 2 the rest, and
     every losing sink becomes BOT. Returns it with the map from g's states
-    to its unfolded states; the package's region game for player 1 on it is
-    then g's game in product with a tracker."""
-    image = {s: BOT if s in g.losing_sinks else (s, (0,)) for s in g.states}
+    to the ids of its unfolded states; the package's region game for player
+    1 on it is then g's game in product with a tracker."""
+    live = [s for s in g.states if s not in g.losing_sinks]
+    ids = {s: k for k, s in enumerate(live)}
+    image = {s: ids.get(s, len(live)) for s in g.states}  # the sinks at BOT's id
     a = build_arena(
         players=2,
         dimensions=1,
@@ -181,11 +214,38 @@ def game_as_unfolding(g: LabelledGame) -> tuple[UnfoldedArena, dict]:
         system_objective=ltl.TRUE,
         player_objectives=(ltl.TRUE, ltl.TRUE),
     )
-    states = [image[s] for s in g.states if image[s] is not BOT]
-    if g.losing_sinks:
-        states.append(BOT)
-    succ = {image[s]: tuple(dict.fromkeys(image[t] for t in g.succ[s])) for s in g.states}
-    return UnfoldedArena(a, (0,), states[0], tuple(states), succ), image
+    sinks = [BOT] if g.losing_sinks else []
+    succ = [list(dict.fromkeys(image[t] for t in g.succ[s])) for s in live]
+    return UnfoldedArena(
+        base=a,
+        bounds=(0,),
+        initial=0,
+        states=tuple([(s, (0,)) for s in live] + sinks),
+        succ=succ + [[len(live)]] * len(sinks),
+        owner=[a.owner[s] for s in live] + [1] * len(sinks),
+        labels=[a.labels[s] for s in live] + [frozenset({RESERVED_ATOM})] * len(sinks),
+    ), image
+
+
+class StateView(NamedTuple):
+    """An unfolding read by unfolded state rather than by id, as the oracles
+    and the certificates read it."""
+
+    initial: UState
+    states: tuple
+    succ: dict  # state -> its successor states, in `u.succ` order
+    owner: dict
+    labels: dict
+
+
+def by_state(u: UnfoldedArena) -> StateView:
+    return StateView(
+        u.states[u.initial],
+        u.states,
+        {s: tuple(u.states[j] for j in u.succ[k]) for k, s in enumerate(u.states)},
+        dict(zip(u.states, u.owner)),
+        dict(zip(u.states, u.labels)),
+    )
 
 
 def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> LabelledGame:
@@ -410,7 +470,7 @@ def project(uh) -> list[str]:
     return [us[0] for us in uh]
 
 
-def _oracle_stay(u: UnfoldedArena, player: int, keep: set) -> set:
+def _oracle_stay(u: StateView, player: int, keep: set) -> set:
     """The states of `keep` from which `player` can stay inside `keep`
     forever, by naive iteration of the greatest fixpoint."""
     stay = set(keep)
@@ -418,7 +478,7 @@ def _oracle_stay(u: UnfoldedArena, player: int, keep: set) -> set:
     while changed:
         changed = False
         for s in list(stay):
-            if u.owner(s) == player:
+            if u.owner[s] == player:
                 ok = any(t in stay for t in u.succ[s])
             else:
                 ok = all(t in stay for t in u.succ[s])
@@ -428,14 +488,14 @@ def _oracle_stay(u: UnfoldedArena, player: int, keep: set) -> set:
     return stay
 
 
-def oracle_deviator_region(u: UnfoldedArena, player: int, objective: ltl.Formula) -> dict:
+def oracle_deviator_region(u: StateView, player: int, objective: ltl.Formula) -> dict:
     """Where `player`, alone against everyone, carefully meets its `F β` or
     `G β` objective, by the flag the objective carries after the state
     (`F`: β seen, `G`: β failed). Naive-iteration fixpoints: the states
     where `player` can avoid the sink forever (inside β for `G`), then
     forced reachability of β inside them for an `F` not yet seen."""
     frag = ltl.classify_fragment(objective)
-    beta = {s for s in u.states if s is not BOT and ltl.eval_bool(frag.beta, u.labels(s))}
+    beta = {s for s in u.states if s is not BOT and ltl.eval_bool(frag.beta, u.labels[s])}
     if frag.kind == FragmentClass.SAFE:
         return {False: _oracle_stay(u, player, beta), True: set()}
     if frag.kind != FragmentClass.REACH:
@@ -446,7 +506,7 @@ def oracle_deviator_region(u: UnfoldedArena, player: int, objective: ltl.Formula
     while changed:
         changed = False
         for s in safe - win:
-            if u.owner(s) == player:
+            if u.owner[s] == player:
                 ok = any(t in win for t in u.succ[s])
             else:
                 ok = all(t in win for t in u.succ[s])
@@ -476,7 +536,7 @@ def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
     the outcome carries. Flags only rise, so they are constant on a loop and
     decide who wins; and every equilibrium outcome leaves such a lasso
     inside the nodes it visits."""
-    u = unfold(a, bounds)
+    u = by_state(unfold(a, bounds))
     players = range(1, a.players + 1)
     system = _conjuncts(a.system_objective)
     frags = [ltl.classify_fragment(f) for f in (*system, *map(a.objective_of, players))]
@@ -494,7 +554,7 @@ def oracle_solution_exists(a: Arena, bounds, cap: int = 300_000) -> bool:
         if not all(good[: m + 1]):
             return False
         return not any(
-            not good[m + i] and u.owner(s) == i and s in wins[i][flags[m + i]]
+            not good[m + i] and u.owner[s] == i and s in wins[i][flags[m + i]]
             for s, flags in path
             for i in players
         )
@@ -564,11 +624,12 @@ def oracle_witness_exists(u: UnfoldedArena, formulas, forbidden, max_states: int
     strongly connected L with an edge is enumerated, and a search over
     (state, `F` targets seen) inside the `G`-safe states looks for a path
     into L that, with L, meets every `F` target. Uses no automaton."""
+    u = by_state(u)
     allowed = {s for s in u.states if s is not BOT and s not in forbidden}
     loop_ok = set(allowed)
     reach, buchi = [], []
     for f in map(ltl.classify_fragment, formulas):
-        beta = {s for s in allowed if ltl.eval_bool(f.beta, u.labels(s))}
+        beta = {s for s in allowed if ltl.eval_bool(f.beta, u.labels[s])}
         if f.kind == FragmentClass.SAFE:
             allowed &= beta
         elif f.kind == FragmentClass.REACH:
@@ -618,11 +679,11 @@ def oracle_witness_exists(u: UnfoldedArena, formulas, forbidden, max_states: int
     return False
 
 
-def _oracle_flag(u: UnfoldedArena, frag, flag: bool, s) -> bool:
+def _oracle_flag(u: StateView, frag, flag: bool, s) -> bool:
     """An `F`, `G`, `G F` or `F G` objective's flag after `s`, from the flag
     before it: beta seen (`F`), beta failed (`G`), beta holds at `s` (`G F`,
     `F G`)."""
-    holds = ltl.eval_bool(frag.beta, u.labels(s))
+    holds = ltl.eval_bool(frag.beta, u.labels[s])
     if frag.kind == FragmentClass.REACH:
         return flag or holds
     if frag.kind == FragmentClass.SAFE:
@@ -630,7 +691,7 @@ def _oracle_flag(u: UnfoldedArena, frag, flag: bool, s) -> bool:
     return holds
 
 
-def _oracle_wins(u: UnfoldedArena, player, objective, table):
+def _oracle_wins(u: StateView, player, objective, table):
     """The objective's class and a test on nodes (unfolded state, flag after
     it) of the careful one-player graph where `player` moves freely and
     everyone else follows `table`, read through its documented key
@@ -643,7 +704,7 @@ def _oracle_wins(u: UnfoldedArena, player, objective, table):
     succ, missing = {}, set()
     for s, f in nodes:
         moves = u.succ[s]
-        if u.owner(s) != player:
+        if u.owner[s] != player:
             t = table.get((s, str(f)))
             moves = (t,) if t in moves else ()
             if not moves:
@@ -678,12 +739,13 @@ def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem
     while every other player follows `table`, or that reaches a node where
     the table names no edge? The flags come from the outcome prefix through
     stem and two loop passes."""
+    u = by_state(u)
     frag, wins = _oracle_wins(u, player, objective, table)
     prefix = list(stem) + list(loop) * 2
     flag = False
     for k, s in enumerate(prefix):
         flag = _oracle_flag(u, frag, flag, s)
-        if u.owner(s) != player:
+        if u.owner[s] != player:
             continue
         nxt = prefix[k + 1] if k + 1 < len(prefix) else loop[0]
         for t in u.succ[s]:
@@ -698,6 +760,7 @@ def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dic
     player follows `table`: "play" for a careful play meeting its `F`, `G`,
     `G F` or `F G` objective, "missing entry" for reaching a node where the
     table names no edge, "" when it does not win."""
+    u = by_state(u)
     frag, wins = _oracle_wins(u, player, objective, table)
     starts = [(s, _oracle_flag(u, frag, False, s)) for s in u.states if s is not BOT]
     return {node: wins(node) for node in starts}

@@ -125,7 +125,7 @@ def test_criterion_4_zero_sum_regions():
             won = solve_parity(product.game, product.priority).protagonist
             won_nodes = {product.nodes[k] for k in won}
             start = {
-                s: (image[s], tracker.step(tracker.initial, u.labels(image[s])))
+                s: (image[s], tracker.step(tracker.initial, u.labels[image[s]]))
                 for s in g.states
             }
             if {s for s in g.states if start[s] in won_nodes} != oracle_fragment_region(
@@ -181,7 +181,7 @@ def test_criterion_6_unfolding_laws():
             prod *= b + 1
         if len(u.states) > len(a.states) * prod + 1:
             violations += 1
-        for us in u.states:
+        for k, us in enumerate(u.states):
             if us is BOT:
                 continue
             s, c = us
@@ -193,7 +193,7 @@ def test_criterion_6_unfolding_laws():
                     expected.add((t, c2))
                 else:
                     expect_sink = True
-            got = set(u.succ[us])
+            got = {u.states[j] for j in u.succ[k]}
             if got - {BOT} != expected or (BOT in got) != expect_sink:
                 violations += 1
         for _ in range(100):

@@ -307,6 +307,15 @@ def test_unfold_writes_dot_file(fig1_path, tmp_path, capsys):
     assert dot_path.read_text().startswith("digraph")
 
 
+def test_unfold_fig1_prints_the_committed_document_and_dot(fig1_path, tmp_path, capsys):
+    dot_path = tmp_path / "u.dot"
+    _, out, _ = _run(capsys, "unfold", fig1_path, "--bounds", "1,1", "--dot", str(dot_path))
+    golden = fig1_path.with_name("fig1-1-1.unfold.json").read_text(encoding="utf-8")
+    assert out == golden
+    golden_dot = fig1_path.with_name("fig1-1-1.unfold.dot").read_text(encoding="utf-8")
+    assert dot_path.read_text(encoding="utf-8") == golden_dot
+
+
 # ---------------------------------------------------------------------------
 # mc
 
@@ -456,7 +465,7 @@ def test_stats_reports_sizes(fig1_path, capsys):
     doc = json.loads(out)
     assert doc["states"] == 6 and doc["edges"] == 10
     assert doc["players"] == 3
-    assert doc["unfolded_states"] > 6
+    assert doc["unfolded_states"] == 12 and doc["unfolded_edges"] == 19
 
 
 # ---------------------------------------------------------------------------

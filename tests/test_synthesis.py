@@ -29,6 +29,7 @@ from genutils import (
     ARENA_ATOMS,
     REACH_SAFE_SHAPES,
     OracleTooBig,
+    by_state,
     oracle_profitable_deviation,
     oracle_solution_exists,
     oracle_witness_exists,
@@ -54,7 +55,7 @@ def _search(u, system, requirements, forbidden_states=frozenset()):
     product = witness_product(
         u, system_component(system), [objective_tracker(f) for f in requirements]
     )
-    forbidden = {k for k, node in enumerate(product.nodes) if node[0] in forbidden_states}
+    forbidden = {k for k, node in enumerate(product.nodes) if u.states[node[0]] in forbidden_states}
     return find_witness_lasso(product, range(len(requirements)), forbidden)
 
 
@@ -62,7 +63,7 @@ def test_witness_exists_for_trivial_requirement(fig1):
     u = unfold(fig1, (3, 3))
     stem, loop = _search(u, ltl.TRUE, [])
     assert stem and loop
-    assert BOT not in stem and BOT not in loop
+    assert all(u.states[k] is not BOT for k in stem + loop)
 
 
 def test_witness_respects_forbidden_deviation_states(fig1):
@@ -77,11 +78,11 @@ def test_witness_respects_forbidden_deviation_states(fig1):
         [objective_tracker(ltl.parse_ltl("F box")), objective_tracker(fig1.objective_of(3))],
     )
     forbidden = {
-        k for k, n in enumerate(product.nodes) if u.owner(n[0]) == 3 and (n[0], n[1][2]) in r3.win
+        k for k, n in enumerate(product.nodes) if u.owner[n[0]] == 3 and (n[0], n[1][2]) in r3.win
     }
     stem, loop = find_witness_lasso(product, [0], forbidden)
-    assert tuple(us[0] for us in stem) == GOLDEN_STEM
-    assert tuple(us[0] for us in loop) == GOLDEN_LOOP
+    assert tuple(u.states[k][0] for k in stem) == GOLDEN_STEM
+    assert tuple(u.states[k][0] for k in loop) == GOLDEN_LOOP
 
 
 def test_contradictory_requirements_have_no_witness(fig1):
@@ -118,10 +119,11 @@ def test_witness_search_agrees_with_loop_set_enumeration():
             continue
         assert expected, seed
         positives[general] += 1
-        path = stem + loop + loop[:1]
-        assert stem[0] == u.initial and not forbidden & set(path), seed
-        assert all(t in u.succ[s] and t is not BOT for s, t in zip(path, path[1:])), seed
-        labels = [u.labels(s) for s in stem], [u.labels(s) for s in loop]
+        path = [u.states[k] for k in stem + loop + loop[:1]]
+        v = by_state(u)
+        assert path[0] == v.initial and not forbidden & set(path), seed
+        assert all(t in v.succ[s] and t is not BOT for s, t in zip(path, path[1:])), seed
+        labels = [u.labels[k] for k in stem], [u.labels[k] for k in loop]
         assert all(ltl.eval_on_lasso(f, *labels) for f in formulas), seed
     assert positives[False] >= 50 and positives[True] >= 10
 
@@ -152,9 +154,9 @@ def _check_product_laws(u, system, trackers):
         def system_after(q, letter):
             return [tracker.step(q, letter)]
 
-    def after(qs, t):  # the nodes at unfolded state t after the node states qs
-        rest = tuple(tr.step(x, u.labels(t)) for tr, x in zip(trackers, qs[1:]))
-        return [(t, (q, *rest)) for q in system_after(qs[0], u.labels(t))]
+    def after(qs, t):  # the nodes at unfolded state id t after the node states qs
+        rest = tuple(tr.step(x, u.labels[t]) for tr, x in zip(trackers, qs[1:]))
+        return [(t, (q, *rest)) for q in system_after(qs[0], u.labels[t])]
 
     component = system_component(system)
     product = witness_product(u, component, trackers)
@@ -164,7 +166,7 @@ def _check_product_laws(u, system, trackers):
     assert [nodes[k] for k in product.initials] == after(start, u.initial)
     reached = set(product.initials)
     for k, (s, qs) in enumerate(nodes):
-        expected = [n for t in u.succ[s] if t is not BOT for n in after(qs, t)]
+        expected = [n for t in u.succ[s] if u.states[t] is not BOT for n in after(qs, t)]
         assert [nodes[j] for j in product.succ[k]] == expected
         assert product.priority[k] == (
             system_priority(qs[0]),
@@ -673,7 +675,7 @@ def test_table_entries_are_edges_exactly_when_the_unfolding_has_them():
         p = solve(a, bounds).profile
         if p is None:
             continue
-        u = unfold(a, bounds)
+        u = by_state(unfold(a, bounds))
         for kind, s, value in _table_entries(rng, a, bounds, u):
             i = rng.randrange(1, a.players + 1)
             key = (s, rng.choice(["False", "True"]))
@@ -853,11 +855,12 @@ def test_checker_finds_exactly_the_deviations_the_oracle_finds():
             continue
         assert check_certificate(a, bounds, p) == [], seed
         u = unfold(a, bounds)
+        v = by_state(u)
         tables = {i: dict(t) for i, t in p.punishment.items()}
         for i in set(tables) - p.winners:
-            keys = sorted(k for k in tables[i] if k[0] is not BOT and u.owner(k[0]) != i)
+            keys = sorted(k for k in tables[i] if k[0] is not BOT and v.owner[k[0]] != i)
             for k in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
-                tables[i][k] = rng.choice(u.succ[k[0]])
+                tables[i][k] = rng.choice(v.succ[k[0]])
         got = _deviation_verdicts(a, bounds, u, dataclasses.replace(p, punishment=tables))
         assert all(found == expected for found, expected in got), seed
         verdicts += got
@@ -876,7 +879,7 @@ def test_checker_agrees_with_the_oracle_on_random_profiles():
         u = unfold(a, bounds)
         path = [u.initial]
         while True:
-            moves = [t for t in u.succ[path[-1]] if t is not BOT]
+            moves = [t for t in u.succ[path[-1]] if u.states[t] is not BOT]
             if not moves:
                 break
             t = rng.choice(moves)
@@ -886,15 +889,15 @@ def test_checker_agrees_with_the_oracle_on_random_profiles():
         if not moves or t == u.initial:
             continue
         stem, loop = tuple(path[: path.index(t)]), tuple(path[path.index(t):])
-        labels = [u.labels(s) for s in stem], [u.labels(s) for s in loop]
+        labels = [u.labels[k] for k in stem], [u.labels[k] for k in loop]
         players = range(1, a.players + 1)
         profile = StrategyProfile(
             outcome=outcome_lasso(u, stem, loop),
             winners=frozenset(i for i in players if ltl.eval_on_lasso(a.objective_of(i), *labels)),
             punishment={
                 i: {
-                    (s, str(flag)): rng.choice(u.succ[s])
-                    for s in u.states if s is not BOT and u.owner(s) != i
+                    (s, str(flag)): u.states[rng.choice(u.succ[k])]
+                    for k, s in enumerate(u.states) if s is not BOT and u.owner[k] != i
                     for flag in (False, True)
                 }
                 for i in players

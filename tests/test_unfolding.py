@@ -16,6 +16,7 @@ from carefulsynth.unfolding import (
     parse_ustate,
     render_ustate,
     saturating_add,
+    step,
     to_dot,
     unfold,
     unfolded_to_arena,
@@ -57,15 +58,21 @@ def test_saturating_add_componentwise_law(bounds, w):
 # Unfolding construction
 
 
+def _successors(u, us):
+    """The successor states of unfolded state `us`, read through the ids."""
+    return [u.states[j] for j in u.succ[u.states.index(us)]]
+
+
 def test_fig1_unfolding_contains_first_pump_edge(fig1):
     u = unfold(fig1, (3, 3))
-    assert ("a", (2, 1)) in u.succ[("a", (0, 0))]
+    assert u.states[u.initial] == ("a", (0, 0))
+    assert ("a", (2, 1)) in _successors(u, ("a", (0, 0)))
 
 
 def test_fig1_unfolding_routes_underflow_to_sink(fig1):
     # from (c,1,1) the move to the diamond sink costs (-3,0): underflow
     u = unfold(fig1, (3, 3))
-    assert BOT in u.succ[("c", (1, 1))]
+    assert BOT in _successors(u, ("c", (1, 1)))
 
 
 def test_degenerate_bounds_no_sink():
@@ -88,14 +95,61 @@ def test_degenerate_bounds_no_sink():
 
 def test_sink_is_absorbing_and_owned_by_player_one(fig1):
     u = unfold(fig1, (3, 3))
-    assert u.succ[BOT] == (BOT,)
-    assert u.owner(BOT) == 1
-    assert u.labels(BOT) == frozenset({"bot"})
+    sink = u.states.index(BOT)
+    assert sink == len(u.states) - 1
+    assert u.succ[sink] == [sink]
+    assert u.owner[sink] == 1
+    assert u.labels[sink] == frozenset({"bot"})
 
 
 def test_budget_exceeded(fig1):
     with pytest.raises(BudgetExceededError):
         unfold(fig1, (100, 100), max_states=5)
+
+
+def _no_sink_arena():
+    # every cost is nonnegative, so no move underflows
+    return build_arena(
+        players=2,
+        dimensions=1,
+        states=["s", "t"],
+        owner={"s": 1, "t": 2},
+        initial="s",
+        edges={("s", "t"): (1,), ("t", "s"): (0,), ("t", "t"): (2,)},
+        atoms=[],
+        labels={"s": [], "t": []},
+        system_objective=ltl.TRUE,
+        player_objectives=(ltl.TRUE, ltl.TRUE),
+    )
+
+
+def _discovery(a, bounds):
+    """The unfolded states in the order a breadth-first search over `step`,
+    written here without `unfold`, first finds them."""
+    order = [(a.initial, (0,) * a.dimensions)]
+    for us in order:
+        order += [t for t in step(a, bounds, us)[0] if t not in order]
+    return order
+
+
+@pytest.mark.parametrize(
+    "arena, bounds, size, sink_found",
+    [
+        ("fig1", (3, 3), 12, 3),  # the sink is found before most states
+        ("fig1", (0, 0), 2, 2),  # the sink is the last state found
+        ("no sink", (2,), 5, None),
+    ],
+)
+def test_budget_boundary(fig1, arena, bounds, size, sink_found):
+    # the budget counts every unfolded state, the sink included: exactly
+    # `size` states fit in a budget of `size`, and not in one less
+    a = fig1 if arena == "fig1" else _no_sink_arena()
+    order = _discovery(a, bounds)
+    assert len(order) == size
+    assert (order.index(BOT) + 1 if BOT in order else None) == sink_found
+    assert len(unfold(a, bounds, max_states=size).states) == size
+    with pytest.raises(BudgetExceededError):
+        unfold(a, bounds, max_states=size - 1)
 
 
 def test_bad_bounds_rejected(fig1):
@@ -116,12 +170,17 @@ def _check_laws(a, u, bounds):
     assert len(u.states) <= len(a.states) * prod + 1
     states = [us for us in u.states if us is not BOT]
     assert states == sorted(states) and list(u.states[len(states):]) in ([], [BOT])
+    assert u.states[u.initial] == (a.initial, (0,) * a.dimensions)
+    assert len(u.succ) == len(u.owner) == len(u.labels) == len(u.states)
     clipped = False
-    for us in u.states:
+    for k, us in enumerate(u.states):
+        successors = tuple(u.states[j] for j in u.succ[k])
         if us is BOT:
-            assert u.succ[us] == (BOT,)
+            assert successors == (BOT,)
+            assert (u.owner[k], u.labels[k]) == (1, frozenset({"bot"}))
             continue
         s, c = us
+        assert (u.owner[k], u.labels[k]) == (a.owner[s], a.labels[s])
         assert all(0 <= ci <= bi for ci, bi in zip(c, bounds))
         expected = []
         expect_sink = False
@@ -133,7 +192,7 @@ def _check_laws(a, u, bounds):
                 expected.append((t, c2))
             else:
                 expect_sink = True
-        assert u.succ[us] == tuple(expected + [BOT] * expect_sink)
+        assert successors == tuple(expected + [BOT] * expect_sink)
     assert u.clipped == clipped
 
 

@@ -54,9 +54,9 @@ def _diamond_attractor(u, player):
     its region game with a `true` tracker: one node per unfolded state."""
     nodes, g, _ = tracker_product(u, player, objective_tracker(ltl.TRUE))
     assert len(nodes) == len(u.states)
-    targets = {k for k, (s, _) in enumerate(nodes) if "diam" in u.labels(s)}
+    targets = {k for k, (s, _) in enumerate(nodes) if "diam" in u.labels[s]}
     att, _ = _attract(g, targets)
-    return {nodes[k][0] for k in att}
+    return {u.states[nodes[k][0]] for k in att}
 
 
 def test_attractor_fig1_careful_deviation_blocked(fig1):
@@ -117,7 +117,7 @@ def _solve_fragment(g, kind):
     reg = solve_parity(product.game, product.priority)
     ids = {node: k for k, node in enumerate(product.nodes)}
     start = {
-        s: ids[(image[s], tracker.step(tracker.initial, u.labels(image[s])))]
+        s: ids[(image[s], tracker.step(tracker.initial, u.labels[image[s]]))]
         for s in g.states
     }
     return product, reg, {s for s in g.states if start[s] in reg.protagonist}, start.values()
@@ -341,14 +341,14 @@ def test_dpa_missing_transition_rejected():
 def _check_region_game_laws(u, player, tracker):
     """The numbered region game against one built here, node by node, from
     `u.succ` and the tracker: nodes numbered breadth-first from the start
-    nodes in `u.states` order, successors in `u.succ` order, the player
-    owning exactly its own states, priority 1 at BOT and the tracker's
-    elsewhere. Zielonka's tie-breaks follow this order."""
+    nodes in id order, successors in `u.succ` order, the player owning
+    exactly its own states, priority 1 at BOT and the tracker's elsewhere.
+    Zielonka's tie-breaks follow this order."""
 
-    def at(q, t):  # the node at unfolded state t after tracker state q
-        return (t, tracker.step(q, u.labels(t)))
+    def at(q, t):  # the node at unfolded state id t after tracker state q
+        return (t, tracker.step(q, u.labels[t]))
 
-    order = list(dict.fromkeys(at(tracker.initial, s) for s in u.states))
+    order = list(dict.fromkeys(at(tracker.initial, k) for k in range(len(u.states))))
     queue, seen = deque(order), set(order)
     while queue:
         s, q = queue.popleft()
@@ -364,8 +364,8 @@ def _check_region_game_laws(u, player, tracker):
     assert len(game.succ) == len(game.is_protagonist) == len(priority) == len(nodes)
     for k, (s, q) in enumerate(nodes):
         assert [nodes[j] for j in game.succ[k]] == [at(q, t) for t in u.succ[s]]
-        assert game.is_protagonist[k] == (u.owner(s) == player)
-        assert priority[k] == (1 if s is BOT else tracker.priority(q))
+        assert game.is_protagonist[k] == (u.owner[s] == player)
+        assert priority[k] == (1 if u.states[s] is BOT else tracker.priority(q))
     return {q for _, q in nodes}
 
 
@@ -389,15 +389,15 @@ def test_region_game_laws_with_a_parity_automaton(fig1):
 def test_punish_region_fig1_small_bounds(fig1):
     u = unfold(fig1, (3, 3))
     r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
-    # nodes pair a state with player 3's flag: F diam seen after it
-    assert (("c", (1, 1)), False) not in r.win
-    assert all(s is not BOT for s, _ in r.win)
+    # nodes pair a state's id with player 3's flag: F diam seen after it
+    assert (u.states.index(("c", (1, 1))), False) not in r.win
+    assert all(u.states[s] is not BOT for s, _ in r.win)
 
 
 def test_punish_region_fig1_large_bounds(fig1):
     u = unfold(fig1, (10, 10))
     r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
-    assert (("c", (4, 1)), False) in r.win
+    assert (u.states.index(("c", (4, 1))), False) in r.win
 
 
 def test_punish_region_trivial_objective_no_negative_costs():
@@ -418,7 +418,7 @@ def test_punish_region_trivial_objective_no_negative_costs():
     u = unfold(a, (2,))
     r = punish_region(u, 1, objective_tracker(ltl.TRUE))
     # carefulness alone, no underflow anywhere; true never fails
-    assert set(r.win) == {(s, False) for s in u.states}
+    assert set(r.win) == {(k, False) for k in range(len(u.states))}
 
 
 def test_punish_region_general_requires_dpa(fig1):
@@ -437,7 +437,7 @@ def test_punish_region_dpa_matches_fragment_region(fig1):
     via_dpa = punish_region(u, 2, objective_tracker(fig1.objective_of(2), dpa))
     # the automaton's state good is the flag "box seen"
     assert {(s, q == "good") for s, q in via_dpa.win} == set(direct.win)
-    assert all(s is not BOT for s, _ in via_dpa.win)
+    assert via_dpa.win and all(u.states[s] is not BOT for s, _ in via_dpa.win)
 
 
 def test_no_state_outside_the_region_wins_against_the_table():
@@ -453,9 +453,10 @@ def test_no_state_outside_the_region_wins_against_the_table():
             objective = a.objective_of(i)
             kinds.add(ltl.classify_fragment(objective).kind)
             r = punish_region(u, i, objective_tracker(objective))
+            win = {(u.states[k], q) for k, q in r.win}
             won = oracle_wins_against_table(u, i, objective, r.punishment)
-            assert not {n for n, w in won.items() if w and n not in r.win}, (seed, i)
-            outside += sum(n not in r.win for n in won)
+            assert not {n for n, w in won.items() if w and n not in win}, (seed, i)
+            outside += sum(n not in win for n in won)
             won_inside += sum(w == "play" for w in won.values())
     assert kinds == set(FRAGMENT_OBJECTIVE)
     assert outside >= 1000 and won_inside >= 100
