@@ -9,11 +9,12 @@ every winner's tracker accept, without the nodes where a loser owns the
 state and its punishment region holds (state id, its tracker state). A
 player's punishment region is solved the first time it is a loser, since
 only a loser has a reason to deviate. A found lasso plus the losers'
-punishment tables form the equilibrium certificate; `check_certificate`
-checks it without the game solver and without building the unfolding, by
-an emptiness test per loser on the graph its table leaves. It replays the
-outcome with `unfolding.lift`, which the solver does not call; it shares
-with the solver only `unfolding.credit_after` (through `step`), the
+punishment tables, each cut to the nodes the loser's deviations reach,
+form the equilibrium certificate; `check_certificate` checks it without
+the game solver and without building the unfolding, by an emptiness test
+per loser on the graph its table leaves. It replays the outcome with
+`unfolding.lift`, which the solver does not call; it shares with the
+solver only `unfolding.credit_after` (through `step` and `lift`), the
 objective trackers, their runs over a lasso and the SCC kernel, and steps
 only the unfolded states a deviation or a table entry reaches.
 """
@@ -62,8 +63,8 @@ class StrategyProfile:
     punishment table per player, activated at that player's first
     deviation. A table is keyed by the node (unfolded state, the player's
     tracker state after reading it, written by `str`) and names the
-    successor the coalition takes there. A winner's table is empty: it has
-    no reason to deviate."""
+    successor the coalition takes there. It covers the nodes the player's
+    deviations reach; a winner, with no reason to deviate, has none."""
 
     outcome: Lasso  # base-arena projection, with resource trace
     winners: frozenset[int]
@@ -292,6 +293,30 @@ def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
     return Lasso(stem=tuple(s for s, _ in stem), loop=tuple(s for s, _ in loop), trace=trace)
 
 
+def _reached_entries(u: UnfoldedArena, player, tracker, region, stem, loop) -> dict:
+    """The entries of `region.punishment` that `player` reads once it leaves
+    the outcome stem . loop^omega (ids) by a sink-free move and then moves
+    freely: the nodes `_deviation_faults` explores, from the same starts."""
+    states, labels, table = u.states, u.labels, region.punishment
+    qs, _ = run_lasso(tracker, [labels[k] for k in stem], [labels[k] for k in loop])
+    path = [*stem, *loop * (len(qs) // len(loop) + 1)]  # long enough to index k + 1
+    stack = [(q, t) for k, q in enumerate(qs) if u.owner[path[k]] == player
+             for t in u.succ[path[k]] if t != path[k + 1]]  # (tracker state before t, t)
+    seen, kept = set(), {}
+    while stack:
+        q, s = stack.pop()
+        q = tracker.step(q, labels[s])
+        if (s, q) in seen or states[s] is BOT:
+            continue
+        seen.add((s, q))
+        moves, key = u.succ[s], (states[s], str(q))
+        if u.owner[s] != player:  # outside the loser's region, so the table has the node
+            kept[key] = table[key]
+            moves = [t for t in moves if states[t] == kept[key]]
+        stack += [(q, t) for t in moves]
+    return kept
+
+
 def solve(
     a: Arena,
     bounds: Sequence[int],
@@ -343,11 +368,11 @@ def solve(
             i for i in players
             if tracker_accepts(trackers[i], stem_labels, loop_labels)
         )
-        profile = StrategyProfile(
-            outcome=outcome,
-            winners=winners,
-            punishment={i: dict({} if i in winners else regions[i].punishment) for i in players},
-        )
+        punishment = {
+            i: {} if i in winners else _reached_entries(u, i, trackers[i], regions[i], stem, loop)
+            for i in players
+        }
+        profile = StrategyProfile(outcome, winners, punishment)
         return SolveResult(SolveResult.SOLUTION, profile=profile, clipped=u.clipped)
     return SolveResult(
         SolveResult.NO_SOLUTION, diagnostics=tuple(diagnostics), clipped=u.clipped
@@ -370,11 +395,12 @@ def check_certificate(
     and names its winners; every punishment entry is an edge out of a state
     reachable from the initial one; and no loser has a careful profitable
     deviation against the others following its table, decided exactly by
-    an emptiness check on a one-player graph. The unfolding is never built:
-    a state is stepped when a deviation or the search for a table entry's
-    state first reads its successors, and BudgetExceededError is raised
-    before more than `max_states` states are stepped. Returns a list of
-    violations; empty means the certificate is valid."""
+    an emptiness check on a one-player graph, so a table needs entries only
+    where a deviation reaches, as `solve` writes it. The unfolding is never
+    built: a state is stepped when a deviation or the search for a table
+    entry's state first reads its successors, and BudgetExceededError is
+    raised before more than `max_states` states are stepped. Returns a list
+    of violations; empty means the certificate is valid."""
     dpas = dict(dpas or {})
     violations: list[str] = []
     u = _SteppedUnfolding(a, checked_bounds(a, bounds), max_states)

@@ -41,14 +41,6 @@ UState = Union[tuple[str, tuple[int, ...]], _BotState]
 DEFAULT_STATE_BUDGET = 10**7
 
 
-def saturating_add(
-    c: Sequence[int], w: Sequence[int], bounds: Sequence[int]
-) -> tuple[int, ...]:
-    """Componentwise min(c_i + w_i, B_i); results may be negative (the
-    caller decides sink routing)."""
-    return tuple(min(ci + wi, bi) for ci, wi, bi in zip(c, w, bounds))
-
-
 def render_ustate(us: UState) -> str:
     if us is BOT:
         return "BOT"
@@ -199,17 +191,17 @@ def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
     under validated `bounds`: the one replay of a path in the bounded
     semantics. Errors at the first prefix that drives a resource component
     negative."""
-    c = (0,) * a.dimensions
-    out: list[UState] = [(h[0], c)]
+    out: list[UState] = [(h[0], (0,) * a.dimensions)]
     for i, (x, y) in enumerate(zip(h, h[1:])):
-        c = saturating_add(c, a.edges[(x, y)], bounds)
-        if any(v < 0 for v in c):
-            bad = min(j for j, v in enumerate(c) if v < 0)
+        c, w = out[-1][1], a.edges[(x, y)]
+        c2, _ = credit_after(c, w, bounds)
+        if c2 is None:
+            bad = min(j for j, v in enumerate(map(add, c, w)) if v < 0)
             raise UnderflowError(
                 f"resource {bad + 1} goes below zero after prefix {list(h[: i + 2])}",
                 prefix=tuple(h[: i + 2]),
             )
-        out.append((y, c))
+        out.append((y, c2))
     return out
 
 

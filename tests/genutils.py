@@ -443,6 +443,13 @@ def random_lasso(rng: random.Random, a: Arena, max_walk: int = 16):
     return path[: k + 1], path[k + 1 : m + 1]
 
 
+def saturating_add(c, w, bounds) -> tuple[int, ...]:
+    """Componentwise min(c_i + w_i, B_i), the reference for the package's
+    bounded step; results may be negative (the caller decides sink
+    routing)."""
+    return tuple(min(ci + wi, bi) for ci, wi, bi in zip(c, w, bounds))
+
+
 def oracle_bounded_careful(a: Arena, bounds, stem, loop) -> bool:
     """Whether no resource of stem . loop^omega goes below zero when every
     edge adds its cost and caps at `bounds`, by simulating stem . loop^k
@@ -450,7 +457,7 @@ def oracle_bounded_careful(a: Arena, bounds, stem, loop) -> bool:
 
     def walk(c, path):
         for x, y in zip(path, path[1:]):
-            c = tuple(min(v + w, b) for v, w, b in zip(c, a.edges[(x, y)], bounds))
+            c = saturating_add(c, a.edges[(x, y)], bounds)
             if any(v < 0 for v in c):
                 return None
         return c
@@ -691,15 +698,11 @@ def _oracle_flag(u: StateView, frag, flag: bool, s) -> bool:
     return holds
 
 
-def _oracle_wins(u: StateView, player, objective, table):
-    """The objective's class and a test on nodes (unfolded state, flag after
-    it) of the careful one-player graph where `player` moves freely and
-    everyone else follows `table`, read through its documented key
-    (state, str(flag)); the sink is left out. From a node, does `player`
-    have an infinite play meeting its objective, decided by reachability
-    and cycles ("play"), or else can it reach a node where the table names
-    no edge ("missing entry")? The test returns "" when neither holds."""
-    frag = ltl.classify_fragment(objective)
+def _oracle_graph(u: StateView, player, frag, table):
+    """The nodes (unfolded state, flag after it) without the sink, their
+    successors when `player` moves freely and everyone else follows `table`
+    through its key (state, str(flag)), and the nodes where the table names
+    no edge."""
     nodes = {(s, f) for s in u.states if s is not BOT for f in (False, True)}
     succ, missing = {}, set()
     for s, f in nodes:
@@ -710,6 +713,34 @@ def _oracle_wins(u: StateView, player, objective, table):
             if not moves:
                 missing.add((s, f))
         succ[(s, f)] = [(t, _oracle_flag(u, frag, f, t)) for t in moves if t is not BOT]
+    return nodes, succ, missing
+
+
+def _oracle_deviation_starts(u: StateView, player, frag, stem, loop) -> list:
+    """The nodes where `player` lands when it leaves the outcome stem .
+    loop^omega for a state other than the sink and the outcome's next; the
+    flags come from the outcome prefix through stem and two loop passes."""
+    prefix = list(stem) + list(loop) * 2
+    starts, flag = [], False
+    for k, s in enumerate(prefix):
+        flag = _oracle_flag(u, frag, flag, s)
+        if u.owner[s] == player:
+            nxt = prefix[k + 1] if k + 1 < len(prefix) else loop[0]
+            moves = [t for t in u.succ[s] if t not in (BOT, nxt)]
+            starts += [(t, _oracle_flag(u, frag, flag, t)) for t in moves]
+    return starts
+
+
+def _oracle_wins(u: StateView, player, objective, table):
+    """The objective's class and a test on nodes (unfolded state, flag after
+    it) of the careful one-player graph where `player` moves freely and
+    everyone else follows `table`, read through its documented key
+    (state, str(flag)); the sink is left out. From a node, does `player`
+    have an infinite play meeting its objective, decided by reachability
+    and cycles ("play"), or else can it reach a node where the table names
+    no edge ("missing entry")? The test returns "" when neither holds."""
+    frag = ltl.classify_fragment(objective)
+    nodes, succ, missing = _oracle_graph(u, player, frag, table)
     # the flag is good once beta is seen (F), while it has not failed (G),
     # where beta holds (G F, F G)
     good = {n for n in nodes if n[1] != (frag.kind == FragmentClass.SAFE)}
@@ -741,17 +772,21 @@ def oracle_profitable_deviation(u: UnfoldedArena, player, objective, table, stem
     stem and two loop passes."""
     u = by_state(u)
     frag, wins = _oracle_wins(u, player, objective, table)
-    prefix = list(stem) + list(loop) * 2
-    flag = False
-    for k, s in enumerate(prefix):
-        flag = _oracle_flag(u, frag, flag, s)
-        if u.owner[s] != player:
-            continue
-        nxt = prefix[k + 1] if k + 1 < len(prefix) else loop[0]
-        for t in u.succ[s]:
-            if t is not BOT and t != nxt and wins((t, _oracle_flag(u, frag, flag, t))):
-                return True
-    return False
+    return any(map(wins, _oracle_deviation_starts(u, player, frag, stem, loop)))
+
+
+def oracle_reached_keys(u: UnfoldedArena, player, objective, table, stem, loop) -> set:
+    """The keys (state, str(flag)) of the table entries read on the way: the
+    coalition nodes that `player`, with an `F`, `G`, `G F` or `F G`
+    objective, reaches from its deviations off the outcome stem . loop^omega
+    (unfolded states) while every other player follows `table`."""
+    u = by_state(u)
+    frag = ltl.classify_fragment(objective)
+    _, succ, _ = _oracle_graph(u, player, frag, table)
+    reached = set().union(
+        *(_reach_states(succ, n) for n in _oracle_deviation_starts(u, player, frag, stem, loop))
+    )
+    return {(s, str(f)) for s, f in reached if u.owner[s] != player}
 
 
 def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dict:

@@ -18,7 +18,7 @@ from carefulsynth.reduction import (
     simulate_reachability,
 )
 from carefulsynth.synthesis import SolveResult, check_certificate, solve
-from carefulsynth.unfolding import BOT, lift, saturating_add, unfold
+from carefulsynth.unfolding import BOT, lift, unfold
 from carefulsynth.zerosum import attractor, objective_tracker, solve_parity, tracker_product
 
 from corpus import CORPUS
@@ -35,6 +35,7 @@ from genutils import (
     random_formula,
     random_game,
     random_word,
+    saturating_add,
 )
 
 

@@ -31,6 +31,7 @@ from genutils import (
     OracleTooBig,
     by_state,
     oracle_profitable_deviation,
+    oracle_reached_keys,
     oracle_solution_exists,
     oracle_witness_exists,
     random_arena,
@@ -340,12 +341,19 @@ def test_only_losers_carry_a_punishment_table():
         if p is None:
             continue
         u = unfold(a, bounds)
+        o = p.outcome
+        ustates = tuple(zip(o.stem + o.loop, o.trace))
         for i in range(1, a.players + 1):
             if i in p.winners:
                 assert p.punishment[i] == {}, seed
             else:
+                # the region's table, kept only where a deviation reads it
                 region = punish_region(u, i, objective_tracker(a.objective_of(i)))
-                assert p.punishment[i] == dict(region.punishment), seed
+                assert p.punishment[i].items() <= region.punishment.items(), seed
+                assert set(p.punishment[i]) == oracle_reached_keys(
+                    u, i, a.objective_of(i), region.punishment,
+                    ustates[: len(o.stem)], ustates[len(o.stem):],
+                ), seed
                 losers += 1
         assert check_certificate(a, bounds, p) == [], seed
         solved += 1
@@ -701,8 +709,15 @@ def _winners_only():
 
 
 def test_the_checker_does_not_unfold(fig1, monkeypatch):
-    # fig1 (3,3) has a loser, whose table and deviations are read
-    certificates = [(fig1, (3, 3), solve(fig1, (3, 3)).profile), _winners_only()]
+    # fig1 (3,3) has a loser, whose deviations are read; the loser of the
+    # one-choice arena also has a nonempty table
+    a = _one_choice_arena()
+    certificates = [
+        (fig1, (3, 3), solve(fig1, (3, 3)).profile),
+        (a, (0,), solve(a, (0,)).profile),
+        _winners_only(),
+    ]
+    assert certificates[1][2].punishment[1]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the checker unfolded the arena")
@@ -729,6 +744,22 @@ def test_the_state_budget_bounds_the_states_the_checker_steps(fig1):
     assert check_certificate(fig1, (3, 3), p, max_states=size) == [
         f"player 3: punishment entry {key!r} -> ('a', (0, 0)) is not an edge"
     ]
+
+
+def test_the_checker_steps_only_what_the_kept_entries_and_deviations_reach(fig1):
+    # a table holds only the entries a deviation reads, so the checker's
+    # search for a table entry's state stops early; with Zielonka's whole
+    # coalition strategy as the table it stepped all 12 states of fig1 (3,3)
+    p = solve(fig1, (3, 3)).profile
+    assert p.winners == frozenset({1, 2}) and p.punishment[3] == {}
+    assert check_certificate(fig1, (3, 3), p, max_states=1) == []
+    a = _one_choice_arena()
+    p = solve(a, (0,)).profile
+    region = punish_region(unfold(a, (0,)), 1, objective_tracker(a.objective_of(1)))
+    assert len(p.punishment[1]) == 40 and len(region.punishment) == 41
+    assert check_certificate(a, (0,), p, max_states=44) == []
+    with pytest.raises(BudgetExceededError, match="state budget of 43"):
+        check_certificate(a, (0,), p, max_states=43)
 
 
 # ---------------------------------------------------------------------------

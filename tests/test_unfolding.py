@@ -15,14 +15,13 @@ from carefulsynth.unfolding import (
     lift,
     parse_ustate,
     render_ustate,
-    saturating_add,
     step,
     to_dot,
     unfold,
     unfolded_to_arena,
 )
 
-from genutils import project, random_arena
+from genutils import project, random_arena, saturating_add
 
 
 # ---------------------------------------------------------------------------
