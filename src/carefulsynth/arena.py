@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -70,11 +71,11 @@ def build_arena(
         raise DocumentSemanticError(f"dimensions must be a positive integer, got {dimensions!r}")
 
     state_list = list(states)
-    if len(set(state_list)) != len(state_list):
+    stateset = set(state_list)
+    if len(stateset) != len(state_list):
         raise DocumentSemanticError("duplicate state ids")
     if not state_list:
         raise DocumentSemanticError("arena has no states")
-    stateset = set(state_list)
 
     atomset = frozenset(atoms)
     if len(atomset) != len(list(atoms)):
@@ -91,38 +92,25 @@ def build_arena(
     if initial not in stateset:
         raise DocumentSemanticError(f"initial state {initial!r} is not a state")
 
-    lab: dict[str, frozenset[str]] = {}
-    for s in state_list:
-        ls = frozenset(labels.get(s, ()))
-        bad = ls - atomset
-        if bad:
-            raise DocumentSemanticError(f"state {s!r}: unknown atom(s) {sorted(bad)}")
-        lab[s] = ls
+    lab = {s: frozenset(labels.get(s, ())) for s in state_list}
+    if not atomset.issuperset(chain.from_iterable(lab.values())):
+        for s, ls in lab.items():
+            bad = ls - atomset
+            if bad:
+                raise DocumentSemanticError(f"state {s!r}: unknown atom(s) {sorted(bad)}")
 
-    edge_map: dict[tuple[str, str], tuple[int, ...]] = {}
-    for (src, dst), cost in edges.items():
-        if src not in stateset or dst not in stateset:
-            raise DocumentSemanticError(f"edge ({src!r}, {dst!r}): dangling endpoint")
-        if not isinstance(cost, (list, tuple)):
-            raise DocumentSemanticError(
-                f"edge ({src!r}, {dst!r}): cost must be a list of integers, got {cost!r}"
-            )
-        c = tuple(cost)
-        if len(c) != dimensions:
-            raise DocumentSemanticError(
-                f"edge ({src!r}, {dst!r}): cost has {len(c)} components, expected {dimensions}"
-            )
-        for v in c:
-            if not is_int(v) or not I64_MIN <= v <= I64_MAX:
-                raise DocumentSemanticError(
-                    f"edge ({src!r}, {dst!r}): cost component {v!r} not a 64-bit integer"
-                )
-        edge_map[(src, dst)] = c
+    # all edges at once; one by one only to name the first bad edge
+    costs = list(edges.values())
+    if (stateset.issuperset(chain.from_iterable(edges)) and _typed(costs, {list, tuple})
+            and set(map(len, costs)) <= {dimensions} and _i64(chain.from_iterable(costs))):
+        edge_map = dict(zip(edges, map(tuple, costs)))
+    else:
+        edge_map = _checked_edges(edges, stateset, dimensions)
 
     targets: dict[str, list[str]] = {s: [] for s in state_list}
-    for src, dst in edge_map:
+    for src, dst in sorted(edge_map):
         targets[src].append(dst)
-    succ = {s: tuple(sorted(ds)) for s, ds in targets.items()}
+    succ = {s: tuple(ds) for s, ds in targets.items()}
     for s in state_list:
         if not succ[s]:
             raise DocumentSemanticError(f"state without successor: {s!r}")
@@ -170,6 +158,31 @@ def build_arena(
     )
 
 
+def _checked_edges(edges, stateset, dimensions) -> dict[tuple[str, str], tuple[int, ...]]:
+    """`build_arena`'s edge map, checked edge by edge in order: the first
+    bad edge raises."""
+    edge_map = {}
+    for (src, dst), cost in edges.items():
+        if src not in stateset or dst not in stateset:
+            raise DocumentSemanticError(f"edge ({src!r}, {dst!r}): dangling endpoint")
+        if not isinstance(cost, (list, tuple)):
+            raise DocumentSemanticError(
+                f"edge ({src!r}, {dst!r}): cost must be a list of integers, got {cost!r}"
+            )
+        c = tuple(cost)
+        if len(c) != dimensions:
+            raise DocumentSemanticError(
+                f"edge ({src!r}, {dst!r}): cost has {len(c)} components, expected {dimensions}"
+            )
+        for v in c:
+            if not is_int(v) or not I64_MIN <= v <= I64_MAX:
+                raise DocumentSemanticError(
+                    f"edge ({src!r}, {dst!r}): cost component {v!r} not a 64-bit integer"
+                )
+        edge_map[(src, dst)] = c
+    return edge_map
+
+
 def _check_players(players) -> None:
     if not is_int(players) or not 1 <= players <= MAX_PLAYERS:
         raise DocumentSemanticError(
@@ -182,22 +195,38 @@ def _check_players(players) -> None:
 
 
 def parse_arena(text: str) -> Arena:
+    """Read an arena document. Raises the error of its first defect in
+    document order, with the message `errors.member` gives for that member.
+    The members of the states and of the edges are checked inline, by exact
+    type; only when a check fails, or an edge repeats, are they read again
+    one by one through `member`, which raises for the first wrong one."""
     doc = expect(load_json(text), dict, "arena document")
     players = member(doc, "players", int, "players")
     _check_players(players)  # before any loop over the players
-    states, owner, labels = [], {}, {}
-    for item in member(doc, "states", [dict], "states"):
-        sid = member(item, "id", str, "state id")
+    items = member(doc, "states", [dict], "states")
+    states, owners, label_lists = [], [], []
+    for item in items:
+        sid, p, ls = item.get("id"), item.get("owner"), item.get("labels", [])
+        if sid.__class__ is not str or p.__class__ is not int or ls.__class__ is not list:
+            break
         states.append(sid)
-        owner[sid] = member(item, "owner", int, f"owner of {sid!r}")
-        labels[sid] = member(item, "labels", [str], f"labels of {sid!r}", [])
+        owners.append(p)
+        label_lists.append(ls)
+    if len(states) == len(items) and _typed(chain.from_iterable(label_lists), {str}):
+        owner, labels = dict(zip(states, owners)), dict(zip(states, label_lists))
+    else:
+        states, owner, labels = _read_states(items)
 
+    items = member(doc, "edges", [dict], "edges")
     edges = {}
-    for item in member(doc, "edges", [dict], "edges"):
-        key = (member(item, "src", str, "edge source"), member(item, "dst", str, "edge target"))
-        if key in edges:
-            raise DocumentSemanticError(f"duplicate edge {key!r}")
-        edges[key] = member(item, "cost", [int], f"cost of edge {key!r}")
+    for item in items:
+        src, dst, cost = item.get("src"), item.get("dst"), item.get("cost")
+        if src.__class__ is not str or dst.__class__ is not str or cost.__class__ is not list:
+            break
+        edges[(src, dst)] = cost
+    # short after a failed check or a repeated edge
+    if len(edges) < len(items) or not _typed(chain.from_iterable(edges.values()), {int}):
+        edges = _read_edges(items)
 
     objectives = member(doc, "objectives", dict, "objectives")
     per_player = member(objectives, "players", dict, "player objectives", {})
@@ -222,6 +251,43 @@ def parse_arena(text: str) -> Arena:
         player_objectives=player_objs,
         bounds=member(doc, "bounds", [int], "bounds", None),
     )
+
+
+def _typed(values, types: set) -> bool:
+    """Every value's exact type is in `types`. As in `errors.expect`, `bool`
+    is not `int`; unlike it, no subclass passes, so False only sends the
+    caller to its one-by-one checks."""
+    return set(map(type, values)) <= types
+
+
+def _i64(values) -> bool:
+    """Every value is exactly an `int` in the signed 64-bit range."""
+    values = list(values)
+    return _typed(values, {int}) and (not values or I64_MIN <= min(values) and max(values) <= I64_MAX)
+
+
+def _read_states(items):
+    """The states read member by member, in order: the first wrong member
+    raises."""
+    states, owner, labels = [], {}, {}
+    for item in items:
+        sid = member(item, "id", str, "state id")
+        states.append(sid)
+        owner[sid] = member(item, "owner", int, f"owner of {sid!r}")
+        labels[sid] = member(item, "labels", [str], f"labels of {sid!r}", [])
+    return states, owner, labels
+
+
+def _read_edges(items):
+    """The edges read member by member, in order: the first wrong member or
+    repeated edge raises."""
+    edges = {}
+    for item in items:
+        key = (member(item, "src", str, "edge source"), member(item, "dst", str, "edge target"))
+        if key in edges:
+            raise DocumentSemanticError(f"duplicate edge {key!r}")
+        edges[key] = member(item, "cost", [int], f"cost of edge {key!r}")
+    return edges
 
 
 def arena_to_document(arena: Arena) -> dict:

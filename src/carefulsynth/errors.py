@@ -72,9 +72,21 @@ _KINDS = {int: ("an integer", "integers"), str: ("a string", "strings"),
 
 
 def _has(v, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(v, list) and all(_has(x, kind[0]) for x in v)
-    return is_int(v) if kind is int else isinstance(v, kind)
+    if kind.__class__ is not list:
+        return isinstance(v, kind) and v.__class__ is not bool
+    if not isinstance(v, list):
+        return False
+    inner = kind[0]
+    if inner.__class__ is list:
+        for x in v:
+            if not _has(x, inner):
+                return False
+        return True
+    # a flat kind: one loop; `bool` only ever passes `isinstance(x, int)`
+    for x in v:
+        if not isinstance(x, inner) or x.__class__ is bool:
+            return False
+    return True
 
 
 def _name(kind, plural=False) -> str:
@@ -87,7 +99,8 @@ def expect(v, kind, what: str):
     """`v` if it has the JSON shape `kind`, else a DocumentSemanticError
     naming `what`. A kind is `int` (a JSON integer), `str`, `list`, `dict`,
     or `[k]` for a list of values of kind `k`; a string is never read as a
-    list of its characters."""
+    list of its characters, and `bool` is never an integer. The message
+    names `what` and shows the whole value, whichever element is wrong."""
     if not _has(v, kind):
         raise DocumentSemanticError(f"{what} must be {_name(kind)}, got {v!r}")
     return v
@@ -99,7 +112,13 @@ _REQUIRED = object()
 def member(doc, key: str, kind, what: str, default=_REQUIRED):
     """`doc[key]`, checked by `expect`, where `doc` must be an object. An
     absent member reads as `default` and is an error without one; with the
-    default `None`, a `null` member reads as absent too."""
+    default `None`, a `null` member reads as absent too.
+
+    The document readers read their members in document order, so the
+    first defect of a document is the one reported. A reader that checks
+    members in bulk first (`arena.parse_arena`) calls `member` only once a
+    check failed, in the same order, so the first defect and its message
+    are unchanged."""
     if not isinstance(doc, dict):
         raise DocumentSemanticError(f"{what} must be read from an object, got {doc!r}")
     v = doc.get(key, default)

@@ -212,7 +212,9 @@ def find_witness_lasso(
             tops = [(k, top[k]) for k in components]
             odd = [(k, p) for k, p in tops if p % 2]
             if odd:
-                pending.append({n for n in comp if all(prio[n][k] != p for k, p in odd)})
+                rest = {n for n in comp if all(prio[n][k] != p for k, p in odd)}
+                if rest:
+                    pending.append(rest)
                 continue
             compset = set(comp)
             for node in comp:

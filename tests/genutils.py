@@ -15,8 +15,8 @@ import random
 from typing import NamedTuple
 
 from carefulsynth import ltl
-from carefulsynth.arena import RESERVED_ATOM, Arena, build_arena
-from carefulsynth.errors import DocumentSemanticError
+from carefulsynth.arena import MAX_PLAYERS, RESERVED_ATOM, Arena, build_arena
+from carefulsynth.errors import DocumentSemanticError, expect, load_json, member
 from carefulsynth.ltl import FragmentClass
 from carefulsynth.unfolding import BOT, UnfoldedArena, UState, unfold
 from carefulsynth.zerosum import ZeroSumGame
@@ -426,6 +426,62 @@ def random_arena(rng: random.Random, max_states=4, max_players=2, max_dims=2) ->
         labels=labels,
         system_objective=reach(),
         player_objectives=tuple(reach() for _ in range(players)),
+    )
+
+
+class _CostByComponent(list):
+    """A cost list that `build_arena` does not take in bulk: an exact-type
+    check fails on a list subclass, so it checks every edge one by one."""
+
+
+def reference_parse_arena(text: str) -> Arena:
+    """The arena reader that reads every member through `errors.member`,
+    in document order: the reference for `arena.parse_arena`, which must
+    return an equal Arena or raise the same error with the same message.
+    Its costs go to `build_arena` as `_CostByComponent`, so that the edges
+    are also checked one by one there."""
+    doc = expect(load_json(text), dict, "arena document")
+    players = member(doc, "players", int, "players")
+    if not 1 <= players <= MAX_PLAYERS:
+        raise DocumentSemanticError(
+            f"players must be an integer from 1 to {MAX_PLAYERS}, got {players!r}"
+        )
+    states, owner, labels = [], {}, {}
+    for item in member(doc, "states", [dict], "states"):
+        sid = member(item, "id", str, "state id")
+        states.append(sid)
+        owner[sid] = member(item, "owner", int, f"owner of {sid!r}")
+        labels[sid] = member(item, "labels", [str], f"labels of {sid!r}", [])
+
+    edges = {}
+    for item in member(doc, "edges", [dict], "edges"):
+        key = (member(item, "src", str, "edge source"), member(item, "dst", str, "edge target"))
+        if key in edges:
+            raise DocumentSemanticError(f"duplicate edge {key!r}")
+        edges[key] = _CostByComponent(member(item, "cost", [int], f"cost of edge {key!r}"))
+
+    objectives = member(doc, "objectives", dict, "objectives")
+    per_player = member(objectives, "players", dict, "player objectives", {})
+    player_objs = []
+    for i in range(1, players + 1):
+        src = member(per_player, str(i), str, f"player {i} objective", None)
+        player_objs.append(ltl.TRUE if src is None else ltl.parse_ltl(src))
+    extra = set(per_player) - {str(i) for i in range(1, players + 1)}
+    if extra:
+        raise DocumentSemanticError(f"objectives for unknown player(s): {sorted(extra)}")
+
+    return build_arena(
+        players=players,
+        dimensions=member(doc, "dimensions", int, "dimensions"),
+        states=states,
+        owner=owner,
+        initial=member(doc, "initial", str, "initial state"),
+        edges=edges,
+        atoms=member(doc, "atoms", [str], "atoms"),
+        labels=labels,
+        system_objective=ltl.parse_ltl(member(objectives, "system", str, "system objective")),
+        player_objectives=player_objs,
+        bounds=member(doc, "bounds", [int], "bounds", None),
     )
 
 

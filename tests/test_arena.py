@@ -1,10 +1,12 @@
+import copy
 import json
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carefulsynth import ltl
+from carefulsynth import arena as arena_module, errors, ltl
 from carefulsynth.arena import (
     Lasso,
     arena_to_document,
@@ -22,7 +24,7 @@ from carefulsynth.errors import (
 )
 from carefulsynth.synthesis import solve
 
-from genutils import random_arena
+from genutils import random_arena, reference_parse_arena
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +124,213 @@ def test_round_trip_on_random_arenas(seed):
     b = parse_arena(text)
     assert arena_to_document(a) == arena_to_document(b)
     assert serialize_arena(b) == text
+
+
+# ---------------------------------------------------------------------------
+# The reader against its member-by-member reference
+
+
+_MISSING = object()
+# wrong for every member, or right for some: both readers must agree either way
+_WRONG = [True, None, 1.5, [[1]], [], "x", 7, {}, _MISSING]
+
+
+def _arena_document(rng: random.Random, n_states: int, players: int = 4) -> dict:
+    atoms = [f"a{i}" for i in range(6)]
+    states = [f"s{i}" for i in range(n_states)]
+    return {
+        "players": players,
+        "dimensions": 2,
+        "bounds": [3, 3],
+        "atoms": atoms,
+        "states": [{"id": s, "owner": rng.randint(1, players), "labels": rng.sample(atoms, 2)}
+                   for s in states],
+        "initial": "s0",
+        "edges": [{"src": s, "dst": t, "cost": [rng.randint(-2, 2), rng.randint(-2, 2)]}
+                  for s in states for t in rng.sample(states, 3)],
+        "objectives": {"system": "F a0",
+                       "players": {str(i): f"G F a{i}" for i in range(1, players + 1)}},
+    }
+
+
+def _base_documents(fig1_text) -> dict[str, dict]:
+    rng = random.Random(7)
+    bases = {"fig1": json.loads(fig1_text), "generated": _arena_document(rng, 6)}
+    while len(bases) < 4:
+        a = random_arena(rng, max_states=5, max_players=3, max_dims=3)
+        if len(a.states) >= 3:
+            doc = arena_to_document(a)
+            doc["bounds"] = [3] * doc["dimensions"]
+            bases[f"random-{len(bases) - 2}"] = doc
+    return bases
+
+
+def _member_paths(doc, path=()):
+    """The path of every object member and list element, parents first."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield path + (key,)
+        yield from _member_paths(value, path + (key,))
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    if value is _MISSING:
+        del doc[last]  # an element of a list drops out of it
+    else:
+        doc[last] = value
+
+
+def _defects(doc) -> list:
+    """(name, mutation) for every single defect of `doc`: each member set
+    to each wrong value, and the structural defects a type check does not
+    see."""
+    defects = [
+        (f"{'.'.join(map(str, path))} = {value!r}", lambda d, p=path, v=value: _set(d, p, v))
+        for path in _member_paths(doc) for value in _WRONG
+    ]
+    for k, edge in enumerate(doc["edges"]):
+        defects += [
+            (f"edges.{k} twice", lambda d, e=edge: d["edges"].append(copy.deepcopy(e))),
+            (f"edges.{k} dangling", lambda d, k=k: _set(d, ("edges", k, "dst"), "nowhere")),
+            (f"edges.{k} long cost", lambda d, k=k: d["edges"][k]["cost"].append(0)),
+            (f"edges.{k} cost over", lambda d, k=k: _set(d, ("edges", k, "cost", 0), 2**63)),
+            (f"edges.{k} cost under", lambda d, k=k: _set(d, ("edges", k, "cost", -1), -(2**63) - 1)),
+        ]
+    for k, state in enumerate(doc["states"]):
+        defects.append((f"states.{k} twice", lambda d, s=state: d["states"].append(copy.deepcopy(s))))
+    return defects
+
+
+def _outcome(reader, doc):
+    try:
+        return reader(json.dumps(doc))
+    except Exception as e:  # the class and message must match, whatever they are
+        return (type(e), str(e))
+
+
+def _both_readers(base, mutations):
+    doc = copy.deepcopy(base)
+    for mutate in mutations:
+        mutate(doc)
+    return _outcome(parse_arena, doc), _outcome(reference_parse_arena, doc)
+
+
+_BASES = ["fig1", "generated", "random-0", "random-1"]
+
+
+@pytest.mark.parametrize("base", _BASES)
+def test_reader_agrees_with_its_reference_on_single_defects(fig1_text, base):
+    doc = _base_documents(fig1_text)[base]
+    assert parse_arena(json.dumps(doc)) == reference_parse_arena(json.dumps(doc))
+    defects = _defects(doc)
+    errors_seen = 0
+    for name, mutate in defects:
+        new, ref = _both_readers(doc, [mutate])
+        assert new == ref, name
+        errors_seen += isinstance(ref, tuple)
+    assert len(defects) > 300 and errors_seen > len(defects) // 2
+
+
+@pytest.mark.parametrize("base", _BASES)
+def test_reader_agrees_with_its_reference_on_two_defects(fig1_text, base):
+    doc = _base_documents(fig1_text)[base]
+    defects = _defects(doc)
+    rng = random.Random(base)
+    for _ in range(200):
+        (n1, m1), (n2, m2) = rng.sample(defects, 2)
+        try:
+            new, ref = _both_readers(doc, [m1, m2])
+        except (KeyError, IndexError, TypeError):
+            continue  # the first defect removed what the second changes
+        assert new == ref, (n1, n2)
+
+
+@pytest.mark.parametrize("mutations, message", [
+    # states are read before edges
+    ([("states", 3, "owner", True), ("edges", 0, "cost", "x")],
+     "owner of 'box' must be an integer, got True"),
+    # state by state, each state's members in order
+    ([("states", 4, "labels", None), ("states", 1, "owner", "2")],
+     "owner of 'b' must be an integer, got '2'"),
+    # a wrong type is found while reading, before any edge is checked against the states
+    ([("edges", 0, "dst", "nowhere"), ("edges", 6, "cost", [True, 0])],
+     "cost of edge ('c', 'circbox') must be a list of integers, got [True, 0]"),
+    # the arena's own checks go edge by edge
+    ([("edges", 3, "dst", "nowhere"), ("edges", 1, "cost", [2**63, 0])],
+     "edge ('a', 'b'): cost component 9223372036854775808 not a 64-bit integer"),
+    ([("edges", 0, "dst", "nowhere"), ("edges", 5, "cost", [1])],
+     "edge ('a', 'nowhere'): dangling endpoint"),
+    ([("edges", 5, "src", "a"), ("edges", 5, "dst", "b"), ("edges", 2, "src", 5)],
+     "edge source must be a string, got 5"),
+    ([("edges", 5, "src", "a"), ("edges", 5, "dst", "b"), ("edges", 7, "cost", [0])],
+     "duplicate edge ('a', 'b')"),
+])
+def test_first_defect_in_document_order_is_reported(fig1_text, mutations, message):
+    doc = json.loads(fig1_text)
+    for *path, value in mutations:
+        _set(doc, path, value)
+    text = json.dumps(doc)
+    for reader in (parse_arena, reference_parse_arena):
+        with pytest.raises(DocumentSemanticError) as e:
+            reader(text)
+        assert str(e.value) == message
+
+
+def test_member_calls_do_not_grow_with_the_arena(monkeypatch):
+    calls = []
+
+    def counting_member(*args, **kwargs):
+        calls.append(args[1])
+        return errors.member(*args, **kwargs)
+
+    monkeypatch.setattr(arena_module, "member", counting_member)
+    rng = random.Random(40)
+    counts = {}
+    for n in (10, 40):
+        calls.clear()
+        a = parse_arena(json.dumps(_arena_document(rng, n)))
+        assert len(a.states) == n and len(a.edges) == 3 * n
+        counts[n] = len(calls)
+    # the top-level members and one per player objective, none per state or edge
+    assert counts[10] == counts[40] <= 11 + 4
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+_KIND_VALUES = {
+    "int": 3, "negative": -2, "true": True, "false": False, "float": 1.0, "enum": _Level.LOW,
+    "str": "ab", "empty str": "", "null": None, "object": {"a": 1},
+    "empty list": [], "ints": [1, 2], "bools": [True], "enums": [_Level.LOW], "mixed": [1, "a"],
+    "strs": ["a"], "objects": [{}], "int lists": [[1], []], "bool lists": [[False]],
+    "flat in nested": [1, [2]],
+}
+
+_ANY_LIST = {k for k, v in _KIND_VALUES.items() if isinstance(v, list)}
+
+
+@pytest.mark.parametrize("kind, name, accepted", [
+    (int, "an integer", {"int", "negative", "enum"}),
+    (str, "a string", {"str", "empty str"}),
+    (list, "a list", _ANY_LIST),
+    (dict, "an object", {"object"}),
+    ([int], "a list of integers", {"empty list", "ints", "enums"}),
+    ([str], "a list of strings", {"empty list", "strs"}),
+    ([dict], "a list of objects", {"empty list", "objects"}),
+    ([[int]], "a list of lists of integers", {"empty list", "int lists"}),
+], ids=["int", "str", "list", "dict", "[int]", "[str]", "[dict]", "[[int]]"])
+def test_expect_kinds(kind, name, accepted):
+    for label, v in _KIND_VALUES.items():
+        if label in accepted:
+            assert errors.expect(v, kind, "it") is v, label
+        else:
+            with pytest.raises(DocumentSemanticError) as e:
+                errors.expect(v, kind, "it")
+            assert str(e.value) == f"it must be {name}, got {v!r}", label
 
 
 # ---------------------------------------------------------------------------

@@ -569,26 +569,51 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, field):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("field", ["states", "objective", "id", "atoms", "src", "cost", "bounds"])
-def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, field):
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("players",), "1", "players must be an integer, got '1'", id="players"),
+    pytest.param(("dimensions",), "1", "dimensions must be an integer, got '1'", id="dimensions"),
+    pytest.param(("bounds",), 5, "bounds must be a list of integers, got 5", id="bounds"),
+    pytest.param(("bounds",), [1.0], "bounds must be a list of integers, got [1.0]", id="bound"),
+    pytest.param(("atoms",), [["p"]], "atoms must be a list of strings, got [['p']]", id="atoms"),
+    pytest.param(("states",), 5, "states must be a list of objects, got 5", id="states"),
+    pytest.param(("states", 0), ["s"], "states must be a list of objects, got [['s']]", id="state"),
+    pytest.param(("states", 0, "id"), ["s"], "state id must be a string, got ['s']", id="id"),
+    pytest.param(("states", 0, "owner"), "1", "owner of 's' must be an integer, got '1'",
+                 id="owner"),
+    pytest.param(("states", 0, "labels"), [1], "labels of 's' must be a list of strings, got [1]",
+                 id="labels"),
+    pytest.param(("states", 0, "labels"), None,
+                 "labels of 's' must be a list of strings, got None", id="labels-null"),
+    pytest.param(("initial",), ["s"], "initial state must be a string, got ['s']", id="initial"),
+    pytest.param(("edges",), {}, "edges must be a list of objects, got {}", id="edges"),
+    pytest.param(("edges", 0, "src"), ["s"], "edge source must be a string, got ['s']", id="src"),
+    pytest.param(("edges", 0, "dst"), 5, "edge target must be a string, got 5", id="dst"),
+    pytest.param(("edges", 0, "cost"), 5,
+                 "cost of edge ('s', 's') must be a list of integers, got 5", id="cost"),
+    pytest.param(("edges", 0, "cost"), [[0]],
+                 "cost of edge ('s', 's') must be a list of integers, got [[0]]",
+                 id="cost-component"),
+    pytest.param(("objectives",), "true", "objectives must be an object, got 'true'",
+                 id="objectives"),
+    pytest.param(("objectives", "system"), 5, "system objective must be a string, got 5",
+                 id="system"),
+    pytest.param(("objectives", "players"), [], "player objectives must be an object, got []",
+                 id="player-objectives"),
+    pytest.param(("objectives", "players"), {"1": 5}, "player 1 objective must be a string, got 5",
+                 id="objective"),
+])
+def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, path, value, message):
     doc = _one_state_document()
-    if field in ("states", "bounds"):
-        doc[field] = 5
-    elif field == "cost":
-        doc["edges"][0]["cost"] = 5
-    elif field == "objective":
-        doc["objectives"]["players"] = {"1": 5}
-    elif field == "id":
-        doc["states"][0]["id"] = ["s"]
-    elif field == "atoms":
-        doc["atoms"] = [["p"]]
-    else:
-        doc["edges"][0]["src"] = ["s"]
-    path = tmp_path / "arena.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = _run(capsys, "solve", str(path))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    parent[last] = value
+    arena_path = tmp_path / "arena.json"
+    arena_path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "solve", str(arena_path))
     assert code == EXIT_ERROR
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("players", [MAX_PLAYERS + 1, 10**30])
