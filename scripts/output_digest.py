@@ -39,8 +39,8 @@ def region_lines(inst: workloads.Instance) -> list[str]:
     for i in range(1, a.players + 1):
         r = punish_region(u, i, objective_tracker(a.objective_of(i), dpas.get(i)))
         win = sorted(f"{render_ustate(u.states[k])}|{q}" for k, q in r.win)
-        table = sorted(f"{render_ustate(s)}|{q} -> {render_ustate(t)}"
-                       for (s, q), t in r.punishment.items())
+        table = sorted(f"{render_ustate(u.states[k])}|{q} -> {render_ustate(u.states[t])}"
+                       for (k, q), t in r.punishment.items())
         out.append(f"player {i} win {win} table {table}")
     return out
 

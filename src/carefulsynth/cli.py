@@ -42,8 +42,11 @@ def _fail(msg: str) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CarefulSynthError(f"cannot read {path}: {getattr(e, 'strerror', e)}") from None
 
 
 def _emit(doc: dict, pretty_extra: Optional[str] = None) -> None:
@@ -141,8 +144,11 @@ def _cmd_unfold(args) -> int:
         return _fail("unfold requires --bounds (or bounds in the arena document)")
     u = unfold(a, bounds)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(to_dot(u))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as f:
+                f.write(to_dot(u))
+        except OSError as e:
+            raise CarefulSynthError(f"cannot write {args.dot}: {e.strerror}") from None
     print(serialize_arena(unfolded_to_arena(u)), end="")
     return EXIT_POSITIVE
 
@@ -311,8 +317,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        return _fail(f"cannot read {e.filename}")
     except CarefulSynthError as e:
         return _fail(str(e))
 

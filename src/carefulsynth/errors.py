@@ -55,11 +55,13 @@ class MalformedProfileError(CarefulSynthError):
 
 def load_json(text: str):
     """Decode a document; bad JSON becomes a DocumentSyntaxError that gives
-    its line and column."""
+    its line and column, and so does nesting too deep for the decoder."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise DocumentSyntaxError("document nested too deeply to decode") from None
 
 
 def is_int(v) -> bool:

@@ -8,15 +8,17 @@ winner set, search that product for a lasso that the system's component and
 every winner's tracker accept, without the nodes where a loser owns the
 state and its punishment region holds (state id, its tracker state). A
 player's punishment region is solved the first time it is a loser, since
-only a loser has a reason to deviate. A found lasso plus the losers'
-punishment tables, each cut to the nodes the loser's deviations reach,
-form the equilibrium certificate; `check_certificate` checks it without
-the game solver and without building the unfolding, by an emptiness test
-per loser on the graph its table leaves. It replays the outcome with
-`unfolding.lift`, which the solver does not call; it shares with the
-solver only `unfolding.credit_after` (through `step` and `lift`), the
-objective trackers, their runs over a lasso and the SCC kernel, and steps
-only the unfolded states a deviation or a table entry reaches.
+only a loser has a reason to deviate. The winners and the tracker states
+along a found lasso are read off its product nodes. The lasso plus the
+losers' punishment tables, each cut to the nodes the loser's deviations
+reach, form the equilibrium certificate; `check_certificate` checks it
+without the game solver and without building the unfolding, by an
+emptiness test per loser on the graph its table leaves. It replays the
+outcome with `unfolding.lift` and runs the trackers over it, which the
+solver does neither; it shares with the solver only
+`unfolding.credit_after` (through `step` and `lift`), the objective
+trackers and the SCC kernel, and steps only the unfolded states a
+deviation or a table entry reaches.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def find_witness_lasso(
     """Search `product`, without the node ids in `forbidden`, for a lasso that
     the system's component and the trackers at positions `winners` accept:
     a cycle whose top priority in each of those components is even, decided
-    by SCC refinement. Returns (stem, loop) over unfolded-state ids,
+    by SCC refinement. Returns (stem, loop) over product node ids,
     deterministically minimized (shortest stem first, then a loop through
     one top-priority node per component). Raises NoWitness naming why
     none exists: every initial node is forbidden, the restricted product
@@ -243,38 +245,9 @@ def find_witness_lasso(
     )
     loop_nodes.extend(back[:-1])
 
-    stem = tuple(product.nodes[k][0] for k in stem_path[:-1])
-    loop = tuple(product.nodes[k][0] for k in loop_nodes)
-    if not stem:
-        stem = loop  # plays are stem . loop^omega; keep the stem nonempty
-    return stem, loop
-
-
-# ---------------------------------------------------------------------------
-# Tracker runs over lassos
-
-
-def run_lasso(tracker: Tracker, stem: Sequence, loop: Sequence) -> tuple[list, int]:
-    """Run `tracker` over the letters stem . loop^k until its state at the
-    loop head repeats. Returns the state after each visited position's
-    letter and the index where the settled cycle starts."""
-    q = tracker.initial
-    qs = []
-    for letter in stem:
-        q = tracker.step(q, letter)
-        qs.append(q)
-    heads: dict = {}
-    while q not in heads:
-        heads[q] = len(qs)
-        for letter in loop:
-            q = tracker.step(q, letter)
-            qs.append(q)
-    return qs, heads[q]
-
-
-def tracker_accepts(tracker: Tracker, stem: Sequence, loop: Sequence) -> bool:
-    qs, cycle = run_lasso(tracker, stem, loop)
-    return max(map(tracker.priority, qs[cycle:])) % 2 == 0
+    loop = tuple(loop_nodes)
+    # plays are stem . loop^omega; keep the stem nonempty
+    return tuple(stem_path[:-1]) or loop, loop
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +268,14 @@ def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
     return Lasso(stem=tuple(s for s, _ in stem), loop=tuple(s for s, _ in loop), trace=trace)
 
 
-def _reached_entries(u: UnfoldedArena, player, tracker, region, stem, loop) -> dict:
-    """The entries of `region.punishment` that `player` reads once it leaves
-    the outcome stem . loop^omega (ids) by a sink-free move and then moves
-    freely: the nodes `_deviation_faults` explores, from the same starts."""
-    states, labels, table = u.states, u.labels, region.punishment
-    qs, _ = run_lasso(tracker, [labels[k] for k in stem], [labels[k] for k in loop])
-    path = [*stem, *loop * (len(qs) // len(loop) + 1)]  # long enough to index k + 1
-    stack = [(q, t) for k, q in enumerate(qs) if u.owner[path[k]] == player
-             for t in u.succ[path[k]] if t != path[k + 1]]  # (tracker state before t, t)
+def _reached_entries(u: UnfoldedArena, player, tracker, table, path) -> dict:
+    """The entries of `table` that `player` reads, keyed as in certificates,
+    once it leaves the outcome by a sink-free move and then moves freely:
+    the nodes `_deviation_faults` explores, from the same starts. `path` is
+    the outcome's (state id, tracker state) over stem, loop and loop head."""
+    states, labels = u.states, u.labels
+    stack = [(q, t) for (s, q), (nxt, _) in zip(path, path[1:]) if u.owner[s] == player
+             for t in u.succ[s] if t != nxt]  # (tracker state before t, t)
     seen, kept = set(), {}
     while stack:
         q, s = stack.pop()
@@ -311,10 +283,11 @@ def _reached_entries(u: UnfoldedArena, player, tracker, region, stem, loop) -> d
         if (s, q) in seen or states[s] is BOT:
             continue
         seen.add((s, q))
-        moves, key = u.succ[s], (states[s], str(q))
+        moves = u.succ[s]
         if u.owner[s] != player:  # outside the loser's region, so the table has the node
-            kept[key] = table[key]
-            moves = [t for t in moves if states[t] == kept[key]]
+            t = table[(s, q)]
+            kept[(states[s], str(q))] = states[t]
+            moves = (t,)
         stack += [(q, t) for t in moves]
     return kept
 
@@ -363,15 +336,16 @@ def solve(
         except NoWitness as e:
             diagnostics.append((tuple(sorted(winner_set)), str(e)))
             continue
-        outcome = outcome_lasso(u, stem, loop)
-        stem_labels = [u.labels[k] for k in stem]
-        loop_labels = [u.labels[k] for k in loop]
+        nodes = product.nodes
+        outcome = outcome_lasso(u, [nodes[n][0] for n in stem], [nodes[n][0] for n in loop])
         winners = frozenset(
-            i for i in players
-            if tracker_accepts(trackers[i], stem_labels, loop_labels)
+            i for i in players if max(product.priority[n][i] for n in loop) % 2 == 0
         )
+        path = [nodes[n] for n in (*stem, *loop, loop[0])]
         punishment = {
-            i: {} if i in winners else _reached_entries(u, i, trackers[i], regions[i], stem, loop)
+            i: {} if i in winners else _reached_entries(
+                u, i, trackers[i], regions[i].punishment, [(s, qs[i]) for s, qs in path]
+            )
             for i in players
         }
         profile = StrategyProfile(outcome, winners, punishment)
@@ -448,6 +422,29 @@ def check_certificate(
         if not satisfied:
             violations.extend(_deviation_faults(u, i, tracker, table, stem, loop))
     return violations
+
+
+def run_lasso(tracker: Tracker, stem: Sequence, loop: Sequence) -> tuple[list, int]:
+    """Run `tracker` over the letters stem . loop^k until its state at the
+    loop head repeats. Returns the state after each visited position's
+    letter and the index where the settled cycle starts."""
+    q = tracker.initial
+    qs = []
+    for letter in stem:
+        q = tracker.step(q, letter)
+        qs.append(q)
+    heads: dict = {}
+    while q not in heads:
+        heads[q] = len(qs)
+        for letter in loop:
+            q = tracker.step(q, letter)
+            qs.append(q)
+    return qs, heads[q]
+
+
+def tracker_accepts(tracker: Tracker, stem: Sequence, loop: Sequence) -> bool:
+    qs, cycle = run_lasso(tracker, stem, loop)
+    return max(map(tracker.priority, qs[cycle:])) % 2 == 0
 
 
 class _SteppedUnfolding:

@@ -1,12 +1,12 @@
-"""Two-player zero-sum solving on game graphs: attractors, Zielonka's
-parity algorithm, objective trackers, and the per-player punishment regions
-used by the equilibrium characterization. Every objective becomes a
-deterministic parity tracker (a flag for `F`, `G`, `G F` and `F G`, or a
-supplied parity automaton); a punishment region is the product of the
-unfolding with that tracker, numbered and solved by Zielonka's algorithm.
-Its nodes (k, q) pair the id of an unfolded state with the tracker state
-after reading it; the winning region is read at them, and the punishment
-table at (state, str(q)).
+"""Two-player zero-sum solving on numbered parity games: attractors,
+Zielonka's parity algorithm, objective trackers, and the per-player
+punishment regions used by the equilibrium characterization. Every objective
+becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
+`F G`, or a supplied parity automaton); a punishment region is the product
+of the unfolding with that tracker, numbered and solved by Zielonka's
+algorithm. Its nodes (k, q) pair the id of an unfolded state with the
+tracker state after reading it; the winning region and the punishment table
+are read at them.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -30,32 +30,35 @@ from .unfolding import BOT, UnfoldedArena
 # recursion depth grows with it.
 MAX_PRIORITY = 16
 
-State = Hashable
-
 
 @dataclass(frozen=True)
 class ZeroSumGame:
-    # `succ`, `is_protagonist` and a priority map are dicts over the states,
-    # or lists over the ids of a numbered game
-    states: Iterable[State]  # deterministic order; the tie-breaks follow it
-    succ: Mapping[State, Iterable[State]]
-    is_protagonist: Mapping[State, bool]
+    """A parity game on the ids 0..n-1, lists indexed by id: the protagonist
+    wins a play iff its top priority seen infinitely often is even."""
+
+    succ: list[list[int]]
+    is_protagonist: list[bool]
+    priority: list[int]
+
+    @property
+    def states(self) -> range:
+        return range(len(self.succ))
 
     @cached_property
-    def pred(self) -> dict[State, list[State]]:  # built when an attractor first needs it
-        pred: dict[State, list[State]] = {s: [] for s in self.states}
-        for s in self.states:
-            for t in self.succ[s]:
+    def pred(self) -> list[list[int]]:  # built when an attractor first needs it
+        pred: list[list[int]] = [[] for _ in self.succ]
+        for s, out in enumerate(self.succ):
+            for t in out:
                 pred[t].append(s)
         return pred
 
 
 @dataclass(frozen=True)
 class WinningRegions:
-    protagonist: frozenset[State]
-    antagonist: frozenset[State]
-    protagonist_strategy: dict[State, State]  # protagonist-owned states in its region
-    antagonist_strategy: dict[State, State]  # coalition-owned states in its region
+    protagonist: frozenset[int]
+    antagonist: frozenset[int]
+    protagonist_strategy: dict[int, int]  # protagonist-owned states in its region
+    antagonist_strategy: dict[int, int]  # coalition-owned states in its region
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +67,19 @@ class WinningRegions:
 
 def attractor(
     g: ZeroSumGame,
-    target: Iterable[State],
+    target: Iterable[int],
     *,
     for_protagonist: bool,
-    within: AbstractSet[State],
-) -> tuple[set[State], dict[State, State]]:
+    within: AbstractSet[int],
+) -> tuple[set[int], dict[int, int]]:
     """Least fixpoint inside `within` containing `target`: the attracting
     side's states with one successor inside, the other side's states with
     all their successors in `within` inside. The strategy picks a
-    rank-decreasing edge. The frontier is seeded in sorted order, which is
-    `g.states` order on a numbered game, so ties between targets do not
-    depend on hashing."""
+    rank-decreasing edge. The frontier is seeded in id order, so ties
+    between targets do not depend on hashing."""
     attr = set(t for t in target if t in within)
-    strategy: dict[State, State] = {}
-    degree: dict[State, int] = {}  # successors in `within` not yet attracted
+    strategy: dict[int, int] = {}
+    degree: dict[int, int] = {}  # successors in `within` not yet attracted
     frontier = sorted(attr)
     while frontier:
         new_frontier = []
@@ -121,19 +123,18 @@ def _escape_strategy(g, region, owned_side):
 # Parity (Zielonka)
 
 
-def solve_parity(g: ZeroSumGame, priority: Mapping[State, int]) -> WinningRegions:
-    """Zielonka's algorithm. The protagonist wins a play iff the maximum
-    priority seen infinitely often is even."""
-    top = max((priority[s] for s in g.states), default=0)
+def solve_parity(g: ZeroSumGame) -> WinningRegions:
+    """Zielonka's algorithm on the whole game."""
+    top = max(g.priority, default=0)
     if top > MAX_PRIORITY:
         raise DocumentSemanticError(
             f"priority {top} exceeds the configured bound {MAX_PRIORITY}"
         )
-    w0, s0, w1, s1 = _zielonka(g, set(g.states), priority)
+    w0, s0, w1, s1 = _zielonka(g, set(g.states))
     return WinningRegions(frozenset(w0), frozenset(w1), s0, s1)
 
 
-def _zielonka(g: ZeroSumGame, domain: set[State], priority):
+def _zielonka(g: ZeroSumGame, domain: set[int]):
     """Solve the subgame on `domain`, a set of states that each keep a
     successor inside. Returns (protagonist region, its strategy, coalition
     region, its strategy). Recursion drops the top priority each time, so
@@ -141,6 +142,7 @@ def _zielonka(g: ZeroSumGame, domain: set[State], priority):
     the top priority's owner wins are peeled off in a loop."""
     if not domain:
         return set(), {}, set(), {}
+    priority = g.priority
     present = {priority[s] for s in domain}
     p = max(present)
     j_is_pro = p % 2 == 0
@@ -152,7 +154,7 @@ def _zielonka(g: ZeroSumGame, domain: set[State], priority):
         while True:
             top = {s for s in domain if priority[s] == p}
             a_region, tau = attractor(g, top, for_protagonist=j_is_pro, within=domain)
-            w0p, s0p, w1p, s1p = _zielonka(g, domain - a_region, priority)
+            w0p, s0p, w1p, s1p = _zielonka(g, domain - a_region)
             sjp, wop, sop = (s0p, w1p, s1p) if j_is_pro else (s1p, w0p, s0p)
             if not wop:
                 break
@@ -279,19 +281,14 @@ def objective_tracker(
     return Tracker(False, lambda _, x: holds(x), lambda held: good if held else 1)
 
 
-class TrackerProduct(NamedTuple):
-    nodes: list  # id -> (k, q): q is the tracker state after reading state k
-    game: ZeroSumGame  # on the ids
-    priority: list  # id -> its priority
-
-
-def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> TrackerProduct:
+def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> tuple[list, ZeroSumGame]:
     """`player`'s punishment game: the part of the unfolding x tracker
     reachable from every state's start node (k, the tracker state after
     reading state k), numbered breadth-first from the start nodes in id
-    order. A node carries the tracker state after its own letter, so a
-    tracker whose state is the current letter's verdict (G F, F G) adds no
-    nodes. The sink gets priority 1, so carefulness stays losing."""
+    order. Returns the nodes by id and the game on the ids. A node carries
+    the tracker state after its own letter, so a tracker whose state is the
+    current letter's verdict (G F, F G) adds no nodes. The sink gets
+    priority 1, so carefulness stays losing."""
     step, labels = cache(tracker.step), u.labels
     nodes = list(dict.fromkeys((k, step(tracker.initial, x)) for k, x in enumerate(labels)))
     ids = {node: j for j, node in enumerate(nodes)}
@@ -307,12 +304,11 @@ def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> TrackerP
             out.append(j)
         succ.append(out)
     game = ZeroSumGame(
-        states=range(len(nodes)),
         succ=succ,
         is_protagonist=[u.owner[s] == player for s, _ in nodes],
+        priority=[1 if u.states[s] is BOT else tracker.priority(q) for s, q in nodes],
     )
-    priority = [1 if u.states[s] is BOT else tracker.priority(q) for s, q in nodes]
-    return TrackerProduct(nodes, game, priority)
+    return nodes, game
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +321,8 @@ class PunishRegions:
     unfolding in product with its objective's tracker, q the tracker state
     after reading state k. `win` holds the nodes from which the player,
     alone, carefully meets its objective. `punishment` maps each
-    coalition-owned node the coalition wins to the unfolded state it moves
-    to there; it is keyed by (unfolded state, q written by `str`), as
-    certificates are."""
+    coalition-owned node the coalition wins to the id of the unfolded state
+    it moves to there."""
 
     win: frozenset
     punishment: dict
@@ -341,10 +336,7 @@ def punish_region(u: UnfoldedArena, player: int, tracker: Tracker) -> PunishRegi
     parity game: the unfolding in product with the tracker, solved by
     Zielonka's algorithm, whose coalition strategy is the punishment
     table."""
-    nodes, game, priority = tracker_product(u, player, tracker)
-    regions = solve_parity(game, priority)
-    table = {}
-    for j, t in regions.antagonist_strategy.items():
-        s, q = nodes[j]
-        table[(u.states[s], str(q))] = u.states[nodes[t][0]]
+    nodes, game = tracker_product(u, player, tracker)
+    regions = solve_parity(game)
+    table = {nodes[j]: nodes[t][0] for j, t in regions.antagonist_strategy.items()}
     return PunishRegions(frozenset(nodes[k] for k in regions.protagonist), table)

@@ -176,41 +176,45 @@ def nba_accepts_lasso(nba: ltl.NBA, stem, loop) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class LabelledGame(ZeroSumGame):
-    """A game with a label per state and losing sinks (absorbing: self-loop
-    only), which the oracles read."""
+    """A numbered game with a label per state and losing sinks (absorbing:
+    self-loop only), which the oracles read."""
 
-    labels: dict
+    labels: list
     losing_sinks: frozenset
 
 
-def make_game(states, succ, is_protagonist, labels, losing_sinks=frozenset()) -> LabelledGame:
+def make_game(succ, is_protagonist, labels, losing_sinks=frozenset(), priority=None) -> LabelledGame:
+    """A game on the ids 0..n-1 from lists over them; every priority is 0
+    unless `priority` is given."""
     return LabelledGame(
-        states=tuple(states),
-        succ={s: tuple(succ[s]) for s in states},
-        is_protagonist=dict(is_protagonist),
-        labels=dict(labels),
+        succ=[list(out) for out in succ],
+        is_protagonist=list(is_protagonist),
+        priority=[0] * len(succ) if priority is None else list(priority),
+        labels=list(labels),
         losing_sinks=frozenset(losing_sinks),
     )
 
 
 def game_as_unfolding(g: LabelledGame) -> tuple[UnfoldedArena, dict]:
     """`g` as the unfolding of a two-player arena with one resource and zero
-    costs: player 1 owns the protagonist's states, player 2 the rest, and
-    every losing sink becomes BOT. Returns it with the map from g's states
-    to the ids of its unfolded states; the package's region game for player
-    1 on it is then g's game in product with a tracker."""
+    costs, its state k named `sk`: player 1 owns the protagonist's states,
+    player 2 the rest, and every losing sink becomes BOT. Returns it with
+    the map from g's states to the ids of its unfolded states; the
+    package's region game for player 1 on it is then g's game in product
+    with a tracker."""
+    names = [f"s{s}" for s in g.states]
     live = [s for s in g.states if s not in g.losing_sinks]
     ids = {s: k for k, s in enumerate(live)}
     image = {s: ids.get(s, len(live)) for s in g.states}  # the sinks at BOT's id
     a = build_arena(
         players=2,
         dimensions=1,
-        states=list(g.states),
-        owner={s: 1 if g.is_protagonist[s] else 2 for s in g.states},
-        initial=g.states[0],
-        edges={(s, t): (0,) for s in g.states for t in g.succ[s]},
-        atoms=sorted(set().union(*g.labels.values())),
-        labels=g.labels,
+        states=names,
+        owner={names[s]: 1 if g.is_protagonist[s] else 2 for s in g.states},
+        initial=names[0],
+        edges={(names[s], names[t]): (0,) for s in g.states for t in g.succ[s]},
+        atoms=sorted(set().union(*g.labels)),
+        labels=dict(zip(names, g.labels)),
         system_objective=ltl.TRUE,
         player_objectives=(ltl.TRUE, ltl.TRUE),
     )
@@ -220,10 +224,10 @@ def game_as_unfolding(g: LabelledGame) -> tuple[UnfoldedArena, dict]:
         base=a,
         bounds=(0,),
         initial=0,
-        states=tuple([(s, (0,)) for s in live] + sinks),
+        states=tuple([(names[s], (0,)) for s in live] + sinks),
         succ=succ + [[len(live)]] * len(sinks),
-        owner=[a.owner[s] for s in live] + [1] * len(sinks),
-        labels=[a.labels[s] for s in live] + [frozenset({RESERVED_ATOM})] * len(sinks),
+        owner=[a.owner[names[s]] for s in live] + [1] * len(sinks),
+        labels=[a.labels[names[s]] for s in live] + [frozenset({RESERVED_ATOM})] * len(sinks),
     ), image
 
 
@@ -248,19 +252,25 @@ def by_state(u: UnfoldedArena) -> StateView:
     )
 
 
+def state_table(u: UnfoldedArena, table: dict) -> dict:
+    """A punishment region's table, keyed by node (state id, tracker state)
+    and naming successor ids, keyed as certificates key it: (unfolded
+    state, the tracker state written by `str`) -> unfolded state."""
+    return {(u.states[k], str(q)): u.states[t] for (k, q), t in table.items()}
+
+
 def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> LabelledGame:
     n = rng.randrange(2, max_states + 1)
-    states = [f"s{i}" for i in range(n)]
-    sinks, succ, is_pro, labels = set(), {}, {}, {}
-    for s in states:
-        if rng.random() < sink_prob and s != "s0":
+    sinks, succ, is_pro, labels = set(), [], [], []
+    for s in range(n):
+        if rng.random() < sink_prob and s != 0:
             sinks.add(s)
-            succ[s] = (s,)
+            succ.append([s])
         else:
-            succ[s] = tuple(rng.sample(states, rng.randrange(1, 3)))
-        is_pro[s] = rng.random() < 0.5
-        labels[s] = frozenset(["p"] if rng.random() < 0.4 else [])
-    return make_game(states, succ, is_pro, labels, losing_sinks=frozenset(sinks))
+            succ.append(rng.sample(range(n), rng.randrange(1, 3)))
+        is_pro.append(rng.random() < 0.5)
+        labels.append(frozenset(["p"] if rng.random() < 0.4 else []))
+    return make_game(succ, is_pro, labels, losing_sinks=sinks)
 
 
 def _reach_states(succ, start, allowed=None):
@@ -369,7 +379,8 @@ def oracle_attractor(g: ZeroSumGame, targets: set) -> set:
     return win
 
 
-def oracle_parity_region(g: ZeroSumGame, priority) -> set:
+def oracle_parity_region(g: ZeroSumGame) -> set:
+    priority = g.priority
     win: set = set()
     for _, succ in protagonist_strategies(g):
         for s in g.states:

@@ -5,6 +5,7 @@ prints a single pass/fail line. Run with `pytest -v tests/test_acceptance.py`
 (add -s to see the lines inline).
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -122,9 +123,8 @@ def test_criterion_4_zero_sum_regions():
         ):
             tracker = objective_tracker(objective)
             u, image = game_as_unfolding(g)
-            product = tracker_product(u, 1, tracker)
-            won = solve_parity(product.game, product.priority).protagonist
-            won_nodes = {product.nodes[k] for k in won}
+            nodes, game = tracker_product(u, 1, tracker)
+            won_nodes = {nodes[k] for k in solve_parity(game).protagonist}
             start = {
                 s: (image[s], tracker.step(tracker.initial, u.labels[image[s]]))
                 for s in g.states
@@ -134,9 +134,8 @@ def test_criterion_4_zero_sum_regions():
             ):
                 mismatches += 1
         if not g.losing_sinks:
-            priority = {s: rng.randrange(0, 5) for s in g.states}
-            reg = solve_parity(g, priority)
-            if set(reg.protagonist) != oracle_parity_region(g, priority):
+            pg = dataclasses.replace(g, priority=[rng.randrange(0, 5) for _ in g.states])
+            if set(solve_parity(pg).protagonist) != oracle_parity_region(pg):
                 mismatches += 1
         games += 1
     _report(

@@ -499,10 +499,45 @@ def test_scripts_run(script, args, line):
 # error handling
 
 
-def test_missing_file_is_an_error(capsys):
-    code, _, err = _run(capsys, "solve", "/nonexistent.json", "--bounds", "1,1")
+def test_missing_file_is_an_error(fig1_path, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, _, err = _run(capsys, "solve", missing, "--bounds", "1,1")
     assert code == EXIT_ERROR
-    assert "cannot read" in err
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+    # a directory, a file that is not UTF-8, and DOT targets that cannot be
+    # written: each is named with the reason, without a traceback
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"players": "\xe9"}')
+    cases = [
+        (("solve", tmp_path, "--bounds", "1,1"), f"cannot read {tmp_path}: Is a directory"),
+        (("solve", latin, "--bounds", "1,1"), f"cannot read {latin}: 'utf-8' codec"),
+        (("unfold", fig1_path, "--bounds", "1,1", "--dot", tmp_path),
+         f"cannot write {tmp_path}: Is a directory"),
+        (("unfold", fig1_path, "--bounds", "1,1", "--dot", tmp_path / "no" / "x.dot"),
+         f"cannot write {tmp_path / 'no' / 'x.dot'}: No such file or directory"),
+    ]
+    for argv, message in cases:
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_ERROR and out == "", argv
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, argv
+
+
+def test_deeply_nested_json_is_an_error(fig1_path, tmp_path, capsys):
+    # the JSON decoder recurses once per level; every document reader
+    # refuses the document instead of ending in a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    p = fig1_path
+    for argv in [
+        ("solve", deep, "--bounds", "1,1"),
+        ("solve", p, "--bounds", "3,3", "--dpa", f"1={deep}"),
+        ("check", p, deep, "--bounds", "3,3"),
+        ("mc", p, deep, "F circ"),
+        ("gen-reduction", deep),
+    ]:
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_ERROR and out == "", argv
+        assert err == "error: document nested too deeply to decode\n", argv
 
 
 def test_bad_bounds_flag_is_an_error(fig1_path, capsys):

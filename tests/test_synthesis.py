@@ -38,6 +38,7 @@ from genutils import (
     random_fragment,
     random_fragment_arena,
     random_word,
+    state_table,
 )
 
 
@@ -50,14 +51,24 @@ GOLDEN_TRACE = ((0, 0), (2, 1), (3, 2), (3, 3), (3, 2), (1, 1), (0, 0))
 # Witness search
 
 
+def _states_of(product, stem, loop):
+    """The witness lasso found on product node ids, after checking that it
+    is one in the product, as (stem, loop) over unfolded-state ids."""
+    assert stem and loop and stem[0] in product.initials
+    path = [*stem, *loop, loop[0]]
+    assert all(b in product.succ[a] for a, b in zip(path, path[1:]))
+    return tuple(product.nodes[n][0] for n in stem), tuple(product.nodes[n][0] for n in loop)
+
+
 def _search(u, system, requirements, forbidden_states=frozenset()):
     """The witness search for `system` with every requirement's tracker a
-    winner, every node at a state of `forbidden_states` forbidden."""
+    winner, every node at a state of `forbidden_states` forbidden, over
+    unfolded-state ids."""
     product = witness_product(
         u, system_component(system), [objective_tracker(f) for f in requirements]
     )
     forbidden = {k for k, node in enumerate(product.nodes) if u.states[node[0]] in forbidden_states}
-    return find_witness_lasso(product, range(len(requirements)), forbidden)
+    return _states_of(product, *find_witness_lasso(product, range(len(requirements)), forbidden))
 
 
 def test_witness_exists_for_trivial_requirement(fig1):
@@ -81,7 +92,7 @@ def test_witness_respects_forbidden_deviation_states(fig1):
     forbidden = {
         k for k, n in enumerate(product.nodes) if u.owner[n[0]] == 3 and (n[0], n[1][2]) in r3.win
     }
-    stem, loop = find_witness_lasso(product, [0], forbidden)
+    stem, loop = _states_of(product, *find_witness_lasso(product, [0], forbidden))
     assert tuple(u.states[k][0] for k in stem) == GOLDEN_STEM
     assert tuple(u.states[k][0] for k in loop) == GOLDEN_LOOP
 
@@ -349,9 +360,10 @@ def test_only_losers_carry_a_punishment_table():
             else:
                 # the region's table, kept only where a deviation reads it
                 region = punish_region(u, i, objective_tracker(a.objective_of(i)))
-                assert p.punishment[i].items() <= region.punishment.items(), seed
+                table = state_table(u, region.punishment)
+                assert p.punishment[i].items() <= table.items(), seed
                 assert set(p.punishment[i]) == oracle_reached_keys(
-                    u, i, a.objective_of(i), region.punishment,
+                    u, i, a.objective_of(i), table,
                     ustates[: len(o.stem)], ustates[len(o.stem):],
                 ), seed
                 losers += 1
@@ -384,6 +396,55 @@ def test_solve_with_automaton_objective_matches_formula_solve(fig1):
     assert via_dpa.profile.outcome == direct.profile.outcome
     assert via_dpa.profile.winners == direct.profile.winners
     assert not check_certificate(fig1, (3, 3), via_dpa.profile, dpas={1: dpa})
+
+
+def _reach_dpa(objective):
+    """The two-state automaton of DPA_F_CIRC's shape for `F beta`: it waits
+    until a letter over the arena atoms satisfies beta, then stays good."""
+    beta = ltl.classify_fragment(objective).beta
+    transitions = [{"src": "good", "dst": "good"}]
+    for r in range(len(ARENA_ATOMS) + 1):
+        for pos in itertools.combinations(ARENA_ATOMS, r):
+            neg = [x for x in ARENA_ATOMS if x not in pos]
+            dst = "good" if ltl.eval_bool(beta, frozenset(pos)) else "wait"
+            transitions.append({"src": "wait", "pos": list(pos), "neg": neg, "dst": dst})
+    return parse_dpa(json.dumps({**DPA_F_CIRC, "transitions": transitions}))
+
+
+def test_automaton_objectives_solve_and_check_like_their_formulas():
+    # every F player is also given as an automaton whose states are strings:
+    # the winners and the deviation starts read off the product must not
+    # depend on the tracker's state values
+    flag = {"wait": "False", "good": "True"}
+    solved = dpa_losers = dpa_tables = dpa_winners = 0
+    for seed in range(1000):
+        a, bounds = random_fragment_arena(random.Random(seed))
+        dpas = {
+            i: _reach_dpa(a.objective_of(i))
+            for i in range(1, a.players + 1)
+            if ltl.classify_fragment(a.objective_of(i)).kind == ltl.FragmentClass.REACH
+        }
+        if not dpas:
+            continue
+        direct, via_dpa = solve(a, bounds), solve(a, bounds, dpas=dpas)
+        assert via_dpa.status == direct.status, seed
+        assert via_dpa.diagnostics == direct.diagnostics, seed
+        if direct.profile is None:
+            continue
+        p, q = direct.profile, via_dpa.profile
+        assert (q.outcome, q.winners) == (p.outcome, p.winners), seed
+        tables = {
+            i: {(s, flag[f]): t for (s, f), t in table.items()} if i in dpas else table
+            for i, table in q.punishment.items()
+        }
+        assert tables == p.punishment, seed
+        assert check_certificate(a, bounds, p) == [], seed
+        assert check_certificate(a, bounds, q, dpas=dpas) == [], seed
+        solved += 1
+        dpa_losers += len(dpas.keys() - q.winners)
+        dpa_tables += sum(bool(q.punishment[i]) for i in dpas)
+        dpa_winners += len(dpas.keys() & q.winners)
+    assert solved >= 60 and dpa_losers >= 25 and dpa_tables >= 3 and dpa_winners >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -29,6 +30,7 @@ from genutils import (
     oracle_wins_against_table,
     random_fragment_arena,
     random_game,
+    state_table,
 )
 
 P = ltl.Atom("p")
@@ -52,7 +54,7 @@ def test_attractor_contains_targets():
 def _diamond_attractor(u, player):
     """The unfolded states from which `player` forces a diamond state, on
     its region game with a `true` tracker: one node per unfolded state."""
-    nodes, g, _ = tracker_product(u, player, objective_tracker(ltl.TRUE))
+    nodes, g = tracker_product(u, player, objective_tracker(ltl.TRUE))
     assert len(nodes) == len(u.states)
     targets = {k for k, (s, _) in enumerate(nodes) if "diam" in u.labels[s]}
     att, _ = _attract(g, targets)
@@ -108,39 +110,34 @@ FRAGMENT_OBJECTIVE = {
 
 def _solve_fragment(g, kind):
     """The product of g with the tracker of kind's objective over p, built
-    by the package as player 1's region game on g as an unfolding, its
-    regions, the protagonist's region read at the start nodes, and the ids
-    of those nodes (s, the tracker state after reading s)."""
+    by the package as player 1's region game on g as an unfolding: its nodes
+    and game, its regions, the protagonist's region read at the start
+    nodes, and the ids of those nodes (s, the tracker state after reading
+    s)."""
     tracker = objective_tracker(FRAGMENT_OBJECTIVE[kind])
     u, image = game_as_unfolding(g)
-    product = tracker_product(u, 1, tracker)
-    reg = solve_parity(product.game, product.priority)
-    ids = {node: k for k, node in enumerate(product.nodes)}
+    nodes, game = tracker_product(u, 1, tracker)
+    reg = solve_parity(game)
+    ids = {node: k for k, node in enumerate(nodes)}
     start = {
         s: ids[(image[s], tracker.step(tracker.initial, u.labels[image[s]]))]
         for s in g.states
     }
-    return product, reg, {s for s in g.states if start[s] in reg.protagonist}, start.values()
+    win = {s for s in g.states if start[s] in reg.protagonist}
+    return nodes, game, reg, win, start.values()
 
 
 def test_reach_initial_target():
-    g = make_game(
-        ["s"], {"s": ("s",)}, {"s": True}, {"s": frozenset({"p"})}
-    )
-    _, _, win, _ = _solve_fragment(g, FragmentClass.REACH)
-    assert "s" in win
+    g = make_game([[0]], [True], [frozenset({"p"})])
+    _, _, _, win, _ = _solve_fragment(g, FragmentClass.REACH)
+    assert 0 in win
 
 
 def test_buchi_self_loop_pulls_in_reachers():
-    g = make_game(
-        ["s0", "s1"],
-        {"s0": ("s1",), "s1": ("s1",)},
-        {"s0": True, "s1": True},
-        {"s0": frozenset(), "s1": frozenset({"p"})},
-    )
-    product, _, win, _ = _solve_fragment(g, FragmentClass.BUCHI)
-    assert win == {"s0", "s1"}
-    assert len(product.game.states) == 2  # G F adds no tracker state
+    g = make_game([[1], [1]], [True, True], [frozenset(), frozenset({"p"})])
+    _, game, _, win, _ = _solve_fragment(g, FragmentClass.BUCHI)
+    assert win == {0, 1}
+    assert len(game.states) == 2  # G F adds no tracker state
 
 
 def test_general_fragment_is_rejected():
@@ -154,10 +151,10 @@ def test_fragment_regions_match_strategy_enumeration(seed):
     rng = random.Random(seed)
     g = random_game(rng)
     for kind in FRAGMENT_OBJECTIVE:
-        product, reg, win, _ = _solve_fragment(g, kind)
+        _, game, reg, win, _ = _solve_fragment(g, kind)
         assert win == oracle_fragment_region(g, kind, P), kind
         # determinacy: regions partition the product
-        assert reg.protagonist | reg.antagonist == set(product.game.states)
+        assert reg.protagonist | reg.antagonist == set(game.states)
         assert not (reg.protagonist & reg.antagonist)
 
 
@@ -178,7 +175,7 @@ def _simulate(g, strat, start, rng, other_is_pro):
 def _strategy_cases(g, rng):
     """(game, its regions, the node where each of g's states starts, the
     protagonist's winning test on a lasso) for every fragment, played on its
-    tracker product, and for a random priority map on g itself."""
+    tracker product, and for random priorities on g itself."""
     sat = {
         s: s not in g.losing_sinks and ltl.eval_bool(P, g.labels[s])
         for s in g.states
@@ -210,14 +207,14 @@ def _strategy_cases(g, rng):
         return game, reg, starts, won
 
     for kind, won in wins.items():
-        product, reg, _, start = _solve_fragment(g, kind)
-        yield case(product.game, reg, start, on_nodes(product.nodes, won))
-    priority = {s: rng.randrange(0, 5) for s in g.states}
+        nodes, game, reg, _, start = _solve_fragment(g, kind)
+        yield case(game, reg, start, on_nodes(nodes, won))
+    pg = dataclasses.replace(g, priority=[rng.randrange(0, 5) for _ in g.states])
     yield case(
-        g,
-        solve_parity(g, priority),
-        g.states,
-        lambda path, loop: max(priority[x] for x in loop) % 2 == 0,
+        pg,
+        solve_parity(pg),
+        pg.states,
+        lambda path, loop: max(pg.priority[x] for x in loop) % 2 == 0,
     )
 
 
@@ -253,14 +250,14 @@ def test_antagonist_strategy_spoils_under_random_opposition(seed):
 
 def test_all_even_priorities_win_everywhere():
     g = random_game(random.Random(3), sink_prob=0.0)
-    reg = solve_parity(g, {s: 2 for s in g.states})
+    reg = solve_parity(dataclasses.replace(g, priority=[2] * len(g.states)))
     assert set(reg.protagonist) == set(g.states)
 
 
 def test_priority_bound_enforced():
     g = random_game(random.Random(4), sink_prob=0.0)
     with pytest.raises(DocumentSemanticError):
-        solve_parity(g, {s: 99 for s in g.states})
+        solve_parity(dataclasses.replace(g, priority=[99] * len(g.states)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -268,32 +265,27 @@ def test_priority_bound_enforced():
 def test_parity_matches_strategy_enumeration(seed):
     rng = random.Random(seed)
     g = random_game(rng, max_states=7, sink_prob=0.0)
-    priority = {s: rng.randrange(0, 5) for s in g.states}
-    reg = solve_parity(g, priority)
-    assert set(reg.protagonist) == oracle_parity_region(g, priority)
+    g = dataclasses.replace(g, priority=[rng.randrange(0, 5) for _ in g.states])
+    reg = solve_parity(g)
+    assert set(reg.protagonist) == oracle_parity_region(g)
 
 
 def test_parity_long_countdown_keeps_the_recursion_limit():
-    # From t_i the play is forced down to u_{i-1}; at u_i the protagonist
-    # either loops on priority 1 or visits t_i. It loses everywhere, and
-    # Zielonka peels off two states per round.
+    # From t_i (id 2i - 1) the play is forced down to u_{i-1} (id 2i - 2);
+    # at u_i (id 2i) the protagonist either loops on priority 1 or visits
+    # t_i. It loses everywhere, and Zielonka peels off two states per round.
     k = 1500
-    states = ["u0"] + [f"{x}{i}" for i in range(1, k + 1) for x in "tu"]
-    succ = {"u0": ("u0",)}
-    priority = {"u0": 1}
+    succ, priority = [[0]], [1]
     for i in range(1, k + 1):
-        succ[f"t{i}"] = (f"u{i - 1}",)
-        succ[f"u{i}"] = (f"t{i}", f"u{i}")
-        priority[f"t{i}"] = 2
-        priority[f"u{i}"] = 1
-    g = make_game(
-        states, succ, {s: True for s in states}, {s: frozenset() for s in states}
-    )
+        succ += [[2 * i - 2], [2 * i - 1, 2 * i]]
+        priority += [2, 1]
+    n = len(succ)
+    g = make_game(succ, [True] * n, [frozenset()] * n, priority=priority)
     assert len(g.states) >= 3000
     limit = sys.getrecursionlimit()
-    reg = solve_parity(g, priority)
+    reg = solve_parity(g)
     assert sys.getrecursionlimit() == limit
-    assert reg.antagonist == frozenset(states)
+    assert reg.antagonist == frozenset(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +350,14 @@ def _check_region_game_laws(u, player, tracker):
                 order.append(n)
                 queue.append(n)
 
-    nodes, game, priority = tracker_product(u, player, tracker)
+    nodes, game = tracker_product(u, player, tracker)
     assert nodes == order
-    assert list(game.states) == list(range(len(nodes)))
-    assert len(game.succ) == len(game.is_protagonist) == len(priority) == len(nodes)
+    assert game.states == range(len(nodes))
+    assert len(game.succ) == len(game.is_protagonist) == len(game.priority) == len(nodes)
     for k, (s, q) in enumerate(nodes):
         assert [nodes[j] for j in game.succ[k]] == [at(q, t) for t in u.succ[s]]
         assert game.is_protagonist[k] == (u.owner[s] == player)
-        assert priority[k] == (1 if u.states[s] is BOT else tracker.priority(q))
+        assert game.priority[k] == (1 if u.states[s] is BOT else tracker.priority(q))
     return {q for _, q in nodes}
 
 
@@ -454,7 +446,7 @@ def test_no_state_outside_the_region_wins_against_the_table():
             kinds.add(ltl.classify_fragment(objective).kind)
             r = punish_region(u, i, objective_tracker(objective))
             win = {(u.states[k], q) for k, q in r.win}
-            won = oracle_wins_against_table(u, i, objective, r.punishment)
+            won = oracle_wins_against_table(u, i, objective, state_table(u, r.punishment))
             assert not {n for n, w in won.items() if w and n not in win}, (seed, i)
             outside += sum(n not in win for n in won)
             won_inside += sum(w == "play" for w in won.values())
