@@ -9,10 +9,9 @@ edges sorted lexicographically), so round-trips are byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import add
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
 from .errors import CostOverflowError, DocumentSemanticError, expect, is_int, load_json, member
@@ -27,8 +26,7 @@ RESERVED_ATOM = "bot"  # claimed by the unfolding's sink state
 MAX_PLAYERS = 16
 
 
-@dataclass(frozen=True)
-class Arena:
+class Arena(NamedTuple):
     players: int
     dimensions: int
     states: tuple[str, ...]  # sorted
@@ -40,7 +38,7 @@ class Arena:
     system_objective: ltl.Formula
     player_objectives: tuple[ltl.Formula, ...]  # index i-1 for player i
     bounds: Optional[tuple[int, ...]]
-    succ: Mapping[str, tuple[str, ...]] = field(repr=False, default=None)
+    succ: Mapping[str, tuple[str, ...]]
 
     def successors(self, s: str) -> tuple[str, ...]:
         return self.succ[s]
@@ -328,8 +326,7 @@ def serialize_arena(arena: Arena) -> str:
 History = Sequence[str]
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(NamedTuple):
     """Finite representation stem . loop^omega of an ultimately periodic
     play. The optional trace is the resource vector at each position of
     stem + first loop traversal in the bounded unfolding; the certificate

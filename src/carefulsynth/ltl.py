@@ -13,9 +13,9 @@ negation normal form. A parsed formula nests at most MAX_NESTING levels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetExceededError, LtlSyntaxError, UnknownAtomError
 
@@ -24,66 +24,73 @@ from .errors import BudgetExceededError, LtlSyntaxError, UnknownAtomError
 # Syntax trees
 
 
-class Formula:
+class Formula(tuple):
+    """A syntax-tree node: the tuple of its class and its fields, the
+    fields named by the `fields` its class declares. Equality and hash are
+    the tuple's, so a node equals only a node of its own class with equal
+    fields (`F p` is not `G p`, nor the bare tuple `(p,)`)."""
+
     __slots__ = ()
+
+    def __init_subclass__(cls, fields: str):
+        super().__init_subclass__()
+        cls._fields = tuple(fields.split())
+        for k, name in enumerate(cls._fields, start=1):
+            setattr(cls, name, property(itemgetter(k)))
+
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, (cls, *fields))
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self):
         return formula_to_str(self)
 
 
-@dataclass(frozen=True)
-class Lit(Formula):
-    value: bool
+class Lit(Formula, fields="value"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
+class Atom(Formula, fields="name"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    sub: Formula
+class Not(Formula, fields="sub"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(Formula, fields="left right"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(Formula, fields="left right"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    sub: Formula
+class Next(Formula, fields="sub"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Until(Formula, fields="left right"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Release(Formula):
+class Release(Formula, fields="left right"):
     # Internal only: produced by nnf(), not accepted by the parser.
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    sub: Formula
+class Eventually(Formula, fields="sub"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    sub: Formula
+class Always(Formula, fields="sub"):
+    __slots__ = ()
 
 
 TRUE = Lit(True)
@@ -102,11 +109,8 @@ def atoms_of(phi: Formula) -> frozenset[str]:
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Not, Next, Eventually, Always)):
-        return (f.sub,)
-    if isinstance(f, (And, Or, Until, Release)):
-        return (f.left, f.right)
-    return ()
+    # an operator node is its class followed by its operands
+    return () if isinstance(f, (Lit, Atom)) else f[1:]
 
 
 def is_temporal_free(phi: Formula) -> bool:
@@ -400,15 +404,13 @@ def _gfp(n, nxt, a, b):
 # Nondeterministic Büchi automata
 
 
-@dataclass(frozen=True)
-class NbaTransition:
+class NbaTransition(NamedTuple):
     pos: frozenset[str]  # atoms that must hold
     neg: frozenset[str]  # atoms that must not hold
     dst: int
 
 
-@dataclass(frozen=True)
-class NBA:
+class NBA(NamedTuple):
     n_states: int
     initial: frozenset[int]
     transitions: tuple[tuple[NbaTransition, ...], ...]  # indexed by source
@@ -525,8 +527,7 @@ def _closure(f: Formula) -> list[Formula]:
 # Fragment classification
 
 
-@dataclass(frozen=True)
-class FragmentClass:
+class FragmentClass(NamedTuple):
     kind: str  # "reach" | "safe" | "buchi" | "cobuchi" | "general"
     beta: Optional[Formula] = None
 

@@ -13,8 +13,7 @@ target is reachable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import ltl
 from .arena import Arena, build_arena
@@ -25,24 +24,21 @@ OMEGA = "omega"
 Guard = tuple[int, Union[int, str]]  # (lower, upper or OMEGA)
 
 
-@dataclass(frozen=True)
-class CounterTransition:
+class CounterTransition(NamedTuple):
     src: str
     dst: str
     weights: tuple[int, int]
     guards: tuple[Guard, Guard]
 
 
-@dataclass(frozen=True)
-class CounterAutomaton:
+class CounterAutomaton(NamedTuple):
     locations: tuple[str, ...]
     initial: str
     target: str
     transitions: tuple[CounterTransition, ...]
 
 
-@dataclass(frozen=True)
-class CounterRun:
+class CounterRun(NamedTuple):
     """Witness for zero-ending reachability: the location visited and the
     counter vector held at each step."""
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
@@ -59,8 +58,7 @@ from .zerosum import ParityAutomaton, Tracker, objective_tracker, punish_region
 DEFAULT_PRODUCT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(NamedTuple):
     """Finite-memory equilibrium certificate: the on-path lasso plus one
     punishment table per player, activated at that player's first
     deviation. A table is keyed by the node (unfolded state, the player's
@@ -73,8 +71,7 @@ class StrategyProfile:
     punishment: Mapping[int, Mapping]  # player -> (state, str(tracker state)) -> successor
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str  # "solution" | "no-solution" | "unsupported"
     profile: Optional[StrategyProfile] = None
     diagnostics: tuple[tuple[tuple[int, ...], str], ...] = ()
@@ -133,7 +130,7 @@ def witness_product(
     `step` lists its states after a letter (see `system_component`). Each
     transition and priority is computed once per solve, whatever the number
     of product nodes that share it."""
-    labels, states = u.labels, u.states
+    labels, states, u_succ = u.labels, u.states, u.succ
 
     @cache
     def after(qs, letter):
@@ -151,7 +148,7 @@ def witness_product(
     succ = []
     for s, qs in nodes:  # breadth-first: the list grows while it is read
         out = []
-        for t in u.succ[s]:
+        for t in u_succ[s]:
             if states[t] is not BOT:  # the search never enters the sink
                 for qt in after(qs, labels[t]):
                     nxt = (t, qt)
@@ -273,9 +270,9 @@ def _reached_entries(u: UnfoldedArena, player, tracker, table, path) -> dict:
     once it leaves the outcome by a sink-free move and then moves freely:
     the nodes `_deviation_faults` explores, from the same starts. `path` is
     the outcome's (state id, tracker state) over stem, loop and loop head."""
-    states, labels = u.states, u.labels
-    stack = [(q, t) for (s, q), (nxt, _) in zip(path, path[1:]) if u.owner[s] == player
-             for t in u.succ[s] if t != nxt]  # (tracker state before t, t)
+    states, labels, succ, owner = u.states, u.labels, u.succ, u.owner
+    stack = [(q, t) for (s, q), (nxt, _) in zip(path, path[1:]) if owner[s] == player
+             for t in succ[s] if t != nxt]  # (tracker state before t, t)
     seen, kept = set(), {}
     while stack:
         q, s = stack.pop()
@@ -283,8 +280,8 @@ def _reached_entries(u: UnfoldedArena, player, tracker, table, path) -> dict:
         if (s, q) in seen or states[s] is BOT:
             continue
         seen.add((s, q))
-        moves = u.succ[s]
-        if u.owner[s] != player:  # outside the loser's region, so the table has the node
+        moves = succ[s]
+        if owner[s] != player:  # outside the loser's region, so the table has the node
             t = table[(s, q)]
             kept[(states[s], str(q))] = states[t]
             moves = (t,)
@@ -314,6 +311,7 @@ def solve(
     product = witness_product(
         u, system_component(a.system_objective), [trackers[i] for i in players]
     )
+    owner = u.owner
     regions = {}  # a player's punishment region, solved when it first loses
     blocked = {}  # a loser's own nodes from which it could deviate and still win
 
@@ -326,7 +324,7 @@ def solve(
                 blocked[i] = {
                     k
                     for k, (s, qs) in enumerate(product.nodes)
-                    if u.owner[s] == i and (s, qs[i]) in win
+                    if owner[s] == i and (s, qs[i]) in win
                 }
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
@@ -608,8 +606,12 @@ def parse_profile(text: str) -> StrategyProfile:
     winners = frozenset(member(doc, "winners", [int], "winners"))
     punishment = {}
     for i_str, table in member(doc, "punishment", dict, "punishment", {}).items():
-        if not i_str.isdecimal():
-            raise DocumentSemanticError(f"punishment keys must be players, got {i_str!r}")
+        # a player is keyed only as str(i): "03" or "٣" would name player 3
+        # a second time, and the table read last would drop the other
+        if not (i_str.isascii() and i_str.isdecimal() and str(int(i_str)) == i_str):
+            raise DocumentSemanticError(
+                f"punishment keys must be players written as in str(i), got {i_str!r}"
+            )
         entries = {}
         for k, v in expect(table, dict, f"punishment table of {i_str}").items():
             state, _, q = k.rpartition("|")

@@ -8,10 +8,9 @@ later layer reads successors, owners and labels by those numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 from operator import add, mul
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import arena as arena_mod
 from . import ltl
@@ -61,8 +60,7 @@ def parse_ustate(text: str) -> UState:
     return (s, c)
 
 
-@dataclass(frozen=True)
-class UnfoldedArena:
+class UnfoldedArena(NamedTuple):
     """The reachable unfolding, numbered: id k names `states[k]`, in natural
     tuple order with the sink last, and `succ`, `owner` and `labels` are
     lists over the ids."""
@@ -71,9 +69,9 @@ class UnfoldedArena:
     bounds: tuple[int, ...]
     initial: int
     states: tuple[UState, ...]
-    succ: list[list[int]] = field(repr=False)  # in `step` order
-    owner: list[int] = field(repr=False)  # the sink's is fixed at 1
-    labels: list[frozenset[str]] = field(repr=False)
+    succ: list[list[int]]  # in `step` order
+    owner: list[int]  # the sink's is fixed at 1
+    labels: list[frozenset[str]]
     clipped: bool = False  # some reachable step saturated a resource
 
     def system_objective(self) -> ltl.Formula:
@@ -109,10 +107,11 @@ def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[tuple[UState, .
     if us is BOT:
         return (BOT,), False
     s, c = us
+    edges = a.edges
     out: list[UState] = []
     to_bot = clipped = False
     for s2 in a.successors(s):
-        c2, saturated = credit_after(c, a.edges[(s, s2)], bounds)
+        c2, saturated = credit_after(c, edges[(s, s2)], bounds)
         clipped = clipped or saturated
         if c2 is None:
             to_bot = True

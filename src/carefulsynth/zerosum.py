@@ -15,7 +15,6 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
@@ -31,14 +30,14 @@ from .unfolding import BOT, UnfoldedArena
 MAX_PRIORITY = 16
 
 
-@dataclass(frozen=True)
 class ZeroSumGame:
     """A parity game on the ids 0..n-1, lists indexed by id: the protagonist
     wins a play iff its top priority seen infinitely often is even."""
 
-    succ: list[list[int]]
-    is_protagonist: list[bool]
-    priority: list[int]
+    def __init__(self, succ: list[list[int]], is_protagonist: list[bool], priority: list[int]):
+        self.succ = succ
+        self.is_protagonist = is_protagonist
+        self.priority = priority
 
     @property
     def states(self) -> range:
@@ -53,8 +52,7 @@ class ZeroSumGame:
         return pred
 
 
-@dataclass(frozen=True)
-class WinningRegions:
+class WinningRegions(NamedTuple):
     protagonist: frozenset[int]
     antagonist: frozenset[int]
     protagonist_strategy: dict[int, int]  # protagonist-owned states in its region
@@ -178,16 +176,14 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
 # Deterministic parity automata (user-supplied, for general-LTL objectives)
 
 
-@dataclass(frozen=True)
-class DpaTransition:
+class DpaTransition(NamedTuple):
     src: str
     pos: frozenset[str]
     neg: frozenset[str]
     dst: str
 
 
-@dataclass(frozen=True)
-class ParityAutomaton:
+class ParityAutomaton(NamedTuple):
     states: tuple[str, ...]
     initial: str
     priority: Mapping[str, int]
@@ -289,13 +285,13 @@ def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> tuple[li
     the tracker state after its own letter, so a tracker whose state is the
     current letter's verdict (G F, F G) adds no nodes. The sink gets
     priority 1, so carefulness stays losing."""
-    step, labels = cache(tracker.step), u.labels
+    step, labels, u_succ, owner, states = cache(tracker.step), u.labels, u.succ, u.owner, u.states
     nodes = list(dict.fromkeys((k, step(tracker.initial, x)) for k, x in enumerate(labels)))
     ids = {node: j for j, node in enumerate(nodes)}
     succ = []
     for s, q in nodes:  # breadth-first: the list grows while it is read
         out = []
-        for t in u.succ[s]:
+        for t in u_succ[s]:
             nxt = (t, step(q, labels[t]))
             j = ids.get(nxt)
             if j is None:
@@ -305,8 +301,8 @@ def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> tuple[li
         succ.append(out)
     game = ZeroSumGame(
         succ=succ,
-        is_protagonist=[u.owner[s] == player for s, _ in nodes],
-        priority=[1 if u.states[s] is BOT else tracker.priority(q) for s, q in nodes],
+        is_protagonist=[owner[s] == player for s, _ in nodes],
+        priority=[1 if states[s] is BOT else tracker.priority(q) for s, q in nodes],
     )
     return nodes, game
 
@@ -315,8 +311,7 @@ def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> tuple[li
 # Punishment regions
 
 
-@dataclass(frozen=True)
-class PunishRegions:
+class PunishRegions(NamedTuple):
     """A player's punishment game, solved on the nodes (k, q) of the
     unfolding in product with its objective's tracker, q the tracker state
     after reading state k. `win` holds the nodes from which the player,

@@ -9,7 +9,6 @@ enumerations exact references.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from typing import NamedTuple
@@ -174,13 +173,14 @@ def nba_accepts_lasso(nba: ltl.NBA, stem, loop) -> bool:
 # Random zero-sum games and the strategy-enumeration oracle
 
 
-@dataclasses.dataclass(frozen=True)
 class LabelledGame(ZeroSumGame):
     """A numbered game with a label per state and losing sinks (absorbing:
     self-loop only), which the oracles read."""
 
-    labels: list
-    losing_sinks: frozenset
+    def __init__(self, succ, is_protagonist, priority, labels: list, losing_sinks: frozenset):
+        super().__init__(succ, is_protagonist, priority)
+        self.labels = labels
+        self.losing_sinks = losing_sinks
 
 
 def make_game(succ, is_protagonist, labels, losing_sinks=frozenset(), priority=None) -> LabelledGame:
@@ -684,10 +684,43 @@ def random_fragment_arena(rng: random.Random, shapes=FRAGMENT_SHAPES):
     fragment objectives of `shapes`, with random bounds."""
     a = random_arena(rng, max_states=5, max_players=3)
     objectives = [random_fragment(rng, ARENA_ATOMS, shapes) for _ in range(a.players + 1)]
-    a = dataclasses.replace(
-        a, system_objective=objectives[0], player_objectives=tuple(objectives[1:])
-    )
+    a = a._replace(system_objective=objectives[0], player_objectives=tuple(objectives[1:]))
     return a, tuple(rng.randrange(0, 3) for _ in range(a.dimensions))
+
+
+def random_punishable_arena(rng: random.Random):
+    """A random arena in which one player's deviations lead into coalition
+    states that can punish or concede, so that losers' tables have entries:
+    from the initial state x the play reaches the deviator's state d, which
+    moves on to s (a self-loop, sometimes back to x) or to one of 2-4
+    coalition states ek. Each ek moves to the deviator's sinks zk and pk,
+    and sometimes back to d. Owners of x and s, labels, the system and
+    player objectives (random fragment objectives) and the bounds are
+    random; a cost component is from -1 to 2, a gain twice as likely as a
+    loss."""
+    players, dims = rng.randrange(2, 4), rng.randrange(1, 3)
+    deviator = rng.randrange(1, players + 1)
+    coalition = [i for i in range(1, players + 1) if i != deviator]
+    owner = {"x": rng.randrange(1, players + 1), "d": deviator, "s": rng.randrange(1, players + 1)}
+    pairs = [("x", "d"), ("d", "s"), ("s", "s")] + [("s", "x")] * (rng.random() < 0.3)
+    for k in range(rng.randrange(2, 5)):
+        e, z, p = f"e{k}", f"z{k}", f"p{k}"
+        owner.update({e: rng.choice(coalition), z: deviator, p: deviator})
+        pairs += [("d", e), (e, z), (e, p), (z, z), (p, p)] + [(e, "d")] * (rng.random() < 0.3)
+    objectives = [random_fragment(rng, ARENA_ATOMS) for _ in range(players + 1)]
+    a = build_arena(
+        players=players,
+        dimensions=dims,
+        states=list(owner),
+        owner=owner,
+        initial="x",
+        edges={pair: tuple(rng.choice((-1, 0, 1, 1, 2)) for _ in range(dims)) for pair in pairs},
+        atoms=list(ARENA_ATOMS),
+        labels={s: [x for x in ARENA_ATOMS if rng.random() < 0.5] for s in owner},
+        system_objective=objectives[0],
+        player_objectives=objectives[1:],
+    )
+    return a, tuple(rng.randrange(0, 3) for _ in range(dims))
 
 
 def oracle_witness_exists(u: UnfoldedArena, formulas, forbidden, max_states: int = 14) -> bool:

@@ -5,7 +5,6 @@ prints a single pass/fail line. Run with `pytest -v tests/test_acceptance.py`
 (add -s to see the lines inline).
 """
 
-import dataclasses
 import json
 import random
 import time
@@ -24,6 +23,7 @@ from carefulsynth.zerosum import attractor, objective_tracker, solve_parity, tra
 
 from corpus import CORPUS
 from genutils import (
+    LabelledGame,
     OracleTooBig,
     game_as_unfolding,
     nba_accepts_lasso,
@@ -134,7 +134,10 @@ def test_criterion_4_zero_sum_regions():
             ):
                 mismatches += 1
         if not g.losing_sinks:
-            pg = dataclasses.replace(g, priority=[rng.randrange(0, 5) for _ in g.states])
+            pg = LabelledGame(
+                g.succ, g.is_protagonist, [rng.randrange(0, 5) for _ in g.states],
+                g.labels, g.losing_sinks,
+            )
             if set(solve_parity(pg).protagonist) != oracle_parity_region(pg):
                 mismatches += 1
         games += 1

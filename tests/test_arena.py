@@ -230,7 +230,7 @@ def test_reader_agrees_with_its_reference_on_single_defects(fig1_text, base):
     for name, mutate in defects:
         new, ref = _both_readers(doc, [mutate])
         assert new == ref, name
-        errors_seen += isinstance(ref, tuple)
+        errors_seen += not isinstance(ref, arena_module.Arena)  # an Arena is a tuple too
     assert len(defects) > 300 and errors_seen > len(defects) // 2
 
 

@@ -702,6 +702,24 @@ def test_profile_players_must_be_json_integers(fig1_path, tmp_path, capsys, fiel
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["03", "\u0663", "+3", " 3"])
+def test_profile_player_keys_must_be_canonical(fig1_path, tmp_path, capsys, key):
+    # player 3's table alone is refused; a second spelling of player 3 after
+    # it must not silently replace it
+    _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
+    doc = json.loads(out)
+    doc["punishment"]["3"] = {"a@0,0|False": "circbox@0,0"}
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert code == EXIT_NEGATIVE and "not an edge" in out
+    doc["punishment"][key] = {}
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["priorities", "states", "pos"])
 def test_dpa_fields_must_be_well_typed(fig1_path, tmp_path, capsys, field):
     dpa = {

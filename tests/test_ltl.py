@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,57 @@ from carefulsynth.ltl import (
 )
 
 from genutils import naive_eval, nba_accepts_lasso, random_formula, random_word
+
+
+# ---------------------------------------------------------------------------
+# Syntax-tree nodes
+
+
+P, Q = Atom("p"), Atom("q")
+UNARY = (ltl.Not, ltl.Next, ltl.Eventually, ltl.Always)
+BINARY = (ltl.And, ltl.Or, ltl.Until, ltl.Release)
+
+
+@pytest.mark.parametrize("classes, fields", [(UNARY, (P,)), (BINARY, (P, Q))])
+def test_nodes_of_different_classes_with_equal_fields_differ(classes, fields):
+    nodes = [cls(*fields) for cls in classes]
+    for a in nodes:
+        for b in nodes:
+            assert (a == b) == (a is b) and (a != b) == (a is not b)
+    assert len(dict.fromkeys(nodes)) == len(set(nodes)) == len(classes)
+
+
+def test_equal_nodes_have_equal_hashes():
+    for text in ["F p", "G p", "p U (q & X !p)", "G F (p | q)", "!X false"]:
+        a, b = parse_ltl(text), parse_ltl(text)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert nnf(a) == nnf(b) and hash(nnf(a)) == hash(nnf(b))
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert Lit(True) is not Lit(True) and hash(Lit(True)) == hash(Lit(True))
+    assert ltl.Release(P, Q) == ltl.Release(Atom("p"), Atom("q"))
+    assert hash(ltl.Release(P, Q)) == hash(ltl.Release(Atom("p"), Atom("q")))
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (Lit, (True,)), (Atom, ("p",)),
+    *[(cls, (P,)) for cls in UNARY], *[(cls, (P, Q)) for cls in BINARY],
+])
+def test_a_node_never_equals_the_tuple_of_its_fields(cls, fields):
+    node = cls(*fields)
+    assert node != fields and fields != node
+    assert not node == fields and not fields == node
+    assert fields not in {node: None} and node not in {fields: None}
+
+
+def test_setting_a_field_raises():
+    node = Until(P, Q)
+    with pytest.raises(AttributeError):
+        node.left = Q
+    with pytest.raises(AttributeError):
+        P.name = "q"
+    with pytest.raises(AttributeError):
+        node.extra = P
+    assert node == Until(P, Q) and node.left == P and node.right == Q
 
 
 # ---------------------------------------------------------------------------

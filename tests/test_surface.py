@@ -3,7 +3,8 @@ scripts run: every module-level function and class in `src/carefulsynth`
 is referenced somewhere in `src/`, `bench/` or `scripts/` outside its own
 definition, and every defaulted parameter of a function or method there is
 passed at some call of its name in `src/`, `bench/`, `scripts/` or
-`tests/`. Test-only helpers live in `tests/genutils.py`."""
+`tests/`. Test-only helpers live in `tests/genutils.py`. Importing the
+package generates no code: no module uses `dataclasses`."""
 
 import ast
 import pathlib
@@ -100,3 +101,26 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         if not any(_passes(call, arg, index) for call in calls.get(name, []))
     ]
     assert unused == []
+
+
+def _dataclass_uses() -> list[str]:
+    """Where a module of the package imports `dataclasses` or names
+    `dataclass`, as a decorator, a call or an attribute."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").partition(".")[0]]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if {"dataclasses", "dataclass"} & set(names):
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_module_in_the_package_uses_dataclasses():
+    # a dataclass compiles and execs its generated methods when its module
+    # is imported, which every command pays before it does any work
+    assert _dataclass_uses() == []

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import json
 import random
@@ -37,6 +36,7 @@ from genutils import (
     random_arena,
     random_fragment,
     random_fragment_arena,
+    random_punishable_arena,
     random_word,
     state_table,
 )
@@ -343,33 +343,55 @@ def test_winner_sets_are_generated_as_they_are_tried():
     ]
 
 
+def _loser_tables(a, bounds, seed):
+    """Solve; when a profile is found, check that only its losers carry a
+    table, each the region's table cut to the keys the loser's deviations
+    reach, and that the certificate checks. Returns the losers' tables, or
+    None without a profile."""
+    p = solve(a, bounds).profile
+    if p is None:
+        return None
+    u = unfold(a, bounds)
+    o = p.outcome
+    ustates = tuple(zip(o.stem + o.loop, o.trace))
+    tables = []
+    for i in range(1, a.players + 1):
+        if i in p.winners:
+            assert p.punishment[i] == {}, seed
+        else:
+            # the region's table, kept only where a deviation reads it
+            region = punish_region(u, i, objective_tracker(a.objective_of(i)))
+            table = state_table(u, region.punishment)
+            assert p.punishment[i].items() <= table.items(), seed
+            assert set(p.punishment[i]) == oracle_reached_keys(
+                u, i, a.objective_of(i), table,
+                ustates[: len(o.stem)], ustates[len(o.stem):],
+            ), seed
+            tables.append(p.punishment[i])
+    assert check_certificate(a, bounds, p) == [], seed
+    return tables
+
+
 def test_only_losers_carry_a_punishment_table():
     solved = losers = 0
     for seed in range(300):
         rng = random.Random(seed)
         a, bounds = random_fragment_arena(rng)
-        p = solve(a, bounds).profile
-        if p is None:
+        tables = _loser_tables(a, bounds, seed)
+        if tables is None:
             continue
-        u = unfold(a, bounds)
-        o = p.outcome
-        ustates = tuple(zip(o.stem + o.loop, o.trace))
-        for i in range(1, a.players + 1):
-            if i in p.winners:
-                assert p.punishment[i] == {}, seed
-            else:
-                # the region's table, kept only where a deviation reads it
-                region = punish_region(u, i, objective_tracker(a.objective_of(i)))
-                table = state_table(u, region.punishment)
-                assert p.punishment[i].items() <= table.items(), seed
-                assert set(p.punishment[i]) == oracle_reached_keys(
-                    u, i, a.objective_of(i), table,
-                    ustates[: len(o.stem)], ustates[len(o.stem):],
-                ), seed
-                losers += 1
-        assert check_certificate(a, bounds, p) == [], seed
+        losers += len(tables)
         solved += 1
     assert solved >= 80 and losers >= 80
+
+
+def test_only_losers_carry_a_punishment_table_on_punishable_arenas():
+    # most losers here have a nonempty table, which random fragment arenas
+    # rarely give (20 of 98 losers over the same seeds)
+    tables = []
+    for seed in range(300):
+        tables += _loser_tables(*random_punishable_arena(random.Random(seed)), seed) or []
+    assert len(tables) >= 120 and sum(map(bool, tables)) >= 80
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +523,7 @@ def test_solver_output_passes_the_checker(fig1):
 
 def test_checker_rejects_wrong_winner_declaration(fig1):
     p = solve(fig1, (3, 3)).profile
-    bad = dataclasses.replace(p, winners=frozenset({1, 2, 3}))
+    bad = p._replace(winners=frozenset({1, 2, 3}))
     violations = check_certificate(fig1, (3, 3), bad)
     assert any("player 3" in v and "declared winner" in v for v in violations)
 
@@ -512,8 +534,7 @@ def test_checker_rejects_outcome_missing_system_objective(fig1):
     p = solve(fig1, (3, 3)).profile
     # pump fully, then descend into the box-only sink: careful, but F circ
     # fails
-    bad = dataclasses.replace(
-        p,
+    bad = p._replace(
         outcome=Lasso(stem=("a", "a", "a", "a", "b"), loop=("box",)),
         winners=frozenset({2}),
     )
@@ -527,9 +548,7 @@ def test_checker_rejects_outcome_through_deviation_region(fig1):
     from carefulsynth.arena import Lasso
 
     p = solve(fig1, (3, 3)).profile
-    bad = dataclasses.replace(
-        p, outcome=Lasso(stem=GOLDEN_STEM, loop=GOLDEN_LOOP)
-    )
+    bad = p._replace(outcome=Lasso(stem=GOLDEN_STEM, loop=GOLDEN_LOOP))
     violations = check_certificate(fig1, (10, 10), bad)
     assert any("player 3" in v and "deviation" in v for v in violations)
 
@@ -538,9 +557,7 @@ def test_checker_rejects_underflowing_outcome(fig1):
     from carefulsynth.arena import Lasso
 
     p = solve(fig1, (3, 3)).profile
-    bad = dataclasses.replace(
-        p, outcome=Lasso(stem=("a", "b"), loop=("box",)), winners=frozenset({2})
-    )
+    bad = p._replace(outcome=Lasso(stem=("a", "b"), loop=("box",)), winners=frozenset({2}))
     violations = check_certificate(fig1, (3, 3), bad)
     assert any("depletes" in v for v in violations)
 
@@ -574,7 +591,7 @@ def test_checker_rejects_truncated_punishment_table():
     a = _one_choice_arena()
     p = solve(a, (0,)).profile
     assert check_certificate(a, (0,), p) == []
-    bad = dataclasses.replace(p, punishment={1: {}, 2: p.punishment[2]})
+    bad = p._replace(punishment={1: {}, 2: p.punishment[2]})
     violations = check_certificate(a, (0,), bad)
     assert any("player 1" in v and "punishment" in v for v in violations)
     assert all("player 2" not in v for v in violations)
@@ -591,7 +608,7 @@ def test_checker_rejects_a_table_that_fails_against_one_deviator_choice():
     table = dict(p.punishment[1])
     assert table[(("e00", (0,)), "False")] == ("z", (0,))
     table[(("e00", (0,)), "False")] = ("p00", (0,))
-    bad = dataclasses.replace(p, punishment={1: table, 2: p.punishment[2]})
+    bad = p._replace(punishment={1: table, 2: p.punishment[2]})
     violations = check_certificate(a, (0,), bad)
     assert violations == ["player 1: careful profitable deviation from d@0"]
 
@@ -703,9 +720,7 @@ def test_checker_rejects_tampered_trace(fig1):
     p = solve(fig1, (3, 3)).profile
     trace = list(p.outcome.trace)
     trace[1] = (9, 9)
-    bad = dataclasses.replace(
-        p, outcome=Lasso(stem=GOLDEN_STEM, loop=GOLDEN_LOOP, trace=tuple(trace))
-    )
+    bad = p._replace(outcome=Lasso(stem=GOLDEN_STEM, loop=GOLDEN_LOOP, trace=tuple(trace)))
     violations = check_certificate(fig1, (3, 3), bad)
     assert any("trace" in v for v in violations)
 
@@ -749,7 +764,7 @@ def test_table_entries_are_edges_exactly_when_the_unfolding_has_them():
             i = rng.randrange(1, a.players + 1)
             key = (s, rng.choice(["False", "True"]))
             table = {**p.punishment[i], key: value}
-            tampered = dataclasses.replace(p, punishment={**p.punishment, i: table})
+            tampered = p._replace(punishment={**p.punishment, i: table})
             flagged = [v for v in check_certificate(a, bounds, tampered) if "is not an edge" in v]
             edge = s in u.succ and value in u.succ[s]
             expected = [] if edge else [
@@ -799,7 +814,7 @@ def test_the_state_budget_bounds_the_states_the_checker_steps(fig1):
     p = solve(fig1, (3, 3)).profile
     key = (("a", (1, 1)), "False")
     table = {**p.punishment[3], key: ("a", (0, 0))}
-    p = dataclasses.replace(p, punishment={**p.punishment, 3: table})
+    p = p._replace(punishment={**p.punishment, 3: table})
     with pytest.raises(BudgetExceededError, match=f"state budget of {size - 1}"):
         check_certificate(fig1, (3, 3), p, max_states=size - 1)
     assert check_certificate(fig1, (3, 3), p, max_states=size) == [
@@ -871,7 +886,7 @@ def _conjunction_system_arena(seed):
     rng = random.Random(seed)
     a, bounds = random_fragment_arena(rng, REACH_SAFE_SHAPES)
     system = ltl.And(a.system_objective, random_fragment(rng, ARENA_ATOMS, REACH_SAFE_SHAPES))
-    return dataclasses.replace(a, system_objective=system), bounds
+    return a._replace(system_objective=system), bounds
 
 
 def test_solve_agrees_with_lasso_enumeration_on_f_and_g_objectives():
@@ -935,6 +950,26 @@ def _deviation_verdicts(a, bounds, u, profile):
     ]
 
 
+def _tampered_verdicts(rng, a, bounds, seed):
+    """Solve; when a profile is found, change each loser's table at one or
+    two coalition states and return the checker's and the oracle's verdicts
+    per loser, after asserting that they agree."""
+    p = solve(a, bounds).profile
+    if p is None:
+        return []
+    assert check_certificate(a, bounds, p) == [], seed
+    u = unfold(a, bounds)
+    v = by_state(u)
+    tables = {i: dict(t) for i, t in p.punishment.items()}
+    for i in set(tables) - p.winners:
+        keys = sorted(k for k in tables[i] if k[0] is not BOT and v.owner[k[0]] != i)
+        for k in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
+            tables[i][k] = rng.choice(v.succ[k[0]])
+    got = _deviation_verdicts(a, bounds, u, p._replace(punishment=tables))
+    assert all(found == expected for found, expected in got), seed
+    return got
+
+
 def test_checker_finds_exactly_the_deviations_the_oracle_finds():
     # solver certificates, each loser's table changed at one or two
     # coalition states
@@ -942,21 +977,17 @@ def test_checker_finds_exactly_the_deviations_the_oracle_finds():
     for seed in range(300):
         rng = random.Random(seed)
         a, bounds = random_fragment_arena(rng)
-        p = solve(a, bounds).profile
-        if p is None:
-            continue
-        assert check_certificate(a, bounds, p) == [], seed
-        u = unfold(a, bounds)
-        v = by_state(u)
-        tables = {i: dict(t) for i, t in p.punishment.items()}
-        for i in set(tables) - p.winners:
-            keys = sorted(k for k in tables[i] if k[0] is not BOT and v.owner[k[0]] != i)
-            for k in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
-                tables[i][k] = rng.choice(v.succ[k[0]])
-        got = _deviation_verdicts(a, bounds, u, dataclasses.replace(p, punishment=tables))
-        assert all(found == expected for found, expected in got), seed
-        verdicts += got
+        verdicts += _tampered_verdicts(rng, a, bounds, seed)
     assert len(verdicts) >= 50 and (True, True) in verdicts
+
+
+def test_checker_finds_exactly_the_deviations_the_oracle_finds_on_punishable_arenas():
+    verdicts = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        a, bounds = random_punishable_arena(rng)
+        verdicts += _tampered_verdicts(rng, a, bounds, seed)
+    assert len(verdicts) >= 120 and (True, True) in verdicts and (False, False) in verdicts
 
 
 def test_checker_agrees_with_the_oracle_on_random_profiles():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import sys
@@ -22,6 +21,7 @@ from carefulsynth.zerosum import (
 )
 
 from genutils import (
+    LabelledGame,
     game_as_unfolding,
     make_game,
     oracle_attractor,
@@ -209,7 +209,9 @@ def _strategy_cases(g, rng):
     for kind, won in wins.items():
         nodes, game, reg, _, start = _solve_fragment(g, kind)
         yield case(game, reg, start, on_nodes(nodes, won))
-    pg = dataclasses.replace(g, priority=[rng.randrange(0, 5) for _ in g.states])
+    pg = LabelledGame(
+        g.succ, g.is_protagonist, [rng.randrange(0, 5) for _ in g.states], g.labels, g.losing_sinks
+    )
     yield case(
         pg,
         solve_parity(pg),
@@ -250,14 +252,18 @@ def test_antagonist_strategy_spoils_under_random_opposition(seed):
 
 def test_all_even_priorities_win_everywhere():
     g = random_game(random.Random(3), sink_prob=0.0)
-    reg = solve_parity(dataclasses.replace(g, priority=[2] * len(g.states)))
+    reg = solve_parity(
+        LabelledGame(g.succ, g.is_protagonist, [2] * len(g.states), g.labels, g.losing_sinks)
+    )
     assert set(reg.protagonist) == set(g.states)
 
 
 def test_priority_bound_enforced():
     g = random_game(random.Random(4), sink_prob=0.0)
     with pytest.raises(DocumentSemanticError):
-        solve_parity(dataclasses.replace(g, priority=[99] * len(g.states)))
+        solve_parity(
+            LabelledGame(g.succ, g.is_protagonist, [99] * len(g.states), g.labels, g.losing_sinks)
+        )
 
 
 @settings(max_examples=80, deadline=None)
@@ -265,7 +271,9 @@ def test_priority_bound_enforced():
 def test_parity_matches_strategy_enumeration(seed):
     rng = random.Random(seed)
     g = random_game(rng, max_states=7, sink_prob=0.0)
-    g = dataclasses.replace(g, priority=[rng.randrange(0, 5) for _ in g.states])
+    g = LabelledGame(
+        g.succ, g.is_protagonist, [rng.randrange(0, 5) for _ in g.states], g.labels, g.losing_sinks
+    )
     reg = solve_parity(g)
     assert set(reg.protagonist) == oracle_parity_region(g)
 
