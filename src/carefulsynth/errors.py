@@ -53,15 +53,27 @@ class MalformedProfileError(CarefulSynthError):
     """A strategy-profile certificate is structurally broken."""
 
 
-def load_json(text: str):
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for k, v in pairs:
+        if k in doc:
+            raise DocumentSyntaxError(f"repeated key {k!r}")
+        doc[k] = v
+    return doc
+
+
+def load_json(text: str, unique_keys: bool = False):
     """Decode a document; bad JSON becomes a DocumentSyntaxError that gives
-    its line and column, and so does nesting too deep for the decoder."""
+    its line and column, and so do nesting too deep for the decoder, an
+    integer too long to convert and, with `unique_keys`, a repeated key."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError:
         raise DocumentSyntaxError("document nested too deeply to decode") from None
+    except ValueError:  # the limit on integer string conversion
+        raise DocumentSyntaxError("integer too long to decode") from None
 
 
 def is_int(v) -> bool:

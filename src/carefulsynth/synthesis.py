@@ -6,9 +6,12 @@ objective's tracker (its tableau automaton outside the fragments) and every
 player's tracker, each read after a state's letter. For each candidate
 winner set, search that product for a lasso that the system's component and
 every winner's tracker accept, without the nodes where a loser owns the
-state and its punishment region holds (state id, its tracker state). A
-player's punishment region is solved the first time it is a loser, since
-only a loser has a reason to deviate. The winners and the tracker states
+state and its punishment region holds (state id, its tracker state). A set
+is searched only if some cyclic SCC of the whole product has a node of even
+priority in each of those components; else it fails with "no accepting SCC"
+("no cycle in the restricted product" if the product has no cycle). A
+player's region is solved when it first loses in a searched set, since only
+a loser has a reason to deviate. The winners and the tracker states
 along a found lasso are read off its product nodes. The lasso plus the
 losers' punishment tables, each cut to the nodes the loser's deviations
 reach, form the equilibrium certificate; `check_certificate` checks it
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cache
+from functools import cache, reduce
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
@@ -111,12 +114,16 @@ class WitnessProduct(NamedTuple):
     system's component and a list of trackers. A node is (the id of an
     unfolded state, each component's state after reading the state's
     letter, the system's first); nodes are numbered once, and the search
-    runs on the numbers."""
+    runs on the numbers. An accepted lasso loops in one of `sccs` (forbidding
+    nodes only splits SCCs) with an even top in the system's and each
+    winner's component, so `solve` skips a winner set that no mask holds."""
 
     nodes: list  # id -> node
     initials: list  # ids
     succ: list  # id -> its successor ids, in a deterministic order
     priority: list  # id -> each component's priority, the system's first
+    sccs: list  # the SCCs that hold a cycle, each a list of ids
+    masks: set  # the SCCs' masks: bit k set when a node has an even priority in component k
 
 
 def witness_product(
@@ -163,7 +170,15 @@ def witness_product(
                     out.append(k)
         succ.append(out)
     priority = [priority_of(qs) for _, qs in nodes]
-    return WitnessProduct(nodes, initials, succ, priority)
+    sccs = _cyclic_sccs(set(range(len(nodes))), succ.__getitem__)
+    even = cache(lambda p: sum(1 << k for k, x in enumerate(p) if x % 2 == 0))
+    masks = {reduce(int.__or__, map(even, set(map(priority.__getitem__, comp)))) for comp in sccs}
+    return WitnessProduct(nodes, initials, succ, priority, sccs, masks)
+
+
+def _cyclic_sccs(nodes: AbstractSet, successors) -> list:
+    return [comp for comp in strongly_connected_components(nodes, successors)
+            if len(comp) > 1 or comp[0] in successors(comp[0])]
 
 
 class NoWitness(Exception):
@@ -187,44 +202,42 @@ def find_witness_lasso(
     if product.initials and not initials:
         raise NoWitness("initial state forbidden")
     successors, prio = product.succ.__getitem__, product.priority
-    seen, stack = set(initials), list(initials)
-    while stack:
-        for nxt in successors(stack.pop()):
-            if nxt not in seen and nxt not in forbidden:
-                seen.add(nxt)
-                stack.append(nxt)
+    if forbidden:
+        seen, stack = set(initials), list(initials)
+        while stack:
+            for nxt in successors(stack.pop()):
+                if nxt not in seen and nxt not in forbidden:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        # every SCC lies in `seen`, whose nodes are all allowed
+        allowed, pending = seen.__contains__, _cyclic_sccs(seen, successors)
+    else:  # every node is reachable and allowed: start from the product's SCCs
+        allowed, pending = None, list(product.sccs)
 
     components = (0, *(k + 1 for k in winners))
     # a nontrivial SCC whose top priorities are all even is accepting; else
     # its nodes carrying an odd top lie on no accepting cycle, so drop them
     # and split the rest again
     accepting: dict = {}  # node -> (its accepting SCC, that SCC's tops per component)
-    cyclic = False
-    pending = [seen]
+    cyclic = bool(pending)
     while pending:
-        # every SCC lies in `seen`, whose nodes are all allowed
-        for comp in strongly_connected_components(pending.pop(), successors):
-            if len(comp) == 1 and comp[0] not in successors(comp[0]):
-                continue
-            cyclic = True
-            top = tuple(map(max, zip(*(prio[node] for node in comp))))
-            tops = [(k, top[k]) for k in components]
-            odd = [(k, p) for k, p in tops if p % 2]
-            if odd:
-                rest = {n for n in comp if all(prio[n][k] != p for k, p in odd)}
-                if rest:
-                    pending.append(rest)
-                continue
-            compset = set(comp)
-            for node in comp:
-                accepting[node] = (compset, tops)
+        comp = pending.pop()
+        top = tuple(map(max, zip(*(prio[node] for node in comp))))
+        tops = [(k, top[k]) for k in components]
+        odd = [(k, p) for k, p in tops if p % 2]
+        if odd:
+            rest = {n for n in comp if all(prio[n][k] != p for k, p in odd)}
+            if rest:
+                pending += _cyclic_sccs(rest, successors)
+            continue
+        compset = set(comp)
+        for node in comp:
+            accepting[node] = (compset, tops)
 
     if not accepting:
         raise NoWitness("no accepting SCC" if cyclic else "no cycle in the restricted product")
 
-    stem_path = shortest_path(
-        initials, successors, accepting.__contains__, allowed=seen.__contains__
-    )
+    stem_path = shortest_path(initials, successors, accepting.__contains__, allowed=allowed)
     anchor = stem_path[-1]
     comp, tops = accepting[anchor]
 
@@ -316,7 +329,12 @@ def solve(
     blocked = {}  # a loser's own nodes from which it could deviate and still win
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
+    pruned = "no accepting SCC" if product.sccs else "no cycle in the restricted product"
     for winner_set in _winner_sets(a.players):
+        need = sum(1 << i for i in winner_set) | 1  # the system is component 0
+        if not any(m & need == need for m in product.masks):
+            diagnostics.append((tuple(sorted(winner_set)), pruned))
+            continue
         for i in players:
             if i not in winner_set and i not in regions:
                 regions[i] = punish_region(u, i, trackers[i])
@@ -543,9 +561,8 @@ def _deviation_faults(u: _SteppedUnfolding, player, tracker, table, stem, loop) 
         low = {node for node in succ if priority[node] <= p}
         won = {
             node
-            for comp in strongly_connected_components(low, succ.__getitem__)
-            if (len(comp) > 1 or comp[0] in succ[comp[0]])
-            and any(priority[x] == p for x in comp)
+            for comp in _cyclic_sccs(low, succ.__getitem__)
+            if any(priority[x] == p for x in comp)
             for node in comp
         }
         for node in succ:  # name the first found, independent of set order
@@ -598,7 +615,7 @@ def result_to_document(result: SolveResult) -> dict:
 
 
 def parse_profile(text: str) -> StrategyProfile:
-    doc = expect(load_json(text), dict, "profile document")
+    doc = expect(load_json(text, unique_keys=True), dict, "profile document")
     outcome = member(doc, "outcome", dict, "outcome")
     stem = tuple(member(outcome, "stem", [str], "outcome stem"))
     loop = tuple(member(outcome, "loop", [str], "outcome loop"))
@@ -606,9 +623,10 @@ def parse_profile(text: str) -> StrategyProfile:
     winners = frozenset(member(doc, "winners", [int], "winners"))
     punishment = {}
     for i_str, table in member(doc, "punishment", dict, "punishment", {}).items():
-        # a player is keyed only as str(i): "03" or "٣" would name player 3
-        # a second time, and the table read last would drop the other
-        if not (i_str.isascii() and i_str.isdecimal() and str(int(i_str)) == i_str):
+        # a player is keyed only as str(i), of at most 640 digits, which int()
+        # reads under any limit: "03" or "٣" would name player 3 a second time
+        if not (len(i_str) <= 640 and i_str.isascii() and i_str.isdecimal()
+                and str(int(i_str)) == i_str):
             raise DocumentSemanticError(
                 f"punishment keys must be players written as in str(i), got {i_str!r}"
             )

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's solver code paths: they
 enumerate memoryless strategies and analyze the induced one-player graphs
 with plain cycle/reachability arguments, or run naive set-iteration
 fixpoints. Memoryless determinacy of the supported objectives makes these
-enumerations exact references.
+enumerations exact references. The one exception is `oracle_solve`, the
+solver's loop over winner sets without its pruning, kept as the reference
+that the pruning changes no verdict, certificate or searched set's reason.
 """
 
 from __future__ import annotations
@@ -15,10 +17,16 @@ from typing import NamedTuple
 
 from carefulsynth import ltl
 from carefulsynth.arena import MAX_PLAYERS, RESERVED_ATOM, Arena, build_arena
-from carefulsynth.errors import DocumentSemanticError, expect, load_json, member
+from carefulsynth.errors import (
+    DocumentSemanticError, UnsupportedObjectiveError, expect, load_json, member,
+)
 from carefulsynth.ltl import FragmentClass
+from carefulsynth.synthesis import (
+    NoWitness, SolveResult, StrategyProfile, _reached_entries, _winner_sets,
+    find_witness_lasso, outcome_lasso, system_component, witness_product,
+)
 from carefulsynth.unfolding import BOT, UnfoldedArena, UState, unfold
-from carefulsynth.zerosum import ZeroSumGame
+from carefulsynth.zerosum import ZeroSumGame, objective_tracker, punish_region
 
 
 # ---------------------------------------------------------------------------
@@ -899,3 +907,82 @@ def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dic
     frag, wins = _oracle_wins(u, player, objective, table)
     starts = [(s, _oracle_flag(u, frag, False, s)) for s in u.states if s is not BOT]
     return {node: wins(node) for node in starts}
+
+
+# ---------------------------------------------------------------------------
+# The unpruned solver loop and many-player arenas
+
+
+def oracle_solve(a: Arena, bounds, dpas=None):
+    """`synthesis.solve` without its winner-set pruning: every winner set is
+    searched in turn, with each loser's punishment region solved the first
+    time it loses. A forbidden id outside the product makes every search
+    run its own reachability and SCC pass, whatever the losers forbid."""
+    dpas = dict(dpas or {})
+    u = unfold(a, bounds)
+    players = list(range(1, a.players + 1))
+    trackers = {}
+    for i in players:
+        try:
+            trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
+        except UnsupportedObjectiveError as e:
+            return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
+    product = witness_product(
+        u, system_component(a.system_objective), [trackers[i] for i in players]
+    )
+    regions, blocked, diagnostics = {}, {}, []
+    for winner_set in _winner_sets(a.players):
+        for i in players:
+            if i not in winner_set and i not in regions:
+                regions[i] = punish_region(u, i, trackers[i])
+                blocked[i] = {
+                    k for k, (s, qs) in enumerate(product.nodes)
+                    if u.owner[s] == i and (s, qs[i]) in regions[i].win
+                }
+        forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])
+        try:
+            stem, loop = find_witness_lasso(product, [i - 1 for i in sorted(winner_set)], forbidden)
+        except NoWitness as e:
+            diagnostics.append((tuple(sorted(winner_set)), str(e)))
+            continue
+        nodes = product.nodes
+        outcome = outcome_lasso(u, [nodes[n][0] for n in stem], [nodes[n][0] for n in loop])
+        winners = frozenset(
+            i for i in players if max(product.priority[n][i] for n in loop) % 2 == 0
+        )
+        path = [nodes[n] for n in (*stem, *loop, loop[0])]
+        punishment = {
+            i: {} if i in winners else _reached_entries(
+                u, i, trackers[i], regions[i].punishment, [(s, qs[i]) for s, qs in path]
+            )
+            for i in players
+        }
+        profile = StrategyProfile(outcome, winners, punishment)
+        return SolveResult(SolveResult.SOLUTION, profile=profile, clipped=u.clipped)
+    return SolveResult(SolveResult.NO_SOLUTION, diagnostics=tuple(diagnostics), clipped=u.clipped)
+
+
+def random_many_player_arena(rng: random.Random):
+    """A random arena of 6-8 players and 3-6 states, each state owned by a
+    random player, with random fragment objectives and random bounds: most
+    of its 64-256 winner sets fail. Half the time the system objective is a
+    random LTL formula instead, read through its tableau automaton."""
+    players, n, dims = rng.randrange(6, 9), rng.randrange(3, 7), rng.randrange(1, 3)
+    states = [f"s{k}" for k in range(n)]
+    objectives = [random_fragment(rng, ARENA_ATOMS) for _ in range(players + 1)]
+    if rng.random() < 0.5:
+        objectives[0] = random_formula(rng, 3, ARENA_ATOMS)
+    a = build_arena(
+        players=players,
+        dimensions=dims,
+        states=states,
+        owner={s: rng.randrange(1, players + 1) for s in states},
+        initial="s0",
+        edges={(s, t): tuple(rng.randrange(-1, 3) for _ in range(dims))
+               for s in states for t in rng.sample(states, rng.randrange(1, 4))},
+        atoms=list(ARENA_ATOMS),
+        labels={s: [x for x in ARENA_ATOMS if rng.random() < 0.5] for s in states},
+        system_objective=objectives[0],
+        player_objectives=objectives[1:],
+    )
+    return a, tuple(rng.randrange(0, 3) for _ in range(dims))

@@ -482,6 +482,11 @@ def test_stats_reports_sizes(fig1_path, capsys):
             re.compile("fig1-sweep seed 1: 5 instances, sha256 [0-9a-f]{64}"),
             id="output_digest.py",
         ),
+        pytest.param(
+            "many_players.py", ["--players", "8", "--seeds", "4"],
+            re.compile("8 players seed 4: no-solution, 0 searched, 256 pruned, 0 regions, \\d+ ms"),
+            id="many_players.py",
+        ),
     ],
 )
 def test_scripts_run(script, args, line):
@@ -718,6 +723,50 @@ def test_profile_player_keys_must_be_canonical(fig1_path, tmp_path, capsys, key)
     code, _, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
     assert code == EXIT_ERROR
     assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
+def test_profile_with_a_repeated_key_is_an_error(fig1_path, tmp_path, capsys):
+    # the decoder would keep the last of player 3's two tables, and the
+    # checker would pass a document that holds a table it rejects
+    _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
+    doc = json.loads(out)
+    doc["punishment"]["3"] = {"a@0,0|False": "circbox@0,0"}
+    table = '"3": {"a@0,0|False": "circbox@0,0"}'
+    text = json.dumps(doc)
+    assert text.count(table) == 1
+    path = tmp_path / "certificate.json"
+    path.write_text(text.replace(table, table + ', "3": {}'))
+    code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: repeated key '3'\n")
+
+
+LONG = "1" * 5000  # beyond Python's default limit of 4,300 digits on int()
+
+
+@pytest.mark.parametrize("where", ["winners", "player key"])
+def test_over_long_integers_in_a_profile_are_errors(fig1_path, tmp_path, capsys, where):
+    _, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3")
+    doc = json.loads(out)
+    if where == "winners":
+        doc["winners"] = "LONG"
+    else:
+        doc["punishment"][LONG] = {}
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc).replace('"LONG"', LONG))
+    code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    if where == "winners":
+        assert err == "error: integer too long to decode\n"
+
+
+def test_an_arena_with_over_long_dimensions_is_an_error(fig1_text, tmp_path, capsys):
+    path = tmp_path / "arena.json"
+    path.write_text(fig1_text.replace('"dimensions": 2', f'"dimensions": {LONG}', 1))
+    assert LONG in path.read_text()
+    for argv in [("solve", path, "--bounds", "3,3"), ("stats", path)]:
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (EXIT_ERROR, "", "error: integer too long to decode\n"), argv
 
 
 @pytest.mark.parametrize("field", ["priorities", "states", "pos"])

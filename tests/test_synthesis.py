@@ -31,11 +31,13 @@ from genutils import (
     by_state,
     oracle_profitable_deviation,
     oracle_reached_keys,
+    oracle_solve,
     oracle_solution_exists,
     oracle_witness_exists,
     random_arena,
     random_fragment,
     random_fragment_arena,
+    random_many_player_arena,
     random_punishable_arena,
     random_word,
     state_table,
@@ -274,6 +276,69 @@ def test_each_failed_winner_set_names_its_cause(fig1, case):
     assert dict(result.diagnostics) == expected
 
 
+def _searched_by_solve(monkeypatch, a, bounds, dpas=None):
+    """`solve`'s result, its product and the winner sets it searched."""
+    products, searched = [], []
+
+    def product(*args):
+        products.append(witness_product(*args))
+        return products[-1]
+
+    def search(product, winners, forbidden):
+        searched.append(tuple(i + 1 for i in winners))
+        return find_witness_lasso(product, winners, forbidden)
+
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "witness_product", product)
+        m.setattr(synthesis, "find_witness_lasso", search)
+        result = solve(a, bounds, dpas)
+    return result, products, searched
+
+
+@pytest.mark.parametrize(
+    "generator, seeds",
+    [
+        (random_fragment_arena, 1000),
+        (random_punishable_arena, 600),
+        (random_many_player_arena, 300),
+    ],
+)
+def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
+    # equal verdicts, winners, outcomes and certificates; a set that no even
+    # mask holds is not searched, and only its reason may differ
+    pruned_sets = 0
+    for case in itertools.product(range(seeds), [False, True]):
+        a, bounds = generator(random.Random(case[0]))
+        dpas = _reach_dpas(a) if case[1] else None  # F players also as automata
+        got, products, searched = _searched_by_solve(monkeypatch, a, bounds, dpas)
+        want = oracle_solve(a, bounds, dpas)
+        assert got._replace(diagnostics=()) == want._replace(diagnostics=()), case
+        assert [w for w, _ in got.diagnostics] == [w for w, _ in want.diagnostics], case
+        if not products:
+            continue
+        pruned = "no accepting SCC" if products[0].sccs else "no cycle in the restricted product"
+        for (w, reason), (_, expected) in zip(got.diagnostics, want.diagnostics):
+            if w in searched:
+                assert reason == expected, (case, w)
+            else:
+                pruned_sets += 1
+                assert reason == pruned, (case, w)
+    assert pruned_sets > 2 * seeds
+
+
+def test_fig1_searches_only_the_sets_its_masks_hold(monkeypatch, fig1):
+    calls = collections.Counter()
+    for name in ("find_witness_lasso", "punish_region"):
+        def counted(*args, _fn=getattr(synthesis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(synthesis, name, counted)
+    result = solve(fig1, (10, 10))
+    monkeypatch.undo()
+    assert calls == {"find_witness_lasso": 4, "punish_region": 3}
+    assert result == oracle_solve(fig1, (10, 10))
+
+
 def test_solve_unsatisfiable_system_objective(fig1_text):
     doc = json.loads(fig1_text)
     doc["objectives"]["system"] = "false"
@@ -433,6 +498,15 @@ def _reach_dpa(objective):
     return parse_dpa(json.dumps({**DPA_F_CIRC, "transitions": transitions}))
 
 
+def _reach_dpas(a):
+    """Every `F` player's objective of `a` as a parity automaton."""
+    return {
+        i: _reach_dpa(a.objective_of(i))
+        for i in range(1, a.players + 1)
+        if ltl.classify_fragment(a.objective_of(i)).kind == ltl.FragmentClass.REACH
+    }
+
+
 def test_automaton_objectives_solve_and_check_like_their_formulas():
     # every F player is also given as an automaton whose states are strings:
     # the winners and the deviation starts read off the product must not
@@ -441,11 +515,7 @@ def test_automaton_objectives_solve_and_check_like_their_formulas():
     solved = dpa_losers = dpa_tables = dpa_winners = 0
     for seed in range(1000):
         a, bounds = random_fragment_arena(random.Random(seed))
-        dpas = {
-            i: _reach_dpa(a.objective_of(i))
-            for i in range(1, a.players + 1)
-            if ltl.classify_fragment(a.objective_of(i)).kind == ltl.FragmentClass.REACH
-        }
+        dpas = _reach_dpas(a)
         if not dpas:
             continue
         direct, via_dpa = solve(a, bounds), solve(a, bounds, dpas=dpas)
