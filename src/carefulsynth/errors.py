@@ -62,12 +62,11 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
-def load_json(text: str, unique_keys: bool = False):
-    """Decode a document; bad JSON becomes a DocumentSyntaxError that gives
-    its line and column, and so do nesting too deep for the decoder, an
-    integer too long to convert and, with `unique_keys`, a repeated key."""
+def load_json(text: str):
+    """Decode a document; bad JSON (with its line and column), nesting too
+    deep, an over-long integer or a repeated key is a DocumentSyntaxError."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError:

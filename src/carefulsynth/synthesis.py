@@ -615,7 +615,7 @@ def result_to_document(result: SolveResult) -> dict:
 
 
 def parse_profile(text: str) -> StrategyProfile:
-    doc = expect(load_json(text, unique_keys=True), dict, "profile document")
+    doc = expect(load_json(text), dict, "profile document")
     outcome = member(doc, "outcome", dict, "outcome")
     stem = tuple(member(outcome, "stem", [str], "outcome stem"))
     loop = tuple(member(outcome, "loop", [str], "outcome loop"))

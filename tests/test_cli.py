@@ -740,6 +740,41 @@ def test_profile_with_a_repeated_key_is_an_error(fig1_path, tmp_path, capsys):
     assert (code, out, err) == (EXIT_ERROR, "", "error: repeated key '3'\n")
 
 
+# each reader's document, and the same document with one key repeated
+_REPEATED = {
+    "initial": ('"initial": "a"', '"initial": "b", "initial": "a"'),
+    "owner": ('"id": "c", "owner": 3', '"id": "c", "owner": 1, "owner": 3'),
+    "dpa": {"states": ["n"], "initial": "n", "priorities": {"n": 2},
+            "transitions": [{"src": "n", "dst": "n"}]},
+    "lasso": {"stem": ["a"], "loop": ["a"]},
+    "automaton": CORPUS[1][1],
+}
+
+
+@pytest.mark.parametrize("reader", _REPEATED)
+def test_every_reader_refuses_a_repeated_key(fig1_path, fig1_text, tmp_path, capsys, reader):
+    # a reader that kept the last copy would read "initial": "a" here, or
+    # state c owned by player 3, and answer as if the document were fine
+    path = tmp_path / "doc.json"
+    argv = {
+        "dpa": ("solve", fig1_path, "--bounds", "3,3", "--dpa", f"1={path}"),
+        "lasso": ("mc", fig1_path, path, "F circ"),
+        "automaton": ("gen-reduction", path),
+    }.get(reader, ("stats", path))
+    if reader in ("initial", "owner"):
+        key, (old, new) = reader, _REPEATED[reader]
+        before, text = fig1_text, fig1_text.replace(old, new)
+    else:
+        key, before = next(iter(_REPEATED[reader])), json.dumps(_REPEATED[reader])
+        text = before.replace("{", f'{{"{key}": 0, ', 1)
+    path.write_text(before)
+    assert _run(capsys, *argv)[0] in (EXIT_POSITIVE, EXIT_NEGATIVE)
+    assert text.count(f'"{key}"') == before.count(f'"{key}"') + 1
+    path.write_text(text)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: repeated key {key!r}\n")
+
+
 LONG = "1" * 5000  # beyond Python's default limit of 4,300 digits on int()
 
 
