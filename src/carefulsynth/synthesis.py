@@ -9,26 +9,27 @@ every winner's tracker accept, without the nodes where a loser owns the
 state and its punishment region holds (state id, its tracker state). A set
 is searched only if some cyclic SCC of the whole product has a node of even
 priority in each of those components; else it fails with "no accepting SCC"
-("no cycle in the restricted product" if the product has no cycle). A
-player's region is solved when it first loses in a searched set, since only
-a loser has a reason to deviate. The winners and the tracker states
-along a found lasso are read off its product nodes. The lasso plus the
-losers' punishment tables, each cut to the nodes the loser's deviations
-reach, form the equilibrium certificate; `check_certificate` checks it
-without the game solver and without building the unfolding, by an
-emptiness test per loser on the graph its table leaves. It replays the
+("no cycle in the restricted product" if the product has no cycle). The
+search itself refines only those SCCs, cut to the nodes reached without the
+forbidden ones. A player's region is solved when it first loses in a
+searched set, since only a loser has a reason to deviate. The winners and
+the tracker states along a found lasso are read off its product nodes. The
+lasso plus the losers' punishment tables, each cut to the nodes the loser's
+deviations reach, form the equilibrium certificate; `check_certificate`
+checks it without the game solver and without building the unfolding, by
+an emptiness test per loser on the graph its table leaves. It replays the
 outcome with `unfolding.lift` and runs the trackers over it, which the
-solver does neither; it shares with the solver only
-`unfolding.credit_after` (through `step` and `lift`), the objective
-trackers and the SCC kernel, and steps only the unfolded states a
-deviation or a table entry reaches.
+solver does neither; its saturating step is `unfolding.credit_after`
+(through `step` and `lift`), which the solver's `unfold` does not call. It
+shares with the solver only the objective trackers and the SCC kernel, and
+steps only the unfolded states a deviation or a table entry reaches.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from functools import cache, reduce
+from collections import Counter, deque
+from functools import reduce
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
@@ -113,17 +114,20 @@ class WitnessProduct(NamedTuple):
     """The reachable, sink-free part of the unfolding in product with the
     system's component and a list of trackers. A node is (the id of an
     unfolded state, each component's state after reading the state's
-    letter, the system's first); nodes are numbered once, and the search
-    runs on the numbers. An accepted lasso loops in one of `sccs` (forbidding
-    nodes only splits SCCs) with an even top in the system's and each
-    winner's component, so `solve` skips a winner set that no mask holds."""
+    letter, the system's first); nodes are numbered once, breadth-first from
+    the initial ones, and the search runs on the numbers. An accepted lasso
+    loops in one of `sccs` (forbidding nodes only splits SCCs) with an even
+    top in the system's and each winner's component, so `solve` skips a
+    winner set that no mask holds, and `find_witness_lasso` refines only the
+    SCCs whose mask holds it."""
 
     nodes: list  # id -> node
     initials: list  # ids
     succ: list  # id -> its successor ids, in a deterministic order
     priority: list  # id -> each component's priority, the system's first
     sccs: list  # the SCCs that hold a cycle, each a list of ids
-    masks: set  # the SCCs' masks: bit k set when a node has an even priority in component k
+    masks: list  # SCC index -> bit k set when a node has an even priority in component k
+    scc_of: list  # id -> the index of its SCC in `sccs`, or -1 on no cycle
 
 
 def witness_product(
@@ -134,46 +138,74 @@ def witness_product(
 ) -> WitnessProduct:
     """Build the product once; every winner set is searched on it. Each
     component is a parity condition on its states' priorities; the system's
-    `step` lists its states after a letter (see `system_component`). Each
-    transition and priority is computed once per solve, whatever the number
-    of product nodes that share it."""
-    labels, states, u_succ = u.labels, u.states, u.succ
+    `step` lists its states after a letter (see `system_component`). The
+    tuples of component states are interned, and each transition is
+    computed once per (tuple, letter) as a list of the tuples' indices;
+    a node is keyed by its tuple's index times |U| plus its unfolded state's
+    id while the product is built, so each edge costs one integer lookup."""
+    labels, u_succ, n = u.labels, u.succ, len(u.states)
+    sink = n - 1 if u.states[-1] is BOT else -1  # the search never enters the sink
+    letter_of = {x: k for k, x in enumerate(dict.fromkeys(labels))}
+    letter = [letter_of[x] for x in labels]
+    letters = list(letter_of)
+    qids: dict = {}  # component states, the system's first -> their index
+    qstates: list = []  # index -> component states
+    table: list = []  # index -> letter id -> the indices after it, times n, or None
 
-    @cache
-    def after(qs, letter):
+    def intern(qs) -> int:
+        j = qids.get(qs)
+        if j is None:
+            j = qids[qs] = len(qstates)
+            qstates.append(qs)
+            table.append([None] * len(letters))
+        return j
+
+    def after(j, x) -> list:
+        qs, letter = qstates[j], letters[x]
         rest = [t.step(q, letter) for t, q in zip(trackers, qs[1:])]
-        return [(q, *rest) for q in system.step(qs[0], letter)]
+        table[j][x] = offsets = [intern((q, *rest)) * n for q in system.step(qs[0], letter)]
+        return offsets
 
-    @cache
-    def priority_of(qs):
-        return (system.priority(qs[0]), *[t.priority(q) for t, q in zip(trackers, qs[1:])])
-
-    start = (system.initial, *[t.initial for t in trackers])
-    nodes = [(u.initial, qs) for qs in after(start, labels[u.initial])]
-    initials = list(range(len(nodes)))
-    ids = {node: k for k, node in enumerate(nodes)}
+    start = intern((system.initial, *[t.initial for t in trackers]))
+    keys = [offset + u.initial for offset in after(start, letter[u.initial])]
+    initials = list(range(len(keys)))
+    ids = {key: k for k, key in enumerate(keys)}
     succ = []
-    for s, qs in nodes:  # breadth-first: the list grows while it is read
+    for key in keys:  # breadth-first: the list grows while it is read
+        j, s = divmod(key, n)
+        row = table[j]
         out = []
         for t in u_succ[s]:
-            if states[t] is not BOT:  # the search never enters the sink
-                for qt in after(qs, labels[t]):
-                    nxt = (t, qt)
+            if t != sink:
+                offsets = row[letter[t]]
+                if offsets is None:
+                    offsets = after(j, letter[t])
+                for offset in offsets:
+                    nxt = offset + t
                     k = ids.get(nxt)
                     if k is None:
-                        if len(nodes) >= max_product:
+                        if len(keys) >= max_product:
                             raise BudgetExceededError(
                                 f"synchronous product exceeds the budget of {max_product}"
                             )
-                        k = ids[nxt] = len(nodes)
-                        nodes.append(nxt)
+                        k = ids[nxt] = len(keys)
+                        keys.append(nxt)
                     out.append(k)
         succ.append(out)
-    priority = [priority_of(qs) for _, qs in nodes]
+    prio = [(system.priority(qs[0]), *[t.priority(q) for t, q in zip(trackers, qs[1:])])
+            for qs in qstates]
+    even = [sum(1 << k for k, x in enumerate(p) if x % 2 == 0) for p in prio]
+    where = [key // n for key in keys]  # id -> its component states' index
+    nodes = [(key % n, qstates[j]) for key, j in zip(keys, where)]
+    del keys, ids  # the build's keys are not needed by the SCC pass
+    priority = [prio[j] for j in where]
     sccs = _cyclic_sccs(set(range(len(nodes))), succ.__getitem__)
-    even = cache(lambda p: sum(1 << k for k, x in enumerate(p) if x % 2 == 0))
-    masks = {reduce(int.__or__, map(even, set(map(priority.__getitem__, comp)))) for comp in sccs}
-    return WitnessProduct(nodes, initials, succ, priority, sccs, masks)
+    masks = [reduce(int.__or__, {even[where[v]] for v in comp}) for comp in sccs]
+    scc_of = [-1] * len(nodes)
+    for j, comp in enumerate(sccs):
+        for v in comp:
+            scc_of[v] = j
+    return WitnessProduct(nodes, initials, succ, priority, sccs, masks, scc_of)
 
 
 def _cyclic_sccs(nodes: AbstractSet, successors) -> list:
@@ -202,6 +234,9 @@ def find_witness_lasso(
     if product.initials and not initials:
         raise NoWitness("initial state forbidden")
     successors, prio = product.succ.__getitem__, product.priority
+    components = (0, *(k + 1 for k in winners))
+    need = sum(1 << k for k in components)
+    sccs, masks = product.sccs, product.masks
     if forbidden:
         seen, stack = set(initials), list(initials)
         while stack:
@@ -209,17 +244,31 @@ def find_witness_lasso(
                 if nxt not in seen and nxt not in forbidden:
                     seen.add(nxt)
                     stack.append(nxt)
-        # every SCC lies in `seen`, whose nodes are all allowed
-        allowed, pending = seen.__contains__, _cyclic_sccs(seen, successors)
-    else:  # every node is reachable and allowed: start from the product's SCCs
-        allowed, pending = None, list(product.sccs)
+        # every SCC of the restricted product lies in `seen`, whose nodes are
+        # all allowed, and in one SCC of the product: a product SCC inside
+        # `seen` stays whole, the nodes in `seen` of the others are split
+        # again, in one pass for the SCCs whose mask holds `need` (the
+        # pending ones) and, only if those hold no cycle, one for the rest
+        whole, split = ([], []), ([], [])  # each (mask fails, mask holds)
+        for j, count in Counter(map(product.scc_of.__getitem__, seen)).items():
+            if j >= 0:
+                held = masks[j] & need == need
+                (whole if count == len(sccs[j]) else split)[held].append(sccs[j])
 
-    components = (0, *(k + 1 for k in winners))
+        def resplit(comps):
+            return _cyclic_sccs({n for comp in comps for n in comp if n in seen}, successors)
+
+        allowed = seen.__contains__
+        pending = whole[1] + resplit(split[1]) if split[1] else whole[1]
+        cyclic = bool(pending or whole[0] or split[0] and resplit(split[0]))
+    else:  # every node is reachable and allowed: start from the product's SCCs
+        allowed, cyclic = None, bool(sccs)
+        pending = [comp for comp, mask in zip(sccs, masks) if mask & need == need]
+
     # a nontrivial SCC whose top priorities are all even is accepting; else
     # its nodes carrying an odd top lie on no accepting cycle, so drop them
     # and split the rest again
     accepting: dict = {}  # node -> (its accepting SCC, that SCC's tops per component)
-    cyclic = bool(pending)
     while pending:
         comp = pending.pop()
         top = tuple(map(max, zip(*(prio[node] for node in comp))))
@@ -330,9 +379,10 @@ def solve(
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
     pruned = "no accepting SCC" if product.sccs else "no cycle in the restricted product"
+    masks = set(product.masks)
     for winner_set in _winner_sets(a.players):
         need = sum(1 << i for i in winner_set) | 1  # the system is component 0
-        if not any(m & need == need for m in product.masks):
+        if not any(m & need == need for m in masks):
             diagnostics.append((tuple(sorted(winner_set)), pruned))
             continue
         for i in players:

@@ -9,7 +9,7 @@ later layer reads successors, owners and labels by those numbers.
 from __future__ import annotations
 
 from math import prod
-from operator import add, mul
+from operator import add, floordiv
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import arena as arena_mod
@@ -128,9 +128,12 @@ def unfold(
     """Breadth-first construction of the reachable bounded unfolding, as
     `step` reads it. A state (s, c) is keyed by one integer in its natural
     tuple order: s's place among the sorted base states, then c in mixed
-    radix over the capacities. Each credit after an edge is computed once
-    per (credit, cost) pair. States are numbered as found, the sink as -1,
-    and renumbered at the end in key order, the sink last."""
+    radix over the capacities, the sum of one key part per component. The
+    saturating step runs once per (credit, cost) pair, as a sum of the key
+    parts after each component's cost, each part computed once per digit
+    reached; nothing grows with the capacities. States are numbered as
+    found, the sink as -1, and renumbered at the end in key order, the sink
+    last."""
     b = checked_bounds(a, bounds)
     names = sorted(a.states)
     place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
@@ -139,12 +142,15 @@ def unfold(
     where = {s: k * width for k, s in enumerate(names)}
     cost_id = {w: k for k, w in enumerate(costs)}
     moves = [[(where[t], cost_id[a.edges[(s, t)]]) for t in a.successors(s)] for s in names]
-    credits = {0: (0,) * a.dimensions}  # credit key -> credit vector
-    after: dict = {}  # credit key * len(costs) + cost index -> credit key after, or -1
+    # parts[w][i]: component i's key part -> its key part after cost w, or
+    # -width when it goes below zero, so that the sum is negative
+    parts = [[_KeyParts(p, wi, v * p, width) for p, wi, v in zip(place, w, b)] for w in costs]
+    credits = {0: (0,) * a.dimensions}  # credit key -> its key parts
+    after: dict = {}  # credit key * len(costs) + cost index -> credit key after, or < 0
     found = [where[a.initial]]
     index = {found[0]: 0}
     succ: list[list[int]] = []
-    m, sink, clipped = len(costs), False, False
+    m, sink, getpart = len(costs), False, _KeyParts.__getitem__
     for key in found:  # breadth-first: the list grows while it is read
         s, c = divmod(key, width)
         out = []
@@ -152,10 +158,10 @@ def unfold(
         for base, w in moves[s]:
             c2 = after.get(c * m + w)
             if c2 is None:
-                vec, saturated = credit_after(credits[c], costs[w], b)
-                clipped = clipped or saturated
-                c2 = after[c * m + w] = -1 if vec is None else sum(map(mul, vec, place))
-                credits[c2] = vec  # credits[-1] is never read
+                c2parts = tuple(map(getpart, parts[w], credits[c]))
+                c2 = after[c * m + w] = sum(c2parts)
+                if c2 >= 0:
+                    credits[c2] = c2parts
             if c2 < 0:
                 to_bot = True
                 continue
@@ -175,14 +181,36 @@ def unfold(
     rank = [n] * (n + 1)  # rank[-1] is the sink's id
     for new, old in enumerate(order):
         rank[old] = new
+    for c, ps in credits.items():  # key parts -> credit vector
+        credits[c] = tuple(map(floordiv, ps, place))
     states = [(names[found[k] // width], credits[found[k] % width]) for k in order]
     return UnfoldedArena(
         a, b, rank[0], tuple(states) + (BOT,) * sink,
         [[rank[j] for j in succ[k]] for k in order] + [[n]] * sink,
         [a.owner[s] for s, _ in states] + [1] * sink,
         [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
-        clipped,
+        any(t.saturated for row in parts for t in row),
     )
+
+
+class _KeyParts(dict):
+    """One component's key part before a cost -> its key part after, filled
+    as parts are reached: the credit `v` at `place` becomes min(v + cost,
+    bound), or -width below zero. `saturated` records whether a filled
+    entry exceeded the bound, which is whether some step from a reached
+    credit with that cost saturated the component."""
+
+    def __init__(self, place: int, cost: int, top: int, width: int):
+        super().__init__()
+        self.place, self.cost, self.top, self.width = place, cost, top, width
+        self.saturated = False
+
+    def __missing__(self, part: int) -> int:
+        raw = part + self.cost * self.place
+        if raw > self.top:
+            self.saturated, raw = True, self.top
+        self[part] = after = raw if raw >= 0 else -self.width
+        return after
 
 
 def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:

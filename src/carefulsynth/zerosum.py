@@ -32,7 +32,9 @@ MAX_PRIORITY = 16
 
 class ZeroSumGame:
     """A parity game on the ids 0..n-1, lists indexed by id: the protagonist
-    wins a play iff its top priority seen infinitely often is even."""
+    wins a play iff its top priority seen infinitely often is even. The
+    `succ` lists are read-only: `tracker_product` shares them with the
+    unfolding it was built from."""
 
     def __init__(self, succ: list[list[int]], is_protagonist: list[bool], priority: list[int]):
         self.succ = succ
@@ -281,24 +283,32 @@ def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> tuple[li
     """`player`'s punishment game: the part of the unfolding x tracker
     reachable from every state's start node (k, the tracker state after
     reading state k), numbered breadth-first from the start nodes in id
-    order. Returns the nodes by id and the game on the ids. A node carries
-    the tracker state after its own letter, so a tracker whose state is the
-    current letter's verdict (G F, F G) adds no nodes. The sink gets
+    order, so start node k has id k. Returns the nodes by id and the game
+    on the ids. A node carries the tracker state after its own letter, so a
+    tracker whose state is the current letter's verdict (G F, F G) adds no
+    nodes. Where every successor of a node is a start node, its successor
+    list is `u.succ`'s own list, shared and never written; only a node
+    whose tracker state leads elsewhere gets a list of its own, and only
+    nodes past the start nodes are looked up by (k, q). The sink gets
     priority 1, so carefulness stays losing."""
     step, labels, u_succ, owner, states = cache(tracker.step), u.labels, u.succ, u.owner, u.states
-    nodes = list(dict.fromkeys((k, step(tracker.initial, x)) for k, x in enumerate(labels)))
-    ids = {node: j for j, node in enumerate(nodes)}
+    start = [step(tracker.initial, x) for x in labels]
+    nodes = list(enumerate(start))
+    ids: dict = {}  # the nodes past the start nodes
     succ = []
     for s, q in nodes:  # breadth-first: the list grows while it is read
         out = []
         for t in u_succ[s]:
-            nxt = (t, step(q, labels[t]))
-            j = ids.get(nxt)
+            qt = step(q, labels[t])
+            if qt == start[t]:
+                out.append(t)
+                continue
+            j = ids.get((t, qt))
             if j is None:
-                j = ids[nxt] = len(nodes)
-                nodes.append(nxt)
+                j = ids[(t, qt)] = len(nodes)
+                nodes.append((t, qt))
             out.append(j)
-        succ.append(out)
+        succ.append(u_succ[s] if out == u_succ[s] else out)
     game = ZeroSumGame(
         succ=succ,
         is_protagonist=[owner[s] == player for s, _ in nodes],

@@ -4,15 +4,23 @@ The oracles here deliberately avoid the library's solver code paths: they
 enumerate memoryless strategies and analyze the induced one-player graphs
 with plain cycle/reachability arguments, or run naive set-iteration
 fixpoints. Memoryless determinacy of the supported objectives makes these
-enumerations exact references. The one exception is `oracle_solve`, the
+enumerations exact references. The exceptions are `oracle_solve`, the
 solver's loop over winner sets without its pruning, kept as the reference
-that the pruning changes no verdict, certificate or searched set's reason.
+that the pruning changes no verdict, certificate or searched set's reason,
+and the straightforward forms of three solver passes that were rewritten
+for speed: `reference_unfold`, `reference_tracker_product` and
+`reference_find_witness_lasso`, which must return what the package's
+passes return.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from functools import cache
+from math import prod
+from operator import mul
 from typing import NamedTuple
 
 from carefulsynth import ltl
@@ -21,12 +29,17 @@ from carefulsynth.errors import (
     DocumentSemanticError, UnsupportedObjectiveError, expect, load_json, member,
 )
 from carefulsynth.ltl import FragmentClass
+from carefulsynth._graphs import shortest_path
 from carefulsynth.synthesis import (
-    NoWitness, SolveResult, StrategyProfile, _reached_entries, _winner_sets,
-    find_witness_lasso, outcome_lasso, system_component, witness_product,
+    NoWitness, SolveResult, StrategyProfile, _cyclic_sccs, _reached_entries, _winner_sets,
+    outcome_lasso, system_component, witness_product,
 )
-from carefulsynth.unfolding import BOT, UnfoldedArena, UState, unfold
-from carefulsynth.zerosum import ZeroSumGame, objective_tracker, punish_region
+from carefulsynth.unfolding import (
+    BOT, UnfoldedArena, UState, checked_bounds, credit_after, unfold,
+)
+from carefulsynth.zerosum import (
+    PunishRegions, ZeroSumGame, objective_tracker, parse_dpa, solve_parity,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +709,32 @@ def random_fragment_arena(rng: random.Random, shapes=FRAGMENT_SHAPES):
     return a, tuple(rng.randrange(0, 3) for _ in range(a.dimensions))
 
 
+def reach_dpa(objective: ltl.Formula):
+    """A two-state parity automaton for `F beta` over ARENA_ATOMS, with
+    string states: it waits until a letter satisfies beta, then stays
+    good."""
+    beta = ltl.classify_fragment(objective).beta
+    transitions = [{"src": "good", "dst": "good"}]
+    for r in range(len(ARENA_ATOMS) + 1):
+        for pos in itertools.combinations(ARENA_ATOMS, r):
+            neg = [x for x in ARENA_ATOMS if x not in pos]
+            dst = "good" if ltl.eval_bool(beta, frozenset(pos)) else "wait"
+            transitions.append({"src": "wait", "pos": list(pos), "neg": neg, "dst": dst})
+    return parse_dpa(json.dumps({
+        "states": ["wait", "good"], "initial": "wait", "priorities": {"wait": 1, "good": 2},
+        "transitions": transitions,
+    }))
+
+
+def reach_dpas(a: Arena) -> dict:
+    """Every `F` player's objective of `a` as a parity automaton."""
+    return {
+        i: reach_dpa(a.objective_of(i))
+        for i in range(1, a.players + 1)
+        if ltl.classify_fragment(a.objective_of(i)).kind == FragmentClass.REACH
+    }
+
+
 def random_punishable_arena(rng: random.Random):
     """A random arena in which one player's deviations lead into coalition
     states that can punish or concede, so that losers' tables have entries:
@@ -910,16 +949,169 @@ def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dic
 
 
 # ---------------------------------------------------------------------------
+# Reference forms of the solver's rewritten passes
+
+
+def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
+    """`unfolding.unfold` as it read before it stepped credits by component:
+    every (credit, cost) pair through `credit_after`, whose flag sets
+    `clipped`, with the same numbering."""
+    b = checked_bounds(a, bounds)
+    names = sorted(a.states)
+    place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
+    width = prod(v + 1 for v in b)
+    costs = list(dict.fromkeys(a.edges.values()))
+    where = {s: k * width for k, s in enumerate(names)}
+    cost_id = {w: k for k, w in enumerate(costs)}
+    moves = [[(where[t], cost_id[a.edges[(s, t)]]) for t in a.successors(s)] for s in names]
+    credits = {0: (0,) * a.dimensions}
+    after: dict = {}
+    found = [where[a.initial]]
+    index = {found[0]: 0}
+    succ: list[list[int]] = []
+    m, sink, clipped = len(costs), False, False
+    for key in found:
+        s, c = divmod(key, width)
+        out = []
+        to_bot = False
+        for base, w in moves[s]:
+            c2 = after.get(c * m + w)
+            if c2 is None:
+                vec, saturated = credit_after(credits[c], costs[w], b)
+                clipped = clipped or saturated
+                c2 = after[c * m + w] = -1 if vec is None else sum(map(mul, vec, place))
+                credits[c2] = vec
+            if c2 < 0:
+                to_bot = True
+                continue
+            k = index.get(base + c2)
+            if k is None:
+                k = index[base + c2] = len(found)
+                found.append(base + c2)
+            out.append(k)
+        if to_bot:
+            out.append(-1)
+            sink = True
+        succ.append(out)
+    n = len(found)
+    order = sorted(range(n), key=found.__getitem__)
+    rank = [n] * (n + 1)
+    for new, old in enumerate(order):
+        rank[old] = new
+    states = [(names[found[k] // width], credits[found[k] % width]) for k in order]
+    return UnfoldedArena(
+        a, b, rank[0], tuple(states) + (BOT,) * sink,
+        [[rank[j] for j in succ[k]] for k in order] + [[n]] * sink,
+        [a.owner[s] for s, _ in states] + [1] * sink,
+        [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
+        clipped,
+    )
+
+
+def reference_tracker_product(u: UnfoldedArena, player: int, tracker) -> tuple[list, ZeroSumGame]:
+    """`zerosum.tracker_product` as it read before it shared `u.succ`'s
+    lists: every node, start nodes included, looked up by its (k, q) tuple,
+    and every successor list built anew."""
+    step, labels, u_succ, owner, states = cache(tracker.step), u.labels, u.succ, u.owner, u.states
+    nodes = list(dict.fromkeys((k, step(tracker.initial, x)) for k, x in enumerate(labels)))
+    ids = {node: j for j, node in enumerate(nodes)}
+    succ = []
+    for s, q in nodes:
+        out = []
+        for t in u_succ[s]:
+            nxt = (t, step(q, labels[t]))
+            j = ids.get(nxt)
+            if j is None:
+                j = ids[nxt] = len(nodes)
+                nodes.append(nxt)
+            out.append(j)
+        succ.append(out)
+    game = ZeroSumGame(
+        succ=succ,
+        is_protagonist=[owner[s] == player for s, _ in nodes],
+        priority=[1 if states[s] is BOT else tracker.priority(q) for s, q in nodes],
+    )
+    return nodes, game
+
+
+def reference_punish_region(u: UnfoldedArena, player: int, tracker) -> PunishRegions:
+    """`zerosum.punish_region` on `reference_tracker_product`'s game."""
+    nodes, game = reference_tracker_product(u, player, tracker)
+    regions = solve_parity(game)
+    table = {nodes[j]: nodes[t][0] for j, t in regions.antagonist_strategy.items()}
+    return PunishRegions(frozenset(nodes[k] for k in regions.protagonist), table)
+
+
+def reference_find_witness_lasso(product, winners, forbidden):
+    """`synthesis.find_witness_lasso` as it read before it refined only the
+    SCCs whose mask holds the winner set: with forbidden nodes, one Tarjan
+    pass over every node reachable without them, and the refinement of
+    every cyclic SCC found."""
+    initials = [n for n in product.initials if n not in forbidden]
+    if product.initials and not initials:
+        raise NoWitness("initial state forbidden")
+    successors, prio = product.succ.__getitem__, product.priority
+    if forbidden:
+        seen, stack = set(initials), list(initials)
+        while stack:
+            for nxt in successors(stack.pop()):
+                if nxt not in seen and nxt not in forbidden:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        allowed, pending = seen.__contains__, _cyclic_sccs(seen, successors)
+    else:
+        allowed, pending = None, list(product.sccs)
+    components = (0, *(k + 1 for k in winners))
+    accepting: dict = {}
+    cyclic = bool(pending)
+    while pending:
+        comp = pending.pop()
+        top = tuple(map(max, zip(*(prio[node] for node in comp))))
+        tops = [(k, top[k]) for k in components]
+        odd = [(k, p) for k, p in tops if p % 2]
+        if odd:
+            rest = {n for n in comp if all(prio[n][k] != p for k, p in odd)}
+            if rest:
+                pending += _cyclic_sccs(rest, successors)
+            continue
+        compset = set(comp)
+        for node in comp:
+            accepting[node] = (compset, tops)
+    if not accepting:
+        raise NoWitness("no accepting SCC" if cyclic else "no cycle in the restricted product")
+    stem_path = shortest_path(initials, successors, accepting.__contains__, allowed=allowed)
+    anchor = stem_path[-1]
+    comp, tops = accepting[anchor]
+    loop_nodes = [anchor]
+    for k, top in tops:
+        if any(prio[n][k] == top for n in loop_nodes):
+            continue
+        seg = shortest_path(
+            loop_nodes[-1:], successors, lambda n: prio[n][k] == top, allowed=comp.__contains__
+        )
+        loop_nodes.extend(seg[1:])
+    back = shortest_path(
+        successors(loop_nodes[-1]), successors, lambda n: n == anchor, allowed=comp.__contains__
+    )
+    loop_nodes.extend(back[:-1])
+    loop = tuple(loop_nodes)
+    return tuple(stem_path[:-1]) or loop, loop
+
+
+# ---------------------------------------------------------------------------
 # The unpruned solver loop and many-player arenas
 
 
 def oracle_solve(a: Arena, bounds, dpas=None):
     """`synthesis.solve` without its winner-set pruning: every winner set is
     searched in turn, with each loser's punishment region solved the first
-    time it loses. A forbidden id outside the product makes every search
-    run its own reachability and SCC pass, whatever the losers forbid."""
+    time it loses. It unfolds, builds the region games and searches with
+    the reference passes above; a forbidden id outside the product makes
+    every search run its own reachability and SCC pass, whatever the
+    losers forbid. Each search is `reference_find_witness_lasso` as this
+    module's global, looked up at each call."""
     dpas = dict(dpas or {})
-    u = unfold(a, bounds)
+    u = reference_unfold(a, bounds)
     players = list(range(1, a.players + 1))
     trackers = {}
     for i in players:
@@ -934,14 +1126,16 @@ def oracle_solve(a: Arena, bounds, dpas=None):
     for winner_set in _winner_sets(a.players):
         for i in players:
             if i not in winner_set and i not in regions:
-                regions[i] = punish_region(u, i, trackers[i])
+                regions[i] = reference_punish_region(u, i, trackers[i])
                 blocked[i] = {
                     k for k, (s, qs) in enumerate(product.nodes)
                     if u.owner[s] == i and (s, qs[i]) in regions[i].win
                 }
         forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])
         try:
-            stem, loop = find_witness_lasso(product, [i - 1 for i in sorted(winner_set)], forbidden)
+            stem, loop = reference_find_witness_lasso(
+                product, [i - 1 for i in sorted(winner_set)], forbidden
+            )
         except NoWitness as e:
             diagnostics.append((tuple(sorted(winner_set)), str(e)))
             continue

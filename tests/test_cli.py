@@ -487,6 +487,11 @@ def test_stats_reports_sizes(fig1_path, capsys):
             re.compile("8 players seed 4: no-solution, 0 searched, 256 pruned, 0 regions, \\d+ ms"),
             id="many_players.py",
         ),
+        pytest.param(
+            "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
+            re.compile("fig1@80,80( \\d+\\.\\d\\d){6}"),
+            id="layer_times.py",
+        ),
     ],
 )
 def test_scripts_run(script, args, line):

@@ -24,6 +24,7 @@ from carefulsynth.synthesis import (
 from carefulsynth.unfolding import BOT, unfold
 from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
+import genutils
 from genutils import (
     ARENA_ATOMS,
     REACH_SAFE_SHAPES,
@@ -40,6 +41,7 @@ from genutils import (
     random_many_player_arena,
     random_punishable_arena,
     random_word,
+    reach_dpas,
     state_table,
 )
 
@@ -178,7 +180,7 @@ def _check_product_laws(u, system, trackers):
     assert len(set(nodes)) == len(nodes) == len(product.succ) == len(product.priority)
     start = (system_start, *[tr.initial for tr in trackers])
     assert [nodes[k] for k in product.initials] == after(start, u.initial)
-    reached = set(product.initials)
+    order = dict.fromkeys(product.initials)  # breadth-first from the initial nodes
     for k, (s, qs) in enumerate(nodes):
         expected = [n for t in u.succ[s] if u.states[t] is not BOT for n in after(qs, t)]
         assert [nodes[j] for j in product.succ[k]] == expected
@@ -186,8 +188,8 @@ def _check_product_laws(u, system, trackers):
             system_priority(qs[0]),
             *[tr.priority(x) for tr, x in zip(trackers, qs[1:])],
         )
-        reached.update(product.succ[k])
-    assert reached == set(range(len(nodes)))  # every node is reachable
+        order.update(dict.fromkeys(product.succ[k]))
+    assert list(order) == list(range(len(nodes)))  # every node reachable, numbered as found
     witness_product(u, component, trackers, max_product=len(nodes))
     if len(nodes) > len(product.initials):  # only a node found after them can exceed it
         with pytest.raises(BudgetExceededError):
@@ -309,7 +311,7 @@ def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
     pruned_sets = 0
     for case in itertools.product(range(seeds), [False, True]):
         a, bounds = generator(random.Random(case[0]))
-        dpas = _reach_dpas(a) if case[1] else None  # F players also as automata
+        dpas = reach_dpas(a) if case[1] else None  # F players also as automata
         got, products, searched = _searched_by_solve(monkeypatch, a, bounds, dpas)
         want = oracle_solve(a, bounds, dpas)
         assert got._replace(diagnostics=()) == want._replace(diagnostics=()), case
@@ -324,6 +326,44 @@ def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
                 pruned_sets += 1
                 assert reason == pruned, (case, w)
     assert pruned_sets > 2 * seeds
+
+
+def _search_outcome(search, product, winners, forbidden):
+    try:
+        return search(product, winners, forbidden)
+    except NoWitness as e:
+        return str(e)
+
+
+@pytest.mark.parametrize(
+    "generator, seeds",
+    [
+        (random_fragment_arena, 400),
+        (random_punishable_arena, 300),
+        (random_many_player_arena, 150),
+    ],
+)
+def test_witness_search_equals_the_full_pass(monkeypatch, generator, seeds):
+    # on every (winner set, forbidden) pair the oracle searches, with and
+    # without its forbidden id outside the product: the same stem and loop,
+    # or the same NoWitness message, as the full reachability and SCC pass
+    seen, reference = collections.Counter(), genutils.reference_find_witness_lasso
+
+    def both(product, winners, forbidden):
+        want = _search_outcome(reference, product, winners, forbidden)
+        for f in (forbidden, forbidden - {-1}):
+            assert _search_outcome(find_witness_lasso, product, winners, f) == want
+        seen[want if isinstance(want, str) else "found"] += 1
+        seen["forbidden"] += len(forbidden) > 1
+        if isinstance(want, str):
+            raise NoWitness(want)
+        return want
+
+    monkeypatch.setattr(genutils, "reference_find_witness_lasso", both)
+    for seed, automata in itertools.product(range(seeds), [False, True]):
+        a, bounds = generator(random.Random(seed))
+        oracle_solve(a, bounds, reach_dpas(a) if automata else None)
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 def test_fig1_searches_only_the_sets_its_masks_hold(monkeypatch, fig1):
@@ -485,28 +525,6 @@ def test_solve_with_automaton_objective_matches_formula_solve(fig1):
     assert not check_certificate(fig1, (3, 3), via_dpa.profile, dpas={1: dpa})
 
 
-def _reach_dpa(objective):
-    """The two-state automaton of DPA_F_CIRC's shape for `F beta`: it waits
-    until a letter over the arena atoms satisfies beta, then stays good."""
-    beta = ltl.classify_fragment(objective).beta
-    transitions = [{"src": "good", "dst": "good"}]
-    for r in range(len(ARENA_ATOMS) + 1):
-        for pos in itertools.combinations(ARENA_ATOMS, r):
-            neg = [x for x in ARENA_ATOMS if x not in pos]
-            dst = "good" if ltl.eval_bool(beta, frozenset(pos)) else "wait"
-            transitions.append({"src": "wait", "pos": list(pos), "neg": neg, "dst": dst})
-    return parse_dpa(json.dumps({**DPA_F_CIRC, "transitions": transitions}))
-
-
-def _reach_dpas(a):
-    """Every `F` player's objective of `a` as a parity automaton."""
-    return {
-        i: _reach_dpa(a.objective_of(i))
-        for i in range(1, a.players + 1)
-        if ltl.classify_fragment(a.objective_of(i)).kind == ltl.FragmentClass.REACH
-    }
-
-
 def test_automaton_objectives_solve_and_check_like_their_formulas():
     # every F player is also given as an automaton whose states are strings:
     # the winners and the deviation starts read off the product must not
@@ -515,7 +533,7 @@ def test_automaton_objectives_solve_and_check_like_their_formulas():
     solved = dpa_losers = dpa_tables = dpa_winners = 0
     for seed in range(1000):
         a, bounds = random_fragment_arena(random.Random(seed))
-        dpas = _reach_dpas(a)
+        dpas = reach_dpas(a)
         if not dpas:
             continue
         direct, via_dpa = solve(a, bounds), solve(a, bounds, dpas=dpas)

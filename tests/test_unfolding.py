@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,14 @@ from carefulsynth.unfolding import (
     unfolded_to_arena,
 )
 
-from genutils import project, random_arena, saturating_add
+from genutils import (
+    project,
+    random_arena,
+    random_fragment_arena,
+    random_many_player_arena,
+    reference_unfold,
+    saturating_add,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +215,62 @@ def test_unfolding_laws_on_random_arenas(seed):
     a = random_arena(rng)
     bounds = tuple(rng.randrange(0, 4) for _ in range(a.dimensions))
     _check_laws(a, unfold(a, bounds), bounds)
+
+
+def test_unfold_equals_the_reference():
+    # the credits stepped by component against `credit_after` per (credit,
+    # cost) pair: the same states, numbering, successors and `clipped`
+    clipped = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        a = random_arena(rng)
+        bounds = tuple(rng.randrange(0, 4) for _ in range(a.dimensions))
+        cases = [(a, bounds), random_fragment_arena(rng), random_many_player_arena(rng)]
+        for arena, b in cases:
+            u = unfold(arena, b)
+            assert u == reference_unfold(arena, b), seed
+            clipped += u.clipped
+    assert 100 <= clipped <= 1100
+
+
+def _one_state_arena(costs):
+    return build_arena(
+        players=1,
+        dimensions=len(costs[0]),
+        states=["s"] + [f"t{k}" for k in range(len(costs))],
+        owner={"s": 1, **{f"t{k}": 1 for k in range(len(costs))}},
+        initial="s",
+        edges={("s", f"t{k}"): w for k, w in enumerate(costs)}
+        | {(f"t{k}", f"t{k}"): (0,) * len(costs[0]) for k in range(len(costs))},
+        atoms=[],
+        labels={},
+        system_objective=ltl.TRUE,
+        player_objectives=(ltl.TRUE,),
+    )
+
+
+def test_an_edge_that_underflows_while_it_saturates_is_clipped():
+    # from (0, 0) at (1, 1) the cost (-1, 2) goes below zero in the first
+    # component and above the bound in the second: the sink, and clipped
+    for costs, clipped in [([(-1, 2)], True), ([(-1, 1)], False), ([(-1, 1), (0, 2)], True)]:
+        a = _one_state_arena(costs)
+        u = unfold(a, (1, 1))
+        assert u == reference_unfold(a, (1, 1))
+        assert BOT in u.states and u.clipped == clipped
+
+
+def test_unfold_allocates_nothing_per_unit_of_capacity():
+    # costs at most 0 reach a few states at any capacity; a table over the
+    # capacities would not fit in memory
+    a = _one_state_arena([(0, 0, 0), (-1, 0, 0), (0, 0, -2)])
+    tracemalloc.start()
+    try:
+        u = unfold(a, (10**12,) * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(u.states) == 3 and u.states[-1] is BOT and not u.clipped
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

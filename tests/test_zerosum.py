@@ -20,6 +20,8 @@ from carefulsynth.zerosum import (
     tracker_product,
 )
 
+from carefulsynth import synthesis
+
 from genutils import (
     LabelledGame,
     game_as_unfolding,
@@ -30,6 +32,10 @@ from genutils import (
     oracle_wins_against_table,
     random_fragment_arena,
     random_game,
+    random_many_player_arena,
+    random_punishable_arena,
+    reach_dpas,
+    reference_tracker_product,
     state_table,
 )
 
@@ -377,6 +383,86 @@ def test_region_game_laws(fig1, bounds):
         # F circ and F box reach both flags; F diam at (3,3) keeps one
         flags = _check_region_game_laws(u, i, objective_tracker(fig1.objective_of(i)))
         assert flags == {False, True} or i == 3
+
+
+@pytest.mark.parametrize(
+    "generator, seeds",
+    [(random_fragment_arena, 300), (random_punishable_arena, 200), (random_many_player_arena, 100)],
+)
+def test_region_game_equals_the_reference(generator, seeds):
+    # the game that shares `u.succ`'s lists against the one that builds
+    # every list and looks up every node by its tuple, for fragment players
+    # and for F players also given as automata; a node past the start nodes
+    # occurs where an F target leads back to states that are not targets
+    extra, shared = {False: 0, True: 0}, 0
+    for seed in range(seeds):
+        a, bounds = generator(random.Random(seed))
+        u, dpas = unfold(a, bounds), reach_dpas(a)
+        for i in range(1, a.players + 1):
+            for automaton in {False, i in dpas}:
+                tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
+                nodes, game = tracker_product(u, i, tracker)
+                ref_nodes, ref = reference_tracker_product(u, i, tracker)
+                assert nodes == ref_nodes, (seed, i, automaton)
+                assert (game.succ, game.is_protagonist, game.priority) == (
+                    ref.succ, ref.is_protagonist, ref.priority), (seed, i, automaton)
+                extra[automaton] += len(nodes) > len(u.states)
+                shared += sum(game.succ[k] is u.succ[k] for k in range(len(u.states)))
+    assert min(extra.values()) >= 40 and shared > 0, (extra, shared)
+
+
+def test_region_game_steps_an_automaton_only_on_letters_it_meets():
+    # an automaton need only be complete over the letters it meets: `good`
+    # has no move on {}, and no successor of a node at `good` is labelled {}
+    from carefulsynth.arena import build_arena
+
+    dpa = parse_dpa(json.dumps({
+        **DPA_FP,
+        "transitions": DPA_FP["transitions"][:2] + [{"src": "good", "pos": ["p"], "dst": "good"}],
+    }))
+    a = build_arena(
+        players=1,
+        dimensions=1,
+        states=["s0", "s1"],
+        owner={"s0": 1, "s1": 1},
+        initial="s0",
+        edges={("s0", "s1"): (0,), ("s1", "s1"): (0,)},
+        atoms=["p"],
+        labels={"s0": [], "s1": ["p"]},
+        system_objective=ltl.TRUE,
+        player_objectives=(ltl.parse_ltl("F p"),),
+    )
+    u = unfold(a, (1,))
+    tracker = objective_tracker(a.objective_of(1), dpa)
+    nodes, game = tracker_product(u, 1, tracker)
+    ref_nodes, ref = reference_tracker_product(u, 1, tracker)
+    assert nodes == ref_nodes == [(0, "wait"), (1, "good")]
+    assert (game.succ, game.priority) == (ref.succ, ref.priority)
+    result = synthesis.solve(a, (1,), {1: dpa})
+    assert result.status == "solution" and result.profile.winners == {1}
+
+
+def test_fig1_region_games_share_the_unfoldings_lists(monkeypatch, fig1):
+    # a node's successor list is `u.succ`'s own exactly where it is equal to
+    # it; and solving, which reads those lists, writes none of them
+    unfolded = []
+
+    def unfold_and_keep(*args):
+        u = unfold(*args)
+        unfolded.append((u, [list(out) for out in u.succ]))
+        return u
+
+    monkeypatch.setattr(synthesis, "unfold", unfold_and_keep)
+    for bounds in [(3, 3), (10, 10)]:
+        synthesis.solve(fig1, bounds)
+        u, before = unfolded[-1]
+        assert u.succ == before
+        for i in range(1, fig1.players + 1):
+            nodes, game = tracker_product(u, i, objective_tracker(fig1.objective_of(i)))
+            own = [u.succ[s] for s, _ in nodes]
+            assert [out is o for out, o in zip(game.succ, own)] == [
+                out == o for out, o in zip(game.succ, own)]
+            assert sum(out is o for out, o in zip(game.succ, own)) > len(u.states) // 2
 
 
 def test_region_game_laws_with_a_parity_automaton(fig1):
