@@ -10,7 +10,11 @@ fastest time of each call to `unfold`, `witness_product`,
 `tracker_product`, `solve_parity` and `find_witness_lasso`, summed over
 the calls of one solve (the calls come in the same order every run). The
 benchmark's tracer does not wrap `witness_product` or `tracker_product`;
-this script shows their share.
+this script shows their share. The line ends with the path each of those
+builds took in one more solve: `product=closed` when every tracker is
+closed on the arena's edges and the product is the sink-free unfolding,
+`regionI=closed` when player I's punishment game is the unfolding itself,
+and `=general` where the build searched the product node by node.
 """
 
 import argparse
@@ -34,6 +38,19 @@ LAYERS = [(synthesis, "unfold"), (synthesis, "witness_product"), (zerosum, "trac
           (zerosum, "solve_parity"), (synthesis, "find_witness_lasso")]
 
 
+def patched_solve(a, bounds, dpas, wrappers) -> None:
+    """One solve with each (module, name) in `wrappers` replaced by its
+    wrapper of the original function."""
+    saved = [(module, name, getattr(module, name)) for module, name in wrappers]
+    for module, name, fn in saved:
+        setattr(module, name, wrappers[module, name](name, fn))
+    try:
+        synthesis.solve(a, bounds, dpas)
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+
+
 def timed_solve(a, bounds, dpas) -> list[tuple[str, float]]:
     """One solve with every layer wrapped: each call's name and seconds."""
     calls = []
@@ -47,20 +64,40 @@ def timed_solve(a, bounds, dpas) -> list[tuple[str, float]]:
                 calls.append((name, time.perf_counter() - start))
         return call
 
-    saved = [(module, name, getattr(module, name)) for module, name in LAYERS]
-    for module, name, fn in saved:
-        setattr(module, name, wrap(name, fn))
-    try:
-        synthesis.solve(a, bounds, dpas)
-    finally:
-        for module, name, fn in saved:
-            setattr(module, name, fn)
+    patched_solve(a, bounds, dpas, {layer: wrap for layer in LAYERS})
     return calls
 
 
-def instance_times(inst, repeat: int) -> dict[str, float]:
+def build_paths(a, bounds, dpas) -> list[str]:
+    """Which path the witness product and each region game took in one
+    solve: closed when every closure test its build ran passed."""
+    verdicts, paths = [], []
+
+    def test(name, fn):
+        def call(*args):
+            verdicts.append(fn(*args))
+            return verdicts[-1]
+        return call
+
+    def build(name, fn):
+        def call(*args, **kwargs):
+            mark = len(verdicts)
+            result = fn(*args, **kwargs)
+            took = len(verdicts) > mark and all(verdicts[mark:])
+            label = "product" if name == "witness_product" else f"region{args[1]}"
+            paths.append(f"{label}={'closed' if took else 'general'}")
+            return result
+        return call
+
+    patched_solve(a, bounds, dpas, {(synthesis, "closed"): test, (zerosum, "closed"): test,
+                                    (synthesis, "witness_product"): build,
+                                    (zerosum, "tracker_product"): build})
+    return paths
+
+
+def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
     """Milliseconds per layer and for the whole solve, each the fastest of
-    `repeat` runs."""
+    `repeat` runs, and the builds' paths."""
     a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
     dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
     best = float("inf")
@@ -72,7 +109,7 @@ def instance_times(inst, repeat: int) -> dict[str, float]:
     out = {"solve": best * 1000} | {name: 0.0 for _, name in LAYERS}
     for column in zip(*runs):
         out[column[0][0]] += min(dt for _, dt in column) * 1000
-    return out
+    return out, build_paths(a, inst.bounds, dpas)
 
 
 def main() -> int:
@@ -84,12 +121,13 @@ def main() -> int:
     args = parser.parse_args()
     pkg = {name: importlib.import_module(f"carefulsynth.{name}") for name in ("cli", "reduction")}
     columns = ["solve"] + [name for _, name in LAYERS]
-    print(" ".join(["instance", *columns, "(ms)"]))
+    print(" ".join(["instance", *columns, "(ms)", "paths"]))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for inst in workloads.setup(args.workload, args.seed, pathlib.Path(tmp), pkg):
-            rows.append(instance_times(inst, args.repeat))
-            print(" ".join([inst.id, *(f"{rows[-1][c]:.2f}" for c in columns)]), flush=True)
+            times, paths = instance_times(inst, args.repeat)
+            rows.append(times)
+            print(" ".join([inst.id, *(f"{times[c]:.2f}" for c in columns), *paths]), flush=True)
     print(" ".join(["mean", *(f"{sum(r[c] for r in rows) / len(rows):.2f}" for c in columns)]))
     return 0
 

@@ -3,51 +3,63 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import AbstractSet, Callable, Hashable, Iterable, Optional
+from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
 
 def strongly_connected_components(
-    nodes: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
-) -> list[list[Hashable]]:
-    """Iterative Tarjan. Only nodes in `nodes` are visited; successors
-    outside the set are ignored. A set is used as given, not copied."""
-    nodeset = nodes if isinstance(nodes, AbstractSet) else set(nodes)
-    done = len(nodeset)  # the index of a node once its component is out
-    index: dict[Hashable, int] = {}
-    low: dict[Hashable, int] = {}
-    stack: list[Hashable] = []
-    comps: list[list[Hashable]] = []
+    nodes: Collection[int], succ: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The strongly connected components that hold a cycle (two nodes or
+    more, or one with a self-loop) of the graph on the ids
+    0..len(succ)-1 whose successor lists are `succ`, restricted to the ids
+    in `nodes`; successors outside them are ignored. Iterative Tarjan, with
+    its marks in lists indexed by id."""
+    inside = bytearray(len(succ))  # 1 for a node of `nodes` whose component is not out
+    for v in nodes:
+        inside[v] = 1
+    index = [0] * len(succ)  # 1 + the order a node was reached in, 0 before
+    low = [0] * len(succ)
+    count = 0
+    stack: list[int] = []
+    comps: list[list[int]] = []
 
-    for root in nodeset:
-        if root in index:
+    for root in nodes:
+        if index[root]:
             continue
-        index[root] = low[root] = len(index)
+        count += 1
+        index[root] = low[root] = count
         stack.append(root)
-        work = [(root, iter(successors(root)))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in nodeset:
+                if not inside[w]:  # outside, or its component is out
                     continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
                     stack.append(w)
-                    work.append((w, iter(successors(w))))
+                    work.append((w, iter(succ[w])))
                     break
-                if index[w] < low[v]:  # never true once w's component is out
+                if index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
+                lv = low[v]
+                if work and lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
+                if lv == index[v]:
+                    w = stack.pop()
+                    inside[w] = 0
+                    if w == v:  # one node: a component only with a self-loop
+                        if v in succ[v]:
+                            comps.append([v])
+                        continue
+                    comp = [w]
+                    while w != v:
                         w = stack.pop()
-                        index[w] = done
+                        inside[w] = 0
                         comp.append(w)
-                        if w == v:
-                            break
                     comps.append(comp)
     return comps
 

@@ -3,26 +3,21 @@
 Pipeline: unfold the arena, build each player's objective tracker, and
 build once the product of the sink-free unfolding with the system
 objective's tracker (its tableau automaton outside the fragments) and every
-player's tracker, each read after a state's letter. For each candidate
-winner set, search that product for a lasso that the system's component and
-every winner's tracker accept, without the nodes where a loser owns the
-state and its punishment region holds (state id, its tracker state). A set
-is searched only if some cyclic SCC of the whole product has a node of even
-priority in each of those components; else it fails with "no accepting SCC"
-("no cycle in the restricted product" if the product has no cycle). The
-search itself refines only those SCCs, cut to the nodes reached without the
-forbidden ones. A player's region is solved when it first loses in a
-searched set, since only a loser has a reason to deviate. The winners and
-the tracker states along a found lasso are read off its product nodes. The
-lasso plus the losers' punishment tables, each cut to the nodes the loser's
-deviations reach, form the equilibrium certificate; `check_certificate`
-checks it without the game solver and without building the unfolding, by
-an emptiness test per loser on the graph its table leaves. It replays the
-outcome with `unfolding.lift` and runs the trackers over it, which the
-solver does neither; its saturating step is `unfolding.credit_after`
-(through `step` and `lift`), which the solver's `unfold` does not call. It
-shares with the solver only the objective trackers and the SCC kernel, and
-steps only the unfolded states a deviation or a table entry reaches.
+player's tracker, each read after a state's letter; when every tracker is
+closed on the arena's edges (`zerosum.closed`) that product is the
+sink-free unfolding. For each candidate winner set that the even mask of
+some cyclic SCC of the product holds (see `WitnessProduct`), search that
+product for a lasso that the system's component and every winner's tracker
+accept, without the nodes where a loser owns the state and its punishment
+region holds (state id, its tracker state). A player's region is solved
+when it first loses in a searched set, since only a loser has a reason to
+deviate. The winners and the tracker states along a found lasso are read
+off its product nodes. The lasso plus the losers' punishment tables, each
+cut to the nodes the loser's deviations reach, form the equilibrium
+certificate; `check_certificate` checks it without the game solver and
+without building the unfolding, by an emptiness test per loser on the graph
+its table leaves. It shares with the solver only the objective trackers and
+the SCC kernel (README, step 4).
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ from .unfolding import (
     step,
     unfold,
 )
-from .zerosum import ParityAutomaton, Tracker, objective_tracker, punish_region
+from .zerosum import ParityAutomaton, Tracker, closed, objective_tracker, punish_region
 
 DEFAULT_PRODUCT_BUDGET = 10**7
 
@@ -100,7 +95,7 @@ def system_component(phi: ltl.Formula) -> Tracker:
     priority 2 and the rest at 1 (the only path for general LTL)."""
     if ltl.classify_fragment(phi).kind != ltl.FragmentClass.GENERAL:
         tracker = objective_tracker(phi)
-        return Tracker(tracker.initial, lambda q, x: [tracker.step(q, x)], tracker.priority)
+        return tracker._replace(step=lambda q, x: [tracker.step(q, x)])
     nba = ltl.to_nba(phi)
 
     def step(q, letter):
@@ -114,12 +109,13 @@ class WitnessProduct(NamedTuple):
     """The reachable, sink-free part of the unfolding in product with the
     system's component and a list of trackers. A node is (the id of an
     unfolded state, each component's state after reading the state's
-    letter, the system's first); nodes are numbered once, breadth-first from
-    the initial ones, and the search runs on the numbers. An accepted lasso
-    loops in one of `sccs` (forbidding nodes only splits SCCs) with an even
-    top in the system's and each winner's component, so `solve` skips a
-    winner set that no mask holds, and `find_witness_lasso` refines only the
-    SCCs whose mask holds it."""
+    letter, the system's first); node k is unfolded state k when every
+    component is closed on the arena's edges, else nodes are numbered
+    breadth-first from the initial ones. An accepted lasso loops in one of
+    `sccs` (forbidding nodes only splits SCCs) with an even top in the
+    system's and each winner's component, so `solve` skips a winner set
+    that no mask holds, and `find_witness_lasso` refines only the SCCs
+    whose mask holds it."""
 
     nodes: list  # id -> node
     initials: list  # ids
@@ -138,8 +134,10 @@ def witness_product(
 ) -> WitnessProduct:
     """Build the product once; every winner set is searched on it. Each
     component is a parity condition on its states' priorities; the system's
-    `step` lists its states after a letter (see `system_component`). The
-    tuples of component states are interned, and each transition is
+    `step` lists its states after a letter (see `system_component`). When
+    every component is closed on the arena's edges, the product is the
+    sink-free unfolding, its lists `u.succ`'s without the sink. Otherwise
+    the tuples of component states are interned, and each transition is
     computed once per (tuple, letter) as a list of the tuples' indices;
     a node is keyed by its tuple's index times |U| plus its unfolded state's
     id while the product is built, so each edge costs one integer lookup."""
@@ -148,69 +146,76 @@ def witness_product(
     letter_of = {x: k for k, x in enumerate(dict.fromkeys(labels))}
     letter = [letter_of[x] for x in labels]
     letters = list(letter_of)
-    qids: dict = {}  # component states, the system's first -> their index
-    qstates: list = []  # index -> component states
-    table: list = []  # index -> letter id -> the indices after it, times n, or None
+    # a fragment system component lists the one state of its tracker
+    single = system._replace(step=lambda q, x: system.step(q, x)[0])
+    if all(closed(u.base, t, False) for t in (*trackers, single)):
+        size = n - (sink >= 0)
+        if size > max_product:
+            raise BudgetExceededError(f"synchronous product exceeds the budget of {max_product}")
+        qstates = [(single.step(single.initial, x), *[t.step(t.initial, x) for t in trackers])
+                   for x in letters]
+        state, where = range(size), letter[:size]
+        initials = [u.initial]
+        succ = [out[:-1] if sink in out else out for out in u_succ[:size]]  # the sink is last
+    else:
+        qids: dict = {}  # component states, the system's first -> their index
+        qstates: list = []  # index -> component states
+        table: list = []  # index -> letter id -> the indices after it, times n, or None
 
-    def intern(qs) -> int:
-        j = qids.get(qs)
-        if j is None:
-            j = qids[qs] = len(qstates)
-            qstates.append(qs)
-            table.append([None] * len(letters))
-        return j
+        def intern(qs) -> int:
+            j = qids.get(qs)
+            if j is None:
+                j = qids[qs] = len(qstates)
+                qstates.append(qs)
+                table.append([None] * len(letters))
+            return j
 
-    def after(j, x) -> list:
-        qs, letter = qstates[j], letters[x]
-        rest = [t.step(q, letter) for t, q in zip(trackers, qs[1:])]
-        table[j][x] = offsets = [intern((q, *rest)) * n for q in system.step(qs[0], letter)]
-        return offsets
+        def after(j, x) -> list:
+            qs, letter = qstates[j], letters[x]
+            rest = [t.step(q, letter) for t, q in zip(trackers, qs[1:])]
+            table[j][x] = offsets = [intern((q, *rest)) * n for q in system.step(qs[0], letter)]
+            return offsets
 
-    start = intern((system.initial, *[t.initial for t in trackers]))
-    keys = [offset + u.initial for offset in after(start, letter[u.initial])]
-    initials = list(range(len(keys)))
-    ids = {key: k for k, key in enumerate(keys)}
-    succ = []
-    for key in keys:  # breadth-first: the list grows while it is read
-        j, s = divmod(key, n)
-        row = table[j]
-        out = []
-        for t in u_succ[s]:
-            if t != sink:
-                offsets = row[letter[t]]
-                if offsets is None:
-                    offsets = after(j, letter[t])
-                for offset in offsets:
-                    nxt = offset + t
-                    k = ids.get(nxt)
-                    if k is None:
-                        if len(keys) >= max_product:
-                            raise BudgetExceededError(
-                                f"synchronous product exceeds the budget of {max_product}"
-                            )
-                        k = ids[nxt] = len(keys)
-                        keys.append(nxt)
-                    out.append(k)
-        succ.append(out)
+        start = intern((system.initial, *[t.initial for t in trackers]))
+        keys = [offset + u.initial for offset in after(start, letter[u.initial])]
+        initials = list(range(len(keys)))
+        ids = {key: k for k, key in enumerate(keys)}
+        succ = []
+        for key in keys:  # breadth-first: the list grows while it is read
+            j, s = divmod(key, n)
+            row = table[j]
+            out = []
+            for t in u_succ[s]:
+                if t != sink:
+                    offsets = row[letter[t]]
+                    if offsets is None:
+                        offsets = after(j, letter[t])
+                    for offset in offsets:
+                        nxt = offset + t
+                        k = ids.get(nxt)
+                        if k is None:
+                            if len(keys) >= max_product:
+                                raise BudgetExceededError(
+                                    f"synchronous product exceeds the budget of {max_product}"
+                                )
+                            k = ids[nxt] = len(keys)
+                            keys.append(nxt)
+                        out.append(k)
+            succ.append(out)
+        state, where = [key % n for key in keys], [key // n for key in keys]
+        del keys, ids  # the build's keys are not needed by the SCC pass
     prio = [(system.priority(qs[0]), *[t.priority(q) for t, q in zip(trackers, qs[1:])])
             for qs in qstates]
     even = [sum(1 << k for k, x in enumerate(p) if x % 2 == 0) for p in prio]
-    where = [key // n for key in keys]  # id -> its component states' index
-    nodes = [(key % n, qstates[j]) for key, j in zip(keys, where)]
-    del keys, ids  # the build's keys are not needed by the SCC pass
+    nodes = [(s, qstates[j]) for s, j in zip(state, where)]
     priority = [prio[j] for j in where]
-    sccs = _cyclic_sccs(set(range(len(nodes))), succ.__getitem__)
+    sccs = strongly_connected_components(range(len(nodes)), succ)
     masks = [reduce(int.__or__, {even[where[v]] for v in comp}) for comp in sccs]
     scc_of = [-1] * len(nodes)
     for j, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = j
     return WitnessProduct(nodes, initials, succ, priority, sccs, masks, scc_of)
-
-
-def _cyclic_sccs(nodes: AbstractSet, successors) -> list:
-    return [comp for comp in strongly_connected_components(nodes, successors)
-            if len(comp) > 1 or comp[0] in successors(comp[0])]
 
 
 class NoWitness(Exception):
@@ -256,7 +261,9 @@ def find_witness_lasso(
                 (whole if count == len(sccs[j]) else split)[held].append(sccs[j])
 
         def resplit(comps):
-            return _cyclic_sccs({n for comp in comps for n in comp if n in seen}, successors)
+            return strongly_connected_components(
+                [n for comp in comps for n in comp if n in seen], product.succ
+            )
 
         allowed = seen.__contains__
         pending = whole[1] + resplit(split[1]) if split[1] else whole[1]
@@ -277,7 +284,7 @@ def find_witness_lasso(
         if odd:
             rest = {n for n in comp if all(prio[n][k] != p for k, p in odd)}
             if rest:
-                pending += _cyclic_sccs(rest, successors)
+                pending += strongly_connected_components(rest, product.succ)
             continue
         compset = set(comp)
         for node in comp:
@@ -374,6 +381,7 @@ def solve(
         u, system_component(a.system_objective), [trackers[i] for i in players]
     )
     owner = u.owner
+    pred: list = []  # u.succ's predecessor lists, shared by the closed region games
     regions = {}  # a player's punishment region, solved when it first loses
     blocked = {}  # a loser's own nodes from which it could deviate and still win
 
@@ -387,7 +395,7 @@ def solve(
             continue
         for i in players:
             if i not in winner_set and i not in regions:
-                regions[i] = punish_region(u, i, trackers[i])
+                regions[i] = punish_region(u, i, trackers[i], pred)
                 win = regions[i].win
                 blocked[i] = {
                     k
@@ -606,21 +614,25 @@ def _deviation_faults(u: _SteppedUnfolding, player, tracker, table, stem, loop) 
                 origin[nxt] = origin[node]
                 stack.append(nxt)
 
-    priority = {node: tracker.priority(node[1]) for node in succ}
-    for p in sorted({x for x in priority.values() if x % 2 == 0}):
-        low = {node for node in succ if priority[node] <= p}
+    nodes = list(succ)  # numbered in the order found, for the SCC kernel
+    priority = [tracker.priority(q) for _, q in nodes]
+    evens = sorted({x for x in priority if x % 2 == 0})
+    if evens:
+        ids = {node: j for j, node in enumerate(nodes)}
+        lists = [[ids[t] for t in succ[node]] for node in nodes]
+    for p in evens:
+        low = [j for j, x in enumerate(priority) if x <= p]
         won = {
-            node
-            for comp in _cyclic_sccs(low, succ.__getitem__)
+            j
+            for comp in strongly_connected_components(low, lists)
             if any(priority[x] == p for x in comp)
-            for node in comp
+            for j in comp
         }
-        for node in succ:  # name the first found, independent of set order
-            if node in won:
-                return [
-                    f"player {player}: careful profitable deviation from "
-                    f"{render_ustate(origin[node])}"
-                ]
+        if won:  # name the first found, independent of set order
+            return [
+                f"player {player}: careful profitable deviation from "
+                f"{render_ustate(origin[nodes[min(won)]])}"
+            ]
     return []
 
 
@@ -666,6 +678,9 @@ def result_to_document(result: SolveResult) -> dict:
 
 def parse_profile(text: str) -> StrategyProfile:
     doc = expect(load_json(text), dict, "profile document")
+    if member(doc, "status", str, "status", "solution") != "solution":
+        raise DocumentSemanticError("a certificate's status must be 'solution'")
+    member(doc, "bounds", [int], "bounds", None)  # read, though --bounds decides
     outcome = member(doc, "outcome", dict, "outcome")
     stem = tuple(member(outcome, "stem", [str], "outcome stem"))
     loop = tuple(member(outcome, "loop", [str], "outcome loop"))

@@ -6,7 +6,8 @@ becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
 of the unfolding with that tracker, numbered and solved by Zielonka's
 algorithm. Its nodes (k, q) pair the id of an unfolded state with the
 tracker state after reading it; the winning region and the punishment table
-are read at them.
+are read at them. When a fragment tracker is closed on the arena's edges
+(`closed`), that product is the unfolding itself.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -19,6 +20,7 @@ from functools import cache, cached_property, partial
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
+from .arena import Arena, RESERVED_ATOM
 from .errors import (
     DocumentSemanticError, UnsupportedObjectiveError, expect, is_int, load_json, member,
 )
@@ -34,12 +36,21 @@ class ZeroSumGame:
     """A parity game on the ids 0..n-1, lists indexed by id: the protagonist
     wins a play iff its top priority seen infinitely often is even. The
     `succ` lists are read-only: `tracker_product` shares them with the
-    unfolding it was built from."""
+    unfolding it was built from, and a game that is the unfolding itself
+    shares its predecessor lists `pred` too."""
 
-    def __init__(self, succ: list[list[int]], is_protagonist: list[bool], priority: list[int]):
+    def __init__(
+        self,
+        succ: list[list[int]],
+        is_protagonist: list[bool],
+        priority: list[int],
+        pred: Optional[list[list[int]]] = None,
+    ):
         self.succ = succ
         self.is_protagonist = is_protagonist
         self.priority = priority
+        if pred is not None:
+            self.pred = pred
 
     @property
     def states(self) -> range:
@@ -47,11 +58,16 @@ class ZeroSumGame:
 
     @cached_property
     def pred(self) -> list[list[int]]:  # built when an attractor first needs it
-        pred: list[list[int]] = [[] for _ in self.succ]
-        for s, out in enumerate(self.succ):
-            for t in out:
-                pred[t].append(s)
-        return pred
+        return predecessors(self.succ)
+
+
+def predecessors(succ: list[list[int]]) -> list[list[int]]:
+    """The predecessor lists of the successor lists `succ`."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for s, out in enumerate(succ):
+        for t in out:
+            pred[t].append(s)
+    return pred
 
 
 class WinningRegions(NamedTuple):
@@ -249,11 +265,14 @@ class Tracker(NamedTuple):
     from `initial` through `step(q, letter)` and is won iff the maximum
     `priority` of its states seen infinitely often is even. Pairing each
     position with the state before its letter or after it shifts the run by
-    one and does not change that maximum."""
+    one and does not change that maximum. `fragment` marks a fragment
+    objective's flag tracker, whose `step` reads any letter; a supplied
+    automaton need only be complete over the letters its runs meet."""
 
     initial: Hashable
     step: Callable[[Hashable, frozenset], Hashable]
     priority: Callable[[Hashable], int]
+    fragment: bool = False
 
 
 def objective_tracker(
@@ -272,26 +291,77 @@ def objective_tracker(
         )
     holds = cache(partial(ltl.eval_bool, frag.beta))
     if frag.kind == FragmentClass.REACH:
-        return Tracker(False, lambda seen, x: seen or holds(x), lambda seen: 2 if seen else 1)
-    if frag.kind == FragmentClass.SAFE:
-        return Tracker(False, lambda bad, x: bad or not holds(x), lambda bad: 1 if bad else 2)
-    good = 2 if frag.kind == FragmentClass.BUCHI else 0
-    return Tracker(False, lambda _, x: holds(x), lambda held: good if held else 1)
+        step, priority = (lambda seen, x: seen or holds(x)), (lambda seen: 2 if seen else 1)
+    elif frag.kind == FragmentClass.SAFE:
+        step, priority = (lambda bad, x: bad or not holds(x)), (lambda bad: 1 if bad else 2)
+    else:
+        good = 2 if frag.kind == FragmentClass.BUCHI else 0
+        step, priority = (lambda _, x: holds(x)), (lambda held: good if held else 1)
+    return Tracker(False, step, priority, fragment=True)
 
 
-def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> tuple[list, ZeroSumGame]:
+def closed(a: Arena, tracker: Tracker, sink: bool) -> bool:
+    """Whether `tracker` is closed on the edges of arena `a`: for every edge
+    (x, y), reading y's letter from the state after x's letter alone gives
+    the state after y's letter alone; with `sink`, the same holds on every
+    edge into the underflow sink, from each state with an edge of negative
+    cost, and on the sink's self-loop. In the unfolding's product with a
+    closed tracker, every node reached from the nodes (k, the state after
+    k's letter alone) is one of them, so the product is the unfolding
+    itself. Only a fragment tracker is tested, because the test steps it
+    on letter pairs that the unfolding may never meet."""
+    if not tracker.fragment:
+        return False
+    step, labels = tracker.step, a.labels
+    start = {x: step(tracker.initial, x) for x in dict.fromkeys(labels.values())}
+    if any(step(start[labels[x]], labels[y]) != start[labels[y]] for x, y in a.edges):
+        return False
+    if not sink:
+        return True
+    bot = frozenset({RESERVED_ATOM})
+    q = step(tracker.initial, bot)
+    return step(q, bot) == q and all(
+        step(start[labels[x]], bot) == q for (x, _), w in a.edges.items() if min(w, default=0) < 0
+    )
+
+
+def tracker_product(
+    u: UnfoldedArena, player: int, tracker: Tracker, pred: Optional[list] = None
+) -> tuple[list, ZeroSumGame]:
     """`player`'s punishment game: the part of the unfolding x tracker
     reachable from every state's start node (k, the tracker state after
     reading state k), numbered breadth-first from the start nodes in id
     order, so start node k has id k. Returns the nodes by id and the game
-    on the ids. A node carries the tracker state after its own letter, so a
-    tracker whose state is the current letter's verdict (G F, F G) adds no
-    nodes. Where every successor of a node is a start node, its successor
-    list is `u.succ`'s own list, shared and never written; only a node
-    whose tracker state leads elsewhere gets a list of its own, and only
-    nodes past the start nodes are looked up by (k, q). The sink gets
-    priority 1, so carefulness stays losing."""
-    step, labels, u_succ, owner, states = cache(tracker.step), u.labels, u.succ, u.owner, u.states
+    on the ids. The sink gets priority 1, so carefulness stays losing.
+
+    When the tracker is closed on the base arena's edges and the sink's
+    (see `closed`), the start nodes are all the nodes: the game's `succ`
+    is `u.succ` itself, each node's priority is read once per letter, and
+    the game's predecessor lists are `pred`, a list the caller keeps for
+    `u`, filled here if it is empty, so that every closed game on one
+    unfolding shares one (without `pred`, the game builds its own).
+    Otherwise the game is built node by node: a node carries the tracker
+    state after its own letter, so a tracker whose state is the current
+    letter's verdict (G F, F G) adds no nodes. Where every successor of a
+    node is a start node, its successor list is `u.succ`'s own list,
+    shared and never written; only a node whose tracker state leads
+    elsewhere gets a list of its own, and only nodes past the start nodes
+    are looked up by (k, q). A node's tracker is stepped only on its
+    successors' letters, and the priority is read once per tracker
+    state."""
+    labels, u_succ, owner, states = u.labels, u.succ, u.owner, u.states
+    if closed(u.base, tracker, states[-1] is BOT):
+        after = {x: tracker.step(tracker.initial, x) for x in dict.fromkeys(labels)}
+        priority = {x: tracker.priority(q) for x, q in after.items()}
+        if states[-1] is BOT:  # the only state with the sink's letter
+            priority[labels[-1]] = 1
+        if pred is not None and not pred:
+            pred += predecessors(u_succ)
+        game = ZeroSumGame(
+            u_succ, [o == player for o in owner], [priority[x] for x in labels], pred
+        )
+        return [(k, after[x]) for k, x in enumerate(labels)], game
+    step, priority = cache(tracker.step), cache(tracker.priority)
     start = [step(tracker.initial, x) for x in labels]
     nodes = list(enumerate(start))
     ids: dict = {}  # the nodes past the start nodes
@@ -312,7 +382,7 @@ def tracker_product(u: UnfoldedArena, player: int, tracker: Tracker) -> tuple[li
     game = ZeroSumGame(
         succ=succ,
         is_protagonist=[owner[s] == player for s, _ in nodes],
-        priority=[1 if states[s] is BOT else tracker.priority(q) for s, q in nodes],
+        priority=[1 if states[s] is BOT else priority(q) for s, q in nodes],
     )
     return nodes, game
 
@@ -333,7 +403,9 @@ class PunishRegions(NamedTuple):
     punishment: dict
 
 
-def punish_region(u: UnfoldedArena, player: int, tracker: Tracker) -> PunishRegions:
+def punish_region(
+    u: UnfoldedArena, player: int, tracker: Tracker, pred: Optional[list] = None
+) -> PunishRegions:
     """Where can `player`, alone against the coalition, achieve the
     objective that `tracker` reads while staying careful, given the tracker
     state its history has reached? An outcome on which the player loses
@@ -341,7 +413,7 @@ def punish_region(u: UnfoldedArena, player: int, tracker: Tracker) -> PunishRegi
     parity game: the unfolding in product with the tracker, solved by
     Zielonka's algorithm, whose coalition strategy is the punishment
     table."""
-    nodes, game = tracker_product(u, player, tracker)
+    nodes, game = tracker_product(u, player, tracker, pred)
     regions = solve_parity(game)
     table = {nodes[j]: nodes[t][0] for j, t in regions.antagonist_strategy.items()}
     return PunishRegions(frozenset(nodes[k] for k in regions.protagonist), table)

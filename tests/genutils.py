@@ -29,9 +29,9 @@ from carefulsynth.errors import (
     DocumentSemanticError, UnsupportedObjectiveError, expect, load_json, member,
 )
 from carefulsynth.ltl import FragmentClass
-from carefulsynth._graphs import shortest_path
+from carefulsynth._graphs import shortest_path, strongly_connected_components
 from carefulsynth.synthesis import (
-    NoWitness, SolveResult, StrategyProfile, _cyclic_sccs, _reached_entries, _winner_sets,
+    NoWitness, SolveResult, StrategyProfile, _reached_entries, _winner_sets,
     outcome_lasso, system_component, witness_product,
 )
 from carefulsynth.unfolding import (
@@ -709,6 +709,49 @@ def random_fragment_arena(rng: random.Random, shapes=FRAGMENT_SHAPES):
     return a, tuple(rng.randrange(0, 3) for _ in range(a.dimensions))
 
 
+def random_closed_arena(rng: random.Random):
+    """A `random_fragment_arena` without the edges that leave an `F`
+    objective's targets or a `G` objective's failures, so that its
+    trackers are closed on its edges (`zerosum.closed`); a state left
+    without a move gets a self-loop. Half the time every cost is made
+    nonnegative, so that the unfolding has no sink; where it has one, an
+    `F` target with an edge of negative cost is not closed on the sink's
+    edges. A third of the time the system objective's edges are kept, so
+    that its tracker may be the only one not closed."""
+    a, bounds = random_fragment_arena(rng)
+    objectives = (a.system_objective, *a.player_objectives)
+    kept = {}  # beta -> the value that must persist along every edge
+    for phi in objectives[1:] if rng.random() < 1 / 3 else objectives:
+        frag = ltl.classify_fragment(phi)
+        if frag.kind in (FragmentClass.REACH, FragmentClass.SAFE):
+            kept[frag.beta] = frag.kind == FragmentClass.REACH
+
+    def holds(beta, s):
+        return ltl.eval_bool(beta, a.labels[s])
+
+    sinkless = rng.random() < 0.5
+    edges = {(s, t): tuple(max(c, 0) for c in w) if sinkless else w
+             for (s, t), w in a.edges.items()
+             if all(holds(beta, t) == v for beta, v in kept.items() if holds(beta, s) == v)}
+    for s in a.states:
+        if all(x != s for x, _ in edges):
+            low = 0 if sinkless else -1
+            edges[(s, s)] = tuple(rng.randrange(low, 2) for _ in range(a.dimensions))
+    a = build_arena(
+        players=a.players,
+        dimensions=a.dimensions,
+        states=list(a.states),
+        owner=a.owner,
+        initial=a.initial,
+        edges=edges,
+        atoms=sorted(a.atoms),
+        labels={s: sorted(x) for s, x in a.labels.items()},
+        system_objective=a.system_objective,
+        player_objectives=a.player_objectives,
+    )
+    return a, bounds
+
+
 def reach_dpa(objective: ltl.Formula):
     """A two-state parity automaton for `F beta` over ARENA_ATOMS, with
     string states: it waits until a letter satisfies beta, then stays
@@ -1058,7 +1101,7 @@ def reference_find_witness_lasso(product, winners, forbidden):
                 if nxt not in seen and nxt not in forbidden:
                     seen.add(nxt)
                     stack.append(nxt)
-        allowed, pending = seen.__contains__, _cyclic_sccs(seen, successors)
+        allowed, pending = seen.__contains__, strongly_connected_components(seen, product.succ)
     else:
         allowed, pending = None, list(product.sccs)
     components = (0, *(k + 1 for k in winners))
@@ -1072,7 +1115,7 @@ def reference_find_witness_lasso(product, winners, forbidden):
         if odd:
             rest = {n for n in comp if all(prio[n][k] != p for k, p in odd)}
             if rest:
-                pending += _cyclic_sccs(rest, successors)
+                pending += strongly_connected_components(rest, product.succ)
             continue
         compset = set(comp)
         for node in comp:
@@ -1106,9 +1149,10 @@ def oracle_solve(a: Arena, bounds, dpas=None):
     """`synthesis.solve` without its winner-set pruning: every winner set is
     searched in turn, with each loser's punishment region solved the first
     time it loses. It unfolds, builds the region games and searches with
-    the reference passes above; a forbidden id outside the product makes
-    every search run its own reachability and SCC pass, whatever the
-    losers forbid. Each search is `reference_find_witness_lasso` as this
+    the reference passes above, and builds the witness product node by
+    node, as for trackers not closed on the arena's edges; a forbidden id
+    outside the product makes every search run its own reachability and
+    SCC pass, whatever the losers forbid. Each search is `reference_find_witness_lasso` as this
     module's global, looked up at each call."""
     dpas = dict(dpas or {})
     u = reference_unfold(a, bounds)
@@ -1119,8 +1163,11 @@ def oracle_solve(a: Arena, bounds, dpas=None):
             trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
+    # trackers not marked as fragments: the product is built node by node
+    trackers = {i: t._replace(fragment=False) for i, t in trackers.items()}
     product = witness_product(
-        u, system_component(a.system_objective), [trackers[i] for i in players]
+        u, system_component(a.system_objective)._replace(fragment=False),
+        [trackers[i] for i in players],
     )
     regions, blocked, diagnostics = {}, {}, []
     for winner_set in _winner_sets(a.players):

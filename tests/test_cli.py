@@ -489,7 +489,7 @@ def test_stats_reports_sizes(fig1_path, capsys):
         ),
         pytest.param(
             "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
-            re.compile("fig1@80,80( \\d+\\.\\d\\d){6}"),
+            re.compile("fig1@80,80( \\d+\\.\\d\\d){6} product=closed( region\\d=closed){3}"),
             id="layer_times.py",
         ),
     ],
@@ -886,3 +886,135 @@ def test_dpa_state_names_with_a_bar_are_refused(tmp_path, capsys):
         code, _, err = _run(capsys, *argv, "--dpa", f"1={path}")
         assert code == EXIT_ERROR
         assert err.startswith("error: state names must not contain '|'")
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(fig1_path):
+    # the reader of stdout goes away before the document is written
+    src = str(pathlib.Path(carefulsynth.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for command in ("solve", "unfold", "stats"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "carefulsynth.cli", command, str(fig1_path), "--bounds", "3,3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_ERROR, (command, err)
+        assert "Traceback" not in err and "Error" not in err, (command, err)
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations of every reader's document
+
+_MARK = "\x00mark"  # a placeholder value, replaced in the encoded text
+# a value of another type than the one it replaces; an upper guard of a
+# counter automaton may be an integer or "omega", so "omega" is never
+# swapped for an integer
+_SWAPS = [7, "x", 1.5, True, [], {}]
+_LITERALS = {
+    "long": lambda rng: "9" * 5000,
+    "nan": lambda rng: rng.choice(["NaN", "Infinity", "-Infinity"]),
+    "deep": lambda rng: "[" * 100000 + "]" * 100000,
+}
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(v, (*path, k))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _mutant(rng: random.Random, doc) -> str:
+    """`doc` encoded with one defect: a value of the wrong type, a repeated
+    key, a 5,000-digit integer, a NaN or infinity, or nesting too deep to
+    decode."""
+    doc = json.loads(json.dumps(doc))
+    holders = [p for p in _paths(doc) if isinstance(_at(doc, p), dict) and _at(doc, p)]
+    kind = rng.choice(["swap", *_LITERALS, *["repeat"] * bool(holders)])
+    if kind == "repeat":
+        holder = _at(doc, rng.choice(holders))
+        key = rng.choice(list(holder))
+        holder[_MARK] = holder[key]
+        return json.dumps(doc).replace(json.dumps(_MARK), json.dumps(key))
+    path = rng.choice([p for p in _paths(doc) if p])
+    old = _at(doc, path)
+    if kind == "swap":
+        _at(doc, path[:-1])[path[-1]] = rng.choice(
+            [v for v in _SWAPS if type(v) is not type(old) and not (old == "omega" and type(v) is int)]
+        )
+        return json.dumps(doc)
+    _at(doc, path[:-1])[path[-1]] = _MARK
+    return json.dumps(doc).replace(json.dumps(_MARK), _LITERALS[kind](rng))
+
+
+_DPA = {
+    "states": ["wait", "good"],
+    "initial": "wait",
+    "priorities": {"wait": 1, "good": 2},
+    "transitions": [{"src": "wait", "pos": ["circ"], "dst": "good"},
+                    {"src": "wait", "neg": ["circ"], "dst": "wait"},
+                    {"src": "good", "dst": "good"}],
+}
+
+
+@pytest.mark.parametrize("reader", ["arena", "certificate", "dpa", "lasso", "automaton", "bounds"])
+def test_every_reader_refuses_seeded_mutations(fig1_path, fig1_text, tmp_path, capsys, reader):
+    # each mutant is read through `run` as the command line reads it: exit
+    # 2, nothing on stdout, and one `error:` line on stderr, never a
+    # traceback; the document itself is first accepted
+    path = tmp_path / "doc.json"
+    if reader == "certificate":
+        doc = json.loads(_run(capsys, "solve", fig1_path, "--bounds", "3,3")[1])
+    else:
+        doc = {"arena": json.loads(fig1_text), "dpa": _DPA, "automaton": CORPUS[1][1],
+               "lasso": {"stem": ["a", "a", "b"], "loop": ["box"]}}.get(reader)
+    argv = {
+        "arena": ("stats", path),
+        "certificate": ("check", fig1_path, path, "--bounds", "3,3"),
+        "dpa": ("solve", fig1_path, "--bounds", "3,3", "--dpa", f"1={path}"),
+        "lasso": ("mc", fig1_path, path, "F circ"),
+        "automaton": ("gen-reduction", path),
+    }.get(reader)
+    if reader == "bounds":
+        doc, argv = [3, 3], ("solve", fig1_path, "--bounds", path)
+    path.write_text(json.dumps(doc))
+    if reader == "bounds":
+        argv = ("solve", fig1_path, "--bounds", "3,3")
+    assert _run(capsys, *argv)[0] in (EXIT_POSITIVE, EXIT_NEGATIVE)
+    rng = random.Random(reader)
+    for case in range(60):
+        # the flag's one repeat is a component written twice
+        text = _mutant(rng, doc) if case or reader != "bounds" else "[3, 3, 3]"
+        if reader == "bounds":  # the flag's list written without brackets
+            argv = ("solve", fig1_path, "--bounds", text[1:-1].replace(" ", ""))
+        else:
+            path.write_text(text)
+        code, out, err = _run(capsys, *argv)
+        lines = err.splitlines()
+        assert code == EXIT_ERROR and out == "", (case, text[:200], err)
+        assert "Traceback" not in err and sum("error:" in line for line in lines) == 1, (case, err)
+        if reader != "bounds":  # argparse writes its usage first
+            assert len(lines) == 1 and lines[0].startswith("error: "), (case, err)
+
+
+@pytest.mark.parametrize("member, value", [("status", 7), ("status", "no-solution"),
+                                           ("bounds", "3,3"), ("bounds", [3, 1.5])])
+def test_certificate_status_and_bounds_are_read(fig1_path, tmp_path, capsys, member, value):
+    # members `solve` writes that the check does not use are still read:
+    # a certificate with a status other than "solution", or bounds that
+    # are not a list of integers, is malformed
+    doc = json.loads(_run(capsys, "solve", fig1_path, "--bounds", "3,3")[1])
+    doc[member] = value
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", fig1_path, path, "--bounds", "3,3")
+    assert (code, out) == (EXIT_ERROR, "") and err.startswith("error: ") and err.count("\n") == 1

@@ -28,13 +28,23 @@ def _random_digraph(rng: random.Random):
 
 @pytest.mark.parametrize("shape", [set, list, dict.fromkeys])
 def test_sccs_are_the_mutual_reachability_classes(shape):
+    # the kernel reads successor lists indexed by id and returns the
+    # components that hold a cycle: two nodes or more, or a self-loop
     for seed in range(300):
         rng = random.Random(seed)
         nodes, succ = _random_digraph(rng)
-        comps = strongly_connected_components(shape(nodes), succ.__getitem__)
+        lists = [succ[v] for v in range(len(succ))]
+        comps = strongly_connected_components(shape(nodes), lists)
         assert sorted(map(len, comps)) == sorted(map(len, map(set, comps))), seed
-        assert sum(map(len, comps)) == len(nodes), seed
-        assert set(map(frozenset, comps)) == set(map(frozenset, scc_partition(nodes, succ))), seed
+        cyclic = [c for c in scc_partition(nodes, succ)
+                  if len(c) > 1 or any(v in succ[v] for v in c)]
+        assert set(map(frozenset, comps)) == set(map(frozenset, cyclic)), seed
+        # any subset of the ids, not only a prefix
+        some = [v for v in succ if rng.random() < 0.6]
+        comps = strongly_connected_components(shape(some), lists)
+        cyclic = [c for c in scc_partition(some, succ)
+                  if len(c) > 1 or any(v in succ[v] for v in c)]
+        assert set(map(frozenset, comps)) == set(map(frozenset, cyclic)), seed
 
 
 def _distances(sources, succ, allowed):

@@ -22,7 +22,7 @@ from carefulsynth.synthesis import (
     witness_product,
 )
 from carefulsynth.unfolding import BOT, unfold
-from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
+from carefulsynth.zerosum import closed, objective_tracker, parse_dpa, punish_region
 
 import genutils
 from genutils import (
@@ -36,6 +36,7 @@ from genutils import (
     oracle_solution_exists,
     oracle_witness_exists,
     random_arena,
+    random_closed_arena,
     random_fragment,
     random_fragment_arena,
     random_many_player_arena,
@@ -189,12 +190,54 @@ def _check_product_laws(u, system, trackers):
             *[tr.priority(x) for tr, x in zip(trackers, qs[1:])],
         )
         order.update(dict.fromkeys(product.succ[k]))
-    assert list(order) == list(range(len(nodes)))  # every node reachable, numbered as found
+    # every node reachable, numbered as found, or, when every component is
+    # closed on the arena's edges, numbered as its unfolded state
+    if system_start is not None and all(
+        closed(u.base, tr, False) for tr in [objective_tracker(system), *trackers]
+    ):
+        assert [s for s, _ in nodes] == list(range(len(nodes))) == sorted(order)
+        assert len(nodes) == len(u.states) - (BOT in u.states)
+    else:
+        assert list(order) == list(range(len(nodes)))
     witness_product(u, component, trackers, max_product=len(nodes))
     if len(nodes) > len(product.initials):  # only a node found after them can exceed it
         with pytest.raises(BudgetExceededError):
             witness_product(u, component, trackers, max_product=len(nodes) - 1)
     return len(nodes)
+
+
+def test_closed_products_equal_the_general_build():
+    # with every component closed on the arena's edges, the product is the
+    # sink-free unfolding, numbered by unfolded state: once each node is
+    # mapped by (k, states), it equals the product built node by node
+    counts = {(took, sink): 0 for took in (False, True) for sink in (False, True)}
+    for seed in range(300):
+        a, bounds = random_closed_arena(random.Random(seed))
+        u = unfold(a, bounds)
+        trackers = [objective_tracker(a.objective_of(i)) for i in range(1, a.players + 1)]
+        system = system_component(a.system_objective)
+        product = witness_product(u, system, trackers)
+        ref = witness_product(
+            u, system._replace(fragment=False), [t._replace(fragment=False) for t in trackers]
+        )
+        took = all(closed(a, t, False) for t in [objective_tracker(a.system_objective), *trackers])
+        counts[took, BOT in u.states] += 1
+        if not took:
+            assert product == ref, seed
+            continue
+        assert [s for s, _ in product.nodes] == list(range(len(u.states) - (BOT in u.states)))
+        assert sorted(product.nodes) == sorted(ref.nodes), seed
+        ids = {node: k for k, node in enumerate(product.nodes)}
+        to = [ids[node] for node in ref.nodes]  # ref id -> id
+        assert product.initials == [to[j] for j in ref.initials], seed
+        for j, k in enumerate(to):
+            assert product.succ[k] == [to[t] for t in ref.succ[j]], seed
+            assert product.priority[k] == ref.priority[j], seed
+        masks = {frozenset(to[j] for j in comp): m for comp, m in zip(ref.sccs, ref.masks)}
+        assert dict(zip(map(frozenset, product.sccs), product.masks)) == masks, seed
+        assert all(product.scc_of[v] == j for j, comp in enumerate(product.sccs) for v in comp)
+        assert product.scc_of.count(-1) == len(to) - sum(map(len, product.sccs)), seed
+    assert min(counts.values()) >= 10, counts
 
 
 def test_witness_product_laws(fig1):
@@ -303,6 +346,7 @@ def _searched_by_solve(monkeypatch, a, bounds, dpas=None):
         (random_fragment_arena, 1000),
         (random_punishable_arena, 600),
         (random_many_player_arena, 300),
+        (random_closed_arena, 300),
     ],
 )
 def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -12,6 +13,7 @@ from carefulsynth.ltl import FragmentClass
 from carefulsynth.unfolding import BOT, unfold
 from carefulsynth.zerosum import (
     attractor,
+    closed,
     dpa_step,
     objective_tracker,
     parse_dpa,
@@ -30,6 +32,7 @@ from genutils import (
     oracle_fragment_region,
     oracle_parity_region,
     oracle_wins_against_table,
+    random_closed_arena,
     random_fragment_arena,
     random_game,
     random_many_player_arena,
@@ -411,9 +414,35 @@ def test_region_game_equals_the_reference(generator, seeds):
     assert min(extra.values()) >= 40 and shared > 0, (extra, shared)
 
 
+def test_closed_region_games_equal_the_general_build():
+    # a game whose tracker is closed on the arena's and the sink's edges is
+    # the unfolding itself, equal to the game built node by node; the
+    # closed games of one unfolding share one predecessor list
+    counts = {(took, sink): 0 for took in (False, True) for sink in (False, True)}
+    generators = [random_closed_arena, random_fragment_arena]
+    for generator, seed in itertools.product(generators, range(300)):
+        a, bounds = generator(random.Random(seed))
+        u, pred = unfold(a, bounds), []
+        sink = u.states[-1] is BOT
+        for i in range(1, a.players + 1):
+            tracker = objective_tracker(a.objective_of(i))
+            nodes, game = tracker_product(u, i, tracker, pred)
+            ref_nodes, ref = tracker_product(u, i, tracker._replace(fragment=False))
+            assert nodes == ref_nodes, (seed, i)
+            assert (game.succ, game.is_protagonist, game.priority, game.pred) == (
+                ref.succ, ref.is_protagonist, ref.priority, ref.pred), (seed, i)
+            took = game.succ is u.succ
+            assert took == closed(a, tracker, sink), (seed, i)
+            assert not took or game.pred is pred, (seed, i)
+            counts[took, sink] += 1
+    assert min(counts.values()) >= 10, counts
+
+
 def test_region_game_steps_an_automaton_only_on_letters_it_meets():
     # an automaton need only be complete over the letters it meets: `good`
-    # has no move on {}, and no successor of a node at `good` is labelled {}
+    # has no move on {}, and no successor of a node at `good` is labelled {};
+    # the edge from the unreachable s2 to s0 would step it on {} there, so
+    # no closure test reads the arena's edges with it
     from carefulsynth.arena import build_arena
 
     dpa = parse_dpa(json.dumps({
@@ -423,12 +452,12 @@ def test_region_game_steps_an_automaton_only_on_letters_it_meets():
     a = build_arena(
         players=1,
         dimensions=1,
-        states=["s0", "s1"],
-        owner={"s0": 1, "s1": 1},
+        states=["s0", "s1", "s2"],
+        owner={"s0": 1, "s1": 1, "s2": 1},
         initial="s0",
-        edges={("s0", "s1"): (0,), ("s1", "s1"): (0,)},
+        edges={("s0", "s1"): (0,), ("s1", "s1"): (0,), ("s2", "s0"): (0,)},
         atoms=["p"],
-        labels={"s0": [], "s1": ["p"]},
+        labels={"s0": [], "s1": ["p"], "s2": ["p"]},
         system_objective=ltl.TRUE,
         player_objectives=(ltl.parse_ltl("F p"),),
     )
