@@ -14,7 +14,9 @@ this script shows their share. The line ends with the path each of those
 builds took in one more solve: `product=closed` when every tracker is
 closed on the arena's edges and the product is the sink-free unfolding,
 `regionI=closed` when player I's punishment game is the unfolding itself,
-and `=general` where the build searched the product node by node.
+and `=general` where the build searched the product node by node; then
+`attractors=N`, the number of attractors Zielonka's algorithm computed in
+that solve, a size that does not depend on the machine.
 """
 
 import argparse
@@ -70,8 +72,9 @@ def timed_solve(a, bounds, dpas) -> list[tuple[str, float]]:
 
 def build_paths(a, bounds, dpas) -> list[str]:
     """Which path the witness product and each region game took in one
-    solve: closed when every closure test its build ran passed."""
-    verdicts, paths = [], []
+    solve, closed when every closure test its build ran passed, and the
+    number of attractors computed in it."""
+    verdicts, paths, attractors = [], [], []
 
     def test(name, fn):
         def call(*args):
@@ -89,10 +92,17 @@ def build_paths(a, bounds, dpas) -> list[str]:
             return result
         return call
 
+    def count(name, fn):
+        def call(*args, **kwargs):
+            attractors.append(name)
+            return fn(*args, **kwargs)
+        return call
+
     patched_solve(a, bounds, dpas, {(synthesis, "closed"): test, (zerosum, "closed"): test,
                                     (synthesis, "witness_product"): build,
-                                    (zerosum, "tracker_product"): build})
-    return paths
+                                    (zerosum, "tracker_product"): build,
+                                    (zerosum, "attractor"): count})
+    return paths + [f"attractors={len(attractors)}"]
 
 
 def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:

@@ -31,16 +31,18 @@ from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
 def region_lines(inst: workloads.Instance) -> list[str]:
     """Every player's region at the instance's bounds: its won nodes, then
-    its table entries, each rendered as in certificates and sorted."""
+    its table entries, each read from the region's game ids, rendered as
+    in certificates and sorted."""
     a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
     dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
     u = unfold(a, inst.bounds)
     out = []
     for i in range(1, a.players + 1):
         r = punish_region(u, i, objective_tracker(a.objective_of(i), dpas.get(i)))
-        win = sorted(f"{render_ustate(u.states[k])}|{q}" for k, q in r.win)
+        node = r.nodes.__getitem__  # a game id -> its node (state id, tracker state)
+        win = sorted(f"{render_ustate(u.states[k])}|{q}" for k, q in map(node, r.win))
         table = sorted(f"{render_ustate(u.states[k])}|{q} -> {render_ustate(u.states[t])}"
-                       for (k, q), t in r.punishment.items())
+                       for (k, q), t in zip(map(node, r.punishment), r.punishment.values()))
         out.append(f"player {i} win {win} table {table}")
     return out
 

@@ -58,6 +58,11 @@ def _emit(doc: dict, pretty_extra: Optional[str] = None) -> None:
 
 def _parse_bounds_flag(text: str) -> tuple[int, ...]:
     try:
+        # ASCII digits only, as `str` writes them: int() also reads "1_0",
+        # " 3" or "٣"
+        digits = [v.removeprefix("-") for v in text.split(",")]
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            raise ValueError
         bounds = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -83,7 +88,7 @@ def _load_dpas(pairs: Sequence[str], a: Arena) -> dict[int, ParityAutomaton]:
     dpas: dict[int, ParityAutomaton] = {}
     for pair in pairs:
         player_str, _, path = pair.partition("=")
-        if not path or not player_str.isdecimal():
+        if not path or not (player_str.isascii() and player_str.isdecimal()):
             raise CarefulSynthError(f"--dpa expects player=file, got {pair!r}")
         player = int(player_str)
         if not 1 <= player <= a.players:

@@ -110,8 +110,8 @@ class WitnessProduct(NamedTuple):
     system's component and a list of trackers. A node is (the id of an
     unfolded state, each component's state after reading the state's
     letter, the system's first); node k is unfolded state k when every
-    component is closed on the arena's edges, else nodes are numbered
-    breadth-first from the initial ones. An accepted lasso loops in one of
+    component is closed on the arena's edges (`is_unfolding`), else nodes
+    are numbered breadth-first from the initial ones. An accepted lasso loops in one of
     `sccs` (forbidding nodes only splits SCCs) with an even top in the
     system's and each winner's component, so `solve` skips a winner set
     that no mask holds, and `find_witness_lasso` refines only the SCCs
@@ -124,6 +124,7 @@ class WitnessProduct(NamedTuple):
     sccs: list  # the SCCs that hold a cycle, each a list of ids
     masks: list  # SCC index -> bit k set when a node has an even priority in component k
     scc_of: list  # id -> the index of its SCC in `sccs`, or -1 on no cycle
+    is_unfolding: bool
 
 
 def witness_product(
@@ -148,7 +149,8 @@ def witness_product(
     letters = list(letter_of)
     # a fragment system component lists the one state of its tracker
     single = system._replace(step=lambda q, x: system.step(q, x)[0])
-    if all(closed(u.base, t, False) for t in (*trackers, single)):
+    is_unfolding = all(closed(u.base, t, False) for t in (*trackers, single))
+    if is_unfolding:
         size = n - (sink >= 0)
         if size > max_product:
             raise BudgetExceededError(f"synchronous product exceeds the budget of {max_product}")
@@ -215,7 +217,7 @@ def witness_product(
     for j, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = j
-    return WitnessProduct(nodes, initials, succ, priority, sccs, masks, scc_of)
+    return WitnessProduct(nodes, initials, succ, priority, sccs, masks, scc_of, is_unfolding)
 
 
 class NoWitness(Exception):
@@ -334,24 +336,27 @@ def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
     return Lasso(stem=tuple(s for s, _ in stem), loop=tuple(s for s, _ in loop), trace=trace)
 
 
-def _reached_entries(u: UnfoldedArena, player, tracker, table, path) -> dict:
-    """The entries of `table` that `player` reads, keyed as in certificates,
-    once it leaves the outcome by a sink-free move and then moves freely:
-    the nodes `_deviation_faults` explores, from the same starts. `path` is
-    the outcome's (state id, tracker state) over stem, loop and loop head."""
+def _reached_entries(u: UnfoldedArena, player, tracker, region, path) -> dict:
+    """The entries of `region`'s table that `player` reads, keyed as in
+    certificates, once it leaves the outcome by a sink-free move and then
+    moves freely: the nodes `_deviation_faults` explores, from the same
+    starts. `path` is the outcome's (state id, tracker state) over stem,
+    loop and loop head."""
     states, labels, succ, owner = u.states, u.labels, u.succ, u.owner
+    table, node_id = region.punishment, region.nodes.id
     stack = [(q, t) for (s, q), (nxt, _) in zip(path, path[1:]) if owner[s] == player
              for t in succ[s] if t != nxt]  # (tracker state before t, t)
     seen, kept = set(), {}
     while stack:
         q, s = stack.pop()
         q = tracker.step(q, labels[s])
-        if (s, q) in seen or states[s] is BOT:
+        j = node_id(s, q)
+        if j in seen or states[s] is BOT:
             continue
-        seen.add((s, q))
+        seen.add(j)
         moves = succ[s]
         if owner[s] != player:  # outside the loser's region, so the table has the node
-            t = table[(s, q)]
+            t = table[j]
             kept[(states[s], str(q))] = states[t]
             moves = (t,)
         stack += [(q, t) for t in moves]
@@ -380,7 +385,7 @@ def solve(
     product = witness_product(
         u, system_component(a.system_objective), [trackers[i] for i in players]
     )
-    owner = u.owner
+    owner, size = u.owner, len(product.nodes)
     pred: list = []  # u.succ's predecessor lists, shared by the closed region games
     regions = {}  # a player's punishment region, solved when it first loses
     blocked = {}  # a loser's own nodes from which it could deviate and still win
@@ -395,13 +400,12 @@ def solve(
             continue
         for i in players:
             if i not in winner_set and i not in regions:
-                regions[i] = punish_region(u, i, trackers[i], pred)
-                win = regions[i].win
-                blocked[i] = {
-                    k
-                    for k, (s, qs) in enumerate(product.nodes)
-                    if owner[s] == i and (s, qs[i]) in win
-                }
+                r = regions[i] = punish_region(u, i, trackers[i], pred)
+                if product.is_unfolding:  # product node k is region node k
+                    blocked[i] = {k for k in r.win if k < size and owner[k] == i}
+                else:
+                    blocked[i] = {k for k, (s, qs) in enumerate(product.nodes)
+                                  if owner[s] == i and r.nodes.id(s, qs[i]) in r.win}
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
             stem, loop = find_witness_lasso(
@@ -418,7 +422,7 @@ def solve(
         path = [nodes[n] for n in (*stem, *loop, loop[0])]
         punishment = {
             i: {} if i in winners else _reached_entries(
-                u, i, trackers[i], regions[i].punishment, [(s, qs[i]) for s, qs in path]
+                u, i, trackers[i], regions[i], [(s, qs[i]) for s, qs in path]
             )
             for i in players
         }

@@ -5,9 +5,11 @@ becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
 `F G`, or a supplied parity automaton); a punishment region is the product
 of the unfolding with that tracker, numbered and solved by Zielonka's
 algorithm. Its nodes (k, q) pair the id of an unfolded state with the
-tracker state after reading it; the winning region and the punishment table
-are read at them. When a fragment tracker is closed on the arena's edges
-(`closed`), that product is the unfolding itself.
+tracker state after reading it, and are numbered so that the start node
+(k, the state after k's letter alone) has id k (`GameNodes`); the winning
+region and the punishment table are kept on those ids. When a fragment
+tracker is closed on the arena's edges (`closed`), that product is the
+unfolding itself, every id is an unfolded state's, and no node is listed.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -17,7 +19,8 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
-from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
 from .arena import Arena, RESERVED_ATOM
@@ -86,14 +89,14 @@ def attractor(
     target: Iterable[int],
     *,
     for_protagonist: bool,
-    within: AbstractSet[int],
+    within: set[int],
 ) -> tuple[set[int], dict[int, int]]:
     """Least fixpoint inside `within` containing `target`: the attracting
     side's states with one successor inside, the other side's states with
     all their successors in `within` inside. The strategy picks a
     rank-decreasing edge. The frontier is seeded in id order, so ties
     between targets do not depend on hashing."""
-    attr = set(t for t in target if t in within)
+    attr = within.intersection(target)
     strategy: dict[int, int] = {}
     degree: dict[int, int] = {}  # successors in `within` not yet attracted
     frontier = sorted(attr)
@@ -155,7 +158,11 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
     successor inside. Returns (protagonist region, its strategy, coalition
     region, its strategy). Recursion drops the top priority each time, so
     its depth stays at most MAX_PRIORITY + 1; the regions the opponent of
-    the top priority's owner wins are peeled off in a loop."""
+    the top priority's owner wins are peeled off in a loop. The loop stops
+    once a peel leaves exactly the attractor `a_region` of the top: the next
+    round would compute the same attractor and strategy there and solve an
+    empty subgame, so the regions and strategies are those it would
+    return, with no strategy from that subgame."""
     if not domain:
         return set(), {}, set(), {}
     priority = g.priority
@@ -179,6 +186,9 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
             so.update(sop)
             so.update(tau2)
             domain = domain - b_region
+            if domain == a_region:  # the next round would repeat this one's attractor
+                sjp = {}
+                break
         wj = domain
         sj = dict(sjp)
         sj.update(tau)
@@ -325,9 +335,37 @@ def closed(a: Arena, tracker: Tracker, sink: bool) -> bool:
     )
 
 
+class GameNodes:
+    """The nodes (k, q) of a punishment game by id, q the tracker state
+    after reading unfolded state k: the start node (k, the state after k's
+    letter alone, `start[labels[k]]`) is id k, and the nodes past the start
+    nodes, from id len(labels) on, are listed in `extra` and looked up in
+    `ids`. The start nodes are never listed, so a closed game lists no
+    node; `nodes[j]` reads node j and `nodes.id(k, q)` its id."""
+
+    __slots__ = ("labels", "start", "extra", "ids")
+
+    def __init__(self, labels: list, start: dict, extra: list, ids: dict):
+        self.labels, self.start, self.extra, self.ids = labels, start, extra, ids
+
+    def __len__(self) -> int:
+        return len(self.labels) + len(self.extra)
+
+    def __getitem__(self, j: int) -> tuple:
+        n = len(self.labels)
+        return (j, self.start[self.labels[j]]) if j < n else self.extra[j - n]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def id(self, k: int, q) -> Optional[int]:
+        """The id of node (k, q), or None when the game has no such node."""
+        return k if q == self.start[self.labels[k]] else self.ids.get((k, q))
+
+
 def tracker_product(
     u: UnfoldedArena, player: int, tracker: Tracker, pred: Optional[list] = None
-) -> tuple[list, ZeroSumGame]:
+) -> tuple[GameNodes, ZeroSumGame]:
     """`player`'s punishment game: the part of the unfolding x tracker
     reachable from every state's start node (k, the tracker state after
     reading state k), numbered breadth-first from the start nodes in id
@@ -336,19 +374,19 @@ def tracker_product(
 
     When the tracker is closed on the base arena's edges and the sink's
     (see `closed`), the start nodes are all the nodes: the game's `succ`
-    is `u.succ` itself, each node's priority is read once per letter, and
-    the game's predecessor lists are `pred`, a list the caller keeps for
-    `u`, filled here if it is empty, so that every closed game on one
-    unfolding shares one (without `pred`, the game builds its own).
-    Otherwise the game is built node by node: a node carries the tracker
-    state after its own letter, so a tracker whose state is the current
-    letter's verdict (G F, F G) adds no nodes. Where every successor of a
-    node is a start node, its successor list is `u.succ`'s own list,
-    shared and never written; only a node whose tracker state leads
-    elsewhere gets a list of its own, and only nodes past the start nodes
-    are looked up by (k, q). A node's tracker is stepped only on its
-    successors' letters, and the priority is read once per tracker
-    state."""
+    is `u.succ` itself, each node's priority is read once per letter, no
+    node is listed, and the game's predecessor lists are `pred`, a list
+    the caller keeps for `u`, filled here if it is empty, so that every
+    closed game on one unfolding shares one (without `pred`, the game
+    builds its own). Otherwise the game is built node by node: a node
+    carries the tracker state after its own letter, so a tracker whose
+    state is the current letter's verdict (G F, F G) adds no nodes. Where
+    every successor of a node is a start node, its successor list is
+    `u.succ`'s own list, shared and never written; only a node whose
+    tracker state leads elsewhere gets a list of its own, and only nodes
+    past the start nodes are listed and looked up by (k, q). A node's
+    tracker is stepped only on its successors' letters, and the priority
+    is read once per tracker state."""
     labels, u_succ, owner, states = u.labels, u.succ, u.owner, u.states
     if closed(u.base, tracker, states[-1] is BOT):
         after = {x: tracker.step(tracker.initial, x) for x in dict.fromkeys(labels)}
@@ -360,13 +398,13 @@ def tracker_product(
         game = ZeroSumGame(
             u_succ, [o == player for o in owner], [priority[x] for x in labels], pred
         )
-        return [(k, after[x]) for k, x in enumerate(labels)], game
+        return GameNodes(labels, after, [], {}), game
     step, priority = cache(tracker.step), cache(tracker.priority)
-    start = [step(tracker.initial, x) for x in labels]
-    nodes = list(enumerate(start))
-    ids: dict = {}  # the nodes past the start nodes
+    after = {x: step(tracker.initial, x) for x in dict.fromkeys(labels)}
+    start = [after[x] for x in labels]
+    n, extra, ids = len(labels), [], {}  # the nodes past the start nodes
     succ = []
-    for s, q in nodes:  # breadth-first: the list grows while it is read
+    for s, q in chain(enumerate(start), extra):  # breadth-first: `extra` grows while read
         out = []
         for t in u_succ[s]:
             qt = step(q, labels[t])
@@ -375,16 +413,17 @@ def tracker_product(
                 continue
             j = ids.get((t, qt))
             if j is None:
-                j = ids[(t, qt)] = len(nodes)
-                nodes.append((t, qt))
+                j = ids[(t, qt)] = n + len(extra)
+                extra.append((t, qt))
             out.append(j)
         succ.append(u_succ[s] if out == u_succ[s] else out)
     game = ZeroSumGame(
         succ=succ,
-        is_protagonist=[owner[s] == player for s, _ in nodes],
-        priority=[1 if states[s] is BOT else priority(q) for s, q in nodes],
+        is_protagonist=[o == player for o in owner] + [owner[s] == player for s, _ in extra],
+        priority=[1 if states[s] is BOT else priority(q)
+                  for s, q in chain(enumerate(start), extra)],
     )
-    return nodes, game
+    return GameNodes(labels, after, extra, ids), game
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +431,17 @@ def tracker_product(
 
 
 class PunishRegions(NamedTuple):
-    """A player's punishment game, solved on the nodes (k, q) of the
-    unfolding in product with its objective's tracker, q the tracker state
-    after reading state k. `win` holds the nodes from which the player,
-    alone, carefully meets its objective. `punishment` maps each
-    coalition-owned node the coalition wins to the id of the unfolded state
-    it moves to there."""
+    """A player's punishment game, solved on the ids of the nodes (k, q) of
+    the unfolding in product with its objective's tracker, q the tracker
+    state after reading state k; `nodes` maps an id to its node and back
+    (start node k is id k, see `GameNodes`). `win` holds the ids of the
+    nodes from which the player, alone, carefully meets its objective.
+    `punishment` maps the id of each coalition-owned node the coalition
+    wins to the id of the unfolded state it moves to there."""
 
-    win: frozenset
-    punishment: dict
+    win: frozenset[int]
+    punishment: dict[int, int]
+    nodes: GameNodes
 
 
 def punish_region(
@@ -412,8 +453,12 @@ def punish_region(
     must not visit a node it owns in this region. Every objective is one
     parity game: the unfolding in product with the tracker, solved by
     Zielonka's algorithm, whose coalition strategy is the punishment
-    table."""
+    table. Both stay on the game's ids; on a closed game, where every id
+    is an unfolded state's, the table is that strategy itself."""
     nodes, game = tracker_product(u, player, tracker, pred)
     regions = solve_parity(game)
-    table = {nodes[j]: nodes[t][0] for j, t in regions.antagonist_strategy.items()}
-    return PunishRegions(frozenset(nodes[k] for k in regions.protagonist), table)
+    table = regions.antagonist_strategy
+    if nodes.extra:  # a move into a node past the start nodes enters its state
+        n, extra = len(nodes.labels), nodes.extra
+        table = {j: t if t < n else extra[t - n][0] for j, t in table.items()}
+    return PunishRegions(regions.protagonist, table, nodes)

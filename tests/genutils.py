@@ -7,10 +7,10 @@ fixpoints. Memoryless determinacy of the supported objectives makes these
 enumerations exact references. The exceptions are `oracle_solve`, the
 solver's loop over winner sets without its pruning, kept as the reference
 that the pruning changes no verdict, certificate or searched set's reason,
-and the straightforward forms of three solver passes that were rewritten
-for speed: `reference_unfold`, `reference_tracker_product` and
-`reference_find_witness_lasso`, which must return what the package's
-passes return.
+and the straightforward forms of four solver passes that were rewritten
+for speed: `reference_unfold`, `reference_tracker_product`,
+`reference_solve_parity` and `reference_find_witness_lasso`, which must
+return what the package's passes return.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from carefulsynth.unfolding import (
     BOT, UnfoldedArena, UState, checked_bounds, credit_after, unfold,
 )
 from carefulsynth.zerosum import (
-    PunishRegions, ZeroSumGame, objective_tracker, parse_dpa, solve_parity,
+    MAX_PRIORITY, GameNodes, PunishRegions, WinningRegions, ZeroSumGame, _escape_strategy,
+    objective_tracker, parse_dpa,
 )
 
 
@@ -273,11 +274,13 @@ def by_state(u: UnfoldedArena) -> StateView:
     )
 
 
-def state_table(u: UnfoldedArena, table: dict) -> dict:
-    """A punishment region's table, keyed by node (state id, tracker state)
-    and naming successor ids, keyed as certificates key it: (unfolded
-    state, the tracker state written by `str`) -> unfolded state."""
-    return {(u.states[k], str(q)): u.states[t] for (k, q), t in table.items()}
+def state_table(u: UnfoldedArena, region: PunishRegions) -> dict:
+    """A punishment region's table, keyed by game id and naming successor
+    ids, keyed as certificates key it: (unfolded state, the tracker state
+    written by `str`) -> unfolded state."""
+    node = region.nodes.__getitem__
+    return {(u.states[k], str(q)): u.states[t]
+            for (k, q), t in zip(map(node, region.punishment), region.punishment.values())}
 
 
 def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> LabelledGame:
@@ -1077,12 +1080,98 @@ def reference_tracker_product(u: UnfoldedArena, player: int, tracker) -> tuple[l
     return nodes, game
 
 
+def reference_attractor(g: ZeroSumGame, target, *, for_protagonist: bool, within):
+    """`zerosum.attractor` as it read before it seeded with
+    `within.intersection(target)`."""
+    attr = set(t for t in target if t in within)
+    strategy: dict[int, int] = {}
+    degree: dict[int, int] = {}  # successors in `within` not yet attracted
+    frontier = sorted(attr)
+    while frontier:
+        new_frontier = []
+        for t in frontier:
+            for s in g.pred[t]:
+                if s not in within or s in attr:
+                    continue
+                if g.is_protagonist[s] == for_protagonist:
+                    attr.add(s)
+                    strategy[s] = t
+                    new_frontier.append(s)
+                    continue
+                left = degree.get(s)
+                if left is None:
+                    left = 0
+                    for x in g.succ[s]:
+                        if x in within:
+                            left += 1
+                degree[s] = left - 1
+                if left == 1:
+                    attr.add(s)
+                    new_frontier.append(s)
+        frontier = new_frontier
+    return attr, strategy
+
+
+def reference_solve_parity(g: ZeroSumGame) -> WinningRegions:
+    """`zerosum.solve_parity` as it read before Zielonka's peel loop stopped
+    when its next round would repeat: the loop runs until the subgame left
+    beside the top's attractor is won by nobody but the top's owner."""
+    top = max(g.priority, default=0)
+    if top > MAX_PRIORITY:
+        raise DocumentSemanticError(
+            f"priority {top} exceeds the configured bound {MAX_PRIORITY}"
+        )
+    w0, s0, w1, s1 = _reference_zielonka(g, set(g.states))
+    return WinningRegions(frozenset(w0), frozenset(w1), s0, s1)
+
+
+def _reference_zielonka(g: ZeroSumGame, domain: set[int]):
+    if not domain:
+        return set(), {}, set(), {}
+    priority = g.priority
+    present = {priority[s] for s in domain}
+    p = max(present)
+    j_is_pro = p % 2 == 0
+    if all(q % 2 == p % 2 for q in present):
+        wj, sj, wo, so = domain, _escape_strategy(g, domain, j_is_pro), set(), {}
+    else:
+        wo, so = set(), {}
+        while True:
+            top = {s for s in domain if priority[s] == p}
+            a_region, tau = reference_attractor(g, top, for_protagonist=j_is_pro, within=domain)
+            w0p, s0p, w1p, s1p = _reference_zielonka(g, domain - a_region)
+            sjp, wop, sop = (s0p, w1p, s1p) if j_is_pro else (s1p, w0p, s0p)
+            if not wop:
+                break
+            b_region, tau2 = reference_attractor(
+                g, wop, for_protagonist=not j_is_pro, within=domain
+            )
+            wo |= b_region
+            so.update(sop)
+            so.update(tau2)
+            domain = domain - b_region
+        wj = domain
+        sj = dict(sjp)
+        sj.update(tau)
+        for s in top:
+            if g.is_protagonist[s] == j_is_pro and s not in sj:
+                sj[s] = next(t for t in g.succ[s] if t in domain)
+    if j_is_pro:
+        return wj, sj, wo, so
+    return wo, so, wj, sj
+
+
 def reference_punish_region(u: UnfoldedArena, player: int, tracker) -> PunishRegions:
-    """`zerosum.punish_region` on `reference_tracker_product`'s game."""
+    """`zerosum.punish_region` on `reference_tracker_product`'s game, solved
+    by `reference_solve_parity`: the same ids, with the nodes past the start
+    nodes looked up in a dict built from the node list."""
     nodes, game = reference_tracker_product(u, player, tracker)
-    regions = solve_parity(game)
-    table = {nodes[j]: nodes[t][0] for j, t in regions.antagonist_strategy.items()}
-    return PunishRegions(frozenset(nodes[k] for k in regions.protagonist), table)
+    regions = reference_solve_parity(game)
+    table = {j: nodes[t][0] for j, t in regions.antagonist_strategy.items()}
+    n = len(u.states)
+    start = {u.labels[k]: q for k, q in nodes[:n]}
+    ids = {node: j for j, node in enumerate(nodes) if j >= n}
+    return PunishRegions(regions.protagonist, table, GameNodes(u.labels, start, nodes[n:], ids))
 
 
 def reference_find_witness_lasso(product, winners, forbidden):
@@ -1174,9 +1263,10 @@ def oracle_solve(a: Arena, bounds, dpas=None):
         for i in players:
             if i not in winner_set and i not in regions:
                 regions[i] = reference_punish_region(u, i, trackers[i])
+                won = {regions[i].nodes[j] for j in regions[i].win}
                 blocked[i] = {
                     k for k, (s, qs) in enumerate(product.nodes)
-                    if u.owner[s] == i and (s, qs[i]) in regions[i].win
+                    if u.owner[s] == i and (s, qs[i]) in won
                 }
         forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])
         try:
@@ -1194,7 +1284,7 @@ def oracle_solve(a: Arena, bounds, dpas=None):
         path = [nodes[n] for n in (*stem, *loop, loop[0])]
         punishment = {
             i: {} if i in winners else _reached_entries(
-                u, i, trackers[i], regions[i].punishment, [(s, qs[i]) for s, qs in path]
+                u, i, trackers[i], regions[i], [(s, qs[i]) for s, qs in path]
             )
             for i in players
         }

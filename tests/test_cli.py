@@ -489,7 +489,8 @@ def test_stats_reports_sizes(fig1_path, capsys):
         ),
         pytest.param(
             "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
-            re.compile("fig1@80,80( \\d+\\.\\d\\d){6} product=closed( region\\d=closed){3}"),
+            re.compile("fig1@80,80( \\d+\\.\\d\\d){6} product=closed( region\\d=closed){3} "
+                       "attractors=6"),
             id="layer_times.py",
         ),
     ],
@@ -568,6 +569,36 @@ def test_dpa_flag_with_a_non_numeric_player_is_an_error(fig1_path, tmp_path, cap
     )
     assert code == EXIT_ERROR
     assert "--dpa expects player=file" in err
+
+
+# spellings int() reads but `str` never writes: digit separators, spaces,
+# signs and non-ASCII digits (Arabic-Indic three, fullwidth one)
+_NON_ASCII_NUMBERS = ["1_0", " 3", "3 ", "+3", "\u0663", "\uff11"]
+
+
+@pytest.mark.parametrize("number", _NON_ASCII_NUMBERS)
+def test_bounds_flag_reads_only_ascii_digits(fig1_path, capsys, number):
+    for bounds in (f"{number},3", f"3,{number}"):
+        code, out, err = _run(capsys, "stats", fig1_path, "--bounds", bounds)
+        assert (code, out) == (EXIT_ERROR, ""), bounds
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert "bounds must be comma-separated integers" in err, err
+    # a negative bound keeps its own message
+    code, _, err = _run(capsys, "stats", fig1_path, "--bounds=-1,3")
+    assert code == EXIT_ERROR and "bounds must be nonnegative" in err
+
+
+@pytest.mark.parametrize("number", _NON_ASCII_NUMBERS)
+def test_dpa_flag_reads_only_ascii_digits(fig1_path, tmp_path, capsys, number):
+    # "١=FILE" once applied FILE to player 1
+    dpa_path = tmp_path / "dpa.json"
+    dpa_path.write_text(json.dumps(_DPA))
+    for player in (number, "\u0661"):
+        code, out, err = _run(
+            capsys, "solve", fig1_path, "--bounds", "3,3", "--dpa", f"{player}={dpa_path}"
+        )
+        assert (code, out) == (EXIT_ERROR, ""), player
+        assert err == f"error: --dpa expects player=file, got '{player}={dpa_path}'\n", err
 
 
 def test_a_dpa_flag_does_not_carry_over_to_the_next_run(fig1_path, tmp_path, capsys):
@@ -991,9 +1022,12 @@ def test_every_reader_refuses_seeded_mutations(fig1_path, fig1_text, tmp_path, c
         argv = ("solve", fig1_path, "--bounds", "3,3")
     assert _run(capsys, *argv)[0] in (EXIT_POSITIVE, EXIT_NEGATIVE)
     rng = random.Random(reader)
-    for case in range(60):
-        # the flag's one repeat is a component written twice
-        text = _mutant(rng, doc) if case or reader != "bounds" else "[3, 3, 3]"
+    # the flag's one repeat is a component written twice
+    texts = [_mutant(rng, doc) if case or reader != "bounds" else "[3, 3, 3]"
+             for case in range(60)]
+    if reader == "bounds":  # and components in spellings int() reads but `str` never writes
+        texts += [f"[{x}]" for x in ("1_0, 3", "3, \u0663", "+3, 3", "3, \uff13")]
+    for case, text in enumerate(texts):
         if reader == "bounds":  # the flag's list written without brackets
             argv = ("solve", fig1_path, "--bounds", text[1:-1].replace(" ", ""))
         else:

@@ -95,7 +95,8 @@ def test_witness_respects_forbidden_deviation_states(fig1):
         [objective_tracker(ltl.parse_ltl("F box")), objective_tracker(fig1.objective_of(3))],
     )
     forbidden = {
-        k for k, n in enumerate(product.nodes) if u.owner[n[0]] == 3 and (n[0], n[1][2]) in r3.win
+        k for k, n in enumerate(product.nodes)
+        if u.owner[n[0]] == 3 and r3.nodes.id(n[0], n[1][2]) in r3.win
     }
     stem, loop = _states_of(product, *find_witness_lasso(product, [0], forbidden))
     assert tuple(u.states[k][0] for k in stem) == GOLDEN_STEM
@@ -510,7 +511,7 @@ def _loser_tables(a, bounds, seed):
         else:
             # the region's table, kept only where a deviation reads it
             region = punish_region(u, i, objective_tracker(a.objective_of(i)))
-            table = state_table(u, region.punishment)
+            table = state_table(u, region)
             assert p.punishment[i].items() <= table.items(), seed
             assert set(p.punishment[i]) == oracle_reached_keys(
                 u, i, a.objective_of(i), table,

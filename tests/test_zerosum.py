@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from collections import deque
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from carefulsynth.errors import DocumentSemanticError, UnsupportedObjectiveError
 from carefulsynth.ltl import FragmentClass
 from carefulsynth.unfolding import BOT, unfold
 from carefulsynth.zerosum import (
+    ZeroSumGame,
     attractor,
     closed,
     dpa_step,
@@ -22,8 +24,9 @@ from carefulsynth.zerosum import (
     tracker_product,
 )
 
-from carefulsynth import synthesis
+from carefulsynth import synthesis, zerosum
 
+import genutils
 from genutils import (
     LabelledGame,
     game_as_unfolding,
@@ -38,6 +41,7 @@ from genutils import (
     random_many_player_arena,
     random_punishable_arena,
     reach_dpas,
+    reference_solve_parity,
     reference_tracker_product,
     state_table,
 )
@@ -305,6 +309,72 @@ def test_parity_long_countdown_keeps_the_recursion_limit():
     assert reg.antagonist == frozenset(range(n))
 
 
+def _random_parity_game(rng: random.Random) -> ZeroSumGame:
+    n = rng.randrange(1, 13)
+    succ = [rng.sample(range(n), rng.randrange(1, min(n, 3) + 1)) for _ in range(n)]
+    return ZeroSumGame(
+        succ, [rng.random() < 0.5 for _ in range(n)], [rng.randrange(0, 7) for _ in range(n)]
+    )
+
+
+def _attractor_calls(monkeypatch) -> dict:
+    """Count the calls to `zerosum.attractor` and to the reference's."""
+    calls = {"attractor": 0, "reference_attractor": 0}
+    for module, name in [(zerosum, "attractor"), (genutils, "reference_attractor")]:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_parity_equals_the_reference_on_random_games(monkeypatch):
+    # Zielonka's peel loop stops when a peel leaves exactly the top's
+    # attractor; the loop that runs the next round returns the same regions
+    # and the same strategies of both sides, on every game
+    calls, stopped = _attractor_calls(monkeypatch), 0
+    for seed in range(1500):
+        g = _random_parity_game(random.Random(seed))
+        before = dict(calls)
+        assert solve_parity(g) == reference_solve_parity(g), seed
+        stopped += (calls["attractor"] - before["attractor"]
+                    < calls["reference_attractor"] - before["reference_attractor"])
+    assert stopped >= 200, stopped
+
+
+@pytest.mark.parametrize("generator", [random_fragment_arena, random_punishable_arena])
+def test_parity_equals_the_reference_on_region_games(generator):
+    # the region games of fragment players, and of F players also given as
+    # automata
+    games = 0
+    for seed in range(300):
+        a, bounds = generator(random.Random(seed))
+        u, dpas = unfold(a, bounds), reach_dpas(a)
+        for i in range(1, a.players + 1):
+            for automaton in {False, i in dpas}:
+                tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
+                _, game = tracker_product(u, i, tracker)
+                assert solve_parity(game) == reference_solve_parity(game), (seed, i, automaton)
+                games += 1
+    assert games >= 600
+
+
+def test_fig1_closed_reach_regions_call_the_attractor_twice(monkeypatch, fig1):
+    # at (80,80) each F game attracts to the top once, peels the coalition's
+    # region once, and stops: the peel left the top's attractor, so the
+    # round that would attract to the top again inside it is not run
+    u = unfold(fig1, (80, 80))
+    calls = _attractor_calls(monkeypatch)
+    for i in range(1, fig1.players + 1):
+        tracker = objective_tracker(fig1.objective_of(i))
+        assert ltl.classify_fragment(fig1.objective_of(i)).kind == FragmentClass.REACH
+        assert closed(fig1, tracker, True)
+        calls["attractor"] = 0
+        punish_region(u, i, tracker)
+        assert calls["attractor"] == 2, i
+
+
 # ---------------------------------------------------------------------------
 # Parity automata documents
 
@@ -368,7 +438,7 @@ def _check_region_game_laws(u, player, tracker):
                 queue.append(n)
 
     nodes, game = tracker_product(u, player, tracker)
-    assert nodes == order
+    assert list(nodes) == order
     assert game.states == range(len(nodes))
     assert len(game.succ) == len(game.is_protagonist) == len(game.priority) == len(nodes)
     for k, (s, q) in enumerate(nodes):
@@ -406,7 +476,7 @@ def test_region_game_equals_the_reference(generator, seeds):
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
                 nodes, game = tracker_product(u, i, tracker)
                 ref_nodes, ref = reference_tracker_product(u, i, tracker)
-                assert nodes == ref_nodes, (seed, i, automaton)
+                assert list(nodes) == ref_nodes, (seed, i, automaton)
                 assert (game.succ, game.is_protagonist, game.priority) == (
                     ref.succ, ref.is_protagonist, ref.priority), (seed, i, automaton)
                 extra[automaton] += len(nodes) > len(u.states)
@@ -428,7 +498,7 @@ def test_closed_region_games_equal_the_general_build():
             tracker = objective_tracker(a.objective_of(i))
             nodes, game = tracker_product(u, i, tracker, pred)
             ref_nodes, ref = tracker_product(u, i, tracker._replace(fragment=False))
-            assert nodes == ref_nodes, (seed, i)
+            assert list(nodes) == list(ref_nodes), (seed, i)
             assert (game.succ, game.is_protagonist, game.priority, game.pred) == (
                 ref.succ, ref.is_protagonist, ref.priority, ref.pred), (seed, i)
             took = game.succ is u.succ
@@ -465,7 +535,7 @@ def test_region_game_steps_an_automaton_only_on_letters_it_meets():
     tracker = objective_tracker(a.objective_of(1), dpa)
     nodes, game = tracker_product(u, 1, tracker)
     ref_nodes, ref = reference_tracker_product(u, 1, tracker)
-    assert nodes == ref_nodes == [(0, "wait"), (1, "good")]
+    assert list(nodes) == ref_nodes == [(0, "wait"), (1, "good")]
     assert (game.succ, game.priority) == (ref.succ, ref.priority)
     result = synthesis.solve(a, (1,), {1: dpa})
     assert result.status == "solution" and result.profile.winners == {1}
@@ -505,14 +575,14 @@ def test_punish_region_fig1_small_bounds(fig1):
     u = unfold(fig1, (3, 3))
     r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
     # nodes pair a state's id with player 3's flag: F diam seen after it
-    assert (u.states.index(("c", (1, 1))), False) not in r.win
-    assert all(u.states[s] is not BOT for s, _ in r.win)
+    assert r.nodes.id(u.states.index(("c", (1, 1))), False) not in r.win
+    assert all(u.states[r.nodes[j][0]] is not BOT for j in r.win)
 
 
 def test_punish_region_fig1_large_bounds(fig1):
     u = unfold(fig1, (10, 10))
     r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
-    assert (u.states.index(("c", (4, 1))), False) in r.win
+    assert r.nodes.id(u.states.index(("c", (4, 1))), False) in r.win
 
 
 def test_punish_region_trivial_objective_no_negative_costs():
@@ -533,7 +603,7 @@ def test_punish_region_trivial_objective_no_negative_costs():
     u = unfold(a, (2,))
     r = punish_region(u, 1, objective_tracker(ltl.TRUE))
     # carefulness alone, no underflow anywhere; true never fails
-    assert set(r.win) == {(k, False) for k in range(len(u.states))}
+    assert {r.nodes[j] for j in r.win} == {(k, False) for k in range(len(u.states))}
 
 
 def test_punish_region_general_requires_dpa(fig1):
@@ -551,8 +621,9 @@ def test_punish_region_dpa_matches_fragment_region(fig1):
     direct = punish_region(u, 2, objective_tracker(fig1.objective_of(2)))
     via_dpa = punish_region(u, 2, objective_tracker(fig1.objective_of(2), dpa))
     # the automaton's state good is the flag "box seen"
-    assert {(s, q == "good") for s, q in via_dpa.win} == set(direct.win)
-    assert via_dpa.win and all(u.states[s] is not BOT for s, _ in via_dpa.win)
+    won = [via_dpa.nodes[j] for j in via_dpa.win]
+    assert {(s, q == "good") for s, q in won} == {direct.nodes[j] for j in direct.win}
+    assert won and all(u.states[s] is not BOT for s, _ in won)
 
 
 def test_no_state_outside_the_region_wins_against_the_table():
@@ -568,10 +639,96 @@ def test_no_state_outside_the_region_wins_against_the_table():
             objective = a.objective_of(i)
             kinds.add(ltl.classify_fragment(objective).kind)
             r = punish_region(u, i, objective_tracker(objective))
-            win = {(u.states[k], q) for k, q in r.win}
-            won = oracle_wins_against_table(u, i, objective, state_table(u, r.punishment))
+            win = {(u.states[k], q) for k, q in map(r.nodes.__getitem__, r.win)}
+            won = oracle_wins_against_table(u, i, objective, state_table(u, r))
             assert not {n for n, w in won.items() if w and n not in win}, (seed, i)
             outside += sum(n not in win for n in won)
             won_inside += sum(w == "play" for w in won.values())
     assert kinds == set(FRAGMENT_OBJECTIVE)
     assert outside >= 1000 and won_inside >= 100
+
+
+def test_closed_regions_stay_on_unfolded_ids(fig1):
+    # a closed game lists no node, and its region and table hold the
+    # unfolding's ids, the table being the coalition's strategy itself
+    u = unfold(fig1, (10, 10))
+    for i in range(1, fig1.players + 1):
+        tracker = objective_tracker(fig1.objective_of(i))
+        assert closed(fig1, tracker, True)
+        nodes, game = tracker_product(u, i, tracker)
+        assert (nodes.extra, nodes.ids, len(nodes)) == ([], {}, len(u.states))
+        r = punish_region(u, i, tracker)
+        assert r.win and all(type(j) is int and 0 <= j < len(u.states) for j in r.win)
+        assert r.punishment and all(
+            type(j) is int and type(t) is int and t in u.succ[j] for j, t in r.punishment.items())
+        assert r.punishment == solve_parity(game).antagonist_strategy
+        assert all(r.nodes.id(*r.nodes[j]) == j for j in range(len(u.states)))
+
+
+def test_region_ids_name_their_nodes():
+    # node j's id is j on the general path too, where nodes past the start
+    # nodes occur; a table entry names the unfolded state its move enters
+    extra = 0
+    for seed in range(200):
+        a, bounds = random_fragment_arena(random.Random(seed))
+        u, dpas = unfold(a, bounds), reach_dpas(a)
+        for i in range(1, a.players + 1):
+            for automaton in {False, i in dpas}:
+                tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
+                r = punish_region(u, i, tracker)
+                assert [r.nodes.id(*node) for node in r.nodes] == list(range(len(r.nodes)))
+                assert r.nodes.id(0, object()) is None
+                assert all(t in u.succ[r.nodes[j][0]] for j, t in r.punishment.items())
+                extra += len(r.nodes.extra)
+    assert extra > 0
+
+
+def _upward_closure(u, region) -> tuple[list, int]:
+    """The faults of `region` against upward closure in the resources: a
+    node (x, d, q) of its game that is not won while a node (x, c, q) with
+    c <= d is. Also returns how many such pairs (c, d), c != d, the check
+    compared."""
+    present, won = {}, {}
+    for j, (k, q) in enumerate(region.nodes):
+        if u.states[k] is not BOT:
+            x, c = u.states[k]
+            present.setdefault((x, q), []).append(c)
+            if j in region.win:
+                won.setdefault((x, q), set()).add(c)
+    faults, pairs = [], 0
+    for key, cs in won.items():
+        for d in present[key]:
+            below = [c for c in cs if c != d and all(map(le, c, d))]
+            pairs += len(below)
+            if below and d not in cs:
+                faults.append((key, below[0], d))
+    return faults, pairs
+
+
+def test_fig1_regions_are_upward_closed_in_the_resources(fig1):
+    # more of every resource never hurts the deviator: for each player,
+    # base state and tracker state, the won resource vectors are closed
+    # upward among the game's nodes
+    pairs = {}
+    for bounds in [(3, 3), (10, 10), (20, 20)]:
+        u = unfold(fig1, bounds)
+        for i in range(1, fig1.players + 1):
+            r = punish_region(u, i, objective_tracker(fig1.objective_of(i)))
+            faults, pairs[bounds, i] = _upward_closure(u, r)
+            assert not faults, (bounds, i, faults[:3])
+    assert min(pairs[(20, 20), i] for i in range(1, fig1.players + 1)) >= 500, pairs
+
+
+def test_random_regions_are_upward_closed_in_the_resources():
+    # a step that saturates a resource at B - 1 instead of B, from above B,
+    # fails this gate first at seed 346
+    pairs = 0
+    for seed in range(1000):
+        a, bounds = random_fragment_arena(random.Random(seed))
+        u = unfold(a, bounds)
+        for i in range(1, a.players + 1):
+            r = punish_region(u, i, objective_tracker(a.objective_of(i)))
+            faults, compared = _upward_closure(u, r)
+            assert not faults, (seed, i, faults[:3])
+            pairs += compared
+    assert pairs >= 200, pairs
