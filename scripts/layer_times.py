@@ -7,16 +7,20 @@ Each instance of `bench/workloads.setup` (read only) is solved `--repeat`
 times in this process. One line per instance, then their mean, gives in
 milliseconds the fastest untimed `solve`, and, from the timed runs, the
 fastest time of each call to `unfold`, `witness_product`,
-`tracker_product`, `solve_parity` and `find_witness_lasso`, summed over
-the calls of one solve (the calls come in the same order every run). The
-benchmark's tracer does not wrap `witness_product` or `tracker_product`;
-this script shows their share. The line ends with the path each of those
-builds took in one more solve: `product=closed` when every tracker is
-closed on the arena's edges and the product is the sink-free unfolding,
-`regionI=closed` when player I's punishment game is the unfolding itself,
-and `=general` where the build searched the product node by node; then
-`attractors=N`, the number of attractors Zielonka's algorithm computed in
-that solve, a size that does not depend on the machine.
+`punish_region`, `tracker_product`, `solve_parity` and
+`find_witness_lasso`, summed over the calls of one solve (the calls come
+in the same order every run). `punish_region` is inclusive: it holds its
+`tracker_product` and `solve_parity` calls, and the attractor that solves
+a reachability game without `solve_parity`. The benchmark's tracer does
+not wrap `witness_product` or `tracker_product`; this script shows their
+share. The line ends with the path each of those builds took in one more
+solve: `product=closed` when every tracker is closed on the arena's edges
+and the product is the sink-free unfolding, `regionI=closed` when player
+I's punishment game is the unfolding itself, and `=general` where the
+build searched the product node by node, each region followed by the
+solver of its game, `/attractor` or `/zielonka`; then `attractors=N`, the
+number of attractors computed in that solve, a size that does not depend
+on the machine.
 """
 
 import argparse
@@ -36,8 +40,9 @@ from carefulsynth.arena import parse_arena
 from carefulsynth.zerosum import parse_dpa
 
 # (module, the name its caller looks up)
-LAYERS = [(synthesis, "unfold"), (synthesis, "witness_product"), (zerosum, "tracker_product"),
-          (zerosum, "solve_parity"), (synthesis, "find_witness_lasso")]
+LAYERS = [(synthesis, "unfold"), (synthesis, "witness_product"), (synthesis, "punish_region"),
+          (zerosum, "tracker_product"), (zerosum, "solve_parity"),
+          (synthesis, "find_witness_lasso")]
 
 
 def patched_solve(a, bounds, dpas, wrappers) -> None:
@@ -72,9 +77,9 @@ def timed_solve(a, bounds, dpas) -> list[tuple[str, float]]:
 
 def build_paths(a, bounds, dpas) -> list[str]:
     """Which path the witness product and each region game took in one
-    solve, closed when every closure test its build ran passed, and the
-    number of attractors computed in it."""
-    verdicts, paths, attractors = [], [], []
+    solve, closed when every closure test its build ran passed, the solver
+    of each region game, and the number of attractors computed in it."""
+    verdicts, paths, calls = [], [], []
 
     def test(name, fn):
         def call(*args):
@@ -92,17 +97,28 @@ def build_paths(a, bounds, dpas) -> list[str]:
             return result
         return call
 
+    def solver(name, fn):
+        def call(*args, **kwargs):
+            mark = calls.count("solve_parity")
+            result = fn(*args, **kwargs)
+            zielonka = calls.count("solve_parity") > mark
+            paths[-1] += "/zielonka" if zielonka else "/attractor"
+            return result
+        return call
+
     def count(name, fn):
         def call(*args, **kwargs):
-            attractors.append(name)
+            calls.append(name)
             return fn(*args, **kwargs)
         return call
 
     patched_solve(a, bounds, dpas, {(synthesis, "closed"): test, (zerosum, "closed"): test,
                                     (synthesis, "witness_product"): build,
                                     (zerosum, "tracker_product"): build,
-                                    (zerosum, "attractor"): count})
-    return paths + [f"attractors={len(attractors)}"]
+                                    (synthesis, "punish_region"): solver,
+                                    (zerosum, "attractor"): count,
+                                    (zerosum, "solve_parity"): count})
+    return paths + [f"attractors={calls.count('attractor')}"]
 
 
 def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:

@@ -212,7 +212,10 @@ def witness_product(
     nodes = [(s, qstates[j]) for s, j in zip(state, where)]
     priority = [prio[j] for j in where]
     sccs = strongly_connected_components(range(len(nodes)), succ)
-    masks = [reduce(int.__or__, {even[where[v]] for v in comp}) for comp in sccs]
+    # an SCC's mask is read off its distinct `where` indices, letters on the closed path
+    masks = [even[where[comp[0]]] if len(comp) == 1
+             else reduce(int.__or__, map(even.__getitem__, set(map(where.__getitem__, comp))))
+             for comp in sccs]
     scc_of = [-1] * len(nodes)
     for j, comp in enumerate(sccs):
         for v in comp:

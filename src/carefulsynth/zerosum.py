@@ -4,7 +4,10 @@ punishment regions used by the equilibrium characterization. Every objective
 becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
 `F G`, or a supplied parity automaton); a punishment region is the product
 of the unfolding with that tracker, numbered and solved by Zielonka's
-algorithm. Its nodes (k, q) pair the id of an unfolded state with the
+algorithm, or by one attractor when it is a reachability game: priorities
+1 and 2 only, and no edge from priority 2 to priority 1, as in an `F`
+game whose targets are absorbing and have no edge into the underflow
+sink. Its nodes (k, q) pair the id of an unfolded state with the
 tracker state after reading it, and are numbered so that the start node
 (k, the state after k's letter alone) has id k (`GameNodes`); the winning
 region and the punishment table are kept on those ids. When a fragment
@@ -89,34 +92,40 @@ def attractor(
     target: Iterable[int],
     *,
     for_protagonist: bool,
-    within: set[int],
+    within: Optional[set[int]] = None,
 ) -> tuple[set[int], dict[int, int]]:
     """Least fixpoint inside `within` containing `target`: the attracting
     side's states with one successor inside, the other side's states with
     all their successors in `within` inside. The strategy picks a
     rank-decreasing edge. The frontier is seeded in id order, so ties
-    between targets do not depend on hashing."""
-    attr = within.intersection(target)
+    between targets do not depend on hashing. Without `within` the fixpoint
+    is over the whole game: no state is tested for membership, and the
+    other side's state counts down from its number of successors."""
+    attr = set(target) if within is None else within.intersection(target)
+    succ, pred, mine = g.succ, g.pred, g.is_protagonist
     strategy: dict[int, int] = {}
     degree: dict[int, int] = {}  # successors in `within` not yet attracted
     frontier = sorted(attr)
     while frontier:
         new_frontier = []
         for t in frontier:
-            for s in g.pred[t]:
-                if s not in within or s in attr:
+            for s in pred[t]:
+                if s in attr or within is not None and s not in within:
                     continue
-                if g.is_protagonist[s] == for_protagonist:
+                if mine[s] == for_protagonist:
                     attr.add(s)
                     strategy[s] = t
                     new_frontier.append(s)
                     continue
                 left = degree.get(s)
                 if left is None:
-                    left = 0
-                    for x in g.succ[s]:
-                        if x in within:
-                            left += 1
+                    if within is None:
+                        left = len(succ[s])
+                    else:
+                        left = 0
+                        for x in succ[s]:
+                            if x in within:
+                                left += 1
                 degree[s] = left - 1
                 if left == 1:
                     attr.add(s)
@@ -128,10 +137,10 @@ def attractor(
 def _escape_strategy(g, region, owned_side):
     """For `owned_side`-owned states inside `region` (which is closed for
     that side), pick a successor staying in `region`."""
-    out = {}
+    succ, mine, out = g.succ, g.is_protagonist, {}
     for s in region:
-        if g.is_protagonist[s] == owned_side:
-            for t in g.succ[s]:
+        if mine[s] == owned_side:
+            for t in succ[s]:
                 if t in region:
                     out[s] = t
                     break
@@ -444,6 +453,21 @@ class PunishRegions(NamedTuple):
     nodes: GameNodes
 
 
+def _reachability_targets(g: ZeroSumGame) -> Optional[list[int]]:
+    """The nodes of priority 2 when `g` is a reachability game for the
+    protagonist, else None. It is one when every priority is 1 or 2 and no
+    node of priority 2 has a successor of priority 1: a play that meets
+    priority 2 then keeps it, and every other play sees only priority 1.
+    An `F` game is one once its targets are absorbing and none has an edge
+    into the underflow sink, which keeps priority 1."""
+    priority = g.priority
+    if not {1, 2}.issuperset(priority):
+        return None
+    targets = [s for s, p in enumerate(priority) if p == 2]
+    absorbing = set(targets).issuperset(chain.from_iterable(map(g.succ.__getitem__, targets)))
+    return targets if absorbing else None
+
+
 def punish_region(
     u: UnfoldedArena, player: int, tracker: Tracker, pred: Optional[list] = None
 ) -> PunishRegions:
@@ -451,14 +475,25 @@ def punish_region(
     objective that `tracker` reads while staying careful, given the tracker
     state its history has reached? An outcome on which the player loses
     must not visit a node it owns in this region. Every objective is one
-    parity game: the unfolding in product with the tracker, solved by
-    Zielonka's algorithm, whose coalition strategy is the punishment
-    table. Both stay on the game's ids; on a closed game, where every id
-    is an unfolded state's, the table is that strategy itself."""
+    parity game: the unfolding in product with the tracker, whose coalition
+    strategy is the punishment table. A reachability game (see
+    `_reachability_targets`) is solved by one attractor to its targets over
+    the whole game, and the coalition moves from each of its nodes outside
+    to the first successor outside; that is what Zielonka's algorithm
+    returns there, after one round. Every other game is solved by
+    Zielonka's algorithm. Both stay on the game's ids; on a closed game,
+    where every id is an unfolded state's, the table is that strategy
+    itself."""
     nodes, game = tracker_product(u, player, tracker, pred)
-    regions = solve_parity(game)
-    table = regions.antagonist_strategy
+    targets = _reachability_targets(game)
+    if targets is None:
+        regions = solve_parity(game)
+        win, table = regions.protagonist, regions.antagonist_strategy
+    else:
+        won, _ = attractor(game, targets, for_protagonist=True)
+        win = frozenset(won)
+        table = _escape_strategy(game, set(game.states).difference(won), False)
     if nodes.extra:  # a move into a node past the start nodes enters its state
         n, extra = len(nodes.labels), nodes.extra
         table = {j: t if t < n else extra[t - n][0] for j, t in table.items()}
-    return PunishRegions(regions.protagonist, table, nodes)
+    return PunishRegions(win, table, nodes)

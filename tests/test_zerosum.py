@@ -107,6 +107,8 @@ def test_attractor_matches_strategy_enumeration(seed):
     assert att == oracle_attractor(g, targets)
     for s, t in strat.items():
         assert t in g.succ[s]
+    # without `within`, over the whole game: the same fixpoint and strategy
+    assert attractor(g, targets, for_protagonist=True) == (att, strat)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +319,15 @@ def _random_parity_game(rng: random.Random) -> ZeroSumGame:
     )
 
 
-def _attractor_calls(monkeypatch) -> dict:
-    """Count the calls to `zerosum.attractor` and to the reference's."""
-    calls = {"attractor": 0, "reference_attractor": 0}
-    for module, name in [(zerosum, "attractor"), (genutils, "reference_attractor")]:
+def _count_calls(monkeypatch, *functions) -> dict:
+    """Count the calls to each function (module, name), by name."""
+    calls = {}
+    for module, name in functions:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
+        calls[name] = 0
         monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -333,7 +336,8 @@ def test_parity_equals_the_reference_on_random_games(monkeypatch):
     # Zielonka's peel loop stops when a peel leaves exactly the top's
     # attractor; the loop that runs the next round returns the same regions
     # and the same strategies of both sides, on every game
-    calls, stopped = _attractor_calls(monkeypatch), 0
+    calls = _count_calls(monkeypatch, (zerosum, "attractor"), (genutils, "reference_attractor"))
+    stopped = 0
     for seed in range(1500):
         g = _random_parity_game(random.Random(seed))
         before = dict(calls)
@@ -360,19 +364,87 @@ def test_parity_equals_the_reference_on_region_games(generator):
     assert games >= 600
 
 
-def test_fig1_closed_reach_regions_call_the_attractor_twice(monkeypatch, fig1):
-    # at (80,80) each F game attracts to the top once, peels the coalition's
-    # region once, and stops: the peel left the top's attractor, so the
-    # round that would attract to the top again inside it is not run
+def test_fig1_closed_reach_regions_call_the_attractor_once(monkeypatch, fig1):
+    # at (80,80) every F game has absorbing targets and no target with an
+    # edge into the sink: one attractor over the whole game solves it, and
+    # Zielonka's algorithm is not run
     u = unfold(fig1, (80, 80))
-    calls = _attractor_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, (zerosum, "attractor"), (zerosum, "solve_parity"))
     for i in range(1, fig1.players + 1):
         tracker = objective_tracker(fig1.objective_of(i))
         assert ltl.classify_fragment(fig1.objective_of(i)).kind == FragmentClass.REACH
         assert closed(fig1, tracker, True)
-        calls["attractor"] = 0
+        calls.update(attractor=0, solve_parity=0)
         punish_region(u, i, tracker)
-        assert calls["attractor"] == 2, i
+        assert calls == {"attractor": 1, "solve_parity": 0}, i
+
+
+def _reachability_shaped(game) -> bool:
+    # priorities 1 and 2 only, and no successor of priority 1 after priority 2
+    priority = game.priority
+    return {1, 2}.issuperset(priority) and all(
+        priority[t] == 2 for out, p in zip(game.succ, priority) if p == 2 for t in out
+    )
+
+
+def _sink_edge_from_a_target(u, game) -> bool:
+    sink = len(u.states) - 1
+    return u.states[-1] is BOT and any(
+        sink in out for out, p in zip(game.succ, game.priority) if p == 2
+    )
+
+
+def test_reachability_regions_equal_zielonka(monkeypatch):
+    # exactly the reachability-shaped games are solved by one attractor,
+    # and the attractor and Zielonka's algorithm both give the reference's
+    # region and table, for every player and for each F player also given
+    # as an automaton; both paths run often, the attractor also on games
+    # built node by node, and Zielonka's on closed F games with a target
+    # that has an edge into the sink
+    calls = _count_calls(monkeypatch, (zerosum, "attractor"), (zerosum, "solve_parity"))
+    paths = dict.fromkeys(["attractor", "attractor, nodes listed", "zielonka",
+                           "closed F, target to sink"], 0)
+    generators = [random_fragment_arena, random_punishable_arena, random_closed_arena,
+                  random_many_player_arena]
+    for generator, seed in itertools.product(generators, range(400)):
+        a, bounds = generator(random.Random(seed))
+        u, dpas = unfold(a, bounds), reach_dpas(a)
+        for i in range(1, a.players + 1):
+            for automaton in {False, i in dpas}:
+                tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
+                before = calls["solve_parity"]
+                r = punish_region(u, i, tracker)
+                ref = genutils.reference_punish_region(u, i, tracker)
+                case = (generator.__name__, seed, i, automaton)
+                assert (r.win, r.punishment) == (ref.win, ref.punishment), case
+                nodes, game = tracker_product(u, i, tracker)
+                took_attractor = calls["solve_parity"] == before
+                assert took_attractor == _reachability_shaped(game), case
+                if took_attractor:
+                    paths["attractor"] += 1
+                    paths["attractor, nodes listed"] += bool(nodes.extra)
+                    continue
+                paths["zielonka"] += 1
+                paths["closed F, target to sink"] += (
+                    i in dpas and not automaton and closed(a, tracker, u.states[-1] is BOT)
+                    and _sink_edge_from_a_target(u, game)
+                )
+    assert paths["attractor"] >= 1000 and paths["zielonka"] >= 1000, paths
+    assert paths["attractor, nodes listed"] >= 100, paths
+    assert paths["closed F, target to sink"] >= 10, paths
+
+
+def test_a_game_without_priority_2_is_not_a_reachability_game():
+    # random_fragment_arena seed 161, player 1: F G's game has priorities
+    # 0 and 1, no target; it is Zielonka's, where an attractor to no target
+    # would hand every node to the coalition
+    a, bounds = random_fragment_arena(random.Random(161))
+    assert ltl.classify_fragment(a.objective_of(1)).kind == FragmentClass.COBUCHI
+    u, tracker = unfold(a, bounds), objective_tracker(a.objective_of(1))
+    _, game = tracker_product(u, 1, tracker)
+    assert set(game.priority) == {0, 1}
+    r = punish_region(u, 1, tracker)
+    assert r.win == genutils.reference_punish_region(u, 1, tracker).win == set(range(7))
 
 
 # ---------------------------------------------------------------------------
