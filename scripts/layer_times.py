@@ -6,21 +6,17 @@
 Each instance of `bench/workloads.setup` (read only) is solved `--repeat`
 times in this process. One line per instance, then their mean, gives in
 milliseconds the fastest untimed `solve`, and, from the timed runs, the
-fastest time of each call to `unfold`, `witness_product`,
-`punish_region`, `tracker_product`, `solve_parity` and
-`find_witness_lasso`, summed over the calls of one solve (the calls come
-in the same order every run). `punish_region` is inclusive: it holds its
-`tracker_product` and `solve_parity` calls, and the attractor that solves
-a reachability game without `solve_parity`. The benchmark's tracer does
-not wrap `witness_product` or `tracker_product`; this script shows their
-share. The line ends with the path each of those builds took in one more
-solve: `product=closed` when every tracker is closed on the arena's edges
-and the product is the sink-free unfolding, `regionI=closed` when player
-I's punishment game is the unfolding itself, and `=general` where the
-build searched the product node by node, each region followed by the
-solver of its game, `/attractor` or `/zielonka`; then `attractors=N`, the
-number of attractors computed in that solve, a size that does not depend
-on the machine.
+fastest time of each call to `product`, `unfold`, `witness_product`,
+`punish_region`, `solve_parity` and `find_witness_lasso`, summed over the
+calls of one solve (the calls come in the same order every run).
+`punish_region` is inclusive: it holds its `solve_parity` calls, and the
+attractor that solves a reachability game without `solve_parity`. The
+benchmark's tracer does not wrap `product` or `witness_product`; this
+script shows their share. The line ends with sizes from one more solve,
+which do not depend on the machine: `product=N`, the witness product's
+nodes; `regionI=N`, the nodes of player I's punishment game, followed by
+its solver, `/attractor` or `/zielonka`; `unfolds=N`, the number of
+`unfold` calls; and `attractors=N`, the number of attractors computed.
 """
 
 import argparse
@@ -40,8 +36,8 @@ from carefulsynth.arena import parse_arena
 from carefulsynth.zerosum import parse_dpa
 
 # (module, the name its caller looks up)
-LAYERS = [(synthesis, "unfold"), (synthesis, "witness_product"), (synthesis, "punish_region"),
-          (zerosum, "tracker_product"), (zerosum, "solve_parity"),
+LAYERS = [(synthesis, "product"), (synthesis, "unfold"), (synthesis, "witness_product"),
+          (synthesis, "punish_region"), (zerosum, "solve_parity"),
           (synthesis, "find_witness_lasso")]
 
 
@@ -75,34 +71,25 @@ def timed_solve(a, bounds, dpas) -> list[tuple[str, float]]:
     return calls
 
 
-def build_paths(a, bounds, dpas) -> list[str]:
-    """Which path the witness product and each region game took in one
-    solve, closed when every closure test its build ran passed, the solver
-    of each region game, and the number of attractors computed in it."""
-    verdicts, paths, calls = [], [], []
+def solve_sizes(a, bounds, dpas) -> list[str]:
+    """The sizes of one solve: the witness product's nodes, each region
+    game's nodes and its solver, and the numbers of `unfold` calls and of
+    attractors computed."""
+    sizes, calls = [], []
 
-    def test(name, fn):
-        def call(*args):
-            verdicts.append(fn(*args))
-            return verdicts[-1]
-        return call
-
-    def build(name, fn):
+    def witness(name, fn):
         def call(*args, **kwargs):
-            mark = len(verdicts)
             result = fn(*args, **kwargs)
-            took = len(verdicts) > mark and all(verdicts[mark:])
-            label = "product" if name == "witness_product" else f"region{args[1]}"
-            paths.append(f"{label}={'closed' if took else 'general'}")
+            sizes.append(f"product={len(result.priority)}")
             return result
         return call
 
     def solver(name, fn):
-        def call(*args, **kwargs):
+        def call(g, player, *args, **kwargs):
             mark = calls.count("solve_parity")
-            result = fn(*args, **kwargs)
+            result = fn(g, player, *args, **kwargs)
             zielonka = calls.count("solve_parity") > mark
-            paths[-1] += "/zielonka" if zielonka else "/attractor"
+            sizes.append(f"region{player}={len(g.succ)}/{'zielonka' if zielonka else 'attractor'}")
             return result
         return call
 
@@ -112,18 +99,17 @@ def build_paths(a, bounds, dpas) -> list[str]:
             return fn(*args, **kwargs)
         return call
 
-    patched_solve(a, bounds, dpas, {(synthesis, "closed"): test, (zerosum, "closed"): test,
-                                    (synthesis, "witness_product"): build,
-                                    (zerosum, "tracker_product"): build,
+    patched_solve(a, bounds, dpas, {(synthesis, "witness_product"): witness,
                                     (synthesis, "punish_region"): solver,
+                                    (synthesis, "unfold"): count,
                                     (zerosum, "attractor"): count,
                                     (zerosum, "solve_parity"): count})
-    return paths + [f"attractors={calls.count('attractor')}"]
+    return sizes + [f"unfolds={calls.count('unfold')}", f"attractors={calls.count('attractor')}"]
 
 
 def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
     """Milliseconds per layer and for the whole solve, each the fastest of
-    `repeat` runs, and the builds' paths."""
+    `repeat` runs, and the solve's sizes."""
     a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
     dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
     best = float("inf")
@@ -135,7 +121,7 @@ def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
     out = {"solve": best * 1000} | {name: 0.0 for _, name in LAYERS}
     for column in zip(*runs):
         out[column[0][0]] += min(dt for _, dt in column) * 1000
-    return out, build_paths(a, inst.bounds, dpas)
+    return out, solve_sizes(a, inst.bounds, dpas)
 
 
 def main() -> int:
@@ -147,13 +133,13 @@ def main() -> int:
     args = parser.parse_args()
     pkg = {name: importlib.import_module(f"carefulsynth.{name}") for name in ("cli", "reduction")}
     columns = ["solve"] + [name for _, name in LAYERS]
-    print(" ".join(["instance", *columns, "(ms)", "paths"]))
+    print(" ".join(["instance", *columns, "(ms)", "sizes"]))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for inst in workloads.setup(args.workload, args.seed, pathlib.Path(tmp), pkg):
-            times, paths = instance_times(inst, args.repeat)
+            times, sizes = instance_times(inst, args.repeat)
             rows.append(times)
-            print(" ".join([inst.id, *(f"{times[c]:.2f}" for c in columns), *paths]), flush=True)
+            print(" ".join([inst.id, *(f"{times[c]:.2f}" for c in columns), *sizes]), flush=True)
     print(" ".join(["mean", *(f"{sum(r[c] for r in rows) / len(rows):.2f}" for c in columns)]))
     return 0
 

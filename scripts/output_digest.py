@@ -24,25 +24,32 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # bench/workloads.py, read only
 
-from carefulsynth.arena import parse_arena
-from carefulsynth.unfolding import render_ustate, unfold
+from carefulsynth.arena import RESERVED_ATOM, parse_arena
+from carefulsynth.unfolding import product, render_ustate, unfold
 from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
 
 def region_lines(inst: workloads.Instance) -> list[str]:
     """Every player's region at the instance's bounds: its won nodes, then
     its table entries, each read from the region's game ids, rendered as
-    in certificates and sorted."""
+    in certificates and sorted. The sink, which has no tracker state, is
+    rendered with the tracker's state after the sink's letter alone."""
     a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
     dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
-    u = unfold(a, inst.bounds)
     out = []
     for i in range(1, a.players + 1):
-        r = punish_region(u, i, objective_tracker(a.objective_of(i), dpas.get(i)))
-        node = r.nodes.__getitem__  # a game id -> its node (state id, tracker state)
-        win = sorted(f"{render_ustate(u.states[k])}|{q}" for k, q in map(node, r.win))
-        table = sorted(f"{render_ustate(u.states[k])}|{q} -> {render_ustate(u.states[t])}"
-                       for (k, q), t in zip(map(node, r.punishment), r.punishment.values()))
+        tracker = objective_tracker(a.objective_of(i), dpas.get(i))
+        g = unfold(product(a, [tracker]), inst.bounds)
+        r = punish_region(g, i)
+        at_sink = tracker.step(tracker.initial, frozenset({RESERVED_ATOM}))
+
+        def node(j):  # a game id -> its node (unfolded state, tracker state), rendered
+            q = g.graph.qs[g.at[j]][0] if j < len(g.at) else at_sink
+            return f"{render_ustate(g.states[j])}|{q}"
+
+        win = sorted(map(node, r.win))
+        table = sorted(f"{node(j)} -> {render_ustate(g.states[t])}"
+                       for j, t in r.punishment.items())
         out.append(f"player {i} win {win} table {table}")
     return out
 

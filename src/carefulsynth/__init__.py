@@ -1,13 +1,13 @@
 """Careful cooperative rational synthesis for multi-player turn-based games
 with multiple bounded shared resources.
 
-The pipeline: `arena` (data model + lasso semantics) -> `unfolding` (bounded
-resource product with an underflow sink) -> `zerosum` (attractors, Zielonka's
-parity algorithm, objective trackers, punishment regions solved on the
-numbered product of the unfolding with a tracker) -> `synthesis`
-(equilibrium search and certificate checking). `ltl` provides the objective language and its
-Büchi translation; `reduction` generates hardness instances from two-counter
-automata; `cli` is the command-line front end.
+The pipeline: `arena` (data model + lasso semantics) -> `unfolding` (the
+arena's product with objective automata, unfolded over bounded resources
+with an underflow sink) -> `zerosum` (attractors, Zielonka's parity
+algorithm, objective trackers, punishment regions) -> `synthesis`
+(equilibrium search and certificate checking). `ltl` provides the objective
+language and its Büchi translation; `reduction` generates hardness
+instances from two-counter automata; `cli` is the command-line front end.
 """
 
 from .arena import (
@@ -53,7 +53,7 @@ from .synthesis import (
     system_component,
     witness_product,
 )
-from .unfolding import BOT, UnfoldedArena, lift, unfold
+from .unfolding import BOT, Product, UnfoldedArena, lift, product, unfold
 from .zerosum import (
     ParityAutomaton,
     PunishRegions,

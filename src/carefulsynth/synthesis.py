@@ -1,23 +1,19 @@
 """Deciding careful cooperative rational synthesis on bounded instances.
 
-Pipeline: unfold the arena, build each player's objective tracker, and
-build once the product of the sink-free unfolding with the system
-objective's tracker (its tableau automaton outside the fragments) and every
-player's tracker, each read after a state's letter; when every tracker is
-closed on the arena's edges (`zerosum.closed`) that product is the
-sink-free unfolding. For each candidate winner set that the even mask of
-some cyclic SCC of the product holds (see `WitnessProduct`), search that
-product for a lasso that the system's component and every winner's tracker
-accept, without the nodes where a loser owns the state and its punishment
-region holds (state id, its tracker state). A player's region is solved
-when it first loses in a searched set, since only a loser has a reason to
-deviate. The winners and the tracker states along a found lasso are read
-off its product nodes. The lasso plus the losers' punishment tables, each
-cut to the nodes the loser's deviations reach, form the equilibrium
-certificate; `check_certificate` checks it without the game solver and
-without building the unfolding, by an emptiness test per loser on the graph
-its table leaves. It shares with the solver only the objective trackers and
-the SCC kernel (README, step 4).
+Pipeline: unfold the arena's product with the system objective's component
+and every player's tracker (`unfolding.product`); a product with one node
+per arena state takes the arena's unfolding, shared by every such product.
+For each winner set that the even mask of some cyclic SCC holds (see
+`WitnessProduct`), search it for a lasso that the system's component and
+every winner's tracker accept, avoiding the nodes where a loser owns the
+state and its punishment region, solved on the unfolded product with its
+tracker when it first loses, holds the same state, credit and tracker
+state. The lasso plus the losers' tables, each cut to the nodes the
+loser's deviations reach, form the certificate; `check_certificate`
+checks it without the game solver and without building the unfolding,
+by an emptiness test per loser on the graph its table leaves. It shares
+with the solver only the objective trackers and the SCC kernel (README,
+step 4).
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from functools import reduce
+from operator import or_
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
@@ -43,18 +40,18 @@ from .errors import (
 from .unfolding import (
     BOT,
     DEFAULT_STATE_BUDGET,
+    Product,
     UState,
     UnfoldedArena,
     checked_bounds,
     lift,
     parse_ustate,
+    product,
     render_ustate,
     step,
     unfold,
 )
-from .zerosum import ParityAutomaton, Tracker, closed, objective_tracker, punish_region
-
-DEFAULT_PRODUCT_BUDGET = 10**7
+from .zerosum import ParityAutomaton, Tracker, objective_tracker, punish_region
 
 
 class StrategyProfile(NamedTuple):
@@ -88,139 +85,70 @@ class SolveResult(NamedTuple):
 # Witness search
 
 
+REJECTED = ()  # the tableau automaton's run has stopped: no accepting state follows
+
+
 def system_component(phi: ltl.Formula) -> Tracker:
-    """The system objective as a witness-product component whose `step`
-    lists its states after a letter: a fragment objective's tracker, else
-    its tableau automaton read from the pre-state None, accepting states at
-    priority 2 and the rest at 1 (the only path for general LTL)."""
+    """The system objective as a product component whose `step` lists its
+    states after a letter: a fragment objective's tracker, else its tableau
+    automaton read from a pre-state, (the automaton's state before the
+    letter, None for the initial ones; the letter, sorted), at priority 2
+    when that state accepts; a run that cannot read a letter goes to
+    REJECTED, at priority 1. The first letter leads to one state."""
     if ltl.classify_fragment(phi).kind != ltl.FragmentClass.GENERAL:
         tracker = objective_tracker(phi)
         return tracker._replace(step=lambda q, x: [tracker.step(q, x)])
     nba = ltl.to_nba(phi)
 
     def step(q, letter):
-        trs = [tr for p in (nba.initial if q is None else (q,)) for tr in nba.transitions[p]]
-        return sorted({tr.dst for tr in trs if ltl.guard_matches(tr, letter)})
+        word = tuple(sorted(letter))
+        if q is None or q == REJECTED:
+            return [(None, word) if q is None else REJECTED]
+        p, x = q[0], frozenset(q[1])
+        trs = [tr for s in (nba.initial if p is None else (p,)) for tr in nba.transitions[s]]
+        return [(d, word) for d in sorted({tr.dst for tr in trs if ltl.guard_matches(tr, x)})
+                ] or [REJECTED]
 
-    return Tracker(None, step, lambda q: 2 if q in nba.accepting else 1)
+    return Tracker(None, step, lambda q: 2 if q and q[0] in nba.accepting else 1)
 
 
 class WitnessProduct(NamedTuple):
-    """The reachable, sink-free part of the unfolding in product with the
-    system's component and a list of trackers. A node is (the id of an
-    unfolded state, each component's state after reading the state's
-    letter, the system's first); node k is unfolded state k when every
-    component is closed on the arena's edges (`is_unfolding`), else nodes
-    are numbered breadth-first from the initial ones. An accepted lasso loops in one of
-    `sccs` (forbidding nodes only splits SCCs) with an even top in the
-    system's and each winner's component, so `solve` skips a winner set
-    that no mask holds, and `find_witness_lasso` refines only the SCCs
-    whose mask holds it."""
+    """The unfolded product of the arena with the system's component and
+    the trackers, on its ids; the sink, last, has no priority and is in no
+    SCC. An accepted lasso loops in one of `sccs` (forbidding nodes only
+    splits SCCs) with an even top in the system's and each winner's
+    component, so `solve` skips a winner set that no mask holds, and
+    `find_witness_lasso` refines only the SCCs whose mask holds it."""
 
-    nodes: list  # id -> node
-    initials: list  # ids
+    initial: int
     succ: list  # id -> its successor ids, in a deterministic order
     priority: list  # id -> each component's priority, the system's first
     sccs: list  # the SCCs that hold a cycle, each a list of ids
     masks: list  # SCC index -> bit k set when a node has an even priority in component k
-    scc_of: list  # id -> the index of its SCC in `sccs`, or -1 on no cycle
-    is_unfolding: bool
+    scc_of: list  # id -> the index of its SCC in `sccs`, or -1 on no cycle and at the sink
 
 
-def witness_product(
-    u: UnfoldedArena,
-    system: Tracker,
-    trackers: Sequence[Tracker],
-    max_product: int = DEFAULT_PRODUCT_BUDGET,
-) -> WitnessProduct:
-    """Build the product once; every winner set is searched on it. Each
-    component is a parity condition on its states' priorities; the system's
-    `step` lists its states after a letter (see `system_component`). When
-    every component is closed on the arena's edges, the product is the
-    sink-free unfolding, its lists `u.succ`'s without the sink. Otherwise
-    the tuples of component states are interned, and each transition is
-    computed once per (tuple, letter) as a list of the tuples' indices;
-    a node is keyed by its tuple's index times |U| plus its unfolded state's
-    id while the product is built, so each edge costs one integer lookup."""
-    labels, u_succ, n = u.labels, u.succ, len(u.states)
-    sink = n - 1 if u.states[-1] is BOT else -1  # the search never enters the sink
-    letter_of = {x: k for k, x in enumerate(dict.fromkeys(labels))}
-    letter = [letter_of[x] for x in labels]
-    letters = list(letter_of)
-    # a fragment system component lists the one state of its tracker
-    single = system._replace(step=lambda q, x: system.step(q, x)[0])
-    is_unfolding = all(closed(u.base, t, False) for t in (*trackers, single))
-    if is_unfolding:
-        size = n - (sink >= 0)
-        if size > max_product:
-            raise BudgetExceededError(f"synchronous product exceeds the budget of {max_product}")
-        qstates = [(single.step(single.initial, x), *[t.step(t.initial, x) for t in trackers])
-                   for x in letters]
-        state, where = range(size), letter[:size]
-        initials = [u.initial]
-        succ = [out[:-1] if sink in out else out for out in u_succ[:size]]  # the sink is last
-    else:
-        qids: dict = {}  # component states, the system's first -> their index
-        qstates: list = []  # index -> component states
-        table: list = []  # index -> letter id -> the indices after it, times n, or None
-
-        def intern(qs) -> int:
-            j = qids.get(qs)
-            if j is None:
-                j = qids[qs] = len(qstates)
-                qstates.append(qs)
-                table.append([None] * len(letters))
-            return j
-
-        def after(j, x) -> list:
-            qs, letter = qstates[j], letters[x]
-            rest = [t.step(q, letter) for t, q in zip(trackers, qs[1:])]
-            table[j][x] = offsets = [intern((q, *rest)) * n for q in system.step(qs[0], letter)]
-            return offsets
-
-        start = intern((system.initial, *[t.initial for t in trackers]))
-        keys = [offset + u.initial for offset in after(start, letter[u.initial])]
-        initials = list(range(len(keys)))
-        ids = {key: k for k, key in enumerate(keys)}
-        succ = []
-        for key in keys:  # breadth-first: the list grows while it is read
-            j, s = divmod(key, n)
-            row = table[j]
-            out = []
-            for t in u_succ[s]:
-                if t != sink:
-                    offsets = row[letter[t]]
-                    if offsets is None:
-                        offsets = after(j, letter[t])
-                    for offset in offsets:
-                        nxt = offset + t
-                        k = ids.get(nxt)
-                        if k is None:
-                            if len(keys) >= max_product:
-                                raise BudgetExceededError(
-                                    f"synchronous product exceeds the budget of {max_product}"
-                                )
-                            k = ids[nxt] = len(keys)
-                            keys.append(nxt)
-                        out.append(k)
-            succ.append(out)
-        state, where = [key % n for key in keys], [key // n for key in keys]
-        del keys, ids  # the build's keys are not needed by the SCC pass
-    prio = [(system.priority(qs[0]), *[t.priority(q) for t, q in zip(trackers, qs[1:])])
-            for qs in qstates]
-    even = [sum(1 << k for k, x in enumerate(p) if x % 2 == 0) for p in prio]
-    nodes = [(s, qstates[j]) for s, j in zip(state, where)]
-    priority = [prio[j] for j in where]
-    sccs = strongly_connected_components(range(len(nodes)), succ)
-    # an SCC's mask is read off its distinct `where` indices, letters on the closed path
-    masks = [even[where[comp[0]]] if len(comp) == 1
-             else reduce(int.__or__, map(even.__getitem__, set(map(where.__getitem__, comp))))
+def witness_product(u: UnfoldedArena) -> WitnessProduct:
+    """The witness search's view of `u`, the unfolded product of the arena
+    with the system's component and the trackers; every winner set is
+    searched on it. Each component is a parity condition on its states'
+    priorities, and an SCC's mask is folded over its distinct product
+    nodes."""
+    graph, at, succ = u.graph, u.at, u.succ
+    of = {qs: tuple(c.priority(q) for c, q in zip(graph.components, qs))
+          for qs in dict.fromkeys(graph.qs)}  # read once per tuple of component states
+    bits = {qs: sum(1 << k for k, x in enumerate(p) if x % 2 == 0) for qs, p in of.items()}
+    even = list(map(bits.__getitem__, graph.qs))
+    priority = list(map(list(map(of.__getitem__, graph.qs)).__getitem__, at))
+    sccs = strongly_connected_components(range(len(at)), succ)
+    masks = [even[at[comp[0]]] if len(comp) == 1
+             else reduce(or_, map(even.__getitem__, set(map(at.__getitem__, comp))))
              for comp in sccs]
-    scc_of = [-1] * len(nodes)
+    scc_of = [-1] * len(succ)
     for j, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = j
-    return WitnessProduct(nodes, initials, succ, priority, sccs, masks, scc_of, is_unfolding)
+    return WitnessProduct(u.initial, succ, priority, sccs, masks, scc_of)
 
 
 class NoWitness(Exception):
@@ -238,11 +166,11 @@ def find_witness_lasso(
     by SCC refinement. Returns (stem, loop) over product node ids,
     deterministically minimized (shortest stem first, then a loop through
     one top-priority node per component). Raises NoWitness naming why
-    none exists: every initial node is forbidden, the restricted product
-    has no cycle (or no node at all), or no SCC is accepting."""
-    initials = [n for n in product.initials if n not in forbidden]
-    if product.initials and not initials:
+    none exists: the initial node is forbidden, the restricted product
+    has no cycle, or no SCC is accepting."""
+    if product.initial in forbidden:
         raise NoWitness("initial state forbidden")
+    initials = [product.initial]
     successors, prio = product.succ.__getitem__, product.priority
     components = (0, *(k + 1 for k in winners))
     need = sum(1 << k for k in components)
@@ -339,30 +267,40 @@ def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
     return Lasso(stem=tuple(s for s, _ in stem), loop=tuple(s for s, _ in loop), trace=trace)
 
 
-def _reached_entries(u: UnfoldedArena, player, tracker, region, path) -> dict:
+def _game_ids(w: UnfoldedArena, g: UnfoldedArena, i: int) -> Sequence[int]:
+    """The id in `g`, player i's game, of each node of `w`, the witness
+    product's unfolding: the node at its state and credit with its state of
+    i's tracker, component i. Both on the arena's unfolding, it is itself."""
+    if g.succ is w.succ:
+        return range(len(w.states))
+    of = {(s, qs): p for p, (s, qs) in enumerate(zip(g.graph.state, g.graph.qs))}
+    to = [of[(s, (qs[i],))] for s, qs in zip(w.graph.state, w.graph.qs)]
+    node = {(p, c): j for j, (p, (_, c)) in enumerate(zip(g.at, g.states))}
+    return [node[(to[p], c)] for p, (_, c) in zip(w.at, w.states)]
+
+
+def _reached_entries(g: UnfoldedArena, player, region, path) -> dict:
     """The entries of `region`'s table that `player` reads, keyed as in
     certificates, once it leaves the outcome by a sink-free move and then
     moves freely: the nodes `_deviation_faults` explores, from the same
-    starts. `path` is the outcome's (state id, tracker state) over stem,
-    loop and loop head."""
-    states, labels, succ, owner = u.states, u.labels, u.succ, u.owner
-    table, node_id = region.punishment, region.nodes.id
-    stack = [(q, t) for (s, q), (nxt, _) in zip(path, path[1:]) if owner[s] == player
-             for t in succ[s] if t != nxt]  # (tracker state before t, t)
-    seen, kept = set(), {}
+    starts. `g` is the player's game, whose nodes carry its tracker state,
+    and `path` the outcome's ids in it over stem, loop and loop head."""
+    states, succ, owner, at, qs = g.states, g.succ, g.owner, g.at, g.graph.qs
+    table = region.punishment
+    stack = [t for j, nxt in zip(path, path[1:]) if owner[j] == player
+             for t in succ[j] if t != nxt]
+    seen, kept = {len(at)}, {}  # the sink's id, if there is one, as if seen
     while stack:
-        q, s = stack.pop()
-        q = tracker.step(q, labels[s])
-        j = node_id(s, q)
-        if j in seen or states[s] is BOT:
+        j = stack.pop()
+        if j in seen:
             continue
         seen.add(j)
-        moves = succ[s]
-        if owner[s] != player:  # outside the loser's region, so the table has the node
+        if owner[j] == player:
+            stack += succ[j]
+        else:  # outside the loser's region, so the table has the node
             t = table[j]
-            kept[(states[s], str(q))] = states[t]
-            moves = (t,)
-        stack += [(q, t) for t in moves]
+            kept[(states[j], str(qs[at[j]][0]))] = states[t]
+            stack.append(t)
     return kept
 
 
@@ -376,8 +314,7 @@ def solve(
     solving is refused by the type of `bounds` (the unbounded problem is
     undecidable; only lasso checking is offered there)."""
     dpas = dict(dpas or {})
-    u = unfold(a, bounds)
-
+    checked_bounds(a, bounds)
     players = list(range(1, a.players + 1))
     trackers = {}
     for i in players:
@@ -385,17 +322,24 @@ def solve(
             trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
-    product = witness_product(
-        u, system_component(a.system_objective), [trackers[i] for i in players]
-    )
-    owner, size = u.owner, len(product.nodes)
-    pred: list = []  # u.succ's predecessor lists, shared by the closed region games
-    regions = {}  # a player's punishment region, solved when it first loses
-    blocked = {}  # a loser's own nodes from which it could deviate and still win
+    shared: list = []  # the unfolding of the first product that is the arena's reachable part
+
+    def unfolded(p: Product) -> UnfoldedArena:
+        if not p.is_arena:
+            return unfold(p, bounds)
+        if not shared:
+            shared.append(unfold(p, bounds))
+        return shared[0]._replace(graph=p)
+
+    u = unfolded(product(a, [trackers[i] for i in players], system_component(a.system_objective)))
+    witness = witness_product(u)
+    owner, size = u.owner, len(u.at)
+    games, ids, regions, blocked = {}, {}, {}, {}  # by loser, each solved when it first loses
+    preds: dict = {}  # id of a game's successor lists -> their predecessor lists
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
-    pruned = "no accepting SCC" if product.sccs else "no cycle in the restricted product"
-    masks = set(product.masks)
+    pruned = "no accepting SCC" if witness.sccs else "no cycle in the restricted product"
+    masks = set(witness.masks)
     for winner_set in _winner_sets(a.players):
         need = sum(1 << i for i in winner_set) | 1  # the system is component 0
         if not any(m & need == need for m in masks):
@@ -403,29 +347,26 @@ def solve(
             continue
         for i in players:
             if i not in winner_set and i not in regions:
-                r = regions[i] = punish_region(u, i, trackers[i], pred)
-                if product.is_unfolding:  # product node k is region node k
-                    blocked[i] = {k for k in r.win if k < size and owner[k] == i}
-                else:
-                    blocked[i] = {k for k, (s, qs) in enumerate(product.nodes)
-                                  if owner[s] == i and r.nodes.id(s, qs[i]) in r.win}
+                g = games[i] = unfolded(product(a, [trackers[i]]))
+                r = regions[i] = punish_region(g, i, preds.setdefault(id(g.succ), []))
+                to = ids[i] = _game_ids(u, g, i)
+                blocked[i] = {k for k in range(size) if owner[k] == i and to[k] in r.win}
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
             stem, loop = find_witness_lasso(
-                product, [i - 1 for i in sorted(winner_set)], forbidden
+                witness, [i - 1 for i in sorted(winner_set)], forbidden
             )
         except NoWitness as e:
             diagnostics.append((tuple(sorted(winner_set)), str(e)))
             continue
-        nodes = product.nodes
-        outcome = outcome_lasso(u, [nodes[n][0] for n in stem], [nodes[n][0] for n in loop])
+        outcome = outcome_lasso(u, stem, loop)
         winners = frozenset(
-            i for i in players if max(product.priority[n][i] for n in loop) % 2 == 0
+            i for i in players if max(witness.priority[n][i] for n in loop) % 2 == 0
         )
-        path = [nodes[n] for n in (*stem, *loop, loop[0])]
+        path = (*stem, *loop, loop[0])
         punishment = {
             i: {} if i in winners else _reached_entries(
-                u, i, trackers[i], regions[i], [(s, qs[i]) for s, qs in path]
+                games[i], i, regions[i], [ids[i][n] for n in path]
             )
             for i in players
         }

@@ -4,6 +4,9 @@ vectors, plus the absorbing underflow sink.
 Only the fraction reachable from (initial, 0, ..., 0) is materialized; the
 full product is never allocated. Its states are numbered once, and every
 later layer reads successors, owners and labels by those numbers.
+The same loop unfolds the arena's product with objective automata
+(`Product`, after Vardi and Wolper, LICS 1986): the arena is the product
+with none.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ def parse_ustate(text: str) -> UState:
 
 
 class UnfoldedArena(NamedTuple):
-    """The reachable unfolding, numbered: id k names `states[k]`, in natural
-    tuple order with the sink last, and `succ`, `owner` and `labels` are
+    """The reachable unfolding, numbered: id k names `states[k]`, node
+    `at[k]` of `graph` with credit `states[k][1]`, in the natural order of
+    that pair with the sink last, and `succ`, `owner` and `labels` are
     lists over the ids."""
 
     base: Arena
@@ -73,9 +77,95 @@ class UnfoldedArena(NamedTuple):
     owner: list[int]  # the sink's is fixed at 1
     labels: list[frozenset[str]]
     clipped: bool = False  # some reachable step saturated a resource
+    graph: Optional[Product] = None
+    at: Optional[list[int]] = None  # without the sink
 
     def system_objective(self) -> ltl.Formula:
         return ltl.And(self.base.system_objective, AVOID_BOT)
+
+
+class Product(NamedTuple):
+    """The arena in product with `components` (`zerosum.Tracker`s, a system
+    component first, whose `step` lists states): node p is arena state
+    `state[p]` with each component's state after its letter, `qs[p]`,
+    ordered by state, then by `str` of `qs[p]`, as the arena (`is_arena`)
+    when each state has one node. A failed step is the edge ~e to
+    `failures[e]`, (target, error), which `unfold` raises where a reached
+    node takes it without underflow."""
+
+    base: Arena
+    components: tuple
+    state: list[str]
+    qs: list[tuple]
+    succ: list[list[int]]
+    failures: list[tuple[str, Exception]]
+    initial: int
+
+    @property
+    def is_arena(self) -> bool:
+        """One node per arena state it reaches and no failed step: the arena."""
+        return not self.failures and len(set(self.state)) == len(self.state)
+
+
+def product(a: Arena, trackers: Sequence, system=None) -> Product:
+    """The part of `a` in product with `system`, if given, and `trackers`
+    reachable from its initial state. Tuples of component states are
+    interned, and each one's transition on a letter is computed once."""
+    components = tuple(trackers) if system is None else (system, *trackers)
+    labels, steps, skip = a.labels, [t.step for t in trackers], system is not None
+    qids: dict = {}  # component states -> their index
+    qstates: list = []  # index -> component states
+    table: list = []  # index -> letter -> the indices after it, or the error of a step
+
+    def after(j, y):
+        qs = qstates[j]
+        try:
+            rest = tuple([step(q, y) for step, q in zip(steps, qs[skip:])])
+            heads = [(q, *rest) for q in system.step(qs[0], y)] if skip else [rest]
+        except DocumentSemanticError as e:
+            table[j][y] = e
+            return e
+        for h in heads:
+            if h not in qids:
+                qids[h] = len(qstates)
+                qstates.append(h)
+                table.append({})
+        table[j][y] = nxt = [qids[h] for h in heads]
+        return nxt
+
+    qstates.append(tuple(c.initial for c in components))
+    table.append({})
+    first = after(0, labels[a.initial])
+    if first.__class__ is not list:
+        raise first
+    nodes = [(a.initial, first[0])]  # one: a system component reads a first letter alone
+    ids = {nodes[0]: 0}
+    succ, failures = [], []
+    for s, j in nodes:  # breadth-first: the list grows while it is read
+        out = []
+        for t in a.succ[s]:
+            nxt = table[j].get(labels[t])
+            if nxt is None:
+                nxt = after(j, labels[t])
+            if nxt.__class__ is not list:
+                out.append(~len(failures))
+                failures.append((t, nxt))
+                continue
+            for i in nxt:
+                k = ids.setdefault((t, i), len(nodes))
+                if k == len(nodes):
+                    nodes.append((t, i))
+                out.append(k)
+        succ.append(out)
+    text = list(map(str, qstates))  # the arena's states are sorted
+    order = sorted(range(len(nodes)), key=[(s, text[j]) for s, j in nodes].__getitem__)
+    rank = [0] * len(nodes)
+    for new, old in enumerate(order):
+        rank[old] = new
+    return Product(
+        a, components, [nodes[k][0] for k in order], [qstates[nodes[k][1]] for k in order],
+        [[rank[x] if x >= 0 else x for x in succ[k]] for k in order], failures, rank[0],
+    )
 
 
 AVOID_BOT = ltl.Always(ltl.Not(ltl.Atom(RESERVED_ATOM)))
@@ -123,52 +213,59 @@ def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[tuple[UState, .
 
 
 def unfold(
-    a: Arena, bounds: Sequence[int], max_states: int = DEFAULT_STATE_BUDGET
+    g: Union[Arena, Product], bounds: Sequence[int], max_states: int = DEFAULT_STATE_BUDGET
 ) -> UnfoldedArena:
-    """Breadth-first construction of the reachable bounded unfolding, as
-    `step` reads it. A state (s, c) is keyed by one integer in its natural
-    tuple order: s's place among the sorted base states, then c in mixed
-    radix over the capacities, the sum of one key part per component. The
-    saturating step runs once per (credit, cost) pair, as a sum of the key
-    parts after each component's cost, each part computed once per digit
-    reached; nothing grows with the capacities. States are numbered as
-    found, the sink as -1, and renumbered at the end in key order, the sink
-    last."""
+    """Breadth-first construction of the reachable bounded unfolding of a
+    product, or of an arena (its product with nothing), as `step` reads it.
+    A node (p, c) is keyed by p times the number of credits plus c in mixed
+    radix over the capacities, a sum of per-component key parts, each
+    computed once per digit reached: nothing grows with the capacities.
+    Nodes are numbered as found, the sink as -1, and renumbered in key
+    order, the sink last. A failed step has a negative key."""
+    g = product(g, ()) if isinstance(g, Arena) else g
+    a, state = g.base, g.state
     b = checked_bounds(a, bounds)
-    names = sorted(a.states)
     place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
     width = prod(v + 1 for v in b)
     costs = list(dict.fromkeys(a.edges.values()))
-    where = {s: k * width for k, s in enumerate(names)}
     cost_id = {w: k for k, w in enumerate(costs)}
-    moves = [[(where[t], cost_id[a.edges[(s, t)]]) for t in a.successors(s)] for s in names]
+    cost_of = {s: {t: cost_id[a.edges[s, t]] for t in ts} for s, ts in a.succ.items()}
+    failures = g.failures
+    moves = [[(x * width, cs[state[x] if x >= 0 else failures[~x][0]]) for x in out]
+             for cs, out in zip(map(cost_of.__getitem__, state), g.succ)]
     # parts[w][i]: component i's key part -> its key part after cost w, or
     # -width when it goes below zero, so that the sum is negative
     parts = [[_KeyParts(p, wi, v * p, width) for p, wi, v in zip(place, w, b)] for w in costs]
     credits = {0: (0,) * a.dimensions}  # credit key -> its key parts
-    after: dict = {}  # credit key * len(costs) + cost index -> credit key after, or < 0
-    found = [where[a.initial]]
+    after: dict = {}  # credit key -> cost index -> credit key after, or < 0
+    found = [g.initial * width]
     index = {found[0]: 0}
     succ: list[list[int]] = []
-    m, sink, getpart = len(costs), False, _KeyParts.__getitem__
+    sink, getpart = False, _KeyParts.__getitem__
     for key in found:  # breadth-first: the list grows while it is read
-        s, c = divmod(key, width)
+        p, c = divmod(key, width)
+        row = after.get(c)
+        if row is None:
+            row = after[c] = [None] * len(costs)
         out = []
         to_bot = False
-        for base, w in moves[s]:
-            c2 = after.get(c * m + w)
+        for base, w in moves[p]:
+            c2 = row[w]
             if c2 is None:
                 c2parts = tuple(map(getpart, parts[w], credits[c]))
-                c2 = after[c * m + w] = sum(c2parts)
+                c2 = row[w] = sum(c2parts)
                 if c2 >= 0:
                     credits[c2] = c2parts
             if c2 < 0:
                 to_bot = True
                 continue
-            k = index.get(base + c2)
+            nxt = base + c2
+            k = index.get(nxt)
             if k is None:
-                k = index[base + c2] = len(found)
-                found.append(base + c2)
+                if nxt < 0:
+                    raise failures[~(nxt // width)][1]
+                k = index[nxt] = len(found)
+                found.append(nxt)
             out.append(k)
         if to_bot:
             out.append(-1)
@@ -183,13 +280,15 @@ def unfold(
         rank[old] = new
     for c, ps in credits.items():  # key parts -> credit vector
         credits[c] = tuple(map(floordiv, ps, place))
-    states = [(names[found[k] // width], credits[found[k] % width]) for k in order]
+    at = [found[k] // width for k in order]
+    states = [(state[p], credits[found[k] % width]) for p, k in zip(at, order)]
     return UnfoldedArena(
         a, b, rank[0], tuple(states) + (BOT,) * sink,
         [[rank[j] for j in succ[k]] for k in order] + [[n]] * sink,
         [a.owner[s] for s, _ in states] + [1] * sink,
         [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
         any(t.saturated for row in parts for t in row),
+        g, at,
     )
 
 

@@ -2,17 +2,10 @@
 Zielonka's parity algorithm, objective trackers, and the per-player
 punishment regions used by the equilibrium characterization. Every objective
 becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
-`F G`, or a supplied parity automaton); a punishment region is the product
-of the unfolding with that tracker, numbered and solved by Zielonka's
-algorithm, or by one attractor when it is a reachability game: priorities
-1 and 2 only, and no edge from priority 2 to priority 1, as in an `F`
-game whose targets are absorbing and have no edge into the underflow
-sink. Its nodes (k, q) pair the id of an unfolded state with the
-tracker state after reading it, and are numbered so that the start node
-(k, the state after k's letter alone) has id k (`GameNodes`); the winning
-region and the punishment table are kept on those ids. When a fragment
-tracker is closed on the arena's edges (`closed`), that product is the
-unfolding itself, every id is an unfolded state's, and no node is listed.
+`F G`, or a supplied parity automaton); a punishment game is the unfolded
+product of the arena with that tracker (`unfolding.product`), solved on its
+ids by Zielonka's algorithm, or by one attractor when it is a reachability
+game (see `_reachability_targets`).
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
@@ -22,16 +15,15 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
-from .arena import Arena, RESERVED_ATOM
 from .errors import (
     DocumentSemanticError, UnsupportedObjectiveError, expect, is_int, load_json, member,
 )
 from .ltl import FragmentClass
-from .unfolding import BOT, UnfoldedArena
+from .unfolding import UnfoldedArena
 
 # The largest priority a parity game or automaton may use: Zielonka's
 # recursion depth grows with it.
@@ -41,9 +33,8 @@ MAX_PRIORITY = 16
 class ZeroSumGame:
     """A parity game on the ids 0..n-1, lists indexed by id: the protagonist
     wins a play iff its top priority seen infinitely often is even. The
-    `succ` lists are read-only: `tracker_product` shares them with the
-    unfolding it was built from, and a game that is the unfolding itself
-    shares its predecessor lists `pred` too."""
+    lists `succ`, and `pred` if given, are read-only: a punishment game
+    shares them with its unfolding and the games on it."""
 
     def __init__(
         self,
@@ -284,14 +275,12 @@ class Tracker(NamedTuple):
     from `initial` through `step(q, letter)` and is won iff the maximum
     `priority` of its states seen infinitely often is even. Pairing each
     position with the state before its letter or after it shifts the run by
-    one and does not change that maximum. `fragment` marks a fragment
-    objective's flag tracker, whose `step` reads any letter; a supplied
-    automaton need only be complete over the letters its runs meet."""
+    one and does not change that maximum. A supplied automaton need only be
+    complete over the letters its runs meet (see `unfolding.Product`)."""
 
     initial: Hashable
     step: Callable[[Hashable, frozenset], Hashable]
     priority: Callable[[Hashable], int]
-    fragment: bool = False
 
 
 def objective_tracker(
@@ -316,123 +305,7 @@ def objective_tracker(
     else:
         good = 2 if frag.kind == FragmentClass.BUCHI else 0
         step, priority = (lambda _, x: holds(x)), (lambda held: good if held else 1)
-    return Tracker(False, step, priority, fragment=True)
-
-
-def closed(a: Arena, tracker: Tracker, sink: bool) -> bool:
-    """Whether `tracker` is closed on the edges of arena `a`: for every edge
-    (x, y), reading y's letter from the state after x's letter alone gives
-    the state after y's letter alone; with `sink`, the same holds on every
-    edge into the underflow sink, from each state with an edge of negative
-    cost, and on the sink's self-loop. In the unfolding's product with a
-    closed tracker, every node reached from the nodes (k, the state after
-    k's letter alone) is one of them, so the product is the unfolding
-    itself. Only a fragment tracker is tested, because the test steps it
-    on letter pairs that the unfolding may never meet."""
-    if not tracker.fragment:
-        return False
-    step, labels = tracker.step, a.labels
-    start = {x: step(tracker.initial, x) for x in dict.fromkeys(labels.values())}
-    if any(step(start[labels[x]], labels[y]) != start[labels[y]] for x, y in a.edges):
-        return False
-    if not sink:
-        return True
-    bot = frozenset({RESERVED_ATOM})
-    q = step(tracker.initial, bot)
-    return step(q, bot) == q and all(
-        step(start[labels[x]], bot) == q for (x, _), w in a.edges.items() if min(w, default=0) < 0
-    )
-
-
-class GameNodes:
-    """The nodes (k, q) of a punishment game by id, q the tracker state
-    after reading unfolded state k: the start node (k, the state after k's
-    letter alone, `start[labels[k]]`) is id k, and the nodes past the start
-    nodes, from id len(labels) on, are listed in `extra` and looked up in
-    `ids`. The start nodes are never listed, so a closed game lists no
-    node; `nodes[j]` reads node j and `nodes.id(k, q)` its id."""
-
-    __slots__ = ("labels", "start", "extra", "ids")
-
-    def __init__(self, labels: list, start: dict, extra: list, ids: dict):
-        self.labels, self.start, self.extra, self.ids = labels, start, extra, ids
-
-    def __len__(self) -> int:
-        return len(self.labels) + len(self.extra)
-
-    def __getitem__(self, j: int) -> tuple:
-        n = len(self.labels)
-        return (j, self.start[self.labels[j]]) if j < n else self.extra[j - n]
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def id(self, k: int, q) -> Optional[int]:
-        """The id of node (k, q), or None when the game has no such node."""
-        return k if q == self.start[self.labels[k]] else self.ids.get((k, q))
-
-
-def tracker_product(
-    u: UnfoldedArena, player: int, tracker: Tracker, pred: Optional[list] = None
-) -> tuple[GameNodes, ZeroSumGame]:
-    """`player`'s punishment game: the part of the unfolding x tracker
-    reachable from every state's start node (k, the tracker state after
-    reading state k), numbered breadth-first from the start nodes in id
-    order, so start node k has id k. Returns the nodes by id and the game
-    on the ids. The sink gets priority 1, so carefulness stays losing.
-
-    When the tracker is closed on the base arena's edges and the sink's
-    (see `closed`), the start nodes are all the nodes: the game's `succ`
-    is `u.succ` itself, each node's priority is read once per letter, no
-    node is listed, and the game's predecessor lists are `pred`, a list
-    the caller keeps for `u`, filled here if it is empty, so that every
-    closed game on one unfolding shares one (without `pred`, the game
-    builds its own). Otherwise the game is built node by node: a node
-    carries the tracker state after its own letter, so a tracker whose
-    state is the current letter's verdict (G F, F G) adds no nodes. Where
-    every successor of a node is a start node, its successor list is
-    `u.succ`'s own list, shared and never written; only a node whose
-    tracker state leads elsewhere gets a list of its own, and only nodes
-    past the start nodes are listed and looked up by (k, q). A node's
-    tracker is stepped only on its successors' letters, and the priority
-    is read once per tracker state."""
-    labels, u_succ, owner, states = u.labels, u.succ, u.owner, u.states
-    if closed(u.base, tracker, states[-1] is BOT):
-        after = {x: tracker.step(tracker.initial, x) for x in dict.fromkeys(labels)}
-        priority = {x: tracker.priority(q) for x, q in after.items()}
-        if states[-1] is BOT:  # the only state with the sink's letter
-            priority[labels[-1]] = 1
-        if pred is not None and not pred:
-            pred += predecessors(u_succ)
-        game = ZeroSumGame(
-            u_succ, [o == player for o in owner], [priority[x] for x in labels], pred
-        )
-        return GameNodes(labels, after, [], {}), game
-    step, priority = cache(tracker.step), cache(tracker.priority)
-    after = {x: step(tracker.initial, x) for x in dict.fromkeys(labels)}
-    start = [after[x] for x in labels]
-    n, extra, ids = len(labels), [], {}  # the nodes past the start nodes
-    succ = []
-    for s, q in chain(enumerate(start), extra):  # breadth-first: `extra` grows while read
-        out = []
-        for t in u_succ[s]:
-            qt = step(q, labels[t])
-            if qt == start[t]:
-                out.append(t)
-                continue
-            j = ids.get((t, qt))
-            if j is None:
-                j = ids[(t, qt)] = n + len(extra)
-                extra.append((t, qt))
-            out.append(j)
-        succ.append(u_succ[s] if out == u_succ[s] else out)
-    game = ZeroSumGame(
-        succ=succ,
-        is_protagonist=[o == player for o in owner] + [owner[s] == player for s, _ in extra],
-        priority=[1 if states[s] is BOT else priority(q)
-                  for s, q in chain(enumerate(start), extra)],
-    )
-    return GameNodes(labels, after, extra, ids), game
+    return Tracker(False, step, priority)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +313,12 @@ def tracker_product(
 
 
 class PunishRegions(NamedTuple):
-    """A player's punishment game, solved on the ids of the nodes (k, q) of
-    the unfolding in product with its objective's tracker, q the tracker
-    state after reading state k; `nodes` maps an id to its node and back
-    (start node k is id k, see `GameNodes`). `win` holds the ids of the
-    nodes from which the player, alone, carefully meets its objective.
-    `punishment` maps the id of each coalition-owned node the coalition
-    wins to the id of the unfolded state it moves to there."""
+    """A player's punishment game, solved on its ids: `win` holds the nodes
+    from which the player, alone, carefully meets its objective, and
+    `punishment` maps each coalition node the coalition wins to its move."""
 
     win: frozenset[int]
     punishment: dict[int, int]
-    nodes: GameNodes
 
 
 def _reachability_targets(g: ZeroSumGame) -> Optional[list[int]]:
@@ -468,32 +336,44 @@ def _reachability_targets(g: ZeroSumGame) -> Optional[list[int]]:
     return targets if absorbing else None
 
 
+def punishment_game(g: UnfoldedArena, player: int, pred: Optional[list] = None) -> ZeroSumGame:
+    """`player`'s game on `g`, the arena's unfolded product with one
+    tracker: `g.succ`, the player the protagonist at its states, the
+    tracker's priorities, and the sink at priority 1, so carefulness stays
+    losing. Its predecessor lists are `pred`, a list the caller keeps for
+    `g.succ`, filled here if empty, so that games on one unfolding share it."""
+    (tracker,) = g.graph.components
+    prio = [tracker.priority(q) for (q,) in g.graph.qs]
+    if pred is not None and not pred:
+        pred += predecessors(g.succ)
+    return ZeroSumGame(
+        g.succ, [o == player for o in g.owner],
+        [prio[p] for p in g.at] + [1] * (len(g.succ) - len(g.at)), pred,
+    )
+
+
 def punish_region(
-    u: UnfoldedArena, player: int, tracker: Tracker, pred: Optional[list] = None
+    g: UnfoldedArena, player: int, pred: Optional[list] = None
 ) -> PunishRegions:
-    """Where can `player`, alone against the coalition, achieve the
-    objective that `tracker` reads while staying careful, given the tracker
-    state its history has reached? An outcome on which the player loses
-    must not visit a node it owns in this region. Every objective is one
-    parity game: the unfolding in product with the tracker, whose coalition
-    strategy is the punishment table. A reachability game (see
-    `_reachability_targets`) is solved by one attractor to its targets over
-    the whole game, and the coalition moves from each of its nodes outside
-    to the first successor outside; that is what Zielonka's algorithm
-    returns there, after one round. Every other game is solved by
-    Zielonka's algorithm. Both stay on the game's ids; on a closed game,
-    where every id is an unfolded state's, the table is that strategy
-    itself."""
-    nodes, game = tracker_product(u, player, tracker, pred)
+    """Where can `player`, alone against the coalition, carefully achieve
+    the objective of the tracker of `g`, from the tracker state its history
+    has reached? A losing outcome must not visit a node the player owns in
+    this region of `punishment_game(g, player, pred)`. A reachability game
+    (`_reachability_targets`) is solved by one attractor to its targets,
+    the coalition moving from each of its nodes outside to its first
+    successor outside, which is Zielonka's answer there; Zielonka's
+    algorithm solves every other game."""
+    game = punishment_game(g, player, pred)
     targets = _reachability_targets(game)
     if targets is None:
         regions = solve_parity(game)
-        win, table = regions.protagonist, regions.antagonist_strategy
-    else:
-        won, _ = attractor(game, targets, for_protagonist=True)
-        win = frozenset(won)
-        table = _escape_strategy(game, set(game.states).difference(won), False)
-    if nodes.extra:  # a move into a node past the start nodes enters its state
-        n, extra = len(nodes.labels), nodes.extra
-        table = {j: t if t < n else extra[t - n][0] for j, t in table.items()}
-    return PunishRegions(win, table, nodes)
+        return PunishRegions(regions.protagonist, regions.antagonist_strategy)
+    won, _ = attractor(game, targets, for_protagonist=True)
+    succ, mine, table = game.succ, game.is_protagonist, {}
+    for s in filterfalse(won.__contains__, game.states):
+        if not mine[s]:  # a successor outside, or the attractor would hold s
+            for t in succ[s]:
+                if t not in won:
+                    table[s] = t
+                    break
+    return PunishRegions(frozenset(won), table)

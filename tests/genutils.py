@@ -7,10 +7,11 @@ fixpoints. Memoryless determinacy of the supported objectives makes these
 enumerations exact references. The exceptions are `oracle_solve`, the
 solver's loop over winner sets without its pruning, kept as the reference
 that the pruning changes no verdict, certificate or searched set's reason,
-and the straightforward forms of four solver passes that were rewritten
+and the straightforward forms of five solver passes that were rewritten
 for speed: `reference_unfold`, `reference_tracker_product`,
-`reference_solve_parity` and `reference_find_witness_lasso`, which must
-return what the package's passes return.
+`reference_witness_product`, `reference_solve_parity` and
+`reference_find_witness_lasso`, which must return what the package's
+passes return.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from functools import cache
+from functools import cache, reduce
 from math import prod
-from operator import mul
+from operator import mul, or_
 from typing import NamedTuple
 
 from carefulsynth import ltl
@@ -31,15 +32,15 @@ from carefulsynth.errors import (
 from carefulsynth.ltl import FragmentClass
 from carefulsynth._graphs import shortest_path, strongly_connected_components
 from carefulsynth.synthesis import (
-    NoWitness, SolveResult, StrategyProfile, _reached_entries, _winner_sets,
-    outcome_lasso, system_component, witness_product,
+    NoWitness, SolveResult, StrategyProfile, WitnessProduct, _reached_entries, _winner_sets,
+    outcome_lasso, system_component,
 )
 from carefulsynth.unfolding import (
-    BOT, UnfoldedArena, UState, checked_bounds, credit_after, unfold,
+    BOT, Product, UnfoldedArena, UState, checked_bounds, credit_after, product, unfold,
 )
 from carefulsynth.zerosum import (
-    MAX_PRIORITY, GameNodes, PunishRegions, WinningRegions, ZeroSumGame, _escape_strategy,
-    objective_tracker, parse_dpa,
+    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, _escape_strategy,
+    objective_tracker, parse_dpa, punish_region,
 )
 
 
@@ -274,13 +275,26 @@ def by_state(u: UnfoldedArena) -> StateView:
     )
 
 
-def state_table(u: UnfoldedArena, region: PunishRegions) -> dict:
-    """A punishment region's table, keyed by game id and naming successor
-    ids, keyed as certificates key it: (unfolded state, the tracker state
-    written by `str`) -> unfolded state."""
-    node = region.nodes.__getitem__
-    return {(u.states[k], str(q)): u.states[t]
-            for (k, q), t in zip(map(node, region.punishment), region.punishment.values())}
+def game_node(g: UnfoldedArena, j: int) -> tuple:
+    """Node j of the punishment game `g`, an unfolded product with one
+    tracker: (its unfolded state, its tracker state), None at the sink."""
+    return g.states[j], g.graph.qs[g.at[j]][0] if j < len(g.at) else None
+
+
+def region_of(a: Arena, bounds, player: int, tracker) -> tuple[UnfoldedArena, PunishRegions]:
+    """`player`'s punishment game at `bounds`, the unfolding of `a` in
+    product with `tracker`, and its region."""
+    g = unfold(product(a, [tracker]), bounds)
+    return g, punish_region(g, player)
+
+
+def state_table(g: UnfoldedArena, region: PunishRegions) -> dict:
+    """A punishment region's table on the ids of its game `g`, keyed as
+    certificates key it: (unfolded state, the tracker state written by
+    `str`) -> unfolded state. The sink, never a certificate's key, is left
+    out."""
+    return {(g.states[j], str(game_node(g, j)[1])): g.states[t]
+            for j, t in region.punishment.items() if j < len(g.at)}
 
 
 def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> LabelledGame:
@@ -715,12 +729,12 @@ def random_fragment_arena(rng: random.Random, shapes=FRAGMENT_SHAPES):
 def random_closed_arena(rng: random.Random):
     """A `random_fragment_arena` without the edges that leave an `F`
     objective's targets or a `G` objective's failures, so that its
-    trackers are closed on its edges (`zerosum.closed`); a state left
+    trackers are closed on its edges: their products with the arena have
+    one node per state (`unfolding.Product.is_arena`); a state left
     without a move gets a self-loop. Half the time every cost is made
-    nonnegative, so that the unfolding has no sink; where it has one, an
-    `F` target with an edge of negative cost is not closed on the sink's
-    edges. A third of the time the system objective's edges are kept, so
-    that its tracker may be the only one not closed."""
+    nonnegative, so that the unfolding has no sink. A third of the time
+    the system objective's edges are kept, so that its tracker may be the
+    only one not closed."""
     a, bounds = random_fragment_arena(rng)
     objectives = (a.system_objective, *a.player_objectives)
     kept = {}  # beta -> the value that must persist along every edge
@@ -1055,9 +1069,12 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
 
 
 def reference_tracker_product(u: UnfoldedArena, player: int, tracker) -> tuple[list, ZeroSumGame]:
-    """`zerosum.tracker_product` as it read before it shared `u.succ`'s
-    lists: every node, start nodes included, looked up by its (k, q) tuple,
-    and every successor list built anew."""
+    """A punishment game built node by node over the unfolding `u`: the
+    nodes (k, q), q the tracker state after reading unfolded state k,
+    reachable from every state's start node (k, the state after k's letter
+    alone), numbered breadth-first from the start nodes, each looked up by
+    its tuple, with every successor list built anew and the sink at
+    priority 1; the build the package's game replaced."""
     step, labels, u_succ, owner, states = cache(tracker.step), u.labels, u.succ, u.owner, u.states
     nodes = list(dict.fromkeys((k, step(tracker.initial, x)) for k, x in enumerate(labels)))
     ids = {node: j for j, node in enumerate(nodes)}
@@ -1161,17 +1178,79 @@ def _reference_zielonka(g: ZeroSumGame, domain: set[int]):
     return wo, so, wj, sj
 
 
-def reference_punish_region(u: UnfoldedArena, player: int, tracker) -> PunishRegions:
+def reference_punish_region(
+    u: UnfoldedArena, player: int, tracker
+) -> tuple[UnfoldedArena, PunishRegions]:
     """`zerosum.punish_region` on `reference_tracker_product`'s game, solved
-    by `reference_solve_parity`: the same ids, with the nodes past the start
-    nodes looked up in a dict built from the node list."""
+    by `reference_solve_parity`, after two steps that give the game the
+    package's nodes and ids: only the nodes reachable from the initial
+    state's start node are kept, with the nodes at the sink merged into
+    one, and they are ordered as `unfolding.product` and `unfold` order
+    them: by arena state, by `str` of (tracker state,), by credit, the sink
+    last. Returns the game as an unfolding whose every node is its own
+    product node, and the region on its ids."""
     nodes, game = reference_tracker_product(u, player, tracker)
-    regions = reference_solve_parity(game)
-    table = {j: nodes[t][0] for j, t in regions.antagonist_strategy.items()}
-    n = len(u.states)
-    start = {u.labels[k]: q for k, q in nodes[:n]}
-    ids = {node: j for j, node in enumerate(nodes) if j >= n}
-    return PunishRegions(regions.protagonist, table, GameNodes(u.labels, start, nodes[n:], ids))
+    start = nodes.index((u.initial, tracker.step(tracker.initial, u.labels[u.initial])))
+    seen = _reach_states(game.succ, start)
+    sink = len(u.states) - 1 if u.states[-1] is BOT else -1
+    keep = sorted((j for j in seen if nodes[j][0] != sink), key=lambda j: (
+        u.states[nodes[j][0]][0], str((nodes[j][1],)), u.states[nodes[j][0]][1]))
+    n = len(keep)
+    ids = {j: n for j in seen}  # a node at the sink -> the merged sink's id
+    ids.update((j, k) for k, j in enumerate(keep))
+    sinks = [n] * any(nodes[j][0] == sink for j in seen)
+    succ = [[ids[t] for t in game.succ[j]] for j in keep] + [[n] for _ in sinks]
+    states = [u.states[nodes[j][0]] for j in keep]
+    graph = Product(u.base, (tracker,), [s for s, _ in states], [(nodes[j][1],) for j in keep],
+                    [[t for t in out if t < n] for out in succ[:n]], [], ids[start])
+    g = UnfoldedArena(
+        u.base, u.bounds, ids[start], tuple(states) + (BOT,) * len(sinks), succ,
+        [u.owner[nodes[j][0]] for j in keep] + [1 for _ in sinks],
+        [u.labels[nodes[j][0]] for j in keep] + [u.labels[sink] for _ in sinks],
+        u.clipped, graph, list(range(n)),
+    )
+    regions = reference_solve_parity(ZeroSumGame(
+        succ, [game.is_protagonist[j] for j in keep] + [player == 1 for _ in sinks],
+        [game.priority[j] for j in keep] + [1 for _ in sinks],
+    ))
+    return g, PunishRegions(regions.protagonist, regions.antagonist_strategy)
+
+
+def reference_witness_product(u: UnfoldedArena, system, trackers) -> tuple[list, WitnessProduct]:
+    """The sink-free part of `u` in product with the system's component and
+    the trackers, built node by node from the initial node: a node is (an
+    unfolded state's id, each component's state after its letter, the
+    system's first), numbered breadth-first, with its successors in
+    `u.succ` order, each followed by the system's states in its order.
+    Returns the nodes and the product, its SCCs and masks computed plainly."""
+    labels, components = u.labels, (system, *trackers)
+
+    def after(qs, t):  # the nodes at unfolded state id t after the node states qs
+        rest = tuple(tr.step(x, labels[t]) for tr, x in zip(trackers, qs[1:]))
+        return [(t, (q, *rest)) for q in system.step(qs[0], labels[t])]
+
+    nodes = after(tuple(c.initial for c in components), u.initial)
+    ids = {node: k for k, node in enumerate(nodes)}
+    succ = []
+    for s, qs in nodes:  # breadth-first: the list grows while it is read
+        out = []
+        for t in u.succ[s]:
+            if u.states[t] is not BOT:
+                for node in after(qs, t):
+                    if node not in ids:
+                        ids[node] = len(nodes)
+                        nodes.append(node)
+                    out.append(ids[node])
+        succ.append(out)
+    priority = [tuple(c.priority(q) for c, q in zip(components, qs)) for _, qs in nodes]
+    sccs = strongly_connected_components(range(len(nodes)), succ)
+    masks = [reduce(or_, [1 << k for v in comp for k, x in enumerate(priority[v]) if x % 2 == 0],
+                    0) for comp in sccs]
+    scc_of = [-1] * len(nodes)
+    for j, comp in enumerate(sccs):
+        for v in comp:
+            scc_of[v] = j
+    return nodes, WitnessProduct(0, succ, priority, sccs, masks, scc_of)
 
 
 def reference_find_witness_lasso(product, winners, forbidden):
@@ -1179,9 +1258,9 @@ def reference_find_witness_lasso(product, winners, forbidden):
     SCCs whose mask holds the winner set: with forbidden nodes, one Tarjan
     pass over every node reachable without them, and the refinement of
     every cyclic SCC found."""
-    initials = [n for n in product.initials if n not in forbidden]
-    if product.initials and not initials:
+    if product.initial in forbidden:
         raise NoWitness("initial state forbidden")
+    initials = [product.initial]
     successors, prio = product.succ.__getitem__, product.priority
     if forbidden:
         seen, stack = set(initials), list(initials)
@@ -1237,12 +1316,12 @@ def reference_find_witness_lasso(product, winners, forbidden):
 def oracle_solve(a: Arena, bounds, dpas=None):
     """`synthesis.solve` without its winner-set pruning: every winner set is
     searched in turn, with each loser's punishment region solved the first
-    time it loses. It unfolds, builds the region games and searches with
-    the reference passes above, and builds the witness product node by
-    node, as for trackers not closed on the arena's edges; a forbidden id
+    time it loses. It unfolds, builds the witness product and the region
+    games and searches with the reference passes above; a forbidden id
     outside the product makes every search run its own reachability and
-    SCC pass, whatever the losers forbid. Each search is `reference_find_witness_lasso` as this
-    module's global, looked up at each call."""
+    SCC pass, whatever the losers forbid. Each search is
+    `reference_find_witness_lasso` as this module's global, looked up at
+    each call."""
     dpas = dict(dpas or {})
     u = reference_unfold(a, bounds)
     players = list(range(1, a.players + 1))
@@ -1252,21 +1331,18 @@ def oracle_solve(a: Arena, bounds, dpas=None):
             trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
-    # trackers not marked as fragments: the product is built node by node
-    trackers = {i: t._replace(fragment=False) for i, t in trackers.items()}
-    product = witness_product(
-        u, system_component(a.system_objective)._replace(fragment=False),
-        [trackers[i] for i in players],
+    nodes, product = reference_witness_product(
+        u, system_component(a.system_objective), [trackers[i] for i in players]
     )
-    regions, blocked, diagnostics = {}, {}, []
+    games, regions, ids, blocked, diagnostics = {}, {}, {}, {}, []
     for winner_set in _winner_sets(a.players):
         for i in players:
             if i not in winner_set and i not in regions:
-                regions[i] = reference_punish_region(u, i, trackers[i])
-                won = {regions[i].nodes[j] for j in regions[i].win}
+                games[i], regions[i] = reference_punish_region(u, i, trackers[i])
+                ids[i] = {game_node(games[i], j): j for j in range(len(games[i].states))}
                 blocked[i] = {
-                    k for k, (s, qs) in enumerate(product.nodes)
-                    if u.owner[s] == i and (s, qs[i]) in won
+                    k for k, (s, qs) in enumerate(nodes)
+                    if u.owner[s] == i and ids[i][(u.states[s], qs[i])] in regions[i].win
                 }
         forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])
         try:
@@ -1276,7 +1352,6 @@ def oracle_solve(a: Arena, bounds, dpas=None):
         except NoWitness as e:
             diagnostics.append((tuple(sorted(winner_set)), str(e)))
             continue
-        nodes = product.nodes
         outcome = outcome_lasso(u, [nodes[n][0] for n in stem], [nodes[n][0] for n in loop])
         winners = frozenset(
             i for i in players if max(product.priority[n][i] for n in loop) % 2 == 0
@@ -1284,7 +1359,7 @@ def oracle_solve(a: Arena, bounds, dpas=None):
         path = [nodes[n] for n in (*stem, *loop, loop[0])]
         punishment = {
             i: {} if i in winners else _reached_entries(
-                u, i, trackers[i], regions[i], [(s, qs[i]) for s, qs in path]
+                games[i], i, regions[i], [ids[i][(u.states[s], qs[i])] for s, qs in path]
             )
             for i in players
         }

@@ -19,7 +19,7 @@ from carefulsynth.reduction import (
 )
 from carefulsynth.synthesis import SolveResult, check_certificate, solve
 from carefulsynth.unfolding import BOT, lift, unfold
-from carefulsynth.zerosum import attractor, objective_tracker, solve_parity, tracker_product
+from carefulsynth.zerosum import attractor, objective_tracker, solve_parity
 
 from corpus import CORPUS
 from genutils import (
@@ -36,6 +36,7 @@ from genutils import (
     random_formula,
     random_game,
     random_word,
+    reference_tracker_product,
     saturating_add,
 )
 
@@ -123,7 +124,7 @@ def test_criterion_4_zero_sum_regions():
         ):
             tracker = objective_tracker(objective)
             u, image = game_as_unfolding(g)
-            nodes, game = tracker_product(u, 1, tracker)
+            nodes, game = reference_tracker_product(u, 1, tracker)
             won_nodes = {nodes[k] for k in solve_parity(game).protagonist}
             start = {
                 s: (image[s], tracker.step(tracker.initial, u.labels[image[s]]))

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carefulsynth import ltl, synthesis
-from carefulsynth.errors import BudgetExceededError
+from carefulsynth import ltl, synthesis, zerosum
+from carefulsynth.errors import BudgetExceededError, DocumentSemanticError
 from carefulsynth.synthesis import (
     NoWitness,
     SolveResult,
@@ -21,8 +21,8 @@ from carefulsynth.synthesis import (
     tracker_accepts,
     witness_product,
 )
-from carefulsynth.unfolding import BOT, unfold
-from carefulsynth.zerosum import closed, objective_tracker, parse_dpa, punish_region
+from carefulsynth.unfolding import BOT, product, unfold
+from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
 import genutils
 from genutils import (
@@ -30,6 +30,7 @@ from genutils import (
     REACH_SAFE_SHAPES,
     OracleTooBig,
     by_state,
+    game_node,
     oracle_profitable_deviation,
     oracle_reached_keys,
     oracle_solve,
@@ -43,6 +44,8 @@ from genutils import (
     random_punishable_arena,
     random_word,
     reach_dpas,
+    reference_tracker_product,
+    region_of,
     state_table,
 )
 
@@ -56,57 +59,60 @@ GOLDEN_TRACE = ((0, 0), (2, 1), (3, 2), (3, 3), (3, 2), (1, 1), (0, 0))
 # Witness search
 
 
-def _states_of(product, stem, loop):
-    """The witness lasso found on product node ids, after checking that it
-    is one in the product, as (stem, loop) over unfolded-state ids."""
-    assert stem and loop and stem[0] in product.initials
+def _states_of(w, witness, stem, loop):
+    """The witness lasso found on the ids of `w`, the unfolded witness
+    product, after checking that it is one in `witness`, its search view,
+    as (stem, loop) over unfolded states."""
+    assert stem and loop and stem[0] == witness.initial
     path = [*stem, *loop, loop[0]]
-    assert all(b in product.succ[a] for a, b in zip(path, path[1:]))
-    return tuple(product.nodes[n][0] for n in stem), tuple(product.nodes[n][0] for n in loop)
+    assert all(b in witness.succ[a] for a, b in zip(path, path[1:]))
+    return tuple(w.states[n] for n in stem), tuple(w.states[n] for n in loop)
 
 
-def _search(u, system, requirements, forbidden_states=frozenset()):
+def _witness(a, bounds, system, trackers):
+    """The unfolding of `a` in product with `system`'s component and
+    `trackers`, and the witness search's view of it."""
+    w = unfold(product(a, trackers, system_component(system)), bounds)
+    return w, witness_product(w)
+
+
+def _search(a, bounds, system, requirements, forbidden_states=frozenset()):
     """The witness search for `system` with every requirement's tracker a
     winner, every node at a state of `forbidden_states` forbidden, over
-    unfolded-state ids."""
-    product = witness_product(
-        u, system_component(system), [objective_tracker(f) for f in requirements]
-    )
-    forbidden = {k for k, node in enumerate(product.nodes) if u.states[node[0]] in forbidden_states}
-    return _states_of(product, *find_witness_lasso(product, range(len(requirements)), forbidden))
+    unfolded states."""
+    w, witness = _witness(a, bounds, system, [objective_tracker(f) for f in requirements])
+    forbidden = {k for k in range(len(w.at)) if w.states[k] in forbidden_states}
+    return _states_of(w, witness, *find_witness_lasso(witness, range(len(requirements)), forbidden))
 
 
 def test_witness_exists_for_trivial_requirement(fig1):
-    u = unfold(fig1, (3, 3))
-    stem, loop = _search(u, ltl.TRUE, [])
+    stem, loop = _search(fig1, (3, 3), ltl.TRUE, [])
     assert stem and loop
-    assert all(u.states[k] is not BOT for k in stem + loop)
+    assert all(s is not BOT for s in stem + loop)
 
 
 def test_witness_respects_forbidden_deviation_states(fig1):
     # forbid exactly player 3's owned nodes where it could profitably
     # deviate; the survivor is the pump-then-descend lasso ending in the
     # circle/box sink
-    u = unfold(fig1, (3, 3))
-    r3 = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
-    product = witness_product(
-        u,
-        system_component(ltl.parse_ltl("F circ")),
-        [objective_tracker(ltl.parse_ltl("F box")), objective_tracker(fig1.objective_of(3))],
+    tracker3 = objective_tracker(fig1.objective_of(3))
+    g, r3 = region_of(fig1, (3, 3), 3, tracker3)
+    won = {game_node(g, j) for j in r3.win}
+    w, witness = _witness(
+        fig1, (3, 3), ltl.parse_ltl("F circ"), [objective_tracker(ltl.parse_ltl("F box")), tracker3]
     )
     forbidden = {
-        k for k, n in enumerate(product.nodes)
-        if u.owner[n[0]] == 3 and r3.nodes.id(n[0], n[1][2]) in r3.win
+        k for k in range(len(w.at))
+        if w.owner[k] == 3 and (w.states[k], w.graph.qs[w.at[k]][2]) in won
     }
-    stem, loop = _states_of(product, *find_witness_lasso(product, [0], forbidden))
-    assert tuple(u.states[k][0] for k in stem) == GOLDEN_STEM
-    assert tuple(u.states[k][0] for k in loop) == GOLDEN_LOOP
+    stem, loop = _states_of(w, witness, *find_witness_lasso(witness, [0], forbidden))
+    assert tuple(s for s, _ in stem) == GOLDEN_STEM
+    assert tuple(s for s, _ in loop) == GOLDEN_LOOP
 
 
 def test_contradictory_requirements_have_no_witness(fig1):
-    u = unfold(fig1, (3, 3))
     with pytest.raises(NoWitness, match="no accepting SCC"):
-        _search(u, ltl.parse_ltl("F circ"), [ltl.parse_ltl("G ! circ")])
+        _search(fig1, (3, 3), ltl.parse_ltl("F circ"), [ltl.parse_ltl("G ! circ")])
 
 
 def test_witness_search_agrees_with_loop_set_enumeration():
@@ -131,40 +137,48 @@ def test_witness_search_agrees_with_loop_set_enumeration():
             system, requirements = ltl.And(formulas[0], formulas[1]), formulas[2:]
             assert ltl.classify_fragment(system).kind == ltl.FragmentClass.GENERAL
         try:
-            stem, loop = _search(u, system, requirements, forbidden)
+            stem, loop = _search(a, bounds, system, requirements, forbidden)
         except NoWitness:
             assert not expected, seed
             continue
         assert expected, seed
         positives[general] += 1
-        path = [u.states[k] for k in stem + loop + loop[:1]]
+        path = list(stem + loop + loop[:1])
         v = by_state(u)
         assert path[0] == v.initial and not forbidden & set(path), seed
         assert all(t in v.succ[s] and t is not BOT for s, t in zip(path, path[1:])), seed
-        labels = [u.labels[k] for k in stem], [u.labels[k] for k in loop]
+        labels = [v.labels[s] for s in stem], [v.labels[s] for s in loop]
         assert all(ltl.eval_on_lasso(f, *labels) for f in formulas), seed
     assert positives[False] >= 50 and positives[True] >= 10
 
 
 def test_witness_search_budget(fig1):
-    u = unfold(fig1, (3, 3))
+    # the unfolding's state budget bounds every product it unfolds
     with pytest.raises(BudgetExceededError):
-        witness_product(u, system_component(ltl.parse_ltl("F circ")), [], max_product=3)
+        unfold(product(fig1, [], system_component(ltl.parse_ltl("F circ"))), (3, 3), max_states=3)
 
 
-def _check_product_laws(u, system, trackers):
-    """The numbered product against one built here, node by node, from
-    `u.succ`, the trackers and the system objective: its own tracker in the
-    fragments, else its tableau automaton stepped by `ltl.guard_matches`
-    from the initial states on the first letter."""
+def _check_product_laws(a, bounds, system, trackers):
+    """The product on the arena and its unfolding against what is built
+    here, from the arena's edges, the trackers and the system objective:
+    its own tracker in the fragments, else its tableau automaton read from
+    a pre-state, (the automaton's state before the last letter, that
+    letter), with `()` once it cannot read a letter. Returns the number of
+    sink-free unfolded nodes."""
     if ltl.classify_fragment(system).kind == ltl.FragmentClass.GENERAL:
         nba = ltl.to_nba(system)
 
         def system_after(q, letter):
-            trs = [tr for p in (nba.initial if q is None else [q]) for tr in nba.transitions[p]]
-            return sorted({tr.dst for tr in trs if ltl.guard_matches(tr, letter)})
+            word = tuple(sorted(letter))
+            if q is None or q == ():
+                return [(None, word) if q is None else ()]
+            p, x = q
+            trs = [tr for s in (nba.initial if p is None else [p]) for tr in nba.transitions[s]]
+            dsts = sorted({tr.dst for tr in trs if ltl.guard_matches(tr, frozenset(x))})
+            return [(d, word) for d in dsts] or [()]
 
-        system_start, system_priority = None, lambda q: 2 if q in nba.accepting else 1
+        system_start = None
+        system_priority = lambda q: 2 if q and q[0] in nba.accepting else 1  # noqa: E731
     else:
         tracker = objective_tracker(system)
         system_start, system_priority = tracker.initial, tracker.priority
@@ -172,87 +186,185 @@ def _check_product_laws(u, system, trackers):
         def system_after(q, letter):
             return [tracker.step(q, letter)]
 
-    def after(qs, t):  # the nodes at unfolded state id t after the node states qs
-        rest = tuple(tr.step(x, u.labels[t]) for tr, x in zip(trackers, qs[1:]))
-        return [(t, (q, *rest)) for q in system_after(qs[0], u.labels[t])]
+    def after(qs, t):  # the nodes at arena state t after the node states qs
+        rest = tuple(tr.step(x, a.labels[t]) for tr, x in zip(trackers, qs[1:]))
+        return [(t, (q, *rest)) for q in system_after(qs[0], a.labels[t])]
 
-    component = system_component(system)
-    product = witness_product(u, component, trackers)
-    nodes = product.nodes
-    assert len(set(nodes)) == len(nodes) == len(product.succ) == len(product.priority)
-    start = (system_start, *[tr.initial for tr in trackers])
-    assert [nodes[k] for k in product.initials] == after(start, u.initial)
-    order = dict.fromkeys(product.initials)  # breadth-first from the initial nodes
+    g = product(a, trackers, system_component(system))
+    nodes = list(zip(g.state, g.qs))
+    assert len(set(nodes)) == len(nodes) == len(g.succ) and not g.failures
+    # one initial node; ordered by arena state, then by `str` of the states
+    assert [nodes[g.initial]] == after((system_start, *[tr.initial for tr in trackers]), a.initial)
+    assert nodes == sorted(nodes, key=lambda n: (a.states.index(n[0]), str(n[1])))
+    reached = {g.initial}
     for k, (s, qs) in enumerate(nodes):
-        expected = [n for t in u.succ[s] if u.states[t] is not BOT for n in after(qs, t)]
-        assert [nodes[j] for j in product.succ[k]] == expected
-        assert product.priority[k] == (
+        assert [nodes[j] for j in g.succ[k]] == [n for t in a.succ[s] for n in after(qs, t)]
+        reached.update(g.succ[k])
+    assert reached == set(range(len(nodes)))
+    w = unfold(g, bounds)
+    witness = witness_product(w)
+    assert witness.succ is w.succ and len(witness.priority) == len(w.at)
+    for k, p in enumerate(w.at):
+        qs = g.qs[p]
+        assert witness.priority[k] == (
             system_priority(qs[0]),
             *[tr.priority(x) for tr, x in zip(trackers, qs[1:])],
         )
-        order.update(dict.fromkeys(product.succ[k]))
-    # every node reachable, numbered as found, or, when every component is
-    # closed on the arena's edges, numbered as its unfolded state
-    if system_start is not None and all(
-        closed(u.base, tr, False) for tr in [objective_tracker(system), *trackers]
-    ):
-        assert [s for s, _ in nodes] == list(range(len(nodes))) == sorted(order)
-        assert len(nodes) == len(u.states) - (BOT in u.states)
-    else:
-        assert list(order) == list(range(len(nodes)))
-    witness_product(u, component, trackers, max_product=len(nodes))
-    if len(nodes) > len(product.initials):  # only a node found after them can exceed it
+    unfold(g, bounds, max_states=len(w.states))
+    if len(w.states) > 1:  # only a node found after the initial one can exceed it
         with pytest.raises(BudgetExceededError):
-            witness_product(u, component, trackers, max_product=len(nodes) - 1)
-    return len(nodes)
+            unfold(g, bounds, max_states=len(w.states) - 1)
+    return len(w.at)
 
 
 def test_closed_products_equal_the_general_build():
-    # with every component closed on the arena's edges, the product is the
-    # sink-free unfolding, numbered by unfolded state: once each node is
-    # mapped by (k, states), it equals the product built node by node
-    counts = {(took, sink): 0 for took in (False, True) for sink in (False, True)}
-    for seed in range(300):
-        a, bounds = random_closed_arena(random.Random(seed))
+    # a product closed on the arena's edges, with one node per arena state
+    # it reaches, is numbered as the arena's own, so the arena's unfolding,
+    # which `solve` takes for it, equals the product's own, lists and ids;
+    # closed or not, the unfolded product's `clipped` is the arena's
+    counts = {(is_arena, sink): 0 for is_arena in (False, True) for sink in (False, True)}
+    for generator, seed in itertools.product([random_closed_arena, random_fragment_arena], range(400)):
+        a, bounds = generator(random.Random(seed))
         u = unfold(a, bounds)
         trackers = [objective_tracker(a.objective_of(i)) for i in range(1, a.players + 1)]
-        system = system_component(a.system_objective)
-        product = witness_product(u, system, trackers)
-        ref = witness_product(
-            u, system._replace(fragment=False), [t._replace(fragment=False) for t in trackers]
-        )
-        took = all(closed(a, t, False) for t in [objective_tracker(a.system_objective), *trackers])
-        counts[took, BOT in u.states] += 1
-        if not took:
-            assert product == ref, seed
-            continue
-        assert [s for s, _ in product.nodes] == list(range(len(u.states) - (BOT in u.states)))
-        assert sorted(product.nodes) == sorted(ref.nodes), seed
-        ids = {node: k for k, node in enumerate(product.nodes)}
-        to = [ids[node] for node in ref.nodes]  # ref id -> id
-        assert product.initials == [to[j] for j in ref.initials], seed
-        for j, k in enumerate(to):
-            assert product.succ[k] == [to[t] for t in ref.succ[j]], seed
-            assert product.priority[k] == ref.priority[j], seed
-        masks = {frozenset(to[j] for j in comp): m for comp, m in zip(ref.sccs, ref.masks)}
-        assert dict(zip(map(frozenset, product.sccs), product.masks)) == masks, seed
-        assert all(product.scc_of[v] == j for j, comp in enumerate(product.sccs) for v in comp)
-        assert product.scc_of.count(-1) == len(to) - sum(map(len, product.sccs)), seed
+        g = product(a, trackers, system_component(a.system_objective))
+        w = unfold(g, bounds)
+        counts[g.is_arena, BOT in u.states] += 1
+        assert w.clipped == u.clipped, (generator, seed)
+        if g.is_arena:
+            assert g.state == u.graph.state and g.succ == u.graph.succ, (generator, seed)
+            assert w._replace(graph=None) == u._replace(graph=None), (generator, seed)
+            assert witness_product(u._replace(graph=g)) == witness_product(w), (generator, seed)
+        else:
+            assert len(set(g.state)) < len(g.state), (generator, seed)
     assert min(counts.values()) >= 10, counts
 
 
 def test_witness_product_laws(fig1):
     trackers = [objective_tracker(fig1.objective_of(i)) for i in range(1, fig1.players + 1)]
-    u = unfold(fig1, (3, 3))
-    _check_product_laws(u, fig1.system_objective, trackers)
+    _check_product_laws(fig1, (3, 3), fig1.system_objective, trackers)
     # a general objective: its tableau automaton has more than one choice
-    assert _check_product_laws(u, ltl.parse_ltl("F (circ & X box) | G ! diam"), trackers) > 12
+    general = ltl.parse_ltl("F (circ & X box) | G ! diam")
+    assert _check_product_laws(fig1, (3, 3), general, trackers) > 12
     checked = 0
     for seed in range(100):
         a, bounds = random_fragment_arena(random.Random(seed))
         trackers = [objective_tracker(a.objective_of(i)) for i in range(1, a.players + 1)]
-        checked += _check_product_laws(unfold(a, bounds), a.system_objective, trackers) > 1
+        checked += _check_product_laws(a, bounds, a.system_objective, trackers) > 1
     assert checked >= 50
+
+
+def _node_graph(nodes, succ, priority, owner) -> dict:
+    """A numbered graph in node terms: node -> (its successor nodes, its
+    priority, its owner)."""
+    assert len(set(nodes)) == len(nodes)
+    return {n: ([nodes[t] for t in out], p, o)
+            for n, out, p, o in zip(nodes, succ, priority, owner)}
+
+
+def _reference_region_graph(u, player, tracker) -> dict:
+    """`reference_tracker_product`'s game on `u`, cut to the nodes reachable
+    from the initial state's start node, in node terms (unfolded state,
+    tracker state), with the nodes at the sink merged into (BOT, None)."""
+    nodes, game = reference_tracker_product(u, player, tracker)
+    start = nodes.index((u.initial, tracker.step(tracker.initial, u.labels[u.initial])))
+    named = [(u.states[k], None if u.states[k] is BOT else q) for k, q in nodes]
+    return {named[j]: ([named[t] for t in game.succ[j]], game.priority[j], u.owner[nodes[j][0]])
+            for j in genutils._reach_states(game.succ, start)}
+
+
+@pytest.mark.parametrize(
+    "generator, seeds",
+    [(random_fragment_arena, 300), (random_punishable_arena, 200), (random_many_player_arena, 100)],
+)
+def test_unfolded_products_equal_the_reference(generator, seeds):
+    # the witness product and every player's region game, unfolded, against
+    # the reference products built node by node over `reference_unfold`,
+    # for fragment players and for F players also given as automata:
+    # the same nodes, edges, priorities and owners
+    shapes = collections.Counter()
+    for seed, automata in itertools.product(range(seeds), [False, True]):
+        a, bounds = generator(random.Random(seed))
+        u, dpas = genutils.reference_unfold(a, bounds), reach_dpas(a) if automata else {}
+        trackers = [objective_tracker(a.objective_of(i), dpas.get(i)) for i in range(1, a.players + 1)]
+        system = system_component(a.system_objective)
+        g = product(a, trackers, system)
+        w = unfold(g, bounds)
+        witness = witness_product(w)
+        sink_free = [[j for j in out if j < len(w.at)] for out in witness.succ]
+        got = _node_graph([(w.states[k], g.qs[p]) for k, p in enumerate(w.at)],
+                          sink_free, witness.priority, w.owner)
+        nodes, ref = genutils.reference_witness_product(u, system, trackers)
+        assert got == _node_graph([(u.states[k], qs) for k, qs in nodes], ref.succ,
+                                  ref.priority, [u.owner[k] for k, _ in nodes]), (seed, automata)
+        shapes["witness", g.is_arena] += 1
+        for i, tracker in enumerate(trackers, 1):
+            r = product(a, [tracker])
+            game_u = unfold(r, bounds)
+            game = zerosum.punishment_game(game_u, i)
+            names = [game_node(game_u, j) for j in range(len(game_u.states))]
+            got = _node_graph(names, game.succ, game.priority, game_u.owner)
+            assert got == _reference_region_graph(u, i, tracker), (seed, automata, i)
+            shapes["region", r.is_arena] += 1
+    assert min(shapes.values()) >= 20, shapes
+
+
+@pytest.mark.parametrize("generator", [random_many_player_arena, random_fragment_arena])
+def test_solve_reports_the_arenas_clipped(generator):
+    # a general system objective's tableau automaton may stop reading; its
+    # run then goes to a rejecting state, so the product keeps every path
+    # of the arena and `clipped` is the arena unfolding's
+    seen = collections.Counter()
+    for seed in range(400):
+        a, bounds = generator(random.Random(seed))
+        clipped = unfold(a, bounds).clipped
+        assert solve(a, bounds).clipped == clipped, seed
+        system = product(a, [], system_component(a.system_objective))
+        seen[clipped, ((),) in system.qs] += 1
+    # only a general system objective, in half the many-player arenas, rejects
+    rejects = {False, generator is random_many_player_arena}
+    assert set(seen) == set(itertools.product([False, True], rejects)), seen
+    assert min(seen.values()) >= 10, seen
+
+
+def _failing_automaton_arena(cost: int):
+    """s0 -> s1 (of cost `cost`), s0 -> s2, and self-loops at s1 and s2, one
+    player with `F p`; s1 is labelled q and s2 p."""
+    from carefulsynth.arena import build_arena
+
+    return build_arena(
+        players=1,
+        dimensions=1,
+        states=["s0", "s1", "s2"],
+        owner={"s0": 1, "s1": 1, "s2": 1},
+        initial="s0",
+        edges={("s0", "s1"): (cost,), ("s0", "s2"): (0,), ("s2", "s2"): (0,), ("s1", "s1"): (0,)},
+        atoms=["p", "q"],
+        labels={"s1": ["q"], "s2": ["p"]},
+        system_objective=ltl.TRUE,
+        player_objectives=(ltl.parse_ltl("F p"),),
+    )
+
+
+def test_an_automaton_is_stepped_only_on_letters_the_unfolding_meets():
+    # the automaton has no move from `wait` on {q}; the product on the arena
+    # records that step on the edge s0 -> s1, and `unfold` raises it only
+    # where a reached state takes that edge without underflow
+    dpa = parse_dpa(json.dumps({
+        "states": ["wait", "good"], "initial": "wait", "priorities": {"wait": 1, "good": 2},
+        "transitions": [{"src": "wait", "pos": ["p"], "dst": "good"},
+                        {"src": "wait", "neg": ["p", "q"], "dst": "wait"},
+                        {"src": "good", "dst": "good"}],
+    }))
+    a = _failing_automaton_arena(-1)
+    result = solve(a, (1,), {1: dpa})
+    assert result.status == SolveResult.SOLUTION and result.profile.winners == {1}
+    tracker = objective_tracker(a.objective_of(1), dpa)
+    g = product(a, [tracker])
+    assert not g.is_arena and [s for s, _ in g.failures] == ["s1"]
+    assert [s for s in unfold(g, (1,)).states if s is not BOT] == [("s0", (0,)), ("s2", (0,))]
+    with pytest.raises(DocumentSemanticError, match=r"no transition from 'wait' on \['q'\]"):
+        unfold(product(_failing_automaton_arena(0), [tracker]), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +425,12 @@ def test_each_failed_winner_set_names_its_cause(fig1, case):
         a, bounds = _small_arena(["x"], {}, [("x", "x", -1)], "true", "true"), (0,)
         expected = {w: "no cycle in the restricted product" for w in [(1,), ()]}
     else:
-        # the system's automaton cannot read the first letter, so the product
-        # has no node; no region makes the loser win, so nothing is forbidden
+        # the system's automaton cannot read the first letter, so every play
+        # runs into its rejecting state, on a cycle where the system's
+        # component is odd; no region makes the loser win, so nothing is
+        # forbidden
         a, bounds = _small_arena(["x"], {}, [("x", "x", 0)], "p", "F q"), (0,)
-        expected = {w: "no cycle in the restricted product" for w in [(1,), ()]}
+        expected = {w: "no accepting SCC" for w in [(1,), ()]}
     result = solve(a, bounds)
     assert result.status == SolveResult.NO_SOLUTION
     assert dict(result.diagnostics) == expected
@@ -510,8 +624,7 @@ def _loser_tables(a, bounds, seed):
             assert p.punishment[i] == {}, seed
         else:
             # the region's table, kept only where a deviation reads it
-            region = punish_region(u, i, objective_tracker(a.objective_of(i)))
-            table = state_table(u, region)
+            table = state_table(*region_of(a, bounds, i, objective_tracker(a.objective_of(i))))
             assert p.punishment[i].items() <= table.items(), seed
             assert set(p.punishment[i]) == oracle_reached_keys(
                 u, i, a.objective_of(i), table,
@@ -964,7 +1077,7 @@ def test_the_checker_steps_only_what_the_kept_entries_and_deviations_reach(fig1)
     assert check_certificate(fig1, (3, 3), p, max_states=1) == []
     a = _one_choice_arena()
     p = solve(a, (0,)).profile
-    region = punish_region(unfold(a, (0,)), 1, objective_tracker(a.objective_of(1)))
+    _, region = region_of(a, (0,), 1, objective_tracker(a.objective_of(1)))
     assert len(p.punishment[1]) == 40 and len(region.punishment) == 41
     assert check_certificate(a, (0,), p, max_states=44) == []
     with pytest.raises(BudgetExceededError, match="state budget of 43"):

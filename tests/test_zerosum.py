@@ -11,17 +11,16 @@ from hypothesis import given, settings, strategies as st
 from carefulsynth import ltl
 from carefulsynth.errors import DocumentSemanticError, UnsupportedObjectiveError
 from carefulsynth.ltl import FragmentClass
-from carefulsynth.unfolding import BOT, unfold
+from carefulsynth.unfolding import BOT, product, unfold
 from carefulsynth.zerosum import (
     ZeroSumGame,
     attractor,
-    closed,
     dpa_step,
     objective_tracker,
     parse_dpa,
     punish_region,
+    punishment_game,
     solve_parity,
-    tracker_product,
 )
 
 from carefulsynth import synthesis, zerosum
@@ -30,6 +29,7 @@ import genutils
 from genutils import (
     LabelledGame,
     game_as_unfolding,
+    game_node,
     make_game,
     oracle_attractor,
     oracle_fragment_region,
@@ -41,8 +41,10 @@ from genutils import (
     random_many_player_arena,
     random_punishable_arena,
     reach_dpas,
+    reference_punish_region,
     reference_solve_parity,
     reference_tracker_product,
+    region_of,
     state_table,
 )
 
@@ -64,24 +66,24 @@ def test_attractor_contains_targets():
     assert targets <= att
 
 
-def _diamond_attractor(u, player):
+def _diamond_attractor(a, bounds, player):
     """The unfolded states from which `player` forces a diamond state, on
-    its region game with a `true` tracker: one node per unfolded state."""
-    nodes, g = tracker_product(u, player, objective_tracker(ltl.TRUE))
-    assert len(nodes) == len(u.states)
-    targets = {k for k, (s, _) in enumerate(nodes) if "diam" in u.labels[s]}
-    att, _ = _attract(g, targets)
-    return {u.states[nodes[k][0]] for k in att}
+    its region game with a `true` tracker: the arena's unfolding."""
+    g = unfold(product(a, [objective_tracker(ltl.TRUE)]), bounds)
+    assert g.graph.is_arena and g.states == unfold(a, bounds).states
+    targets = {k for k, x in enumerate(g.labels) if "diam" in x}
+    att, _ = _attract(punishment_game(g, player), targets)
+    return {g.states[k] for k in att}
 
 
 def test_attractor_fig1_careful_deviation_blocked(fig1):
     # player 3 cannot force the diamond from (c,1,1) under bounds (3,3):
     # moving costs (-3,0) and pumping first drops resource 2 below zero
-    assert ("c", (1, 1)) not in _diamond_attractor(unfold(fig1, (3, 3)), 3)
+    assert ("c", (1, 1)) not in _diamond_attractor(fig1, (3, 3), 3)
 
 
 def test_attractor_fig1_larger_bounds_enable_deviation(fig1):
-    assert ("c", (4, 1)) in _diamond_attractor(unfold(fig1, (10, 10)), 3)
+    assert ("c", (4, 1)) in _diamond_attractor(fig1, (10, 10), 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,14 +126,15 @@ FRAGMENT_OBJECTIVE = {
 
 
 def _solve_fragment(g, kind):
-    """The product of g with the tracker of kind's objective over p, built
-    by the package as player 1's region game on g as an unfolding: its nodes
-    and game, its regions, the protagonist's region read at the start
-    nodes, and the ids of those nodes (s, the tracker state after reading
-    s)."""
+    """The product of g with the tracker of kind's objective over p, as
+    player 1's region game on g as an unfolding, from every state's start
+    node (the reference build, which `test_region_game_equals_the_reference`
+    pins the package's game to): its nodes and game, its regions, the
+    protagonist's region read at the start nodes, and the ids of those
+    nodes (s, the tracker state after reading s)."""
     tracker = objective_tracker(FRAGMENT_OBJECTIVE[kind])
     u, image = game_as_unfolding(g)
-    nodes, game = tracker_product(u, 1, tracker)
+    nodes, game = reference_tracker_product(u, 1, tracker)
     reg = solve_parity(game)
     ids = {node: k for k, node in enumerate(nodes)}
     start = {
@@ -354,11 +357,11 @@ def test_parity_equals_the_reference_on_region_games(generator):
     games = 0
     for seed in range(300):
         a, bounds = generator(random.Random(seed))
-        u, dpas = unfold(a, bounds), reach_dpas(a)
+        dpas = reach_dpas(a)
         for i in range(1, a.players + 1):
             for automaton in {False, i in dpas}:
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
-                _, game = tracker_product(u, i, tracker)
+                game = punishment_game(unfold(product(a, [tracker]), bounds), i)
                 assert solve_parity(game) == reference_solve_parity(game), (seed, i, automaton)
                 games += 1
     assert games >= 600
@@ -371,11 +374,11 @@ def test_fig1_closed_reach_regions_call_the_attractor_once(monkeypatch, fig1):
     u = unfold(fig1, (80, 80))
     calls = _count_calls(monkeypatch, (zerosum, "attractor"), (zerosum, "solve_parity"))
     for i in range(1, fig1.players + 1):
-        tracker = objective_tracker(fig1.objective_of(i))
+        g = product(fig1, [objective_tracker(fig1.objective_of(i))])
         assert ltl.classify_fragment(fig1.objective_of(i)).kind == FragmentClass.REACH
-        assert closed(fig1, tracker, True)
+        assert g.is_arena
         calls.update(attractor=0, solve_parity=0)
-        punish_region(u, i, tracker)
+        punish_region(u._replace(graph=g), i)
         assert calls == {"attractor": 1, "solve_parity": 0}, i
 
 
@@ -387,9 +390,9 @@ def _reachability_shaped(game) -> bool:
     )
 
 
-def _sink_edge_from_a_target(u, game) -> bool:
-    sink = len(u.states) - 1
-    return u.states[-1] is BOT and any(
+def _sink_edge_from_a_target(g, game) -> bool:
+    sink = len(g.states) - 1
+    return g.states[-1] is BOT and any(
         sink in out for out, p in zip(game.succ, game.priority) if p == 2
     )
 
@@ -399,10 +402,10 @@ def test_reachability_regions_equal_zielonka(monkeypatch):
     # and the attractor and Zielonka's algorithm both give the reference's
     # region and table, for every player and for each F player also given
     # as an automaton; both paths run often, the attractor also on games
-    # built node by node, and Zielonka's on closed F games with a target
-    # that has an edge into the sink
+    # that are not the arena's unfolding, and Zielonka's on closed F games
+    # (one node per arena state) with a target that has an edge into the sink
     calls = _count_calls(monkeypatch, (zerosum, "attractor"), (zerosum, "solve_parity"))
-    paths = dict.fromkeys(["attractor", "attractor, nodes listed", "zielonka",
+    paths = dict.fromkeys(["attractor", "attractor, not the arena", "zielonka",
                            "closed F, target to sink"], 0)
     generators = [random_fragment_arena, random_punishable_arena, random_closed_arena,
                   random_many_player_arena]
@@ -413,24 +416,26 @@ def test_reachability_regions_equal_zielonka(monkeypatch):
             for automaton in {False, i in dpas}:
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
                 before = calls["solve_parity"]
-                r = punish_region(u, i, tracker)
-                ref = genutils.reference_punish_region(u, i, tracker)
+                g = unfold(product(a, [tracker]), bounds)
+                r = punish_region(g, i)
+                ref_g, ref = reference_punish_region(u, i, tracker)
                 case = (generator.__name__, seed, i, automaton)
+                assert (g.states, g.succ) == (ref_g.states, ref_g.succ), case
                 assert (r.win, r.punishment) == (ref.win, ref.punishment), case
-                nodes, game = tracker_product(u, i, tracker)
+                game = punishment_game(g, i)
                 took_attractor = calls["solve_parity"] == before
                 assert took_attractor == _reachability_shaped(game), case
                 if took_attractor:
                     paths["attractor"] += 1
-                    paths["attractor, nodes listed"] += bool(nodes.extra)
+                    paths["attractor, not the arena"] += not g.graph.is_arena
                     continue
                 paths["zielonka"] += 1
                 paths["closed F, target to sink"] += (
-                    i in dpas and not automaton and closed(a, tracker, u.states[-1] is BOT)
-                    and _sink_edge_from_a_target(u, game)
+                    i in dpas and not automaton and g.graph.is_arena
+                    and _sink_edge_from_a_target(g, game)
                 )
     assert paths["attractor"] >= 1000 and paths["zielonka"] >= 1000, paths
-    assert paths["attractor, nodes listed"] >= 100, paths
+    assert paths["attractor, not the arena"] >= 100, paths
     assert paths["closed F, target to sink"] >= 10, paths
 
 
@@ -441,10 +446,10 @@ def test_a_game_without_priority_2_is_not_a_reachability_game():
     a, bounds = random_fragment_arena(random.Random(161))
     assert ltl.classify_fragment(a.objective_of(1)).kind == FragmentClass.COBUCHI
     u, tracker = unfold(a, bounds), objective_tracker(a.objective_of(1))
-    _, game = tracker_product(u, 1, tracker)
-    assert set(game.priority) == {0, 1}
-    r = punish_region(u, 1, tracker)
-    assert r.win == genutils.reference_punish_region(u, 1, tracker).win == set(range(7))
+    g = unfold(product(a, [tracker]), bounds)
+    assert set(punishment_game(g, 1).priority) == {0, 1}
+    r = punish_region(g, 1)
+    assert r.win == reference_punish_region(u, 1, tracker)[1].win == set(range(7))
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +494,21 @@ def test_dpa_missing_transition_rejected():
 # Punishment regions
 
 
-def _check_region_game_laws(u, player, tracker):
-    """The numbered region game against one built here, node by node, from
-    `u.succ` and the tracker: nodes numbered breadth-first from the start
-    nodes in id order, successors in `u.succ` order, the player owning
-    exactly its own states, priority 1 at BOT and the tracker's elsewhere.
-    Zielonka's tie-breaks follow this order."""
+def _check_region_game_laws(a, bounds, player, tracker):
+    """The unfolded region game against one built here, node by node, from
+    the arena's unfolding `u` and the tracker: the nodes (unfolded state
+    id, tracker state after reading it) reachable from the initial state's,
+    with one node at the sink and no tracker state; ordered by arena state,
+    by `str` of (tracker state,) and by credit, the sink last; successors in
+    `u.succ` order, the player owning exactly its own states, priority 1 at
+    BOT and the tracker's elsewhere. Zielonka's tie-breaks follow this
+    order. Returns the tracker states met."""
+    u = unfold(a, bounds)
 
     def at(q, t):  # the node at unfolded state id t after tracker state q
-        return (t, tracker.step(q, u.labels[t]))
+        return (t, None if u.states[t] is BOT else tracker.step(q, u.labels[t]))
 
-    order = list(dict.fromkeys(at(tracker.initial, k) for k in range(len(u.states))))
+    order = [at(tracker.initial, u.initial)]
     queue, seen = deque(order), set(order)
     while queue:
         s, q = queue.popleft()
@@ -508,25 +517,28 @@ def _check_region_game_laws(u, player, tracker):
                 seen.add(n)
                 order.append(n)
                 queue.append(n)
+    order.sort(key=lambda n: (1,) if u.states[n[0]] is BOT else (
+        0, u.states[n[0]][0], str((n[1],)), u.states[n[0]][1]))
 
-    nodes, game = tracker_product(u, player, tracker)
-    assert list(nodes) == order
-    assert game.states == range(len(nodes))
+    g = unfold(product(a, [tracker]), bounds)
+    game = punishment_game(g, player)
+    nodes = [game_node(g, j) for j in game.states]
+    assert nodes == [(u.states[s], q) for s, q in order]
     assert len(game.succ) == len(game.is_protagonist) == len(game.priority) == len(nodes)
-    for k, (s, q) in enumerate(nodes):
-        assert [nodes[j] for j in game.succ[k]] == [at(q, t) for t in u.succ[s]]
+    for k, (s, q) in enumerate(order):
+        assert [nodes[j] for j in game.succ[k]] == [
+            (u.states[t], q2) for t, q2 in (at(q, t) for t in u.succ[s])]
         assert game.is_protagonist[k] == (u.owner[s] == player)
         assert game.priority[k] == (1 if u.states[s] is BOT else tracker.priority(q))
-    return {q for _, q in nodes}
+    return {q for _, q in order if q is not None}
 
 
 @pytest.mark.parametrize("bounds", [(3, 3), (10, 10)])
 def test_region_game_laws(fig1, bounds):
-    u = unfold(fig1, bounds)
-    assert BOT in u.states
+    assert BOT in unfold(fig1, bounds).states
     for i in range(1, fig1.players + 1):
         # F circ and F box reach both flags; F diam at (3,3) keeps one
-        flags = _check_region_game_laws(u, i, objective_tracker(fig1.objective_of(i)))
+        flags = _check_region_game_laws(fig1, bounds, i, objective_tracker(fig1.objective_of(i)))
         assert flags == {False, True} or i == 3
 
 
@@ -535,31 +547,36 @@ def test_region_game_laws(fig1, bounds):
     [(random_fragment_arena, 300), (random_punishable_arena, 200), (random_many_player_arena, 100)],
 )
 def test_region_game_equals_the_reference(generator, seeds):
-    # the game that shares `u.succ`'s lists against the one that builds
-    # every list and looks up every node by its tuple, for fragment players
-    # and for F players also given as automata; a node past the start nodes
-    # occurs where an F target leads back to states that are not targets
-    extra, shared = {False: 0, True: 0}, 0
+    # the unfolded product against the game that the reference builds node
+    # by node from every start node and cuts to the part reachable from the
+    # initial state, in the same order and with the same ids, for fragment
+    # players and for F players also given as automata; a game that is not
+    # the arena's unfolding occurs where an F target leads back to states
+    # that are not targets
+    extra = {False: 0, True: 0}
     for seed in range(seeds):
         a, bounds = generator(random.Random(seed))
         u, dpas = unfold(a, bounds), reach_dpas(a)
         for i in range(1, a.players + 1):
             for automaton in {False, i in dpas}:
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
-                nodes, game = tracker_product(u, i, tracker)
-                ref_nodes, ref = reference_tracker_product(u, i, tracker)
-                assert list(nodes) == ref_nodes, (seed, i, automaton)
+                g = unfold(product(a, [tracker]), bounds)
+                ref_g, _ = reference_punish_region(u, i, tracker)
+                case = (seed, i, automaton)
+                assert [game_node(g, j) for j in range(len(g.states))] == [
+                    game_node(ref_g, j) for j in range(len(ref_g.states))], case
+                game, ref = punishment_game(g, i), punishment_game(ref_g, i)
                 assert (game.succ, game.is_protagonist, game.priority) == (
-                    ref.succ, ref.is_protagonist, ref.priority), (seed, i, automaton)
-                extra[automaton] += len(nodes) > len(u.states)
-                shared += sum(game.succ[k] is u.succ[k] for k in range(len(u.states)))
-    assert min(extra.values()) >= 40 and shared > 0, (extra, shared)
+                    ref.succ, ref.is_protagonist, ref.priority), case
+                extra[automaton] += not g.graph.is_arena
+    assert min(extra.values()) >= 10, extra
 
 
 def test_closed_region_games_equal_the_general_build():
-    # a game whose tracker is closed on the arena's and the sink's edges is
-    # the unfolding itself, equal to the game built node by node; the
-    # closed games of one unfolding share one predecessor list
+    # a game whose tracker is closed on the arena's edges, one node per arena
+    # state it reaches, takes the arena's unfolding in `solve`: equal to the
+    # product's own unfolding, ids and lists; the games on one unfolding
+    # share one predecessor list
     counts = {(took, sink): 0 for took in (False, True) for sink in (False, True)}
     generators = [random_closed_arena, random_fragment_arena]
     for generator, seed in itertools.product(generators, range(300)):
@@ -567,24 +584,28 @@ def test_closed_region_games_equal_the_general_build():
         u, pred = unfold(a, bounds), []
         sink = u.states[-1] is BOT
         for i in range(1, a.players + 1):
-            tracker = objective_tracker(a.objective_of(i))
-            nodes, game = tracker_product(u, i, tracker, pred)
-            ref_nodes, ref = tracker_product(u, i, tracker._replace(fragment=False))
-            assert list(nodes) == list(ref_nodes), (seed, i)
+            p = product(a, [objective_tracker(a.objective_of(i))])
+            own = unfold(p, bounds)
+            counts[p.is_arena, sink] += 1
+            if not p.is_arena:
+                continue
+            shared = u._replace(graph=p)
+            assert own._replace(graph=None) == shared._replace(graph=None), (seed, i)
+            game, ref = punishment_game(shared, i, pred), punishment_game(own, i)
             assert (game.succ, game.is_protagonist, game.priority, game.pred) == (
                 ref.succ, ref.is_protagonist, ref.priority, ref.pred), (seed, i)
-            took = game.succ is u.succ
-            assert took == closed(a, tracker, sink), (seed, i)
-            assert not took or game.pred is pred, (seed, i)
-            counts[took, sink] += 1
-    assert min(counts.values()) >= 10, counts
+            assert game.succ is u.succ and game.pred is pred, (seed, i)
+            assert punish_region(shared, i) == punish_region(own, i), (seed, i)
+    # games that take the arena's unfolding, with and without a sink, and games that do not
+    assert counts[True, False] >= 10 and counts[True, True] >= 10, counts
+    assert counts[False, False] + counts[False, True] >= 10, counts
 
 
 def test_region_game_steps_an_automaton_only_on_letters_it_meets():
     # an automaton need only be complete over the letters it meets: `good`
     # has no move on {}, and no successor of a node at `good` is labelled {};
     # the edge from the unreachable s2 to s0 would step it on {} there, so
-    # no closure test reads the arena's edges with it
+    # the product, built from the initial state, never reads it
     from carefulsynth.arena import build_arena
 
     dpa = parse_dpa(json.dumps({
@@ -605,56 +626,62 @@ def test_region_game_steps_an_automaton_only_on_letters_it_meets():
     )
     u = unfold(a, (1,))
     tracker = objective_tracker(a.objective_of(1), dpa)
-    nodes, game = tracker_product(u, 1, tracker)
-    ref_nodes, ref = reference_tracker_product(u, 1, tracker)
-    assert list(nodes) == ref_nodes == [(0, "wait"), (1, "good")]
-    assert (game.succ, game.priority) == (ref.succ, ref.priority)
+    g = unfold(product(a, [tracker]), (1,))
+    ref_g, _ = reference_punish_region(u, 1, tracker)
+    nodes = [game_node(g, j) for j in range(len(g.states))]
+    assert nodes == [game_node(ref_g, j) for j in range(len(ref_g.states))] == [
+        (("s0", (0,)), "wait"), (("s1", (0,)), "good")]
+    assert g.succ == ref_g.succ
     result = synthesis.solve(a, (1,), {1: dpa})
     assert result.status == "solution" and result.profile.winners == {1}
 
 
 def test_fig1_region_games_share_the_unfoldings_lists(monkeypatch, fig1):
-    # a node's successor list is `u.succ`'s own exactly where it is equal to
-    # it; and solving, which reads those lists, writes none of them
-    unfolded = []
+    # every region game of fig1 takes the one unfolding of the solve, its
+    # lists themselves; and solving, which reads those lists, writes none
+    unfolded, games = [], []
 
     def unfold_and_keep(*args):
         u = unfold(*args)
         unfolded.append((u, [list(out) for out in u.succ]))
         return u
 
+    def region_and_keep(g, *args):
+        games.append(g)
+        return punish_region(g, *args)
+
     monkeypatch.setattr(synthesis, "unfold", unfold_and_keep)
+    monkeypatch.setattr(synthesis, "punish_region", region_and_keep)
     for bounds in [(3, 3), (10, 10)]:
+        unfolded.clear()
+        games.clear()
         synthesis.solve(fig1, bounds)
-        u, before = unfolded[-1]
+        [(u, before)] = unfolded
         assert u.succ == before
-        for i in range(1, fig1.players + 1):
-            nodes, game = tracker_product(u, i, objective_tracker(fig1.objective_of(i)))
-            own = [u.succ[s] for s, _ in nodes]
-            assert [out is o for out, o in zip(game.succ, own)] == [
-                out == o for out, o in zip(game.succ, own)]
-            assert sum(out is o for out, o in zip(game.succ, own)) > len(u.states) // 2
+        assert games and all(g.succ is u.succ and g.graph.is_arena for g in games)
 
 
 def test_region_game_laws_with_a_parity_automaton(fig1):
     dpa = parse_dpa(json.dumps(DPA_FP).replace('"p"', '"box"'))
-    u = unfold(fig1, (3, 3))
     tracker = objective_tracker(fig1.objective_of(2), dpa)
-    assert _check_region_game_laws(u, 2, tracker) == {"wait", "good"}
+    assert _check_region_game_laws(fig1, (3, 3), 2, tracker) == {"wait", "good"}
+
+
+def _node_ids(g) -> dict:
+    """The game `g`'s ids by node (unfolded state, tracker state)."""
+    return {game_node(g, j): j for j in range(len(g.states))}
 
 
 def test_punish_region_fig1_small_bounds(fig1):
-    u = unfold(fig1, (3, 3))
-    r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
-    # nodes pair a state's id with player 3's flag: F diam seen after it
-    assert r.nodes.id(u.states.index(("c", (1, 1))), False) not in r.win
-    assert all(u.states[r.nodes[j][0]] is not BOT for j in r.win)
+    g, r = region_of(fig1, (3, 3), 3, objective_tracker(fig1.objective_of(3)))
+    # nodes pair an unfolded state with player 3's flag: F diam seen after it
+    assert _node_ids(g)[(("c", (1, 1)), False)] not in r.win
+    assert all(g.states[j] is not BOT for j in r.win)
 
 
 def test_punish_region_fig1_large_bounds(fig1):
-    u = unfold(fig1, (10, 10))
-    r = punish_region(u, 3, objective_tracker(fig1.objective_of(3)))
-    assert r.nodes.id(u.states.index(("c", (4, 1))), False) in r.win
+    g, r = region_of(fig1, (10, 10), 3, objective_tracker(fig1.objective_of(3)))
+    assert _node_ids(g)[(("c", (4, 1)), False)] in r.win
 
 
 def test_punish_region_trivial_objective_no_negative_costs():
@@ -672,16 +699,14 @@ def test_punish_region_trivial_objective_no_negative_costs():
         system_objective=ltl.TRUE,
         player_objectives=(ltl.TRUE, ltl.TRUE),
     )
-    u = unfold(a, (2,))
-    r = punish_region(u, 1, objective_tracker(ltl.TRUE))
+    g, r = region_of(a, (2,), 1, objective_tracker(ltl.TRUE))
     # carefulness alone, no underflow anywhere; true never fails
-    assert {r.nodes[j] for j in r.win} == {(k, False) for k in range(len(u.states))}
+    assert {game_node(g, j) for j in r.win} == {(s, False) for s in unfold(a, (2,)).states}
 
 
 def test_punish_region_general_requires_dpa(fig1):
-    u = unfold(fig1, (1, 1))
     with pytest.raises(UnsupportedObjectiveError):
-        punish_region(u, 1, objective_tracker(ltl.parse_ltl("F (circ & X box)")))
+        region_of(fig1, (1, 1), 1, objective_tracker(ltl.parse_ltl("F (circ & X box)")))
 
 
 def test_punish_region_dpa_matches_fragment_region(fig1):
@@ -689,13 +714,12 @@ def test_punish_region_dpa_matches_fragment_region(fig1):
     # F box objective and compare with the fragment solver
     doc = json.loads(json.dumps(DPA_FP).replace('"p"', '"box"'))
     dpa = parse_dpa(json.dumps(doc))
-    u = unfold(fig1, (3, 3))
-    direct = punish_region(u, 2, objective_tracker(fig1.objective_of(2)))
-    via_dpa = punish_region(u, 2, objective_tracker(fig1.objective_of(2), dpa))
+    g, direct = region_of(fig1, (3, 3), 2, objective_tracker(fig1.objective_of(2)))
+    gd, via_dpa = region_of(fig1, (3, 3), 2, objective_tracker(fig1.objective_of(2), dpa))
     # the automaton's state good is the flag "box seen"
-    won = [via_dpa.nodes[j] for j in via_dpa.win]
-    assert {(s, q == "good") for s, q in won} == {direct.nodes[j] for j in direct.win}
-    assert won and all(u.states[s] is not BOT for s, _ in won)
+    won = [game_node(gd, j) for j in via_dpa.win]
+    assert {(s, q == "good") for s, q in won} == {game_node(g, j) for j in direct.win}
+    assert won and all(s is not BOT for s, _ in won)
 
 
 def test_no_state_outside_the_region_wins_against_the_table():
@@ -710,9 +734,12 @@ def test_no_state_outside_the_region_wins_against_the_table():
         for i in range(1, a.players + 1):
             objective = a.objective_of(i)
             kinds.add(ltl.classify_fragment(objective).kind)
-            r = punish_region(u, i, objective_tracker(objective))
-            win = {(u.states[k], q) for k, q in map(r.nodes.__getitem__, r.win)}
-            won = oracle_wins_against_table(u, i, objective, state_table(u, r))
+            g, r = region_of(a, bounds, i, objective_tracker(objective))
+            win = {game_node(g, j) for j in r.win}
+            # a start node the play from the initial state never reaches is
+            # not in the game
+            won = {n: w for n, w in oracle_wins_against_table(
+                u, i, objective, state_table(g, r)).items() if n in _node_ids(g)}
             assert not {n for n, w in won.items() if w and n not in win}, (seed, i)
             outside += sum(n not in win for n in won)
             won_inside += sum(w == "play" for w in won.values())
@@ -721,52 +748,50 @@ def test_no_state_outside_the_region_wins_against_the_table():
 
 
 def test_closed_regions_stay_on_unfolded_ids(fig1):
-    # a closed game lists no node, and its region and table hold the
-    # unfolding's ids, the table being the coalition's strategy itself
+    # a game closed on the arena's edges is the arena's unfolding, and its
+    # region and table hold the unfolding's ids, the table being the
+    # coalition's strategy itself
     u = unfold(fig1, (10, 10))
     for i in range(1, fig1.players + 1):
-        tracker = objective_tracker(fig1.objective_of(i))
-        assert closed(fig1, tracker, True)
-        nodes, game = tracker_product(u, i, tracker)
-        assert (nodes.extra, nodes.ids, len(nodes)) == ([], {}, len(u.states))
-        r = punish_region(u, i, tracker)
+        p = product(fig1, [objective_tracker(fig1.objective_of(i))])
+        assert p.is_arena
+        g = u._replace(graph=p)
+        assert [game_node(g, j)[0] for j in range(len(u.states))] == list(u.states)
+        r = punish_region(g, i)
         assert r.win and all(type(j) is int and 0 <= j < len(u.states) for j in r.win)
         assert r.punishment and all(
             type(j) is int and type(t) is int and t in u.succ[j] for j, t in r.punishment.items())
-        assert r.punishment == solve_parity(game).antagonist_strategy
-        assert all(r.nodes.id(*r.nodes[j]) == j for j in range(len(u.states)))
+        assert r.punishment == solve_parity(punishment_game(g, i)).antagonist_strategy
 
 
 def test_region_ids_name_their_nodes():
-    # node j's id is j on the general path too, where nodes past the start
-    # nodes occur; a table entry names the unfolded state its move enters
+    # a game's ids name distinct nodes, on games that are not the arena's
+    # unfolding too; a table entry names a successor of its node
     extra = 0
     for seed in range(200):
         a, bounds = random_fragment_arena(random.Random(seed))
-        u, dpas = unfold(a, bounds), reach_dpas(a)
+        dpas = reach_dpas(a)
         for i in range(1, a.players + 1):
             for automaton in {False, i in dpas}:
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
-                r = punish_region(u, i, tracker)
-                assert [r.nodes.id(*node) for node in r.nodes] == list(range(len(r.nodes)))
-                assert r.nodes.id(0, object()) is None
-                assert all(t in u.succ[r.nodes[j][0]] for j, t in r.punishment.items())
-                extra += len(r.nodes.extra)
+                g, r = region_of(a, bounds, i, tracker)
+                assert len(_node_ids(g)) == len(g.states)
+                assert all(t in g.succ[j] for j, t in r.punishment.items())
+                extra += not g.graph.is_arena
     assert extra > 0
 
 
-def _upward_closure(u, region) -> tuple[list, int]:
+def _upward_closure(g, region) -> tuple[list, int]:
     """The faults of `region` against upward closure in the resources: a
-    node (x, d, q) of its game that is not won while a node (x, c, q) with
-    c <= d is. Also returns how many such pairs (c, d), c != d, the check
-    compared."""
+    node (x, d, q) of its game `g` that is not won while a node (x, c, q)
+    with c <= d is. Also returns how many such pairs (c, d), c != d, the
+    check compared."""
     present, won = {}, {}
-    for j, (k, q) in enumerate(region.nodes):
-        if u.states[k] is not BOT:
-            x, c = u.states[k]
-            present.setdefault((x, q), []).append(c)
-            if j in region.win:
-                won.setdefault((x, q), set()).add(c)
+    for j in range(len(g.at)):  # every node but the sink, which is last
+        (x, c), q = game_node(g, j)
+        present.setdefault((x, q), []).append(c)
+        if j in region.win:
+            won.setdefault((x, q), set()).add(c)
     faults, pairs = [], 0
     for key, cs in won.items():
         for d in present[key]:
@@ -783,10 +808,9 @@ def test_fig1_regions_are_upward_closed_in_the_resources(fig1):
     # upward among the game's nodes
     pairs = {}
     for bounds in [(3, 3), (10, 10), (20, 20)]:
-        u = unfold(fig1, bounds)
         for i in range(1, fig1.players + 1):
-            r = punish_region(u, i, objective_tracker(fig1.objective_of(i)))
-            faults, pairs[bounds, i] = _upward_closure(u, r)
+            g, r = region_of(fig1, bounds, i, objective_tracker(fig1.objective_of(i)))
+            faults, pairs[bounds, i] = _upward_closure(g, r)
             assert not faults, (bounds, i, faults[:3])
     assert min(pairs[(20, 20), i] for i in range(1, fig1.players + 1)) >= 500, pairs
 
@@ -797,10 +821,9 @@ def test_random_regions_are_upward_closed_in_the_resources():
     pairs = 0
     for seed in range(1000):
         a, bounds = random_fragment_arena(random.Random(seed))
-        u = unfold(a, bounds)
         for i in range(1, a.players + 1):
-            r = punish_region(u, i, objective_tracker(a.objective_of(i)))
-            faults, compared = _upward_closure(u, r)
+            g, r = region_of(a, bounds, i, objective_tracker(a.objective_of(i)))
+            faults, compared = _upward_closure(g, r)
             assert not faults, (seed, i, faults[:3])
             pairs += compared
     assert pairs >= 200, pairs
