@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Time the solver's graph passes on one benchmark workload and seed:
+"""Time the solver's graph passes, or the certificate check's parts, on one
+benchmark workload and seed:
 
     python3 scripts/layer_times.py --workload fig1-sweep --seed 1 --repeat 5
+    python3 scripts/layer_times.py --workload reduction --seed 1 --check
 
 Each instance of `bench/workloads.setup` (read only) is solved `--repeat`
 times in this process. One line per instance, then their mean, gives in
@@ -17,10 +19,21 @@ which do not depend on the machine: `product=N`, the witness product's
 nodes; `regionI=N`, the nodes of player I's punishment game, followed by
 its solver, `/attractor` or `/zielonka`; `unfolds=N`, the number of
 `unfold` calls; and `attractors=N`, the number of attractors computed.
+
+With `--check`, each instance that has a solution is solved once through
+the in-process CLI, and its certificate is then checked `--repeat` times
+the same way. The line gives the fastest untimed `check` command, and from
+the timed runs the fastest time of each of its parts, summed over one
+check as above: `arena`, reading the arena (`parse_arena`); `certificate`,
+reading the certificate (`parse_profile`); `dpas`, `cli._load_dpas`;
+`replay`, `synthesis._replay`; `winners`, the winner clauses (the calls of
+`eval_on_lasso` and `tracker_accepts`, the system objective's included);
+and `deviations`, `synthesis._deviation_faults`. The benchmark's tracer
+counts the first three in `cli.self_s`. File reads and the verdict's output
+are only in `check`.
 """
 
 import argparse
-import importlib
 import pathlib
 import sys
 import tempfile
@@ -31,7 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # bench/workloads.py, read only
 
-from carefulsynth import synthesis, zerosum
+from carefulsynth import cli, ltl, reduction, synthesis, zerosum
 from carefulsynth.arena import parse_arena
 from carefulsynth.zerosum import parse_dpa
 
@@ -40,23 +53,30 @@ LAYERS = [(synthesis, "product"), (synthesis, "unfold"), (synthesis, "witness_pr
           (synthesis, "punish_region"), (zerosum, "solve_parity"),
           (synthesis, "find_witness_lasso")]
 
+# the same for the parts of `check`, each with the column it is summed in
+CHECK_LAYERS = {(cli, "parse_arena"): "arena", (synthesis, "parse_profile"): "certificate",
+                (cli, "_load_dpas"): "dpas", (synthesis, "_replay"): "replay",
+                (ltl, "eval_on_lasso"): "winners", (synthesis, "tracker_accepts"): "winners",
+                (synthesis, "_deviation_faults"): "deviations"}
 
-def patched_solve(a, bounds, dpas, wrappers) -> None:
-    """One solve with each (module, name) in `wrappers` replaced by its
+
+def patched(run, wrappers) -> None:
+    """One `run()` with each (module, name) in `wrappers` replaced by its
     wrapper of the original function."""
     saved = [(module, name, getattr(module, name)) for module, name in wrappers]
     for module, name, fn in saved:
         setattr(module, name, wrappers[module, name](name, fn))
     try:
-        synthesis.solve(a, bounds, dpas)
+        run()
     finally:
         for module, name, fn in saved:
             setattr(module, name, fn)
 
 
-def timed_solve(a, bounds, dpas) -> list[tuple[str, float]]:
-    """One solve with every layer wrapped: each call's name and seconds."""
-    calls = []
+def timed(run, layers) -> list[tuple[str, float]]:
+    """One `run()` with each (module, name) in `layers` wrapped: the column
+    `layers` gives each call, and its seconds."""
+    calls, column = [], {name: col for (_, name), col in layers.items()}
 
     def wrap(name, fn):
         def call(*args, **kwargs):
@@ -64,10 +84,10 @@ def timed_solve(a, bounds, dpas) -> list[tuple[str, float]]:
             try:
                 return fn(*args, **kwargs)
             finally:
-                calls.append((name, time.perf_counter() - start))
+                calls.append((column[name], time.perf_counter() - start))
         return call
 
-    patched_solve(a, bounds, dpas, {layer: wrap for layer in LAYERS})
+    patched(run, {layer: wrap for layer in layers})
     return calls
 
 
@@ -99,12 +119,30 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
             return fn(*args, **kwargs)
         return call
 
-    patched_solve(a, bounds, dpas, {(synthesis, "witness_product"): witness,
-                                    (synthesis, "punish_region"): solver,
-                                    (synthesis, "unfold"): count,
-                                    (zerosum, "attractor"): count,
-                                    (zerosum, "solve_parity"): count})
+    patched(lambda: synthesis.solve(a, bounds, dpas),
+            {(synthesis, "witness_product"): witness, (synthesis, "punish_region"): solver,
+             (synthesis, "unfold"): count, (zerosum, "attractor"): count,
+             (zerosum, "solve_parity"): count})
     return sizes + [f"unfolds={calls.count('unfold')}", f"attractors={calls.count('attractor')}"]
+
+
+def fastest(run, repeat: int) -> float:
+    """Milliseconds of the fastest of `repeat` calls of `run()`."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best * 1000
+
+
+def column_times(first: str, best: float, columns, runs) -> dict[str, float]:
+    """`first` at `best`, and each of `columns` at the sum over one run's
+    calls of each call's fastest time, in milliseconds."""
+    out = {first: best} | {name: 0.0 for name in columns}
+    for calls in zip(*runs):
+        out[calls[0][0]] += min(dt for _, dt in calls) * 1000
+    return out
 
 
 def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
@@ -112,16 +150,30 @@ def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
     `repeat` runs, and the solve's sizes."""
     a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
     dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
+
+    def solve():
         synthesis.solve(a, inst.bounds, dpas)
-        best = min(best, time.perf_counter() - start)
-    runs = [timed_solve(a, inst.bounds, dpas) for _ in range(repeat)]
-    out = {"solve": best * 1000} | {name: 0.0 for _, name in LAYERS}
-    for column in zip(*runs):
-        out[column[0][0]] += min(dt for _, dt in column) * 1000
+
+    runs = [timed(solve, {layer: layer[1] for layer in LAYERS}) for _ in range(repeat)]
+    out = column_times("solve", fastest(solve, repeat), [name for _, name in LAYERS], runs)
     return out, solve_sizes(a, inst.bounds, dpas)
+
+
+def check_times(inst, repeat: int, tmp: pathlib.Path) -> dict[str, float] | None:
+    """Milliseconds per part of `check` and for the whole command, each the
+    fastest of `repeat` runs; None when the instance has no solution."""
+    code, certificate = workloads.call_cli(cli, inst.solve_argv())
+    if code != 0:
+        return None
+    path = tmp / f"{inst.id.replace('/', '-')}.certificate.json"
+    path.write_text(certificate, encoding="utf-8")
+
+    def check():
+        if workloads.call_cli(cli, inst.check_argv(str(path)))[0] != 0:
+            raise RuntimeError(f"{inst.id}: check refuses the certificate")
+
+    runs = [timed(check, CHECK_LAYERS) for _ in range(repeat)]
+    return column_times("check", fastest(check, repeat), CHECK_LAYERS.values(), runs)
 
 
 def main() -> int:
@@ -130,14 +182,24 @@ def main() -> int:
     parser.add_argument("--workload", default="fig1-sweep", choices=list(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--check", action="store_true",
+                        help="time the parts of the certificate check instead of the solve")
     args = parser.parse_args()
-    pkg = {name: importlib.import_module(f"carefulsynth.{name}") for name in ("cli", "reduction")}
-    columns = ["solve"] + [name for _, name in LAYERS]
-    print(" ".join(["instance", *columns, "(ms)", "sizes"]))
+    pkg = {"cli": cli, "reduction": reduction}
+    if args.check:
+        columns = ["check", *dict.fromkeys(CHECK_LAYERS.values())]
+    else:
+        columns = ["solve"] + [name for _, name in LAYERS]
+    print(" ".join(["instance", *columns, "(ms)", *([] if args.check else ["sizes"])]))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for inst in workloads.setup(args.workload, args.seed, pathlib.Path(tmp), pkg):
-            times, sizes = instance_times(inst, args.repeat)
+            if args.check:
+                times, sizes = check_times(inst, args.repeat, pathlib.Path(tmp)), []
+                if times is None:
+                    continue
+            else:
+                times, sizes = instance_times(inst, args.repeat)
             rows.append(times)
             print(" ".join([inst.id, *(f"{times[c]:.2f}" for c in columns), *sizes]), flush=True)
     print(" ".join(["mean", *(f"{sum(r[c] for r in rows) / len(rows):.2f}" for c in columns)]))

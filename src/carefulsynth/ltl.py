@@ -323,6 +323,14 @@ def eval_on_lasso(
 
     The word is given as label sets per position. When ``atoms`` is
     supplied, formula atoms outside it raise UnknownAtomError.
+
+    Each subformula's set of positions is one int, bit i for position i,
+    and each operator is a few word-wide int operations on those ints; the
+    successor of the last position is the loop head. `U` and `F` grow
+    their least fixpoint from no position, `R` and `G` shrink their
+    greatest from every position, each by at least one position a round,
+    so a temporal operator takes at most one round per position and one
+    more that repeats.
     """
     stem = [frozenset(x) for x in stem]
     word = stem + [frozenset(x) for x in loop]
@@ -335,69 +343,47 @@ def eval_on_lasso(
         if missing:
             raise UnknownAtomError(f"unknown atom(s): {', '.join(sorted(missing))}")
 
-    n = len(word)
-    back = n - nloop  # successor of the last position
+    last = len(word) - 1
+    back = len(stem)  # successor of the last position
+    full = (1 << len(word)) - 1
+    memo: dict[Formula, int] = {}
 
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < n else back
+    def nxt(s: int) -> int:
+        # the positions whose successor is in s
+        return s >> 1 | (s >> back & 1) << last
 
-    allpos = frozenset(range(n))
-    memo: dict[Formula, frozenset[int]] = {}
-
-    def sets(f: Formula) -> frozenset[int]:
-        if f in memo:
-            return memo[f]
+    def mask(f: Formula) -> int:
+        r = memo.get(f)
+        if r is not None:
+            return r
         if isinstance(f, Lit):
-            r = allpos if f.value else frozenset()
+            r = full if f.value else 0
         elif isinstance(f, Atom):
-            r = frozenset(i for i in range(n) if f.name in word[i])
+            r = int("".join("1" if f.name in x else "0" for x in reversed(word)), 2)
         elif isinstance(f, Not):
-            r = allpos - sets(f.sub)
+            r = full ^ mask(f.sub)
         elif isinstance(f, And):
-            r = sets(f.left) & sets(f.right)
+            r = mask(f.left) & mask(f.right)
         elif isinstance(f, Or):
-            r = sets(f.left) | sets(f.right)
+            r = mask(f.left) | mask(f.right)
         elif isinstance(f, Next):
-            s = sets(f.sub)
-            r = frozenset(i for i in range(n) if nxt(i) in s)
+            r = nxt(mask(f.sub))
         elif isinstance(f, (Until, Eventually)):
-            if isinstance(f, Until):
-                a, b = sets(f.left), sets(f.right)
-            else:
-                a, b = allpos, sets(f.sub)
-            r = _lfp(n, nxt, a, b)
+            a, b = (mask(f.left), mask(f.right)) if isinstance(f, Until) else (full, mask(f.sub))
+            r = 0  # a U b: least fixpoint of X = b | (a & next X)
+            while (x := b | a & nxt(r)) != r:
+                r = x
         elif isinstance(f, (Release, Always)):
-            if isinstance(f, Release):
-                a, b = sets(f.left), sets(f.right)
-            else:
-                a, b = frozenset(), sets(f.sub)
-            r = _gfp(n, nxt, a, b)
+            a, b = (mask(f.left), mask(f.right)) if isinstance(f, Release) else (0, mask(f.sub))
+            r = full  # a R b: greatest fixpoint of X = b & (a | next X)
+            while (x := b & (a | nxt(r))) != r:
+                r = x
         else:
             raise TypeError(f"unknown node {f!r}")
         memo[f] = r
         return r
 
-    return 0 in sets(phi)
-
-
-def _lfp(n, nxt, a, b):
-    # a U b: least fixpoint of X = b | (a & next X)
-    x: frozenset[int] = frozenset()
-    while True:
-        nx = frozenset(i for i in range(n) if i in b or (i in a and nxt(i) in x))
-        if nx == x:
-            return x
-        x = nx
-
-
-def _gfp(n, nxt, a, b):
-    # a R b: greatest fixpoint of X = b & (a | next X)
-    x = frozenset(range(n))
-    while True:
-        nx = frozenset(i for i in range(n) if i in b and (i in a or nxt(i) in x))
-        if nx == x:
-            return x
-        x = nx
+    return bool(mask(phi) & 1)
 
 
 # ---------------------------------------------------------------------------

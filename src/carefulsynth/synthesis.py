@@ -95,8 +95,11 @@ def system_component(phi: ltl.Formula) -> Tracker:
     letter, None for the initial ones; the letter, sorted), at priority 2
     when that state accepts; a run that cannot read a letter goes to
     REJECTED, at priority 1. The first letter leads to one state."""
-    if ltl.classify_fragment(phi).kind != ltl.FragmentClass.GENERAL:
+    try:
         tracker = objective_tracker(phi)
+    except UnsupportedObjectiveError:
+        pass  # outside the fragments
+    else:
         return tracker._replace(step=lambda q, x: [tracker.step(q, x)])
     nba = ltl.to_nba(phi)
 

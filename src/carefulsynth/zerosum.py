@@ -14,7 +14,7 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 
 from __future__ import annotations
 
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import chain, filterfalse
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
@@ -297,15 +297,29 @@ def objective_tracker(
             f"objective {objective} is outside the solvable fragments; "
             "supply a deterministic parity automaton"
         )
-    holds = cache(partial(ltl.eval_bool, frag.beta))
+    holds = _Holds(frag.beta)
     if frag.kind == FragmentClass.REACH:
-        step, priority = (lambda seen, x: seen or holds(x)), (lambda seen: 2 if seen else 1)
+        step, priority = (lambda seen, x: seen or holds[x]), (lambda seen: 2 if seen else 1)
     elif frag.kind == FragmentClass.SAFE:
-        step, priority = (lambda bad, x: bad or not holds(x)), (lambda bad: 1 if bad else 2)
+        step, priority = (lambda bad, x: bad or not holds[x]), (lambda bad: 1 if bad else 2)
     else:
         good = 2 if frag.kind == FragmentClass.BUCHI else 0
-        step, priority = (lambda _, x: holds(x)), (lambda held: good if held else 1)
+        step, priority = (lambda _, x: holds[x]), (lambda held: good if held else 1)
     return Tracker(False, step, priority)
+
+
+class _Holds(dict):
+    """Letter -> whether the formula `beta` holds on it, evaluated at the
+    letter's first lookup."""
+
+    __slots__ = ("beta",)
+
+    def __init__(self, beta: ltl.Formula):
+        self.beta = beta
+
+    def __missing__(self, letter) -> bool:
+        value = self[letter] = ltl.eval_bool(self.beta, letter)
+        return value
 
 
 # ---------------------------------------------------------------------------

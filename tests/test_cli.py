@@ -493,6 +493,11 @@ def test_stats_reports_sizes(fig1_path, capsys):
                        "( region\\d=1671/attractor){3} unfolds=1 attractors=3"),
             id="layer_times.py",
         ),
+        pytest.param(
+            "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1", "--check"],
+            re.compile("fig1@3,3( \\d+\\.\\d\\d){7}"),
+            id="layer_times.py --check",
+        ),
     ],
 )
 def test_scripts_run(script, args, line):

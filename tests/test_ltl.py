@@ -172,6 +172,48 @@ def test_eval_invariant_under_nnf(seed):
     assert eval_on_lasso(phi, stem, loop) == eval_on_lasso(nnf(phi), stem, loop)
 
 
+def _long_word(rng, longest=40):
+    """A stem of 0 to `longest` positions and a loop of 1 to `longest`,
+    each atom holding at a density drawn per word, so that some events are
+    many positions apart and some fixpoints take many rounds."""
+    density = {a: rng.choice((0.02, 0.1, 0.5, 0.9, 0.98)) for a in ("p", "q")}
+
+    def letters(k):
+        return [frozenset(a for a in density if rng.random() < density[a]) for _ in range(k)]
+
+    return letters(rng.randrange(0, longest + 1)), letters(rng.randrange(1, longest + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_eval_on_long_words_agrees_with_unrolling_reference(seed):
+    # words of up to 80 positions span several digits of a Python int;
+    # nnf turns `G` and a negated `U` into `R`, so every operator is read
+    rng = random.Random(seed)
+    phi = random_formula(rng, rng.randrange(1, 4))
+    stem, loop = _long_word(rng)
+    expected = naive_eval(phi, stem, loop)
+    assert eval_on_lasso(phi, stem, loop) == expected
+    assert eval_on_lasso(nnf(phi), stem, loop) == expected
+
+
+@pytest.mark.parametrize("text", ["p", "!q", "p U q", "F p", "G p", "G F p", "F G q", "!(p U !q)"])
+def test_successor_of_the_last_position_is_the_loop_head(text):
+    # X^k psi at position 0 is psi at position k, which for k past the
+    # last position lies in the loop again
+    rng = random.Random(text)
+    psi = parse_ltl(text)
+    for _ in range(5):
+        stem, loop = _long_word(rng)
+        n = len(stem) + len(loop)
+        for k in (n - 1, n, n + 1, n + len(loop) - 1):
+            phi = psi
+            for _ in range(k):
+                phi = Next(phi)
+            assert eval_on_lasso(phi, stem, loop) == naive_eval(psi, stem, loop, pos=k), k
+            assert eval_on_lasso(nnf(phi), stem, loop) == naive_eval(psi, stem, loop, pos=k), k
+
+
 # ---------------------------------------------------------------------------
 # Büchi translation
 

@@ -1178,6 +1178,20 @@ def test_tracker_verdict_matches_lasso_evaluation(seed):
     )
 
 
+@pytest.mark.parametrize("text, verdict", [
+    ("F q", True), ("G !p", False), ("G F p", True), ("F G !p", False),
+    ("G F q", False), ("F G !q", True), ("F (p & q)", False), ("G (!p | !q)", True),
+])
+def test_tracker_verdict_on_a_long_lasso(text, verdict):
+    # 2,000 positions: q only at the last of the stem, p only at the last
+    # of the loop, so `G F p` holds only through the wrap to the loop head
+    stem = [frozenset()] * 999 + [frozenset({"q"})]
+    loop = [frozenset()] * 999 + [frozenset({"p"})]
+    phi = ltl.parse_ltl(text)
+    assert ltl.eval_on_lasso(phi, stem, loop) == verdict
+    assert tracker_accepts(objective_tracker(phi), stem, loop) == verdict
+
+
 def _deviation_verdicts(a, bounds, u, profile):
     """(checker, oracle) verdict on a profitable deviation, per loser."""
     violations = check_certificate(a, bounds, profile)

@@ -163,6 +163,54 @@ def test_general_fragment_is_rejected():
         objective_tracker(ltl.parse_ltl("F (p & X p)"))
 
 
+def _flag_run(frag, word):
+    """The flags and priorities a fragment tracker's run takes over `word`,
+    computed from beta directly: seen (F), failed (G), held at the last
+    letter (G F, F G)."""
+    q, flags = False, []
+    for x in word:
+        held = ltl.eval_bool(frag.beta, x)
+        q = {FragmentClass.REACH: q or held, FragmentClass.SAFE: q or not held}.get(frag.kind, held)
+        flags.append(q)
+    top = {FragmentClass.SAFE: (2, 1), FragmentClass.COBUCHI: (1, 0)}.get(frag.kind, (1, 2))
+    return flags, [top[q] for q in flags]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fragment_tracker_reads_beta_once_per_letter(seed, monkeypatch):
+    # stepped along a walk of a random fragment arena, each tracker runs
+    # through the flags beta gives, and evaluates beta at most once per
+    # distinct letter: on each letter it reads until its flag settles
+    rng = random.Random(seed)
+    a, _ = random_fragment_arena(rng)
+    walk = [a.initial]
+    for _ in range(30):
+        walk.append(rng.choice(a.succ[walk[-1]]))
+    word = [a.labels[s] for s in walk]
+    original = ltl.eval_bool
+    for objective in (a.system_objective, *a.player_objectives):
+        frag = ltl.classify_fragment(objective)
+        flags, priorities = _flag_run(frag, word)
+        calls = []
+
+        def counted(phi, letter):
+            if phi == frag.beta:  # not a recursive call on a subformula
+                calls.append(letter)
+            return original(phi, letter)
+
+        monkeypatch.setattr(ltl, "eval_bool", counted)
+        tracker, states = objective_tracker(objective), []
+        q = tracker.initial
+        for x in word:
+            q = tracker.step(q, x)
+            states.append(q)
+        monkeypatch.setattr(ltl, "eval_bool", original)
+        assert states == flags and list(map(tracker.priority, states)) == priorities
+        settles = frag.kind in (FragmentClass.REACH, FragmentClass.SAFE) and True in flags
+        read = word[: flags.index(True) + 1] if settles else word
+        assert calls == list(dict.fromkeys(read)), objective
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_fragment_regions_match_strategy_enumeration(seed):
