@@ -4,12 +4,15 @@ outputs of two commits:
 
     python3 scripts/output_digest.py --workloads fig1-sweep reduction --seeds 1 2 3
 
-Each line gives the instance count and a sha256 over, for every instance in
-order: the `solve` stdout, the `check` stdout of its certificate (when it
-has one), and every player's punishment region with its won nodes and its
-table each sorted. The instances come from `bench/workloads.setup`, written
-to a temporary directory; the CLI runs in this process. Equal lines on two
-commits mean equal certificates, verdicts and regions.
+Each line gives the instance count and two sha256 digests over every
+instance in order. `certificates` covers the `solve` stdout and the `check`
+stdout of its certificate (when it has one). `regions` covers every
+player's punishment region, with its won nodes and its table each sorted.
+The instances come from `bench/workloads.setup`, written to a temporary
+directory; the CLI runs in this process. Equal `certificates` on two
+commits mean equal certificates and verdicts. A region's table breaks ties
+by node id where a player has several winning moves, so a change of
+numbering can move `regions` alone.
 """
 
 import argparse
@@ -55,20 +58,21 @@ def region_lines(inst: workloads.Instance) -> list[str]:
 
 
 def digest(name: str, seed: int, pkg: dict) -> str:
-    h = hashlib.sha256()
+    certificates, regions = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
         instances = workloads.setup(name, seed, workdir / "instances", pkg)
         for inst in instances:
             code, out = workloads.call_cli(pkg["cli"], inst.solve_argv())
-            h.update(f"{inst.id} solve {code}\n{out}".encode())
+            certificates.update(f"{inst.id} solve {code}\n{out}".encode())
             if code == 0:
                 certificate = workdir / "certificate.json"
                 certificate.write_text(out, encoding="utf-8")
                 code, out = workloads.call_cli(pkg["cli"], inst.check_argv(str(certificate)))
-                h.update(f"{inst.id} check {code}\n{out}".encode())
-            h.update("\n".join(region_lines(inst)).encode())
-    return f"{name} seed {seed}: {len(instances)} instances, sha256 {h.hexdigest()}"
+                certificates.update(f"{inst.id} check {code}\n{out}".encode())
+            regions.update("\n".join([inst.id, *region_lines(inst)]).encode())
+    return (f"{name} seed {seed}: {len(instances)} instances, "
+            f"certificates {certificates.hexdigest()}, regions {regions.hexdigest()}")
 
 
 def main() -> int:

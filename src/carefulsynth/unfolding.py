@@ -2,8 +2,9 @@
 vectors, plus the absorbing underflow sink.
 
 Only the fraction reachable from (initial, 0, ..., 0) is materialized; the
-full product is never allocated. Its states are numbered once, and every
-later layer reads successors, owners and labels by those numbers.
+full product is never allocated. Its states are numbered once, in the
+order the breadth-first search finds them, and every later layer reads
+successors, owners and labels by those numbers.
 The same loop unfolds the arena's product with objective automata
 (`Product`, after Vardi and Wolper, LICS 1986): the arena is the product
 with none.
@@ -65,9 +66,9 @@ def parse_ustate(text: str) -> UState:
 
 class UnfoldedArena(NamedTuple):
     """The reachable unfolding, numbered: id k names `states[k]`, node
-    `at[k]` of `graph` with credit `states[k][1]`, in the natural order of
-    that pair with the sink last, and `succ`, `owner` and `labels` are
-    lists over the ids."""
+    `at[k]` of `graph` with credit `states[k][1]`, in the order `unfold`
+    finds them from the initial one, 0, with the sink last, and `succ`,
+    `owner` and `labels` are lists over the ids."""
 
     base: Arena
     bounds: tuple[int, ...]
@@ -88,8 +89,9 @@ class Product(NamedTuple):
     """The arena in product with `components` (`zerosum.Tracker`s, a system
     component first, whose `step` lists states): node p is arena state
     `state[p]` with each component's state after its letter, `qs[p]`,
-    ordered by state, then by `str` of `qs[p]`, as the arena (`is_arena`)
-    when each state has one node. A failed step is the edge ~e to
+    numbered in the order `product` finds them from the initial node, 0:
+    as the arena (`is_arena`) when each state has one node, since the
+    search then takes the arena's steps. A failed step is the edge ~e to
     `failures[e]`, (target, error), which `unfold` raises where a reached
     node takes it without underflow."""
 
@@ -99,7 +101,6 @@ class Product(NamedTuple):
     qs: list[tuple]
     succ: list[list[int]]
     failures: list[tuple[str, Exception]]
-    initial: int
 
     @property
     def is_arena(self) -> bool:
@@ -109,8 +110,9 @@ class Product(NamedTuple):
 
 def product(a: Arena, trackers: Sequence, system=None) -> Product:
     """The part of `a` in product with `system`, if given, and `trackers`
-    reachable from its initial state. Tuples of component states are
-    interned, and each one's transition on a letter is computed once."""
+    reachable from its initial state, numbered breadth-first. Tuples of
+    component states are interned, and each one's transition on a letter
+    is computed once."""
     components = tuple(trackers) if system is None else (system, *trackers)
     labels, steps, skip = a.labels, [t.step for t in trackers], system is not None
     qids: dict = {}  # component states -> their index
@@ -157,15 +159,8 @@ def product(a: Arena, trackers: Sequence, system=None) -> Product:
                     nodes.append((t, i))
                 out.append(k)
         succ.append(out)
-    text = list(map(str, qstates))  # the arena's states are sorted
-    order = sorted(range(len(nodes)), key=[(s, text[j]) for s, j in nodes].__getitem__)
-    rank = [0] * len(nodes)
-    for new, old in enumerate(order):
-        rank[old] = new
-    return Product(
-        a, components, [nodes[k][0] for k in order], [qstates[nodes[k][1]] for k in order],
-        [[rank[x] if x >= 0 else x for x in succ[k]] for k in order], failures, rank[0],
-    )
+    return Product(a, components, [s for s, _ in nodes], [qstates[j] for _, j in nodes], succ,
+                   failures)
 
 
 AVOID_BOT = ltl.Always(ltl.Not(ltl.Atom(RESERVED_ATOM)))
@@ -220,8 +215,8 @@ def unfold(
     A node (p, c) is keyed by p times the number of credits plus c in mixed
     radix over the capacities, a sum of per-component key parts, each
     computed once per digit reached: nothing grows with the capacities.
-    Nodes are numbered as found, the sink as -1, and renumbered in key
-    order, the sink last. A failed step has a negative key."""
+    Nodes are numbered as found, from the product's initial node, 0, and
+    the sink after them all. A failed step has a negative key."""
     g = product(g, ()) if isinstance(g, Arena) else g
     a, state = g.base, g.state
     b = checked_bounds(a, bounds)
@@ -238,9 +233,10 @@ def unfold(
     parts = [[_KeyParts(p, wi, v * p, width) for p, wi, v in zip(place, w, b)] for w in costs]
     credits = {0: (0,) * a.dimensions}  # credit key -> its key parts
     after: dict = {}  # credit key -> cost index -> credit key after, or < 0
-    found = [g.initial * width]
-    index = {found[0]: 0}
+    found = [0]  # the key of (the initial node, no credit)
+    index = {0: 0}
     succ: list[list[int]] = []
+    to_sink: list[list[int]] = []  # the lists that end at the sink, there as -1
     sink, getpart = False, _KeyParts.__getitem__
     for key in found:  # breadth-first: the list grows while it is read
         p, c = divmod(key, width)
@@ -269,22 +265,20 @@ def unfold(
             out.append(k)
         if to_bot:
             out.append(-1)
+            to_sink.append(out)
             sink = True
         succ.append(out)
         if len(found) + sink > max_states:
             raise BudgetExceededError(f"unfolding exceeds the state budget of {max_states}")
     n = len(found)
-    order = sorted(range(n), key=found.__getitem__)
-    rank = [n] * (n + 1)  # rank[-1] is the sink's id
-    for new, old in enumerate(order):
-        rank[old] = new
+    for out in to_sink:
+        out[-1] = n
     for c, ps in credits.items():  # key parts -> credit vector
         credits[c] = tuple(map(floordiv, ps, place))
-    at = [found[k] // width for k in order]
-    states = [(state[p], credits[found[k] % width]) for p, k in zip(at, order)]
+    at = [key // width for key in found]
+    states = [(state[p], credits[key % width]) for p, key in zip(at, found)]
     return UnfoldedArena(
-        a, b, rank[0], tuple(states) + (BOT,) * sink,
-        [[rank[j] for j in succ[k]] for k in order] + [[n]] * sink,
+        a, b, 0, tuple(states) + (BOT,) * sink, succ + [[n]] * sink,
         [a.owner[s] for s, _ in states] + [1] * sink,
         [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
         any(t.saturated for row in parts for t in row),

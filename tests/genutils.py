@@ -1015,7 +1015,8 @@ def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dic
 def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
     """`unfolding.unfold` as it read before it stepped credits by component:
     every (credit, cost) pair through `credit_after`, whose flag sets
-    `clipped`, with the same numbering."""
+    `clipped`, with the same numbering: breadth-first from the initial
+    state, the sink last."""
     b = checked_bounds(a, bounds)
     names = sorted(a.states)
     place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
@@ -1054,14 +1055,10 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
             sink = True
         succ.append(out)
     n = len(found)
-    order = sorted(range(n), key=found.__getitem__)
-    rank = [n] * (n + 1)
-    for new, old in enumerate(order):
-        rank[old] = new
-    states = [(names[found[k] // width], credits[found[k] % width]) for k in order]
+    states = [(names[key // width], credits[key % width]) for key in found]
     return UnfoldedArena(
-        a, b, rank[0], tuple(states) + (BOT,) * sink,
-        [[rank[j] for j in succ[k]] for k in order] + [[n]] * sink,
+        a, b, 0, tuple(states) + (BOT,) * sink,
+        [[n if j < 0 else j for j in out] for out in succ] + [[n]] * sink,
         [a.owner[s] for s, _ in states] + [1] * sink,
         [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
         clipped,
@@ -1185,16 +1182,20 @@ def reference_punish_region(
     by `reference_solve_parity`, after two steps that give the game the
     package's nodes and ids: only the nodes reachable from the initial
     state's start node are kept, with the nodes at the sink merged into
-    one, and they are ordered as `unfolding.product` and `unfold` order
-    them: by arena state, by `str` of (tracker state,), by credit, the sink
-    last. Returns the game as an unfolding whose every node is its own
-    product node, and the region on its ids."""
+    one, and they are numbered as `unfolding.product` and `unfold` number
+    them: in the order a breadth-first search from the start node finds
+    them, the sink last. Returns the game as an unfolding whose every node
+    is its own product node, and the region on its ids."""
     nodes, game = reference_tracker_product(u, player, tracker)
     start = nodes.index((u.initial, tracker.step(tracker.initial, u.labels[u.initial])))
-    seen = _reach_states(game.succ, start)
+    seen, reached = [start], {start}
+    for j in seen:  # breadth-first: the list grows while it is read
+        for t in game.succ[j]:
+            if t not in reached:
+                reached.add(t)
+                seen.append(t)
     sink = len(u.states) - 1 if u.states[-1] is BOT else -1
-    keep = sorted((j for j in seen if nodes[j][0] != sink), key=lambda j: (
-        u.states[nodes[j][0]][0], str((nodes[j][1],)), u.states[nodes[j][0]][1]))
+    keep = [j for j in seen if nodes[j][0] != sink]
     n = len(keep)
     ids = {j: n for j in seen}  # a node at the sink -> the merged sink's id
     ids.update((j, k) for k, j in enumerate(keep))
@@ -1202,7 +1203,7 @@ def reference_punish_region(
     succ = [[ids[t] for t in game.succ[j]] for j in keep] + [[n] for _ in sinks]
     states = [u.states[nodes[j][0]] for j in keep]
     graph = Product(u.base, (tracker,), [s for s, _ in states], [(nodes[j][1],) for j in keep],
-                    [[t for t in out if t < n] for out in succ[:n]], [], ids[start])
+                    [[t for t in out if t < n] for out in succ[:n]], [])
     g = UnfoldedArena(
         u.base, u.bounds, ids[start], tuple(states) + (BOT,) * len(sinks), succ,
         [u.owner[nodes[j][0]] for j in keep] + [1 for _ in sinks],

@@ -479,7 +479,8 @@ def test_stats_reports_sizes(fig1_path, capsys):
         ("scaling_smoke.py", ["--capacities", "2", "4"], "within envelope: yes"),
         pytest.param(
             "output_digest.py", ["--workloads", "fig1-sweep", "--seeds", "1"],
-            re.compile("fig1-sweep seed 1: 5 instances, sha256 [0-9a-f]{64}"),
+            re.compile("fig1-sweep seed 1: 5 instances, "
+                       "certificates [0-9a-f]{64}, regions [0-9a-f]{64}"),
             id="output_digest.py",
         ),
         pytest.param(

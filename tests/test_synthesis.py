@@ -125,7 +125,9 @@ def test_witness_search_agrees_with_loop_set_enumeration():
         general = seed % 3 == 0
         a, bounds = random_fragment_arena(rng)
         u = unfold(a, bounds)
-        forbidden = {s for s in u.states if rng.random() < 0.2}
+        # drawn in a fixed order of the states, whatever their ids
+        forbidden = {s for s in sorted(u.states[:len(u.at)]) + list(u.states[len(u.at):])
+                     if rng.random() < 0.2}
         n = rng.randrange(1 + general, 4)
         formulas = [random_fragment(rng, ARENA_ATOMS) for _ in range(n)]
         try:
@@ -193,14 +195,15 @@ def _check_product_laws(a, bounds, system, trackers):
     g = product(a, trackers, system_component(system))
     nodes = list(zip(g.state, g.qs))
     assert len(set(nodes)) == len(nodes) == len(g.succ) and not g.failures
-    # one initial node; ordered by arena state, then by `str` of the states
-    assert [nodes[g.initial]] == after((system_start, *[tr.initial for tr in trackers]), a.initial)
-    assert nodes == sorted(nodes, key=lambda n: (a.states.index(n[0]), str(n[1])))
-    reached = {g.initial}
+    # one initial node, 0; numbered in the order a breadth-first search finds them
+    found = after((system_start, *[tr.initial for tr in trackers]), a.initial)
+    assert len(found) == 1
+    for s, qs in found:  # breadth-first: the list grows while it is read
+        found += [n for n in dict.fromkeys(n for t in a.succ[s] for n in after(qs, t))
+                  if n not in found]
+    assert nodes == found
     for k, (s, qs) in enumerate(nodes):
         assert [nodes[j] for j in g.succ[k]] == [n for t in a.succ[s] for n in after(qs, t)]
-        reached.update(g.succ[k])
-    assert reached == set(range(len(nodes)))
     w = unfold(g, bounds)
     witness = witness_product(w)
     assert witness.succ is w.succ and len(witness.priority) == len(w.at)
@@ -465,9 +468,11 @@ def _searched_by_solve(monkeypatch, a, bounds, dpas=None):
     ],
 )
 def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
-    # equal verdicts, winners, outcomes and certificates; a set that no even
-    # mask holds is not searched, and only its reason may differ
-    pruned_sets = 0
+    # equal verdicts, winners, outcomes and certificates, each of which the
+    # checker accepts: the ids order Zielonka's tie-breaks, so they can move
+    # its tables; a set that no even mask holds is not searched, and only
+    # its reason may differ
+    pruned_sets = checked = 0
     for case in itertools.product(range(seeds), [False, True]):
         a, bounds = generator(random.Random(case[0]))
         dpas = reach_dpas(a) if case[1] else None  # F players also as automata
@@ -475,6 +480,9 @@ def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
         want = oracle_solve(a, bounds, dpas)
         assert got._replace(diagnostics=()) == want._replace(diagnostics=()), case
         assert [w for w, _ in got.diagnostics] == [w for w, _ in want.diagnostics], case
+        if got.profile is not None:
+            assert check_certificate(a, bounds, got.profile, dpas=dpas) == [], case
+            checked += 1
         if not products:
             continue
         pruned = "no accepting SCC" if products[0].sccs else "no cycle in the restricted product"
@@ -484,7 +492,7 @@ def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
             else:
                 pruned_sets += 1
                 assert reason == pruned, (case, w)
-    assert pruned_sets > 2 * seeds
+    assert pruned_sets > 2 * seeds and checked > seeds // 2, (pruned_sets, checked)
 
 
 def _search_outcome(search, product, winners, forbidden):

@@ -169,15 +169,16 @@ def test_bad_bounds_rejected(fig1):
 def _check_laws(a, u, bounds):
     # every non-sink state within range, edges satisfy the saturating
     # equation in `a.successors` order, sink edges last and exactly when
-    # some base edge underflows; states sorted with the sink last, and
+    # some base edge underflows; states numbered in the order `_discovery`
+    # finds them, from the initial state, 0, with the sink moved last, and
     # `clipped` exactly when some reachable edge saturates
     prod = 1
     for b in bounds:
         prod *= b + 1
     assert len(u.states) <= len(a.states) * prod + 1
-    states = [us for us in u.states if us is not BOT]
-    assert states == sorted(states) and list(u.states[len(states):]) in ([], [BOT])
-    assert u.states[u.initial] == (a.initial, (0,) * a.dimensions)
+    found = _discovery(a, bounds)
+    assert list(u.states) == [us for us in found if us is not BOT] + [BOT] * (BOT in found)
+    assert u.initial == 0 and u.states[0] == (a.initial, (0,) * a.dimensions)
     assert len(u.succ) == len(u.owner) == len(u.labels) == len(u.states)
     clipped = False
     for k, us in enumerate(u.states):

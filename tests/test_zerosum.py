@@ -546,8 +546,8 @@ def _check_region_game_laws(a, bounds, player, tracker):
     """The unfolded region game against one built here, node by node, from
     the arena's unfolding `u` and the tracker: the nodes (unfolded state
     id, tracker state after reading it) reachable from the initial state's,
-    with one node at the sink and no tracker state; ordered by arena state,
-    by `str` of (tracker state,) and by credit, the sink last; successors in
+    with one node at the sink and no tracker state; numbered in the order
+    a breadth-first search finds them, the sink moved last; successors in
     `u.succ` order, the player owning exactly its own states, priority 1 at
     BOT and the tracker's elsewhere. Zielonka's tie-breaks follow this
     order. Returns the tracker states met."""
@@ -565,8 +565,7 @@ def _check_region_game_laws(a, bounds, player, tracker):
                 seen.add(n)
                 order.append(n)
                 queue.append(n)
-    order.sort(key=lambda n: (1,) if u.states[n[0]] is BOT else (
-        0, u.states[n[0]][0], str((n[1],)), u.states[n[0]][1]))
+    order.sort(key=lambda n: u.states[n[0]] is BOT)  # stable: the sink alone moves
 
     g = unfold(product(a, [tracker]), bounds)
     game = punishment_game(g, player)
