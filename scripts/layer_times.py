@@ -14,7 +14,12 @@ calls of one solve (the calls come in the same order every run).
 `punish_region` is inclusive: it holds its `solve_parity` calls, and the
 attractor that solves a reachability game without `solve_parity`. The
 benchmark's tracer does not wrap `product` or `witness_product`; this
-script shows their share. The line ends with sizes from one more solve,
+script shows their share. `rest` is the fastest solve minus those layers
+summed (`solve_parity` counted once, inside `punish_region`): the work of
+`solve` outside them, such as forbidding each loser's won nodes and
+cutting the tables to the certificate; it can read slightly below zero,
+as the layers' times and the solve's come from different runs. The line
+ends with sizes from one more solve,
 which do not depend on the machine: `product=N`, the witness product's
 nodes; `regionI=N`, the nodes of player I's punishment game, followed by
 its solver, `/attractor` or `/zielonka`; `unfolds=N`, the number of
@@ -156,6 +161,7 @@ def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
 
     runs = [timed(solve, {layer: layer[1] for layer in LAYERS}) for _ in range(repeat)]
     out = column_times("solve", fastest(solve, repeat), [name for _, name in LAYERS], runs)
+    out["rest"] = out["solve"] - sum(out[name] for _, name in LAYERS if name != "solve_parity")
     return out, solve_sizes(a, inst.bounds, dpas)
 
 
@@ -189,7 +195,7 @@ def main() -> int:
     if args.check:
         columns = ["check", *dict.fromkeys(CHECK_LAYERS.values())]
     else:
-        columns = ["solve"] + [name for _, name in LAYERS]
+        columns = ["solve"] + [name for _, name in LAYERS] + ["rest"]
     print(" ".join(["instance", *columns, "(ms)", *([] if args.check else ["sizes"])]))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:

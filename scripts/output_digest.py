@@ -34,9 +34,11 @@ from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
 
 def region_lines(inst: workloads.Instance) -> list[str]:
     """Every player's region at the instance's bounds: its won nodes, then
-    its table entries, each read from the region's game ids, rendered as
-    in certificates and sorted. The sink, which has no tracker state, is
-    rendered with the tracker's state after the sink's letter alone."""
+    its table's move at every coalition node outside them, read through
+    the table (a reachability region's finds a move at its first lookup),
+    each from the region's game ids, rendered as in certificates and
+    sorted. The sink, which has no tracker state, is rendered with the
+    tracker's state after the sink's letter alone."""
     a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
     dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
     out = []
@@ -51,8 +53,8 @@ def region_lines(inst: workloads.Instance) -> list[str]:
             return f"{render_ustate(g.states[j])}|{q}"
 
         win = sorted(map(node, r.win))
-        table = sorted(f"{node(j)} -> {render_ustate(g.states[t])}"
-                       for j, t in r.punishment.items())
+        table = sorted(f"{node(j)} -> {render_ustate(g.states[r.punishment[j]])}"
+                       for j, o in enumerate(g.owner) if o != i and j not in r.win)
         out.append(f"player {i} win {win} table {table}")
     return out
 

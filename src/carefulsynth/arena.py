@@ -63,7 +63,16 @@ def build_arena(
     allow_reserved_atom: bool = False,
 ) -> Arena:
     """Validate and construct an Arena; raises DocumentSemanticError on any
-    invariant violation."""
+    invariant violation, on a cost that is not a list of integers first."""
+    if not all(isinstance(c, (list, tuple)) and all(map(is_int, c)) for c in edges.values()):
+        _checked_edges(edges, set(states), dimensions)  # raises at the first bad edge
+    return _build_arena(players, dimensions, states, owner, initial, edges, atoms, labels,
+                        system_objective, player_objectives, bounds, allow_reserved_atom)
+
+
+def _build_arena(players, dimensions, states, owner, initial, edges, atoms, labels,
+                 system_objective, player_objectives, bounds, allow_reserved_atom) -> Arena:
+    """`build_arena` on costs known to be lists of integers."""
     _check_players(players)
     if not is_int(dimensions) or dimensions < 1:
         raise DocumentSemanticError(f"dimensions must be a positive integer, got {dimensions!r}")
@@ -98,7 +107,7 @@ def build_arena(
                 raise DocumentSemanticError(f"state {s!r}: unknown atom(s) {sorted(bad)}")
 
     # all edges at once; one by one only to name the first bad edge
-    costs = list(edges.values())
+    costs = list(edges.values())  # lists of integers
     if (stateset.issuperset(chain.from_iterable(edges)) and _typed(costs, {list, tuple})
             and set(map(len, costs)) <= {dimensions} and _i64(chain.from_iterable(costs))):
         edge_map = dict(zip(edges, map(tuple, costs)))
@@ -236,18 +245,11 @@ def parse_arena(text: str) -> Arena:
     if extra:
         raise DocumentSemanticError(f"objectives for unknown player(s): {sorted(extra)}")
 
-    return build_arena(
-        players=players,
-        dimensions=member(doc, "dimensions", int, "dimensions"),
-        states=states,
-        owner=owner,
-        initial=member(doc, "initial", str, "initial state"),
-        edges=edges,
-        atoms=member(doc, "atoms", [str], "atoms"),
-        labels=labels,
-        system_objective=ltl.parse_ltl(member(objectives, "system", str, "system objective")),
-        player_objectives=player_objs,
-        bounds=member(doc, "bounds", [int], "bounds", None),
+    return _build_arena(
+        players, member(doc, "dimensions", int, "dimensions"), states, owner,
+        member(doc, "initial", str, "initial state"), edges, member(doc, "atoms", [str], "atoms"),
+        labels, ltl.parse_ltl(member(objectives, "system", str, "system objective")),
+        player_objs, member(doc, "bounds", [int], "bounds", None), False,
     )
 
 
@@ -259,9 +261,9 @@ def _typed(values, types: set) -> bool:
 
 
 def _i64(values) -> bool:
-    """Every value is exactly an `int` in the signed 64-bit range."""
+    """Every value, an integer, is in the signed 64-bit range."""
     values = list(values)
-    return _typed(values, {int}) and (not values or I64_MIN <= min(values) and max(values) <= I64_MAX)
+    return not values or I64_MIN <= min(values) and max(values) <= I64_MAX
 
 
 def _read_states(items):

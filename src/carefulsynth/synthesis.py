@@ -117,13 +117,12 @@ def system_component(phi: ltl.Formula) -> Tracker:
 
 class WitnessProduct(NamedTuple):
     """The unfolded product of the arena with the system's component and
-    the trackers, on its ids; the sink, last, has no priority and is in no
-    SCC. An accepted lasso loops in one of `sccs` (forbidding nodes only
-    splits SCCs) with an even top in the system's and each winner's
-    component, so `solve` skips a winner set that no mask holds, and
-    `find_witness_lasso` refines only the SCCs whose mask holds it."""
+    the trackers, on its ids from the initial node, 0; the sink, last, has
+    no priority and is in no SCC. An accepted lasso loops in one of `sccs`
+    (forbidding nodes only splits SCCs) with an even top in the system's
+    and each winner's component, so `solve` skips a winner set no mask
+    holds and `find_witness_lasso` refines only the SCCs whose masks do."""
 
-    initial: int
     succ: list  # id -> its successor ids, in a deterministic order
     priority: list  # id -> each component's priority, the system's first
     sccs: list  # the SCCs that hold a cycle, each a list of ids
@@ -151,7 +150,7 @@ def witness_product(u: UnfoldedArena) -> WitnessProduct:
     for j, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = j
-    return WitnessProduct(u.initial, succ, priority, sccs, masks, scc_of)
+    return WitnessProduct(succ, priority, sccs, masks, scc_of)
 
 
 class NoWitness(Exception):
@@ -171,9 +170,9 @@ def find_witness_lasso(
     one top-priority node per component). Raises NoWitness naming why
     none exists: the initial node is forbidden, the restricted product
     has no cycle, or no SCC is accepting."""
-    if product.initial in forbidden:
+    if 0 in forbidden:
         raise NoWitness("initial state forbidden")
-    initials = [product.initial]
+    initials = [0]
     successors, prio = product.succ.__getitem__, product.priority
     components = (0, *(k + 1 for k in winners))
     need = sum(1 << k for k in components)
@@ -286,8 +285,9 @@ def _reached_entries(g: UnfoldedArena, player, region, path) -> dict:
     """The entries of `region`'s table that `player` reads, keyed as in
     certificates, once it leaves the outcome by a sink-free move and then
     moves freely: the nodes `_deviation_faults` explores, from the same
-    starts. `g` is the player's game, whose nodes carry its tracker state,
-    and `path` the outcome's ids in it over stem, loop and loop head."""
+    starts, and a solve's only table lookups. `g` is the player's game,
+    whose nodes carry its tracker state, and `path` the outcome's ids in it
+    over stem, loop and loop head."""
     states, succ, owner, at, qs = g.states, g.succ, g.owner, g.at, g.graph.qs
     table = region.punishment
     stack = [t for j, nxt in zip(path, path[1:]) if owner[j] == player
@@ -353,7 +353,8 @@ def solve(
                 g = games[i] = unfolded(product(a, [trackers[i]]))
                 r = regions[i] = punish_region(g, i, preds.setdefault(id(g.succ), []))
                 to = ids[i] = _game_ids(u, g, i)
-                blocked[i] = {k for k in range(size) if owner[k] == i and to[k] in r.win}
+                blocked[i] = ({k for k in r.win if owner[k] == i} if g.succ is u.succ  # same ids
+                              else {k for k in range(size) if owner[k] == i and to[k] in r.win})
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
             stem, loop = find_witness_lasso(

@@ -4,7 +4,7 @@ vectors, plus the absorbing underflow sink.
 Only the fraction reachable from (initial, 0, ..., 0) is materialized; the
 full product is never allocated. Its states are numbered once, in the
 order the breadth-first search finds them, and every later layer reads
-successors, owners and labels by those numbers.
+successors and owners by those numbers.
 The same loop unfolds the arena's product with objective automata
 (`Product`, after Vardi and Wolper, LICS 1986): the arena is the product
 with none.
@@ -67,22 +67,25 @@ def parse_ustate(text: str) -> UState:
 class UnfoldedArena(NamedTuple):
     """The reachable unfolding, numbered: id k names `states[k]`, node
     `at[k]` of `graph` with credit `states[k][1]`, in the order `unfold`
-    finds them from the initial one, 0, with the sink last, and `succ`,
-    `owner` and `labels` are lists over the ids."""
+    finds them from the initial one, 0, with the sink last, and `succ` and
+    `owner` are lists over the ids."""
 
     base: Arena
     bounds: tuple[int, ...]
-    initial: int
     states: tuple[UState, ...]
     succ: list[list[int]]  # in `step` order
     owner: list[int]  # the sink's is fixed at 1
-    labels: list[frozenset[str]]
     clipped: bool = False  # some reachable step saturated a resource
     graph: Optional[Product] = None
     at: Optional[list[int]] = None  # without the sink
 
     def system_objective(self) -> ltl.Formula:
         return ltl.And(self.base.system_objective, AVOID_BOT)
+
+    def letters(self) -> list[frozenset[str]]:
+        """Each id's letter, read off its base state: `{bot}` at the sink."""
+        return [frozenset({RESERVED_ATOM}) if s is BOT else self.base.labels[s[0]]
+                for s in self.states]
 
 
 class Product(NamedTuple):
@@ -216,7 +219,8 @@ def unfold(
     radix over the capacities, a sum of per-component key parts, each
     computed once per digit reached: nothing grows with the capacities.
     Nodes are numbered as found, from the product's initial node, 0, and
-    the sink after them all. A failed step has a negative key."""
+    the sink after them all; an owner is read off its product node's. A
+    failed step has a negative key."""
     g = product(g, ()) if isinstance(g, Arena) else g
     a, state = g.base, g.state
     b = checked_bounds(a, bounds)
@@ -278,11 +282,9 @@ def unfold(
     at = [key // width for key in found]
     states = [(state[p], credits[key % width]) for p, key in zip(at, found)]
     return UnfoldedArena(
-        a, b, 0, tuple(states) + (BOT,) * sink, succ + [[n]] * sink,
-        [a.owner[s] for s, _ in states] + [1] * sink,
-        [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
-        any(t.saturated for row in parts for t in row),
-        g, at,
+        a, b, tuple(states) + (BOT,) * sink, succ + [[n]] * sink,
+        list(map(list(map(a.owner.__getitem__, state)).__getitem__, at)) + [1] * sink,
+        any(t.saturated for row in parts for t in row), g, at,
     )
 
 
@@ -335,10 +337,10 @@ def unfolded_to_arena(u: UnfoldedArena) -> Arena:
         dimensions=u.base.dimensions,
         states=names,
         owner=dict(zip(names, u.owner)),
-        initial=names[u.initial],
+        initial=names[0],
         edges={(names[k], names[j]): zero for k in range(len(names)) for j in u.succ[k]},
         atoms=sorted(u.base.atoms | {RESERVED_ATOM}),
-        labels={name: sorted(labs) for name, labs in zip(names, u.labels)},
+        labels={name: sorted(labs) for name, labs in zip(names, u.letters())},
         system_objective=u.system_objective(),
         player_objectives=u.base.player_objectives,
         bounds=None,
@@ -350,10 +352,10 @@ def to_dot(u: UnfoldedArena) -> str:
     """GraphViz rendering; state shape encodes the owning player."""
     names = [render_ustate(s) for s in u.states]
     lines = ["digraph unfolding {"]
-    for k, name in enumerate(names):
-        labs = ",".join(sorted(u.labels[k]))
+    for k, (name, letter) in enumerate(zip(names, u.letters())):
+        labs = ",".join(sorted(letter))
         label = name if not labs else f"{name}\\n{{{labs}}}"
-        shape = "doublecircle" if k == u.initial else "ellipse"
+        shape = "doublecircle" if k == 0 else "ellipse"
         lines.append(
             f'  "{name}" [label="{label}", shape={shape}, '
             f'xlabel="P{u.owner[k]}"];'

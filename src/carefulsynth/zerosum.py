@@ -15,7 +15,7 @@ protagonist: carefulness is imposed structurally, not as a side condition.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import chain, filterfalse
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
@@ -297,7 +297,7 @@ def objective_tracker(
             f"objective {objective} is outside the solvable fragments; "
             "supply a deterministic parity automaton"
         )
-    holds = _Holds(frag.beta)
+    holds = _Filled(partial(ltl.eval_bool, frag.beta))  # letter -> whether beta holds
     if frag.kind == FragmentClass.REACH:
         step, priority = (lambda seen, x: seen or holds[x]), (lambda seen: 2 if seen else 1)
     elif frag.kind == FragmentClass.SAFE:
@@ -308,17 +308,17 @@ def objective_tracker(
     return Tracker(False, step, priority)
 
 
-class _Holds(dict):
-    """Letter -> whether the formula `beta` holds on it, evaluated at the
-    letter's first lookup."""
+class _Filled(dict):
+    """A map whose value at a key is `fill(key)`, computed and stored at the
+    key's first lookup."""
 
-    __slots__ = ("beta",)
+    __slots__ = ("fill",)
 
-    def __init__(self, beta: ltl.Formula):
-        self.beta = beta
+    def __init__(self, fill: Callable):
+        self.fill = fill
 
-    def __missing__(self, letter) -> bool:
-        value = self[letter] = ltl.eval_bool(self.beta, letter)
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
         return value
 
 
@@ -329,7 +329,8 @@ class _Holds(dict):
 class PunishRegions(NamedTuple):
     """A player's punishment game, solved on its ids: `win` holds the nodes
     from which the player, alone, carefully meets its objective, and
-    `punishment` maps each coalition node the coalition wins to its move."""
+    `punishment` maps each coalition node the coalition wins to its move;
+    a reachability region's map finds a move at its first lookup."""
 
     win: frozenset[int]
     punishment: dict[int, int]
@@ -375,19 +376,13 @@ def punish_region(
     this region of `punishment_game(g, player, pred)`. A reachability game
     (`_reachability_targets`) is solved by one attractor to its targets,
     the coalition moving from each of its nodes outside to its first
-    successor outside, which is Zielonka's answer there; Zielonka's
-    algorithm solves every other game."""
+    successor outside, which is Zielonka's answer there, found only where
+    the table is read; Zielonka's algorithm solves every other game."""
     game = punishment_game(g, player, pred)
     targets = _reachability_targets(game)
     if targets is None:
         regions = solve_parity(game)
         return PunishRegions(regions.protagonist, regions.antagonist_strategy)
-    won, _ = attractor(game, targets, for_protagonist=True)
-    succ, mine, table = game.succ, game.is_protagonist, {}
-    for s in filterfalse(won.__contains__, game.states):
-        if not mine[s]:  # a successor outside, or the attractor would hold s
-            for t in succ[s]:
-                if t not in won:
-                    table[s] = t
-                    break
-    return PunishRegions(frozenset(won), table)
+    won = frozenset(attractor(game, targets, for_protagonist=True)[0])
+    # a coalition node outside has a successor outside, or `won` would hold it
+    return PunishRegions(won, _Filled(lambda s: next(t for t in game.succ[s] if t not in won)))

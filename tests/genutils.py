@@ -25,7 +25,7 @@ from operator import mul, or_
 from typing import NamedTuple
 
 from carefulsynth import ltl
-from carefulsynth.arena import MAX_PLAYERS, RESERVED_ATOM, Arena, build_arena
+from carefulsynth.arena import MAX_PLAYERS, Arena, build_arena
 from carefulsynth.errors import (
     DocumentSemanticError, UnsupportedObjectiveError, expect, load_json, member,
 )
@@ -246,11 +246,9 @@ def game_as_unfolding(g: LabelledGame) -> tuple[UnfoldedArena, dict]:
     return UnfoldedArena(
         base=a,
         bounds=(0,),
-        initial=0,
         states=tuple([(names[s], (0,)) for s in live] + sinks),
         succ=succ + [[len(live)]] * len(sinks),
         owner=[a.owner[names[s]] for s in live] + [1] * len(sinks),
-        labels=[a.labels[names[s]] for s in live] + [frozenset({RESERVED_ATOM})] * len(sinks),
     ), image
 
 
@@ -267,11 +265,11 @@ class StateView(NamedTuple):
 
 def by_state(u: UnfoldedArena) -> StateView:
     return StateView(
-        u.states[u.initial],
+        u.states[0],
         u.states,
         {s: tuple(u.states[j] for j in u.succ[k]) for k, s in enumerate(u.states)},
         dict(zip(u.states, u.owner)),
-        dict(zip(u.states, u.labels)),
+        dict(zip(u.states, u.letters())),
     )
 
 
@@ -288,13 +286,20 @@ def region_of(a: Arena, bounds, player: int, tracker) -> tuple[UnfoldedArena, Pu
     return g, punish_region(g, player)
 
 
-def state_table(g: UnfoldedArena, region: PunishRegions) -> dict:
-    """A punishment region's table on the ids of its game `g`, keyed as
-    certificates key it: (unfolded state, the tracker state written by
-    `str`) -> unfolded state. The sink, never a certificate's key, is left
-    out."""
+def coalition_moves(g: UnfoldedArena, player: int, region: PunishRegions) -> dict:
+    """`player`'s region's table on the ids of its game `g`, read through
+    the region's mapping at every coalition node outside `win`, the sink
+    included when the coalition owns it."""
+    return {j: region.punishment[j] for j, o in enumerate(g.owner)
+            if o != player and j not in region.win}
+
+
+def state_table(g: UnfoldedArena, player: int, region: PunishRegions) -> dict:
+    """`coalition_moves` keyed as certificates key it: (unfolded state, the
+    tracker state written by `str`) -> unfolded state. The sink, never a
+    certificate's key, is left out."""
     return {(g.states[j], str(game_node(g, j)[1])): g.states[t]
-            for j, t in region.punishment.items() if j < len(g.at)}
+            for j, t in coalition_moves(g, player, region).items() if j < len(g.at)}
 
 
 def random_game(rng: random.Random, max_states=8, sink_prob=0.2) -> LabelledGame:
@@ -1057,10 +1062,9 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
     n = len(found)
     states = [(names[key // width], credits[key % width]) for key in found]
     return UnfoldedArena(
-        a, b, 0, tuple(states) + (BOT,) * sink,
+        a, b, tuple(states) + (BOT,) * sink,
         [[n if j < 0 else j for j in out] for out in succ] + [[n]] * sink,
         [a.owner[s] for s, _ in states] + [1] * sink,
-        [a.labels[s] for s, _ in states] + [frozenset({RESERVED_ATOM})] * sink,
         clipped,
     )
 
@@ -1072,7 +1076,8 @@ def reference_tracker_product(u: UnfoldedArena, player: int, tracker) -> tuple[l
     alone), numbered breadth-first from the start nodes, each looked up by
     its tuple, with every successor list built anew and the sink at
     priority 1; the build the package's game replaced."""
-    step, labels, u_succ, owner, states = cache(tracker.step), u.labels, u.succ, u.owner, u.states
+    step, u_succ, owner, states = cache(tracker.step), u.succ, u.owner, u.states
+    labels = u.letters()
     nodes = list(dict.fromkeys((k, step(tracker.initial, x)) for k, x in enumerate(labels)))
     ids = {node: j for j, node in enumerate(nodes)}
     succ = []
@@ -1187,7 +1192,7 @@ def reference_punish_region(
     them, the sink last. Returns the game as an unfolding whose every node
     is its own product node, and the region on its ids."""
     nodes, game = reference_tracker_product(u, player, tracker)
-    start = nodes.index((u.initial, tracker.step(tracker.initial, u.labels[u.initial])))
+    start = nodes.index((0, tracker.step(tracker.initial, u.letters()[0])))
     seen, reached = [start], {start}
     for j in seen:  # breadth-first: the list grows while it is read
         for t in game.succ[j]:
@@ -1205,9 +1210,8 @@ def reference_punish_region(
     graph = Product(u.base, (tracker,), [s for s, _ in states], [(nodes[j][1],) for j in keep],
                     [[t for t in out if t < n] for out in succ[:n]], [])
     g = UnfoldedArena(
-        u.base, u.bounds, ids[start], tuple(states) + (BOT,) * len(sinks), succ,
+        u.base, u.bounds, tuple(states) + (BOT,) * len(sinks), succ,
         [u.owner[nodes[j][0]] for j in keep] + [1 for _ in sinks],
-        [u.labels[nodes[j][0]] for j in keep] + [u.labels[sink] for _ in sinks],
         u.clipped, graph, list(range(n)),
     )
     regions = reference_solve_parity(ZeroSumGame(
@@ -1224,13 +1228,13 @@ def reference_witness_product(u: UnfoldedArena, system, trackers) -> tuple[list,
     system's first), numbered breadth-first, with its successors in
     `u.succ` order, each followed by the system's states in its order.
     Returns the nodes and the product, its SCCs and masks computed plainly."""
-    labels, components = u.labels, (system, *trackers)
+    labels, components = u.letters(), (system, *trackers)
 
     def after(qs, t):  # the nodes at unfolded state id t after the node states qs
         rest = tuple(tr.step(x, labels[t]) for tr, x in zip(trackers, qs[1:]))
         return [(t, (q, *rest)) for q in system.step(qs[0], labels[t])]
 
-    nodes = after(tuple(c.initial for c in components), u.initial)
+    nodes = after(tuple(c.initial for c in components), 0)
     ids = {node: k for k, node in enumerate(nodes)}
     succ = []
     for s, qs in nodes:  # breadth-first: the list grows while it is read
@@ -1251,7 +1255,7 @@ def reference_witness_product(u: UnfoldedArena, system, trackers) -> tuple[list,
     for j, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = j
-    return nodes, WitnessProduct(0, succ, priority, sccs, masks, scc_of)
+    return nodes, WitnessProduct(succ, priority, sccs, masks, scc_of)
 
 
 def reference_find_witness_lasso(product, winners, forbidden):
@@ -1259,9 +1263,9 @@ def reference_find_witness_lasso(product, winners, forbidden):
     SCCs whose mask holds the winner set: with forbidden nodes, one Tarjan
     pass over every node reachable without them, and the refinement of
     every cyclic SCC found."""
-    if product.initial in forbidden:
+    if 0 in forbidden:
         raise NoWitness("initial state forbidden")
-    initials = [product.initial]
+    initials = [0]
     successors, prio = product.succ.__getitem__, product.priority
     if forbidden:
         seen, stack = set(initials), list(initials)

@@ -126,8 +126,9 @@ def test_criterion_4_zero_sum_regions():
             u, image = game_as_unfolding(g)
             nodes, game = reference_tracker_product(u, 1, tracker)
             won_nodes = {nodes[k] for k in solve_parity(game).protagonist}
+            letter = u.letters()
             start = {
-                s: (image[s], tracker.step(tracker.initial, u.labels[image[s]]))
+                s: (image[s], tracker.step(tracker.initial, letter[image[s]]))
                 for s in g.states
             }
             if {s for s in g.states if start[s] in won_nodes} != oracle_fragment_region(

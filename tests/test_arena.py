@@ -279,6 +279,29 @@ def test_first_defect_in_document_order_is_reported(fig1_text, mutations, messag
         assert str(e.value) == message
 
 
+@pytest.mark.parametrize("value, read, built", [
+    (True, "cost of edge ('a', 'a') must be a list of integers, got [2, True]",
+     "edge ('s', 's'): cost component True not a 64-bit integer"),
+    (1.5, "cost of edge ('a', 'a') must be a list of integers, got [2, 1.5]",
+     "edge ('s', 's'): cost component 1.5 not a 64-bit integer"),
+    (2**63, "edge ('a', 'a'): cost component 9223372036854775808 not a 64-bit integer",
+     "edge ('s', 's'): cost component 9223372036854775808 not a 64-bit integer"),
+], ids=["true", "float", "over"])
+def test_a_wrong_cost_component_gets_one_message_on_each_path(fig1_text, value, read, built):
+    # `parse_arena` type-checks a component while reading it and skips
+    # `build_arena`'s type checks; `build_arena` makes them before the rest
+    doc = json.loads(fig1_text)
+    _set(doc, ("edges", 0, "cost", 1), value)
+    with pytest.raises(DocumentSemanticError) as e:
+        parse_arena(json.dumps(doc))
+    assert str(e.value) == read
+    with pytest.raises(DocumentSemanticError) as e:
+        build_arena(players=1, dimensions=1, states=["s"], owner={"s": 1}, initial="s",
+                    edges={("s", "s"): [value]}, atoms=[], labels={},
+                    system_objective=ltl.TRUE, player_objectives=[ltl.TRUE])
+    assert str(e.value) == built
+
+
 def test_member_calls_do_not_grow_with_the_arena(monkeypatch):
     calls = []
 

@@ -30,6 +30,7 @@ from genutils import (
     REACH_SAFE_SHAPES,
     OracleTooBig,
     by_state,
+    coalition_moves,
     game_node,
     oracle_profitable_deviation,
     oracle_reached_keys,
@@ -63,7 +64,7 @@ def _states_of(w, witness, stem, loop):
     """The witness lasso found on the ids of `w`, the unfolded witness
     product, after checking that it is one in `witness`, its search view,
     as (stem, loop) over unfolded states."""
-    assert stem and loop and stem[0] == witness.initial
+    assert stem and loop and stem[0] == 0
     path = [*stem, *loop, loop[0]]
     assert all(b in witness.succ[a] for a, b in zip(path, path[1:]))
     return tuple(w.states[n] for n in stem), tuple(w.states[n] for n in loop)
@@ -270,7 +271,7 @@ def _reference_region_graph(u, player, tracker) -> dict:
     from the initial state's start node, in node terms (unfolded state,
     tracker state), with the nodes at the sink merged into (BOT, None)."""
     nodes, game = reference_tracker_product(u, player, tracker)
-    start = nodes.index((u.initial, tracker.step(tracker.initial, u.labels[u.initial])))
+    start = nodes.index((0, tracker.step(tracker.initial, u.letters()[0])))
     named = [(u.states[k], None if u.states[k] is BOT else q) for k, q in nodes]
     return {named[j]: ([named[t] for t in game.succ[j]], game.priority[j], u.owner[nodes[j][0]])
             for j in genutils._reach_states(game.succ, start)}
@@ -607,6 +608,28 @@ def test_a_region_is_solved_once_when_its_player_first_loses(fig1, monkeypatch, 
     assert sorted(calls) == expected
 
 
+def test_a_reachability_table_holds_only_the_moves_a_certificate_reads(fig1, monkeypatch):
+    # a reachability region finds a coalition move at its first lookup, and
+    # `solve` looks up only the entries a loser's deviations reach: none on
+    # a no-solution run, exactly the certificate's table on a solution
+    regions = []
+
+    def recorded(g, player, *args):
+        regions.append((g, player, punish_region(g, player, *args)))
+        return regions[-1][2]
+
+    monkeypatch.setattr(synthesis, "punish_region", recorded)
+    for a, bounds in [(fig1, (10, 10)), (fig1, (3, 3)), (_one_choice_arena(), (0,))]:
+        regions.clear()
+        p = solve(a, bounds).profile
+        assert regions
+        for g, i, r in regions:
+            computed = {(g.states[j], str(game_node(g, j)[1])): g.states[t]
+                        for j, t in r.punishment.items()}
+            assert computed == ({} if p is None else p.punishment[i]), (bounds, i)
+    assert len(p.punishment[1]) == 40
+
+
 def test_winner_sets_are_generated_as_they_are_tried():
     sets = synthesis._winner_sets(3)
     assert iter(sets) is sets  # an iterator, not a list of all 2^n sets
@@ -632,7 +655,8 @@ def _loser_tables(a, bounds, seed):
             assert p.punishment[i] == {}, seed
         else:
             # the region's table, kept only where a deviation reads it
-            table = state_table(*region_of(a, bounds, i, objective_tracker(a.objective_of(i))))
+            g, region = region_of(a, bounds, i, objective_tracker(a.objective_of(i)))
+            table = state_table(g, i, region)
             assert p.punishment[i].items() <= table.items(), seed
             assert set(p.punishment[i]) == oracle_reached_keys(
                 u, i, a.objective_of(i), table,
@@ -1085,8 +1109,8 @@ def test_the_checker_steps_only_what_the_kept_entries_and_deviations_reach(fig1)
     assert check_certificate(fig1, (3, 3), p, max_states=1) == []
     a = _one_choice_arena()
     p = solve(a, (0,)).profile
-    _, region = region_of(a, (0,), 1, objective_tracker(a.objective_of(1)))
-    assert len(p.punishment[1]) == 40 and len(region.punishment) == 41
+    g, region = region_of(a, (0,), 1, objective_tracker(a.objective_of(1)))
+    assert len(p.punishment[1]) == 40 and len(coalition_moves(g, 1, region)) == 41
     assert check_certificate(a, (0,), p, max_states=44) == []
     with pytest.raises(BudgetExceededError, match="state budget of 43"):
         check_certificate(a, (0,), p, max_states=43)
@@ -1268,7 +1292,7 @@ def test_checker_agrees_with_the_oracle_on_random_profiles():
         rng = random.Random(seed)
         a, bounds = random_fragment_arena(rng)
         u = unfold(a, bounds)
-        path = [u.initial]
+        path = [0]
         while True:
             moves = [t for t in u.succ[path[-1]] if u.states[t] is not BOT]
             if not moves:
@@ -1277,10 +1301,11 @@ def test_checker_agrees_with_the_oracle_on_random_profiles():
             if t in path:
                 break
             path.append(t)
-        if not moves or t == u.initial:
+        if not moves or t == 0:
             continue
         stem, loop = tuple(path[: path.index(t)]), tuple(path[path.index(t):])
-        labels = [u.labels[k] for k in stem], [u.labels[k] for k in loop]
+        letter = u.letters()
+        labels = [letter[k] for k in stem], [letter[k] for k in loop]
         players = range(1, a.players + 1)
         profile = StrategyProfile(
             outcome=outcome_lasso(u, stem, loop),

@@ -72,7 +72,7 @@ def _successors(u, us):
 
 def test_fig1_unfolding_contains_first_pump_edge(fig1):
     u = unfold(fig1, (3, 3))
-    assert u.states[u.initial] == ("a", (0, 0))
+    assert u.states[0] == ("a", (0, 0))
     assert ("a", (2, 1)) in _successors(u, ("a", (0, 0)))
 
 
@@ -106,7 +106,7 @@ def test_sink_is_absorbing_and_owned_by_player_one(fig1):
     assert sink == len(u.states) - 1
     assert u.succ[sink] == [sink]
     assert u.owner[sink] == 1
-    assert u.labels[sink] == frozenset({"bot"})
+    assert u.letters()[sink] == frozenset({"bot"})
 
 
 def test_budget_exceeded(fig1):
@@ -178,17 +178,17 @@ def _check_laws(a, u, bounds):
     assert len(u.states) <= len(a.states) * prod + 1
     found = _discovery(a, bounds)
     assert list(u.states) == [us for us in found if us is not BOT] + [BOT] * (BOT in found)
-    assert u.initial == 0 and u.states[0] == (a.initial, (0,) * a.dimensions)
-    assert len(u.succ) == len(u.owner) == len(u.labels) == len(u.states)
+    assert u.states[0] == (a.initial, (0,) * a.dimensions)
+    assert len(u.succ) == len(u.owner) == len(u.states)
     clipped = False
     for k, us in enumerate(u.states):
         successors = tuple(u.states[j] for j in u.succ[k])
         if us is BOT:
             assert successors == (BOT,)
-            assert (u.owner[k], u.labels[k]) == (1, frozenset({"bot"}))
+            assert u.owner[k] == 1
             continue
         s, c = us
-        assert (u.owner[k], u.labels[k]) == (a.owner[s], a.labels[s])
+        assert u.owner[k] == a.owner[s]
         assert all(0 <= ci <= bi for ci, bi in zip(c, bounds))
         expected = []
         expect_sink = False

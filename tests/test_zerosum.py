@@ -28,6 +28,7 @@ from carefulsynth import synthesis, zerosum
 import genutils
 from genutils import (
     LabelledGame,
+    coalition_moves,
     game_as_unfolding,
     game_node,
     make_game,
@@ -71,7 +72,7 @@ def _diamond_attractor(a, bounds, player):
     its region game with a `true` tracker: the arena's unfolding."""
     g = unfold(product(a, [objective_tracker(ltl.TRUE)]), bounds)
     assert g.graph.is_arena and g.states == unfold(a, bounds).states
-    targets = {k for k, x in enumerate(g.labels) if "diam" in x}
+    targets = {k for k, x in enumerate(g.letters()) if "diam" in x}
     att, _ = _attract(punishment_game(g, player), targets)
     return {g.states[k] for k in att}
 
@@ -136,9 +137,9 @@ def _solve_fragment(g, kind):
     u, image = game_as_unfolding(g)
     nodes, game = reference_tracker_product(u, 1, tracker)
     reg = solve_parity(game)
-    ids = {node: k for k, node in enumerate(nodes)}
+    ids, letter = {node: k for k, node in enumerate(nodes)}, u.letters()
     start = {
-        s: ids[(image[s], tracker.step(tracker.initial, u.labels[image[s]]))]
+        s: ids[(image[s], tracker.step(tracker.initial, letter[image[s]]))]
         for s in g.states
     }
     win = {s for s in g.states if start[s] in reg.protagonist}
@@ -469,7 +470,7 @@ def test_reachability_regions_equal_zielonka(monkeypatch):
                 ref_g, ref = reference_punish_region(u, i, tracker)
                 case = (generator.__name__, seed, i, automaton)
                 assert (g.states, g.succ) == (ref_g.states, ref_g.succ), case
-                assert (r.win, r.punishment) == (ref.win, ref.punishment), case
+                assert r.win == ref.win and coalition_moves(g, i, r) == ref.punishment, case
                 game = punishment_game(g, i)
                 took_attractor = calls["solve_parity"] == before
                 assert took_attractor == _reachability_shaped(game), case
@@ -553,10 +554,12 @@ def _check_region_game_laws(a, bounds, player, tracker):
     order. Returns the tracker states met."""
     u = unfold(a, bounds)
 
-    def at(q, t):  # the node at unfolded state id t after tracker state q
-        return (t, None if u.states[t] is BOT else tracker.step(q, u.labels[t]))
+    letter = u.letters()
 
-    order = [at(tracker.initial, u.initial)]
+    def at(q, t):  # the node at unfolded state id t after tracker state q
+        return (t, None if u.states[t] is BOT else tracker.step(q, letter[t]))
+
+    order = [at(tracker.initial, 0)]
     queue, seen = deque(order), set(order)
     while queue:
         s, q = queue.popleft()
@@ -786,7 +789,7 @@ def test_no_state_outside_the_region_wins_against_the_table():
             # a start node the play from the initial state never reaches is
             # not in the game
             won = {n: w for n, w in oracle_wins_against_table(
-                u, i, objective, state_table(g, r)).items() if n in _node_ids(g)}
+                u, i, objective, state_table(g, i, r)).items() if n in _node_ids(g)}
             assert not {n for n, w in won.items() if w and n not in win}, (seed, i)
             outside += sum(n not in win for n in won)
             won_inside += sum(w == "play" for w in won.values())
@@ -806,9 +809,10 @@ def test_closed_regions_stay_on_unfolded_ids(fig1):
         assert [game_node(g, j)[0] for j in range(len(u.states))] == list(u.states)
         r = punish_region(g, i)
         assert r.win and all(type(j) is int and 0 <= j < len(u.states) for j in r.win)
-        assert r.punishment and all(
-            type(j) is int and type(t) is int and t in u.succ[j] for j, t in r.punishment.items())
-        assert r.punishment == solve_parity(punishment_game(g, i)).antagonist_strategy
+        moves = coalition_moves(g, i, r)
+        assert moves and all(
+            type(j) is int and type(t) is int and t in u.succ[j] for j, t in moves.items())
+        assert moves == solve_parity(punishment_game(g, i)).antagonist_strategy
 
 
 def test_region_ids_name_their_nodes():
@@ -823,7 +827,7 @@ def test_region_ids_name_their_nodes():
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
                 g, r = region_of(a, bounds, i, tracker)
                 assert len(_node_ids(g)) == len(g.states)
-                assert all(t in g.succ[j] for j, t in r.punishment.items())
+                assert all(t in g.succ[j] for j, t in coalition_moves(g, i, r).items())
                 extra += not g.graph.is_arena
     assert extra > 0
 
