@@ -21,9 +21,11 @@ cutting the tables to the certificate; it can read slightly below zero,
 as the layers' times and the solve's come from different runs. The line
 ends with sizes from one more solve,
 which do not depend on the machine: `product=N`, the witness product's
-nodes; `regionI=N`, the nodes of player I's punishment game, followed by
-its solver, `/attractor` or `/zielonka`; `unfolds=N`, the number of
-`unfold` calls; and `attractors=N`, the number of attractors computed.
+nodes; `scc=N`, the ids its Tarjan pass covers, those whose product node
+lies in a product SCC where the system can accept; `regionI=N`, the nodes
+of player I's punishment game, followed by its solver, `/attractor` or
+`/zielonka`; `unfolds=N`, the number of `unfold` calls; and
+`attractors=N`, the number of attractors computed.
 
 With `--check`, each instance that has a solution is solved once through
 the in-process CLI, and its certificate is then checked `--repeat` times
@@ -97,16 +99,23 @@ def timed(run, layers) -> list[tuple[str, float]]:
 
 
 def solve_sizes(a, bounds, dpas) -> list[str]:
-    """The sizes of one solve: the witness product's nodes, each region
-    game's nodes and its solver, and the numbers of `unfold` calls and of
-    attractors computed."""
-    sizes, calls = [], []
+    """The sizes of one solve: the witness product's nodes and the ids its
+    Tarjan pass covers, each region game's nodes and its solver, and the
+    numbers of `unfold` calls and of attractors computed."""
+    sizes, calls, covered = [], [], []  # covered: the ids of each Tarjan pass
 
     def witness(name, fn):
         def call(*args, **kwargs):
+            mark = len(covered)
             result = fn(*args, **kwargs)
-            sizes.append(f"product={len(result.priority)}")
+            sizes.extend([f"product={len(result.priority)}", f"scc={sum(covered[mark:])}"])
             return result
+        return call
+
+    def tarjan(name, fn):
+        def call(nodes, *args, **kwargs):
+            covered.append(len(nodes))
+            return fn(nodes, *args, **kwargs)
         return call
 
     def solver(name, fn):
@@ -127,7 +136,8 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
     patched(lambda: synthesis.solve(a, bounds, dpas),
             {(synthesis, "witness_product"): witness, (synthesis, "punish_region"): solver,
              (synthesis, "unfold"): count, (zerosum, "attractor"): count,
-             (zerosum, "solve_parity"): count})
+             (zerosum, "solve_parity"): count,
+             (synthesis, "strongly_connected_components"): tarjan})
     return sizes + [f"unfolds={calls.count('unfold')}", f"attractors={calls.count('attractor')}"]
 
 

@@ -3,28 +3,27 @@
 Pipeline: unfold the arena's product with the system objective's component
 and every player's tracker (`unfolding.product`); a product with one node
 per arena state takes the arena's unfolding, shared by every such product.
-For each winner set that the even mask of some cyclic SCC holds (see
+For each winner set that the even mask of some cyclic SCC holds (SCCs found
+only inside the product's SCCs where the system's priority can be even; see
 `WitnessProduct`), search it for a lasso that the system's component and
 every winner's tracker accept, avoiding the nodes where a loser owns the
 state and its punishment region, solved on the unfolded product with its
 tracker when it first loses, holds the same state, credit and tracker
-state. The lasso plus the losers' tables, each cut to the nodes the
-loser's deviations reach, form the certificate; `check_certificate`
-checks it without the game solver and without building the unfolding,
-by an emptiness test per loser on the graph its table leaves. It shares
-with the solver only the objective trackers and the SCC kernel (README,
-step 4).
+state. The lasso plus the losers' tables, each cut to the nodes the loser's
+deviations reach, form the certificate; `check_certificate` checks it
+without the game solver and without building the unfolding, by an emptiness
+test per loser on the graph its table leaves. It shares with the solver
+only the objective trackers and the SCC kernel (README, step 4).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
-from functools import reduce
-from operator import or_
+from collections import deque
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
+from ._graphs import breadth_first, folded, ids_in_sccs_with, number, path_to, restricted
 from ._graphs import shortest_path, strongly_connected_components
 from .arena import Arena, Lasso, RESERVED_ATOM, validate_history
 from .errors import (
@@ -121,13 +120,25 @@ class WitnessProduct(NamedTuple):
     no priority and is in no SCC. An accepted lasso loops in one of `sccs`
     (forbidding nodes only splits SCCs) with an even top in the system's
     and each winner's component, so `solve` skips a winner set no mask
-    holds and `find_witness_lasso` refines only the SCCs whose masks do."""
+    holds and `find_witness_lasso` refines only the SCCs whose masks do.
+    `sccs` has only those where the system can accept; `all_sccs()` adds
+    the others, which only name a failure."""
 
     succ: list  # id -> its successor ids, in a deterministic order
     priority: list  # id -> each component's priority, the system's first
-    sccs: list  # the SCCs that hold a cycle, each a list of ids
+    sccs: list  # SCCs that hold a cycle, each a list of ids
     masks: list  # SCC index -> bit k set when a node has an even priority in component k
-    scc_of: list  # id -> the index of its SCC in `sccs`, or -1 on no cycle and at the sink
+    scc_of: list  # id -> the index of its SCC in `sccs`, or -1
+    full: list  # `all_sccs()`, once run
+
+    def all_sccs(self) -> list:
+        """[every SCC with a cycle, `sccs` first; id -> its index there, or
+        -1], found at the first call."""
+        if not self.full:
+            comps = self.sccs + strongly_connected_components(list(itertools.compress(
+                range(len(self.priority)), map((-1).__eq__, self.scc_of))), self.succ)
+            self.full.extend((comps, number(comps, len(self.succ))))
+        return self.full
 
 
 def witness_product(u: UnfoldedArena) -> WitnessProduct:
@@ -135,22 +146,17 @@ def witness_product(u: UnfoldedArena) -> WitnessProduct:
     with the system's component and the trackers; every winner set is
     searched on it. Each component is a parity condition on its states'
     priorities, and an SCC's mask is folded over its distinct product
-    nodes."""
+    nodes. An SCC lies in one of the product's, its mask in that one's, so
+    Tarjan runs only on the product SCCs whose mask has the system's bit."""
     graph, at, succ = u.graph, u.at, u.succ
     of = {qs: tuple(c.priority(q) for c, q in zip(graph.components, qs))
           for qs in dict.fromkeys(graph.qs)}  # read once per tuple of component states
     bits = {qs: sum(1 << k for k, x in enumerate(p) if x % 2 == 0) for qs, p in of.items()}
     even = list(map(bits.__getitem__, graph.qs))
     priority = list(map(list(map(of.__getitem__, graph.qs)).__getitem__, at))
-    sccs = strongly_connected_components(range(len(at)), succ)
-    masks = [even[at[comp[0]]] if len(comp) == 1
-             else reduce(or_, map(even.__getitem__, set(map(at.__getitem__, comp))))
-             for comp in sccs]
-    scc_of = [-1] * len(succ)
-    for j, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = j
-    return WitnessProduct(succ, priority, sccs, masks, scc_of)
+    sccs = strongly_connected_components(ids_in_sccs_with(graph.succ, even, 1, at), succ)
+    masks = folded(sccs, at, even)
+    return WitnessProduct(succ, priority, sccs, masks, number(sccs, len(succ)), [])
 
 
 class NoWitness(Exception):
@@ -172,40 +178,18 @@ def find_witness_lasso(
     has no cycle, or no SCC is accepting."""
     if 0 in forbidden:
         raise NoWitness("initial state forbidden")
-    initials = [0]
     successors, prio = product.succ.__getitem__, product.priority
     components = (0, *(k + 1 for k in winners))
     need = sum(1 << k for k in components)
     sccs, masks = product.sccs, product.masks
     if forbidden:
-        seen, stack = set(initials), list(initials)
-        while stack:
-            for nxt in successors(stack.pop()):
-                if nxt not in seen and nxt not in forbidden:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        # every SCC of the restricted product lies in `seen`, whose nodes are
-        # all allowed, and in one SCC of the product: a product SCC inside
-        # `seen` stays whole, the nodes in `seen` of the others are split
-        # again, in one pass for the SCCs whose mask holds `need` (the
-        # pending ones) and, only if those hold no cycle, one for the rest
-        whole, split = ([], []), ([], [])  # each (mask fails, mask holds)
-        for j, count in Counter(map(product.scc_of.__getitem__, seen)).items():
-            if j >= 0:
-                held = masks[j] & need == need
-                (whole if count == len(sccs[j]) else split)[held].append(sccs[j])
-
-        def resplit(comps):
-            return strongly_connected_components(
-                [n for comp in comps for n in comp if n in seen], product.succ
-            )
-
-        allowed = seen.__contains__
-        pending = whole[1] + resplit(split[1]) if split[1] else whole[1]
-        cyclic = bool(pending or whole[0] or split[0] and resplit(split[0]))
+        seen = breadth_first(product.succ, forbidden)  # parent links, in the order found
+        # each SCC of the restricted product lies in `seen` and in one of the product's
+        pending = restricted(seen, sccs, product.scc_of, product.succ,
+                             lambda j: masks[j] & need == need)
     else:  # every node is reachable and allowed: start from the product's SCCs
-        allowed, cyclic = None, bool(sccs)
         pending = [comp for comp, mask in zip(sccs, masks) if mask & need == need]
+    cyclic = bool(pending)
 
     # a nontrivial SCC whose top priorities are all even is accepting; else
     # its nodes carrying an odd top lie on no accepting cycle, so drop them
@@ -226,9 +210,13 @@ def find_witness_lasso(
             accepting[node] = (compset, tops)
 
     if not accepting:
+        if not cyclic:  # in an SCC whose mask fails, or outside `sccs`?
+            comps = product.all_sccs()
+            cyclic = bool(restricted(seen, *comps, product.succ) if forbidden else comps[0])
         raise NoWitness("no accepting SCC" if cyclic else "no cycle in the restricted product")
 
-    stem_path = shortest_path(initials, successors, accepting.__contains__, allowed=allowed)
+    stem_path = (path_to(seen, next(filter(accepting.__contains__, seen))) if forbidden
+                 else shortest_path([0], successors, accepting.__contains__))
     anchor = stem_path[-1]
     comp, tops = accepting[anchor]
 
@@ -341,7 +329,8 @@ def solve(
     preds: dict = {}  # id of a game's successor lists -> their predecessor lists
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
-    pruned = "no accepting SCC" if witness.sccs else "no cycle in the restricted product"
+    pruned = ("no accepting SCC" if witness.sccs or witness.all_sccs()[0]
+              else "no cycle in the restricted product")
     masks = set(witness.masks)
     for winner_set in _winner_sets(a.players):
         need = sum(1 << i for i in winner_set) | 1  # the system is component 0

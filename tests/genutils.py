@@ -1227,7 +1227,8 @@ def reference_witness_product(u: UnfoldedArena, system, trackers) -> tuple[list,
     unfolded state's id, each component's state after its letter, the
     system's first), numbered breadth-first, with its successors in
     `u.succ` order, each followed by the system's states in its order.
-    Returns the nodes and the product, its SCCs and masks computed plainly."""
+    Returns the nodes and the product, its SCCs and masks computed plainly:
+    `sccs` holds every SCC that holds a cycle, so none is left out."""
     labels, components = u.letters(), (system, *trackers)
 
     def after(qs, t):  # the nodes at unfolded state id t after the node states qs
@@ -1255,7 +1256,7 @@ def reference_witness_product(u: UnfoldedArena, system, trackers) -> tuple[list,
     for j, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = j
-    return nodes, WitnessProduct(succ, priority, sccs, masks, scc_of)
+    return nodes, WitnessProduct(succ, priority, sccs, masks, scc_of, [])
 
 
 def reference_find_witness_lasso(product, winners, forbidden):

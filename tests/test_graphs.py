@@ -3,7 +3,15 @@ from collections import deque
 
 import pytest
 
-from carefulsynth._graphs import shortest_path, strongly_connected_components
+from carefulsynth._graphs import (
+    breadth_first,
+    ids_in_sccs_with,
+    number,
+    path_to,
+    restricted,
+    shortest_path,
+    strongly_connected_components,
+)
 
 from genutils import scc_partition
 
@@ -82,3 +90,69 @@ def test_shortest_path_is_a_shortest_allowed_path(restricted):
         assert not banned & set(path), seed
         assert len(path) - 1 == min(reachable), seed
     assert found >= 100
+
+
+def _cyclic_classes(nodes, succ) -> set:
+    return {frozenset(c) for c in scc_partition(nodes, succ)
+            if len(c) > 1 or any(v in succ[v] for v in c)}
+
+
+def test_ids_in_sccs_with_the_bit_are_those_of_cyclic_classes():
+    # a negative successor is a failed step, no edge, and must not be read
+    # as an index from the end; when every node has the bit, every id counts
+    shapes = {"some": 0, "none": 0, "every": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes, succ = _random_digraph(rng)
+        n = len(succ)
+        lists = [succ[v] + [~rng.randrange(3) for _ in range(rng.randrange(2))] for v in range(n)]
+        bits = [rng.choice((2, 3)) if seed % 4 == 0 else rng.randrange(4) for _ in range(n)]
+        at = [rng.randrange(n) for _ in range(rng.randrange(40))]
+        got = ids_in_sccs_with(lists, bits, 2, at)
+        if all(b & 2 for b in bits):
+            assert got == range(len(at)), seed
+            shapes["every"] += 1
+            continue
+        cyclic = set().union(*[c for c in _cyclic_classes(range(n), succ)
+                               if any(bits[v] & 2 for v in c)])
+        assert got == [k for k, p in enumerate(at) if p in cyclic], seed
+        shapes["some" if got else "none"] += 1
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_restricted_sccs_are_the_classes_inside_the_set():
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes, succ = _random_digraph(rng)
+        lists = [succ[v] for v in range(len(succ))]
+        comps = strongly_connected_components(nodes, lists)
+        index = number(comps, len(lists))
+        assert all(index[v] == j for j, c in enumerate(comps) for v in c), seed
+        assert index.count(-1) == len(lists) - sum(map(len, comps)), seed
+        chosen = {j for j in range(len(comps)) if rng.random() < 0.7}
+        seen = {v for v in succ if rng.random() < 0.8}
+        for keep in (chosen.__contains__, None):
+            got = restricted(seen, comps, index, lists, keep)
+            inside = {v for j, c in enumerate(comps) if keep is None or j in chosen for v in c}
+            assert set(map(frozenset, got)) == _cyclic_classes(inside & seen, succ), seed
+
+
+def test_breadth_first_links_are_shortest_paths():
+    # the first node of the search's order that is a target ends the path
+    # `shortest_path` returns
+    found = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes, succ = _random_digraph(rng)
+        lists = [succ[v] for v in range(len(succ))]
+        avoid = {v for v in range(1, len(lists)) if rng.random() < 0.3}
+        parent = breadth_first(lists, avoid)
+        allowed = (lambda v: v not in avoid)
+        assert set(parent) == set(_distances([0], succ, allowed)), seed
+        assert list(parent)[0] == 0 and not avoid & set(parent), seed
+        targets = {v for v in parent if rng.random() < 0.3}
+        first = next(filter(targets.__contains__, parent), None)
+        got = None if first is None else path_to(parent, first)
+        assert got == shortest_path([0], succ.__getitem__, targets.__contains__, allowed), seed
+        found += got is not None and len(got) > 1
+    assert found >= 80, found

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carefulsynth import ltl, synthesis, zerosum
+from carefulsynth._graphs import strongly_connected_components
 from carefulsynth.errors import BudgetExceededError, DocumentSemanticError
 from carefulsynth.synthesis import (
     NoWitness,
@@ -47,6 +48,7 @@ from genutils import (
     reach_dpas,
     reference_tracker_product,
     region_of,
+    scc_partition,
     state_table,
 )
 
@@ -258,6 +260,53 @@ def test_witness_product_laws(fig1):
     assert checked >= 50
 
 
+@pytest.mark.parametrize(
+    "generator, seeds",
+    [
+        (random_fragment_arena, 200),
+        (random_punishable_arena, 150),
+        (random_many_player_arena, 100),
+        (random_closed_arena, 150),
+    ],
+)
+def test_witness_sccs_are_the_full_ones_where_the_system_can_accept(generator, seeds):
+    # `witness_product` runs Tarjan only on the ids whose product node lies
+    # in a cyclic SCC of the product, found here as a mutual-reachability
+    # class, with an even system priority: its SCCs are the full
+    # decomposition's SCCs there, each with its plainly folded mask, and
+    # `all_sccs()` adds the others
+    shapes = collections.Counter()
+    for seed, automata in itertools.product(range(seeds), [False, True]):
+        a, bounds = generator(random.Random(seed))
+        dpas = reach_dpas(a) if automata else {}
+        trackers = [objective_tracker(a.objective_of(i), dpas.get(i))
+                    for i in range(1, a.players + 1)]
+        w = unfold(product(a, trackers, system_component(a.system_objective)), bounds)
+        witness, g = witness_product(w), w.graph
+        edges = {p: [t for t in out if t >= 0] for p, out in enumerate(g.succ)}
+        live = set()
+        for comp in scc_partition(edges, edges):
+            if (len(comp) > 1 or any(p in edges[p] for p in comp)) and any(
+                g.components[0].priority(g.qs[p][0]) % 2 == 0 for p in comp
+            ):
+                live |= comp
+        full = set(map(frozenset, strongly_connected_components(range(len(w.at)), w.succ)))
+        want = {comp for comp in full if w.at[min(comp)] in live}
+        assert set(map(frozenset, witness.sccs)) == want, (seed, automata)
+        comps, index = witness.all_sccs()
+        assert comps[:len(witness.sccs)] == witness.sccs, (seed, automata)
+        assert set(map(frozenset, comps[len(witness.sccs):])) == full - want, (seed, automata)
+        assert index == [next((j for j, c in enumerate(comps) if v in c), -1)
+                         for v in range(len(w.succ))], (seed, automata)
+        for j, (comp, mask) in enumerate(zip(witness.sccs, witness.masks)):
+            assert mask == sum({1 << k for v in comp for k, x in enumerate(witness.priority[v])
+                                if x % 2 == 0}), (seed, automata)
+            assert all(witness.scc_of[v] == j for v in comp), (seed, automata)
+        assert witness.scc_of.count(-1) == len(w.succ) - sum(map(len, witness.sccs))
+        shapes[bool(want), full > want] += 1
+    assert len(shapes) == 4 and min(shapes.values()) >= 15, shapes
+
+
 def _node_graph(nodes, succ, priority, owner) -> dict:
     """A numbered graph in node terms: node -> (its successor nodes, its
     priority, its owner)."""
@@ -411,7 +460,25 @@ def _small_arena(owned, labels, edges, system, objective):
     }))
 
 
-@pytest.mark.parametrize("case", ["fig1", "forbidden", "acyclic", "unreadable"])
+def _two_player_arena(states, edges, system, objectives):
+    # states are (id, owner, labels), the first initial; edges (src, dst)
+    # cost nothing
+    from carefulsynth.arena import parse_arena
+
+    return parse_arena(json.dumps({
+        "players": 2,
+        "dimensions": 1,
+        "atoms": ["p", "q"],
+        "states": [{"id": s, "owner": o, "labels": ls} for s, o, ls in states],
+        "initial": states[0][0],
+        "edges": [{"src": a, "dst": b, "cost": [0]} for a, b in edges],
+        "objectives": {"system": system, "players": {"1": objectives[0], "2": objectives[1]}},
+    }))
+
+
+@pytest.mark.parametrize(
+    "case", ["fig1", "forbidden", "acyclic", "unreadable", "cut off", "left out"]
+)
 def test_each_failed_winner_set_names_its_cause(fig1, case):
     if case == "fig1":
         # at (10,10) cycles survive every winner set's restriction, but none
@@ -428,13 +495,30 @@ def test_each_failed_winner_set_names_its_cause(fig1, case):
         # the only move underflows
         a, bounds = _small_arena(["x"], {}, [("x", "x", -1)], "true", "true"), (0,)
         expected = {w: "no cycle in the restricted product" for w in [(1,), ()]}
-    else:
+    elif case == "unreadable":
         # the system's automaton cannot read the first letter, so every play
         # runs into its rejecting state, on a cycle where the system's
         # component is odd; no region makes the loser win, so nothing is
         # forbidden
         a, bounds = _small_arena(["x"], {}, [("x", "x", 0)], "p", "F q"), (0,)
         expected = {w: "no accepting SCC" for w in [(1,), ()]}
+    else:
+        # player 2 owns x and never wins; player 1 wins at y, which it owns,
+        # by moving to w; the system's loop is y's, and the cycles at w and
+        # z, where the system's component is odd, lie outside the SCCs the
+        # witness product searches. Forbidding y and w leaves x, and at
+        # "left out" the cycle at z, which is no accepting SCC
+        states = [("x", 2, []), ("y", 1, ["p"]), ("w", 1, ["q"])]
+        edges = [("x", "y"), ("y", "y"), ("y", "w"), ("w", "w")]
+        if case == "left out":
+            states, edges = states + [("z", 2, [])], edges + [("x", "z"), ("z", "z")]
+        a, bounds = _two_player_arena(states, edges, "G F p", ["F q", "G p"]), (0,)
+        trackers = [objective_tracker(a.objective_of(i)) for i in (1, 2)]
+        _, witness = _witness(a, bounds, a.system_objective, trackers)
+        assert len(witness.sccs) == 1 and len(witness.all_sccs()[0]) == 2 + (case == "left out")
+        expected = {w: "no accepting SCC" for w in [(1, 2), (1,), (2,)]}
+        expected[()] = "no accepting SCC" if case == "left out" else (
+            "no cycle in the restricted product")
     result = solve(a, bounds)
     assert result.status == SolveResult.NO_SOLUTION
     assert dict(result.diagnostics) == expected
@@ -486,7 +570,10 @@ def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
             checked += 1
         if not products:
             continue
-        pruned = "no accepting SCC" if products[0].sccs else "no cycle in the restricted product"
+        # from a full SCC pass, as `witness_product` runs Tarjan only where
+        # an accepted loop can lie
+        full = strongly_connected_components(range(len(products[0].priority)), products[0].succ)
+        pruned = "no accepting SCC" if full else "no cycle in the restricted product"
         for (w, reason), (_, expected) in zip(got.diagnostics, want.diagnostics):
             if w in searched:
                 assert reason == expected, (case, w)
