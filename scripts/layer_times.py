@@ -21,11 +21,12 @@ cutting the tables to the certificate; it can read slightly below zero,
 as the layers' times and the solve's come from different runs. The line
 ends with sizes from one more solve,
 which do not depend on the machine: `product=N`, the witness product's
-nodes; `scc=N`, the ids its Tarjan pass covers, those whose product node
-lies in a product SCC where the system can accept; `regionI=N`, the nodes
-of player I's punishment game, followed by its solver, `/attractor` or
-`/zielonka`; `unfolds=N`, the number of `unfold` calls; and
-`attractors=N`, the number of attractors computed.
+nodes; `scc=N`, the ids its Tarjan passes cover: those whose product
+node lies in a product SCC where the system can accept, and, when no SCC
+is found there, every id, in the pass that sets `cyclic`; `regionI=N`,
+the nodes of player I's punishment game, followed by its solver,
+`/attractor` or `/zielonka`; `unfolds=N`, the number of `unfold` calls;
+and `attractors=N`, the number of attractors computed.
 
 With `--check`, each instance that has a solution is solved once through
 the in-process CLI, and its certificate is then checked `--repeat` times
@@ -100,7 +101,7 @@ def timed(run, layers) -> list[tuple[str, float]]:
 
 def solve_sizes(a, bounds, dpas) -> list[str]:
     """The sizes of one solve: the witness product's nodes and the ids its
-    Tarjan pass covers, each region game's nodes and its solver, and the
+    Tarjan passes cover, each region game's nodes and its solver, and the
     numbers of `unfold` calls and of attractors computed."""
     sizes, calls, covered = [], [], []  # covered: the ids of each Tarjan pass
 

@@ -111,16 +111,16 @@ def restricted(
     comps: Sequence[Sequence[int]],
     index: Sequence[int],
     succ: Sequence[Sequence[int]],
-    keep: Optional[Callable[[int], bool]] = None,
+    keep: Callable[[int], bool],
 ) -> list[Sequence[int]]:
     """The SCCs that hold a cycle of the graph `succ` restricted to the
-    nodes in `seen`, inside the components `comps` that `keep` holds for
-    (all if None), SCCs of the whole graph that `index` numbers: one
-    wholly in `seen` stays whole, and the nodes in `seen` of the others are
-    split again in one pass."""
+    nodes in `seen`, inside the components `comps` that `keep` holds for,
+    SCCs of the whole graph that `index` numbers: one wholly in `seen`
+    stays whole, and the nodes in `seen` of the others are split again in
+    one pass."""
     whole, split = [], []
     for j, count in Counter(map(index.__getitem__, seen)).items():
-        if j >= 0 and (keep is None or keep(j)):
+        if j >= 0 and keep(j):
             (whole if count == len(comps[j]) else split).append(comps[j])
     if split:
         whole += strongly_connected_components([v for c in split for v in c if v in seen], succ)

@@ -121,24 +121,15 @@ class WitnessProduct(NamedTuple):
     (forbidding nodes only splits SCCs) with an even top in the system's
     and each winner's component, so `solve` skips a winner set no mask
     holds and `find_witness_lasso` refines only the SCCs whose masks do.
-    `sccs` has only those where the system can accept; `all_sccs()` adds
-    the others, which only name a failure."""
+    `sccs` has only those where the system can accept; `cyclic`, whether
+    the product has any cycle but the sink's, only names a failure."""
 
     succ: list  # id -> its successor ids, in a deterministic order
     priority: list  # id -> each component's priority, the system's first
     sccs: list  # SCCs that hold a cycle, each a list of ids
     masks: list  # SCC index -> bit k set when a node has an even priority in component k
     scc_of: list  # id -> the index of its SCC in `sccs`, or -1
-    full: list  # `all_sccs()`, once run
-
-    def all_sccs(self) -> list:
-        """[every SCC with a cycle, `sccs` first; id -> its index there, or
-        -1], found at the first call."""
-        if not self.full:
-            comps = self.sccs + strongly_connected_components(list(itertools.compress(
-                range(len(self.priority)), map((-1).__eq__, self.scc_of))), self.succ)
-            self.full.extend((comps, number(comps, len(self.succ))))
-        return self.full
+    cyclic: bool  # some cycle, the sink's aside
 
 
 def witness_product(u: UnfoldedArena) -> WitnessProduct:
@@ -156,7 +147,8 @@ def witness_product(u: UnfoldedArena) -> WitnessProduct:
     priority = list(map(list(map(of.__getitem__, graph.qs)).__getitem__, at))
     sccs = strongly_connected_components(ids_in_sccs_with(graph.succ, even, 1, at), succ)
     masks = folded(sccs, at, even)
-    return WitnessProduct(succ, priority, sccs, masks, number(sccs, len(succ)), [])
+    cyclic = bool(sccs or strongly_connected_components(range(len(at)), succ))
+    return WitnessProduct(succ, priority, sccs, masks, number(sccs, len(succ)), cyclic)
 
 
 class NoWitness(Exception):
@@ -175,7 +167,8 @@ def find_witness_lasso(
     deterministically minimized (shortest stem first, then a loop through
     one top-priority node per component). Raises NoWitness naming why
     none exists: the initial node is forbidden, the restricted product
-    has no cycle, or no SCC is accepting."""
+    has no cycle (read off `product.cyclic`, or with forbidden nodes
+    off the ids reached), or no SCC is accepting."""
     if 0 in forbidden:
         raise NoWitness("initial state forbidden")
     successors, prio = product.succ.__getitem__, product.priority
@@ -210,9 +203,9 @@ def find_witness_lasso(
             accepting[node] = (compset, tops)
 
     if not accepting:
-        if not cyclic:  # in an SCC whose mask fails, or outside `sccs`?
-            comps = product.all_sccs()
-            cyclic = bool(restricted(seen, *comps, product.succ) if forbidden else comps[0])
+        if not cyclic:  # a cycle outside the admitted SCCs? The sink's, last, is none
+            cyclic = bool(strongly_connected_components(
+                [v for v in seen if v < len(prio)], product.succ) if forbidden else product.cyclic)
         raise NoWitness("no accepting SCC" if cyclic else "no cycle in the restricted product")
 
     stem_path = (path_to(seen, next(filter(accepting.__contains__, seen))) if forbidden
@@ -329,8 +322,7 @@ def solve(
     preds: dict = {}  # id of a game's successor lists -> their predecessor lists
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
-    pruned = ("no accepting SCC" if witness.sccs or witness.all_sccs()[0]
-              else "no cycle in the restricted product")
+    pruned = "no accepting SCC" if witness.cyclic else "no cycle in the restricted product"
     masks = set(witness.masks)
     for winner_set in _winner_sets(a.players):
         need = sum(1 << i for i in winner_set) | 1  # the system is component 0

@@ -1256,7 +1256,7 @@ def reference_witness_product(u: UnfoldedArena, system, trackers) -> tuple[list,
     for j, comp in enumerate(sccs):
         for v in comp:
             scc_of[v] = j
-    return nodes, WitnessProduct(succ, priority, sccs, masks, scc_of, [])
+    return nodes, WitnessProduct(succ, priority, sccs, masks, scc_of, cyclic=bool(sccs))
 
 
 def reference_find_witness_lasso(product, winners, forbidden):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carefulsynth import ltl, synthesis, zerosum
+from carefulsynth import _graphs, ltl, synthesis, zerosum
 from carefulsynth._graphs import strongly_connected_components
 from carefulsynth.errors import BudgetExceededError, DocumentSemanticError
 from carefulsynth.synthesis import (
@@ -274,7 +274,7 @@ def test_witness_sccs_are_the_full_ones_where_the_system_can_accept(generator, s
     # in a cyclic SCC of the product, found here as a mutual-reachability
     # class, with an even system priority: its SCCs are the full
     # decomposition's SCCs there, each with its plainly folded mask, and
-    # `all_sccs()` adds the others
+    # `cyclic` says whether the full decomposition has any
     shapes = collections.Counter()
     for seed, automata in itertools.product(range(seeds), [False, True]):
         a, bounds = generator(random.Random(seed))
@@ -293,11 +293,7 @@ def test_witness_sccs_are_the_full_ones_where_the_system_can_accept(generator, s
         full = set(map(frozenset, strongly_connected_components(range(len(w.at)), w.succ)))
         want = {comp for comp in full if w.at[min(comp)] in live}
         assert set(map(frozenset, witness.sccs)) == want, (seed, automata)
-        comps, index = witness.all_sccs()
-        assert comps[:len(witness.sccs)] == witness.sccs, (seed, automata)
-        assert set(map(frozenset, comps[len(witness.sccs):])) == full - want, (seed, automata)
-        assert index == [next((j for j, c in enumerate(comps) if v in c), -1)
-                         for v in range(len(w.succ))], (seed, automata)
+        assert witness.cyclic == bool(full), (seed, automata)
         for j, (comp, mask) in enumerate(zip(witness.sccs, witness.masks)):
             assert mask == sum({1 << k for v in comp for k, x in enumerate(witness.priority[v])
                                 if x % 2 == 0}), (seed, automata)
@@ -461,8 +457,8 @@ def _small_arena(owned, labels, edges, system, objective):
 
 
 def _two_player_arena(states, edges, system, objectives):
-    # states are (id, owner, labels), the first initial; edges (src, dst)
-    # cost nothing
+    # states are (id, owner, labels), the first initial; edges are
+    # (src, dst), which cost nothing, or (src, dst, cost)
     from carefulsynth.arena import parse_arena
 
     return parse_arena(json.dumps({
@@ -471,13 +467,13 @@ def _two_player_arena(states, edges, system, objectives):
         "atoms": ["p", "q"],
         "states": [{"id": s, "owner": o, "labels": ls} for s, o, ls in states],
         "initial": states[0][0],
-        "edges": [{"src": a, "dst": b, "cost": [0]} for a, b in edges],
+        "edges": [{"src": a, "dst": b, "cost": c or [0]} for a, b, *c in edges],
         "objectives": {"system": system, "players": {"1": objectives[0], "2": objectives[1]}},
     }))
 
 
 @pytest.mark.parametrize(
-    "case", ["fig1", "forbidden", "acyclic", "unreadable", "cut off", "left out"]
+    "case", ["fig1", "forbidden", "acyclic", "unreadable", "sink", "cut off", "left out"]
 )
 def test_each_failed_winner_set_names_its_cause(fig1, case):
     if case == "fig1":
@@ -502,6 +498,15 @@ def test_each_failed_winner_set_names_its_cause(fig1, case):
         # forbidden
         a, bounds = _small_arena(["x"], {}, [("x", "x", 0)], "p", "F q"), (0,)
         expected = {w: "no accepting SCC" for w in [(1,), ()]}
+    elif case == "sink":
+        # player 1 wins at x by moving to z, so with player 1 a loser x is
+        # forbidden; the search then reaches only i and, by i's underflowing
+        # self-loop, the sink, whose self-loop is no cycle
+        states = [("i", 2, []), ("x", 1, []), ("y", 1, []), ("z", 1, ["q"])]
+        edges = [("i", "x"), ("i", "i", -1), ("x", "y"), ("x", "z"), ("y", "y"), ("z", "z")]
+        a, bounds = _two_player_arena(states, edges, "G !q", ["F q", "F p"]), (0,)
+        expected = {w: "no accepting SCC" for w in [(1, 2), (1,), (2,)]}
+        expected[()] = "no cycle in the restricted product"
     else:
         # player 2 owns x and never wins; player 1 wins at y, which it owns,
         # by moving to w; the system's loop is y's, and the cycles at w and
@@ -515,7 +520,8 @@ def test_each_failed_winner_set_names_its_cause(fig1, case):
         a, bounds = _two_player_arena(states, edges, "G F p", ["F q", "G p"]), (0,)
         trackers = [objective_tracker(a.objective_of(i)) for i in (1, 2)]
         _, witness = _witness(a, bounds, a.system_objective, trackers)
-        assert len(witness.sccs) == 1 and len(witness.all_sccs()[0]) == 2 + (case == "left out")
+        full = strongly_connected_components(range(len(witness.priority)), witness.succ)
+        assert len(witness.sccs) == 1 and len(full) == 2 + (case == "left out")
         expected = {w: "no accepting SCC" for w in [(1, 2), (1,), (2,)]}
         expected[()] = "no accepting SCC" if case == "left out" else (
             "no cycle in the restricted product")
@@ -541,6 +547,20 @@ def _searched_by_solve(monkeypatch, a, bounds, dpas=None):
         m.setattr(synthesis, "find_witness_lasso", search)
         result = solve(a, bounds, dpas)
     return result, products, searched
+
+
+def test_a_solve_passes_the_scc_kernel_fewer_ids_than_its_product_has(monkeypatch, fig1):
+    # fig1 at (80,80) fails every winner set; naming each failure's cause
+    # reads the ids a search reached, not a second pass over the product
+    covered = []
+    for module in (synthesis, _graphs):
+        def counted(nodes, succ, kernel=module.strongly_connected_components):
+            covered.append(len(nodes))
+            return kernel(nodes, succ)
+        monkeypatch.setattr(module, "strongly_connected_components", counted)
+    result, products, _ = _searched_by_solve(monkeypatch, fig1, (80, 80))
+    assert result.status == SolveResult.NO_SOLUTION
+    assert sum(covered) < len(products[0].succ), (sum(covered), len(products[0].succ))
 
 
 @pytest.mark.parametrize(
