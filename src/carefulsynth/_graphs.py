@@ -170,11 +170,7 @@ def shortest_path(
     while queue:
         v = queue.popleft()
         if is_target(v):
-            path = [v]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
+            return path_to(parent, v)
         for w in successors(v):
             if allowed is not None and not allowed(w):
                 continue

@@ -357,10 +357,7 @@ def validate_lasso(arena: Arena, l: Lasso) -> None:
     validate_history(arena, l.stem)
     if not l.loop:
         raise DocumentSemanticError("lasso loop is empty")
-    cycle = [l.stem[-1]] + list(l.loop) + [l.loop[0]]
-    for a, b in zip(cycle, cycle[1:]):
-        if (a, b) not in arena.edges:
-            raise DocumentSemanticError(f"({a!r}, {b!r}) is not an edge")
+    validate_history(arena, [*l.stem, *l.loop, l.loop[0]])
 
 
 def cumulative_costs(arena: Arena, path: History) -> Iterator[tuple[int, ...]]:

@@ -93,6 +93,8 @@ def _load_dpas(pairs: Sequence[str], a: Arena) -> dict[int, ParityAutomaton]:
         player = int(player_str)
         if not 1 <= player <= a.players:
             raise CarefulSynthError(f"--dpa player {player} out of range")
+        if player in dpas:
+            raise CarefulSynthError(f"--dpa player {player} given twice")
         dpas[player] = parse_dpa(_read(path))
     return dpas
 

@@ -32,8 +32,9 @@ class CostOverflowError(CarefulSynthError):
 
 
 class BudgetExceededError(CarefulSynthError):
-    """A configurable size budget (state count, product size, BFS
-    configurations) was exhausted before an answer was found."""
+    """A size budget was exhausted before an answer was found: the state
+    budget of `unfold` or of the certificate checker, or the cap on an LTL
+    formula's closure."""
 
 
 class UnderflowError(CarefulSynthError):

@@ -16,6 +16,7 @@ from collections import deque
 from typing import NamedTuple, Optional, Union
 
 from . import ltl
+from ._graphs import path_to
 from .arena import Arena, build_arena
 from .errors import DocumentSemanticError, expect, is_int, load_json, member
 
@@ -125,15 +126,7 @@ def simulate_reachability(
     while queue:
         loc, c = queue.popleft()
         if loc == target and c == (0, 0):
-            locs, cs = [], []
-            node = (loc, c)
-            while node is not None:
-                locs.append(node[0])
-                cs.append(node[1])
-                node = parent[node]
-            locs.reverse()
-            cs.reverse()
-            return CounterRun(locations=tuple(locs), counters=tuple(cs))
+            return CounterRun(*zip(*path_to(parent, (loc, c))))
         for tr in ca.transitions:
             if tr.src != loc or not _enabled(tr, c):
                 continue

@@ -475,7 +475,7 @@ class _SteppedUnfolding:
                 raise BudgetExceededError(
                     f"unfolding exceeds the state budget of {self.max_states}"
                 )
-            out = self.stepped[us] = step(self.base, self.bounds, us)[0]
+            out = self.stepped[us] = step(self.base, self.bounds, us)
         return out
 
     def reachable(self, us) -> bool:

@@ -180,34 +180,31 @@ def checked_bounds(a: Arena, bounds: Sequence[int]) -> tuple[int, ...]:
     return b
 
 
-def credit_after(c: tuple, w: tuple, bounds: tuple) -> tuple[Optional[tuple], bool]:
+def credit_after(c: tuple, w: tuple, bounds: tuple) -> Optional[tuple]:
     """The saturated credit after an edge of cost `w` from credit `c`, or None
-    when it goes below zero, and whether the edge saturated a resource."""
-    raw = tuple(map(add, c, w))
-    c2 = tuple(map(min, raw, bounds))
-    return (c2 if min(c2, default=0) >= 0 else None), c2 != raw
+    when it goes below zero."""
+    c2 = tuple(map(min, map(add, c, w), bounds))
+    return c2 if min(c2, default=0) >= 0 else None
 
 
-def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[tuple[UState, ...], bool]:
+def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[UState, ...]:
     """The successors of `us` in the unfolding under validated `bounds`, in
-    `a.successors` order with BOT last, and whether some edge out of `us`
-    saturated a resource."""
+    `a.successors` order with BOT last."""
     if us is BOT:
-        return (BOT,), False
+        return (BOT,)
     s, c = us
     edges = a.edges
     out: list[UState] = []
-    to_bot = clipped = False
+    to_bot = False
     for s2 in a.successors(s):
-        c2, saturated = credit_after(c, edges[(s, s2)], bounds)
-        clipped = clipped or saturated
+        c2 = credit_after(c, edges[(s, s2)], bounds)
         if c2 is None:
             to_bot = True
         else:
             out.append((s2, c2))
     if to_bot:
         out.append(BOT)
-    return tuple(out), clipped
+    return tuple(out)
 
 
 def unfold(
@@ -316,7 +313,7 @@ def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
     out: list[UState] = [(h[0], (0,) * a.dimensions)]
     for i, (x, y) in enumerate(zip(h, h[1:])):
         c, w = out[-1][1], a.edges[(x, y)]
-        c2, _ = credit_after(c, w, bounds)
+        c2 = credit_after(c, w, bounds)
         if c2 is None:
             bad = min(j for j, v in enumerate(map(add, c, w)) if v < 0)
             raise UnderflowError(

@@ -125,19 +125,6 @@ def attractor(
     return attr, strategy
 
 
-def _escape_strategy(g, region, owned_side):
-    """For `owned_side`-owned states inside `region` (which is closed for
-    that side), pick a successor staying in `region`."""
-    succ, mine, out = g.succ, g.is_protagonist, {}
-    for s in region:
-        if mine[s] == owned_side:
-            for t in succ[s]:
-                if t in region:
-                    out[s] = t
-                    break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parity (Zielonka)
 
@@ -171,7 +158,7 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
     j_is_pro = p % 2 == 0
     if all(q % 2 == p % 2 for q in present):
         # every play inside is won by the owner of p's parity
-        wj, sj, wo, so = domain, _escape_strategy(g, domain, j_is_pro), set(), {}
+        wj, sj, wo, so = domain, {}, set(), {}
     else:
         wo, so = set(), {}
         while True:
@@ -189,12 +176,10 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
             if domain == a_region:  # the next round would repeat this one's attractor
                 sjp = {}
                 break
-        wj = domain
-        sj = dict(sjp)
-        sj.update(tau)
-        for s in top:
-            if g.is_protagonist[s] == j_is_pro and s not in sj:
-                sj[s] = next(t for t in g.succ[s] if t in domain)
+        wj, sj = domain, {**sjp, **tau}
+    for s in wj:  # the winner's states without a move stay inside
+        if g.is_protagonist[s] == j_is_pro and s not in sj:
+            sj[s] = next(t for t in g.succ[s] if t in wj)
     if j_is_pro:
         return wj, sj, wo, so
     return wo, so, wj, sj
@@ -232,6 +217,8 @@ def parse_dpa(text: str) -> ParityAutomaton:
         )
         for t in member(doc, "transitions", [dict], "transitions")
     )
+    if len(set(states)) != len(states):
+        raise DocumentSemanticError("duplicate state names")
     if initial not in states:
         raise DocumentSemanticError(f"initial state {initial!r} unknown")
     if any("|" in q for q in states):

@@ -39,8 +39,8 @@ from carefulsynth.unfolding import (
     BOT, Product, UnfoldedArena, UState, checked_bounds, credit_after, product, unfold,
 )
 from carefulsynth.zerosum import (
-    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, _escape_strategy,
-    objective_tracker, parse_dpa, punish_region,
+    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, objective_tracker, parse_dpa,
+    punish_region,
 )
 
 
@@ -1019,9 +1019,9 @@ def oracle_wins_against_table(u: UnfoldedArena, player, objective, table) -> dic
 
 def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
     """`unfolding.unfold` as it read before it stepped credits by component:
-    every (credit, cost) pair through `credit_after`, whose flag sets
-    `clipped`, with the same numbering: breadth-first from the initial
-    state, the sink last."""
+    every (credit, cost) pair through `credit_after`, with `clipped` set
+    when some component of a pair's sum exceeds its capacity, and the same
+    numbering: breadth-first from the initial state, the sink last."""
     b = checked_bounds(a, bounds)
     names = sorted(a.states)
     place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
@@ -1043,8 +1043,10 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
         for base, w in moves[s]:
             c2 = after.get(c * m + w)
             if c2 is None:
-                vec, saturated = credit_after(credits[c], costs[w], b)
-                clipped = clipped or saturated
+                vec = credit_after(credits[c], costs[w], b)
+                clipped = clipped or any(
+                    ci + wi > bi for ci, wi, bi in zip(credits[c], costs[w], b)
+                )
                 c2 = after[c * m + w] = -1 if vec is None else sum(map(mul, vec, place))
                 credits[c2] = vec
             if c2 < 0:
@@ -1152,7 +1154,11 @@ def _reference_zielonka(g: ZeroSumGame, domain: set[int]):
     p = max(present)
     j_is_pro = p % 2 == 0
     if all(q % 2 == p % 2 for q in present):
-        wj, sj, wo, so = domain, _escape_strategy(g, domain, j_is_pro), set(), {}
+        # the owner of p's parity wins everywhere inside: each of its states
+        # moves to its first successor inside
+        wj, wo, so = domain, set(), {}
+        sj = {s: next(t for t in g.succ[s] if t in domain)
+              for s in domain if g.is_protagonist[s] == j_is_pro}
     else:
         wo, so = set(), {}
         while True:

@@ -618,6 +618,22 @@ def test_a_dpa_flag_does_not_carry_over_to_the_next_run(fig1_path, tmp_path, cap
     assert _run(capsys, "solve", fig1_path, "--bounds", "3,3")[:2] == (EXIT_POSITIVE, golden)
 
 
+def test_a_dpa_flag_repeating_a_player_is_an_error(fig1_path, tmp_path, capsys):
+    # the second automaton for one player once replaced the first silently
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps(_DPA))
+    second.write_text(json.dumps(_DPA))
+    certificate = fig1_path.with_name("fig1-3-3.solution.json")
+    for command in (("solve", fig1_path), ("check", fig1_path, certificate)):
+        distinct = _run(capsys, *command, "--bounds", "3,3", "--dpa", f"1={first}",
+                        "--dpa", f"2={second}")
+        assert distinct[0] in (EXIT_POSITIVE, EXIT_NEGATIVE), command
+        code, out, err = _run(capsys, *command, "--bounds", "3,3", "--dpa", f"1={first}",
+                              "--dpa", f"1={second}")
+        assert (code, out) == (EXIT_ERROR, ""), command
+        assert err == "error: --dpa player 1 given twice\n", err
+
+
 def _one_state_document():
     return {
         "players": 1,

@@ -4,10 +4,13 @@ is referenced somewhere in `src/`, `bench/` or `scripts/` outside its own
 definition, and every defaulted parameter of a function or method there is
 passed at some call of its name in `src/`, `bench/`, `scripts/` or
 `tests/`. Test-only helpers live in `tests/genutils.py`. Importing the
-package generates no code: no module uses `dataclasses`."""
+package generates no code: no module uses `dataclasses`. Every name the
+benchmark's tracer wraps is a callable of the package."""
 
 import ast
+import importlib
 import pathlib
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "carefulsynth"
@@ -124,3 +127,18 @@ def test_no_module_in_the_package_uses_dataclasses():
     # a dataclass compiles and execs its generated methods when its module
     # is imported, which every command pays before it does any work
     assert _dataclass_uses() == []
+
+
+def test_every_name_the_tracer_wraps_is_a_callable_of_the_package():
+    # `bench/run.py --trace 1` wraps each name at `Tracer.install`, so a
+    # renamed or moved function breaks it there; the file is read, not
+    # imported, so nothing is written next to it
+    path = ROOT / "bench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    missing = []
+    for name in tracer.WRAPPED:
+        module, _, attr = name.partition(".")
+        if not callable(getattr(importlib.import_module(f"carefulsynth.{module}"), attr, None)):
+            missing.append(name)
+    assert tracer.WRAPPED and missing == []

@@ -135,7 +135,7 @@ def _discovery(a, bounds):
     written here without `unfold`, first finds them."""
     order = [(a.initial, (0,) * a.dimensions)]
     for us in order:
-        order += [t for t in step(a, bounds, us)[0] if t not in order]
+        order += [t for t in step(a, bounds, us) if t not in order]
     return order
 
 

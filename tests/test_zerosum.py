@@ -523,6 +523,13 @@ def test_parse_dpa_and_step():
     assert dpa_step(dpa, "wait", frozenset()) == "wait"
 
 
+def test_dpa_repeated_state_name_rejected():
+    # as the arena reader refuses a repeated state id
+    doc = dict(DPA_FP, states=["wait", "good", "wait"])
+    with pytest.raises(DocumentSemanticError, match="duplicate state names"):
+        parse_dpa(json.dumps(doc))
+
+
 def test_dpa_nondeterminism_rejected():
     doc = dict(DPA_FP)
     doc["transitions"] = DPA_FP["transitions"] + [{"src": "wait", "dst": "good"}]
