@@ -20,8 +20,11 @@ summed (`solve_parity` counted once, inside `punish_region`): the work of
 cutting the tables to the certificate; it can read slightly below zero,
 as the layers' times and the solve's come from different runs. The line
 ends with sizes from one more solve,
-which do not depend on the machine: `product=N`, the witness product's
-nodes; `scc=N`, the ids its Tarjan passes cover: those whose product
+which do not depend on the machine: `unfold=C/N/R` for each `unfold`
+call, in call order, the arena's distinct costs, the nodes of the product
+it unfolds and the credits its unfolding reaches (`unfold` keeps one row
+per credit, over the costs); `product=N`, the witness product's nodes;
+`scc=N`, the ids its Tarjan passes cover: those whose product
 node lies in a product SCC where the system can accept, and, when no SCC
 is found there, every id, in the pass that sets `cyclic`; `regionI=N`,
 the nodes of player I's punishment game, followed by its solver,
@@ -100,9 +103,11 @@ def timed(run, layers) -> list[tuple[str, float]]:
 
 
 def solve_sizes(a, bounds, dpas) -> list[str]:
-    """The sizes of one solve: the witness product's nodes and the ids its
-    Tarjan passes cover, each region game's nodes and its solver, and the
-    numbers of `unfold` calls and of attractors computed."""
+    """The sizes of one solve: for each `unfold` call, the arena's distinct
+    costs, the product's nodes and the credits reached; the witness
+    product's nodes and the ids its Tarjan passes cover, each region game's
+    nodes and its solver, and the numbers of `unfold` calls and of
+    attractors computed."""
     sizes, calls, covered = [], [], []  # covered: the ids of each Tarjan pass
 
     def witness(name, fn):
@@ -134,9 +139,18 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
             return fn(*args, **kwargs)
         return call
 
+    def unfold(name, fn):
+        def call(g, *args, **kwargs):
+            calls.append(name)
+            u = fn(g, *args, **kwargs)
+            credits = len({s[1] for s in u.states[:len(u.at)]})
+            sizes.append(f"unfold={len(set(a.edges.values()))}/{len(u.graph.state)}/{credits}")
+            return u
+        return call
+
     patched(lambda: synthesis.solve(a, bounds, dpas),
             {(synthesis, "witness_product"): witness, (synthesis, "punish_region"): solver,
-             (synthesis, "unfold"): count, (zerosum, "attractor"): count,
+             (synthesis, "unfold"): unfold, (zerosum, "attractor"): count,
              (zerosum, "solve_parity"): count,
              (synthesis, "strongly_connected_components"): tarjan})
     return sizes + [f"unfolds={calls.count('unfold')}", f"attractors={calls.count('attractor')}"]
@@ -161,19 +175,24 @@ def column_times(first: str, best: float, columns, runs) -> dict[str, float]:
     return out
 
 
-def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
+def solve_times(a, bounds, dpas, repeat: int) -> dict[str, float]:
     """Milliseconds per layer and for the whole solve, each the fastest of
-    `repeat` runs, and the solve's sizes."""
-    a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
-    dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
+    `repeat` runs, and the rest."""
 
     def solve():
-        synthesis.solve(a, inst.bounds, dpas)
+        synthesis.solve(a, bounds, dpas)
 
     runs = [timed(solve, {layer: layer[1] for layer in LAYERS}) for _ in range(repeat)]
     out = column_times("solve", fastest(solve, repeat), [name for _, name in LAYERS], runs)
     out["rest"] = out["solve"] - sum(out[name] for _, name in LAYERS if name != "solve_parity")
-    return out, solve_sizes(a, inst.bounds, dpas)
+    return out
+
+
+def instance_times(inst, repeat: int) -> tuple[dict[str, float], list[str]]:
+    """The times of `solve_times` for one instance, and the solve's sizes."""
+    a = parse_arena(pathlib.Path(inst.arena).read_text(encoding="utf-8"))
+    dpas = {i: parse_dpa(pathlib.Path(p).read_text(encoding="utf-8")) for i, p in inst.dpas}
+    return solve_times(a, inst.bounds, dpas, repeat), solve_sizes(a, inst.bounds, dpas)
 
 
 def check_times(inst, repeat: int, tmp: pathlib.Path) -> dict[str, float] | None:

@@ -4,7 +4,11 @@ vectors, plus the absorbing underflow sink.
 Only the fraction reachable from (initial, 0, ..., 0) is materialized; the
 full product is never allocated. Its states are numbered once, in the
 order the breadth-first search finds them, and every later layer reads
-successors and owners by those numbers.
+successors and owners by those numbers. `unfold` steps credits by rows:
+each reached credit has a row of successor keys over the arena's distinct
+costs, filled entry by entry from columns built per digit, with markers
+for the steps that saturate or go below zero. The checker's own step
+(`credit_after`, `step`, `lift`) shares none of it.
 The same loop unfolds the arena's product with objective automata
 (`Product`, after Vardi and Wolper, LICS 1986): the arena is the product
 with none.
@@ -13,7 +17,8 @@ with none.
 from __future__ import annotations
 
 from math import prod
-from operator import add, floordiv
+from itertools import chain, repeat
+from operator import add, mod
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import arena as arena_mod
@@ -75,7 +80,7 @@ class UnfoldedArena(NamedTuple):
     states: tuple[UState, ...]
     succ: list[list[int]]  # in `step` order
     owner: list[int]  # the sink's is fixed at 1
-    clipped: bool = False  # some reachable step saturated a resource
+    clipped: bool = False  # some reachable step saturated a resource: a marked row entry
     graph: Optional[Product] = None
     at: Optional[list[int]] = None  # without the sink
 
@@ -213,11 +218,22 @@ def unfold(
     """Breadth-first construction of the reachable bounded unfolding of a
     product, or of an arena (its product with nothing), as `step` reads it.
     A node (p, c) is keyed by p times the number of credits plus c in mixed
-    radix over the capacities, a sum of per-component key parts, each
-    computed once per digit reached: nothing grows with the capacities.
-    Nodes are numbered as found, from the product's initial node, 0, and
-    the sink after them all; an owner is read off its product node's. A
-    failed step has a negative key."""
+    radix over the capacities. Each reached credit has one row over the
+    arena's distinct costs, read by one list index per edge: the key of the
+    credit after each cost, or -1 for the sink, filled the first time an
+    edge from that credit takes that cost, as the sum of two columns over
+    the costs: one for the credit's digits in the first half of the
+    components and one for the rest, each the sum of one column per
+    (component, digit). Filling an entry thus costs the same at any number
+    of resources, and columns are built the first time their digits are
+    reached, so nothing grows with the capacities. In a column, a component
+    that saturates adds `width` and one that goes below zero
+    `(d + 1) * width`, so an entry below `width` is the key itself and only
+    the others are read further, to set `clipped` or to go to the sink. A
+    credit's digits are decoded once, at its first node. Nodes are numbered
+    as found, from the product's initial node, 0, and the sink after them
+    all; an owner is read off its product node's. A failed step has a
+    negative key."""
     g = product(g, ()) if isinstance(g, Arena) else g
     a, state = g.base, g.state
     b = checked_bounds(a, bounds)
@@ -229,30 +245,53 @@ def unfold(
     failures = g.failures
     moves = [[(x * width, cs[state[x] if x >= 0 else failures[~x][0]]) for x in out]
              for cs, out in zip(map(cost_of.__getitem__, state), g.succ)]
-    # parts[w][i]: component i's key part -> its key part after cost w, or
-    # -width when it goes below zero, so that the sum is negative
-    parts = [[_KeyParts(p, wi, v * p, width) for p, wi, v in zip(place, w, b)] for w in costs]
-    credits = {0: (0,) * a.dimensions}  # credit key -> its key parts
-    after: dict = {}  # credit key -> cost index -> credit key after, or < 0
+    below = (len(b) + 1) * width  # no sum of saturation marks reaches it
+    columns: list[dict] = [{} for _ in b]  # component -> digit -> its part of each entry
+    cut = len(b) // 2
+    low = prod(v + 1 for v in b[cut:])  # a credit key is a multiple of `low` plus one below it
+    highs, lows = {}, {}  # either part of a credit key -> its digits, and their columns summed
+
+    def half(table: dict, ids: range, part: int) -> tuple:
+        """The digits of components `ids` in key part `part`, and their
+        columns summed, kept in `table`."""
+        digits = tuple([part // place[i] % (b[i] + 1) for i in ids])
+        total = [0] * len(costs)
+        for i, v in zip(ids, digits):
+            col = columns[i].get(v)
+            if col is None:
+                q, top = place[i], b[i]
+                col = columns[i][v] = [below if t < 0 else t * q if t <= top else top * q + width
+                                       for t in [v + w[i] for w in costs]]
+            total = list(map(add, total, col))
+        return table.setdefault(part, (digits, total))
+
+    rows: dict = {}  # credit key -> its row, and its two parts' columns
+    vectors: dict = {}  # credit key -> its digits
     found = [0]  # the key of (the initial node, no credit)
     index = {0: 0}
     succ: list[list[int]] = []
     to_sink: list[list[int]] = []  # the lists that end at the sink, there as -1
-    sink, getpart = False, _KeyParts.__getitem__
+    sink = clipped = False
     for key in found:  # breadth-first: the list grows while it is read
         p, c = divmod(key, width)
-        row = after.get(c)
-        if row is None:
-            row = after[c] = [None] * len(costs)
+        got = rows.get(c)
+        if got is None:
+            lo = c % low
+            digits, high = highs.get(c - lo) or half(highs, range(cut), c - lo)
+            rest, tail = lows.get(lo) or half(lows, range(cut, len(b)), lo)
+            vectors[c] = digits + rest
+            got = rows[c] = [None] * len(costs), high, tail
+        row, high, tail = got
         out = []
         to_bot = False
         for base, w in moves[p]:
             c2 = row[w]
             if c2 is None:
-                c2parts = tuple(map(getpart, parts[w], credits[c]))
-                c2 = row[w] = sum(c2parts)
-                if c2 >= 0:
-                    credits[c2] = c2parts
+                c2 = high[w] + tail[w]
+                if c2 >= width:  # marked: some component saturates or goes below zero
+                    clipped = clipped or c2 % below >= width
+                    c2 = c2 % width if c2 < below else -1
+                row[w] = c2
             if c2 < 0:
                 to_bot = True
                 continue
@@ -274,35 +313,15 @@ def unfold(
     n = len(found)
     for out in to_sink:
         out[-1] = n
-    for c, ps in credits.items():  # key parts -> credit vector
-        credits[c] = tuple(map(floordiv, ps, place))
+    del rows, highs, lows, columns, index  # freed before the per-id lists are built
     at = [key // width for key in found]
-    states = [(state[p], credits[key % width]) for p, key in zip(at, found)]
+    credits = map(vectors.__getitem__, map(mod, found, repeat(width)))
+    states = tuple(chain(zip(map(state.__getitem__, at), credits), (BOT,) * sink))
     return UnfoldedArena(
-        a, b, tuple(states) + (BOT,) * sink, succ + [[n]] * sink,
+        a, b, states, succ + [[n]] * sink,
         list(map(list(map(a.owner.__getitem__, state)).__getitem__, at)) + [1] * sink,
-        any(t.saturated for row in parts for t in row), g, at,
+        clipped, g, at,
     )
-
-
-class _KeyParts(dict):
-    """One component's key part before a cost -> its key part after, filled
-    as parts are reached: the credit `v` at `place` becomes min(v + cost,
-    bound), or -width below zero. `saturated` records whether a filled
-    entry exceeded the bound, which is whether some step from a reached
-    credit with that cost saturated the component."""
-
-    def __init__(self, place: int, cost: int, top: int, width: int):
-        super().__init__()
-        self.place, self.cost, self.top, self.width = place, cost, top, width
-        self.saturated = False
-
-    def __missing__(self, part: int) -> int:
-        raw = part + self.cost * self.place
-        if raw > self.top:
-            self.saturated, raw = True, self.top
-        self[part] = after = raw if raw >= 0 else -self.width
-        return after
 
 
 def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:

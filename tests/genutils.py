@@ -22,7 +22,7 @@ import random
 from functools import cache, reduce
 from math import prod
 from operator import mul, or_
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from carefulsynth import ltl
 from carefulsynth.arena import MAX_PLAYERS, Arena, build_arena
@@ -454,17 +454,22 @@ def oracle_parity_region(g: ZeroSumGame) -> set:
 ARENA_ATOMS = ("x", "y")
 
 
-def random_arena(rng: random.Random, max_states=4, max_players=2, max_dims=2) -> Arena:
+def random_arena(rng: random.Random, max_states=4, max_players=2, max_dims=2,
+                 costs: Optional[int] = None) -> Arena:
+    """A seeded arena; with `costs`, every edge costs one of that many
+    vectors, drawn first, instead of one drawn for itself."""
     n = rng.randrange(1, max_states + 1)
     players = rng.randrange(1, max_players + 1)
     d = rng.randrange(1, max_dims + 1)
     states = [f"s{i}" for i in range(n)]
     owner = {s: rng.randrange(1, players + 1) for s in states}
     labels = {s: [a for a in ARENA_ATOMS if rng.random() < 0.4] for s in states}
+    pool = [tuple(rng.randrange(-2, 3) for _ in range(d)) for _ in range(costs or 0)]
     edges = {}
     for s in states:
         for t in rng.sample(states, rng.randrange(1, n + 1)):
-            edges[(s, t)] = tuple(rng.randrange(-2, 3) for _ in range(d))
+            w = rng.choice(pool) if pool else tuple(rng.randrange(-2, 3) for _ in range(d))
+            edges[(s, t)] = w
 
     def reach():
         return ltl.Eventually(ltl.Atom(rng.choice(ARENA_ATOMS)))

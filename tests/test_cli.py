@@ -489,8 +489,16 @@ def test_stats_reports_sizes(fig1_path, capsys):
             id="many_players.py",
         ),
         pytest.param(
+            "many_resources.py", ["--dims", "3", "--seeds", "1", "--repeat", "1"],
+            re.compile("d=3 seed 1: solution, 7243 states, 19563 edges, 3 unfolds, solve \\d+\\.\\d "
+                       "product \\d+\\.\\d unfold \\d+\\.\\d witness_product \\d+\\.\\d "
+                       "punish_region \\d+\\.\\d solve_parity \\d+\\.\\d "
+                       "find_witness_lasso \\d+\\.\\d rest -?\\d+\\.\\d ms, unfold \\d+ ns/edge"),
+            id="many_resources.py",
+        ),
+        pytest.param(
             "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
-            re.compile("fig1@80,80( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d product=1670 scc=466"
+            re.compile("fig1@80,80( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d unfold=8/6/1374 product=1670 scc=466"
                        "( region\\d=1671/attractor){3} unfolds=1 attractors=3"),
             id="layer_times.py",
         ),

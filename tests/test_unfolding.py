@@ -1,3 +1,4 @@
+import collections
 import random
 import tracemalloc
 
@@ -242,6 +243,27 @@ def test_unfold_equals_the_reference():
     assert 100 <= clipped <= 1100
 
 
+def test_unfold_equals_the_reference_at_up_to_five_resources():
+    # one to five resources at capacities 0-4, each edge's cost drawn from a
+    # pool of two, so that there are fewer distinct costs than states and
+    # credits share their rows' entries, or drawn for itself, so that most
+    # costs are distinct; both kinds, and saturation and the sink, at
+    # every number of resources
+    seen = collections.Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        a = random_arena(rng, max_states=6, max_dims=5, costs=rng.choice([2, None]))
+        bounds = tuple(rng.randrange(0, 5) for _ in range(a.dimensions))
+        u = unfold(a, bounds)
+        assert _unfolded(u) == reference_unfold(a, bounds), seed
+        d = a.dimensions
+        seen[d, len(set(a.edges.values())) < len(a.states)] += 1
+        seen[d, "clipped"] += u.clipped
+        seen[d, "sink"] += BOT in u.states
+    for d in range(1, 6):
+        assert min(seen[d, key] for key in (True, False, "clipped", "sink")) >= 100, d
+
+
 def _one_state_arena(costs):
     return build_arena(
         players=1,
@@ -269,17 +291,21 @@ def test_an_edge_that_underflows_while_it_saturates_is_clipped():
 
 
 def test_unfold_allocates_nothing_per_unit_of_capacity():
-    # costs at most 0 reach a few states at any capacity; a table over the
-    # capacities would not fit in memory
-    a = _one_state_arena([(0, 0, 0), (-1, 0, 0), (0, 0, -2)])
-    tracemalloc.start()
-    try:
-        u = unfold(a, (10**12,) * 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(u.states) == 3 and u.states[-1] is BOT and not u.clipped
-    assert peak < 2**20
+    # each case reaches a few states at any capacity: costs at most 0, and
+    # at five resources costs that climb in both halves of the components;
+    # a table over the capacities would not fit in memory
+    cases = [([(0, 0, 0), (-1, 0, 0), (0, 0, -2)], 3),
+             ([(0, 0, 0, 0, 0), (3, 0, 1, 0, 2), (0, -1, 0, 2, 0)], 4)]
+    for costs, size in cases:
+        a = _one_state_arena(costs)
+        tracemalloc.start()
+        try:
+            u = unfold(a, (10**12,) * len(costs[0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(u.states) == size and u.states[-1] is BOT and not u.clipped
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
