@@ -17,13 +17,10 @@ time in milliseconds, all measured in this process.
 import argparse
 import collections
 import json
-import pathlib
 import random
 import sys
-import time
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+import layer_times  # scripts/layer_times.py: it puts src/ and bench/ on the path
 
 import generators  # bench/generators.py, read only
 
@@ -47,33 +44,29 @@ def arena_document(players: int, seed: int) -> dict:
 
 def solve_counted(a) -> str:
     """Solve `a` at BOUNDS and describe the run in one line."""
-    counts = collections.Counter()
-    saved = {name: getattr(synthesis, name)
-             for name in ("_winner_sets", "find_witness_lasso", "punish_region")}
+    counts, results = collections.Counter(), []
 
-    def counted(name):
+    def counted(name, fn):
         def call(*args):
             counts[name] += 1
-            return saved[name](*args)
+            return fn(*args)
         return call
 
-    def winner_sets(n):
-        for w in saved["_winner_sets"](n):
-            counts["_winner_sets"] += 1
-            yield w
+    def each_counted(name, fn):
+        def call(*args):
+            for item in fn(*args):
+                counts[name] += 1
+                yield item
+        return call
 
-    synthesis._winner_sets = winner_sets
-    synthesis.find_witness_lasso = counted("find_witness_lasso")
-    synthesis.punish_region = counted("punish_region")
-    try:
-        start = time.perf_counter()
-        result = synthesis.solve(a, BOUNDS)
-        ms = (time.perf_counter() - start) * 1000
-    finally:
-        for name, fn in saved.items():
-            setattr(synthesis, name, fn)
+    def run():
+        results.append(synthesis.solve(a, BOUNDS))
+
+    wrappers = {(synthesis, "_winner_sets"): each_counted,
+                (synthesis, "find_witness_lasso"): counted, (synthesis, "punish_region"): counted}
+    ms = layer_times.fastest(lambda: layer_times.patched(run, wrappers), 1)
     searched = counts["find_witness_lasso"]
-    return (f"{result.status}, {searched} searched, "
+    return (f"{results[0].status}, {searched} searched, "
             f"{counts['_winner_sets'] - searched} pruned, "
             f"{counts['punish_region']} regions, {ms:.0f} ms")
 

@@ -108,16 +108,12 @@ def _enabled(tr: CounterTransition, c: tuple[int, int]) -> bool:
     return True
 
 
-def simulate_reachability(
-    ca: CounterAutomaton, target: Optional[str] = None, budget: int = 10**6
-) -> Optional[CounterRun]:
+def simulate_reachability(ca: CounterAutomaton, budget: int = 10**6) -> Optional[CounterRun]:
     """Breadth-first exploration of configurations (location, counters >= 0).
-    Returns a shortest witness run reaching (target, (0, 0)), or None when no
-    witness was found within budget. None never means a definitive "no": the
-    configuration space is infinite in general and the underlying problem is
-    undecidable, so absence of a witness is only "unknown"."""
-    if target is None:
-        target = ca.target
+    Returns a shortest witness run reaching (ca.target, (0, 0)), or None when
+    no witness was found within budget. None never means a definitive "no":
+    the configuration space is infinite in general and the underlying problem
+    is undecidable, so absence of a witness is only "unknown"."""
     if budget < 1:
         raise DocumentSemanticError("budget must be at least 1")
     start = (ca.initial, (0, 0))
@@ -125,7 +121,7 @@ def simulate_reachability(
     queue = deque([start])
     while queue:
         loc, c = queue.popleft()
-        if loc == target and c == (0, 0):
+        if loc == ca.target and c == (0, 0):
             return CounterRun(*zip(*path_to(parent, (loc, c))))
         for tr in ca.transitions:
             if tr.src != loc or not _enabled(tr, c):
@@ -152,6 +148,11 @@ def build_game(ca: CounterAutomaton) -> Arena:
     guards). The instance has a careful solution, under bounds at least the
     largest counter values of a witness run, iff (target, (0, 0)) is
     reachable."""
+    own = {W1, W2A, W2B, f"{ca.target}_done"}  # the states the encoding adds
+    own.update(f"t{k}_{end}" for k in range(len(ca.transitions)) for end in ("hi", "lo"))
+    for loc in ca.locations:
+        if loc in own:
+            raise DocumentSemanticError(f"location {loc!r} clashes with a state the encoding adds")
     states: list[str] = []
     owner: dict[str, int] = {}
     labels: dict[str, list[str]] = {}

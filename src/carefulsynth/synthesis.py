@@ -237,10 +237,11 @@ def find_witness_lasso(
 
 
 def _winner_sets(n: int):
-    """Every set of players, largest first, generated as they are tried."""
+    """Every set of players, largest first, as a sorted tuple, generated as
+    they are tried."""
     players = range(1, n + 1)
     for r in range(n, -1, -1):
-        yield from map(frozenset, itertools.combinations(players, r))
+        yield from itertools.combinations(players, r)
 
 
 def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
@@ -327,7 +328,7 @@ def solve(
     for winner_set in _winner_sets(a.players):
         need = sum(1 << i for i in winner_set) | 1  # the system is component 0
         if not any(m & need == need for m in masks):
-            diagnostics.append((tuple(sorted(winner_set)), pruned))
+            diagnostics.append((winner_set, pruned))
             continue
         for i in players:
             if i not in winner_set and i not in regions:
@@ -338,11 +339,9 @@ def solve(
                               else {k for k in range(size) if owner[k] == i and to[k] in r.win})
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
-            stem, loop = find_witness_lasso(
-                witness, [i - 1 for i in sorted(winner_set)], forbidden
-            )
+            stem, loop = find_witness_lasso(witness, [i - 1 for i in winner_set], forbidden)
         except NoWitness as e:
-            diagnostics.append((tuple(sorted(winner_set)), str(e)))
+            diagnostics.append((winner_set, str(e)))
             continue
         outcome = outcome_lasso(u, stem, loop)
         winners = frozenset(

@@ -1364,10 +1364,10 @@ def oracle_solve(a: Arena, bounds, dpas=None):
         forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])
         try:
             stem, loop = reference_find_witness_lasso(
-                product, [i - 1 for i in sorted(winner_set)], forbidden
+                product, [i - 1 for i in winner_set], forbidden
             )
         except NoWitness as e:
-            diagnostics.append((tuple(sorted(winner_set)), str(e)))
+            diagnostics.append((winner_set, str(e)))
             continue
         outcome = outcome_lasso(u, [nodes[n][0] for n in stem], [nodes[n][0] for n in loop])
         winners = frozenset(

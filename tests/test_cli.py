@@ -151,8 +151,10 @@ def test_saturation_warning_only_when_a_step_clips(fig1_path, tmp_path, capsys):
 def test_solve_pretty_appends_trace(fig1_path, capsys):
     code, out, _ = _run(capsys, "solve", fig1_path, "--bounds", "3,3", "--pretty")
     assert code == EXIT_POSITIVE
-    assert "stem: a@0,0" in out
-    assert "loop: (circbox@0,0)^omega" in out
+    lines = out.splitlines()
+    assert "  stem: a@0,0 a@2,1 a@3,2 a@3,3 b@3,2 c@1,1" in lines
+    assert "  loop: (circbox@0,0)^omega" in lines
+    assert "  winners: [1, 2]" in lines
 
 
 def test_solve_unsupported_objective_errors(fig1_text, tmp_path, capsys):
@@ -459,6 +461,17 @@ def test_gen_reduction_emits_valid_arena(tmp_path, capsys):
     assert code == EXIT_POSITIVE
 
 
+@pytest.mark.parametrize("name", ["win1", "t_done"])
+def test_gen_reduction_refuses_a_location_named_like_a_state_it_adds(name, tmp_path, capsys):
+    # the encoding adds win1, win2a, win2b, t{k}_hi and t{k}_lo per transition,
+    # and {target}_done; the target here is t
+    ca_path = tmp_path / "ca.json"
+    ca_path.write_text(json.dumps(CORPUS[1][1]).replace('"l1"', json.dumps(name)))
+    code, out, err = _run(capsys, "gen-reduction", str(ca_path))
+    message = f"error: location {name!r} clashes with a state the encoding adds\n"
+    assert (code, out, err) == (EXIT_ERROR, "", message)
+
+
 def test_stats_reports_sizes(fig1_path, capsys):
     code, out, _ = _run(capsys, "stats", fig1_path, "--bounds", "3,3")
     assert code == EXIT_POSITIVE
@@ -475,8 +488,6 @@ def test_stats_reports_sizes(fig1_path, capsys):
 @pytest.mark.parametrize(
     "script, args, line",
     [
-        ("run_fig1.py", ["--bounds", "3,3"], "  stem: a@0,0 a@2,1 a@3,2 a@3,3 b@3,2 c@1,1"),
-        ("scaling_smoke.py", ["--capacities", "2", "4"], "within envelope: yes"),
         pytest.param(
             "output_digest.py", ["--workloads", "fig1-sweep", "--seeds", "1"],
             re.compile("fig1-sweep seed 1: 5 instances, "

@@ -86,7 +86,7 @@ def test_nonzero_target_yields_no_witness():
 
 def test_explicit_target_overrides_document():
     # zero-ending reachability of the *initial* location is immediate
-    run = simulate_reachability(NONZERO, target="l0")
+    run = simulate_reachability(NONZERO._replace(target="l0"))
     assert run is not None and run.k == 0
 
 

@@ -2,10 +2,11 @@
 scripts run: every module-level function and class in `src/carefulsynth`
 is referenced somewhere in `src/`, `bench/` or `scripts/` outside its own
 definition, and every defaulted parameter of a function or method there is
-passed at some call of its name in `src/`, `bench/`, `scripts/` or
-`tests/`. Test-only helpers live in `tests/genutils.py`. Importing the
-package generates no code: no module uses `dataclasses`. Every name the
-benchmark's tracer wraps is a callable of the package."""
+passed at some call of its name in `src/`, `bench/` or `scripts/`, as a
+test is not a caller; the state budgets are the only exceptions. Test-only
+helpers live in `tests/genutils.py`. Importing the package generates no
+code: no module uses `dataclasses`. Every name the benchmark's tracer wraps
+is a callable of the package."""
 
 import ast
 import importlib
@@ -75,10 +76,10 @@ def _defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
 
 
 def _calls() -> dict[str, list[ast.Call]]:
-    """Every call in `src/`, `bench/`, `scripts/` and `tests/`, by the name
-    it calls (a bare name or an attribute)."""
+    """Every call in `src/`, `bench/` and `scripts/`, by the name it calls
+    (a bare name or an attribute)."""
     out: dict[str, list[ast.Call]] = {}
-    for folder in ("src", "bench", "scripts", "tests"):
+    for folder in ("src", "bench", "scripts"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
@@ -96,6 +97,11 @@ def _passes(call: ast.Call, arg: str, index: int | None) -> bool:
     return any(k.arg in (arg, None) for k in call.keywords)
 
 
+# safety limits on the states a call may build, which only tests set below
+# their default
+STATE_BUDGETS = {"unfolding.unfold(max_states)", "synthesis.check_certificate(max_states)"}
+
+
 def test_every_defaulted_parameter_is_passed_somewhere():
     calls = _calls()
     unused = [
@@ -103,7 +109,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         for module, name, arg, index in _defaulted_parameters()
         if not any(_passes(call, arg, index) for call in calls.get(name, []))
     ]
-    assert unused == []
+    assert [u for u in unused if u not in STATE_BUDGETS] == []
 
 
 def _dataclass_uses() -> list[str]:
