@@ -12,15 +12,15 @@ fastest time of each call to `product`, `unfold`, `witness_product`,
 `punish_region`, `solve_parity` and `find_witness_lasso`, summed over the
 calls of one solve (the calls come in the same order every run).
 `punish_region` is inclusive: it holds its `solve_parity` calls, and the
-attractor that solves a reachability game without `solve_parity`. The
-benchmark's tracer does not wrap `product` or `witness_product`; this
-script shows their share. `rest` is the fastest solve minus those layers
-summed (`solve_parity` counted once, inside `punish_region`): the work of
-`solve` outside them, such as forbidding each loser's won nodes and
-cutting the tables to the certificate; it can read slightly below zero,
-as the layers' times and the solve's come from different runs. The line
-ends with sizes from one more solve,
-which do not depend on the machine: `unfold=C/N/R` for each `unfold`
+fixpoint on credit sets that solves a reachability game without
+`solve_parity`. The benchmark's tracer does not wrap `product` or
+`witness_product`; this script shows their share. `rest` is the fastest
+solve minus those layers summed (`solve_parity` counted once, inside
+`punish_region`): the work of `solve` outside them, such as forbidding
+each loser's won nodes and cutting the tables to the certificate; it can
+read slightly below zero, as the layers' times and the solve's come from
+different runs. The line ends with sizes from one more solve, which do
+not depend on the machine: `unfold=C/N/R` for each `unfold`
 call, in call order, the arena's distinct costs, the nodes of the product
 it unfolds and the credits its unfolding reaches (`unfold` keeps one row
 per credit, over the costs); `product=N`, the witness product's nodes;
@@ -28,8 +28,9 @@ per credit, over the costs); `product=N`, the witness product's nodes;
 node lies in a product SCC where the system can accept, and, when no SCC
 is found there, every id, in the pass that sets `cyclic`; `regionI=N`,
 the nodes of player I's punishment game, followed by its solver,
-`/attractor` or `/zielonka`; `unfolds=N`, the number of `unfold` calls;
-and `attractors=N`, the number of attractors computed.
+`/credits` (`zerosum.credit_region`) or `/zielonka`; `unfolds=N`, the
+number of `unfold` calls; and `pre_images=N`, the number of credit-set
+pre-images computed (`unfolding.pre_image`, called by `credit_region`).
 
 With `--check`, each instance that has a solution is solved once through
 the in-process CLI, and its certificate is then checked `--repeat` times
@@ -107,7 +108,7 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
     costs, the product's nodes and the credits reached; the witness
     product's nodes and the ids its Tarjan passes cover, each region game's
     nodes and its solver, and the numbers of `unfold` calls and of
-    attractors computed."""
+    credit-set pre-images computed."""
     sizes, calls, covered = [], [], []  # covered: the ids of each Tarjan pass
 
     def witness(name, fn):
@@ -129,7 +130,7 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
             mark = calls.count("solve_parity")
             result = fn(g, player, *args, **kwargs)
             zielonka = calls.count("solve_parity") > mark
-            sizes.append(f"region{player}={len(g.succ)}/{'zielonka' if zielonka else 'attractor'}")
+            sizes.append(f"region{player}={len(g.succ)}/{'zielonka' if zielonka else 'credits'}")
             return result
         return call
 
@@ -150,10 +151,10 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
 
     patched(lambda: synthesis.solve(a, bounds, dpas),
             {(synthesis, "witness_product"): witness, (synthesis, "punish_region"): solver,
-             (synthesis, "unfold"): unfold, (zerosum, "attractor"): count,
+             (synthesis, "unfold"): unfold, (zerosum, "pre_image"): count,
              (zerosum, "solve_parity"): count,
              (synthesis, "strongly_connected_components"): tarjan})
-    return sizes + [f"unfolds={calls.count('unfold')}", f"attractors={calls.count('attractor')}"]
+    return sizes + [f"unfolds={calls.count('unfold')}", f"pre_images={calls.count('pre_image')}"]
 
 
 def fastest(run, repeat: int) -> float:

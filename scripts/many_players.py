@@ -10,8 +10,9 @@ number of players, solved at (3,3). Its objectives are then drawn again from
 a seeded mix of `F a`, `G F a`, `G !a` and `F G !a`, with the system
 objective `G !a`, so that most winner sets fail. One line per instance gives
 the verdict, the winner sets searched by `find_witness_lasso`, the sets
-enumerated but not searched, the punishment regions solved and the solve
-time in milliseconds, all measured in this process.
+enumerated but not searched and the punishment regions solved, counted in
+one solve, and the milliseconds of one more solve without the counting
+wrappers, all measured in this process.
 """
 
 import argparse
@@ -64,7 +65,8 @@ def solve_counted(a) -> str:
 
     wrappers = {(synthesis, "_winner_sets"): each_counted,
                 (synthesis, "find_witness_lasso"): counted, (synthesis, "punish_region"): counted}
-    ms = layer_times.fastest(lambda: layer_times.patched(run, wrappers), 1)
+    layer_times.patched(run, wrappers)
+    ms = layer_times.fastest(lambda: synthesis.solve(a, BOUNDS), 1)
     searched = counts["find_witness_lasso"]
     return (f"{results[0].status}, {searched} searched, "
             f"{counts['_winner_sets'] - searched} pruned, "

@@ -6,8 +6,6 @@ The textual format is UTF-8 JSON; serialization is canonical (states and
 edges sorted lexicographically), so round-trips are byte-stable.
 """
 
-from __future__ import annotations
-
 import json
 from itertools import chain
 from operator import add

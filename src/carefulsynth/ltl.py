@@ -10,8 +10,6 @@ G phi = !F !phi). The dual operator R exists only internally, for
 negation normal form. A parsed formula nests at most MAX_NESTING levels.
 """
 
-from __future__ import annotations
-
 import re
 from functools import cache
 from operator import itemgetter

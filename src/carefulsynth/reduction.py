@@ -10,8 +10,6 @@ is offered losing escapes, so the synthesis instance has a solution iff the
 target is reachable.
 """
 
-from __future__ import annotations
-
 from collections import deque
 from typing import NamedTuple, Optional, Union
 

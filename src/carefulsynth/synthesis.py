@@ -16,10 +16,10 @@ test per loser on the graph its table leaves. It shares with the solver
 only the objective trackers and the SCC kernel (README, step 4).
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import deque
+from math import prod
+from operator import add
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
@@ -254,13 +254,16 @@ def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
 def _game_ids(w: UnfoldedArena, g: UnfoldedArena, i: int) -> Sequence[int]:
     """The id in `g`, player i's game, of each node of `w`, the witness
     product's unfolding: the node at its state and credit with its state of
-    i's tracker, component i. Both on the arena's unfolding, it is itself."""
+    i's tracker, component i, found by its key, `to[p] * width` plus the
+    credit's key for the game's product node `to[p]`. Both on the arena's
+    unfolding, it is itself."""
     if g.succ is w.succ:
         return range(len(w.states))
     of = {(s, qs): p for p, (s, qs) in enumerate(zip(g.graph.state, g.graph.qs))}
-    to = [of[(s, (qs[i],))] for s, qs in zip(w.graph.state, w.graph.qs)]
-    node = {(p, c): j for j, (p, (_, c)) in enumerate(zip(g.at, g.states))}
-    return [node[(to[p], c)] for p, (_, c) in zip(w.at, w.states)]
+    width = prod(v + 1 for v in w.bounds)
+    shift = [(of[s, (qs[i],)] - p) * width for p, (s, qs) in enumerate(zip(w.graph.state, w.graph.qs))]
+    index = dict(zip(g.keys, range(len(g.keys))))
+    return list(map(index.__getitem__, map(add, w.keys, map(shift.__getitem__, w.at))))
 
 
 def _reached_entries(g: UnfoldedArena, player, region, path) -> dict:
@@ -321,6 +324,7 @@ def solve(
     owner, size = u.owner, len(u.at)
     games, ids, regions, blocked = {}, {}, {}, {}  # by loser, each solved when it first loses
     preds: dict = {}  # id of a game's successor lists -> their predecessor lists
+    steps: dict = {}  # each cost's pre-image steps, for every region
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
     pruned = "no accepting SCC" if witness.cyclic else "no cycle in the restricted product"
@@ -333,7 +337,7 @@ def solve(
         for i in players:
             if i not in winner_set and i not in regions:
                 g = games[i] = unfolded(product(a, [trackers[i]]))
-                r = regions[i] = punish_region(g, i, preds.setdefault(id(g.succ), []))
+                r = regions[i] = punish_region(g, i, preds.setdefault(id(g.succ), []), steps)
                 to = ids[i] = _game_ids(u, g, i)
                 blocked[i] = ({k for k in r.win if owner[k] == i} if g.succ is u.succ  # same ids
                               else {k for k in range(size) if owner[k] == i and to[k] in r.win})

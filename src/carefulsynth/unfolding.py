@@ -8,13 +8,14 @@ successors and owners by those numbers. `unfold` steps credits by rows:
 each reached credit has a row of successor keys over the arena's distinct
 costs, filled entry by entry from columns built per digit, with markers
 for the steps that saturate or go below zero. The checker's own step
-(`credit_after`, `step`, `lift`) shares none of it.
+(`credit_after`, `step`, `lift`) shares none of it. A set of credits can
+also be one int, bit k set when the credit of key k is in it, and an
+edge's pre-image is then a few shifts and masks (`pre_image`), which the
+punishment regions use.
 The same loop unfolds the arena's product with objective automata
 (`Product`, after Vardi and Wolper, LICS 1986): the arena is the product
 with none.
 """
-
-from __future__ import annotations
 
 from math import prod
 from itertools import chain, repeat
@@ -73,7 +74,9 @@ class UnfoldedArena(NamedTuple):
     """The reachable unfolding, numbered: id k names `states[k]`, node
     `at[k]` of `graph` with credit `states[k][1]`, in the order `unfold`
     finds them from the initial one, 0, with the sink last, and `succ` and
-    `owner` are lists over the ids."""
+    `owner` are lists over the ids. `keys[k]` is `at[k]` times the number
+    of credits plus the credit's key, its digits in mixed radix over the
+    capacities, the last resource's lowest."""
 
     base: Arena
     bounds: tuple[int, ...]
@@ -81,8 +84,9 @@ class UnfoldedArena(NamedTuple):
     succ: list[list[int]]  # in `step` order
     owner: list[int]  # the sink's is fixed at 1
     clipped: bool = False  # some reachable step saturated a resource: a marked row entry
-    graph: Optional[Product] = None
+    graph: "Optional[Product]" = None
     at: Optional[list[int]] = None  # without the sink
+    keys: Optional[list[int]] = None  # without the sink
 
     def system_objective(self) -> ltl.Formula:
         return ltl.And(self.base.system_objective, AVOID_BOT)
@@ -192,6 +196,43 @@ def credit_after(c: tuple, w: tuple, bounds: tuple) -> Optional[tuple]:
     return c2 if min(c2, default=0) >= 0 else None
 
 
+def pre_image_steps(w: tuple, bounds: tuple) -> list[tuple]:
+    """The steps of `pre_image` for an edge of cost `w` under the
+    capacities `bounds`. A credit's key has its digits in mixed radix over
+    the capacities, the last resource's lowest, and a set of credits is an
+    int whose bit k is set when the credit of key k is in it. There is one
+    step per resource that `w` changes, (shift, keep, top, copies): a loss
+    of m keeps the digits from m up, shifted up by m places; a gain of m
+    keeps the digits up to b_i - m, shifted down, and copies the digit
+    b_i, `top`, onto the digits b_i - m + 1 ... b_i that saturate into it."""
+    out, width = [], prod(v + 1 for v in bounds)
+    q = width
+    for wi, top in zip(w, bounds):
+        q //= top + 1  # the place of this resource's digit
+        if wi:
+            every = ((1 << width) - 1) // ((1 << q * (top + 1)) - 1)  # each block's lowest bit
+            lo, hi = (-wi, top) if wi < 0 else (0, top - wi)
+            keep = ((1 << (hi - lo + 1) * q) - 1 << lo * q) * every if lo <= hi else 0
+            out.append((-wi * q, keep, ((1 << q) - 1 << top * q) * every,
+                        range(0, min(wi, top + 1) * q, q)))
+    return out
+
+
+def pre_image(credits: int, steps: list[tuple]) -> int:
+    """The credits from which an edge whose cost has the `pre_image_steps`
+    `steps` leads into the set `credits` without going below zero: the set
+    is mapped one resource at a time."""
+    for shift, keep, top, copies in steps:
+        if shift > 0:  # a loss: the credit before is `shift` keys higher
+            credits = credits << shift & keep
+        else:  # a gain: lower, or any digit that saturates into `top`
+            high = credits & top
+            credits = credits >> -shift & keep
+            for c in copies:
+                credits |= high >> c
+    return credits
+
+
 def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[UState, ...]:
     """The successors of `us` in the unfolding under validated `bounds`, in
     `a.successors` order with BOT last."""
@@ -232,8 +273,8 @@ def unfold(
     the others are read further, to set `clipped` or to go to the sink. A
     credit's digits are decoded once, at its first node. Nodes are numbered
     as found, from the product's initial node, 0, and the sink after them
-    all; an owner is read off its product node's. A failed step has a
-    negative key."""
+    all, and their keys are kept (`UnfoldedArena.keys`); an owner is read
+    off its product node's. A failed step has a negative key."""
     g = product(g, ()) if isinstance(g, Arena) else g
     a, state = g.base, g.state
     b = checked_bounds(a, bounds)
@@ -320,7 +361,7 @@ def unfold(
     return UnfoldedArena(
         a, b, states, succ + [[n]] * sink,
         list(map(list(map(a.owner.__getitem__, state)).__getitem__, at)) + [1] * sink,
-        clipped, g, at,
+        clipped, g, at, found,
     )
 
 

@@ -3,19 +3,22 @@ Zielonka's parity algorithm, objective trackers, and the per-player
 punishment regions used by the equilibrium characterization. Every objective
 becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
 `F G`, or a supplied parity automaton); a punishment game is the unfolded
-product of the arena with that tracker (`unfolding.product`), solved on its
-ids by Zielonka's algorithm, or by one attractor when it is a reachability
-game (see `_reachability_targets`).
+product of the arena with that tracker (`unfolding.product`). A
+reachability game is solved on credit sets, one int per product node
+whose bit k is set when credit key k is won (`credit_region`, after
+symbolic model checking, Burch, Clarke, McMillan, Dill and Hwang, LICS
+1990, and energy games on credit vectors, Bouyer et al., FORMATS 2008);
+every other game by Zielonka's algorithm on its ids.
 
 The deviating player is the protagonist; everyone else is merged into one
 adversarial coalition. Underflow sinks are absorbing and losing for the
 protagonist: carefulness is imposed structurally, not as a side condition.
 """
 
-from __future__ import annotations
-
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property, partial, reduce
+from itertools import compress
+from math import prod
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from . import ltl
@@ -23,7 +26,7 @@ from .errors import (
     DocumentSemanticError, UnsupportedObjectiveError, expect, is_int, load_json, member,
 )
 from .ltl import FragmentClass
-from .unfolding import UnfoldedArena
+from .unfolding import UnfoldedArena, pre_image, pre_image_steps
 
 # The largest priority a parity game or automaton may use: Zielonka's
 # recursion depth grows with it.
@@ -83,16 +86,14 @@ def attractor(
     target: Iterable[int],
     *,
     for_protagonist: bool,
-    within: Optional[set[int]] = None,
+    within: set[int],
 ) -> tuple[set[int], dict[int, int]]:
     """Least fixpoint inside `within` containing `target`: the attracting
     side's states with one successor inside, the other side's states with
     all their successors in `within` inside. The strategy picks a
     rank-decreasing edge. The frontier is seeded in id order, so ties
-    between targets do not depend on hashing. Without `within` the fixpoint
-    is over the whole game: no state is tested for membership, and the
-    other side's state counts down from its number of successors."""
-    attr = set(target) if within is None else within.intersection(target)
+    between targets do not depend on hashing."""
+    attr = within.intersection(target)
     succ, pred, mine = g.succ, g.pred, g.is_protagonist
     strategy: dict[int, int] = {}
     degree: dict[int, int] = {}  # successors in `within` not yet attracted
@@ -101,7 +102,7 @@ def attractor(
         new_frontier = []
         for t in frontier:
             for s in pred[t]:
-                if s in attr or within is not None and s not in within:
+                if s in attr or s not in within:
                     continue
                 if mine[s] == for_protagonist:
                     attr.add(s)
@@ -110,13 +111,10 @@ def attractor(
                     continue
                 left = degree.get(s)
                 if left is None:
-                    if within is None:
-                        left = len(succ[s])
-                    else:
-                        left = 0
-                        for x in succ[s]:
-                            if x in within:
-                                left += 1
+                    left = 0
+                    for x in succ[s]:
+                        if x in within:
+                            left += 1
                 degree[s] = left - 1
                 if left == 1:
                     attr.add(s)
@@ -323,21 +321,6 @@ class PunishRegions(NamedTuple):
     punishment: dict[int, int]
 
 
-def _reachability_targets(g: ZeroSumGame) -> Optional[list[int]]:
-    """The nodes of priority 2 when `g` is a reachability game for the
-    protagonist, else None. It is one when every priority is 1 or 2 and no
-    node of priority 2 has a successor of priority 1: a play that meets
-    priority 2 then keeps it, and every other play sees only priority 1.
-    An `F` game is one once its targets are absorbing and none has an edge
-    into the underflow sink, which keeps priority 1."""
-    priority = g.priority
-    if not {1, 2}.issuperset(priority):
-        return None
-    targets = [s for s, p in enumerate(priority) if p == 2]
-    absorbing = set(targets).issuperset(chain.from_iterable(map(g.succ.__getitem__, targets)))
-    return targets if absorbing else None
-
-
 def punishment_game(g: UnfoldedArena, player: int, pred: Optional[list] = None) -> ZeroSumGame:
     """`player`'s game on `g`, the arena's unfolded product with one
     tracker: `g.succ`, the player the protagonist at its states, the
@@ -355,21 +338,97 @@ def punishment_game(g: UnfoldedArena, player: int, pred: Optional[list] = None) 
 
 
 def punish_region(
-    g: UnfoldedArena, player: int, pred: Optional[list] = None
+    g: UnfoldedArena, player: int, pred: Optional[list] = None, steps: Optional[dict] = None
 ) -> PunishRegions:
     """Where can `player`, alone against the coalition, carefully achieve
     the objective of the tracker of `g`, from the tracker state its history
     has reached? A losing outcome must not visit a node the player owns in
     this region of `punishment_game(g, player, pred)`. A reachability game
-    (`_reachability_targets`) is solved by one attractor to its targets,
-    the coalition moving from each of its nodes outside to its first
-    successor outside, which is Zielonka's answer there, found only where
-    the table is read; Zielonka's algorithm solves every other game."""
-    game = punishment_game(g, player, pred)
-    targets = _reachability_targets(game)
-    if targets is None:
-        regions = solve_parity(game)
+    is solved on credit sets (`credit_region`, with `steps`, a dict the
+    caller may keep for the games of one capacity vector), the coalition
+    moving from each of its nodes outside to its first successor outside,
+    which is Zielonka's answer there, found only where the table is read;
+    Zielonka's algorithm solves every other game."""
+    (tracker,) = g.graph.components
+    won = credit_region(g, player, [tracker.priority(q) for (q,) in g.graph.qs],
+                        {} if steps is None else steps)
+    if won is None:
+        regions = solve_parity(punishment_game(g, player, pred))
         return PunishRegions(regions.protagonist, regions.antagonist_strategy)
-    won = frozenset(attractor(game, targets, for_protagonist=True)[0])
+    succ = g.succ
     # a coalition node outside has a successor outside, or `won` would hold it
-    return PunishRegions(won, _Filled(lambda s: next(t for t in game.succ[s] if t not in won)))
+    return PunishRegions(won, _Filled(lambda s: next(t for t in succ[s] if t not in won)))
+
+
+# Credit sets are used while the product's nodes times the credits are at
+# most this many times the ids, or than 1,024: the sets then take a few
+# bytes per id, as the unfolding does, whatever the capacities.
+CREDIT_SET_ROOM = 64
+
+
+def credit_region(
+    g: UnfoldedArena, player: int, priority: list[int], steps: dict
+) -> Optional[frozenset[int]]:
+    """The ids of `g` from which `player` forces a target, a node of
+    priority 2, where its product node p has `priority[p]`, if the game is
+    a reachability game on its ids and its credit sets fit
+    `CREDIT_SET_ROOM`, else None. It is one when every priority its ids
+    reach is 1 or 2, and every successor of a target is a target, never the
+    sink (at priority 1): a play that meets a target then keeps to targets,
+    and every other play sees only priority 1. An `F` game is one once its
+    targets are absorbing and none has an edge into the underflow sink.
+
+    The region is the least fixpoint over the product nodes of `g.graph`:
+    node p holds an int whose bit c is set when the player forces a target
+    from p at credit key c (`UnfoldedArena.keys`). A target holds the
+    credits at which none of its edges goes below zero, and a target id
+    at another credit, found before the fixpoint, makes the game no
+    reachability game. A node of the
+    player's ORs the pre-images of its edges (`pre_image`), a coalition
+    node ANDs them, and a failed step counts as no credit; a pre-image
+    keeps only the credits an edge leaves without going below zero, so the
+    sink is never won. A worklist recomputes the predecessors of each node
+    that grows. The ids are read back in one pass over their keys. `steps`
+    maps each cost to its `pre_image_steps`, which it gains."""
+    graph, a, width = g.graph, g.base, prod(v + 1 for v in g.bounds)
+    n, reached, target = len(graph.state), set(g.at), [p == 2 for p in priority]
+    if width * n > CREDIT_SET_ROOM * max(len(g.keys), 1024) or not {1, 2}.issuperset(
+            map(priority.__getitem__, reached)) or not all(
+            x >= 0 and target[x] for p in reached if target[p] for x in graph.succ[p]):
+        return None
+    for w in set(a.edges.values()).difference(steps):
+        steps[w] = pre_image_steps(w, g.bounds)
+    state, everything = graph.state, (1 << width) - 1
+    # node -> (successor, its cost's steps); a failed step goes to node n, which holds no credit
+    edges = [[(x, steps[a.edges[s, state[x]]]) if x >= 0 else (n, ()) for x in out]
+             for s, out in zip(state, graph.succ)]
+    join = [or_ if a.owner[s] == player else and_ for s in state]
+    won = [reduce(and_, [pre_image(everything, st) for _, st in out]) if t else 0
+           for out, t in zip(edges, target)] + [0]
+    if everything != reduce(and_, compress(won, target), everything) and 0 in compress(
+            map(_bytes(won[:n], width).__getitem__, g.keys), map(target.__getitem__, g.at)):
+        return None  # a target id at a credit where an edge goes below zero
+    pred = predecessors([[] if t else [x for x, _ in out] for out, t in zip(edges, target)] + [[]])
+    work = [p for p in range(n) if not target[p]]  # never a target
+    waiting = [True] * n  # in `work`
+    while work:
+        p = work.pop()
+        waiting[p] = False
+        new = reduce(join[p], [pre_image(won[x], st) for x, st in edges[p]])
+        if new != won[p]:  # it only grows
+            won[p] = new
+            for q in pred[p]:
+                if not waiting[q]:
+                    waiting[q] = True
+                    work.append(q)
+    return frozenset(compress(range(len(g.keys)), map(_bytes(won[:n], width).__getitem__, g.keys)))
+
+
+# The characters "0" and "1" as the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bytes(sets: list[int], width: int) -> bytes:
+    """The credit sets `sets` of `width` bits, one per product node, as one
+    byte per key, 1 where its credit is in its node's set."""
+    return "".join([format(x, "b").zfill(width)[::-1] for x in sets]).encode().translate(_BITS)

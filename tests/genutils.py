@@ -805,6 +805,69 @@ def reach_dpas(a: Arena) -> dict:
     }
 
 
+def random_credit_arena(rng: random.Random):
+    """A seeded arena of 2-6 states and 1-3 players with 1-5 resources at
+    capacities 0-4, every player's objective `F x`, and a parity automaton
+    for `F x` that has no move on the letter {y}. The states other than s0
+    carry `x`, `y` or nothing at random. A state carrying `x` moves only to
+    such states, at costs from 0 to 2, so that each `F x` game is a
+    reachability game. The initial state s0 gains 1 of every resource on a
+    self-loop and moves for free to a gate, an unlabelled state whose one
+    edge, into a state carrying `x`, costs 1-3 of one resource: who owns
+    the gate wins there exactly at the credits that pay it. Any other edge
+    has cost components from -2 or 0 to 2, or, one time in seven, up to two
+    more than the capacity either way; an edge into a state carrying `y`
+    costs more than the first capacity there, so it always goes below zero,
+    and with the automaton it is a failed step. Returns the arena, its
+    bounds and the automaton."""
+    d, n, players = rng.randrange(1, 6), rng.randrange(2, 7), rng.randrange(1, 4)
+    bounds = tuple(rng.randrange(0, 5) for _ in range(d))
+    states = [f"s{k}" for k in range(n)]
+    labels = {s: [rng.choice(["x", "x", "y"])] if k and rng.random() < 0.4 else []
+              for k, s in enumerate(states)}
+    targets = [s for s in states if labels[s] == ["x"]]
+    gates = [s for s in states[1:] if not labels[s]]
+    gate = rng.choice(gates) if gates and targets else None
+    edges = {}
+    for s in states:
+        if labels[s] == ["x"]:
+            for t in rng.sample(targets, rng.randrange(1, len(targets) + 1)):
+                edges[(s, t)] = tuple(rng.randrange(0, 3) for _ in range(d))
+        elif s == gate:
+            w = [0] * d
+            w[rng.randrange(d)] = -rng.randrange(1, 4)
+            edges[(s, rng.choice(targets))] = tuple(w)
+        else:
+            for t in rng.sample(states, rng.randrange(1, n + 1)):
+                low = rng.choice([0, -2])  # a gain, or a cost that may go below zero
+                w = [rng.randrange(-v - 2, v + 3) if rng.random() < 1 / 7 else rng.randrange(low, 3)
+                     for v in bounds]
+                if labels[t] == ["y"]:
+                    w[0] = -bounds[0] - rng.randrange(1, 3)
+                edges[(s, t)] = tuple(w)
+    edges[("s0", "s0")] = (1,) * d
+    if gate:
+        edges[("s0", gate)] = (0,) * d
+    a = build_arena(
+        players=players,
+        dimensions=d,
+        states=states,
+        owner={s: rng.randrange(1, players + 1) for s in states},
+        initial="s0",
+        edges=edges,
+        atoms=list(ARENA_ATOMS),
+        labels=labels,
+        system_objective=ltl.TRUE,
+        player_objectives=(ltl.Eventually(ltl.Atom("x")),) * players,
+    )
+    dpa = parse_dpa(json.dumps({
+        "states": ["wait", "good"], "initial": "wait", "priorities": {"wait": 1, "good": 2},
+        "transitions": [{"src": "good", "dst": "good"}, {"src": "wait", "pos": ["x"], "dst": "good"},
+                        {"src": "wait", "neg": ["x", "y"], "dst": "wait"}],
+    }))
+    return a, bounds, dpa
+
+
 def random_punishable_arena(rng: random.Random):
     """A random arena in which one player's deviations lead into coalition
     states that can punish or concede, so that losers' tables have entries:
@@ -1026,7 +1089,10 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
     """`unfolding.unfold` as it read before it stepped credits by component:
     every (credit, cost) pair through `credit_after`, with `clipped` set
     when some component of a pair's sum exceeds its capacity, and the same
-    numbering: breadth-first from the initial state, the sink last."""
+    numbering: breadth-first from the initial state, the sink last. An id's
+    key puts its state's number in the arena's breadth-first order from
+    the initial state, as `unfolding.product` numbers it, above its credit's
+    key."""
     b = checked_bounds(a, bounds)
     names = sorted(a.states)
     place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
@@ -1068,11 +1134,15 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
         succ.append(out)
     n = len(found)
     states = [(names[key // width], credits[key % width]) for key in found]
+    order = [a.initial]
+    for s in order:  # breadth-first: the list grows while it is read
+        order += [t for t in a.successors(s) if t not in order]
     return UnfoldedArena(
         a, b, tuple(states) + (BOT,) * sink,
         [[n if j < 0 else j for j in out] for out in succ] + [[n]] * sink,
         [a.owner[s] for s, _ in states] + [1] * sink,
         clipped,
+        keys=[order.index(names[key // width]) * width + key % width for key in found],
     )
 
 
@@ -1201,7 +1271,9 @@ def reference_punish_region(
     one, and they are numbered as `unfolding.product` and `unfold` number
     them: in the order a breadth-first search from the start node finds
     them, the sink last. Returns the game as an unfolding whose every node
-    is its own product node, and the region on its ids."""
+    is its own product node, keyed by its id above its credit's key, with
+    each arena edge that goes below zero from it as a failed step, and the
+    region on its ids."""
     nodes, game = reference_tracker_product(u, player, tracker)
     start = nodes.index((0, tracker.step(tracker.initial, u.letters()[0])))
     seen, reached = [start], {start}
@@ -1218,12 +1290,23 @@ def reference_punish_region(
     sinks = [n] * any(nodes[j][0] == sink for j in seen)
     succ = [[ids[t] for t in game.succ[j]] for j in keep] + [[n] for _ in sinks]
     states = [u.states[nodes[j][0]] for j in keep]
+    failures = []
+    below = [[] for _ in keep]  # each node's failed steps
+    for k, (s, c) in enumerate(states):
+        for t in u.base.successors(s):
+            if credit_after(c, u.base.edges[s, t], u.bounds) is None:
+                below[k].append(~len(failures))
+                failures.append((t, DocumentSemanticError(f"{s}@{c} -> {t} goes below zero")))
     graph = Product(u.base, (tracker,), [s for s, _ in states], [(nodes[j][1],) for j in keep],
-                    [[t for t in out if t < n] for out in succ[:n]], [])
+                    [[t for t in out if t < n] + out_below for out, out_below in zip(succ, below)],
+                    failures)
+    place = [prod(v + 1 for v in u.bounds[i + 1:]) for i in range(len(u.bounds))]
+    width = prod(v + 1 for v in u.bounds)
     g = UnfoldedArena(
         u.base, u.bounds, tuple(states) + (BOT,) * len(sinks), succ,
         [u.owner[nodes[j][0]] for j in keep] + [1 for _ in sinks],
         u.clipped, graph, list(range(n)),
+        [k * width + sum(map(mul, c, place)) for k, (_, c) in enumerate(states)],
     )
     regions = reference_solve_parity(ZeroSumGame(
         succ, [game.is_protagonist[j] for j in keep] + [player == 1 for _ in sinks],

@@ -510,7 +510,7 @@ def test_stats_reports_sizes(fig1_path, capsys):
         pytest.param(
             "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
             re.compile("fig1@80,80( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d unfold=8/6/1374 product=1670 scc=466"
-                       "( region\\d=1671/attractor){3} unfolds=1 attractors=3"),
+                       "( region\\d=1671/credits){3} unfolds=1 pre_images=42"),
             id="layer_times.py",
         ),
         pytest.param(

@@ -1,17 +1,21 @@
+import collections
 import itertools
 import json
 import random
 import sys
+import tracemalloc
 from collections import deque
-from operator import le
+from math import prod
+from operator import le, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from carefulsynth import ltl
+from carefulsynth.arena import build_arena
 from carefulsynth.errors import DocumentSemanticError, UnsupportedObjectiveError
 from carefulsynth.ltl import FragmentClass
-from carefulsynth.unfolding import BOT, product, unfold
+from carefulsynth.unfolding import BOT, credit_after, pre_image, pre_image_steps, product, unfold
 from carefulsynth.zerosum import (
     ZeroSumGame,
     attractor,
@@ -37,6 +41,7 @@ from genutils import (
     oracle_parity_region,
     oracle_wins_against_table,
     random_closed_arena,
+    random_credit_arena,
     random_fragment_arena,
     random_game,
     random_many_player_arena,
@@ -110,8 +115,6 @@ def test_attractor_matches_strategy_enumeration(seed):
     assert att == oracle_attractor(g, targets)
     for s, t in strat.items():
         assert t in g.succ[s]
-    # without `within`, over the whole game: the same fixpoint and strategy
-    assert attractor(g, targets, for_protagonist=True) == (att, strat)
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +419,27 @@ def test_parity_equals_the_reference_on_region_games(generator):
     assert games >= 600
 
 
-def test_fig1_closed_reach_regions_call_the_attractor_once(monkeypatch, fig1):
+def test_fig1_closed_reach_regions_take_one_credit_fixpoint_and_no_predecessor_lists(
+        monkeypatch, fig1):
     # at (80,80) every F game has absorbing targets and no target with an
-    # edge into the sink: one attractor over the whole game solves it, and
-    # Zielonka's algorithm is not run
+    # edge into the sink: one fixpoint on credit sets solves it, with
+    # predecessor lists over the product's nodes only, never over the ids,
+    # no attractor and no Zielonka round
     u = unfold(fig1, (80, 80))
-    calls = _count_calls(monkeypatch, (zerosum, "attractor"), (zerosum, "solve_parity"))
+    calls = _count_calls(monkeypatch, (zerosum, "credit_region"), (zerosum, "attractor"),
+                         (zerosum, "solve_parity"))
+    sizes = []
+    monkeypatch.setattr(zerosum, "predecessors",
+                        lambda succ, _fn=zerosum.predecessors: sizes.append(len(succ)) or _fn(succ))
     for i in range(1, fig1.players + 1):
         g = product(fig1, [objective_tracker(fig1.objective_of(i))])
         assert ltl.classify_fragment(fig1.objective_of(i)).kind == FragmentClass.REACH
         assert g.is_arena
-        calls.update(attractor=0, solve_parity=0)
+        calls.update(dict.fromkeys(calls, 0))
+        sizes.clear()
         punish_region(u._replace(graph=g), i)
-        assert calls == {"attractor": 1, "solve_parity": 0}, i
+        assert calls == {"credit_region": 1, "attractor": 0, "solve_parity": 0}, i
+        assert sizes == [len(g.state) + 1] and len(g.state) + 1 < len(u.succ), (i, sizes)
 
 
 def _reachability_shaped(game) -> bool:
@@ -447,14 +458,16 @@ def _sink_edge_from_a_target(g, game) -> bool:
 
 
 def test_reachability_regions_equal_zielonka(monkeypatch):
-    # exactly the reachability-shaped games are solved by one attractor,
-    # and the attractor and Zielonka's algorithm both give the reference's
+    # exactly the reachability-shaped games are solved on credit sets, and
+    # the credit sets and Zielonka's algorithm both give the reference's
     # region and table, for every player and for each F player also given
-    # as an automaton; both paths run often, the attractor also on games
-    # that are not the arena's unfolding, and Zielonka's on closed F games
-    # (one node per arena state) with a target that has an edge into the sink
-    calls = _count_calls(monkeypatch, (zerosum, "attractor"), (zerosum, "solve_parity"))
-    paths = dict.fromkeys(["attractor", "attractor, not the arena", "zielonka",
+    # as an automaton, on the package's game and on the reference's, whose
+    # every node is its own product node; both paths run often, the credit
+    # sets also on games that are not the arena's unfolding, and Zielonka's
+    # on closed F games (one node per arena state) with a target that has
+    # an edge into the sink
+    calls = _count_calls(monkeypatch, (zerosum, "solve_parity"))
+    paths = dict.fromkeys(["credit sets", "credit sets, not the arena", "zielonka",
                            "closed F, target to sink"], 0)
     generators = [random_fragment_arena, random_punishable_arena, random_closed_arena,
                   random_many_player_arena]
@@ -467,25 +480,127 @@ def test_reachability_regions_equal_zielonka(monkeypatch):
                 before = calls["solve_parity"]
                 g = unfold(product(a, [tracker]), bounds)
                 r = punish_region(g, i)
+                took_credit_sets = calls["solve_parity"] == before
                 ref_g, ref = reference_punish_region(u, i, tracker)
                 case = (generator.__name__, seed, i, automaton)
                 assert (g.states, g.succ) == (ref_g.states, ref_g.succ), case
                 assert r.win == ref.win and coalition_moves(g, i, r) == ref.punishment, case
+                before = calls["solve_parity"]
+                on_ref = punish_region(ref_g, i)
+                assert (calls["solve_parity"] == before) == took_credit_sets, case
+                assert on_ref.win == ref.win, case
+                assert coalition_moves(ref_g, i, on_ref) == ref.punishment, case
                 game = punishment_game(g, i)
-                took_attractor = calls["solve_parity"] == before
-                assert took_attractor == _reachability_shaped(game), case
-                if took_attractor:
-                    paths["attractor"] += 1
-                    paths["attractor, not the arena"] += not g.graph.is_arena
+                assert took_credit_sets == _reachability_shaped(game), case
+                if took_credit_sets:
+                    paths["credit sets"] += 1
+                    paths["credit sets, not the arena"] += not g.graph.is_arena
                     continue
                 paths["zielonka"] += 1
                 paths["closed F, target to sink"] += (
                     i in dpas and not automaton and g.graph.is_arena
                     and _sink_edge_from_a_target(g, game)
                 )
-    assert paths["attractor"] >= 1000 and paths["zielonka"] >= 1000, paths
-    assert paths["attractor, not the arena"] >= 100, paths
+    assert paths["credit sets"] >= 1000 and paths["zielonka"] >= 1000, paths
+    assert paths["credit sets, not the arena"] >= 100, paths
     assert paths["closed F, target to sink"] >= 10, paths
+
+
+def test_pre_image_is_the_credits_an_edge_leads_into_a_set():
+    # every credit at one to five resources and capacities 0-4 against
+    # `credit_after`, for costs up to two more than a capacity either way
+    # and random sets of credits, the empty set and every credit
+    seen = collections.Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        bounds = tuple(rng.randrange(0, 5) for _ in range(rng.randrange(1, 6)))
+        place = [prod(v + 1 for v in bounds[i + 1:]) for i in range(len(bounds))]
+        credits = list(itertools.product(*(range(v + 1) for v in bounds)))  # in key order
+        w = tuple(rng.randrange(-v - 2, v + 3) for v in bounds)
+        steps = pre_image_steps(w, bounds)
+        for won in [0, (1 << len(credits)) - 1, rng.getrandbits(len(credits))]:
+            pre = pre_image(won, steps)
+            expected = 0
+            for k, c in enumerate(credits):
+                after = credit_after(c, w, bounds)
+                if after is not None and won >> sum(map(mul, after, place)) & 1:
+                    expected |= 1 << k
+            assert pre == expected, (seed, bounds, w, won)
+        seen[len(bounds), "above"] += any(abs(x) > v for x, v in zip(w, bounds))
+        seen[len(bounds), "saturates"] += any(0 < x for x in w)
+    for d in range(1, 6):
+        assert min(seen[d, "above"], seen[d, "saturates"]) >= 50, seen
+
+
+def test_credit_regions_equal_the_attractor_at_up_to_five_resources(monkeypatch):
+    # reachability-shaped games at one to five resources and capacities
+    # 0-4, with costs above a capacity, edges into the sink, failed steps
+    # and product nodes won at some credits and lost at others: the region
+    # on credit sets, with no fallback, against the attractor of the
+    # targets on the same unfolded game, its won ids and the coalition's
+    # move at each of its ids outside, the first successor outside the
+    # attractor
+    calls = _count_calls(monkeypatch, (zerosum, "solve_parity"))
+    seen = collections.Counter()
+    for seed in range(600):
+        a, bounds, dpa = random_credit_arena(random.Random(seed))
+        d = a.dimensions
+        for i in range(1, a.players + 1):
+            for tracker in objective_tracker(a.objective_of(i)), objective_tracker(
+                    a.objective_of(i), dpa):
+                g = unfold(product(a, [tracker]), bounds)
+                game = punishment_game(g, i)
+                if not _reachability_shaped(game):
+                    continue
+                r = punish_region(g, i)
+                targets = [j for j, p in enumerate(game.priority) if p == 2]
+                won, _ = attractor(game, targets, for_protagonist=True, within=set(game.states))
+                case = (seed, i, tracker.initial)
+                assert r.win == won, case
+                assert coalition_moves(g, i, r) == {
+                    j: next(t for t in game.succ[j] if t not in won)
+                    for j in game.states if not game.is_protagonist[j] and j not in won}, case
+                seen[d] += 1
+                seen[d, "above"] += any(abs(x) > v for w in a.edges.values()
+                                        for x, v in zip(w, bounds))
+                seen[d, "sink"] += g.states[-1] is BOT
+                seen[d, "failed"] += bool(g.graph.failures)
+                by_node = collections.defaultdict(set)  # product node -> whether its ids are won
+                for j, p in enumerate(g.at):
+                    by_node[p].add(j in won)
+                seen[d, "credit decides"] += any(len(x) == 2 for x in by_node.values())
+    assert calls["solve_parity"] == 0
+    assert sum(seen[d] for d in range(1, 6)) >= 1000, seen
+    for d in range(1, 6):
+        assert min(seen[d, kind] for kind in ("above", "sink")) >= 100, (d, seen)
+        assert seen[d, "failed"] >= 30 and seen[d, "credit decides"] >= 100, (d, seen)
+
+
+def test_credit_sets_allocate_nothing_per_unit_of_capacity():
+    # player 1's F game reaches one credit at capacities 10**12, where the
+    # coalition moves to x and every way to the target goes below zero: a
+    # credit set over the capacities would not fit in memory, so the region
+    # is solved on the few ids, within the unfolding's own memory
+    a = build_arena(
+        players=2, dimensions=2, states=["s", "x", "t"], owner={"s": 2, "x": 1, "t": 1},
+        initial="s",
+        edges={("s", "x"): (0, 0), ("s", "t"): (0, -1), ("x", "x"): (0, 0),
+               ("x", "t"): (-1, 0), ("t", "t"): (0, 0)},
+        atoms=["goal"], labels={"s": [], "x": [], "t": ["goal"]},
+        system_objective=ltl.TRUE, player_objectives=(ltl.parse_ltl("F goal"), ltl.TRUE),
+    )
+    bounds = (10**12, 10**12)
+    tracemalloc.start()
+    try:
+        g = unfold(product(a, [objective_tracker(a.objective_of(1))]), bounds)
+        r = punish_region(g, 1)
+        result = synthesis.solve(a, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s for s, _ in g.states[:-1]] == ["s", "x"] and g.states[-1] is BOT
+    assert r.win == frozenset() and result.status == "solution"
+    assert peak < 2**20
 
 
 def test_a_game_without_priority_2_is_not_a_reachability_game():
