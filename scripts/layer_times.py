@@ -20,17 +20,17 @@ solve minus those layers summed (`solve_parity` counted once, inside
 each loser's won nodes and cutting the tables to the certificate; it can
 read slightly below zero, as the layers' times and the solve's come from
 different runs. The line ends with sizes from one more solve, which do
-not depend on the machine: `unfold=C/N/R` for each `unfold`
-call, in call order, the arena's distinct costs, the nodes of the product
-it unfolds and the credits its unfolding reaches (`unfold` keeps one row
-per credit, over the costs); `product=N`, the witness product's nodes;
+not depend on the machine: `unfold=C/N/R` for the solve's one `unfold`
+call, the arena's distinct costs, the nodes of the witness product it
+unfolds and the credits its unfolding reaches (`unfold` keeps one row per
+credit, over the costs); `product=N`, the witness product's nodes;
 `scc=N`, the ids its Tarjan passes cover: those whose product
 node lies in a product SCC where the system can accept, and, when no SCC
 is found there, every id, in the pass that sets `cyclic`; `regionI=N`,
 the nodes of player I's punishment game, followed by its solver,
-`/credits` (`zerosum.credit_region`) or `/zielonka`; `unfolds=N`, the
-number of `unfold` calls; and `pre_images=N`, the number of credit-set
-pre-images computed (`unfolding.pre_image`, called by `credit_region`).
+`/credits` (`zerosum.credit_region`) or `/zielonka`; and `pre_images=N`,
+the number of credit-set pre-images computed (`unfolding.pre_image`,
+called by `credit_region`).
 
 With `--check`, each instance that has a solution is solved once through
 the in-process CLI, and its certificate is then checked `--repeat` times
@@ -104,11 +104,11 @@ def timed(run, layers) -> list[tuple[str, float]]:
 
 
 def solve_sizes(a, bounds, dpas) -> list[str]:
-    """The sizes of one solve: for each `unfold` call, the arena's distinct
+    """The sizes of one solve: for its `unfold` call, the arena's distinct
     costs, the product's nodes and the credits reached; the witness
     product's nodes and the ids its Tarjan passes cover, each region game's
-    nodes and its solver, and the numbers of `unfold` calls and of
-    credit-set pre-images computed."""
+    nodes and its solver, and the number of credit-set pre-images
+    computed."""
     sizes, calls, covered = [], [], []  # covered: the ids of each Tarjan pass
 
     def witness(name, fn):
@@ -142,7 +142,6 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
 
     def unfold(name, fn):
         def call(g, *args, **kwargs):
-            calls.append(name)
             u = fn(g, *args, **kwargs)
             credits = len({s[1] for s in u.states[:len(u.at)]})
             sizes.append(f"unfold={len(set(a.edges.values()))}/{len(u.graph.state)}/{credits}")
@@ -154,7 +153,7 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
              (synthesis, "unfold"): unfold, (zerosum, "pre_image"): count,
              (zerosum, "solve_parity"): count,
              (synthesis, "strongly_connected_components"): tarjan})
-    return sizes + [f"unfolds={calls.count('unfold')}", f"pre_images={calls.count('pre_image')}"]
+    return sizes + [f"pre_images={calls.count('pre_image')}"]
 
 
 def fastest(run, repeat: int) -> float:

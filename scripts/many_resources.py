@@ -12,8 +12,8 @@ Its objectives are then drawn again from the seeded mix of
 `scripts/many_players.py` (`F a`, `G F a`, `G !a`, `F G !a`, with the
 system objective `G !a`), so that some players lose, and it is solved at
 capacity 4 in each resource. One line per instance gives the verdict; the
-unfolded states and edges summed over the solve's `unfold` calls, and the
-number of calls; the milliseconds of the solve and of the layers that
+states and edges of the solve's one unfolding, the witness product's; the
+milliseconds of the solve and of the layers that
 `scripts/layer_times.py` times, each the fastest of `--repeat` runs and
 summed over one solve's calls, and the rest of the solve; and `unfold`'s
 nanoseconds per unfolded edge. All are measured in this process.
@@ -63,10 +63,11 @@ def solve_line(a, repeat: int) -> str:
 
     layer_times.patched(lambda: results.append(synthesis.solve(a, bounds)),
                         {(synthesis, "unfold"): kept})
-    edges = sum(len(out) for u in unfolded for out in u.succ)
+    [u] = unfolded
+    edges = sum(map(len, u.succ))
     ms = layer_times.solve_times(a, bounds, None, repeat)
-    return (f"{results[0].status}, {sum(len(u.states) for u in unfolded)} states, {edges} edges, "
-            f"{len(unfolded)} unfolds, {' '.join(f'{k} {v:.1f}' for k, v in ms.items())} ms, "
+    return (f"{results[0].status}, {len(u.states)} states, {edges} edges, "
+            f"{' '.join(f'{k} {v:.1f}' for k, v in ms.items())} ms, "
             f"unfold {ms['unfold'] * 1e6 / edges:.0f} ns/edge")
 
 

@@ -45,7 +45,7 @@ def region_lines(inst: workloads.Instance) -> list[str]:
     for i in range(1, a.players + 1):
         tracker = objective_tracker(a.objective_of(i), dpas.get(i))
         g = unfold(product(a, [tracker]), inst.bounds)
-        r = punish_region(g, i)
+        r = punish_region(g, i, 0)
         at_sink = tracker.step(tracker.initial, frozenset({RESERVED_ATOM}))
 
         def node(j):  # a game id -> its node (unfolded state, tracker state), rendered

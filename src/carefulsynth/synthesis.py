@@ -1,25 +1,22 @@
 """Deciding careful cooperative rational synthesis on bounded instances.
 
 Pipeline: unfold the arena's product with the system objective's component
-and every player's tracker (`unfolding.product`); a product with one node
-per arena state takes the arena's unfolding, shared by every such product.
-For each winner set that the even mask of some cyclic SCC holds (SCCs found
-only inside the product's SCCs where the system's priority can be even; see
+and every player's tracker (`unfolding.product`), once per solve. For each
+winner set that the even mask of some cyclic SCC holds (SCCs found only
+inside the product's SCCs where the system's priority can be even; see
 `WitnessProduct`), search it for a lasso that the system's component and
-every winner's tracker accept, avoiding the nodes where a loser owns the
-state and its punishment region, solved on the unfolded product with its
-tracker when it first loses, holds the same state, credit and tracker
-state. The lasso plus the losers' tables, each cut to the nodes the loser's
-deviations reach, form the certificate; `check_certificate` checks it
-without the game solver and without building the unfolding, by an emptiness
-test per loser on the graph its table leaves. It shares with the solver
-only the objective trackers and the SCC kernel (README, step 4).
+every winner's tracker accept, avoiding the nodes a loser owns in its
+punishment region, solved on the same unfolding, the loser's tracker one
+of its components, when the player first loses. The lasso plus the
+losers' tables, each cut to the nodes the loser's deviations reach, form
+the certificate; `check_certificate` checks it without the game solver and
+without building the unfolding, by an emptiness test per loser on the
+graph its table leaves. It shares with the solver only the objective
+trackers and the SCC kernel (README, step 4).
 """
 
 import itertools
 from collections import deque
-from math import prod
-from operator import add
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
@@ -39,7 +36,6 @@ from .errors import (
 from .unfolding import (
     BOT,
     DEFAULT_STATE_BUDGET,
-    Product,
     UState,
     UnfoldedArena,
     checked_bounds,
@@ -251,28 +247,16 @@ def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
     return Lasso(stem=tuple(s for s, _ in stem), loop=tuple(s for s, _ in loop), trace=trace)
 
 
-def _game_ids(w: UnfoldedArena, g: UnfoldedArena, i: int) -> Sequence[int]:
-    """The id in `g`, player i's game, of each node of `w`, the witness
-    product's unfolding: the node at its state and credit with its state of
-    i's tracker, component i, found by its key, `to[p] * width` plus the
-    credit's key for the game's product node `to[p]`. Both on the arena's
-    unfolding, it is itself."""
-    if g.succ is w.succ:
-        return range(len(w.states))
-    of = {(s, qs): p for p, (s, qs) in enumerate(zip(g.graph.state, g.graph.qs))}
-    width = prod(v + 1 for v in w.bounds)
-    shift = [(of[s, (qs[i],)] - p) * width for p, (s, qs) in enumerate(zip(w.graph.state, w.graph.qs))]
-    index = dict(zip(g.keys, range(len(g.keys))))
-    return list(map(index.__getitem__, map(add, w.keys, map(shift.__getitem__, w.at))))
-
-
-def _reached_entries(g: UnfoldedArena, player, region, path) -> dict:
+def _reached_entries(g: UnfoldedArena, player, component, region, path) -> dict:
     """The entries of `region`'s table that `player` reads, keyed as in
     certificates, once it leaves the outcome by a sink-free move and then
     moves freely: the nodes `_deviation_faults` explores, from the same
-    starts, and a solve's only table lookups. `g` is the player's game,
-    whose nodes carry its tracker state, and `path` the outcome's ids in it
-    over stem, loop and loop head."""
+    starts, and a solve's only table lookups. `g` is the region's unfolded
+    product, its component `component` the player's tracker, and `path`
+    the outcome's ids in it over stem, loop and loop head. Nodes of one key
+    may move apart, and it keeps the last one reached: `g` refines the
+    one-tracker game, so its attractor layers and Zielonka subgames hold
+    whole keys, and any node's move is a winning move for its key."""
     states, succ, owner, at, qs = g.states, g.succ, g.owner, g.at, g.graph.qs
     table = region.punishment
     stack = [t for j, nxt in zip(path, path[1:]) if owner[j] == player
@@ -287,7 +271,7 @@ def _reached_entries(g: UnfoldedArena, player, region, path) -> dict:
             stack += succ[j]
         else:  # outside the loser's region, so the table has the node
             t = table[j]
-            kept[(states[j], str(qs[at[j]][0]))] = states[t]
+            kept[(states[j], str(qs[at[j]][component]))] = states[t]
             stack.append(t)
     return kept
 
@@ -310,20 +294,10 @@ def solve(
             trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
-    shared: list = []  # the unfolding of the first product that is the arena's reachable part
-
-    def unfolded(p: Product) -> UnfoldedArena:
-        if not p.is_arena:
-            return unfold(p, bounds)
-        if not shared:
-            shared.append(unfold(p, bounds))
-        return shared[0]._replace(graph=p)
-
-    u = unfolded(product(a, [trackers[i] for i in players], system_component(a.system_objective)))
+    u = unfold(product(a, list(trackers.values()), system_component(a.system_objective)), bounds)
     witness = witness_product(u)
-    owner, size = u.owner, len(u.at)
-    games, ids, regions, blocked = {}, {}, {}, {}  # by loser, each solved when it first loses
-    preds: dict = {}  # id of a game's successor lists -> their predecessor lists
+    regions, blocked = {}, {}  # by loser, each solved when it first loses
+    pred: list = []  # the predecessor lists of `u.succ`, filled for the first Zielonka game
     steps: dict = {}  # each cost's pre-image steps, for every region
 
     diagnostics: list[tuple[tuple[int, ...], str]] = []
@@ -336,11 +310,9 @@ def solve(
             continue
         for i in players:
             if i not in winner_set and i not in regions:
-                g = games[i] = unfolded(product(a, [trackers[i]]))
-                r = regions[i] = punish_region(g, i, preds.setdefault(id(g.succ), []), steps)
-                to = ids[i] = _game_ids(u, g, i)
-                blocked[i] = ({k for k in r.win if owner[k] == i} if g.succ is u.succ  # same ids
-                              else {k for k in range(size) if owner[k] == i and to[k] in r.win})
+                # player i's tracker is component i of `u`, the system's 0
+                r = regions[i] = punish_region(u, i, i, pred, steps)
+                blocked[i] = {k for k in r.win if u.owner[k] == i}
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
             stem, loop = find_witness_lasso(witness, [i - 1 for i in winner_set], forbidden)
@@ -353,9 +325,7 @@ def solve(
         )
         path = (*stem, *loop, loop[0])
         punishment = {
-            i: {} if i in winners else _reached_entries(
-                games[i], i, regions[i], [ids[i][n] for n in path]
-            )
+            i: {} if i in winners else _reached_entries(u, i, i, regions[i], path)
             for i in players
         }
         profile = StrategyProfile(outcome, winners, punishment)

@@ -102,10 +102,10 @@ class Product(NamedTuple):
     component first, whose `step` lists states): node p is arena state
     `state[p]` with each component's state after its letter, `qs[p]`,
     numbered in the order `product` finds them from the initial node, 0:
-    as the arena (`is_arena`) when each state has one node, since the
-    search then takes the arena's steps. A failed step is the edge ~e to
-    `failures[e]`, (target, error), which `unfold` raises where a reached
-    node takes it without underflow."""
+    as the arena when each state has one node, since the search then takes
+    the arena's steps. A failed step is the edge ~e to `failures[e]`,
+    (target, error), which `unfold` raises where a reached node takes it
+    without underflow."""
 
     base: Arena
     components: tuple
@@ -113,11 +113,6 @@ class Product(NamedTuple):
     qs: list[tuple]
     succ: list[list[int]]
     failures: list[tuple[str, Exception]]
-
-    @property
-    def is_arena(self) -> bool:
-        """One node per arena state it reaches and no failed step: the arena."""
-        return not self.failures and len(set(self.state)) == len(self.state)
 
 
 def product(a: Arena, trackers: Sequence, system=None) -> Product:

@@ -2,8 +2,9 @@
 Zielonka's parity algorithm, objective trackers, and the per-player
 punishment regions used by the equilibrium characterization. Every objective
 becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
-`F G`, or a supplied parity automaton); a punishment game is the unfolded
-product of the arena with that tracker (`unfolding.product`). A
+`F G`, or a supplied parity automaton); a punishment game is played on an
+unfolded product of the arena with that tracker as one of its components
+(`unfolding.product`): in `solve`, the witness product's. A
 reachability game is solved on credit sets, one int per product node
 whose bit k is set when credit key k is won (`credit_region`, after
 symbolic model checking, Burch, Clarke, McMillan, Dill and Hwang, LICS
@@ -321,14 +322,16 @@ class PunishRegions(NamedTuple):
     punishment: dict[int, int]
 
 
-def punishment_game(g: UnfoldedArena, player: int, pred: Optional[list] = None) -> ZeroSumGame:
-    """`player`'s game on `g`, the arena's unfolded product with one
-    tracker: `g.succ`, the player the protagonist at its states, the
-    tracker's priorities, and the sink at priority 1, so carefulness stays
-    losing. Its predecessor lists are `pred`, a list the caller keeps for
-    `g.succ`, filled here if empty, so that games on one unfolding share it."""
-    (tracker,) = g.graph.components
-    prio = [tracker.priority(q) for (q,) in g.graph.qs]
+def punishment_game(g: UnfoldedArena, player: int, component: int,
+                    pred: Optional[list] = None) -> ZeroSumGame:
+    """`player`'s game on `g`, an unfolded product of the arena whose
+    component `component` is the player's tracker: `g.succ`, the player the
+    protagonist at its states, that tracker's priorities, and the sink at
+    priority 1, so carefulness stays losing. Its predecessor lists are
+    `pred`, a list the caller keeps for `g.succ`, filled here if empty, so
+    that games on one unfolding share it."""
+    priority = g.graph.components[component].priority
+    prio = [priority(qs[component]) for qs in g.graph.qs]
     if pred is not None and not pred:
         pred += predecessors(g.succ)
     return ZeroSumGame(
@@ -338,31 +341,33 @@ def punishment_game(g: UnfoldedArena, player: int, pred: Optional[list] = None) 
 
 
 def punish_region(
-    g: UnfoldedArena, player: int, pred: Optional[list] = None, steps: Optional[dict] = None
+    g: UnfoldedArena, player: int, component: int, pred: Optional[list] = None,
+    steps: Optional[dict] = None,
 ) -> PunishRegions:
     """Where can `player`, alone against the coalition, carefully achieve
-    the objective of the tracker of `g`, from the tracker state its history
-    has reached? A losing outcome must not visit a node the player owns in
-    this region of `punishment_game(g, player, pred)`. A reachability game
-    is solved on credit sets (`credit_region`, with `steps`, a dict the
-    caller may keep for the games of one capacity vector), the coalition
-    moving from each of its nodes outside to its first successor outside,
-    which is Zielonka's answer there, found only where the table is read;
-    Zielonka's algorithm solves every other game."""
-    (tracker,) = g.graph.components
-    won = credit_region(g, player, [tracker.priority(q) for (q,) in g.graph.qs],
+    the objective of its tracker, component `component` of `g`, from the
+    tracker state its history has reached? A losing outcome must not visit
+    a node the player owns in this region of `punishment_game(g, player,
+    component, pred)`; the other components only refine that game. A
+    reachability game is solved on credit sets (`credit_region`, with
+    `steps`, a dict the caller may keep for the games of one capacity
+    vector), the coalition moving from each of its nodes outside to its
+    first successor outside, which is Zielonka's answer there, found only
+    where the table is read; Zielonka's algorithm solves every other game."""
+    priority = g.graph.components[component].priority
+    won = credit_region(g, player, [priority(qs[component]) for qs in g.graph.qs],
                         {} if steps is None else steps)
     if won is None:
-        regions = solve_parity(punishment_game(g, player, pred))
+        regions = solve_parity(punishment_game(g, player, component, pred))
         return PunishRegions(regions.protagonist, regions.antagonist_strategy)
     succ = g.succ
     # a coalition node outside has a successor outside, or `won` would hold it
     return PunishRegions(won, _Filled(lambda s: next(t for t in succ[s] if t not in won)))
 
 
-# Credit sets are used while the product's nodes times the credits are at
-# most this many times the ids, or than 1,024: the sets then take a few
-# bytes per id, as the unfolding does, whatever the capacities.
+# Credit sets are used while their bits, the product's nodes times the
+# credits, are at most this many times the unfolding's ids counted as at
+# least 1,024 (65,536 bits): a few bytes per id, whatever the capacities.
 CREDIT_SET_ROOM = 64
 
 

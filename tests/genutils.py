@@ -279,11 +279,17 @@ def game_node(g: UnfoldedArena, j: int) -> tuple:
     return g.states[j], g.graph.qs[g.at[j]][0] if j < len(g.at) else None
 
 
+def one_node_per_state(p: Product) -> bool:
+    """One node per arena state `p` reaches and no failed step: `p` is then
+    numbered as the arena's own product, and unfolds to the arena's ids."""
+    return not p.failures and len(set(p.state)) == len(p.state)
+
+
 def region_of(a: Arena, bounds, player: int, tracker) -> tuple[UnfoldedArena, PunishRegions]:
     """`player`'s punishment game at `bounds`, the unfolding of `a` in
     product with `tracker`, and its region."""
     g = unfold(product(a, [tracker]), bounds)
-    return g, punish_region(g, player)
+    return g, punish_region(g, player, 0)
 
 
 def coalition_moves(g: UnfoldedArena, player: int, region: PunishRegions) -> dict:
@@ -740,7 +746,7 @@ def random_closed_arena(rng: random.Random):
     """A `random_fragment_arena` without the edges that leave an `F`
     objective's targets or a `G` objective's failures, so that its
     trackers are closed on its edges: their products with the arena have
-    one node per state (`unfolding.Product.is_arena`); a state left
+    one node per state (`one_node_per_state`); a state left
     without a move gets a self-loop. Half the time every cost is made
     nonnegative, so that the unfolding has no sink. A third of the time
     the system objective's edges are kept, so that its tracker may be the
@@ -1416,12 +1422,13 @@ def reference_find_witness_lasso(product, winners, forbidden):
 def oracle_solve(a: Arena, bounds, dpas=None):
     """`synthesis.solve` without its winner-set pruning: every winner set is
     searched in turn, with each loser's punishment region solved the first
-    time it loses. It unfolds, builds the witness product and the region
-    games and searches with the reference passes above; a forbidden id
-    outside the product makes every search run its own reachability and
-    SCC pass, whatever the losers forbid. Each search is
-    `reference_find_witness_lasso` as this module's global, looked up at
-    each call."""
+    time it loses, by `reference_solve_parity`, on the reference witness
+    product with the sink added, the player's tracker read off its node's
+    component states. It unfolds, builds the witness product and searches
+    with the reference passes above; a forbidden id outside the product
+    makes every search run its own reachability and SCC pass, whatever the
+    losers forbid. Each search is `reference_find_witness_lasso` as this
+    module's global, looked up at each call."""
     dpas = dict(dpas or {})
     u = reference_unfold(a, bounds)
     players = list(range(1, a.players + 1))
@@ -1431,19 +1438,26 @@ def oracle_solve(a: Arena, bounds, dpas=None):
             trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
         except UnsupportedObjectiveError as e:
             return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
-    nodes, product = reference_witness_product(
-        u, system_component(a.system_objective), [trackers[i] for i in players]
-    )
-    games, regions, ids, blocked, diagnostics = {}, {}, {}, {}, []
+    system = system_component(a.system_objective)
+    nodes, product = reference_witness_product(u, system, [trackers[i] for i in players])
+    n, to_sink = len(nodes), [any(u.states[t] is BOT for t in u.succ[s]) for s, _ in nodes]
+    sink = [BOT] * any(to_sink)  # the sink, last, after every edge that goes below zero
+    g = UnfoldedArena(  # the product with the sink, every node its own product node
+        a, u.bounds, tuple(u.states[s] for s, _ in nodes) + tuple(sink),
+        [out + [n] * hit for out, hit in zip(product.succ, to_sink)] + [[n] for _ in sink],
+        [u.owner[s] for s, _ in nodes] + [1 for _ in sink], u.clipped,
+        Product(a, (system, *[trackers[i] for i in players]), [u.states[s][0] for s, _ in nodes],
+                [qs for _, qs in nodes], product.succ, []),
+        list(range(n)))
+    regions, blocked, diagnostics = {}, {}, []
     for winner_set in _winner_sets(a.players):
         for i in players:
             if i not in winner_set and i not in regions:
-                games[i], regions[i] = reference_punish_region(u, i, trackers[i])
-                ids[i] = {game_node(games[i], j): j for j in range(len(games[i].states))}
-                blocked[i] = {
-                    k for k, (s, qs) in enumerate(nodes)
-                    if u.owner[s] == i and ids[i][(u.states[s], qs[i])] in regions[i].win
-                }
+                r = reference_solve_parity(ZeroSumGame(
+                    g.succ, [o == i for o in g.owner],
+                    [trackers[i].priority(qs[i]) for _, qs in nodes] + [1 for _ in sink]))
+                regions[i] = PunishRegions(r.protagonist, r.antagonist_strategy)
+                blocked[i] = {k for k in r.protagonist if g.owner[k] == i}
         forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])
         try:
             stem, loop = reference_find_witness_lasso(
@@ -1452,15 +1466,13 @@ def oracle_solve(a: Arena, bounds, dpas=None):
         except NoWitness as e:
             diagnostics.append((winner_set, str(e)))
             continue
-        outcome = outcome_lasso(u, [nodes[n][0] for n in stem], [nodes[n][0] for n in loop])
+        outcome = outcome_lasso(u, [nodes[k][0] for k in stem], [nodes[k][0] for k in loop])
         winners = frozenset(
-            i for i in players if max(product.priority[n][i] for n in loop) % 2 == 0
+            i for i in players if max(product.priority[k][i] for k in loop) % 2 == 0
         )
-        path = [nodes[n] for n in (*stem, *loop, loop[0])]
+        path = (*stem, *loop, loop[0])
         punishment = {
-            i: {} if i in winners else _reached_entries(
-                games[i], i, regions[i], [ids[i][(u.states[s], qs[i])] for s, qs in path]
-            )
+            i: {} if i in winners else _reached_entries(g, i, i, regions[i], path)
             for i in players
         }
         profile = StrategyProfile(outcome, winners, punishment)

@@ -501,7 +501,7 @@ def test_stats_reports_sizes(fig1_path, capsys):
         ),
         pytest.param(
             "many_resources.py", ["--dims", "3", "--seeds", "1", "--repeat", "1"],
-            re.compile("d=3 seed 1: solution, 7243 states, 19563 edges, 3 unfolds, solve \\d+\\.\\d "
+            re.compile("d=3 seed 1: solution, 3795 states, 10288 edges, solve \\d+\\.\\d "
                        "product \\d+\\.\\d unfold \\d+\\.\\d witness_product \\d+\\.\\d "
                        "punish_region \\d+\\.\\d solve_parity \\d+\\.\\d "
                        "find_witness_lasso \\d+\\.\\d rest -?\\d+\\.\\d ms, unfold \\d+ ns/edge"),
@@ -510,7 +510,7 @@ def test_stats_reports_sizes(fig1_path, capsys):
         pytest.param(
             "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
             re.compile("fig1@80,80( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d unfold=8/6/1374 product=1670 scc=466"
-                       "( region\\d=1671/credits){3} unfolds=1 pre_images=42"),
+                       "( region\\d=1671/credits){3} pre_images=42"),
             id="layer_times.py",
         ),
         pytest.param(

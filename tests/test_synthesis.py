@@ -225,19 +225,20 @@ def _check_product_laws(a, bounds, system, trackers):
 
 def test_closed_products_equal_the_general_build():
     # a product closed on the arena's edges, with one node per arena state
-    # it reaches, is numbered as the arena's own, so the arena's unfolding,
-    # which `solve` takes for it, equals the product's own, lists and ids;
-    # closed or not, the unfolded product's `clipped` is the arena's
-    counts = {(is_arena, sink): 0 for is_arena in (False, True) for sink in (False, True)}
+    # it reaches, is numbered as the arena's own, so its unfolding equals
+    # the arena's, lists and ids; closed or not, the unfolded product's
+    # `clipped` is the arena's
+    counts = {(closed, sink): 0 for closed in (False, True) for sink in (False, True)}
     for generator, seed in itertools.product([random_closed_arena, random_fragment_arena], range(400)):
         a, bounds = generator(random.Random(seed))
         u = unfold(a, bounds)
         trackers = [objective_tracker(a.objective_of(i)) for i in range(1, a.players + 1)]
         g = product(a, trackers, system_component(a.system_objective))
         w = unfold(g, bounds)
-        counts[g.is_arena, BOT in u.states] += 1
+        closed = genutils.one_node_per_state(g)
+        counts[closed, BOT in u.states] += 1
         assert w.clipped == u.clipped, (generator, seed)
-        if g.is_arena:
+        if closed:
             assert g.state == u.graph.state and g.succ == u.graph.succ, (generator, seed)
             assert w._replace(graph=None) == u._replace(graph=None), (generator, seed)
             assert witness_product(u._replace(graph=g)) == witness_product(w), (generator, seed)
@@ -346,15 +347,15 @@ def test_unfolded_products_equal_the_reference(generator, seeds):
         nodes, ref = genutils.reference_witness_product(u, system, trackers)
         assert got == _node_graph([(u.states[k], qs) for k, qs in nodes], ref.succ,
                                   ref.priority, [u.owner[k] for k, _ in nodes]), (seed, automata)
-        shapes["witness", g.is_arena] += 1
+        shapes["witness", genutils.one_node_per_state(g)] += 1
         for i, tracker in enumerate(trackers, 1):
             r = product(a, [tracker])
             game_u = unfold(r, bounds)
-            game = zerosum.punishment_game(game_u, i)
+            game = zerosum.punishment_game(game_u, i, 0)
             names = [game_node(game_u, j) for j in range(len(game_u.states))]
             got = _node_graph(names, game.succ, game.priority, game_u.owner)
             assert got == _reference_region_graph(u, i, tracker), (seed, automata, i)
-            shapes["region", r.is_arena] += 1
+            shapes["region", genutils.one_node_per_state(r)] += 1
     assert min(shapes.values()) >= 20, shapes
 
 
@@ -410,7 +411,7 @@ def test_an_automaton_is_stepped_only_on_letters_the_unfolding_meets():
     assert result.status == SolveResult.SOLUTION and result.profile.winners == {1}
     tracker = objective_tracker(a.objective_of(1), dpa)
     g = product(a, [tracker])
-    assert not g.is_arena and [s for s, _ in g.failures] == ["s1"]
+    assert [s for s, _ in g.failures] == ["s1"]
     assert [s for s in unfold(g, (1,)).states if s is not BOT] == [("s0", (0,)), ("s2", (0,))]
     with pytest.raises(DocumentSemanticError, match=r"no transition from 'wait' on \['q'\]"):
         unfold(product(_failing_automaton_arena(0), [tracker]), (1,))
@@ -730,8 +731,8 @@ def test_a_reachability_table_holds_only_the_moves_a_certificate_reads(fig1, mon
         regions.clear()
         p = solve(a, bounds).profile
         assert regions
-        for g, i, r in regions:
-            computed = {(g.states[j], str(game_node(g, j)[1])): g.states[t]
+        for g, i, r in regions:  # player i's tracker is component i of g
+            computed = {(g.states[j], str(g.graph.qs[g.at[j]][i])): g.states[t]
                         for j, t in r.punishment.items()}
             assert computed == ({} if p is None else p.punishment[i]), (bounds, i)
     assert len(p.punishment[1]) == 40

@@ -24,6 +24,7 @@ from carefulsynth.unfolding import (
 )
 
 from genutils import (
+    one_node_per_state,
     project,
     random_arena,
     random_fragment_arena,
@@ -223,7 +224,7 @@ def _unfolded(u):
     """`u` without the arena graph it unfolds, which the reference does not
     build, after checking that each node's graph node is its state's."""
     assert [u.graph.state[p] for p in u.at] == [s for s, _ in u.states[:len(u.at)]]
-    assert u.graph.components == () and u.graph.is_arena
+    assert u.graph.components == () and one_node_per_state(u.graph)
     return u._replace(graph=None, at=None)
 
 

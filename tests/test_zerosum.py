@@ -22,6 +22,7 @@ from carefulsynth.zerosum import (
     dpa_step,
     objective_tracker,
     parse_dpa,
+    predecessors,
     punish_region,
     punishment_game,
     solve_parity,
@@ -40,6 +41,7 @@ from genutils import (
     oracle_fragment_region,
     oracle_parity_region,
     oracle_wins_against_table,
+    one_node_per_state,
     random_closed_arena,
     random_credit_arena,
     random_fragment_arena,
@@ -76,9 +78,9 @@ def _diamond_attractor(a, bounds, player):
     """The unfolded states from which `player` forces a diamond state, on
     its region game with a `true` tracker: the arena's unfolding."""
     g = unfold(product(a, [objective_tracker(ltl.TRUE)]), bounds)
-    assert g.graph.is_arena and g.states == unfold(a, bounds).states
+    assert one_node_per_state(g.graph) and g.states == unfold(a, bounds).states
     targets = {k for k, x in enumerate(g.letters()) if "diam" in x}
-    att, _ = _attract(punishment_game(g, player), targets)
+    att, _ = _attract(punishment_game(g, player, 0), targets)
     return {g.states[k] for k in att}
 
 
@@ -413,7 +415,7 @@ def test_parity_equals_the_reference_on_region_games(generator):
         for i in range(1, a.players + 1):
             for automaton in {False, i in dpas}:
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
-                game = punishment_game(unfold(product(a, [tracker]), bounds), i)
+                game = punishment_game(unfold(product(a, [tracker]), bounds), i, 0)
                 assert solve_parity(game) == reference_solve_parity(game), (seed, i, automaton)
                 games += 1
     assert games >= 600
@@ -422,24 +424,25 @@ def test_parity_equals_the_reference_on_region_games(generator):
 def test_fig1_closed_reach_regions_take_one_credit_fixpoint_and_no_predecessor_lists(
         monkeypatch, fig1):
     # at (80,80) every F game has absorbing targets and no target with an
-    # edge into the sink: one fixpoint on credit sets solves it, with
-    # predecessor lists over the product's nodes only, never over the ids,
-    # no attractor and no Zielonka round
-    u = unfold(fig1, (80, 80))
+    # edge into the sink: one fixpoint on credit sets solves it on the
+    # witness product's unfolding, with predecessor lists over the
+    # product's nodes only, never over the ids, no attractor and no
+    # Zielonka round
+    u = _witness_unfolding(fig1, (80, 80))
     calls = _count_calls(monkeypatch, (zerosum, "credit_region"), (zerosum, "attractor"),
                          (zerosum, "solve_parity"))
     sizes = []
     monkeypatch.setattr(zerosum, "predecessors",
                         lambda succ, _fn=zerosum.predecessors: sizes.append(len(succ)) or _fn(succ))
+    n = len(u.graph.state)
+    assert one_node_per_state(u.graph)
     for i in range(1, fig1.players + 1):
-        g = product(fig1, [objective_tracker(fig1.objective_of(i))])
         assert ltl.classify_fragment(fig1.objective_of(i)).kind == FragmentClass.REACH
-        assert g.is_arena
         calls.update(dict.fromkeys(calls, 0))
         sizes.clear()
-        punish_region(u._replace(graph=g), i)
+        punish_region(u, i, i)
         assert calls == {"credit_region": 1, "attractor": 0, "solve_parity": 0}, i
-        assert sizes == [len(g.state) + 1] and len(g.state) + 1 < len(u.succ), (i, sizes)
+        assert sizes == [n + 1] and n + 1 < len(u.succ), (i, sizes)
 
 
 def _reachability_shaped(game) -> bool:
@@ -479,31 +482,92 @@ def test_reachability_regions_equal_zielonka(monkeypatch):
                 tracker = objective_tracker(a.objective_of(i), dpas[i] if automaton else None)
                 before = calls["solve_parity"]
                 g = unfold(product(a, [tracker]), bounds)
-                r = punish_region(g, i)
+                r = punish_region(g, i, 0)
                 took_credit_sets = calls["solve_parity"] == before
                 ref_g, ref = reference_punish_region(u, i, tracker)
                 case = (generator.__name__, seed, i, automaton)
                 assert (g.states, g.succ) == (ref_g.states, ref_g.succ), case
                 assert r.win == ref.win and coalition_moves(g, i, r) == ref.punishment, case
                 before = calls["solve_parity"]
-                on_ref = punish_region(ref_g, i)
+                on_ref = punish_region(ref_g, i, 0)
                 assert (calls["solve_parity"] == before) == took_credit_sets, case
                 assert on_ref.win == ref.win, case
                 assert coalition_moves(ref_g, i, on_ref) == ref.punishment, case
-                game = punishment_game(g, i)
+                game = punishment_game(g, i, 0)
                 assert took_credit_sets == _reachability_shaped(game), case
                 if took_credit_sets:
                     paths["credit sets"] += 1
-                    paths["credit sets, not the arena"] += not g.graph.is_arena
+                    paths["credit sets, not the arena"] += not one_node_per_state(g.graph)
                     continue
                 paths["zielonka"] += 1
                 paths["closed F, target to sink"] += (
-                    i in dpas and not automaton and g.graph.is_arena
+                    i in dpas and not automaton and one_node_per_state(g.graph)
                     and _sink_edge_from_a_target(g, game)
                 )
     assert paths["credit sets"] >= 1000 and paths["zielonka"] >= 1000, paths
     assert paths["credit sets, not the arena"] >= 100, paths
     assert paths["closed F, target to sink"] >= 10, paths
+
+
+@pytest.mark.parametrize("generator", [random_fragment_arena, random_punishable_arena,
+                                       random_many_player_arena, random_closed_arena])
+def test_witness_unfolding_regions_project_to_the_one_tracker_regions(monkeypatch, generator):
+    # each player's region on the witness product's unfolding, where its
+    # tracker is one component of several, against the region on the
+    # unfolding of the arena's product with that tracker alone, the
+    # reference: the nodes project onto (state, credit, tracker state) as
+    # the reference's nodes, a node is won exactly when its projection is,
+    # and the coalition's move from a node outside stays outside; for
+    # fragment players and F players also given as automata, both on
+    # credit sets and by Zielonka's algorithm
+    calls = _count_calls(monkeypatch, (zerosum, "solve_parity"))
+    paths = collections.Counter()
+    for seed, automata in itertools.product(range(200), [False, True]):
+        a, bounds = generator(random.Random(seed))
+        w = _witness_unfolding(a, bounds, reach_dpas(a) if automata else None)
+        for i in range(1, a.players + 1):
+            before = calls["solve_parity"]
+            r = punish_region(w, i, i)
+            paths["zielonka" if calls["solve_parity"] > before else "credit sets"] += 1
+            g, ref = region_of(a, bounds, i, w.graph.components[i])
+            won = {game_node(g, j) for j in ref.win}
+            projected = [(w.states[k], w.graph.qs[w.at[k]][i]) for k in range(len(w.at))]
+            case = (seed, automata, i)
+            assert set(projected) == {game_node(g, j) for j in range(len(g.at))}, case
+            assert r.win == {k for k, node in enumerate(projected) if node in won}, case
+            assert not r.win.intersection(coalition_moves(w, i, r).values()), case
+    assert min(paths["credit sets"], paths["zielonka"]) >= 100, paths
+
+
+def test_certificates_accept_keys_whose_nodes_move_apart():
+    # nodes of the witness unfolding that share a certificate key (state,
+    # credit, tracker state) can carry different coalition moves, and a
+    # solve keeps one of them per key; where a player's region has such a
+    # key, the solve's certificate is checked, including those whose tables
+    # read one
+    seen = collections.Counter()
+    for seed, automata in itertools.product(range(1000), [False, True]):
+        a, bounds = random_many_player_arena(random.Random(seed))
+        dpas = reach_dpas(a) if automata else None
+        w = _witness_unfolding(a, bounds, dpas)
+        apart = {}
+        for i in range(1, a.players + 1):
+            moves = collections.defaultdict(set)
+            for j, t in coalition_moves(w, i, punish_region(w, i, i)).items():
+                if j < len(w.at):  # not the sink
+                    moves[w.states[j], str(w.graph.qs[w.at[j]][i])].add(w.states[t])
+            apart[i] = {key for key, targets in moves.items() if len(targets) > 1}
+            seen["keys"] += len(apart[i])
+        if not any(apart.values()):
+            continue
+        result = synthesis.solve(a, bounds, dpas)
+        if result.profile is None:
+            continue
+        assert synthesis.check_certificate(a, bounds, result.profile, dpas=dpas) == [], seed
+        seen["certificates"] += 1
+        seen["read"] += any(apart[i].intersection(table)
+                            for i, table in result.profile.punishment.items())
+    assert seen["keys"] >= 150 and seen["certificates"] >= 50 and seen["read"] >= 3, seen
 
 
 def test_pre_image_is_the_credits_an_edge_leads_into_a_set():
@@ -549,10 +613,10 @@ def test_credit_regions_equal_the_attractor_at_up_to_five_resources(monkeypatch)
             for tracker in objective_tracker(a.objective_of(i)), objective_tracker(
                     a.objective_of(i), dpa):
                 g = unfold(product(a, [tracker]), bounds)
-                game = punishment_game(g, i)
+                game = punishment_game(g, i, 0)
                 if not _reachability_shaped(game):
                     continue
-                r = punish_region(g, i)
+                r = punish_region(g, i, 0)
                 targets = [j for j, p in enumerate(game.priority) if p == 2]
                 won, _ = attractor(game, targets, for_protagonist=True, within=set(game.states))
                 case = (seed, i, tracker.initial)
@@ -593,7 +657,7 @@ def test_credit_sets_allocate_nothing_per_unit_of_capacity():
     tracemalloc.start()
     try:
         g = unfold(product(a, [objective_tracker(a.objective_of(1))]), bounds)
-        r = punish_region(g, 1)
+        r = punish_region(g, 1, 0)
         result = synthesis.solve(a, bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -611,8 +675,8 @@ def test_a_game_without_priority_2_is_not_a_reachability_game():
     assert ltl.classify_fragment(a.objective_of(1)).kind == FragmentClass.COBUCHI
     u, tracker = unfold(a, bounds), objective_tracker(a.objective_of(1))
     g = unfold(product(a, [tracker]), bounds)
-    assert set(punishment_game(g, 1).priority) == {0, 1}
-    r = punish_region(g, 1)
+    assert set(punishment_game(g, 1, 0).priority) == {0, 1}
+    r = punish_region(g, 1, 0)
     assert r.win == reference_punish_region(u, 1, tracker)[1].win == set(range(7))
 
 
@@ -693,7 +757,7 @@ def _check_region_game_laws(a, bounds, player, tracker):
     order.sort(key=lambda n: u.states[n[0]] is BOT)  # stable: the sink alone moves
 
     g = unfold(product(a, [tracker]), bounds)
-    game = punishment_game(g, player)
+    game = punishment_game(g, player, 0)
     nodes = [game_node(g, j) for j in game.states]
     assert nodes == [(u.states[s], q) for s, q in order]
     assert len(game.succ) == len(game.is_protagonist) == len(game.priority) == len(nodes)
@@ -737,38 +801,46 @@ def test_region_game_equals_the_reference(generator, seeds):
                 case = (seed, i, automaton)
                 assert [game_node(g, j) for j in range(len(g.states))] == [
                     game_node(ref_g, j) for j in range(len(ref_g.states))], case
-                game, ref = punishment_game(g, i), punishment_game(ref_g, i)
+                game, ref = punishment_game(g, i, 0), punishment_game(ref_g, i, 0)
                 assert (game.succ, game.is_protagonist, game.priority) == (
                     ref.succ, ref.is_protagonist, ref.priority), case
-                extra[automaton] += not g.graph.is_arena
+                extra[automaton] += not one_node_per_state(g.graph)
     assert min(extra.values()) >= 10, extra
+
+
+def _witness_unfolding(a, bounds, dpas=None):
+    """The unfolding `solve` runs on: the arena's product with the system's
+    component and every player's tracker, player i's at component i."""
+    trackers = [objective_tracker(a.objective_of(i), (dpas or {}).get(i))
+                for i in range(1, a.players + 1)]
+    return unfold(product(a, trackers, synthesis.system_component(a.system_objective)), bounds)
 
 
 def test_closed_region_games_equal_the_general_build():
     # a game whose tracker is closed on the arena's edges, one node per arena
-    # state it reaches, takes the arena's unfolding in `solve`: equal to the
-    # product's own unfolding, ids and lists; the games on one unfolding
-    # share one predecessor list
-    counts = {(took, sink): 0 for took in (False, True) for sink in (False, True)}
+    # state it reaches, unfolds to the arena's ids and lists; and the games
+    # of every player on the witness product's unfolding share its lists
+    # and one predecessor list, which the first game fills, and are solved
+    # as with lists of their own
+    counts = {(closed, sink): 0 for closed in (False, True) for sink in (False, True)}
     generators = [random_closed_arena, random_fragment_arena]
     for generator, seed in itertools.product(generators, range(300)):
         a, bounds = generator(random.Random(seed))
-        u, pred = unfold(a, bounds), []
+        u, w, pred = unfold(a, bounds), _witness_unfolding(a, bounds), []
         sink = u.states[-1] is BOT
         for i in range(1, a.players + 1):
             p = product(a, [objective_tracker(a.objective_of(i))])
-            own = unfold(p, bounds)
-            counts[p.is_arena, sink] += 1
-            if not p.is_arena:
-                continue
-            shared = u._replace(graph=p)
-            assert own._replace(graph=None) == shared._replace(graph=None), (seed, i)
-            game, ref = punishment_game(shared, i, pred), punishment_game(own, i)
+            closed = one_node_per_state(p)
+            counts[closed, sink] += 1
+            if closed:
+                assert unfold(p, bounds)._replace(graph=None) == u._replace(graph=None), (seed, i)
+            game, ref = punishment_game(w, i, i, pred), punishment_game(w, i, i)
             assert (game.succ, game.is_protagonist, game.priority, game.pred) == (
-                ref.succ, ref.is_protagonist, ref.priority, ref.pred), (seed, i)
-            assert game.succ is u.succ and game.pred is pred, (seed, i)
-            assert punish_region(shared, i) == punish_region(own, i), (seed, i)
-    # games that take the arena's unfolding, with and without a sink, and games that do not
+                ref.succ, ref.is_protagonist, ref.priority, predecessors(w.succ)), (seed, i)
+            assert game.succ is w.succ and game.pred is pred, (seed, i)
+            copied = w._replace(succ=[list(out) for out in w.succ])
+            assert punish_region(w, i, i, pred) == punish_region(copied, i, i), (seed, i)
+    # games that unfold to the arena's ids, with and without a sink, and games that do not
     assert counts[True, False] >= 10 and counts[True, True] >= 10, counts
     assert counts[False, False] + counts[False, True] >= 10, counts
 
@@ -808,9 +880,11 @@ def test_region_game_steps_an_automaton_only_on_letters_it_meets():
     assert result.status == "solution" and result.profile.winners == {1}
 
 
-def test_fig1_region_games_share_the_unfoldings_lists(monkeypatch, fig1):
-    # every region game of fig1 takes the one unfolding of the solve, its
-    # lists themselves; and solving, which reads those lists, writes none
+def test_a_solve_unfolds_once_and_solves_every_region_on_that_unfolding(monkeypatch, fig1):
+    # on fig1 and on the four generators, with F players also given as
+    # automata: one `unfold` per solve, every region solved on that
+    # unfolding, its lists themselves; and solving, which reads those
+    # lists, writes none
     unfolded, games = [], []
 
     def unfold_and_keep(*args):
@@ -824,13 +898,22 @@ def test_fig1_region_games_share_the_unfoldings_lists(monkeypatch, fig1):
 
     monkeypatch.setattr(synthesis, "unfold", unfold_and_keep)
     monkeypatch.setattr(synthesis, "punish_region", region_and_keep)
-    for bounds in [(3, 3), (10, 10)]:
+    cases = [(fig1, bounds, None) for bounds in [(3, 3), (10, 10)]]
+    for generator, seed in itertools.product([random_fragment_arena, random_punishable_arena,
+                                              random_many_player_arena, random_closed_arena],
+                                             range(100)):
+        a, bounds = generator(random.Random(seed))
+        cases += [(a, bounds, None), (a, bounds, reach_dpas(a))]
+    regions = collections.Counter()
+    for k, (a, bounds, dpas) in enumerate(cases):
         unfolded.clear()
         games.clear()
-        synthesis.solve(fig1, bounds)
+        synthesis.solve(a, bounds, dpas)
         [(u, before)] = unfolded
-        assert u.succ == before
-        assert games and all(g.succ is u.succ and g.graph.is_arena for g in games)
+        assert u.succ == before, k
+        assert all(g is u for g in games), k
+        regions[k < 2] += len(games)
+    assert regions[True] >= 3 and regions[False] >= 200, regions
 
 
 def test_region_game_laws_with_a_parity_automaton(fig1):
@@ -920,21 +1003,19 @@ def test_no_state_outside_the_region_wins_against_the_table():
 
 
 def test_closed_regions_stay_on_unfolded_ids(fig1):
-    # a game closed on the arena's edges is the arena's unfolding, and its
-    # region and table hold the unfolding's ids, the table being the
-    # coalition's strategy itself
-    u = unfold(fig1, (10, 10))
+    # fig1's witness product is closed on the arena's edges, one node per
+    # arena state, so its unfolding has the arena's ids; each player's
+    # region and table hold those ids, the table being the coalition's
+    # strategy itself
+    u = _witness_unfolding(fig1, (10, 10))
+    assert one_node_per_state(u.graph) and u.states == unfold(fig1, (10, 10)).states
     for i in range(1, fig1.players + 1):
-        p = product(fig1, [objective_tracker(fig1.objective_of(i))])
-        assert p.is_arena
-        g = u._replace(graph=p)
-        assert [game_node(g, j)[0] for j in range(len(u.states))] == list(u.states)
-        r = punish_region(g, i)
+        r = punish_region(u, i, i)
         assert r.win and all(type(j) is int and 0 <= j < len(u.states) for j in r.win)
-        moves = coalition_moves(g, i, r)
+        moves = coalition_moves(u, i, r)
         assert moves and all(
             type(j) is int and type(t) is int and t in u.succ[j] for j, t in moves.items())
-        assert moves == solve_parity(punishment_game(g, i)).antagonist_strategy
+        assert moves == solve_parity(punishment_game(u, i, i)).antagonist_strategy
 
 
 def test_region_ids_name_their_nodes():
@@ -950,7 +1031,7 @@ def test_region_ids_name_their_nodes():
                 g, r = region_of(a, bounds, i, tracker)
                 assert len(_node_ids(g)) == len(g.states)
                 assert all(t in g.succ[j] for j, t in coalition_moves(g, i, r).items())
-                extra += not g.graph.is_arena
+                extra += not one_node_per_state(g.graph)
     assert extra > 0
 
 
