@@ -58,18 +58,17 @@ def build_arena(
     system_objective: ltl.Formula,
     player_objectives: Sequence[ltl.Formula],
     bounds: Optional[Sequence[int]] = None,
-    allow_reserved_atom: bool = False,
 ) -> Arena:
     """Validate and construct an Arena; raises DocumentSemanticError on any
     invariant violation, on a cost that is not a list of integers first."""
     if not all(isinstance(c, (list, tuple)) and all(map(is_int, c)) for c in edges.values()):
         _checked_edges(edges, set(states), dimensions)  # raises at the first bad edge
     return _build_arena(players, dimensions, states, owner, initial, edges, atoms, labels,
-                        system_objective, player_objectives, bounds, allow_reserved_atom)
+                        system_objective, player_objectives, bounds)
 
 
 def _build_arena(players, dimensions, states, owner, initial, edges, atoms, labels,
-                 system_objective, player_objectives, bounds, allow_reserved_atom) -> Arena:
+                 system_objective, player_objectives, bounds) -> Arena:
     """`build_arena` on costs known to be lists of integers."""
     _check_players(players)
     if not is_int(dimensions) or dimensions < 1:
@@ -85,7 +84,7 @@ def _build_arena(players, dimensions, states, owner, initial, edges, atoms, labe
     atomset = frozenset(atoms)
     if len(atomset) != len(list(atoms)):
         raise DocumentSemanticError("duplicate atoms")
-    if RESERVED_ATOM in atomset and not allow_reserved_atom:
+    if RESERVED_ATOM in atomset:
         raise DocumentSemanticError(f"atom name {RESERVED_ATOM!r} is reserved")
 
     if set(owner) != stateset:
@@ -137,11 +136,10 @@ def _build_arena(players, dimensions, states, owner, initial, edges, atoms, labe
         raise DocumentSemanticError(
             f"expected {players} player objectives, got {len(objs)}"
         )
-    legal_atoms = atomset | ({RESERVED_ATOM} if allow_reserved_atom else set())
     for name, f in [("system", system_objective)] + [
         (f"player {i + 1}", g) for i, g in enumerate(objs)
     ]:
-        bad = ltl.atoms_of(f) - legal_atoms
+        bad = ltl.atoms_of(f) - atomset
         if bad:
             raise DocumentSemanticError(
                 f"{name} objective uses unknown atom(s) {sorted(bad)}"
@@ -247,7 +245,7 @@ def parse_arena(text: str) -> Arena:
         players, member(doc, "dimensions", int, "dimensions"), states, owner,
         member(doc, "initial", str, "initial state"), edges, member(doc, "atoms", [str], "atoms"),
         labels, ltl.parse_ltl(member(objectives, "system", str, "system objective")),
-        player_objs, member(doc, "bounds", [int], "bounds", None), False,
+        player_objs, member(doc, "bounds", [int], "bounds", None),
     )
 
 

@@ -73,15 +73,20 @@ def _parse_bounds_flag(text: str) -> tuple[int, ...]:
     return bounds
 
 
-def _resolve_bounds(a: Arena, flag: Optional[tuple[int, ...]]):
-    if flag is not None:
-        if a.bounds is not None and tuple(a.bounds) != flag:
-            _warn(
-                f"--bounds {','.join(map(str, flag))} overrides the arena's "
-                f"bounds {','.join(map(str, a.bounds))}"
-            )
-        return flag
-    return a.bounds
+def _arena(args, refusal: Optional[str]):
+    """The arena at `args.arena` and its capacities: `--bounds`, with a
+    warning when it overrides the document's, else the document's. When
+    neither gives them, `refusal` is raised unless it is None."""
+    a = parse_arena(_read(args.arena))
+    bounds = a.bounds if args.bounds is None else args.bounds
+    if a.bounds is not None and a.bounds != bounds:
+        _warn(
+            f"--bounds {','.join(map(str, bounds))} overrides the arena's "
+            f"bounds {','.join(map(str, a.bounds))}"
+        )
+    if bounds is None and refusal is not None:
+        raise CarefulSynthError(refusal)
+    return a, bounds
 
 
 def _load_dpas(pairs: Sequence[str], a: Arena) -> dict[int, ParityAutomaton]:
@@ -124,13 +129,8 @@ def _pretty_outcome(profile: synthesis.StrategyProfile) -> str:
 
 
 def _cmd_solve(args) -> int:
-    a = parse_arena(_read(args.arena))
-    bounds = _resolve_bounds(a, args.bounds)
-    if bounds is None:
-        return _fail(
-            "no capacity bounds given (neither --bounds nor the arena document); "
-            "unbounded careful synthesis is undecidable and is refused"
-        )
+    a, bounds = _arena(args, "no capacity bounds given (neither --bounds nor the arena "
+                       "document); unbounded careful synthesis is undecidable and is refused")
     dpas = _load_dpas(args.dpa, a)
     result = synthesis.solve(a, bounds, dpas=dpas)
     if result.status == synthesis.SolveResult.UNSUPPORTED:
@@ -146,10 +146,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_unfold(args) -> int:
-    a = parse_arena(_read(args.arena))
-    bounds = _resolve_bounds(a, args.bounds)
-    if bounds is None:
-        return _fail("unfold requires --bounds (or bounds in the arena document)")
+    a, bounds = _arena(args, "unfold requires --bounds (or bounds in the arena document)")
     u = unfold(a, bounds)
     if args.dot:
         try:
@@ -162,10 +159,7 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    a = parse_arena(_read(args.arena))
-    bounds = _resolve_bounds(a, args.bounds)
-    if bounds is None:
-        return _fail("check requires --bounds (or bounds in the arena document)")
+    a, bounds = _arena(args, "check requires --bounds (or bounds in the arena document)")
     dpas = _load_dpas(args.dpa, a)
     profile = synthesis.parse_profile(_read(args.profile))
     violations = synthesis.check_certificate(a, bounds, profile, dpas=dpas)
@@ -207,8 +201,7 @@ def _bounded_careful(a: Arena, bounds: tuple[int, ...], lasso: Lasso) -> tuple[b
 
 
 def _cmd_mc(args) -> int:
-    a = parse_arena(_read(args.arena))
-    bounds = _resolve_bounds(a, args.bounds)
+    a, bounds = _arena(args, None)
     lasso = _parse_lasso_document(_read(args.lasso))
     validate_lasso(a, lasso)
     phi = ltl.parse_ltl(args.formula)
@@ -242,8 +235,7 @@ def _cmd_gen_reduction(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    a = parse_arena(_read(args.arena))
-    bounds = _resolve_bounds(a, args.bounds)
+    a, bounds = _arena(args, None)
     doc: dict = {
         "players": a.players,
         "dimensions": a.dimensions,

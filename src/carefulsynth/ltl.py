@@ -210,19 +210,18 @@ class _Parser:
             raise LtlSyntaxError(f"trailing input {self.peek()!r}", self.pos())
         return f
 
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek() == "|":
+    def chain(self, op: str, node, operand) -> Formula:
+        f = operand()
+        while self.peek() == op:
             self.take()
-            f = Or(f, self.parse_and())
+            f = node(f, operand())
         return f
 
+    def parse_or(self) -> Formula:
+        return self.chain("|", Or, self.parse_and)
+
     def parse_and(self) -> Formula:
-        f = self.parse_until()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.parse_until())
-        return f
+        return self.chain("&", And, self.parse_until)
 
     def parse_until(self) -> Formula:
         f = self.parse_unary()
@@ -245,12 +244,9 @@ class _Parser:
                 raise LtlSyntaxError("expected ')'", self.pos())
             self.take()
             return f
-        if tok == "true":
+        if tok in ("true", "false"):
             self.take()
-            return TRUE
-        if tok == "false":
-            self.take()
-            return FALSE
+            return Lit(tok == "true")
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in ("U",):
             self.take()
             return Atom(tok)
@@ -277,6 +273,10 @@ def nnf(phi: Formula) -> Formula:
     return _nnf(phi, positive=True)
 
 
+# Each operator's dual: !(a op b) is (!a dual !b), and !X a is X !a.
+_DUAL = {And: Or, Or: And, Next: Next, Until: Release, Release: Until}
+
+
 def _nnf(phi: Formula, positive: bool) -> Formula:
     if isinstance(phi, Lit):
         return Lit(phi.value == positive)
@@ -284,27 +284,14 @@ def _nnf(phi: Formula, positive: bool) -> Formula:
         return phi if positive else Not(phi)
     if isinstance(phi, Not):
         return _nnf(phi.sub, not positive)
-    if isinstance(phi, And):
-        l, r = _nnf(phi.left, positive), _nnf(phi.right, positive)
-        return And(l, r) if positive else Or(l, r)
-    if isinstance(phi, Or):
-        l, r = _nnf(phi.left, positive), _nnf(phi.right, positive)
-        return Or(l, r) if positive else And(l, r)
-    if isinstance(phi, Next):
-        return Next(_nnf(phi.sub, positive))
-    if isinstance(phi, Until):
-        l, r = _nnf(phi.left, positive), _nnf(phi.right, positive)
-        return Until(l, r) if positive else Release(l, r)
-    if isinstance(phi, Release):
-        l, r = _nnf(phi.left, positive), _nnf(phi.right, positive)
-        return Release(l, r) if positive else Until(l, r)
     if isinstance(phi, Eventually):
-        sub = _nnf(phi.sub, positive)
-        return Until(TRUE, sub) if positive else Release(FALSE, sub)
-    if isinstance(phi, Always):
-        sub = _nnf(phi.sub, positive)
-        return Release(FALSE, sub) if positive else Until(TRUE, sub)
-    raise TypeError(f"unknown node {phi!r}")
+        phi = Until(TRUE, phi.sub)
+    elif isinstance(phi, Always):
+        phi = Release(FALSE, phi.sub)
+    op = type(phi)
+    if op not in _DUAL:
+        raise TypeError(f"unknown node {phi!r}")
+    return (op if positive else _DUAL[op])(*[_nnf(g, positive) for g in _children(phi)])
 
 
 # ---------------------------------------------------------------------------

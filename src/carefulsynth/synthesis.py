@@ -157,18 +157,18 @@ def find_witness_lasso(
     forbidden: AbstractSet,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Search `product`, without the node ids in `forbidden`, for a lasso that
-    the system's component and the trackers at positions `winners` accept:
-    a cycle whose top priority in each of those components is even, decided
-    by SCC refinement. Returns (stem, loop) over product node ids,
-    deterministically minimized (shortest stem first, then a loop through
-    one top-priority node per component). Raises NoWitness naming why
-    none exists: the initial node is forbidden, the restricted product
-    has no cycle (read off `product.cyclic`, or with forbidden nodes
+    the system (component 0) and the players `winners` (player i is
+    component i) accept: a cycle whose top priority in each of those
+    components is even, decided by SCC refinement. Returns (stem, loop) over
+    product node ids, deterministically minimized (shortest stem first, then
+    a loop through one top-priority node per component). Raises NoWitness
+    naming why none exists: the initial node is forbidden, the restricted
+    product has no cycle (read off `product.cyclic`, or with forbidden nodes
     off the ids reached), or no SCC is accepting."""
     if 0 in forbidden:
         raise NoWitness("initial state forbidden")
     successors, prio = product.succ.__getitem__, product.priority
-    components = (0, *(k + 1 for k in winners))
+    components = (0, *winners)
     need = sum(1 << k for k in components)
     sccs, masks = product.sccs, product.masks
     if forbidden:
@@ -315,7 +315,7 @@ def solve(
                 blocked[i] = {k for k in r.win if u.owner[k] == i}
         forbidden = set().union(*[blocked[i] for i in players if i not in winner_set])
         try:
-            stem, loop = find_witness_lasso(witness, [i - 1 for i in winner_set], forbidden)
+            stem, loop = find_witness_lasso(witness, winner_set, forbidden)
         except NoWitness as e:
             diagnostics.append((winner_set, str(e)))
             continue

@@ -22,7 +22,6 @@ from itertools import chain, repeat
 from operator import add, mod
 from typing import NamedTuple, Optional, Sequence, Union
 
-from . import arena as arena_mod
 from . import ltl
 from .arena import Arena, History, RESERVED_ATOM
 from .errors import BudgetExceededError, DocumentSemanticError, UnderflowError
@@ -380,23 +379,25 @@ def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
 
 
 def unfolded_to_arena(u: UnfoldedArena) -> Arena:
-    """Render the unfolding in the ordinary arena data model (zero costs);
-    used by serialization and DOT export."""
+    """The arena's unfolding as an Arena record with zero costs and the sink
+    labelled `bot`, sorted as `build_arena` sorts; unchecked, since the
+    unfolding of a valid arena is valid. For serialization."""
     zero = (0,) * u.base.dimensions
     names = [render_ustate(s) for s in u.states]
-    return arena_mod.build_arena(
+    succ = {name: tuple(sorted(names[j] for j in out)) for name, out in zip(names, u.succ)}
+    return Arena(
         players=u.base.players,
         dimensions=u.base.dimensions,
-        states=names,
+        states=tuple(sorted(names)),
         owner=dict(zip(names, u.owner)),
         initial=names[0],
-        edges={(names[k], names[j]): zero for k in range(len(names)) for j in u.succ[k]},
-        atoms=sorted(u.base.atoms | {RESERVED_ATOM}),
-        labels={name: sorted(labs) for name, labs in zip(names, u.letters())},
+        edges={(s, t): zero for s, targets in succ.items() for t in targets},
+        atoms=u.base.atoms | {RESERVED_ATOM},
+        labels=dict(zip(names, u.letters())),
         system_objective=u.system_objective(),
         player_objectives=u.base.player_objectives,
         bounds=None,
-        allow_reserved_atom=True,
+        succ=succ,
     )
 
 

@@ -1378,7 +1378,7 @@ def reference_find_witness_lasso(product, winners, forbidden):
         allowed, pending = seen.__contains__, strongly_connected_components(seen, product.succ)
     else:
         allowed, pending = None, list(product.sccs)
-    components = (0, *(k + 1 for k in winners))
+    components = (0, *winners)
     accepting: dict = {}
     cyclic = bool(pending)
     while pending:
@@ -1460,9 +1460,7 @@ def oracle_solve(a: Arena, bounds, dpas=None):
                 blocked[i] = {k for k in r.protagonist if g.owner[k] == i}
         forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])
         try:
-            stem, loop = reference_find_witness_lasso(
-                product, [i - 1 for i in winner_set], forbidden
-            )
+            stem, loop = reference_find_witness_lasso(product, winner_set, forbidden)
         except NoWitness as e:
             diagnostics.append((winner_set, str(e)))
             continue

@@ -61,6 +61,44 @@ def test_solve_without_bounds_is_refused(fig1_path, capsys):
     assert "undecidable" in err
 
 
+REFUSALS = {
+    "solve": "no capacity bounds given (neither --bounds nor the arena document); "
+             "unbounded careful synthesis is undecidable and is refused",
+    "unfold": "unfold requires --bounds (or bounds in the arena document)",
+    "check": "check requires --bounds (or bounds in the arena document)",
+    "mc": None,
+    "stats": None,
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSALS))
+def test_every_arena_command_reads_its_bounds_alike(
+    command, fig1_text, fig1_path, lasso_file, tmp_path, capsys
+):
+    operands = {
+        "check": [fig1_path.with_name("fig1-3-3.solution.json")],
+        "mc": [lasso_file, "F circ"],
+    }.get(command, [])
+    doc = json.loads(fig1_text)
+    doc.pop("bounds", None)
+    bare, bounded = tmp_path / "bare.json", tmp_path / "bounded.json"
+    bare.write_text(json.dumps(doc))
+    bounded.write_text(json.dumps({**doc, "bounds": [10, 10]}))
+
+    # neither --bounds nor the document: refused, or read without bounds
+    code, out, err = _run(capsys, command, bare, *operands)
+    if REFUSALS[command] is None:
+        assert (code, err) == (EXIT_POSITIVE, "")
+    else:
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: {REFUSALS[command]}\n")
+    # --bounds over different document bounds warns once; over equal ones not
+    _, _, err = _run(capsys, command, bounded, *operands, "--bounds", "3,3")
+    assert err.count("overrides") == 1
+    assert "warning: --bounds 3,3 overrides the arena's bounds 10,10\n" in err
+    _, _, err = _run(capsys, command, bounded, *operands, "--bounds", "10,10")
+    assert "overrides" not in err
+
+
 def test_solve_bounds_flag_overrides_document(fig1_text, tmp_path, capsys):
     doc = json.loads(fig1_text)
     doc["bounds"] = [10, 10]

@@ -172,6 +172,55 @@ def test_eval_invariant_under_nnf(seed):
     assert eval_on_lasso(phi, stem, loop) == eval_on_lasso(nnf(phi), stem, loop)
 
 
+def _nodes(phi):
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(g for g in f[1:] if isinstance(g, ltl.Formula))
+
+
+def _negated(f):
+    """A formula in negation normal form with every operator swapped for its
+    dual, literals flipped and atoms negated."""
+    if isinstance(f, Lit):
+        return Lit(not f.value)
+    if isinstance(f, Atom):
+        return Not(f)
+    if isinstance(f, Not):
+        return f.sub
+    dual = {ltl.And: Or, Or: ltl.And, Next: Next, Until: ltl.Release, ltl.Release: Until}
+    return dual[type(f)](*map(_negated, f[1:]))
+
+
+def test_nnf_shape_on_random_formulas():
+    # classify_fragment and to_nba read the tree's shape, not only its meaning
+    seen = {"negated atom": 0, "release": 0, "eventually": 0, "always": 0}
+    for seed in range(600):
+        rng = random.Random(seed)
+        phi = random_formula(rng, rng.randrange(0, 6))
+        psi = nnf(phi)
+        for f in _nodes(psi):
+            assert not isinstance(f, (Eventually, ltl.Always)), (phi, psi)
+            assert not isinstance(f, Not) or isinstance(f.sub, Atom), (phi, psi)
+            seen["negated atom"] += isinstance(f, Not)
+            seen["release"] += isinstance(f, ltl.Release)
+        for f in _nodes(phi):
+            seen["eventually"] += isinstance(f, Eventually)
+            seen["always"] += isinstance(f, ltl.Always)
+        assert nnf(psi) == psi
+        assert nnf(Not(phi)) == _negated(psi)
+    assert min(seen.values()) > 100, seen
+
+
+def test_nnf_rejects_an_unknown_node():
+    class Weak(ltl.Formula, fields="left right"):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="unknown node"):
+        nnf(Not(Weak(Atom("p"), Atom("q"))))
+
+
 def _long_word(rng, longest=40):
     """A stem of 0 to `longest` positions and a loop of 1 to `longest`,
     each atom holding at a density drawn per word, so that some events are

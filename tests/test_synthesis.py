@@ -85,7 +85,8 @@ def _search(a, bounds, system, requirements, forbidden_states=frozenset()):
     unfolded states."""
     w, witness = _witness(a, bounds, system, [objective_tracker(f) for f in requirements])
     forbidden = {k for k in range(len(w.at)) if w.states[k] in forbidden_states}
-    return _states_of(w, witness, *find_witness_lasso(witness, range(len(requirements)), forbidden))
+    winners = range(1, len(requirements) + 1)
+    return _states_of(w, witness, *find_witness_lasso(witness, winners, forbidden))
 
 
 def test_witness_exists_for_trivial_requirement(fig1):
@@ -108,7 +109,7 @@ def test_witness_respects_forbidden_deviation_states(fig1):
         k for k in range(len(w.at))
         if w.owner[k] == 3 and (w.states[k], w.graph.qs[w.at[k]][2]) in won
     }
-    stem, loop = _states_of(w, witness, *find_witness_lasso(witness, [0], forbidden))
+    stem, loop = _states_of(w, witness, *find_witness_lasso(witness, [1], forbidden))
     assert tuple(s for s, _ in stem) == GOLDEN_STEM
     assert tuple(s for s, _ in loop) == GOLDEN_LOOP
 
@@ -540,7 +541,7 @@ def _searched_by_solve(monkeypatch, a, bounds, dpas=None):
         return products[-1]
 
     def search(product, winners, forbidden):
-        searched.append(tuple(i + 1 for i in winners))
+        searched.append(tuple(winners))
         return find_witness_lasso(product, winners, forbidden)
 
     with monkeypatch.context() as m:

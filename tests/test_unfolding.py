@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import random
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carefulsynth import ltl
-from carefulsynth.arena import build_arena
+from carefulsynth.arena import RESERVED_ATOM, build_arena, serialize_arena
 from carefulsynth.errors import (
     BudgetExceededError,
     DocumentSemanticError,
@@ -378,3 +379,38 @@ def test_unfolded_arena_document_and_dot(fig1):
     dot = to_dot(u)
     assert dot.startswith("digraph")
     assert '"a@0,0"' in dot
+
+
+# sha256 of the document `unfold data/fig1.json --bounds 3,3` printed while
+# `unfolded_to_arena` still built its record through `build_arena`
+FIG1_3_3_UNFOLD_SHA256 = "2157b49bc118b2c7adbe500bed31b0b7cecae4d0f59bed6ba4b82822d6ac28a1"
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (3, 3)])
+def test_unfolded_arena_record_is_sorted_and_serializes_as_before(fig1, fig1_path, bounds):
+    u = unfold(fig1, bounds)
+    r = unfolded_to_arena(u)
+    assert len(r.states) == len(u.states) and list(r.states) == sorted(r.states)
+    assert set(r.edges) == {(s, t) for s in r.states for t in r.succ[s]}
+    assert all(list(r.succ[s]) == sorted(set(r.succ[s])) for s in r.states)
+    assert sum(map(len, r.succ.values())) == sum(map(len, u.succ)) == len(r.edges)
+    assert set(r.edges.values()) == {(0, 0)} and r.bounds is None
+    assert r.labels["BOT"] == {RESERVED_ATOM} and RESERVED_ATOM in r.atoms
+    text = serialize_arena(r)
+    if bounds == (1, 1):
+        assert text == fig1_path.with_name("fig1-1-1.unfold.json").read_text(encoding="utf-8")
+    else:
+        assert hashlib.sha256(text.encode()).hexdigest() == FIG1_3_3_UNFOLD_SHA256
+
+
+def test_build_arena_refuses_the_reserved_atom(fig1):
+    fields = {k: v for k, v in fig1._asdict().items() if k != "succ"}
+    with pytest.raises(DocumentSemanticError, match="atom name 'bot' is reserved"):
+        build_arena(**{**fields, "atoms": [*fig1.atoms, RESERVED_ATOM]})
+    unknown = r"objective uses unknown atom\(s\) \['bot'\]"
+    with pytest.raises(DocumentSemanticError, match="system " + unknown):
+        build_arena(**{**fields, "system_objective": ltl.parse_ltl("G ! bot")})
+    objectives = list(fig1.player_objectives)
+    objectives[1] = ltl.parse_ltl("F bot")
+    with pytest.raises(DocumentSemanticError, match="player 2 " + unknown):
+        build_arena(**{**fields, "player_objectives": objectives})
