@@ -119,17 +119,7 @@ def _build_arena(players, dimensions, states, owner, initial, edges, atoms, labe
         if not succ[s]:
             raise DocumentSemanticError(f"state without successor: {s!r}")
 
-    if bounds is not None:
-        b = tuple(bounds)
-        if len(b) != dimensions:
-            raise DocumentSemanticError(
-                f"bounds has {len(b)} components, expected {dimensions}"
-            )
-        for v in b:
-            if not is_int(v) or v < 0 or v > I64_MAX:
-                raise DocumentSemanticError(f"bounds component {v!r} must be a nonnegative integer")
-    else:
-        b = None
+    b = None if bounds is None else checked_bounds(dimensions, bounds)
 
     objs = tuple(player_objectives)
     if len(objs) != players:
@@ -159,6 +149,18 @@ def _build_arena(players, dimensions, states, owner, initial, edges, atoms, labe
         bounds=b,
         succ=succ,
     )
+
+
+def checked_bounds(dimensions: int, bounds: Sequence[int]) -> tuple[int, ...]:
+    """`bounds` as a tuple, refused unless it has one capacity per resource,
+    each an integer from 0 to 2^63 - 1: the one rule for the capacities of
+    a document, of an option and of every call that takes them."""
+    b = tuple(bounds)
+    if len(b) != dimensions or not all(is_int(v) and 0 <= v <= I64_MAX for v in b):
+        raise DocumentSemanticError(
+            f"bounds must be {dimensions} nonnegative components below 2**63, got {b}"
+        )
+    return b
 
 
 def _checked_edges(edges, stateset, dimensions) -> dict[tuple[str, str], tuple[int, ...]]:

@@ -19,13 +19,14 @@ from . import ltl, reduction, synthesis
 from .arena import (
     Arena,
     Lasso,
+    checked_bounds,
     multi_energy_check_unbounded,
     parse_arena,
     serialize_arena,
     validate_lasso,
 )
-from .errors import CarefulSynthError, UnderflowError, load_json, member
-from .unfolding import checked_bounds, lift, render_ustate, to_dot, unfold, unfolded_to_arena
+from .errors import CarefulSynthError, UnderflowError, load_json, member, natural
+from .unfolding import lift, render_ustate, to_dot, unfold, unfolded_to_arena
 from .zerosum import ParityAutomaton, parse_dpa
 
 EXIT_POSITIVE = 0
@@ -57,20 +58,13 @@ def _emit(doc: dict, pretty_extra: Optional[str] = None) -> None:
 
 
 def _parse_bounds_flag(text: str) -> tuple[int, ...]:
+    """The integers of `--bounds`, each written as `str` writes it. Their
+    range is `checked_bounds`'s to judge, so a negative one is read too."""
     try:
-        # ASCII digits only, as `str` writes them: int() also reads "1_0",
-        # " 3" or "٣"
-        digits = [v.removeprefix("-") for v in text.split(",")]
-        if not all(d.isascii() and d.isdigit() for d in digits):
-            raise ValueError
-        bounds = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bounds must be comma-separated integers, got {text!r}"
-        ) from None
-    if any(v < 0 for v in bounds):
-        raise argparse.ArgumentTypeError("bounds must be nonnegative")
-    return bounds
+        return tuple(-natural(v[1:], "a bound") if v[:1] == "-" else natural(v, "a bound")
+                     for v in text.split(","))
+    except CarefulSynthError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _arena(args, refusal: Optional[str]):
@@ -78,7 +72,7 @@ def _arena(args, refusal: Optional[str]):
     warning when it overrides the document's, else the document's. When
     neither gives them, `refusal` is raised unless it is None."""
     a = parse_arena(_read(args.arena))
-    bounds = a.bounds if args.bounds is None else args.bounds
+    bounds = a.bounds if args.bounds is None else checked_bounds(a.dimensions, args.bounds)
     if a.bounds is not None and a.bounds != bounds:
         _warn(
             f"--bounds {','.join(map(str, bounds))} overrides the arena's "
@@ -93,9 +87,9 @@ def _load_dpas(pairs: Sequence[str], a: Arena) -> dict[int, ParityAutomaton]:
     dpas: dict[int, ParityAutomaton] = {}
     for pair in pairs:
         player_str, _, path = pair.partition("=")
-        if not path or not (player_str.isascii() and player_str.isdecimal()):
+        if not path:
             raise CarefulSynthError(f"--dpa expects player=file, got {pair!r}")
-        player = int(player_str)
+        player = natural(player_str, "a --dpa player")
         if not 1 <= player <= a.players:
             raise CarefulSynthError(f"--dpa player {player} out of range")
         if player in dpas:
@@ -133,8 +127,6 @@ def _cmd_solve(args) -> int:
                        "document); unbounded careful synthesis is undecidable and is refused")
     dpas = _load_dpas(args.dpa, a)
     result = synthesis.solve(a, bounds, dpas=dpas)
-    if result.status == synthesis.SolveResult.UNSUPPORTED:
-        return _fail(f"unsupported objective: {result.reason}")
     _saturation_caveat(result)
     doc = synthesis.result_to_document(result)
     doc["bounds"] = list(bounds)
@@ -214,7 +206,6 @@ def _cmd_mc(args) -> int:
     }
     pretty = None
     if bounds is not None:
-        bounds = checked_bounds(a, bounds)
         careful, ustates = _bounded_careful(a, bounds, lasso)
         doc["energy"]["bounded"] = {
             "bounds": list(bounds),
@@ -319,6 +310,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except CarefulSynthError as e:
         return _fail(str(e))
+    except MemoryError:
+        pass  # the frames it holds, and their memory, are freed as this block ends
+    return _fail("out of memory")
 
 
 def main() -> None:

@@ -81,6 +81,18 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def natural(text: str, what: str) -> int:
+    """The natural number `text` writes as `str` does, in at most 640 digits,
+    which `int` reads under any limit. Other text, though `int` reads "03",
+    "+3", " 3", "1_0" and "٣", is a DocumentSemanticError naming `what`: in
+    every document and option, a number has one spelling."""
+    if not (text.isascii() and text.isdigit() and len(text) <= 640
+            and (text[0] != "0" or text == "0")):
+        raise DocumentSemanticError(f"{what} must be a natural number in ASCII digits, "
+                                    f"with no sign or leading zero, got {text!r}")
+    return int(text)
+
+
 _KINDS = {int: ("an integer", "integers"), str: ("a string", "strings"),
           list: ("a list", "lists"), dict: ("an object", "objects")}
 

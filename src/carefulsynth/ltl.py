@@ -375,21 +375,19 @@ def eval_on_lasso(
 # Nondeterministic Büchi automata
 
 
-class NbaTransition(NamedTuple):
-    pos: frozenset[str]  # atoms that must hold
-    neg: frozenset[str]  # atoms that must not hold
-    dst: int
-
-
 class NBA(NamedTuple):
+    """State s reads a letter that holds every atom of its guard's first
+    set and none of its second, then moves to any state of `succ[s]`."""
+
     n_states: int
     initial: frozenset[int]
-    transitions: tuple[tuple[NbaTransition, ...], ...]  # indexed by source
+    guards: tuple[tuple[frozenset[str], frozenset[str]], ...]  # state -> (must hold, must not)
+    succ: tuple[tuple[int, ...], ...]  # state -> its successors
     accepting: frozenset[int]
 
-
-def guard_matches(tr: NbaTransition, letter: frozenset[str]) -> bool:
-    return tr.pos <= letter and not (tr.neg & letter)
+    def reads(self, s: int, letter: frozenset[str]) -> bool:
+        pos, neg = self.guards[s]
+        return pos <= letter and not neg & letter
 
 
 _CLOSURE_CAP = 20  # a state is a consistent subset of the closure: up to 2^cap
@@ -456,24 +454,24 @@ def to_nba(phi: Formula) -> NBA:
     states = [(s, 0) for s in consistent({len(cl) - 1: True})]  # the root is listed last
     initial = frozenset(range(len(states)))
     number = {q: n for n, q in enumerate(states)}
-    transitions, accepting = [], set()
+    guards, succ, accepting = [], [], set()
     for n, (s, i) in enumerate(states):  # the list grows while it is read
         # the counter waits on U member untils[i]: absent, or its right side holds
         done = not untils or not s >> untils[i] & 1 or bool(s >> kids[untils[i]][1] & 1)
         if done and i == 0:
             accepting.add(n)
         after = (i + 1) % len(untils) if untils and done else i
-        pos = frozenset(cl[k].name for k in atoms if s >> k & 1)
-        neg = frozenset(cl[k].name for k in atoms if not s >> k & 1)
+        guards.append((frozenset(cl[k].name for k in atoms if s >> k & 1),
+                       frozenset(cl[k].name for k in atoms if not s >> k & 1)))
         out = []
         for s2 in successors(s):
             q = (s2, after)
             if q not in number:
                 number[q] = len(states)
                 states.append(q)
-            out.append(NbaTransition(pos, neg, number[q]))
-        transitions.append(tuple(out))
-    return NBA(len(states), initial, tuple(transitions), frozenset(accepting))
+            out.append(number[q])
+        succ.append(tuple(out))
+    return NBA(len(states), initial, tuple(guards), tuple(succ), frozenset(accepting))
 
 
 def _closure(f: Formula) -> list[Formula]:

@@ -22,7 +22,7 @@ from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 from . import ltl
 from ._graphs import breadth_first, folded, ids_in_sccs_with, number, path_to, restricted
 from ._graphs import shortest_path, strongly_connected_components
-from .arena import Arena, Lasso, RESERVED_ATOM, validate_history
+from .arena import Arena, Lasso, RESERVED_ATOM, checked_bounds, validate_history
 from .errors import (
     BudgetExceededError,
     DocumentSemanticError,
@@ -32,13 +32,13 @@ from .errors import (
     expect,
     load_json,
     member,
+    natural,
 )
 from .unfolding import (
     BOT,
     DEFAULT_STATE_BUDGET,
     UState,
     UnfoldedArena,
-    checked_bounds,
     lift,
     parse_ustate,
     product,
@@ -63,17 +63,15 @@ class StrategyProfile(NamedTuple):
 
 
 class SolveResult(NamedTuple):
-    status: str  # "solution" | "no-solution" | "unsupported"
+    status: str  # "solution" | "no-solution"
     profile: Optional[StrategyProfile] = None
     diagnostics: tuple[tuple[tuple[int, ...], str], ...] = ()
-    reason: Optional[str] = None
     # some reachable step of the unfolding saturated a resource; not part of
     # the certificate document
     clipped: bool = False
 
     SOLUTION = "solution"
     NO_SOLUTION = "no-solution"
-    UNSUPPORTED = "unsupported"
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +79,16 @@ class SolveResult(NamedTuple):
 
 
 REJECTED = ()  # the tableau automaton's run has stopped: no accepting state follows
+
+
+def player_tracker(a: Arena, player: int, dpas: Mapping[int, ParityAutomaton]) -> Tracker:
+    """`player`'s objective tracker, its automaton in `dpas` if given: the one
+    refusal of an unsupported objective, naming the player, for both solve
+    and check."""
+    try:
+        return objective_tracker(a.objective_of(player), dpas.get(player))
+    except UnsupportedObjectiveError as e:
+        raise UnsupportedObjectiveError(f"unsupported objective: player {player}: {e}") from None
 
 
 def system_component(phi: ltl.Formula) -> Tracker:
@@ -103,9 +111,8 @@ def system_component(phi: ltl.Formula) -> Tracker:
         if q is None or q == REJECTED:
             return [(None, word) if q is None else REJECTED]
         p, x = q[0], frozenset(q[1])
-        trs = [tr for s in (nba.initial if p is None else (p,)) for tr in nba.transitions[s]]
-        return [(d, word) for d in sorted({tr.dst for tr in trs if ltl.guard_matches(tr, x)})
-                ] or [REJECTED]
+        read = [s for s in (nba.initial if p is None else (p,)) if nba.reads(s, x)]
+        return [(d, word) for d in sorted({d for s in read for d in nba.succ[s]})] or [REJECTED]
 
     return Tracker(None, step, lambda q: 2 if q and q[0] in nba.accepting else 1)
 
@@ -284,17 +291,13 @@ def solve(
     """Decide careful cooperative rational synthesis under capacity vector
     `bounds` and construct a certificate when a solution exists. Unbounded
     solving is refused by the type of `bounds` (the unbounded problem is
-    undecidable; only lasso checking is offered there)."""
+    undecidable; only lasso checking is offered there), and an objective
+    outside the fragments with no automaton in `dpas` by an error."""
     dpas = dict(dpas or {})
-    checked_bounds(a, bounds)
+    checked_bounds(a.dimensions, bounds)
     players = list(range(1, a.players + 1))
-    trackers = {}
-    for i in players:
-        try:
-            trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
-        except UnsupportedObjectiveError as e:
-            return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
-    u = unfold(product(a, list(trackers.values()), system_component(a.system_objective)), bounds)
+    trackers = [player_tracker(a, i, dpas) for i in players]
+    u = unfold(product(a, trackers, system_component(a.system_objective)), bounds)
     witness = witness_product(u)
     regions, blocked = {}, {}  # by loser, each solved when it first loses
     pred: list = []  # the predecessor lists of `u.succ`, filled for the first Zielonka game
@@ -359,7 +362,9 @@ def check_certificate(
     of violations; empty means the certificate is valid."""
     dpas = dict(dpas or {})
     violations: list[str] = []
-    u = _SteppedUnfolding(a, checked_bounds(a, bounds), max_states)
+    u = _SteppedUnfolding(a, checked_bounds(a.dimensions, bounds), max_states)
+    players = range(1, a.players + 1)
+    trackers = [player_tracker(a, i, dpas) for i in players]
 
     try:
         stem, loop = _replay(u, profile.outcome)
@@ -372,11 +377,9 @@ def check_certificate(
     if not ltl.eval_on_lasso(a.system_objective, stem_labels, loop_labels, atoms=atoms):
         violations.append("outcome does not satisfy the system objective")
 
-    players = range(1, a.players + 1)
     for what, named in [("winner", profile.winners), ("punishment table of", profile.punishment)]:
         violations += [f"{what} {i}: not a player" for i in sorted(named) if i not in players]
-    for i in players:
-        tracker = objective_tracker(a.objective_of(i), dpas.get(i))
+    for i, tracker in zip(players, trackers):
         if i in dpas:
             satisfied = tracker_accepts(tracker, stem_labels, loop_labels)
         else:
@@ -577,8 +580,6 @@ def result_to_document(result: SolveResult) -> dict:
         doc["diagnostics"] = [
             {"winners": list(w), "reason": r} for (w, r) in result.diagnostics
         ]
-    if result.reason:
-        doc["reason"] = result.reason
     return doc
 
 
@@ -594,18 +595,12 @@ def parse_profile(text: str) -> StrategyProfile:
     winners = frozenset(member(doc, "winners", [int], "winners"))
     punishment = {}
     for i_str, table in member(doc, "punishment", dict, "punishment", {}).items():
-        # a player is keyed only as str(i), of at most 640 digits, which int()
-        # reads under any limit: "03" or "٣" would name player 3 a second time
-        if not (len(i_str) <= 640 and i_str.isascii() and i_str.isdecimal()
-                and str(int(i_str)) == i_str):
-            raise DocumentSemanticError(
-                f"punishment keys must be players written as in str(i), got {i_str!r}"
-            )
+        i = natural(i_str, "a punishment key")  # "03" or "٣" would name player 3 again
         entries = {}
         for k, v in expect(table, dict, f"punishment table of {i_str}").items():
             state, _, q = k.rpartition("|")
             entries[(parse_ustate(state), q)] = parse_ustate(expect(v, str, "punishment entry"))
-        punishment[int(i_str)] = entries
+        punishment[i] = entries
     return StrategyProfile(
         outcome=Lasso(stem=stem, loop=loop, trace=trace),
         winners=winners,

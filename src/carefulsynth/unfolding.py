@@ -23,8 +23,8 @@ from operator import add, mod
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import ltl
-from .arena import Arena, History, RESERVED_ATOM
-from .errors import BudgetExceededError, DocumentSemanticError, UnderflowError
+from .arena import Arena, History, RESERVED_ATOM, checked_bounds
+from .errors import BudgetExceededError, DocumentSemanticError, UnderflowError, natural
 
 
 class _BotState:
@@ -46,7 +46,9 @@ BOT = _BotState()
 
 UState = Union[tuple[str, tuple[int, ...]], _BotState]
 
-DEFAULT_STATE_BUDGET = 10**7
+# About 1.1 kB a state at the peak (fig1 at (10^6, 1), by `tracemalloc` and a solve's
+# RSS), so the budget binds near 2.3 GB; fig1 at (3000, 3000), 1,377,283 states, solves.
+DEFAULT_STATE_BUDGET = 2 * 10**6
 
 
 def render_ustate(us: UState) -> str:
@@ -59,14 +61,10 @@ def render_ustate(us: UState) -> str:
 def parse_ustate(text: str) -> UState:
     if text == "BOT":
         return BOT
-    if "@" not in text:
+    s, at, vec = text.rpartition("@")
+    if not at:
         raise DocumentSemanticError(f"bad unfolded state id {text!r}")
-    s, _, vec = text.rpartition("@")
-    try:
-        c = tuple(int(v) for v in vec.split(","))
-    except ValueError:
-        raise DocumentSemanticError(f"bad unfolded state id {text!r}") from None
-    return (s, c)
+    return (s, tuple(natural(v, f"a credit in {text!r}") for v in vec.split(",")))
 
 
 class UnfoldedArena(NamedTuple):
@@ -172,17 +170,6 @@ def product(a: Arena, trackers: Sequence, system=None) -> Product:
 AVOID_BOT = ltl.Always(ltl.Not(ltl.Atom(RESERVED_ATOM)))
 
 
-def checked_bounds(a: Arena, bounds: Sequence[int]) -> tuple[int, ...]:
-    """`bounds` as a tuple, refused unless it has one nonnegative
-    capacity per resource."""
-    b = tuple(bounds)
-    if len(b) != a.dimensions or any(v < 0 for v in b):
-        raise DocumentSemanticError(
-            f"bounds must be {a.dimensions} nonnegative components, got {b}"
-        )
-    return b
-
-
 def credit_after(c: tuple, w: tuple, bounds: tuple) -> Optional[tuple]:
     """The saturated credit after an edge of cost `w` from credit `c`, or None
     when it goes below zero."""
@@ -271,7 +258,7 @@ def unfold(
     off its product node's. A failed step has a negative key."""
     g = product(g, ()) if isinstance(g, Arena) else g
     a, state = g.base, g.state
-    b = checked_bounds(a, bounds)
+    b = checked_bounds(a.dimensions, bounds)
     place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
     width = prod(v + 1 for v in b)
     costs = list(dict.fromkeys(a.edges.values()))

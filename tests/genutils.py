@@ -25,21 +25,19 @@ from operator import mul, or_
 from typing import NamedTuple, Optional
 
 from carefulsynth import ltl
-from carefulsynth.arena import MAX_PLAYERS, Arena, build_arena
-from carefulsynth.errors import (
-    DocumentSemanticError, UnsupportedObjectiveError, expect, load_json, member,
-)
+from carefulsynth.arena import MAX_PLAYERS, Arena, build_arena, checked_bounds
+from carefulsynth.errors import DocumentSemanticError, expect, load_json, member
 from carefulsynth.ltl import FragmentClass
 from carefulsynth._graphs import shortest_path, strongly_connected_components
 from carefulsynth.synthesis import (
     NoWitness, SolveResult, StrategyProfile, WitnessProduct, _reached_entries, _winner_sets,
-    outcome_lasso, system_component,
+    outcome_lasso, player_tracker, system_component,
 )
 from carefulsynth.unfolding import (
-    BOT, Product, UnfoldedArena, UState, checked_bounds, credit_after, product, unfold,
+    BOT, Product, UnfoldedArena, UState, credit_after, product, unfold,
 )
 from carefulsynth.zerosum import (
-    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, objective_tracker, parse_dpa,
+    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, parse_dpa,
     punish_region,
 )
 
@@ -152,7 +150,7 @@ def nba_accepts_lasso(nba: ltl.NBA, stem, loop) -> bool:
 
     def successors(i, q):
         j = i + 1 if i + 1 < n else back
-        return [(j, tr.dst) for tr in nba.transitions[q] if ltl.guard_matches(tr, word[i])]
+        return [(j, d) for d in nba.succ[q]] if nba.reads(q, word[i]) else []
 
     succ: dict = {}  # the reachable nodes, each with its successors
     finished = []
@@ -1099,7 +1097,7 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
     key puts its state's number in the arena's breadth-first order from
     the initial state, as `unfolding.product` numbers it, above its credit's
     key."""
-    b = checked_bounds(a, bounds)
+    b = checked_bounds(a.dimensions, bounds)
     names = sorted(a.states)
     place = [prod(v + 1 for v in b[i + 1:]) for i in range(len(b))]
     width = prod(v + 1 for v in b)
@@ -1432,12 +1430,7 @@ def oracle_solve(a: Arena, bounds, dpas=None):
     dpas = dict(dpas or {})
     u = reference_unfold(a, bounds)
     players = list(range(1, a.players + 1))
-    trackers = {}
-    for i in players:
-        try:
-            trackers[i] = objective_tracker(a.objective_of(i), dpas.get(i))
-        except UnsupportedObjectiveError as e:
-            return SolveResult(SolveResult.UNSUPPORTED, reason=f"player {i}: {e}")
+    trackers = {i: player_tracker(a, i, dpas) for i in players}
     system = system_component(a.system_objective)
     nodes, product = reference_witness_product(u, system, [trackers[i] for i in players])
     n, to_sink = len(nodes), [any(u.states[t] is BOT for t in u.succ[s]) for s, _ in nodes]

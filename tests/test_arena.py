@@ -111,9 +111,11 @@ def test_missing_player_objective_defaults_to_true(fig1_text):
 
 
 def test_serialize_round_trip_is_byte_stable(fig1):
-    text = serialize_arena(fig1)
-    again = serialize_arena(parse_arena(text))
-    assert text == again
+    for a in (fig1, fig1._replace(bounds=(2**63 - 1, 0))):
+        text = serialize_arena(a)
+        again = parse_arena(text)
+        assert again.bounds == a.bounds
+        assert serialize_arena(again) == text
 
 
 @settings(max_examples=100, deadline=None)

@@ -195,14 +195,27 @@ def test_solve_pretty_appends_trace(fig1_path, capsys):
     assert "  winners: [1, 2]" in lines
 
 
-def test_solve_unsupported_objective_errors(fig1_text, tmp_path, capsys):
+def test_solve_unsupported_objective_errors(fig1_text, fig1_path, tmp_path, capsys):
+    # `check` once printed a line of its own for it
     doc = json.loads(fig1_text)
     doc["objectives"]["players"]["1"] = "F (circ & X box)"
     path = tmp_path / "arena.json"
     path.write_text(json.dumps(doc))
-    code, _, err = _run(capsys, "solve", str(path), "--bounds", "3,3")
-    assert code == EXIT_ERROR
-    assert "unsupported objective" in err
+    certificate = fig1_path.with_name("fig1-3-3.solution.json")
+    line = ("error: unsupported objective: player 1: objective (F (circ & (X box))) is outside "
+            "the solvable fragments; supply a deterministic parity automaton\n")
+    assert _run(capsys, "solve", path, "--bounds", "3,3") == (EXIT_ERROR, "", line)
+    assert _run(capsys, "check", path, certificate, "--bounds", "3,3") == (EXIT_ERROR, "", line)
+
+
+def test_running_out_of_memory_is_an_error_with_a_message(fig1_path, capsys, monkeypatch):
+    # a traceback would exit 1, the code of a negative verdict
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(carefulsynth.synthesis, "solve", exhausted)
+    assert _run(capsys, "solve", fig1_path, "--bounds", "3,3") == (
+        EXIT_ERROR, "", "error: out of memory\n")
 
 
 DEEP_FORMULAS = {
@@ -425,6 +438,14 @@ def test_mc_bounded_verdict_matches_explicit_simulation(tmp_path, capsys):
     assert 100 <= sum(verdicts) <= len(verdicts) - 100
 
 
+def test_mc_pretty_appends_the_bounded_trace(fig1_path, lasso_file, capsys):
+    code, out, _ = _run(capsys, "mc", fig1_path, lasso_file, "F circ", "--bounds", "3,3",
+                        "--pretty")
+    assert code == EXIT_POSITIVE
+    assert out.endswith("\n\ntrace: a@0,0 a@2,1 a@3,2 a@3,3 b@3,2 c@1,1 circbox@0,0\n")
+    assert json.loads(out[:out.index("\n\ntrace:")])["energy"]["bounded"]["careful"] is True
+
+
 @pytest.mark.parametrize("bounds", ["3", "3,3,3"])
 def test_mc_bounds_of_the_wrong_length_are_an_error(fig1_path, lasso_file, capsys, bounds):
     code, out, err = _run(capsys, "mc", fig1_path, lasso_file, "F circ", "--bounds", bounds)
@@ -529,7 +550,8 @@ def test_stats_reports_sizes(fig1_path, capsys):
         pytest.param(
             "output_digest.py", ["--workloads", "fig1-sweep", "--seeds", "1"],
             re.compile("fig1-sweep seed 1: 5 instances, "
-                       "certificates [0-9a-f]{64}, regions [0-9a-f]{64}"),
+                       "certificates [0-9a-f]{64}, regions [0-9a-f]{64}, "
+                       "witness regions [0-9a-f]{64}"),
             id="output_digest.py",
         ),
         pytest.param(
@@ -631,27 +653,30 @@ def test_dpa_flag_with_a_non_numeric_player_is_an_error(fig1_path, tmp_path, cap
         capsys, "solve", fig1_path, "--bounds", "3,3", "--dpa", f"x={dpa_path}"
     )
     assert code == EXIT_ERROR
-    assert "--dpa expects player=file" in err
+    assert err == ("error: a --dpa player must be a natural number in ASCII digits, "
+                   "with no sign or leading zero, got 'x'\n")
 
 
 # spellings int() reads but `str` never writes: digit separators, spaces,
-# signs and non-ASCII digits (Arabic-Indic three, fullwidth one)
-_NON_ASCII_NUMBERS = ["1_0", " 3", "3 ", "+3", "\u0663", "\uff11"]
+# signs, leading zeros and non-ASCII digits (Arabic-Indic three, fullwidth one)
+_OTHER_SPELLINGS = ["1_0", " 3", "3 ", "+3", "03", "\u0663", "\uff11"]
 
 
-@pytest.mark.parametrize("number", _NON_ASCII_NUMBERS)
+@pytest.mark.parametrize("number", _OTHER_SPELLINGS)
 def test_bounds_flag_reads_only_ascii_digits(fig1_path, capsys, number):
     for bounds in (f"{number},3", f"3,{number}"):
         code, out, err = _run(capsys, "stats", fig1_path, "--bounds", bounds)
         assert (code, out) == (EXIT_ERROR, ""), bounds
         assert sum("error:" in line for line in err.splitlines()) == 1, err
-        assert "bounds must be comma-separated integers" in err, err
-    # a negative bound keeps its own message
+        assert err.endswith(f"error: argument --bounds: a bound must be a natural number in "
+                            f"ASCII digits, with no sign or leading zero, got {number!r}\n"), err
+    # a negative bound is read, and refused by the capacity rule
     code, _, err = _run(capsys, "stats", fig1_path, "--bounds=-1,3")
-    assert code == EXIT_ERROR and "bounds must be nonnegative" in err
+    assert code == EXIT_ERROR
+    assert err == "error: bounds must be 2 nonnegative components below 2**63, got (-1, 3)\n"
 
 
-@pytest.mark.parametrize("number", _NON_ASCII_NUMBERS)
+@pytest.mark.parametrize("number", _OTHER_SPELLINGS)
 def test_dpa_flag_reads_only_ascii_digits(fig1_path, tmp_path, capsys, number):
     # "١=FILE" once applied FILE to player 1
     dpa_path = tmp_path / "dpa.json"
@@ -661,7 +686,10 @@ def test_dpa_flag_reads_only_ascii_digits(fig1_path, tmp_path, capsys, number):
             capsys, "solve", fig1_path, "--bounds", "3,3", "--dpa", f"{player}={dpa_path}"
         )
         assert (code, out) == (EXIT_ERROR, ""), player
-        assert err == f"error: --dpa expects player=file, got '{player}={dpa_path}'\n", err
+        assert err == (f"error: a --dpa player must be a natural number in ASCII digits, "
+                       f"with no sign or leading zero, got {player!r}\n"), err
+    code, _, err = _run(capsys, "solve", fig1_path, "--bounds", "3,3", "--dpa", "1")
+    assert (code, err) == (EXIT_ERROR, "error: --dpa expects player=file, got '1'\n")
 
 
 def test_a_dpa_flag_does_not_carry_over_to_the_next_run(fig1_path, tmp_path, capsys):
@@ -769,6 +797,22 @@ def test_wrong_typed_arena_fields_are_errors(tmp_path, capsys, path, value, mess
     code, _, err = _run(capsys, "solve", str(arena_path))
     assert code == EXIT_ERROR
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "unfold", "stats"])
+@pytest.mark.parametrize("bound", [2**63, -1])
+def test_bounds_flag_meets_the_rule_of_document_bounds(tmp_path, capsys, command, bound):
+    # `stats --bounds 9223372036854775808` once passed, as a document's did not
+    doc = _one_state_document()
+    path = tmp_path / "arena.json"
+    doc["bounds"] = [bound]
+    path.write_text(json.dumps(doc))
+    from_document = _run(capsys, command, path)
+    del doc["bounds"]
+    path.write_text(json.dumps(doc))
+    from_flag = _run(capsys, command, path, f"--bounds={bound}")
+    message = f"error: bounds must be 1 nonnegative components below 2**63, got ({bound},)\n"
+    assert from_flag == from_document == (EXIT_ERROR, "", message)
 
 
 @pytest.mark.parametrize("players", [MAX_PLAYERS + 1, 10**30])

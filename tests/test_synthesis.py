@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from carefulsynth import _graphs, ltl, synthesis, zerosum
 from carefulsynth._graphs import strongly_connected_components
-from carefulsynth.errors import BudgetExceededError, DocumentSemanticError
+from carefulsynth.errors import (
+    BudgetExceededError, DocumentSemanticError, UnsupportedObjectiveError,
+)
 from carefulsynth.synthesis import (
     NoWitness,
     SolveResult,
@@ -179,8 +181,8 @@ def _check_product_laws(a, bounds, system, trackers):
             if q is None or q == ():
                 return [(None, word) if q is None else ()]
             p, x = q
-            trs = [tr for s in (nba.initial if p is None else [p]) for tr in nba.transitions[s]]
-            dsts = sorted({tr.dst for tr in trs if ltl.guard_matches(tr, frozenset(x))})
+            read = [s for s in (nba.initial if p is None else [p]) if nba.reads(s, frozenset(x))]
+            dsts = sorted({d for s in read for d in nba.succ[s]})
             return [(d, word) for d in dsts] or [()]
 
         system_start = None
@@ -665,14 +667,31 @@ def test_solve_unsatisfiable_system_objective(fig1_text):
     assert result.status == SolveResult.NO_SOLUTION
 
 
-def test_solve_general_objective_without_automaton_is_unsupported(fig1_text):
+def test_solve_general_objective_without_automaton_is_unsupported(fig1_text, fig1):
     doc = json.loads(fig1_text)
     doc["objectives"]["players"]["1"] = "F (circ & X box)"
     from carefulsynth.arena import parse_arena
 
-    result = solve(parse_arena(json.dumps(doc)), (3, 3))
-    assert result.status == SolveResult.UNSUPPORTED
-    assert result.reason
+    a = parse_arena(json.dumps(doc))
+    message = ("unsupported objective: player 1: objective (F (circ & (X box))) is outside "
+               "the solvable fragments; supply a deterministic parity automaton")
+    with pytest.raises(UnsupportedObjectiveError) as solved:
+        solve(a, (3, 3))
+    assert str(solved.value) == message
+    # the checker refuses it alike, before it reads the certificate
+    with pytest.raises(UnsupportedObjectiveError) as checked:
+        check_certificate(a, (3, 3), solve(fig1, (3, 3)).profile)
+    assert str(checked.value) == message
+
+
+@pytest.mark.parametrize("bounds", [(3.0, 3), (True, 3), (3, -1), (2**63, 3), (3,), "33"])
+def test_every_call_refuses_capacities_outside_the_document_rule(fig1, bounds):
+    # one JSON integer per resource, from 0 to 2^63 - 1, as in an arena document
+    certificate = solve(fig1, (3, 3)).profile
+    for call in (lambda: solve(fig1, bounds), lambda: unfold(fig1, bounds),
+                 lambda: check_certificate(fig1, bounds, certificate)):
+        with pytest.raises(DocumentSemanticError, match="bounds must be 2 nonnegative"):
+            call()
 
 
 def test_solve_trace_stays_within_bounds(fig1):
@@ -947,6 +966,18 @@ def test_checker_rejects_underflowing_outcome(fig1):
     assert any("depletes" in v for v in violations)
 
 
+def test_checker_rejects_a_loop_that_changes_the_resources(fig1):
+    # a -> a gains (2, 1) up to the capacities: the loop's first pass starts
+    # at (2, 1), its second at (3, 2)
+    from carefulsynth.arena import Lasso
+
+    p = solve(fig1, (3, 3)).profile
+    bad = p._replace(outcome=Lasso(stem=("a",), loop=("a",)))
+    assert check_certificate(fig1, (3, 3), bad) == [
+        "loop is not resource-stable: repeating it changes the resource vector"
+    ]
+
+
 def _one_choice_arena(n=40, e_labels=()):
     # player 1 owns d and may deviate to any ek; there player 2 either
     # punishes (z) or concedes p (pk). The outcome x d s^omega never sees p.
@@ -1013,6 +1044,31 @@ DPA_F_P_MOVED_BY_R = {
         {"src": "good", "dst": "good"},
     ],
 }
+
+
+def test_a_certificate_names_each_node_in_one_spelling(tmp_path, capsys):
+    # "e00@\u0660" (an Arabic-Indic zero) once named e00@0 too, so a later
+    # entry for e00@0 hid the losing move to p00 and the table was accepted
+    from carefulsynth.arena import arena_to_document
+    from carefulsynth.cli import run
+
+    arena = tmp_path / "arena.json"
+    arena.write_text(json.dumps(arena_to_document(_one_choice_arena(n=2))))
+    certificate = tmp_path / "certificate.json"
+
+    def check(table):
+        doc = {"outcome": {"stem": ["x", "d"], "loop": ["s"], "trace": [[0], [0], [0]]},
+               "winners": [2], "punishment": {"1": table, "2": {}}}
+        certificate.write_text(json.dumps(doc))
+        code = run(["check", str(arena), str(certificate), "--bounds", "0"])
+        return (code, *capsys.readouterr())
+
+    punished = {"e00@0|False": "z@0", "e01@0|False": "z@0"}
+    assert check(punished)[:2] == (0, '{\n  "verdict": "ok",\n  "violations": []\n}\n')
+    assert check({**punished, "e00@0|False": "p00@0"})[0] == 1
+    assert check({"e00@\u0660|False": "p00@0", **punished}) == (
+        2, "", "error: a credit in 'e00@\u0660' must be a natural number in ASCII digits, "
+        "with no sign or leading zero, got '\u0660'\n")
 
 
 def test_automaton_loser_table_is_read_after_the_letter(tmp_path, capsys):

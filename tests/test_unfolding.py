@@ -15,6 +15,7 @@ from carefulsynth.errors import (
 )
 from carefulsynth.unfolding import (
     BOT,
+    DEFAULT_STATE_BUDGET,
     lift,
     parse_ustate,
     render_ustate,
@@ -308,6 +309,20 @@ def test_unfold_allocates_nothing_per_unit_of_capacity():
             tracemalloc.stop()
         assert len(u.states) == size and u.states[-1] is BOT and not u.clipped
         assert peak < 2**20
+
+
+def test_the_state_budget_binds_before_3_gib(fig1):
+    # at (10^6, 1) each state of fig1's unfolding holds what the last did,
+    # about 1.1 kB at the peak, at 20,000 states as at 200,000
+    n = 20_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            unfold(fig1, (10**6, 1), max_states=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n * DEFAULT_STATE_BUDGET <= 3 * 2**30
 
 
 # ---------------------------------------------------------------------------
