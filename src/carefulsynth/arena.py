@@ -6,13 +6,14 @@ The textual format is UTF-8 JSON; serialization is canonical (states and
 edges sorted lexicographically), so round-trips are byte-stable.
 """
 
-import json
 from itertools import chain
 from operator import add
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
-from .errors import CostOverflowError, DocumentSemanticError, expect, is_int, load_json, member
+from .errors import (
+    CostOverflowError, DocumentSemanticError, dump_json, expect, is_int, load_json, member,
+)
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -316,7 +317,7 @@ def arena_to_document(arena: Arena) -> dict:
 
 
 def serialize_arena(arena: Arena) -> str:
-    return json.dumps(arena_to_document(arena), indent=2, ensure_ascii=False) + "\n"
+    return dump_json(arena_to_document(arena))
 
 
 # ---------------------------------------------------------------------------

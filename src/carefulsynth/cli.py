@@ -3,14 +3,14 @@
 Subcommands: solve, unfold, check, mc, gen-reduction, stats. Exit codes:
 0 = positive verdict (solution found / certificate valid / formula holds),
 1 = negative verdict, 2 = usage error, document error, or unsupported input.
-Output documents are UTF-8 JSON on stdout; warnings go to stderr.
+Output documents are JSON on stdout (`errors.dump_json`), warnings go to
+stderr, both in UTF-8 with a backslash escape for what it cannot encode.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -25,7 +25,7 @@ from .arena import (
     serialize_arena,
     validate_lasso,
 )
-from .errors import CarefulSynthError, UnderflowError, load_json, member, natural
+from .errors import CarefulSynthError, UnderflowError, dump_json, load_json, member, natural
 from .unfolding import lift, render_ustate, to_dot, unfold, unfolded_to_arena
 from .zerosum import ParityAutomaton, parse_dpa
 
@@ -52,17 +52,17 @@ def _read(path: str) -> str:
 
 
 def _emit(doc: dict, pretty_extra: Optional[str] = None) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=False))
+    print(dump_json(doc), end="")
     if pretty_extra:
         print(pretty_extra)
 
 
 def _parse_bounds_flag(text: str) -> tuple[int, ...]:
-    """The integers of `--bounds`, each written as `str` writes it. Their
-    range is `checked_bounds`'s to judge, so a negative one is read too."""
+    """The integers of `--bounds` as `str` writes them, negative ones too,
+    for `checked_bounds` to judge; `-0` is refused, as 0 has one spelling."""
     try:
-        return tuple(-natural(v[1:], "a bound") if v[:1] == "-" else natural(v, "a bound")
-                     for v in text.split(","))
+        return tuple(-natural(v[1:], "a bound") if v[:1] == "-" and v != "-0"
+                     else natural(v, "a bound") for v in text.split(","))
     except CarefulSynthError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -142,7 +142,7 @@ def _cmd_unfold(args) -> int:
     u = unfold(a, bounds)
     if args.dot:
         try:
-            with open(args.dot, "w", encoding="utf-8") as f:
+            with open(args.dot, "w", encoding="utf-8", errors="backslashreplace") as f:
                 f.write(to_dot(u))
         except OSError as e:
             raise CarefulSynthError(f"cannot write {args.dot}: {e.strerror}") from None
@@ -243,6 +243,34 @@ def _cmd_stats(args) -> int:
     return EXIT_POSITIVE
 
 
+# Each option, declared once: its flag, then `add_argument`'s keywords.
+_OPTIONS = {
+    "--bounds": dict(type=_parse_bounds_flag,
+                     help="capacity vector, e.g. 3,3 (overrides the arena document)"),
+    "--pretty": dict(action="store_true", help="append a human-readable trace rendering"),
+    "--dpa": dict(action="append", default=[], metavar="PLAYER=FILE",
+                  help="deterministic parity automaton for a player's objective"),
+    "--dot": dict(metavar="FILE", help="also write DOT output"),
+}
+
+# One row per subcommand: name, handler, help, then its positional arguments
+# and its options, in the order its usage line lists them.
+_COMMANDS = [
+    ("solve", _cmd_solve, "decide careful synthesis and emit a certificate",
+     ["arena", "--bounds", "--pretty", "--dpa"]),
+    ("unfold", _cmd_unfold, "emit the reachable bounded unfolding",
+     ["arena", "--bounds", "--dot"]),
+    ("check", _cmd_check, "verify a strategy-profile certificate",
+     ["arena", "profile", "--bounds", "--dpa"]),
+    ("mc", _cmd_mc, "model-check a formula on a lasso, with energy report",
+     ["arena", "lasso", "formula", "--bounds", "--pretty"]),
+    ("gen-reduction", _cmd_gen_reduction, "encode a two-counter automaton as an arena",
+     ["automaton"]),
+    ("stats", _cmd_stats, "report arena and unfolding sizes",
+     ["arena", "--bounds"]),
+]
+
+
 @functools.cache  # once per process: building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -253,50 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, pretty=True):
-        p.add_argument("--bounds", type=_parse_bounds_flag, default=None,
-                       help="capacity vector, e.g. 3,3 (overrides the arena document)")
-        if pretty:
-            p.add_argument("--pretty", action="store_true",
-                           help="append a human-readable trace rendering")
-
-    p = sub.add_parser("solve", help="decide careful synthesis and emit a certificate")
-    p.add_argument("arena")
-    add_common(p)
-    p.add_argument("--dpa", action="append", default=[], metavar="PLAYER=FILE",
-                   help="deterministic parity automaton for a player's objective")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("unfold", help="emit the reachable bounded unfolding")
-    p.add_argument("arena")
-    add_common(p, pretty=False)
-    p.add_argument("--dot", default=None, metavar="FILE", help="also write DOT output")
-    p.set_defaults(func=_cmd_unfold)
-
-    p = sub.add_parser("check", help="verify a strategy-profile certificate")
-    p.add_argument("arena")
-    p.add_argument("profile")
-    add_common(p, pretty=False)
-    p.add_argument("--dpa", action="append", default=[], metavar="PLAYER=FILE")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("mc", help="model-check a formula on a lasso, with energy report")
-    p.add_argument("arena")
-    p.add_argument("lasso")
-    p.add_argument("formula")
-    add_common(p)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("gen-reduction", help="encode a two-counter automaton as an arena")
-    p.add_argument("automaton")
-    p.set_defaults(func=_cmd_gen_reduction)
-
-    p = sub.add_parser("stats", help="report arena and unfolding sizes")
-    p.add_argument("arena")
-    add_common(p, pretty=False)
-    p.set_defaults(func=_cmd_stats)
-
+    for name, handler, summary, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for argument in arguments:  # a positional argument has no keywords
+            p.add_argument(argument, **_OPTIONS.get(argument, {}))
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -316,6 +305,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:
         code = run()
         sys.stdout.flush()

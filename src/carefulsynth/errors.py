@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the JSON decoding step
-and shape checks every document reader uses."""
+"""Exception hierarchy shared by all modules, the JSON decoding step and
+shape checks every document reader uses, and the one JSON encoder."""
 
 import json
 
@@ -74,6 +74,11 @@ def load_json(text: str):
         raise DocumentSyntaxError("document nested too deeply to decode") from None
     except ValueError:  # the limit on integer string conversion
         raise DocumentSyntaxError("integer too long to decode") from None
+
+
+def dump_json(doc) -> str:
+    """Every document's text: indented by 2, non-ASCII written raw, then a newline."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def is_int(v) -> bool:

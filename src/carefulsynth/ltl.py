@@ -154,9 +154,12 @@ def formula_to_str(phi: Formula) -> str:
     return f"({' '.join(parts)})"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()]))")
+_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[!&|()])")
 
 _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+
+# Every token but these is an atom's name.
+_KEYWORDS = {*_UNARY, "U", "&", "|", "(", ")", "true", "false"}
 
 # Deepest nesting parse_ltl accepts, counted both in the text (operators and
 # parentheses the parser descends into) and in the tree it returns, so that
@@ -167,34 +170,29 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, int]] = []
+        self.tokens: list[tuple[Optional[str], int]] = []
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
                 break
-            tok = m.group(1) or m.group(2)
-            self.tokens.append((tok, m.start(1) if m.group(1) else m.start(2)))
+            self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
         rest = text[pos:].strip()
         if rest:
             raise LtlSyntaxError(f"unexpected character {rest[0]!r}", text.index(rest[0], pos))
+        self.tokens.append((None, len(text)))  # the end of input
         self.i = 0
         self.depth = 0
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+        return self.tokens[self.i][1]
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise LtlSyntaxError("unexpected end of input", len(self.text))
+    def take(self) -> None:
         self.i += 1
-        return tok
 
     def nested(self, parse) -> Formula:
         if self.depth == MAX_NESTING:
@@ -233,7 +231,7 @@ class _Parser:
     def parse_unary(self) -> Formula:
         tok = self.peek()
         if tok is None:
-            raise LtlSyntaxError("unexpected end of input", len(self.text))
+            raise LtlSyntaxError("unexpected end of input", self.pos())
         if tok in _UNARY:
             self.take()
             return _UNARY[tok](self.nested(self.parse_unary))
@@ -247,7 +245,7 @@ class _Parser:
         if tok in ("true", "false"):
             self.take()
             return Lit(tok == "true")
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in ("U",):
+        if tok not in _KEYWORDS:
             self.take()
             return Atom(tok)
         raise LtlSyntaxError(f"unexpected token {tok!r}", self.pos())

@@ -22,7 +22,7 @@ from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 from . import ltl
 from ._graphs import breadth_first, folded, ids_in_sccs_with, number, path_to, restricted
 from ._graphs import shortest_path, strongly_connected_components
-from .arena import Arena, Lasso, RESERVED_ATOM, checked_bounds, validate_history
+from .arena import Arena, Lasso, checked_bounds, validate_history
 from .errors import (
     BudgetExceededError,
     DocumentSemanticError,
@@ -373,8 +373,7 @@ def check_certificate(
 
     stem_labels = [a.labels[s] for s, _ in stem]
     loop_labels = [a.labels[s] for s, _ in loop]
-    atoms = a.atoms | {RESERVED_ATOM}
-    if not ltl.eval_on_lasso(a.system_objective, stem_labels, loop_labels, atoms=atoms):
+    if not ltl.eval_on_lasso(a.system_objective, stem_labels, loop_labels, atoms=a.atoms):
         violations.append("outcome does not satisfy the system objective")
 
     for what, named in [("winner", profile.winners), ("punishment table of", profile.punishment)]:
@@ -384,7 +383,7 @@ def check_certificate(
             satisfied = tracker_accepts(tracker, stem_labels, loop_labels)
         else:
             satisfied = ltl.eval_on_lasso(
-                a.objective_of(i), stem_labels, loop_labels, atoms=atoms
+                a.objective_of(i), stem_labels, loop_labels, atoms=a.atoms
             )
         if satisfied != (i in profile.winners):
             violations.append(

@@ -304,6 +304,23 @@ def test_a_wrong_cost_component_gets_one_message_on_each_path(fig1_text, value, 
     assert str(e.value) == built
 
 
+_ONE_STATE = dict(players=1, dimensions=1, states=["s"], owner={"s": 1}, initial="s",
+                  edges={("s", "s"): [0]}, atoms=[], labels={},
+                  system_objective=ltl.TRUE, player_objectives=[ltl.TRUE])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("owner", {"s": 1, "t": 1}, "owner map must cover exactly the states"),
+    ("player_objectives", [], "expected 1 player objectives, got 0"),
+    ("edges", {("s", "s"): 5}, "edge ('s', 's'): cost must be a list of integers, got 5"),
+], ids=["owner", "objectives", "cost"])
+def test_build_arena_names_what_is_wrong(field, value, message):
+    assert build_arena(**_ONE_STATE).states == ("s",)
+    with pytest.raises(DocumentSemanticError) as e:
+        build_arena(**dict(_ONE_STATE, **{field: value}))
+    assert str(e.value) == message
+
+
 def test_member_calls_do_not_grow_with_the_arena(monkeypatch):
     calls = []
 

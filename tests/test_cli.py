@@ -454,6 +454,11 @@ def test_mc_bounds_of_the_wrong_length_are_an_error(fig1_path, lasso_file, capsy
     assert out == ""
 
 
+def test_mc_formula_syntax_error_is_an_error_with_its_position(fig1_path, lasso_file, capsys):
+    code, out, err = _run(capsys, "mc", fig1_path, lasso_file, "F circ box")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: at position 7: trailing input 'box'\n")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -529,6 +534,14 @@ def test_gen_reduction_refuses_a_location_named_like_a_state_it_adds(name, tmp_p
     code, out, err = _run(capsys, "gen-reduction", str(ca_path))
     message = f"error: location {name!r} clashes with a state the encoding adds\n"
     assert (code, out, err) == (EXIT_ERROR, "", message)
+
+
+def test_gen_reduction_refuses_duplicate_location_names(tmp_path, capsys):
+    doc = CORPUS[1][1]
+    ca_path = tmp_path / "ca.json"
+    ca_path.write_text(json.dumps(dict(doc, locations=doc["locations"] + doc["locations"][:1])))
+    code, out, err = _run(capsys, "gen-reduction", str(ca_path))
+    assert (code, out, err) == (EXIT_ERROR, "", "error: duplicate location names\n")
 
 
 def test_stats_reports_sizes(fig1_path, capsys):
@@ -646,6 +659,17 @@ def test_negative_bounds_flag_is_an_error(fig1_path, capsys):
     assert code == EXIT_ERROR
 
 
+def test_bounds_flag_has_one_spelling_of_zero(fig1_path, capsys):
+    # `-0` once read as 0; every other negative bound meets the capacity rule
+    code, out, err = _run(capsys, "stats", fig1_path, "--bounds=-0,3")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.endswith("error: argument --bounds: a bound must be a natural number in "
+                        "ASCII digits, with no sign or leading zero, got '-0'\n"), err
+    code, _, err = _run(capsys, "stats", fig1_path, "--bounds=3,-7")
+    assert code == EXIT_ERROR
+    assert err == "error: bounds must be 2 nonnegative components below 2**63, got (3, -7)\n"
+
+
 def test_dpa_flag_with_a_non_numeric_player_is_an_error(fig1_path, tmp_path, capsys):
     dpa_path = tmp_path / "dpa.json"
     dpa_path.write_text("{}")
@@ -717,6 +741,24 @@ def test_a_dpa_flag_repeating_a_player_is_an_error(fig1_path, tmp_path, capsys):
                               "--dpa", f"1={second}")
         assert (code, out) == (EXIT_ERROR, ""), command
         assert err == "error: --dpa player 1 given twice\n", err
+
+
+def test_a_dpa_flag_naming_no_player_of_the_arena_is_an_error(fig1_path, tmp_path, capsys):
+    path = tmp_path / "dpa.json"
+    path.write_text(json.dumps(_DPA))
+    certificate = fig1_path.with_name("fig1-3-3.solution.json")
+    for command in (("solve", fig1_path), ("check", fig1_path, certificate)):
+        code, out, err = _run(capsys, *command, "--bounds", "3,3", "--dpa", f"4={path}")
+        assert (code, out, err) == (EXIT_ERROR, "", "error: --dpa player 4 out of range\n")
+
+
+def test_every_command_describes_the_dpa_option_alike(capsys):
+    # each option is declared once, so `check` gives `--dpa` the help `solve` gives it
+    for command in ("solve", "check"):
+        code, out, _ = _run(capsys, command, "-h")
+        assert code == EXIT_POSITIVE
+        assert ("--dpa PLAYER=FILE deterministic parity automaton for a player's objective"
+                in " ".join(out.split())), out
 
 
 def _one_state_document():
@@ -882,6 +924,15 @@ def test_profile_player_keys_must_be_canonical(fig1_path, tmp_path, capsys, key)
     code, _, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
     assert code == EXIT_ERROR
     assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
+def test_profile_node_key_without_a_credit_is_an_error(fig1_path, tmp_path, capsys):
+    doc = json.loads(fig1_path.with_name("fig1-3-3.solution.json").read_text(encoding="utf-8"))
+    doc["punishment"]["3"] = {"a|False": "circbox@0,0"}
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: bad unfolded state id 'a'\n")
 
 
 def test_profile_with_a_repeated_key_is_an_error(fig1_path, tmp_path, capsys):
@@ -1057,6 +1108,56 @@ def test_a_closed_stdout_exits_2_without_a_traceback(fig1_path):
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_ERROR, (command, err)
         assert "Traceback" not in err and "Error" not in err, (command, err)
+
+
+def _fig1_with_suffixed_ids(fig1_text, suffix):
+    doc = json.loads(fig1_text)
+    doc["initial"] += suffix
+    for state in doc["states"]:
+        state["id"] += suffix
+    for edge in doc["edges"]:
+        edge["src"] += suffix
+        edge["dst"] += suffix
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("suffix, encoding", [("\ud800", None), ("\u00e9", "ascii")],
+                         ids=["lone-surrogate", "non-ascii-under-ascii-stdout"])
+def test_every_name_is_written_in_utf8_with_escapes_for_the_rest(
+    fig1_text, tmp_path, suffix, encoding
+):
+    # a lone surrogate, which UTF-8 cannot encode, and a non-ASCII letter
+    # under an ASCII stdout once ended in UnicodeEncodeError and exit 1
+    src = str(pathlib.Path(carefulsynth.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    arena, dot, certificate = (tmp_path / n for n in ("arena.json", "u.dot", "cert.json"))
+    arena.write_text(_fig1_with_suffixed_ids(fig1_text, suffix))
+    written = f"a{suffix}@0,0".encode("utf-8", "backslashreplace")
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "carefulsynth.cli", *map(str, argv)],
+                              env=env, capture_output=True, timeout=60)
+        assert "Traceback" not in proc.stderr.decode("utf-8", "replace"), argv
+        return proc
+
+    unfolded = cli("unfold", arena, "--bounds", "1,1", "--dot", dot)
+    assert unfolded.returncode == EXIT_POSITIVE
+    assert written in unfolded.stdout and written in dot.read_bytes()
+    ids = [s["id"] for s in json.loads(unfolded.stdout.decode("utf-8"))["states"]]
+    assert f"a{suffix}@0,0" in ids
+    pretty = cli("solve", arena, "--bounds", "3,3", "--pretty")
+    assert pretty.returncode == EXIT_POSITIVE
+    assert b"  stem: " + written in pretty.stdout
+    solved = cli("solve", arena, "--bounds", "3,3")
+    assert solved.returncode == EXIT_POSITIVE
+    certificate.write_bytes(solved.stdout)
+    assert json.loads(solved.stdout.decode("utf-8"))["outcome"]["stem"][0] == f"a{suffix}"
+    checked = cli("check", arena, certificate, "--bounds", "3,3")
+    assert (checked.returncode, json.loads(checked.stdout)["verdict"]) == (EXIT_POSITIVE, "ok")
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,20 @@ def test_parse_rejects_garbage_character():
         parse_ltl("a + b")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a b", "at position 2: trailing input 'b'"),
+    ("(a", "at position 2: expected ')'"),
+    ("&a", "at position 0: unexpected token '&'"),
+    ("a U", "at position 3: unexpected end of input"),
+    ("U", "at position 0: unexpected token 'U'"),
+])
+def test_parse_errors_name_the_token_and_its_position(text, message):
+    with pytest.raises(LtlSyntaxError) as e:
+        parse_ltl(text)
+    assert str(e.value) == message
+    assert e.value.position == int(message.split()[2].rstrip(":"))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_pretty_print_round_trip(seed):

@@ -84,6 +84,18 @@ def test_nonzero_target_yields_no_witness():
     assert simulate_reachability(NONZERO) is None
 
 
+def test_a_step_that_drives_a_counter_negative_is_skipped():
+    # the lower guard 0 admits the decrement at 0, but a counter never goes
+    # below zero, so the increment back to (0, 0) at the target is unreachable
+    guards = [[0, "omega"], [0, "omega"]]
+    ca = _parse(_doc(["l0", "l1", "t"], "l0", "t", [
+        {"src": "l0", "dst": "l1", "weights": [-1, 0], "guards": guards},
+        {"src": "l1", "dst": "t", "weights": [1, 0], "guards": guards},
+    ]))
+    assert simulate_reachability(ca) is None
+    assert simulate_reachability(ca._replace(initial="l1", target="l1")).k == 0
+
+
 def test_explicit_target_overrides_document():
     # zero-ending reachability of the *initial* location is immediate
     run = simulate_reachability(NONZERO._replace(target="l0"))
