@@ -1,36 +1,51 @@
 #!/usr/bin/env python3
 """Time the solver's graph passes, or the certificate check's parts, on one
-benchmark workload and seed:
+workload and seed:
 
     python3 scripts/layer_times.py --workload fig1-sweep --seed 1 --repeat 5
     python3 scripts/layer_times.py --workload reduction --seed 1 --check
+    python3 scripts/layer_times.py --workload many-resources --seed 2
 
-Each instance of `bench/workloads.setup` (read only) is solved `--repeat`
-times in this process. One line per instance, then their mean, gives in
-milliseconds the fastest untimed `solve`, and, from the timed runs, the
-fastest time of each call to `product`, `unfold`, `witness_product`,
-`punish_region`, `solve_parity` and `find_witness_lasso`, summed over the
-calls of one solve (the calls come in the same order every run).
-`punish_region` is inclusive: it holds its `solve_parity` calls, and the
-fixpoint on credit sets that solves a reachability game without
-`solve_parity`. The benchmark's tracer does not wrap `product` or
-`witness_product`; this script shows their share. `rest` is the fastest
-solve minus those layers summed (`solve_parity` counted once, inside
-`punish_region`): the work of `solve` outside them, such as forbidding
-each loser's won nodes and cutting the tables to the certificate; it can
-read slightly below zero, as the layers' times and the solve's come from
-different runs. The line ends with sizes from one more solve, which do
-not depend on the machine: `unfold=C/N/R` for the solve's one `unfold`
-call, the arena's distinct costs, the nodes of the witness product it
-unfolds and the credits its unfolding reaches (`unfold` keeps one row per
-credit, over the costs); `product=N`, the witness product's nodes;
-`scc=N`, the ids its Tarjan passes cover: those whose product
-node lies in a product SCC where the system can accept, and, when no SCC
-is found there, every id, in the pass that sets `cyclic`; `regionI=N`,
-the nodes of player I's punishment game, followed by its solver,
-`/credits` (`zerosum.credit_region`) or `/zielonka`; and `pre_images=N`,
-the number of credit-set pre-images computed (`unfolding.pre_image`,
-called by `credit_region`).
+A workload is one of the benchmark's (`bench/workloads.setup`, read only)
+or a seeded scaling family of 40-state candidates of its random-fgf
+generator (`bench/generators._fgf_candidate`, read only), with objectives
+drawn again from `F a`, `G F a`, `G !a` and `F G !a` and the system
+objective `G !a`, so that some players lose: `many-players` has 8, 10 and
+16 players at (3,3), as in `many-players/16/1` (players, seed);
+`many-resources` has 4 players and costs extended by draws in [-1, 2] to
+2, 3, 4 and 5 resources ([0, 2] on an edge whose first two components are
+nonnegative, so the planted lasso never underflows), at capacity 4 in
+each, as in `many-resources/5/2` (resources, seed).
+
+Each instance is solved `--repeat` times in this process. One line per
+instance, then their mean, gives in milliseconds the fastest untimed
+`solve`, and, from the timed runs, the fastest time of each call to
+`product`, `unfold`, `witness_product`, `punish_region`, `solve_parity`
+and `find_witness_lasso`, summed over the calls of one solve (the calls
+come in the same order every run). `punish_region` holds its
+`solve_parity` calls and the fixpoint on credit sets that solves a
+reachability game without it. The benchmark's tracer does not wrap
+`product` or `witness_product`. `rest` is the fastest solve minus those
+layers summed (`solve_parity` counted once): the work of `solve` outside
+them, such as forbidding each loser's won nodes and cutting the tables to
+the certificate; it can read slightly below zero, as the layers' times and
+the solve's come from different runs.
+
+The line ends with sizes from one more solve, which do not depend on the
+machine: the verdict; `unfold=C/N/R` for the solve's one `unfold` call,
+the arena's distinct costs, the nodes of the witness product it unfolds
+and the credits its unfolding reaches (`unfold` keeps one row per credit);
+`ids=N` and `edges=N`, the unfolding's ids, the sink's included, and edges
+(the `unfold` column divided by `edges` is the time per unfolded edge);
+`product=N`, the witness product's nodes; `scc=N`, the ids its Tarjan
+passes cover: those whose product node lies in a product SCC where the
+system can accept, and, when no SCC is found there, every id, in the pass
+that sets `cyclic`; `regionI=N`, one per region solved, the nodes of
+player I's punishment game and its solver, `/credits`
+(`zerosum.credit_region`) or `/zielonka`; `pre_images=N`, the credit-set
+pre-images computed (`unfolding.pre_image`); and `searched=N` and
+`pruned=N`, the winner sets searched by `find_witness_lasso` and those
+enumerated but not searched.
 
 With `--check`, each instance that has a solution is solved once through
 the in-process CLI, and its certificate is then checked `--repeat` times
@@ -46,7 +61,9 @@ are only in `check`.
 """
 
 import argparse
+import collections
 import pathlib
+import random
 import sys
 import tempfile
 import time
@@ -54,6 +71,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import generators  # bench/generators.py, read only
 import workloads  # bench/workloads.py, read only
 
 from carefulsynth import cli, ltl, reduction, synthesis, zerosum
@@ -70,6 +88,51 @@ CHECK_LAYERS = {(cli, "parse_arena"): "arena", (synthesis, "parse_profile"): "ce
                 (cli, "_load_dpas"): "dpas", (synthesis, "_replay"): "replay",
                 (ltl, "eval_on_lasso"): "winners", (synthesis, "tracker_accepts"): "winners",
                 (synthesis, "_deviation_faults"): "deviations"}
+
+
+def with_objectives(rng: random.Random, doc: dict) -> dict:
+    """`doc` with its objectives drawn again, as the module docstring says."""
+    shapes = ("F {}", "G F {}", "G !{}", "F G !{}")
+    doc["objectives"] = {
+        "system": f"G !{rng.choice(generators.ATOMS)}",
+        "players": {str(i): rng.choice(shapes).format(rng.choice(generators.ATOMS))
+                    for i in range(1, doc["players"] + 1)},
+    }
+    return doc
+
+
+def many_players(players: int, seed: int) -> tuple[dict, tuple[int, ...]]:
+    rng = random.Random(f"many-players/{players}/{seed}")
+    return with_objectives(rng, generators._fgf_candidate(rng, players=players)), (3, 3)
+
+
+def many_resources(dims: int, seed: int) -> tuple[dict, tuple[int, ...]]:
+    rng = random.Random(f"many-resources/{dims}/{seed}")
+    doc = generators._fgf_candidate(rng)
+    for edge in doc["edges"]:
+        low = 0 if min(edge["cost"]) >= 0 else -1
+        edge["cost"] += [rng.randint(low, 2) for _ in range(dims - 2)]
+    doc["dimensions"] = dims
+    return with_objectives(rng, doc), (4,) * dims
+
+
+# each family's arena generator and the sizes it is drawn at
+FAMILIES = {"many-players": (many_players, (8, 10, 16)),
+            "many-resources": (many_resources, (2, 3, 4, 5))}
+
+
+def instances(name: str, seed: int, tmp: pathlib.Path) -> list[workloads.Instance]:
+    """The instances of workload or family `name` at `seed`, their files
+    written under `tmp`."""
+    if name not in FAMILIES:
+        return workloads.setup(name, seed, tmp, {"cli": cli, "reduction": reduction})
+    generate, sizes = FAMILIES[name]
+    out = []
+    for n in sizes:
+        doc, bounds = generate(n, seed)
+        arena = workloads._write(tmp / f"{name}-{n}.json", doc)
+        out.append(workloads.Instance(f"{name}/{n}/{seed}", arena, bounds))
+    return out
 
 
 def patched(run, wrappers) -> None:
@@ -104,12 +167,10 @@ def timed(run, layers) -> list[tuple[str, float]]:
 
 
 def solve_sizes(a, bounds, dpas) -> list[str]:
-    """The sizes of one solve: for its `unfold` call, the arena's distinct
-    costs, the product's nodes and the credits reached; the witness
-    product's nodes and the ids its Tarjan passes cover, each region game's
-    nodes and its solver, and the number of credit-set pre-images
-    computed."""
-    sizes, calls, covered = [], [], []  # covered: the ids of each Tarjan pass
+    """The verdict and the sizes of one solve, as the module docstring
+    lists them."""
+    sizes, covered, results = [], [], []  # covered: the ids of each Tarjan pass
+    calls = collections.Counter()
 
     def witness(name, fn):
         def call(*args, **kwargs):
@@ -127,33 +188,44 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
 
     def solver(name, fn):
         def call(g, player, *args, **kwargs):
-            mark = calls.count("solve_parity")
+            mark = calls["solve_parity"]
             result = fn(g, player, *args, **kwargs)
-            zielonka = calls.count("solve_parity") > mark
+            zielonka = calls["solve_parity"] > mark
             sizes.append(f"region{player}={len(g.succ)}/{'zielonka' if zielonka else 'credits'}")
             return result
         return call
 
     def count(name, fn):
         def call(*args, **kwargs):
-            calls.append(name)
+            calls[name] += 1
             return fn(*args, **kwargs)
+        return call
+
+    def count_each(name, fn):
+        def call(*args):
+            for item in fn(*args):
+                calls[name] += 1
+                yield item
         return call
 
     def unfold(name, fn):
         def call(g, *args, **kwargs):
             u = fn(g, *args, **kwargs)
             credits = len({s[1] for s in u.states[:len(u.at)]})
-            sizes.append(f"unfold={len(set(a.edges.values()))}/{len(u.graph.state)}/{credits}")
+            sizes.extend([f"unfold={len(set(a.edges.values()))}/{len(u.graph.state)}/{credits}",
+                          f"ids={len(u.states)}", f"edges={sum(map(len, u.succ))}"])
             return u
         return call
 
-    patched(lambda: synthesis.solve(a, bounds, dpas),
+    patched(lambda: results.append(synthesis.solve(a, bounds, dpas)),
             {(synthesis, "witness_product"): witness, (synthesis, "punish_region"): solver,
              (synthesis, "unfold"): unfold, (zerosum, "pre_image"): count,
-             (zerosum, "solve_parity"): count,
+             (zerosum, "solve_parity"): count, (synthesis, "find_witness_lasso"): count,
+             (synthesis, "_winner_sets"): count_each,
              (synthesis, "strongly_connected_components"): tarjan})
-    return sizes + [f"pre_images={calls.count('pre_image')}"]
+    searched = calls["find_witness_lasso"]
+    return [results[0].status, *sizes, f"pre_images={calls['pre_image']}",
+            f"searched={searched}", f"pruned={calls['_winner_sets'] - searched}"]
 
 
 def fastest(run, repeat: int) -> float:
@@ -215,13 +287,13 @@ def check_times(inst, repeat: int, tmp: pathlib.Path) -> dict[str, float] | None
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", default="fig1-sweep", choices=list(workloads.WORKLOADS))
+    parser.add_argument("--workload", default="fig1-sweep",
+                        choices=[*workloads.WORKLOADS, *FAMILIES])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--check", action="store_true",
                         help="time the parts of the certificate check instead of the solve")
     args = parser.parse_args()
-    pkg = {"cli": cli, "reduction": reduction}
     if args.check:
         columns = ["check", *dict.fromkeys(CHECK_LAYERS.values())]
     else:
@@ -229,7 +301,7 @@ def main() -> int:
     print(" ".join(["instance", *columns, "(ms)", *([] if args.check else ["sizes"])]))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for inst in workloads.setup(args.workload, args.seed, pathlib.Path(tmp), pkg):
+        for inst in instances(args.workload, args.seed, pathlib.Path(tmp)):
             if args.check:
                 times, sizes = check_times(inst, args.repeat, pathlib.Path(tmp)), []
                 if times is None:
@@ -238,7 +310,8 @@ def main() -> int:
                 times, sizes = instance_times(inst, args.repeat)
             rows.append(times)
             print(" ".join([inst.id, *(f"{times[c]:.2f}" for c in columns), *sizes]), flush=True)
-    print(" ".join(["mean", *(f"{sum(r[c] for r in rows) / len(rows):.2f}" for c in columns)]))
+    if rows:
+        print(" ".join(["mean", *(f"{sum(r[c] for r in rows) / len(rows):.2f}" for c in columns)]))
     return 0
 
 

@@ -305,6 +305,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    # a stream closed at start is None; `print` to a None file writes to
+    # stdout, so a closed stderr becomes a sink for warnings and errors
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    if sys.stdout is None:
+        sys.exit(_fail("stdout is closed"))
     for stream in (sys.stdout, sys.stderr):
         stream.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:

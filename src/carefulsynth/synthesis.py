@@ -254,12 +254,12 @@ def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:
     return Lasso(stem=tuple(s for s, _ in stem), loop=tuple(s for s, _ in loop), trace=trace)
 
 
-def _reached_entries(g: UnfoldedArena, player, component, region, path) -> dict:
+def _reached_entries(g: UnfoldedArena, player, region, path) -> dict:
     """The entries of `region`'s table that `player` reads, keyed as in
     certificates, once it leaves the outcome by a sink-free move and then
     moves freely: the nodes `_deviation_faults` explores, from the same
     starts, and a solve's only table lookups. `g` is the region's unfolded
-    product, its component `component` the player's tracker, and `path`
+    product, whose component `player` is the player's tracker, and `path`
     the outcome's ids in it over stem, loop and loop head. Nodes of one key
     may move apart, and it keeps the last one reached: `g` refines the
     one-tracker game, so its attractor layers and Zielonka subgames hold
@@ -278,7 +278,7 @@ def _reached_entries(g: UnfoldedArena, player, component, region, path) -> dict:
             stack += succ[j]
         else:  # outside the loser's region, so the table has the node
             t = table[j]
-            kept[(states[j], str(qs[at[j]][component]))] = states[t]
+            kept[(states[j], str(qs[at[j]][player]))] = states[t]
             stack.append(t)
     return kept
 
@@ -328,7 +328,7 @@ def solve(
         )
         path = (*stem, *loop, loop[0])
         punishment = {
-            i: {} if i in winners else _reached_entries(u, i, i, regions[i], path)
+            i: {} if i in winners else _reached_entries(u, i, regions[i], path)
             for i in players
         }
         profile = StrategyProfile(outcome, winners, punishment)

@@ -1463,7 +1463,7 @@ def oracle_solve(a: Arena, bounds, dpas=None):
         )
         path = (*stem, *loop, loop[0])
         punishment = {
-            i: {} if i in winners else _reached_entries(g, i, i, regions[i], path)
+            i: {} if i in winners else _reached_entries(g, i, regions[i], path)
             for i in players
         }
         profile = StrategyProfile(outcome, winners, punishment)

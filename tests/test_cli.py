@@ -557,51 +557,57 @@ def test_stats_reports_sizes(fig1_path, capsys):
 # scripts
 
 
-@pytest.mark.parametrize(
-    "script, args, line",
-    [
-        pytest.param(
-            "output_digest.py", ["--workloads", "fig1-sweep", "--seeds", "1"],
-            re.compile("fig1-sweep seed 1: 5 instances, "
-                       "certificates [0-9a-f]{64}, regions [0-9a-f]{64}, "
-                       "witness regions [0-9a-f]{64}"),
-            id="output_digest.py",
-        ),
-        pytest.param(
-            "many_players.py", ["--players", "8", "--seeds", "4"],
-            re.compile("8 players seed 4: no-solution, 0 searched, 256 pruned, 0 regions, \\d+ ms"),
-            id="many_players.py",
-        ),
-        pytest.param(
-            "many_resources.py", ["--dims", "3", "--seeds", "1", "--repeat", "1"],
-            re.compile("d=3 seed 1: solution, 3795 states, 10288 edges, solve \\d+\\.\\d "
-                       "product \\d+\\.\\d unfold \\d+\\.\\d witness_product \\d+\\.\\d "
-                       "punish_region \\d+\\.\\d solve_parity \\d+\\.\\d "
-                       "find_witness_lasso \\d+\\.\\d rest -?\\d+\\.\\d ms, unfold \\d+ ns/edge"),
-            id="many_resources.py",
-        ),
-        pytest.param(
-            "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
-            re.compile("fig1@80,80( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d unfold=8/6/1374 product=1670 scc=466"
-                       "( region\\d=1671/credits){3} pre_images=42"),
-            id="layer_times.py",
-        ),
-        pytest.param(
-            "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1", "--check"],
-            re.compile("fig1@3,3( \\d+\\.\\d\\d){7}"),
-            id="layer_times.py --check",
-        ),
-    ],
-)
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+# each script with its arguments and a pattern one whole line of its output matches
+SCRIPT_CASES = [
+    pytest.param(
+        "output_digest.py", ["--workloads", "fig1-sweep", "--seeds", "1"],
+        re.compile("fig1-sweep seed 1: 5 instances, "
+                   "certificates [0-9a-f]{64}, regions [0-9a-f]{64}, "
+                   "witness regions [0-9a-f]{64}"),
+        id="output_digest.py",
+    ),
+    pytest.param(
+        "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
+        re.compile("fig1@80,80( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d no-solution unfold=8/6/1374 "
+                   "ids=1671 edges=2779 product=1670 scc=466( region\\d=1671/credits){3} "
+                   "pre_images=42 searched=4 pruned=4"),
+        id="layer_times.py",
+    ),
+    pytest.param(
+        "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1", "--check"],
+        re.compile("fig1@3,3( \\d+\\.\\d\\d){7}"),
+        id="layer_times.py --check",
+    ),
+    pytest.param(
+        "layer_times.py", ["--workload", "many-players", "--seed", "4", "--repeat", "1"],
+        re.compile("many-players/8/4( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d no-solution "
+                   "unfold=25/113/16 ids=582 edges=1592 product=581 scc=582 "
+                   "pre_images=0 searched=0 pruned=256"),
+        id="layer_times.py many-players",
+    ),
+    pytest.param(
+        "layer_times.py", ["--workload", "many-resources", "--seed", "1", "--repeat", "1"],
+        re.compile("many-resources/3/1( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d solution "
+                   "unfold=65/199/111 ids=3795 edges=10288 product=3794 scc=1245 "
+                   "region1=3795/zielonka region4=3795/zielonka pre_images=0 searched=1 pruned=8"),
+        id="layer_times.py many-resources",
+    ),
+]
+
+
+@pytest.mark.parametrize("script, args, line", SCRIPT_CASES)
 def test_scripts_run(script, args, line):
-    # one whole line of the output is `line`, or matches it if it is a pattern
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / script
     proc = subprocess.run(
-        [sys.executable, str(path), *args], capture_output=True, text=True, timeout=60
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    pattern = line if isinstance(line, re.Pattern) else re.compile(re.escape(line))
-    assert any(pattern.fullmatch(out) for out in proc.stdout.splitlines()), proc.stdout
+    assert any(line.fullmatch(out) for out in proc.stdout.splitlines()), proc.stdout
+
+
+def test_every_script_has_a_case():
+    assert {p.name for p in SCRIPTS.glob("*.py")} == {case.values[0] for case in SCRIPT_CASES}
 
 
 # ---------------------------------------------------------------------------
@@ -1093,21 +1099,40 @@ def test_dpa_state_names_with_a_bar_are_refused(tmp_path, capsys):
         assert err.startswith("error: state names must not contain '|'")
 
 
-def test_a_closed_stdout_exits_2_without_a_traceback(fig1_path):
-    # the reader of stdout goes away before the document is written
+def _cli_env() -> dict:
+    """The environment with this package first on `PYTHONPATH`, for
+    `python -m carefulsynth.cli` in a child process."""
     src = str(pathlib.Path(carefulsynth.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_with_closed(stream: str, *argv):
+    """`python -m carefulsynth.cli argv` through `sh`, started with
+    `stream` (`>&-` or `2>&-`) closed."""
+    script = f'"$0" -m carefulsynth.cli "$@" {stream}'
+    return subprocess.run(["sh", "-c", script, sys.executable, *map(str, argv)],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(fig1_path):
+    # the reader of stdout goes away before the document is written
     for command in ("solve", "unfold", "stats"):
         proc = subprocess.Popen(
             [sys.executable, "-m", "carefulsynth.cli", command, str(fig1_path), "--bounds", "3,3"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
         )
         proc.stdout.close()
         err = proc.stderr.read().decode()
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_ERROR, (command, err)
         assert "Traceback" not in err and "Error" not in err, (command, err)
+    # or stdout is closed at start: Python sets it to None, and calling a
+    # method on it once ended in a traceback and exit 1, a negative verdict
+    for argv in [("stats", fig1_path), ("solve", fig1_path, "--bounds", "3,3")]:
+        proc = _cli_with_closed(">&-", *argv)
+        assert (proc.returncode, proc.stderr) == (EXIT_ERROR, "error: stdout is closed\n"), argv
 
 
 def _fig1_with_suffixed_ids(fig1_text, suffix):
@@ -1128,9 +1153,7 @@ def test_every_name_is_written_in_utf8_with_escapes_for_the_rest(
 ):
     # a lone surrogate, which UTF-8 cannot encode, and a non-ASCII letter
     # under an ASCII stdout once ended in UnicodeEncodeError and exit 1
-    src = str(pathlib.Path(carefulsynth.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _cli_env()
     env.pop("PYTHONIOENCODING", None)
     if encoding is not None:
         env["PYTHONIOENCODING"] = encoding
@@ -1158,6 +1181,19 @@ def test_every_name_is_written_in_utf8_with_escapes_for_the_rest(
     assert json.loads(solved.stdout.decode("utf-8"))["outcome"]["stem"][0] == f"a{suffix}"
     checked = cli("check", arena, certificate, "--bounds", "3,3")
     assert (checked.returncode, json.loads(checked.stdout)["verdict"]) == (EXIT_POSITIVE, "ok")
+
+
+def test_a_closed_stderr_drops_warnings_and_keeps_stdout_json(fig1_text, tmp_path):
+    # `print(file=None)` writes to stdout, so a warning once landed in the
+    # JSON; here `--bounds` overrides the document's and (3,3) saturates
+    arena = tmp_path / "fig1-bounded.json"
+    arena.write_text(json.dumps(dict(json.loads(fig1_text), bounds=[1, 1])))
+    proc = _cli_with_closed("2>&-", "solve", arena, "--bounds", "3,3")
+    assert proc.returncode == EXIT_POSITIVE
+    assert json.loads(proc.stdout)["status"] == "solution"
+    proc = _cli_with_closed("2>&-", "solve", arena, "--bounds", "0,0")
+    assert proc.returncode == EXIT_NEGATIVE
+    assert json.loads(proc.stdout)["status"] == "no-solution"
 
 
 # ---------------------------------------------------------------------------
