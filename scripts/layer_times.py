@@ -34,15 +34,16 @@ the solve's come from different runs.
 The line ends with sizes from one more solve, which do not depend on the
 machine: the verdict; `unfold=C/N/R` for the solve's one `unfold` call,
 the arena's distinct costs, the nodes of the witness product it unfolds
-and the credits its unfolding reaches (`unfold` keeps one row per credit);
+and the credits its unfolding reaches (`unfold` keeps one pair of column
+sums per credit);
 `ids=N` and `edges=N`, the unfolding's ids, the sink's included, and edges
 (the `unfold` column divided by `edges` is the time per unfolded edge);
 `product=N`, the witness product's nodes; `scc=N`, the ids its Tarjan
 passes cover: those whose product node lies in a product SCC where the
-system can accept, and, when no SCC is found there, every id, in the pass
-that sets `cyclic`; `regionI=N`, one per region solved, the nodes of
-player I's punishment game and its solver, `/credits`
-(`zerosum.credit_region`) or `/zielonka`; `pre_images=N`, the credit-set
+system can accept, and, when no SCC is found there and no id is its own
+successor, every id, in the pass that sets `cyclic`; `regionI=N`, one per
+region solved, the nodes of player I's punishment game and its solver,
+`/credits` (`zerosum.credit_region`) or `/zielonka`; `pre_images=N`, the credit-set
 pre-images computed (`unfolding.pre_image`); and `searched=N` and
 `pruned=N`, the winner sets searched by `find_witness_lasso` and those
 enumerated but not searched.

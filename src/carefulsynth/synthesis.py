@@ -17,6 +17,7 @@ trackers and the SCC kernel (README, step 4).
 
 import itertools
 from collections import deque
+from operator import contains
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
@@ -150,8 +151,14 @@ def witness_product(u: UnfoldedArena) -> WitnessProduct:
     priority = list(map(list(map(of.__getitem__, graph.qs)).__getitem__, at))
     sccs = strongly_connected_components(ids_in_sccs_with(graph.succ, even, 1, at), succ)
     masks = folded(sccs, at, even)
-    cyclic = bool(sccs or strongly_connected_components(range(len(at)), succ))
+    cyclic = bool(sccs) or has_cycle(range(len(at)), succ)
     return WitnessProduct(succ, priority, sccs, masks, number(sccs, len(succ)), cyclic)
+
+
+def has_cycle(nodes: Sequence[int], succ: Sequence[Sequence[int]]) -> bool:
+    """Whether `succ` restricted to the ids `nodes` has a cycle: a self-loop, else Tarjan's."""
+    return any(map(contains, map(succ.__getitem__, nodes), nodes)) or bool(
+        strongly_connected_components(nodes, succ))
 
 
 class NoWitness(Exception):
@@ -171,7 +178,7 @@ def find_witness_lasso(
     a loop through one top-priority node per component). Raises NoWitness
     naming why none exists: the initial node is forbidden, the restricted
     product has no cycle (read off `product.cyclic`, or with forbidden nodes
-    off the ids reached), or no SCC is accepting."""
+    by `has_cycle` on the ids reached), or no SCC is accepting."""
     if 0 in forbidden:
         raise NoWitness("initial state forbidden")
     successors, prio = product.succ.__getitem__, product.priority
@@ -205,10 +212,9 @@ def find_witness_lasso(
         for node in comp:
             accepting[node] = (compset, tops)
 
-    if not accepting:
-        if not cyclic:  # a cycle outside the admitted SCCs? The sink's, last, is none
-            cyclic = bool(strongly_connected_components(
-                [v for v in seen if v < len(prio)], product.succ) if forbidden else product.cyclic)
+    if not accepting:  # a cycle outside the admitted SCCs? The sink's, last, is none
+        cyclic = cyclic or (has_cycle([v for v in seen if v < len(prio)], product.succ)
+                            if forbidden else product.cyclic)
         raise NoWitness("no accepting SCC" if cyclic else "no cycle in the restricted product")
 
     stem_path = (path_to(seen, next(filter(accepting.__contains__, seen))) if forbidden

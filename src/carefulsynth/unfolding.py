@@ -4,10 +4,10 @@ vectors, plus the absorbing underflow sink.
 Only the fraction reachable from (initial, 0, ..., 0) is materialized; the
 full product is never allocated. Its states are numbered once, in the
 order the breadth-first search finds them, and every later layer reads
-successors and owners by those numbers. `unfold` steps credits by rows:
-each reached credit has a row of successor keys over the arena's distinct
-costs, filled entry by entry from columns built per digit, with markers
-for the steps that saturate or go below zero. The checker's own step
+successors and owners by those numbers. `unfold` steps a credit by the
+sum of two columns over the arena's distinct costs, one per half of its
+digits, each summed once from columns built per digit, with markers for
+the steps that saturate or go below zero. The checker's own step
 (`credit_after`, `step`, `lift`) shares none of it. A set of credits can
 also be one int, bit k set when the credit of key k is in it, and an
 edge's pre-image is then a few shifts and masks (`pre_image`), which the
@@ -46,8 +46,8 @@ BOT = _BotState()
 
 UState = Union[tuple[str, tuple[int, ...]], _BotState]
 
-# About 1.1 kB a state at the peak (fig1 at (10^6, 1), by `tracemalloc` and a solve's
-# RSS), so the budget binds near 2.3 GB; fig1 at (3000, 3000), 1,377,283 states, solves.
+# About 0.9 kB a state at the peak (fig1 at (10^6, 1), by `tracemalloc`: 872 bytes at
+# 200,000 states), so the budget binds near 1.8 GB; fig1 at (3000, 3000), 1,377,283 states, solves.
 DEFAULT_STATE_BUDGET = 2 * 10**6
 
 
@@ -80,7 +80,7 @@ class UnfoldedArena(NamedTuple):
     states: tuple[UState, ...]
     succ: list[list[int]]  # in `step` order
     owner: list[int]  # the sink's is fixed at 1
-    clipped: bool = False  # some reachable step saturated a resource: a marked row entry
+    clipped: bool = False  # some reachable step saturated a resource: a marked sum
     graph: "Optional[Product]" = None
     at: Optional[list[int]] = None  # without the sink
     keys: Optional[list[int]] = None  # without the sink
@@ -240,22 +240,20 @@ def unfold(
     """Breadth-first construction of the reachable bounded unfolding of a
     product, or of an arena (its product with nothing), as `step` reads it.
     A node (p, c) is keyed by p times the number of credits plus c in mixed
-    radix over the capacities. Each reached credit has one row over the
-    arena's distinct costs, read by one list index per edge: the key of the
-    credit after each cost, or -1 for the sink, filled the first time an
-    edge from that credit takes that cost, as the sum of two columns over
-    the costs: one for the credit's digits in the first half of the
-    components and one for the rest, each the sum of one column per
-    (component, digit). Filling an entry thus costs the same at any number
-    of resources, and columns are built the first time their digits are
-    reached, so nothing grows with the capacities. In a column, a component
-    that saturates adds `width` and one that goes below zero
-    `(d + 1) * width`, so an entry below `width` is the key itself and only
-    the others are read further, to set `clipped` or to go to the sink. A
-    credit's digits are decoded once, at its first node. Nodes are numbered
-    as found, from the product's initial node, 0, and the sink after them
-    all, and their keys are kept (`UnfoldedArena.keys`); an owner is read
-    off its product node's. A failed step has a negative key."""
+    radix over the capacities. The key of the credit after an edge is the
+    sum of its cost's entries in two columns over the arena's distinct
+    costs, one per half of the credit's digits (the first all zeros at one
+    resource), each the sum of one column per (component, digit). A credit
+    keeps its pair in one dict, so a node costs one lookup and a step the
+    same at any number of resources; halves and columns are built the first
+    time they are reached, so nothing grows with the capacities. In a
+    column, a component that saturates adds `width` and one that goes below
+    zero `(d + 1) * width`, so a sum below `width` is the key itself and
+    only the others are read further, to set `clipped` or to go to the
+    sink. Each half's digits are decoded once and joined after the search.
+    Nodes are numbered as found, from the product's initial node, 0, the
+    sink after them all, and their keys kept (`UnfoldedArena.keys`); an
+    owner is read off its product node's. A failed step has a negative key."""
     g = product(g, ()) if isinstance(g, Arena) else g
     a, state = g.base, g.state
     b = checked_bounds(a.dimensions, bounds)
@@ -274,21 +272,19 @@ def unfold(
     highs, lows = {}, {}  # either part of a credit key -> its digits, and their columns summed
 
     def half(table: dict, ids: range, part: int) -> tuple:
-        """The digits of components `ids` in key part `part`, and their
-        columns summed, kept in `table`."""
+        """Part `part`'s digits over components `ids` and their columns summed, kept in `table`."""
         digits = tuple([part // place[i] % (b[i] + 1) for i in ids])
-        total = [0] * len(costs)
+        total = None
         for i, v in zip(ids, digits):
             col = columns[i].get(v)
             if col is None:
                 q, top = place[i], b[i]
                 col = columns[i][v] = [below if t < 0 else t * q if t <= top else top * q + width
                                        for t in [v + w[i] for w in costs]]
-            total = list(map(add, total, col))
-        return table.setdefault(part, (digits, total))
+            total = col if total is None else list(map(add, total, col))
+        return table.setdefault(part, (digits, total or [0] * len(costs)))
 
-    rows: dict = {}  # credit key -> its row, and its two parts' columns
-    vectors: dict = {}  # credit key -> its digits
+    credits: dict = {}  # credit key -> its two parts' columns summed; after the search, its digits
     found = [0]  # the key of (the initial node, no credit)
     index = {0: 0}
     succ: list[list[int]] = []
@@ -296,27 +292,23 @@ def unfold(
     sink = clipped = False
     for key in found:  # breadth-first: the list grows while it is read
         p, c = divmod(key, width)
-        got = rows.get(c)
+        got = credits.get(c)
         if got is None:
             lo = c % low
-            digits, high = highs.get(c - lo) or half(highs, range(cut), c - lo)
-            rest, tail = lows.get(lo) or half(lows, range(cut, len(b)), lo)
-            vectors[c] = digits + rest
-            got = rows[c] = [None] * len(costs), high, tail
-        row, high, tail = got
+            high = highs.get(c - lo) or half(highs, range(cut), c - lo)
+            tail = lows.get(lo) or half(lows, range(cut, len(b)), lo)
+            got = credits[c] = high[1], tail[1]
+        high, tail = got
         out = []
         to_bot = False
         for base, w in moves[p]:
-            c2 = row[w]
-            if c2 is None:
-                c2 = high[w] + tail[w]
-                if c2 >= width:  # marked: some component saturates or goes below zero
-                    clipped = clipped or c2 % below >= width
-                    c2 = c2 % width if c2 < below else -1
-                row[w] = c2
-            if c2 < 0:
-                to_bot = True
-                continue
+            c2 = high[w] + tail[w]
+            if c2 >= width:  # marked: some component saturates or goes below zero
+                clipped = clipped or c2 % below >= width
+                if c2 >= below:
+                    to_bot = True
+                    continue
+                c2 %= width
             nxt = base + c2
             k = index.get(nxt)
             if k is None:
@@ -335,10 +327,12 @@ def unfold(
     n = len(found)
     for out in to_sink:
         out[-1] = n
-    del rows, highs, lows, columns, index  # freed before the per-id lists are built
+    for c in credits:  # in place, so that no second dict is built
+        credits[c] = highs[c - c % low][0] + lows[c % low][0]
+    del highs, lows, columns, index  # freed before the per-id lists are built
     at = [key // width for key in found]
-    credits = map(vectors.__getitem__, map(mod, found, repeat(width)))
-    states = tuple(chain(zip(map(state.__getitem__, at), credits), (BOT,) * sink))
+    vectors = map(credits.__getitem__, map(mod, found, repeat(width)))
+    states = tuple(chain(zip(map(state.__getitem__, at), vectors), (BOT,) * sink))
     return UnfoldedArena(
         a, b, states, succ + [[n]] * sink,
         list(map(list(map(a.owner.__getitem__, state)).__getitem__, at)) + [1] * sink,

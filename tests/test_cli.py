@@ -583,7 +583,7 @@ SCRIPT_CASES = [
     pytest.param(
         "layer_times.py", ["--workload", "many-players", "--seed", "4", "--repeat", "1"],
         re.compile("many-players/8/4( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d no-solution "
-                   "unfold=25/113/16 ids=582 edges=1592 product=581 scc=582 "
+                   "unfold=25/113/16 ids=582 edges=1592 product=581 scc=1 "
                    "pre_images=0 searched=0 pruned=256"),
         id="layer_times.py many-players",
     ),

@@ -607,6 +607,68 @@ def test_solve_equals_the_unpruned_loop(monkeypatch, generator, seeds):
     assert pruned_sets > 2 * seeds and checked > seeds // 2, (pruned_sets, checked)
 
 
+def _causes(monkeypatch, a, bounds):
+    """`solve`'s result on `a`, its witness product, the winner sets it
+    searched and, for each call of `has_cycle`, whether the ids it was
+    given hold a self-loop and its answer, after checking each failed
+    set's cause: a searched set's is `oracle_solve`'s, and a pruned set's
+    is read off a full SCC pass, as in `test_solve_equals_the_unpruned_loop`."""
+    asked = []
+
+    def spy(nodes, succ, kernel=synthesis.has_cycle):
+        asked.append((any(v in succ[v] for v in nodes), kernel(nodes, succ)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(synthesis, "has_cycle", spy)
+    got, products, searched = _searched_by_solve(monkeypatch, a, bounds)
+    want = oracle_solve(a, bounds)
+    assert got.status == want.status == SolveResult.NO_SOLUTION
+    full = strongly_connected_components(range(len(products[0].priority)), products[0].succ)
+    pruned = "no accepting SCC" if full else "no cycle in the restricted product"
+    for (w, reason), (w2, expected) in zip(got.diagnostics, want.diagnostics, strict=True):
+        assert w == w2 and reason == (expected if w in searched else pruned), w
+    return got, products[0], searched, asked
+
+
+@pytest.mark.parametrize("case", ["two-cycle", "self-loops", "acyclic"])
+def test_a_searched_sets_cause_holds_without_a_self_loop(monkeypatch, case):
+    # as "cut off" above: with both players losers, y and w are forbidden
+    # and the search reaches x and what x leads to outside the SCCs it
+    # admits, where the system's component is odd: a cycle of two nodes, a
+    # node with a self-loop, or nothing. Only the first needs Tarjan to
+    # tell "no accepting SCC" from "no cycle in the restricted product"
+    states = [("x", 2, []), ("y", 1, ["p"]), ("w", 1, ["q"])]
+    edges = [("x", "y"), ("y", "y"), ("y", "w"), ("w", "w")]
+    if case == "two-cycle":
+        states, edges = states + [("z", 2, []), ("v", 2, [])], edges + [
+            ("x", "z"), ("z", "v"), ("v", "z")]
+    elif case == "self-loops":
+        states, edges = states + [("z", 2, [])], edges + [("x", "z"), ("z", "z")]
+    a = _two_player_arena(states, edges, "G F p", ["F q", "G p"])
+    result, witness, searched, asked = _causes(monkeypatch, a, (0,))
+    cyclic = case != "acyclic"
+    assert witness.sccs and () in searched
+    assert asked == [(case == "self-loops", cyclic)]  # the search of (), and no other
+    assert dict(result.diagnostics)[()] == (
+        "no accepting SCC" if cyclic else "no cycle in the restricted product")
+
+
+@pytest.mark.parametrize("case", ["two-cycle", "self-loop", "acyclic"])
+def test_a_product_without_an_accepting_scc_names_its_cycles(monkeypatch, case):
+    # the system's `G F p` meets no p, so no SCC can accept and every set
+    # is pruned by `witness_product`'s `cyclic`: x and y move to each
+    # other, y loops, or every move goes below zero
+    edges = {"two-cycle": [("x", "y"), ("y", "x")], "self-loop": [("x", "y"), ("y", "y")],
+             "acyclic": [("x", "y", -1), ("y", "y", -1)]}[case]
+    a = _two_player_arena([("x", 1, []), ("y", 2, [])], edges, "G F p", ["F q", "F p"])
+    result, witness, searched, asked = _causes(monkeypatch, a, (0,))
+    cyclic = case != "acyclic"
+    assert not witness.sccs and not searched and witness.cyclic == cyclic
+    assert asked == [(case == "self-loop", cyclic)]
+    assert set(dict(result.diagnostics).values()) == {
+        "no accepting SCC" if cyclic else "no cycle in the restricted product"}
+
+
 def _search_outcome(search, product, winners, forbidden):
     try:
         return search(product, winners, forbidden)
