@@ -15,7 +15,10 @@ objective `G !a`, so that some players lose: `many-players` has 8, 10 and
 `many-resources` has 4 players and costs extended by draws in [-1, 2] to
 2, 3, 4 and 5 resources ([0, 2] on an edge whose first two components are
 nonnegative, so the planted lasso never underflows), at capacity 4 in
-each, as in `many-resources/5/2` (resources, seed).
+each, as in `many-resources/5/2` (resources, seed); `many-capacities` has
+the `many-resources` arenas of the same seed with only the capacities
+raised: 3 resources at 6, 8 and 12, 4 at 6 and 8, and 5 at 6, as in
+`many-capacities/3/12/1` (resources, capacity, seed).
 
 Each instance is solved `--repeat` times in this process. One line per
 instance, then their mean, gives in milliseconds the fastest untimed
@@ -117,9 +120,14 @@ def many_resources(dims: int, seed: int) -> tuple[dict, tuple[int, ...]]:
     return with_objectives(rng, doc), (4,) * dims
 
 
+def many_capacities(dims: int, capacity: int, seed: int) -> tuple[dict, tuple[int, ...]]:
+    return many_resources(dims, seed)[0], (capacity,) * dims
+
+
 # each family's arena generator and the sizes it is drawn at
-FAMILIES = {"many-players": (many_players, (8, 10, 16)),
-            "many-resources": (many_resources, (2, 3, 4, 5))}
+FAMILIES = {"many-players": (many_players, [(8,), (10,), (16,)]),
+            "many-resources": (many_resources, [(2,), (3,), (4,), (5,)]),
+            "many-capacities": (many_capacities, [(3, 6), (3, 8), (3, 12), (4, 6), (4, 8), (5, 6)])}
 
 
 def instances(name: str, seed: int, tmp: pathlib.Path) -> list[workloads.Instance]:
@@ -129,10 +137,11 @@ def instances(name: str, seed: int, tmp: pathlib.Path) -> list[workloads.Instanc
         return workloads.setup(name, seed, tmp, {"cli": cli, "reduction": reduction})
     generate, sizes = FAMILIES[name]
     out = []
-    for n in sizes:
-        doc, bounds = generate(n, seed)
-        arena = workloads._write(tmp / f"{name}-{n}.json", doc)
-        out.append(workloads.Instance(f"{name}/{n}/{seed}", arena, bounds))
+    for size in sizes:
+        doc, bounds = generate(*size, seed)
+        label = "/".join(map(str, size))
+        arena = workloads._write(tmp / f"{name}-{label.replace('/', '-')}.json", doc)
+        out.append(workloads.Instance(f"{name}/{label}/{seed}", arena, bounds))
     return out
 
 

@@ -6,12 +6,18 @@ passed at some call of its name in `src/`, `bench/` or `scripts/`, as a
 test is not a caller; the state budgets are the only exceptions. Test-only
 helpers live in `tests/genutils.py`. Importing the package generates no
 code: no module uses `dataclasses`. Every name the benchmark's tracer wraps
-is a callable of the package."""
+is a callable of the package. Each module loads only the layers beneath it,
+and the package itself loads none."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import types
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "carefulsynth"
@@ -33,7 +39,6 @@ def _unreferenced() -> list[str]:
         (path, stmt)
         for folder in (PACKAGE, ROOT / "bench", ROOT / "scripts")
         for path in sorted(folder.glob("*.py"))
-        if path.name != "__init__.py"  # its exports are not uses
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body
     ]
     reads = [(stmt, _references(stmt)) for _, stmt in statements]
@@ -148,3 +153,35 @@ def test_every_name_the_tracer_wraps_is_a_callable_of_the_package():
         if not callable(getattr(importlib.import_module(f"carefulsynth.{module}"), attr, None)):
             missing.append(name)
     assert tracer.WRAPPED and missing == []
+
+
+ABOVE_UNFOLDING = {"zerosum", "synthesis", "reduction", "cli"}
+
+# what a fresh `import` of each module must not load: the package loads no
+# module, and no module loads one above it (`errors` and `_graphs`, then
+# `ltl`, `arena`, `unfolding`, `zerosum`, `synthesis` and `cli`, with
+# `reduction` beside `unfolding`), so the checker's own step (`unfolding`)
+# loads no game solver
+ABOVE = {
+    "carefulsynth": {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"},
+    "carefulsynth.errors": ABOVE_UNFOLDING,
+    "carefulsynth._graphs": ABOVE_UNFOLDING,
+    "carefulsynth.ltl": ABOVE_UNFOLDING,
+    "carefulsynth.arena": ABOVE_UNFOLDING,
+    "carefulsynth.unfolding": ABOVE_UNFOLDING,
+    "carefulsynth.zerosum": {"synthesis", "reduction", "cli"},
+    "carefulsynth.reduction": {"unfolding", "zerosum", "synthesis", "cli"},
+    "carefulsynth.synthesis": {"reduction", "cli"},
+}
+
+
+@pytest.mark.parametrize("module", ABOVE)
+def test_a_module_loads_no_layer_above_it(module):
+    code = f"import sys, {module}; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("carefulsynth.") for m in proc.stdout.split()
+              if m.startswith("carefulsynth.")}
+    assert sorted(loaded & ABOVE[module]) == []
