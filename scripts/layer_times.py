@@ -41,10 +41,10 @@ and the credits its unfolding reaches (`unfold` keeps one pair of column
 sums per credit);
 `ids=N` and `edges=N`, the unfolding's ids, the sink's included, and edges
 (the `unfold` column divided by `edges` is the time per unfolded edge);
-`product=N`, the witness product's nodes; `scc=N`, the ids its Tarjan
-passes cover: those whose product node lies in a product SCC where the
-system can accept, and, when no SCC is found there and no id is its own
-successor, every id, in the pass that sets `cyclic`; `regionI=N`, one per
+`scc=N`, the ids the witness product's Tarjan passes cover: those whose
+product node lies in a product SCC where the system can accept, and, when
+no SCC is found there and no id is its own successor, every id, in the
+pass that sets `cyclic`; `regionI=N`, one per
 region solved, the nodes of player I's punishment game and its solver,
 `/credits` (`zerosum.credit_region`) or `/zielonka`; `pre_images=N`, the credit-set
 pre-images computed (`unfolding.pre_image`); and `searched=N` and
@@ -186,7 +186,7 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
         def call(*args, **kwargs):
             mark = len(covered)
             result = fn(*args, **kwargs)
-            sizes.extend([f"product={len(result.priority)}", f"scc={sum(covered[mark:])}"])
+            sizes.append(f"scc={sum(covered[mark:])}")
             return result
         return call
 

@@ -39,9 +39,6 @@ class Arena(NamedTuple):
     bounds: Optional[tuple[int, ...]]
     succ: Mapping[str, tuple[str, ...]]
 
-    def successors(self, s: str) -> tuple[str, ...]:
-        return self.succ[s]
-
     def objective_of(self, player: int) -> ltl.Formula:
         return self.player_objectives[player - 1]
 

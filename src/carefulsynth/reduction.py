@@ -44,10 +44,6 @@ class CounterRun(NamedTuple):
     locations: tuple[str, ...]
     counters: tuple[tuple[int, int], ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.locations) - 1
-
 
 def parse_counter_automaton(text: str) -> CounterAutomaton:
     doc = expect(load_json(text), dict, "counter automaton document")

@@ -28,15 +28,7 @@ from .errors import BudgetExceededError, DocumentSemanticError, UnderflowError, 
 
 
 class _BotState:
-    """Singleton identity of the underflow sink."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The underflow sink; `BOT` is its one instance."""
 
     def __repr__(self):
         return "BOT"
@@ -216,14 +208,14 @@ def pre_image(credits: int, steps: list[tuple]) -> int:
 
 def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[UState, ...]:
     """The successors of `us` in the unfolding under validated `bounds`, in
-    `a.successors` order with BOT last."""
+    `a.succ[s]` order with BOT last."""
     if us is BOT:
         return (BOT,)
     s, c = us
     edges = a.edges
     out: list[UState] = []
     to_bot = False
-    for s2 in a.successors(s):
+    for s2 in a.succ[s]:
         c2 = credit_after(c, edges[(s, s2)], bounds)
         if c2 is None:
             to_bot = True

@@ -144,11 +144,7 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
     successor inside. Returns (protagonist region, its strategy, coalition
     region, its strategy). Recursion drops the top priority each time, so
     its depth stays at most MAX_PRIORITY + 1; the regions the opponent of
-    the top priority's owner wins are peeled off in a loop. The loop stops
-    once a peel leaves exactly the attractor `a_region` of the top: the next
-    round would compute the same attractor and strategy there and solve an
-    empty subgame, so the regions and strategies are those it would
-    return, with no strategy from that subgame."""
+    the top priority's owner wins are peeled off in a loop."""
     if not domain:
         return set(), {}, set(), {}
     priority = g.priority
@@ -172,9 +168,6 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
             so.update(sop)
             so.update(tau2)
             domain = domain - b_region
-            if domain == a_region:  # the next round would repeat this one's attractor
-                sjp = {}
-                break
         wj, sj = domain, {**sjp, **tau}
     for s in wj:  # the winner's states without a move stay inside
         if g.is_protagonist[s] == j_is_pro and s not in sj:

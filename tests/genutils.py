@@ -553,9 +553,9 @@ def random_lasso(rng: random.Random, a: Arena, max_walk: int = 16):
     state, cut at two visits of one state."""
     path = [a.initial]
     for _ in range(rng.randrange(1, max_walk)):
-        path.append(rng.choice(a.successors(path[-1])))
+        path.append(rng.choice(a.succ[path[-1]]))
     while len(set(path)) == len(path):
-        path.append(rng.choice(a.successors(path[-1])))
+        path.append(rng.choice(a.succ[path[-1]]))
     k, m = rng.choice(
         [(k, m) for m in range(len(path)) for k in range(m) if path[k] == path[m]]
     )
@@ -1104,7 +1104,7 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
     costs = list(dict.fromkeys(a.edges.values()))
     where = {s: k * width for k, s in enumerate(names)}
     cost_id = {w: k for k, w in enumerate(costs)}
-    moves = [[(where[t], cost_id[a.edges[(s, t)]]) for t in a.successors(s)] for s in names]
+    moves = [[(where[t], cost_id[a.edges[(s, t)]]) for t in a.succ[s]] for s in names]
     credits = {0: (0,) * a.dimensions}
     after: dict = {}
     found = [where[a.initial]]
@@ -1140,7 +1140,7 @@ def reference_unfold(a: Arena, bounds) -> UnfoldedArena:
     states = [(names[key // width], credits[key % width]) for key in found]
     order = [a.initial]
     for s in order:  # breadth-first: the list grows while it is read
-        order += [t for t in a.successors(s) if t not in order]
+        order += [t for t in a.succ[s] if t not in order]
     return UnfoldedArena(
         a, b, tuple(states) + (BOT,) * sink,
         [[n if j < 0 else j for j in out] for out in succ] + [[n]] * sink,
@@ -1213,9 +1213,9 @@ def reference_attractor(g: ZeroSumGame, target, *, for_protagonist: bool, within
 
 
 def reference_solve_parity(g: ZeroSumGame) -> WinningRegions:
-    """`zerosum.solve_parity` as it read before Zielonka's peel loop stopped
-    when its next round would repeat: the loop runs until the subgame left
-    beside the top's attractor is won by nobody but the top's owner."""
+    """`zerosum.solve_parity` written apart, on `reference_attractor`: the
+    peel loop runs until the subgame left beside the top's attractor is won
+    by nobody but the top's owner."""
     top = max(g.priority, default=0)
     if top > MAX_PRIORITY:
         raise DocumentSemanticError(
@@ -1297,7 +1297,7 @@ def reference_punish_region(
     failures = []
     below = [[] for _ in keep]  # each node's failed steps
     for k, (s, c) in enumerate(states):
-        for t in u.base.successors(s):
+        for t in u.base.succ[s]:
             if credit_after(c, u.base.edges[s, t], u.bounds) is None:
                 below[k].append(~len(failures))
                 failures.append((t, DocumentSemanticError(f"{s}@{c} -> {t} goes below zero")))

@@ -192,7 +192,7 @@ def test_criterion_6_unfolding_laws():
             s, c = us
             expected = set()
             expect_sink = False
-            for t in a.successors(s):
+            for t in a.succ[s]:
                 c2 = saturating_add(c, a.edges[(s, t)], bounds)
                 if all(v >= 0 for v in c2):
                     expected.add((t, c2))
@@ -204,7 +204,7 @@ def test_criterion_6_unfolding_laws():
         for _ in range(100):
             h = [a.initial]
             for _ in range(rng.randrange(0, 6)):
-                h.append(rng.choice(a.successors(h[-1])))
+                h.append(rng.choice(a.succ[h[-1]]))
             try:
                 uh = lift(a, bounds, h)
             except Exception:

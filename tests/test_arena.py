@@ -53,7 +53,7 @@ def test_minimal_single_state_arena():
         system_objective=ltl.TRUE,
         player_objectives=(ltl.TRUE,),
     )
-    assert a.successors("s") == ("s",)
+    assert a.succ["s"] == ("s",)
 
 
 def test_state_without_successor_rejected(fig1_text):
@@ -465,7 +465,7 @@ def test_energy_check_matches_three_fold_unrolling(seed):
     # random walk to a lasso
     path = [a.initial]
     for _ in range(rng.randrange(1, 12)):
-        path.append(rng.choice(a.successors(path[-1])))
+        path.append(rng.choice(a.succ[path[-1]]))
     anchors = [i for i, s in enumerate(path[:-1]) if (path[-1], s) in a.edges]
     if not anchors:
         return

@@ -571,7 +571,7 @@ SCRIPT_CASES = [
     pytest.param(
         "layer_times.py", ["--workload", "fig1-sweep", "--seed", "1", "--repeat", "1"],
         re.compile("fig1@80,80( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d no-solution unfold=8/6/1374 "
-                   "ids=1671 edges=2779 product=1670 scc=466( region\\d=1671/credits){3} "
+                   "ids=1671 edges=2779 scc=466( region\\d=1671/credits){3} "
                    "pre_images=42 searched=4 pruned=4"),
         id="layer_times.py",
     ),
@@ -583,14 +583,14 @@ SCRIPT_CASES = [
     pytest.param(
         "layer_times.py", ["--workload", "many-players", "--seed", "4", "--repeat", "1"],
         re.compile("many-players/8/4( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d no-solution "
-                   "unfold=25/113/16 ids=582 edges=1592 product=581 scc=1 "
+                   "unfold=25/113/16 ids=582 edges=1592 scc=1 "
                    "pre_images=0 searched=0 pruned=256"),
         id="layer_times.py many-players",
     ),
     pytest.param(
         "layer_times.py", ["--workload", "many-resources", "--seed", "1", "--repeat", "1"],
         re.compile("many-resources/3/1( \\d+\\.\\d\\d){7} -?\\d+\\.\\d\\d solution "
-                   "unfold=65/199/111 ids=3795 edges=10288 product=3794 scc=1245 "
+                   "unfold=65/199/111 ids=3795 edges=10288 scc=1245 "
                    "region1=3795/zielonka region4=3795/zielonka pre_images=0 searched=1 pruned=8"),
         id="layer_times.py many-resources",
     ),

@@ -67,7 +67,7 @@ def test_bad_guard_rejected():
 def test_free_move_has_length_one_witness():
     run = simulate_reachability(FREE)
     assert run is not None
-    assert run.k == 1
+    assert len(run.locations) - 1 == 1
     assert run.locations == ("l0", "t")
     assert run.counters == ((0, 0), (0, 0))
 
@@ -93,13 +93,13 @@ def test_a_step_that_drives_a_counter_negative_is_skipped():
         {"src": "l1", "dst": "t", "weights": [1, 0], "guards": guards},
     ]))
     assert simulate_reachability(ca) is None
-    assert simulate_reachability(ca._replace(initial="l1", target="l1")).k == 0
+    assert simulate_reachability(ca._replace(initial="l1", target="l1")).locations == ("l1",)
 
 
 def test_explicit_target_overrides_document():
     # zero-ending reachability of the *initial* location is immediate
     run = simulate_reachability(NONZERO._replace(target="l0"))
-    assert run is not None and run.k == 0
+    assert run is not None and run.locations == ("l0",)
 
 
 def test_budget_must_be_positive():

@@ -172,7 +172,7 @@ def test_bad_bounds_rejected(fig1):
 
 def _check_laws(a, u, bounds):
     # every non-sink state within range, edges satisfy the saturating
-    # equation in `a.successors` order, sink edges last and exactly when
+    # equation in `a.succ` order, sink edges last and exactly when
     # some base edge underflows; states numbered in the order `_discovery`
     # finds them, from the initial state, 0, with the sink moved last, and
     # `clipped` exactly when some reachable edge saturates
@@ -196,7 +196,7 @@ def _check_laws(a, u, bounds):
         assert all(0 <= ci <= bi for ci, bi in zip(c, bounds))
         expected = []
         expect_sink = False
-        for t in a.successors(s):
+        for t in a.succ[s]:
             w = a.edges[(s, t)]
             clipped = clipped or any(ci + wi > bi for ci, wi, bi in zip(c, w, bounds))
             c2 = saturating_add(c, w, bounds)
@@ -381,7 +381,7 @@ def test_project_lift_round_trip(seed):
     for _ in range(20):
         h = [a.initial]
         for _ in range(rng.randrange(0, 8)):
-            h.append(rng.choice(a.successors(h[-1])))
+            h.append(rng.choice(a.succ[h[-1]]))
         try:
             uh = lift(a, bounds, h)
         except UnderflowError:
