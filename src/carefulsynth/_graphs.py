@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from functools import reduce
 from itertools import chain, compress
 from operator import or_
@@ -104,27 +104,6 @@ def number(comps: Sequence[Sequence[int]], size: int) -> list[int]:
         for v in comp:
             index[v] = j
     return index
-
-
-def restricted(
-    seen: Collection[int],
-    comps: Sequence[Sequence[int]],
-    index: Sequence[int],
-    succ: Sequence[Sequence[int]],
-    keep: Callable[[int], bool],
-) -> list[Sequence[int]]:
-    """The SCCs that hold a cycle of the graph `succ` restricted to the
-    nodes in `seen`, inside the components `comps` that `keep` holds for,
-    SCCs of the whole graph that `index` numbers: one wholly in `seen`
-    stays whole, and the nodes in `seen` of the others are split again in
-    one pass."""
-    whole, split = [], []
-    for j, count in Counter(map(index.__getitem__, seen)).items():
-        if j >= 0 and keep(j):
-            (whole if count == len(comps[j]) else split).append(comps[j])
-    if split:
-        whole += strongly_connected_components([v for c in split for v in c if v in seen], succ)
-    return whole
 
 
 def breadth_first(succ: Sequence[Sequence[int]], avoid: Collection[int]) -> dict:

@@ -95,11 +95,10 @@ def _build_arena(players, dimensions, states, owner, initial, edges, atoms, labe
         raise DocumentSemanticError(f"initial state {initial!r} is not a state")
 
     lab = {s: frozenset(labels.get(s, ())) for s in state_list}
-    if not atomset.issuperset(chain.from_iterable(lab.values())):
-        for s, ls in lab.items():
-            bad = ls - atomset
-            if bad:
-                raise DocumentSemanticError(f"state {s!r}: unknown atom(s) {sorted(bad)}")
+    for s, ls in lab.items():
+        bad = ls - atomset
+        if bad:
+            raise DocumentSemanticError(f"state {s!r}: unknown atom(s) {sorted(bad)}")
 
     # all edges at once; one by one only to name the first bad edge
     costs = list(edges.values())  # lists of integers

@@ -329,16 +329,12 @@ def eval_on_lasso(
     last = len(word) - 1
     back = len(stem)  # successor of the last position
     full = (1 << len(word)) - 1
-    memo: dict[Formula, int] = {}
 
     def nxt(s: int) -> int:
         # the positions whose successor is in s
         return s >> 1 | (s >> back & 1) << last
 
     def mask(f: Formula) -> int:
-        r = memo.get(f)
-        if r is not None:
-            return r
         if isinstance(f, Lit):
             r = full if f.value else 0
         elif isinstance(f, Atom):
@@ -363,7 +359,6 @@ def eval_on_lasso(
                 r = x
         else:
             raise TypeError(f"unknown node {f!r}")
-        memo[f] = r
         return r
 
     return bool(mask(phi) & 1)

@@ -21,7 +21,7 @@ from operator import contains
 from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
-from ._graphs import breadth_first, folded, ids_in_sccs_with, number, path_to, restricted
+from ._graphs import breadth_first, folded, ids_in_sccs_with, number, path_to
 from ._graphs import shortest_path, strongly_connected_components
 from .arena import Arena, Lasso, checked_bounds, validate_history
 from .errors import (
@@ -188,8 +188,9 @@ def find_witness_lasso(
     if forbidden:
         seen = breadth_first(product.succ, forbidden)  # parent links, in the order found
         # each SCC of the restricted product lies in `seen` and in one of the product's
-        pending = restricted(seen, sccs, product.scc_of, product.succ,
-                             lambda j: masks[j] & need == need)
+        scc_of = product.scc_of
+        pending = strongly_connected_components(
+            [v for v in seen if (j := scc_of[v]) >= 0 and masks[j] & need == need], product.succ)
     else:  # every node is reachable and allowed: start from the product's SCCs
         pending = [comp for comp, mask in zip(sccs, masks) if mask & need == need]
     cyclic = bool(pending)

@@ -16,7 +16,7 @@ adversarial coalition. Underflow sinks are absorbing and losing for the
 protagonist: carefulness is imposed structurally, not as a side condition.
 """
 
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import compress
 from math import prod
 from operator import and_, or_
@@ -34,32 +34,20 @@ from .unfolding import UnfoldedArena, pre_image, pre_image_steps
 MAX_PRIORITY = 16
 
 
-class ZeroSumGame:
+class ZeroSumGame(NamedTuple):
     """A parity game on the ids 0..n-1, lists indexed by id: the protagonist
     wins a play iff its top priority seen infinitely often is even. The
-    lists `succ`, and `pred` if given, are read-only: a punishment game
-    shares them with its unfolding and the games on it."""
+    lists `succ` and `pred` are read-only: a punishment game shares them
+    with its unfolding and the games on it."""
 
-    def __init__(
-        self,
-        succ: list[list[int]],
-        is_protagonist: list[bool],
-        priority: list[int],
-        pred: Optional[list[list[int]]] = None,
-    ):
-        self.succ = succ
-        self.is_protagonist = is_protagonist
-        self.priority = priority
-        if pred is not None:
-            self.pred = pred
+    succ: list[list[int]]
+    is_protagonist: list[bool]
+    priority: list[int]
+    pred: list[list[int]]  # the predecessor lists of `succ`
 
     @property
     def states(self) -> range:
         return range(len(self.succ))
-
-    @cached_property
-    def pred(self) -> list[list[int]]:  # built when an attractor first needs it
-        return predecessors(self.succ)
 
 
 def predecessors(succ: list[list[int]]) -> list[list[int]]:
@@ -322,10 +310,12 @@ def punishment_game(g: UnfoldedArena, player: int, component: int,
     protagonist at its states, that tracker's priorities, and the sink at
     priority 1, so carefulness stays losing. Its predecessor lists are
     `pred`, a list the caller keeps for `g.succ`, filled here if empty, so
-    that games on one unfolding share it."""
+    that games on one unfolding share it, or else a fresh list."""
     priority = g.graph.components[component].priority
     prio = [priority(qs[component]) for qs in g.graph.qs]
-    if pred is not None and not pred:
+    if pred is None:
+        pred = predecessors(g.succ)
+    elif not pred:
         pred += predecessors(g.succ)
     return ZeroSumGame(
         g.succ, [o == player for o in g.owner],

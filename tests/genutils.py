@@ -37,7 +37,7 @@ from carefulsynth.unfolding import (
     BOT, Product, UnfoldedArena, UState, credit_after, product, unfold,
 )
 from carefulsynth.zerosum import (
-    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, parse_dpa,
+    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, parse_dpa, predecessors,
     punish_region,
 )
 
@@ -194,14 +194,21 @@ def nba_accepts_lasso(nba: ltl.NBA, stem, loop) -> bool:
 # Random zero-sum games and the strategy-enumeration oracle
 
 
-class LabelledGame(ZeroSumGame):
-    """A numbered game with a label per state and losing sinks (absorbing:
-    self-loop only), which the oracles read."""
+class LabelledGame:
+    """A numbered game, read as a `ZeroSumGame` is, with a label per state
+    and losing sinks (absorbing: self-loop only), which the oracles read."""
 
     def __init__(self, succ, is_protagonist, priority, labels: list, losing_sinks: frozenset):
-        super().__init__(succ, is_protagonist, priority)
+        self.succ = succ
+        self.is_protagonist = is_protagonist
+        self.priority = priority
+        self.pred = predecessors(succ)
         self.labels = labels
         self.losing_sinks = losing_sinks
+
+    @property
+    def states(self) -> range:
+        return range(len(self.succ))
 
 
 def make_game(succ, is_protagonist, labels, losing_sinks=frozenset(), priority=None) -> LabelledGame:
@@ -1176,6 +1183,7 @@ def reference_tracker_product(u: UnfoldedArena, player: int, tracker) -> tuple[l
         succ=succ,
         is_protagonist=[owner[s] == player for s, _ in nodes],
         priority=[1 if states[s] is BOT else tracker.priority(q) for s, q in nodes],
+        pred=predecessors(succ),
     )
     return nodes, game
 
@@ -1314,7 +1322,7 @@ def reference_punish_region(
     )
     regions = reference_solve_parity(ZeroSumGame(
         succ, [game.is_protagonist[j] for j in keep] + [player == 1 for _ in sinks],
-        [game.priority[j] for j in keep] + [1 for _ in sinks],
+        [game.priority[j] for j in keep] + [1 for _ in sinks], predecessors(succ),
     ))
     return g, PunishRegions(regions.protagonist, regions.antagonist_strategy)
 
@@ -1448,7 +1456,8 @@ def oracle_solve(a: Arena, bounds, dpas=None):
             if i not in winner_set and i not in regions:
                 r = reference_solve_parity(ZeroSumGame(
                     g.succ, [o == i for o in g.owner],
-                    [trackers[i].priority(qs[i]) for _, qs in nodes] + [1 for _ in sink]))
+                    [trackers[i].priority(qs[i]) for _, qs in nodes] + [1 for _ in sink],
+                    predecessors(g.succ)))
                 regions[i] = PunishRegions(r.protagonist, r.antagonist_strategy)
                 blocked[i] = {k for k in r.protagonist if g.owner[k] == i}
         forbidden = {-1}.union(*[blocked[i] for i in players if i not in winner_set])

@@ -8,7 +8,6 @@ from carefulsynth._graphs import (
     ids_in_sccs_with,
     number,
     path_to,
-    restricted,
     shortest_path,
     strongly_connected_components,
 )
@@ -120,7 +119,7 @@ def test_ids_in_sccs_with_the_bit_are_those_of_cyclic_classes():
     assert min(shapes.values()) >= 20, shapes
 
 
-def test_restricted_sccs_are_the_classes_inside_the_set():
+def test_number_maps_each_node_to_its_component():
     for seed in range(300):
         rng = random.Random(seed)
         nodes, succ = _random_digraph(rng)
@@ -129,12 +128,6 @@ def test_restricted_sccs_are_the_classes_inside_the_set():
         index = number(comps, len(lists))
         assert all(index[v] == j for j, c in enumerate(comps) for v in c), seed
         assert index.count(-1) == len(lists) - sum(map(len, comps)), seed
-        chosen = {j for j in range(len(comps)) if rng.random() < 0.7}
-        seen = {v for v in succ if rng.random() < 0.8}
-        for keep in (chosen.__contains__, lambda j: True):
-            got = restricted(seen, comps, index, lists, keep)
-            inside = {v for j, c in enumerate(comps) if keep(j) for v in c}
-            assert set(map(frozenset, got)) == _cyclic_classes(inside & seen, succ), seed
 
 
 def test_breadth_first_links_are_shortest_paths():

@@ -372,7 +372,8 @@ def _random_parity_game(rng: random.Random) -> ZeroSumGame:
     n = rng.randrange(1, 13)
     succ = [rng.sample(range(n), rng.randrange(1, min(n, 3) + 1)) for _ in range(n)]
     return ZeroSumGame(
-        succ, [rng.random() < 0.5 for _ in range(n)], [rng.randrange(0, 7) for _ in range(n)]
+        succ, [rng.random() < 0.5 for _ in range(n)], [rng.randrange(0, 7) for _ in range(n)],
+        predecessors(succ),
     )
 
 
@@ -394,11 +395,11 @@ def test_parity_equals_the_reference_on_random_games(monkeypatch):
     # regions and the same strategies of both sides on every game; a peel
     # is an attractor to a target that holds none of the top priority of
     # `within`, and 768 of these games take one
-    peeled = set()
+    peeled = set()  # the seeds of the games that take one
 
     def attractor(g, target, *, for_protagonist, within, _real=zerosum.attractor):
         if target and max(g.priority[s] for s in within) not in {g.priority[s] for s in target}:
-            peeled.add(g)
+            peeled.add(seed)
         return _real(g, target, for_protagonist=for_protagonist, within=within)
 
     monkeypatch.setattr(zerosum, "attractor", attractor)
