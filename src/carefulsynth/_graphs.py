@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
 from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
@@ -72,14 +72,11 @@ def ids_in_sccs_with(
 ) -> Sequence[int]:
     """The ids k whose node at[k] of the graph `succ` lies in a strongly
     connected component with a cycle and a node whose `bits` have `bit`
-    set, in increasing order, or every id when every node has it set. A
-    negative successor, a failed step, is no edge. Either way the ids form
-    a union of the SCCs of a graph on the ids whose edges `at` maps onto
-    edges of `succ`."""
+    set, in increasing order, or every id when every node has it set.
+    Either way the ids form a union of the SCCs of a graph on the ids whose
+    edges `at` maps onto edges of `succ`."""
     if all(b & bit for b in bits):
         return range(len(at))
-    if min(chain.from_iterable(succ), default=0) < 0:
-        succ = [[x for x in out if x >= 0] for out in succ]
     keep = [False] * len(succ)
     for comp in strongly_connected_components(range(len(succ)), succ):
         if any(bits[v] & bit for v in comp):

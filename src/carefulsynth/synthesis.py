@@ -96,7 +96,7 @@ def system_component(phi: ltl.Formula) -> Tracker:
     """The system objective as a product component whose `step` lists its
     states after a letter: a fragment objective's tracker, else its tableau
     automaton read from a pre-state, (the automaton's state before the
-    letter, None for the initial ones; the letter, sorted), at priority 2
+    letter, None for the initial ones; the letter as given), at priority 2
     when that state accepts; a run that cannot read a letter goes to
     REJECTED, at priority 1. The first letter leads to one state."""
     try:
@@ -108,12 +108,11 @@ def system_component(phi: ltl.Formula) -> Tracker:
     nba = ltl.to_nba(phi)
 
     def step(q, letter):
-        word = tuple(sorted(letter))
         if q is None or q == REJECTED:
-            return [(None, word) if q is None else REJECTED]
-        p, x = q[0], frozenset(q[1])
+            return [(None, letter) if q is None else REJECTED]
+        p, x = q
         read = [s for s in (nba.initial if p is None else (p,)) if nba.reads(s, x)]
-        return [(d, word) for d in sorted({d for s in read for d in nba.succ[s]})] or [REJECTED]
+        return [(d, letter) for d in sorted({d for s in read for d in nba.succ[s]})] or [REJECTED]
 
     return Tracker(None, step, lambda q: 2 if q and q[0] in nba.accepting else 1)
 
@@ -142,14 +141,16 @@ def witness_product(u: UnfoldedArena) -> WitnessProduct:
     searched on it. Each component is a parity condition on its states'
     priorities, and an SCC's mask is folded over its distinct product
     nodes. An SCC lies in one of the product's, its mask in that one's, so
-    Tarjan runs only on the product SCCs whose mask has the system's bit."""
+    Tarjan runs only on the product SCCs whose mask has the system's bit;
+    there a failed step is no edge."""
     graph, at, succ = u.graph, u.at, u.succ
     of = {qs: tuple(c.priority(q) for c, q in zip(graph.components, qs))
           for qs in dict.fromkeys(graph.qs)}  # read once per tuple of component states
     bits = {qs: sum(1 << k for k, x in enumerate(p) if x % 2 == 0) for qs, p in of.items()}
     even = list(map(bits.__getitem__, graph.qs))
     priority = list(map(list(map(of.__getitem__, graph.qs)).__getitem__, at))
-    sccs = strongly_connected_components(ids_in_sccs_with(graph.succ, even, 1, at), succ)
+    edges = [[x for x in out if x >= 0] for out in graph.succ] if graph.failures else graph.succ
+    sccs = strongly_connected_components(ids_in_sccs_with(edges, even, 1, at), succ)
     masks = folded(sccs, at, even)
     cyclic = bool(sccs) or has_cycle(range(len(at)), succ)
     return WitnessProduct(succ, priority, sccs, masks, number(sccs, len(succ)), cyclic)

@@ -77,9 +77,6 @@ class UnfoldedArena(NamedTuple):
     at: Optional[list[int]] = None  # without the sink
     keys: Optional[list[int]] = None  # without the sink
 
-    def system_objective(self) -> ltl.Formula:
-        return ltl.And(self.base.system_objective, AVOID_BOT)
-
     def letters(self) -> list[frozenset[str]]:
         """Each id's letter, read off its base state: `{bot}` at the sink."""
         return [frozenset({RESERVED_ATOM}) if s is BOT else self.base.labels[s[0]]
@@ -157,9 +154,6 @@ def product(a: Arena, trackers: Sequence, system=None) -> Product:
         succ.append(out)
     return Product(a, components, [s for s, _ in nodes], [qstates[j] for _, j in nodes], succ,
                    failures)
-
-
-AVOID_BOT = ltl.Always(ltl.Not(ltl.Atom(RESERVED_ATOM)))
 
 
 def credit_after(c: tuple, w: tuple, bounds: tuple) -> Optional[tuple]:
@@ -352,9 +346,10 @@ def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
 
 
 def unfolded_to_arena(u: UnfoldedArena) -> Arena:
-    """The arena's unfolding as an Arena record with zero costs and the sink
-    labelled `bot`, sorted as `build_arena` sorts; unchecked, since the
-    unfolding of a valid arena is valid. For serialization."""
+    """The arena's unfolding as an Arena record with zero costs, the sink
+    labelled `bot` and `G !bot` added to the system objective, sorted as
+    `build_arena` sorts; unchecked, since the unfolding of a valid arena is
+    valid. For serialization."""
     zero = (0,) * u.base.dimensions
     names = [render_ustate(s) for s in u.states]
     succ = {name: tuple(sorted(names[j] for j in out)) for name, out in zip(names, u.succ)}
@@ -367,7 +362,8 @@ def unfolded_to_arena(u: UnfoldedArena) -> Arena:
         edges={(s, t): zero for s, targets in succ.items() for t in targets},
         atoms=u.base.atoms | {RESERVED_ATOM},
         labels=dict(zip(names, u.letters())),
-        system_objective=u.system_objective(),
+        system_objective=ltl.And(u.base.system_objective,
+                                 ltl.Always(ltl.Not(ltl.Atom(RESERVED_ATOM)))),
         player_objectives=u.base.player_objectives,
         bounds=None,
         succ=succ,

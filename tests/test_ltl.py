@@ -136,6 +136,17 @@ def test_pretty_print_round_trip(seed):
     assert parse_ltl(formula_to_str(phi)) == phi
 
 
+class _Weak(ltl.Formula, fields="left right"):
+    """A binary node that no function of the package knows."""
+
+    __slots__ = ()
+
+
+def test_formula_to_str_rejects_an_unknown_node():
+    with pytest.raises(TypeError, match="unknown node _Weak"):
+        formula_to_str(Eventually(_Weak(Atom("p"), Atom("q"))))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation on lassos
 
@@ -166,6 +177,22 @@ def test_stem_given_as_an_iterator_is_read_once():
 def test_unknown_atom_is_an_error():
     with pytest.raises(UnknownAtomError):
         eval_on_lasso(Atom("zz"), [], [frozenset({"p"})], atoms={"p"})
+
+
+def test_an_empty_loop_is_an_error():
+    with pytest.raises(ValueError, match="loop must be nonempty"):
+        eval_on_lasso(Atom("p"), [frozenset({"p"})], [])
+
+
+def test_eval_rejects_an_unknown_node():
+    with pytest.raises(TypeError, match="unknown node _Weak"):
+        eval_on_lasso(Next(_Weak(Atom("p"), Atom("q"))), [], [frozenset({"p"})])
+
+
+def test_eval_bool_rejects_a_temporal_formula():
+    assert ltl.eval_bool(parse_ltl("p & !q"), frozenset({"p"}))
+    with pytest.raises(ValueError, match=r"not a boolean formula: \(X p\)"):
+        ltl.eval_bool(parse_ltl("p & X p"), frozenset({"p"}))
 
 
 @settings(max_examples=250, deadline=None)
@@ -228,11 +255,8 @@ def test_nnf_shape_on_random_formulas():
 
 
 def test_nnf_rejects_an_unknown_node():
-    class Weak(ltl.Formula, fields="left right"):
-        __slots__ = ()
-
     with pytest.raises(TypeError, match="unknown node"):
-        nnf(Not(Weak(Atom("p"), Atom("q"))))
+        nnf(Not(_Weak(Atom("p"), Atom("q"))))
 
 
 def _long_word(rng, longest=40):

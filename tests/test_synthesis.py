@@ -42,6 +42,8 @@ from genutils import (
     oracle_witness_exists,
     random_arena,
     random_closed_arena,
+    random_credit_arena,
+    random_formula,
     random_fragment,
     random_fragment_arena,
     random_many_player_arena,
@@ -177,13 +179,12 @@ def _check_product_laws(a, bounds, system, trackers):
         nba = ltl.to_nba(system)
 
         def system_after(q, letter):
-            word = tuple(sorted(letter))
             if q is None or q == ():
-                return [(None, word) if q is None else ()]
+                return [(None, letter) if q is None else ()]
             p, x = q
-            read = [s for s in (nba.initial if p is None else [p]) if nba.reads(s, frozenset(x))]
+            read = [s for s in (nba.initial if p is None else [p]) if nba.reads(s, x)]
             dsts = sorted({d for s in read for d in nba.succ[s]})
-            return [(d, word) for d in dsts] or [()]
+            return [(d, letter) for d in dsts] or [()]
 
         system_start = None
         system_priority = lambda q: 2 if q and q[0] in nba.accepting else 1  # noqa: E731
@@ -264,6 +265,20 @@ def test_witness_product_laws(fig1):
     assert checked >= 50
 
 
+def _live_product_nodes(g) -> set:
+    """The nodes of the product `g` in a mutual-reachability class that
+    holds a cycle and a node with an even system priority, a failed step
+    no edge."""
+    edges = {p: [t for t in out if t >= 0] for p, out in enumerate(g.succ)}
+    live = set()
+    for comp in scc_partition(edges, edges):
+        if (len(comp) > 1 or any(p in edges[p] for p in comp)) and any(
+            g.components[0].priority(g.qs[p][0]) % 2 == 0 for p in comp
+        ):
+            live |= comp
+    return live
+
+
 @pytest.mark.parametrize(
     "generator, seeds",
     [
@@ -287,13 +302,7 @@ def test_witness_sccs_are_the_full_ones_where_the_system_can_accept(generator, s
                     for i in range(1, a.players + 1)]
         w = unfold(product(a, trackers, system_component(a.system_objective)), bounds)
         witness, g = witness_product(w), w.graph
-        edges = {p: [t for t in out if t >= 0] for p, out in enumerate(g.succ)}
-        live = set()
-        for comp in scc_partition(edges, edges):
-            if (len(comp) > 1 or any(p in edges[p] for p in comp)) and any(
-                g.components[0].priority(g.qs[p][0]) % 2 == 0 for p in comp
-            ):
-                live |= comp
+        live = _live_product_nodes(g)
         full = set(map(frozenset, strongly_connected_components(range(len(w.at)), w.succ)))
         want = {comp for comp in full if w.at[min(comp)] in live}
         assert set(map(frozenset, witness.sccs)) == want, (seed, automata)
@@ -313,6 +322,49 @@ def _node_graph(nodes, succ, priority, owner) -> dict:
     assert len(set(nodes)) == len(nodes)
     return {n: ([nodes[t] for t in out], p, o)
             for n, out, p, o in zip(nodes, succ, priority, owner)}
+
+
+def test_witness_products_with_failed_steps_equal_the_reference():
+    # the credit arenas' automaton has no move on {y}, so their products
+    # with it have failed steps, which are no edges of the witness product
+    # (an edge into a `y` state always goes below zero, so the reference,
+    # built over the unfolding, never takes one). With a random system
+    # objective, some product SCCs have no even system priority, and
+    # failed steps leave nodes of cyclic product SCCs: the same graph as
+    # the reference's, and the reference's SCCs whose product SCC the
+    # system can accept in, with the reference's masks
+    seen = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        a, bounds, dpa = random_credit_arena(rng)
+        a = a._replace(system_objective=random_formula(rng, 2, ARENA_ATOMS))
+        trackers = [objective_tracker(a.objective_of(i), dpa) for i in range(1, a.players + 1)]
+        system = system_component(a.system_objective)
+        g = product(a, trackers, system)
+        w = unfold(g, bounds)
+        witness = witness_product(w)
+        u = genutils.reference_unfold(a, bounds)
+        nodes, ref = genutils.reference_witness_product(u, system, trackers)
+        named = [(w.states[k], g.qs[p]) for k, p in enumerate(w.at)]
+        ref_named = [(u.states[k], qs) for k, qs in nodes]
+        sink_free = [[j for j in out if j < len(w.at)] for out in witness.succ]
+        assert _node_graph(named, sink_free, witness.priority, w.owner) == _node_graph(
+            ref_named, ref.succ, ref.priority, [u.owner[k] for k, _ in nodes]), seed
+        live = {(g.state[p], g.qs[p]) for p in _live_product_nodes(g)}
+        want = {frozenset(ref_named[v] for v in comp): mask
+                for comp, mask in zip(ref.sccs, ref.masks)
+                if (ref_named[comp[0]][0][0], ref_named[comp[0]][1]) in live}
+        assert {frozenset(named[v] for v in comp): mask
+                for comp, mask in zip(witness.sccs, witness.masks)} == want, seed
+        edges = [[t for t in out if t >= 0] for out in g.succ]
+        cyclic = strongly_connected_components(range(len(edges)), edges)
+        seen["failed step in a cyclic product SCC"] += any(
+            g.components[0].priority(qs[0]) % 2 for qs in g.qs
+        ) and any(min(g.succ[p]) < 0 for comp in cyclic for p in comp)
+        seen["some SCC kept"] += bool(want)
+        seen["some SCC left out"] += len(want) < len(ref.sccs)
+    assert seen["failed step in a cyclic product SCC"] >= 50, seen
+    assert min(seen.values()) >= 20, seen
 
 
 def _reference_region_graph(u, player, tracker) -> dict:
