@@ -66,6 +66,7 @@ are only in `check`.
 
 import argparse
 import collections
+import math
 import pathlib
 import random
 import sys
@@ -221,7 +222,8 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
     def unfold(name, fn):
         def call(g, *args, **kwargs):
             u = fn(g, *args, **kwargs)
-            credits = len({s[1] for s in u.states[:len(u.at)]})
+            width = math.prod(v + 1 for v in u.bounds)
+            credits = len({k % width for k in u.keys})
             sizes.extend([f"unfold={len(set(a.edges.values()))}/{len(u.graph.state)}/{credits}",
                           f"ids={len(u.states)}", f"edges={sum(map(len, u.succ))}"])
             return u

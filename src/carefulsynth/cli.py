@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from typing import Optional, Sequence
@@ -295,12 +296,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
+    enabled = gc.isenabled()
+    gc.disable()  # a command makes little cyclic garbage, but the collector rescans each list
     try:
         return args.func(args)
     except CarefulSynthError as e:
         return _fail(str(e))
     except MemoryError:
         pass  # the frames it holds, and their memory, are freed as this block ends
+    finally:
+        if enabled:
+            gc.enable()
     return _fail("out of memory")
 
 

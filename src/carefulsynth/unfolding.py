@@ -17,10 +17,10 @@ The same loop unfolds the arena's product with objective automata
 with none.
 """
 
+from collections.abc import Sequence
 from math import prod
-from itertools import chain, repeat
-from operator import add, mod
-from typing import NamedTuple, Optional, Sequence, Union
+from operator import add
+from typing import NamedTuple, Optional, Union
 
 from . import ltl
 from .arena import Arena, History, RESERVED_ATOM, checked_bounds
@@ -38,8 +38,8 @@ BOT = _BotState()
 
 UState = Union[tuple[str, tuple[int, ...]], _BotState]
 
-# About 0.9 kB a state at the peak (fig1 at (10^6, 1), by `tracemalloc`: 872 bytes at
-# 200,000 states), so the budget binds near 1.8 GB; fig1 at (3000, 3000), 1,377,283 states, solves.
+# About 0.6 kB a state at the peak (fig1 at (10^6, 1), by `tracemalloc`: 633 bytes at
+# 200,000 states), so the budget binds near 1.3 GB; fig1 at (3000, 3000), 1,377,283 states, solves.
 DEFAULT_STATE_BUDGET = 2 * 10**6
 
 
@@ -59,6 +59,33 @@ def parse_ustate(text: str) -> UState:
     return (s, tuple(natural(v, f"a credit in {text!r}") for v in vec.split(",")))
 
 
+class _States(Sequence):
+    """`UnfoldedArena.states`, read-only: id k decoded from `keys[k]` as it is read, the
+    sink last, with `radix[i]` credits over resources i on. It equals a tuple."""
+
+    def __init__(self, state: list[str], keys: list[int], bounds: tuple[int, ...], sink: bool):
+        self.state, self.keys, self.sink = state, keys, sink
+        self.radix = [prod(v + 1 for v in bounds[i:]) for i in range(len(bounds) + 1)]
+
+    def __len__(self):
+        return len(self.keys) + self.sink
+
+    def __getitem__(self, k):
+        j = range(len(self))[k]  # an index checked and made positive, or a slice's indices
+        if j.__class__ is range:
+            return tuple(map(self.__getitem__, j))
+        if j == len(self.keys):
+            return BOT
+        key, radix = self.keys[j], self.radix
+        return self.state[key // radix[0]], tuple([key % q // r for q, r in zip(radix, radix[1:])])
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, _States)) and tuple(self) == tuple(other)
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class UnfoldedArena(NamedTuple):
     """The reachable unfolding, numbered: id k names `states[k]`, node
     `at[k]` of `graph` with credit `states[k][1]`, in the order `unfold`
@@ -69,7 +96,7 @@ class UnfoldedArena(NamedTuple):
 
     base: Arena
     bounds: tuple[int, ...]
-    states: tuple[UState, ...]
+    states: _States
     succ: list[list[int]]  # in `step` order
     owner: list[int]  # the sink's is fixed at 1
     clipped: bool = False  # some reachable step saturated a resource: a marked sum
@@ -236,10 +263,10 @@ def unfold(
     column, a component that saturates adds `width` and one that goes below
     zero `(d + 1) * width`, so a sum below `width` is the key itself and
     only the others are read further, to set `clipped` or to go to the
-    sink. Each half's digits are decoded once and joined after the search.
-    Nodes are numbered as found, from the product's initial node, 0, the
-    sink after them all, and their keys kept (`UnfoldedArena.keys`); an
-    owner is read off its product node's. A failed step has a negative key."""
+    sink. Nodes are numbered as found, from the product's initial node, 0,
+    the sink after them all, and their keys kept (`UnfoldedArena.keys`),
+    which `states` decodes an id at a time; an owner is read off its
+    product node's. A failed step has a negative key."""
     g = product(g, ()) if isinstance(g, Arena) else g
     a, state = g.base, g.state
     b = checked_bounds(a.dimensions, bounds)
@@ -255,22 +282,22 @@ def unfold(
     columns: list[dict] = [{} for _ in b]  # component -> digit -> its part of each entry
     cut = len(b) // 2
     low = prod(v + 1 for v in b[cut:])  # a credit key is a multiple of `low` plus one below it
-    highs, lows = {}, {}  # either part of a credit key -> its digits, and their columns summed
+    highs, lows = {}, {}  # either part of a credit key -> its columns summed
 
-    def half(table: dict, ids: range, part: int) -> tuple:
-        """Part `part`'s digits over components `ids` and their columns summed, kept in `table`."""
-        digits = tuple([part // place[i] % (b[i] + 1) for i in ids])
+    def half(table: dict, ids: range, part: int) -> list:
+        """The columns of part `part`'s digits over components `ids` summed, kept in `table`."""
         total = None
-        for i, v in zip(ids, digits):
+        for i in ids:
+            v = part // place[i] % (b[i] + 1)
             col = columns[i].get(v)
             if col is None:
                 q, top = place[i], b[i]
                 col = columns[i][v] = [below if t < 0 else t * q if t <= top else top * q + width
                                        for t in [v + w[i] for w in costs]]
             total = col if total is None else list(map(add, total, col))
-        return table.setdefault(part, (digits, total or [0] * len(costs)))
+        return table.setdefault(part, total or [0] * len(costs))
 
-    credits: dict = {}  # credit key -> its two parts' columns summed; after the search, its digits
+    credits: dict = {}  # credit key -> its two parts' columns summed
     found = [0]  # the key of (the initial node, no credit)
     index = {0: 0}
     succ: list[list[int]] = []
@@ -283,7 +310,7 @@ def unfold(
             lo = c % low
             high = highs.get(c - lo) or half(highs, range(cut), c - lo)
             tail = lows.get(lo) or half(lows, range(cut, len(b)), lo)
-            got = credits[c] = high[1], tail[1]
+            got = credits[c] = high, tail
         high, tail = got
         out = []
         to_bot = False
@@ -313,14 +340,10 @@ def unfold(
     n = len(found)
     for out in to_sink:
         out[-1] = n
-    for c in credits:  # in place, so that no second dict is built
-        credits[c] = highs[c - c % low][0] + lows[c % low][0]
-    del highs, lows, columns, index  # freed before the per-id lists are built
+    del credits, highs, lows, columns, index  # freed before the per-id lists are built
     at = [key // width for key in found]
-    vectors = map(credits.__getitem__, map(mod, found, repeat(width)))
-    states = tuple(chain(zip(map(state.__getitem__, at), vectors), (BOT,) * sink))
     return UnfoldedArena(
-        a, b, states, succ + [[n]] * sink,
+        a, b, _States(state, found, b, sink), succ + [[n]] * sink,
         list(map(list(map(a.owner.__getitem__, state)).__getitem__, at)) + [1] * sink,
         clipped, g, at, found,
     )

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -216,6 +217,32 @@ def test_running_out_of_memory_is_an_error_with_a_message(fig1_path, capsys, mon
     monkeypatch.setattr(carefulsynth.synthesis, "solve", exhausted)
     assert _run(capsys, "solve", fig1_path, "--bounds", "3,3") == (
         EXIT_ERROR, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_the_callers_setting(
+    enabled, fig1_path, capsys, monkeypatch
+):
+    # the command runs with the cyclic collector off; after a verdict, an
+    # error the command raises and a usage error, the caller's setting is back
+    solve, seen = carefulsynth.synthesis.solve, []
+
+    def recorded(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(carefulsynth.synthesis, "solve", recorded)
+    cases = [(("solve", fig1_path, "--bounds", "3,3"), EXIT_POSITIVE),
+             (("solve", fig1_path), EXIT_ERROR),  # a CarefulSynthError: no bounds
+             (("solve", fig1_path, "--no-such-flag"), EXIT_ERROR)]
+    try:
+        for argv, want in cases:
+            gc.enable() if enabled else gc.disable()
+            assert _run(capsys, *argv)[0] == want, argv
+            assert gc.isenabled() == enabled, argv
+    finally:
+        gc.enable()
+    assert seen == [False]
 
 
 DEEP_FORMULAS = {

@@ -330,7 +330,7 @@ def test_unfold_allocates_nothing_per_unit_of_capacity():
 
 def test_the_state_budget_binds_before_3_gib(fig1):
     # at (10^6, 1) each state of fig1's unfolding holds what the last did,
-    # about 0.8-0.9 kB at the peak: 803 bytes at 20,000 states, 872 at 200,000
+    # about 0.6 kB at the peak: 559 bytes at 20,000 states, 633 at 200,000
     n = 20_000
     tracemalloc.start()
     try:
@@ -340,6 +340,35 @@ def test_the_state_budget_binds_before_3_gib(fig1):
     finally:
         tracemalloc.stop()
     assert peak / n * DEFAULT_STATE_BUDGET <= 3 * 2**30
+
+
+def test_an_unfolding_keeps_no_object_per_id(fig1):
+    # what the returned unfolding holds: its lists over the ids and their
+    # ints, about 190 bytes an id (186 at (20000, 1), 180 at (200000, 1)),
+    # where a (state, credit) tuple per id kept about 320
+    tracemalloc.start()
+    try:
+        u = unfold(fig1, (20000, 1))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(u.states) == 20002 and kept / len(u.states) <= 240
+
+
+def test_states_reads_as_the_tuple_of_each_ids_state(fig1):
+    for bounds in [(3, 3), (10, 1), (0, 0)]:
+        u = unfold(fig1, bounds)
+        want = reference_unfold(fig1, bounds).states
+        states = u.states
+        assert len(states) == len(want) and tuple(states) == want
+        assert states == want and want == states and states != list(want)
+        assert [states[k] for k in range(-len(want), 0)] == list(want)
+        assert states[1:-1] == want[1:-1] and states[::-2] == want[::-2]
+        assert all(states.index(s) == k for k, s in enumerate(want)) and BOT in states
+        assert repr(states) == repr(want)
+        for k in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                states[k]
 
 
 # ---------------------------------------------------------------------------
