@@ -32,7 +32,10 @@ reachability game without it. The benchmark's tracer does not wrap
 layers summed (`solve_parity` counted once): the work of `solve` outside
 them, such as forbidding each loser's won nodes and cutting the tables to
 the certificate; it can read slightly below zero, as the layers' times and
-the solve's come from different runs.
+the solve's come from different runs. The solves run with Python's cyclic
+collector on, as a library caller of `synthesis.solve` has it, so these
+times include collector pauses that a CLI command, and so the benchmark,
+does not pay: `cli.run` pauses the collector while a command runs.
 
 The line ends with sizes from one more solve, which do not depend on the
 machine: the verdict; `unfold=C/N/R` for the solve's one `unfold` call,
@@ -53,7 +56,7 @@ enumerated but not searched.
 
 With `--check`, each instance that has a solution is solved once through
 the in-process CLI, and its certificate is then checked `--repeat` times
-the same way. The line gives the fastest untimed `check` command, and from
+the same way, with the collector paused. The line gives the fastest untimed `check` command, and from
 the timed runs the fastest time of each of its parts, summed over one
 check as above: `arena`, reading the arena (`parse_arena`); `certificate`,
 reading the certificate (`parse_profile`); `dpas`, `cli._load_dpas`;

@@ -141,16 +141,15 @@ def witness_product(u: UnfoldedArena) -> WitnessProduct:
     searched on it. Each component is a parity condition on its states'
     priorities, and an SCC's mask is folded over its distinct product
     nodes. An SCC lies in one of the product's, its mask in that one's, so
-    Tarjan runs only on the product SCCs whose mask has the system's bit,
-    found without failed steps unless every node has the bit and all are."""
+    Tarjan runs only on the product SCCs whose mask has the system's bit;
+    there a failed step is no edge."""
     graph, at, succ = u.graph, u.at, u.succ
     of = {qs: tuple(c.priority(q) for c, q in zip(graph.components, qs))
           for qs in dict.fromkeys(graph.qs)}  # read once per tuple of component states
     bits = {qs: sum(1 << k for k, x in enumerate(p) if x % 2 == 0) for qs, p in of.items()}
     even = list(map(bits.__getitem__, graph.qs))
     priority = list(map(list(map(of.__getitem__, graph.qs)).__getitem__, at))
-    edges = (graph.succ if not graph.failures or all(b & 1 for b in even)
-             else [[x for x in out if x >= 0] for out in graph.succ])
+    edges = [[x for x in out if x >= 0] for out in graph.succ] if graph.failures else graph.succ
     sccs = strongly_connected_components(ids_in_sccs_with(edges, even, 1, at), succ)
     masks = folded(sccs, at, even)
     cyclic = bool(sccs) or has_cycle(range(len(at)), succ)
