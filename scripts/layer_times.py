@@ -60,9 +60,9 @@ the same way, with the collector paused. The line gives the fastest untimed `che
 the timed runs the fastest time of each of its parts, summed over one
 check as above: `arena`, reading the arena (`parse_arena`); `certificate`,
 reading the certificate (`parse_profile`); `dpas`, `cli._load_dpas`;
-`replay`, `synthesis._replay`; `winners`, the winner clauses (the calls of
+`replay`, `certificate._replay`; `winners`, the winner clauses (the calls of
 `eval_on_lasso` and `tracker_accepts`, the system objective's included);
-and `deviations`, `synthesis._deviation_faults`. The benchmark's tracer
+and `deviations`, `certificate._deviation_faults`. The benchmark's tracer
 counts the first three in `cli.self_s`. File reads and the verdict's output
 are only in `check`.
 """
@@ -82,9 +82,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import generators  # bench/generators.py, read only
 import workloads  # bench/workloads.py, read only
 
-from carefulsynth import cli, ltl, reduction, synthesis, zerosum
+from carefulsynth import certificate, cli, ltl, reduction, synthesis, zerosum
 from carefulsynth.arena import parse_arena
-from carefulsynth.zerosum import parse_dpa
+from carefulsynth.certificate import parse_dpa
 
 # (module, the name its caller looks up)
 LAYERS = [(synthesis, "product"), (synthesis, "unfold"), (synthesis, "witness_product"),
@@ -92,10 +92,10 @@ LAYERS = [(synthesis, "product"), (synthesis, "unfold"), (synthesis, "witness_pr
           (synthesis, "find_witness_lasso")]
 
 # the same for the parts of `check`, each with the column it is summed in
-CHECK_LAYERS = {(cli, "parse_arena"): "arena", (synthesis, "parse_profile"): "certificate",
-                (cli, "_load_dpas"): "dpas", (synthesis, "_replay"): "replay",
-                (ltl, "eval_on_lasso"): "winners", (synthesis, "tracker_accepts"): "winners",
-                (synthesis, "_deviation_faults"): "deviations"}
+CHECK_LAYERS = {(cli, "parse_arena"): "arena", (cli, "parse_profile"): "certificate",
+                (cli, "_load_dpas"): "dpas", (certificate, "_replay"): "replay",
+                (ltl, "eval_on_lasso"): "winners", (certificate, "tracker_accepts"): "winners",
+                (certificate, "_deviation_faults"): "deviations"}
 
 
 def with_objectives(rng: random.Random, doc: dict) -> dict:

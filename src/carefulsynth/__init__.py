@@ -3,9 +3,10 @@ with multiple bounded shared resources.
 
 The pipeline: `arena` (data model + lasso semantics) -> `unfolding` (the
 arena's product with objective automata, unfolded over bounded resources
-with an underflow sink) -> `zerosum` (attractors, Zielonka's parity
-algorithm, objective trackers, punishment regions) -> `synthesis`
-(equilibrium search and certificate checking). `ltl` provides the objective
+with an underflow sink) -> `certificate` (objective trackers, the
+certificate document and its checker) -> `zerosum` (attractors, Zielonka's
+parity algorithm, punishment regions) -> `synthesis` (equilibrium
+search). `ltl` provides the objective
 language and its Büchi translation; `reduction` generates hardness
 instances from two-counter automata; `cli` is the command-line front end.
 Each name is imported from its module (`from carefulsynth.synthesis import

@@ -21,7 +21,7 @@ I64_MAX = 2**63 - 1
 RESERVED_ATOM = "bot"  # claimed by the unfolding's sink state
 
 # The most players an arena may have: `synthesis.solve` may try all 2^players
-# winner sets. Beside `zerosum.MAX_PRIORITY`, the other size cap on documents.
+# winner sets. Beside `certificate.MAX_PRIORITY`, the other size cap on documents.
 MAX_PLAYERS = 16
 
 

@@ -26,9 +26,9 @@ from .arena import (
     serialize_arena,
     validate_lasso,
 )
+from .certificate import ParityAutomaton, StrategyProfile, parse_dpa, parse_profile
 from .errors import CarefulSynthError, UnderflowError, dump_json, load_json, member, natural
 from .unfolding import lift, render_ustate, to_dot, unfold, unfolded_to_arena
-from .zerosum import ParityAutomaton, parse_dpa
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -111,7 +111,7 @@ def _saturation_caveat(result: synthesis.SolveResult) -> None:
         )
 
 
-def _pretty_outcome(profile: synthesis.StrategyProfile) -> str:
+def _pretty_outcome(profile: StrategyProfile) -> str:
     lines = ["", "outcome (state @ resources):"]
     o = profile.outcome
     ustates = [render_ustate(us) for us in zip(o.stem + o.loop, o.trace)]
@@ -154,7 +154,7 @@ def _cmd_unfold(args) -> int:
 def _cmd_check(args) -> int:
     a, bounds = _arena(args, "check requires --bounds (or bounds in the arena document)")
     dpas = _load_dpas(args.dpa, a)
-    profile = synthesis.parse_profile(_read(args.profile))
+    profile = parse_profile(_read(args.profile))
     violations = synthesis.check_certificate(a, bounds, profile, dpas=dpas)
     doc = {
         "verdict": "ok" if not violations else "invalid",

@@ -111,7 +111,7 @@ class UnfoldedArena(NamedTuple):
 
 
 class Product(NamedTuple):
-    """The arena in product with `components` (`zerosum.Tracker`s, a system
+    """The arena in product with `components` (`certificate.Tracker`s, a system
     component first, whose `step` lists states): node p is arena state
     `state[p]` with each component's state after its letter, `qs[p]`,
     numbered in the order `product` finds them from the initial node, 0:

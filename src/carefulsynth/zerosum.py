@@ -1,10 +1,10 @@
 """Two-player zero-sum solving on numbered parity games: attractors,
-Zielonka's parity algorithm, objective trackers, and the per-player
-punishment regions used by the equilibrium characterization. Every objective
-becomes a deterministic parity tracker (a flag for `F`, `G`, `G F` and
-`F G`, or a supplied parity automaton); a punishment game is played on an
-unfolded product of the arena with that tracker as one of its components
-(`unfolding.product`): in `solve`, the witness product's. A
+Zielonka's parity algorithm and the per-player punishment regions used by
+the equilibrium characterization. Every objective becomes a deterministic
+parity tracker (`certificate.objective_tracker`: a flag for `F`, `G`,
+`G F` and `F G`, or a supplied parity automaton); a punishment game is
+played on an unfolded product of the arena with that tracker as one of its
+components (`unfolding.product`): in `solve`, the witness product's. A
 reachability game is solved on credit sets, one int per product node
 whose bit k is set when credit key k is won (`credit_region`, after
 symbolic model checking, Burch, Clarke, McMillan, Dill and Hwang, LICS
@@ -16,22 +16,15 @@ adversarial coalition. Underflow sinks are absorbing and losing for the
 protagonist: carefulness is imposed structurally, not as a side condition.
 """
 
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress
 from math import prod
 from operator import and_, or_
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from . import ltl
-from .errors import (
-    DocumentSemanticError, UnsupportedObjectiveError, expect, is_int, load_json, member,
-)
-from .ltl import FragmentClass
+from .certificate import MAX_PRIORITY, _Filled
+from .errors import DocumentSemanticError
 from .unfolding import UnfoldedArena, pre_image, pre_image_steps
-
-# The largest priority a parity game or automaton may use: Zielonka's
-# recursion depth grows with it.
-MAX_PRIORITY = 16
 
 
 class ZeroSumGame(NamedTuple):
@@ -163,130 +156,6 @@ def _zielonka(g: ZeroSumGame, domain: set[int]):
     if j_is_pro:
         return wj, sj, wo, so
     return wo, so, wj, sj
-
-
-# ---------------------------------------------------------------------------
-# Deterministic parity automata (user-supplied, for general-LTL objectives)
-
-
-class DpaTransition(NamedTuple):
-    src: str
-    pos: frozenset[str]
-    neg: frozenset[str]
-    dst: str
-
-
-class ParityAutomaton(NamedTuple):
-    states: tuple[str, ...]
-    initial: str
-    priority: Mapping[str, int]
-    transitions: tuple[DpaTransition, ...]
-
-
-def parse_dpa(text: str) -> ParityAutomaton:
-    doc = expect(load_json(text), dict, "parity automaton document")
-    states = tuple(member(doc, "states", [str], "states"))
-    initial = member(doc, "initial", str, "initial state")
-    priority = member(doc, "priorities", dict, "priorities")
-    transitions = tuple(
-        DpaTransition(
-            member(t, "src", str, "transition source"),
-            frozenset(member(t, "pos", [str], "pos", [])),
-            frozenset(member(t, "neg", [str], "neg", [])),
-            member(t, "dst", str, "transition target"),
-        )
-        for t in member(doc, "transitions", [dict], "transitions")
-    )
-    if len(set(states)) != len(states):
-        raise DocumentSemanticError("duplicate state names")
-    if initial not in states:
-        raise DocumentSemanticError(f"initial state {initial!r} unknown")
-    if any("|" in q for q in states):
-        # a punishment-table key ends in |q; the checker splits at the last |
-        raise DocumentSemanticError(f"state names must not contain '|', got {states!r}")
-    if not all(is_int(p) and 0 <= p <= MAX_PRIORITY for p in priority.values()):
-        raise DocumentSemanticError(
-            f"priorities must be integers from 0 to {MAX_PRIORITY}, got {priority!r}"
-        )
-    if set(priority) != set(states):
-        raise DocumentSemanticError("priority map must cover exactly the states")
-    for t in transitions:
-        if t.src not in states or t.dst not in states:
-            raise DocumentSemanticError(f"dangling transition {t}")
-    return ParityAutomaton(states, initial, priority, transitions)
-
-
-def dpa_step(dpa: ParityAutomaton, q: str, letter: frozenset[str]) -> str:
-    matches = [
-        t.dst
-        for t in dpa.transitions
-        if t.src == q and t.pos <= letter and not (t.neg & letter)
-    ]
-    if not matches:
-        raise DocumentSemanticError(
-            f"parity automaton has no transition from {q!r} on {sorted(letter)}"
-        )
-    if len(set(matches)) > 1:
-        raise DocumentSemanticError(
-            f"parity automaton is nondeterministic at {q!r} on {sorted(letter)}"
-        )
-    return matches[0]
-
-
-# ---------------------------------------------------------------------------
-# Objective trackers
-
-
-class Tracker(NamedTuple):
-    """A deterministic parity automaton over letters: a run reads a word
-    from `initial` through `step(q, letter)` and is won iff the maximum
-    `priority` of its states seen infinitely often is even. Pairing each
-    position with the state before its letter or after it shifts the run by
-    one and does not change that maximum. A supplied automaton need only be
-    complete over the letters its runs meet (see `unfolding.Product`)."""
-
-    initial: Hashable
-    step: Callable[[Hashable, frozenset], Hashable]
-    priority: Callable[[Hashable], int]
-
-
-def objective_tracker(
-    objective: ltl.Formula, dpa: Optional[ParityAutomaton] = None
-) -> Tracker:
-    """A supplied parity automaton as given. A fragment objective's state is
-    one flag about beta: seen (F), failed (G), held at the last letter (G F,
-    F G)."""
-    if dpa is not None:
-        return Tracker(dpa.initial, partial(dpa_step, dpa), dpa.priority.__getitem__)
-    frag = ltl.classify_fragment(objective)
-    if frag.kind == FragmentClass.GENERAL:
-        raise UnsupportedObjectiveError(
-            f"objective {objective} is outside the solvable fragments; "
-            "supply a deterministic parity automaton"
-        )
-    holds = _Filled(partial(ltl.eval_bool, frag.beta))  # letter -> whether beta holds
-    if frag.kind == FragmentClass.REACH:
-        step, priority = (lambda seen, x: seen or holds[x]), (lambda seen: 2 if seen else 1)
-    elif frag.kind == FragmentClass.SAFE:
-        step, priority = (lambda bad, x: bad or not holds[x]), (lambda bad: 1 if bad else 2)
-    else:
-        good = 2 if frag.kind == FragmentClass.BUCHI else 0
-        step, priority = (lambda _, x: holds[x]), (lambda held: good if held else 1)
-    return Tracker(False, step, priority)
-
-
-class _Filled(dict):
-    """A map whose value at a key is `fill(key)`, computed and stored at the
-    key's first lookup."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill: Callable):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 # ---------------------------------------------------------------------------

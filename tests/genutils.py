@@ -29,16 +29,16 @@ from carefulsynth.arena import MAX_PLAYERS, Arena, build_arena, checked_bounds
 from carefulsynth.errors import DocumentSemanticError, expect, load_json, member
 from carefulsynth.ltl import FragmentClass
 from carefulsynth._graphs import shortest_path, strongly_connected_components
+from carefulsynth.certificate import MAX_PRIORITY, StrategyProfile, parse_dpa, player_tracker
 from carefulsynth.synthesis import (
-    NoWitness, SolveResult, StrategyProfile, WitnessProduct, _reached_entries, _winner_sets,
-    outcome_lasso, player_tracker, system_component,
+    NoWitness, SolveResult, WitnessProduct, _reached_entries, _winner_sets, outcome_lasso,
+    system_component,
 )
 from carefulsynth.unfolding import (
     BOT, Product, UnfoldedArena, UState, credit_after, product, unfold,
 )
 from carefulsynth.zerosum import (
-    MAX_PRIORITY, PunishRegions, WinningRegions, ZeroSumGame, parse_dpa, predecessors,
-    punish_region,
+    PunishRegions, WinningRegions, ZeroSumGame, predecessors, punish_region,
 )
 
 

@@ -10,6 +10,7 @@ import random
 import time
 
 from carefulsynth import ltl
+from carefulsynth.certificate import check_certificate, objective_tracker
 from carefulsynth.ltl import FragmentClass
 from carefulsynth.reduction import (
     build_game,
@@ -17,9 +18,9 @@ from carefulsynth.reduction import (
     recommended_bounds,
     simulate_reachability,
 )
-from carefulsynth.synthesis import SolveResult, check_certificate, solve
+from carefulsynth.synthesis import SolveResult, solve
 from carefulsynth.unfolding import BOT, lift, unfold
-from carefulsynth.zerosum import attractor, objective_tracker, solve_parity
+from carefulsynth.zerosum import attractor, solve_parity
 
 from corpus import CORPUS
 from genutils import (

@@ -11,8 +11,8 @@ import pytest
 
 import carefulsynth
 from carefulsynth.arena import MAX_PLAYERS, serialize_arena
+from carefulsynth.certificate import MAX_PRIORITY
 from carefulsynth.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_POSITIVE, run
-from carefulsynth.zerosum import MAX_PRIORITY
 
 from corpus import CORPUS
 from genutils import oracle_bounded_careful, random_arena, random_lasso

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from carefulsynth.arena import parse_arena, serialize_arena
+from carefulsynth.certificate import check_certificate
 from carefulsynth.errors import DocumentSemanticError
 from carefulsynth.reduction import (
     CounterRun,
@@ -11,7 +12,7 @@ from carefulsynth.reduction import (
     recommended_bounds,
     simulate_reachability,
 )
-from carefulsynth.synthesis import SolveResult, check_certificate, solve
+from carefulsynth.synthesis import SolveResult, solve
 
 from corpus import CORPUS, TRIV, _doc
 

@@ -8,24 +8,29 @@ from hypothesis import given, settings, strategies as st
 
 from carefulsynth import _graphs, ltl, synthesis, zerosum
 from carefulsynth._graphs import strongly_connected_components
+from carefulsynth.certificate import (
+    StrategyProfile,
+    check_certificate,
+    objective_tracker,
+    parse_dpa,
+    parse_profile,
+    profile_to_document,
+    tracker_accepts,
+)
 from carefulsynth.errors import (
     BudgetExceededError, DocumentSemanticError, UnsupportedObjectiveError,
 )
 from carefulsynth.synthesis import (
     NoWitness,
     SolveResult,
-    check_certificate,
     find_witness_lasso,
-    parse_profile,
-    profile_to_document,
     result_to_document,
     solve,
     system_component,
-    tracker_accepts,
     witness_product,
 )
 from carefulsynth.unfolding import BOT, product, unfold
-from carefulsynth.zerosum import objective_tracker, parse_dpa, punish_region
+from carefulsynth.zerosum import punish_region
 
 import genutils
 from genutils import (
@@ -1257,7 +1262,6 @@ def test_reach_loser_table_forces_the_sink_once_the_target_is_seen():
 def test_checker_accepts_a_loser_that_has_already_lost():
     # player 1 (G !p) lost at y and owns only s, where it has no other move
     from carefulsynth.arena import Lasso
-    from carefulsynth.synthesis import StrategyProfile
 
     a = _late_loser_arena("F p", "G !p")
     x, y, s = ("x", (0,)), ("y", (0,)), ("s", (0,))
@@ -1353,7 +1357,12 @@ def test_the_checker_does_not_unfold(fig1, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the checker unfolded the arena")
 
-    monkeypatch.setattr(synthesis, "unfold", refuse)
+    # the checker's module does not import `unfold`; were it to, its own
+    # binding would be replaced too
+    from carefulsynth import certificate, unfolding
+
+    monkeypatch.setattr(unfolding, "unfold", refuse)
+    monkeypatch.setattr(certificate, "unfold", refuse, raising=False)
     for a, bounds, p in certificates:
         assert check_certificate(a, bounds, p) == []
 
@@ -1562,7 +1571,7 @@ def test_checker_finds_exactly_the_deviations_the_oracle_finds_on_punishable_are
 def test_checker_agrees_with_the_oracle_on_random_profiles():
     # a random sink-free lasso of the unfolding as the outcome and a random
     # table per player; deviations are profitable far more often here
-    from carefulsynth.synthesis import StrategyProfile, outcome_lasso
+    from carefulsynth.synthesis import outcome_lasso
 
     verdicts = []
     for seed in range(1500):

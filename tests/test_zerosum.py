@@ -13,15 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from carefulsynth import ltl
 from carefulsynth.arena import build_arena
+from carefulsynth.certificate import check_certificate, dpa_step, objective_tracker, parse_dpa
 from carefulsynth.errors import DocumentSemanticError, UnsupportedObjectiveError
 from carefulsynth.ltl import FragmentClass
 from carefulsynth.unfolding import BOT, credit_after, pre_image, pre_image_steps, product, unfold
 from carefulsynth.zerosum import (
     ZeroSumGame,
     attractor,
-    dpa_step,
-    objective_tracker,
-    parse_dpa,
     predecessors,
     punish_region,
     punishment_game,
@@ -568,7 +566,7 @@ def test_certificates_accept_keys_whose_nodes_move_apart():
         result = synthesis.solve(a, bounds, dpas)
         if result.profile is None:
             continue
-        assert synthesis.check_certificate(a, bounds, result.profile, dpas=dpas) == [], seed
+        assert check_certificate(a, bounds, result.profile, dpas=dpas) == [], seed
         seen["certificates"] += 1
         seen["read"] += any(apart[i].intersection(table)
                             for i, table in result.profile.punishment.items())
