@@ -32,10 +32,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # bench/workloads.py, read only
 
-from carefulsynth.arena import RESERVED_ATOM, parse_arena
+from carefulsynth.arena import RESERVED_ATOM, parse_arena, render_ustate
 from carefulsynth.certificate import objective_tracker, parse_dpa
 from carefulsynth.synthesis import system_component
-from carefulsynth.unfolding import product, render_ustate, unfold
+from carefulsynth.unfolding import product, unfold
 from carefulsynth.zerosum import punish_region
 
 

@@ -4,15 +4,21 @@ optional capacity vector.
 
 The textual format is UTF-8 JSON; serialization is canonical (states and
 edges sorted lexicographically), so round-trips are byte-stable.
+
+A path has two semantics here: the unbounded sums (`cumulative_costs`) and
+the bounded unfolding over the capacities, with its underflow sink `BOT`.
+Its step (`credit_after`, `step`, `lift`) is the checker's own, and shares
+none of `unfolding.unfold`'s.
 """
 
 from itertools import chain
 from operator import add
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import ltl
 from .errors import (
-    CostOverflowError, DocumentSemanticError, dump_json, expect, is_int, load_json, member,
+    CostOverflowError, DocumentSemanticError, UnderflowError, dump_json, expect, is_int,
+    load_json, member, natural,
 )
 
 I64_MIN = -(2**63)
@@ -347,8 +353,10 @@ def validate_history(arena: Arena, h: History) -> None:
 
 
 def validate_lasso(arena: Arena, l: Lasso) -> None:
-    """Structure only: the stem is a history, the loop is nonempty, and
-    the loop closes through edges."""
+    """Structure only: the stem and the loop are nonempty, the stem is a
+    history, and the loop closes through edges."""
+    if not l.stem:
+        raise DocumentSemanticError("lasso stem is empty")
     validate_history(arena, l.stem)
     if not l.loop:
         raise DocumentSemanticError("lasso loop is empty")
@@ -382,3 +390,85 @@ def multi_energy_check_unbounded(arena: Arena, l: Lasso) -> bool:
         if k == len(l.stem):
             head = acc
     return all(x <= y for x, y in zip(head, acc))
+
+
+# ---------------------------------------------------------------------------
+# Bounded semantics: the unfolding's states and a path's steps in it
+
+
+class _BotState:
+    """The underflow sink; `BOT` is its one instance."""
+
+    def __repr__(self):
+        return "BOT"
+
+
+BOT = _BotState()
+
+UState = Union[tuple[str, tuple[int, ...]], _BotState]
+
+# About 0.6 kB a state at the peak (fig1 at (10^6, 1), by `tracemalloc`: 633 bytes at
+# 200,000 states), so the budget binds near 1.3 GB; fig1 at (3000, 3000), 1,377,283 states, solves.
+DEFAULT_STATE_BUDGET = 2 * 10**6
+
+
+def render_ustate(us: UState) -> str:
+    if us is BOT:
+        return "BOT"
+    s, c = us
+    return f"{s}@{','.join(str(v) for v in c)}"
+
+
+def parse_ustate(text: str) -> UState:
+    if text == "BOT":
+        return BOT
+    s, at, vec = text.rpartition("@")
+    if not at:
+        raise DocumentSemanticError(f"bad unfolded state id {text!r}")
+    return (s, tuple(natural(v, f"a credit in {text!r}") for v in vec.split(",")))
+
+
+def credit_after(c: tuple, w: tuple, bounds: tuple) -> Optional[tuple]:
+    """The saturated credit after an edge of cost `w` from credit `c`, or None
+    when it goes below zero."""
+    c2 = tuple(map(min, map(add, c, w), bounds))
+    return c2 if min(c2, default=0) >= 0 else None
+
+
+def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[UState, ...]:
+    """The successors of `us` in the unfolding under validated `bounds`, in
+    `a.succ[s]` order with BOT last."""
+    if us is BOT:
+        return (BOT,)
+    s, c = us
+    edges = a.edges
+    out: list[UState] = []
+    to_bot = False
+    for s2 in a.succ[s]:
+        c2 = credit_after(c, edges[(s, s2)], bounds)
+        if c2 is None:
+            to_bot = True
+        else:
+            out.append((s2, c2))
+    if to_bot:
+        out.append(BOT)
+    return tuple(out)
+
+
+def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
+    """The unfolded image of a history `h` that `validate_history` accepts,
+    under validated `bounds`: the one replay of a path in the bounded
+    semantics. Errors at the first prefix that drives a resource component
+    negative."""
+    out: list[UState] = [(h[0], (0,) * a.dimensions)]
+    for i, (x, y) in enumerate(zip(h, h[1:])):
+        c, w = out[-1][1], a.edges[(x, y)]
+        c2 = credit_after(c, w, bounds)
+        if c2 is None:
+            bad = min(j for j, v in enumerate(map(add, c, w)) if v < 0)
+            raise UnderflowError(
+                f"resource {bad + 1} goes below zero after prefix {list(h[: i + 2])}",
+                prefix=tuple(h[: i + 2]),
+            )
+        out.append((y, c2))
+    return out

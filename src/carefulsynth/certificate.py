@@ -1,11 +1,11 @@
 """The certificate checker's trusted base: the objective trackers, the
 parity-automaton reader, the certificate document and `check_certificate`,
 which checks a strategy profile against the arena alone. It imports only
-`errors`, `_graphs`, `ltl`, `arena` and `unfolding`, so it holds no game
-solver and no witness search, and it never calls `unfold` (a certifying
-algorithm's checker, after McConnell, Mehlhorn, Näher and Schweitzer,
-2011). `solve` builds its trackers here too: with the SCC kernel they are
-all the checker shares with the solver (README, step 4).
+`errors`, `_graphs`, `ltl` and `arena`, so it holds no game solver, no
+witness search and no `unfold` (a certifying algorithm's checker, after
+McConnell, Mehlhorn, Näher and Schweitzer, 2011). `solve` builds its
+trackers here too: with the SCC kernel they are all the checker shares
+with the solver (README, step 4).
 """
 
 from collections import deque
@@ -14,7 +14,10 @@ from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
 
 from . import ltl
 from ._graphs import strongly_connected_components
-from .arena import Arena, Lasso, checked_bounds, validate_history
+from .arena import (
+    BOT, DEFAULT_STATE_BUDGET, Arena, Lasso, UState, checked_bounds, lift, parse_ustate,
+    render_ustate, step, validate_history,
+)
 from .errors import (
     BudgetExceededError,
     DocumentSemanticError,
@@ -28,15 +31,6 @@ from .errors import (
     natural,
 )
 from .ltl import FragmentClass
-from .unfolding import (
-    BOT,
-    DEFAULT_STATE_BUDGET,
-    UState,
-    lift,
-    parse_ustate,
-    render_ustate,
-    step,
-)
 
 # The largest priority a parity game or automaton may use: Zielonka's
 # recursion depth grows with it.
@@ -226,18 +220,22 @@ def parse_profile(text: str) -> StrategyProfile:
     stem = tuple(member(outcome, "stem", [str], "outcome stem"))
     loop = tuple(member(outcome, "loop", [str], "outcome loop"))
     trace = tuple(map(tuple, member(outcome, "trace", [[int]], "outcome trace")))
-    winners = frozenset(member(doc, "winners", [int], "winners"))
+    winners = member(doc, "winners", [int], "winners")
+    if len(set(winners)) < len(winners):
+        raise DocumentSemanticError(f"duplicate winners {winners!r}")
     punishment = {}
     for i_str, table in member(doc, "punishment", dict, "punishment", {}).items():
         i = natural(i_str, "a punishment key")  # "03" or "٣" would name player 3 again
         entries = {}
         for k, v in expect(table, dict, f"punishment table of {i_str}").items():
-            state, _, q = k.rpartition("|")
+            state, bar, q = k.rpartition("|")
+            if not bar:
+                raise DocumentSemanticError(f"punishment key {k!r} has no '|'")
             entries[(parse_ustate(state), q)] = parse_ustate(expect(v, str, "punishment entry"))
         punishment[i] = entries
     return StrategyProfile(
         outcome=Lasso(stem=stem, loop=loop, trace=trace),
-        winners=winners,
+        winners=frozenset(winners),
         punishment=punishment,
     )
 

@@ -18,17 +18,12 @@ from typing import Optional, Sequence
 
 from . import ltl, reduction, synthesis
 from .arena import (
-    Arena,
-    Lasso,
-    checked_bounds,
-    multi_energy_check_unbounded,
-    parse_arena,
-    serialize_arena,
-    validate_lasso,
+    Arena, Lasso, checked_bounds, lift, multi_energy_check_unbounded, parse_arena, render_ustate,
+    serialize_arena, validate_lasso,
 )
 from .certificate import ParityAutomaton, StrategyProfile, parse_dpa, parse_profile
 from .errors import CarefulSynthError, UnderflowError, dump_json, load_json, member, natural
-from .unfolding import lift, render_ustate, to_dot, unfold, unfolded_to_arena
+from .unfolding import to_dot, unfold, unfolded_to_arena
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1

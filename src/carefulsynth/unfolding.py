@@ -7,10 +7,9 @@ order the breadth-first search finds them, and every later layer reads
 successors and owners by those numbers. `unfold` steps a credit by the
 sum of two columns over the arena's distinct costs, one per half of its
 digits, each summed once from columns built per digit, with markers for
-the steps that saturate or go below zero. The checker's own step
-(`credit_after`, `step`, `lift`) shares none of it. A set of credits can
-also be one int, bit k set when the credit of key k is in it, and an
-edge's pre-image is then a few shifts and masks (`pre_image`), which the
+the steps that saturate or go below zero. A set of credits can also be
+one int, bit k set when the credit of key k is in it, and an edge's
+pre-image is then a few shifts and masks (`pre_image`), which the
 punishment regions use.
 The same loop unfolds the arena's product with objective automata
 (`Product`, after Vardi and Wolper, LICS 1986): the arena is the product
@@ -23,40 +22,8 @@ from operator import add
 from typing import NamedTuple, Optional, Union
 
 from . import ltl
-from .arena import Arena, History, RESERVED_ATOM, checked_bounds
-from .errors import BudgetExceededError, DocumentSemanticError, UnderflowError, natural
-
-
-class _BotState:
-    """The underflow sink; `BOT` is its one instance."""
-
-    def __repr__(self):
-        return "BOT"
-
-
-BOT = _BotState()
-
-UState = Union[tuple[str, tuple[int, ...]], _BotState]
-
-# About 0.6 kB a state at the peak (fig1 at (10^6, 1), by `tracemalloc`: 633 bytes at
-# 200,000 states), so the budget binds near 1.3 GB; fig1 at (3000, 3000), 1,377,283 states, solves.
-DEFAULT_STATE_BUDGET = 2 * 10**6
-
-
-def render_ustate(us: UState) -> str:
-    if us is BOT:
-        return "BOT"
-    s, c = us
-    return f"{s}@{','.join(str(v) for v in c)}"
-
-
-def parse_ustate(text: str) -> UState:
-    if text == "BOT":
-        return BOT
-    s, at, vec = text.rpartition("@")
-    if not at:
-        raise DocumentSemanticError(f"bad unfolded state id {text!r}")
-    return (s, tuple(natural(v, f"a credit in {text!r}") for v in vec.split(",")))
+from .arena import BOT, DEFAULT_STATE_BUDGET, Arena, RESERVED_ATOM, checked_bounds, render_ustate
+from .errors import BudgetExceededError, DocumentSemanticError
 
 
 class _States(Sequence):
@@ -183,13 +150,6 @@ def product(a: Arena, trackers: Sequence, system=None) -> Product:
                    failures)
 
 
-def credit_after(c: tuple, w: tuple, bounds: tuple) -> Optional[tuple]:
-    """The saturated credit after an edge of cost `w` from credit `c`, or None
-    when it goes below zero."""
-    c2 = tuple(map(min, map(add, c, w), bounds))
-    return c2 if min(c2, default=0) >= 0 else None
-
-
 def pre_image_steps(w: tuple, bounds: tuple) -> list[tuple]:
     """The steps of `pre_image` for an edge of cost `w` under the
     capacities `bounds`. A credit's key has its digits in mixed radix over
@@ -227,31 +187,11 @@ def pre_image(credits: int, steps: list[tuple]) -> int:
     return credits
 
 
-def step(a: Arena, bounds: tuple[int, ...], us: UState) -> tuple[UState, ...]:
-    """The successors of `us` in the unfolding under validated `bounds`, in
-    `a.succ[s]` order with BOT last."""
-    if us is BOT:
-        return (BOT,)
-    s, c = us
-    edges = a.edges
-    out: list[UState] = []
-    to_bot = False
-    for s2 in a.succ[s]:
-        c2 = credit_after(c, edges[(s, s2)], bounds)
-        if c2 is None:
-            to_bot = True
-        else:
-            out.append((s2, c2))
-    if to_bot:
-        out.append(BOT)
-    return tuple(out)
-
-
 def unfold(
     g: Union[Arena, Product], bounds: Sequence[int], max_states: int = DEFAULT_STATE_BUDGET
 ) -> UnfoldedArena:
     """Breadth-first construction of the reachable bounded unfolding of a
-    product, or of an arena (its product with nothing), as `step` reads it.
+    product, or of an arena (its product with nothing), as `arena.step` reads it.
     A node (p, c) is keyed by p times the number of credits plus c in mixed
     radix over the capacities. The key of the credit after an edge is the
     sum of its cost's entries in two columns over the arena's distinct
@@ -347,25 +287,6 @@ def unfold(
         list(map(list(map(a.owner.__getitem__, state)).__getitem__, at)) + [1] * sink,
         clipped, g, at, found,
     )
-
-
-def lift(a: Arena, bounds: tuple[int, ...], h: History) -> list[UState]:
-    """The unfolded image of a history `h` that `validate_history` accepts,
-    under validated `bounds`: the one replay of a path in the bounded
-    semantics. Errors at the first prefix that drives a resource component
-    negative."""
-    out: list[UState] = [(h[0], (0,) * a.dimensions)]
-    for i, (x, y) in enumerate(zip(h, h[1:])):
-        c, w = out[-1][1], a.edges[(x, y)]
-        c2 = credit_after(c, w, bounds)
-        if c2 is None:
-            bad = min(j for j, v in enumerate(map(add, c, w)) if v < 0)
-            raise UnderflowError(
-                f"resource {bad + 1} goes below zero after prefix {list(h[: i + 2])}",
-                prefix=tuple(h[: i + 2]),
-            )
-        out.append((y, c2))
-    return out
 
 
 def unfolded_to_arena(u: UnfoldedArena) -> Arena:

@@ -25,7 +25,9 @@ from operator import mul, or_
 from typing import NamedTuple, Optional
 
 from carefulsynth import ltl
-from carefulsynth.arena import MAX_PLAYERS, Arena, build_arena, checked_bounds
+from carefulsynth.arena import (
+    BOT, MAX_PLAYERS, Arena, UState, build_arena, checked_bounds, credit_after,
+)
 from carefulsynth.errors import DocumentSemanticError, expect, load_json, member
 from carefulsynth.ltl import FragmentClass
 from carefulsynth._graphs import shortest_path, strongly_connected_components
@@ -34,9 +36,7 @@ from carefulsynth.synthesis import (
     NoWitness, SolveResult, WitnessProduct, _reached_entries, _winner_sets, outcome_lasso,
     system_component,
 )
-from carefulsynth.unfolding import (
-    BOT, Product, UnfoldedArena, UState, credit_after, product, unfold,
-)
+from carefulsynth.unfolding import Product, UnfoldedArena, product, unfold
 from carefulsynth.zerosum import (
     PunishRegions, WinningRegions, ZeroSumGame, predecessors, punish_region,
 )

@@ -10,6 +10,7 @@ import random
 import time
 
 from carefulsynth import ltl
+from carefulsynth.arena import BOT, lift
 from carefulsynth.certificate import check_certificate, objective_tracker
 from carefulsynth.ltl import FragmentClass
 from carefulsynth.reduction import (
@@ -19,7 +20,7 @@ from carefulsynth.reduction import (
     simulate_reachability,
 )
 from carefulsynth.synthesis import SolveResult, solve
-from carefulsynth.unfolding import BOT, lift, unfold
+from carefulsynth.unfolding import unfold
 from carefulsynth.zerosum import attractor, solve_parity
 
 from corpus import CORPUS

@@ -514,6 +514,14 @@ def test_mc_rejects_invalid_lasso(fig1_path, tmp_path, capsys):
     assert err
 
 
+def test_mc_empty_stem_is_named(fig1_path, tmp_path, capsys):
+    # as an empty loop is: `lasso loop is empty`
+    path = tmp_path / "lasso.json"
+    path.write_text(json.dumps({"stem": [], "loop": ["a"]}))
+    code, out, err = _run(capsys, "mc", fig1_path, str(path), "F circ")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: lasso stem is empty\n")
+
+
 def test_mc_cost_overflow_is_an_error(tmp_path, capsys):
     # every pass of the self-loop adds 2^62, so the cumulative cost of
     # stem . loop leaves 64 bits at the third edge
@@ -966,6 +974,27 @@ def test_profile_node_key_without_a_credit_is_an_error(fig1_path, tmp_path, caps
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
     assert (code, out, err) == (EXIT_ERROR, "", "error: bad unfolded state id 'a'\n")
+
+
+def test_profile_node_key_without_a_tracker_state_is_an_error(fig1_path, tmp_path, capsys):
+    # read as the state '' before its `|`, the key would go unnamed
+    doc = json.loads(fig1_path.with_name("fig1-3-3.solution.json").read_text(encoding="utf-8"))
+    doc["punishment"]["3"] = {"a@0,0#False": "circbox@0,0"}
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: punishment key 'a@0,0#False' has no '|'\n")
+
+
+def test_profile_with_a_repeated_winner_is_an_error(fig1_path, tmp_path, capsys):
+    # read into a set, [1, 2, 2] would pass as the winners 1 and 2
+    doc = json.loads(fig1_path.with_name("fig1-3-3.solution.json").read_text(encoding="utf-8"))
+    assert doc["winners"] == [1, 2]
+    doc["winners"] = [1, 2, 2]
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: duplicate winners [1, 2, 2]\n")
 
 
 def test_profile_with_a_repeated_key_is_an_error(fig1_path, tmp_path, capsys):

@@ -160,17 +160,18 @@ ABOVE_UNFOLDING = {"certificate", *ABOVE_CERTIFICATE}
 
 # what a fresh `import` of each module must not load: the package loads no
 # module, and no module loads one above it (`errors` and `_graphs`, then
-# `ltl`, `arena`, `unfolding`, `certificate`, `zerosum`, `synthesis` and
-# `cli`, with `reduction` beside `unfolding`), so the checker
-# (`certificate`, over its own step in `unfolding`) loads no game solver
+# `ltl`, `arena`, `unfolding`, `zerosum`, `synthesis` and `cli`, with
+# `certificate` and `reduction` beside `unfolding`), so the checker
+# (`certificate`, over its own step in `arena`) loads no game solver and
+# no `unfold`
 ABOVE = {
     "carefulsynth": {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"},
     "carefulsynth.errors": ABOVE_UNFOLDING,
     "carefulsynth._graphs": ABOVE_UNFOLDING,
     "carefulsynth.ltl": ABOVE_UNFOLDING,
-    "carefulsynth.arena": ABOVE_UNFOLDING,
+    "carefulsynth.arena": {"unfolding", *ABOVE_UNFOLDING},
     "carefulsynth.unfolding": ABOVE_UNFOLDING,
-    "carefulsynth.certificate": ABOVE_CERTIFICATE,
+    "carefulsynth.certificate": {"unfolding", *ABOVE_CERTIFICATE},
     "carefulsynth.zerosum": {"synthesis", "reduction", "cli"},
     "carefulsynth.reduction": {"unfolding", "certificate", "zerosum", "synthesis", "cli"},
     "carefulsynth.synthesis": {"reduction", "cli"},

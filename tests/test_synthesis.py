@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from carefulsynth import _graphs, ltl, synthesis, zerosum
 from carefulsynth._graphs import strongly_connected_components
+from carefulsynth.arena import BOT
 from carefulsynth.certificate import (
     StrategyProfile,
     check_certificate,
@@ -29,7 +30,7 @@ from carefulsynth.synthesis import (
     system_component,
     witness_product,
 )
-from carefulsynth.unfolding import BOT, product, unfold
+from carefulsynth.unfolding import product, unfold
 from carefulsynth.zerosum import punish_region
 
 import genutils

@@ -7,23 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carefulsynth import ltl
-from carefulsynth.arena import RESERVED_ATOM, build_arena, serialize_arena
+from carefulsynth.arena import (
+    BOT,
+    DEFAULT_STATE_BUDGET,
+    RESERVED_ATOM,
+    build_arena,
+    lift,
+    parse_ustate,
+    render_ustate,
+    serialize_arena,
+    step,
+)
 from carefulsynth.errors import (
     BudgetExceededError,
     DocumentSemanticError,
     UnderflowError,
 )
-from carefulsynth.unfolding import (
-    BOT,
-    DEFAULT_STATE_BUDGET,
-    lift,
-    parse_ustate,
-    render_ustate,
-    step,
-    to_dot,
-    unfold,
-    unfolded_to_arena,
-)
+from carefulsynth.unfolding import to_dot, unfold, unfolded_to_arena
 
 from genutils import (
     one_node_per_state,

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carefulsynth import ltl
-from carefulsynth.arena import build_arena
+from carefulsynth.arena import BOT, build_arena, credit_after
 from carefulsynth.certificate import check_certificate, dpa_step, objective_tracker, parse_dpa
 from carefulsynth.errors import DocumentSemanticError, UnsupportedObjectiveError
 from carefulsynth.ltl import FragmentClass
-from carefulsynth.unfolding import BOT, credit_after, pre_image, pre_image_steps, product, unfold
+from carefulsynth.unfolding import pre_image, pre_image_steps, product, unfold
 from carefulsynth.zerosum import (
     ZeroSumGame,
     attractor,
