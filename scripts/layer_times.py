@@ -44,10 +44,11 @@ and the credits its unfolding reaches (`unfold` keeps one pair of column
 sums per credit);
 `ids=N` and `edges=N`, the unfolding's ids, the sink's included, and edges
 (the `unfold` column divided by `edges` is the time per unfolded edge);
-`scc=N`, the ids the witness product's Tarjan passes cover: those whose
-product node lies in a product SCC where the system can accept, and, when
-no SCC is found there and no id is its own successor, every id, in the
-pass that sets `cyclic`; `regionI=N`, one per
+`scc=N`, the ids the witness product's Tarjan passes on the unfolding
+cover: those whose product node lies in a product SCC where the system can
+accept, and, when no SCC is found there and no id is its own successor,
+every id, in the pass that sets `cyclic` (the pass over the product's own
+nodes that finds those SCCs is not counted); `regionI=N`, one per
 region solved, the nodes of player I's punishment game and its solver,
 `/credits` (`zerosum.credit_region`) or `/zielonka`; `pre_images=N`, the credit-set
 pre-images computed (`unfolding.pre_image`); and `searched=N` and
@@ -183,7 +184,8 @@ def timed(run, layers) -> list[tuple[str, float]]:
 def solve_sizes(a, bounds, dpas) -> list[str]:
     """The verdict and the sizes of one solve, as the module docstring
     lists them."""
-    sizes, covered, results = [], [], []  # covered: the ids of each Tarjan pass
+    sizes, covered, results = [], [], []  # covered: the ids of each Tarjan pass on `u`
+    unfolded = []  # the solve's one unfolding, `u`
     calls = collections.Counter()
 
     def witness(name, fn):
@@ -195,9 +197,10 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
         return call
 
     def tarjan(name, fn):
-        def call(nodes, *args, **kwargs):
-            covered.append(len(nodes))
-            return fn(nodes, *args, **kwargs)
+        def call(nodes, succ, *args, **kwargs):
+            if succ is unfolded[0].succ:  # not the pass on the product's own nodes
+                covered.append(len(nodes))
+            return fn(nodes, succ, *args, **kwargs)
         return call
 
     def solver(name, fn):
@@ -225,6 +228,7 @@ def solve_sizes(a, bounds, dpas) -> list[str]:
     def unfold(name, fn):
         def call(g, *args, **kwargs):
             u = fn(g, *args, **kwargs)
+            unfolded.append(u)
             width = math.prod(v + 1 for v in u.bounds)
             credits = len({k % width for k in u.keys})
             sizes.extend([f"unfold={len(set(a.edges.values()))}/{len(u.graph.state)}/{credits}",

@@ -231,7 +231,11 @@ def parse_profile(text: str) -> StrategyProfile:
             state, bar, q = k.rpartition("|")
             if not bar:
                 raise DocumentSemanticError(f"punishment key {k!r} has no '|'")
-            entries[(parse_ustate(state), q)] = parse_ustate(expect(v, str, "punishment entry"))
+            try:
+                entries[(parse_ustate(state), q)] = parse_ustate(expect(v, str, "punishment entry"))
+            except DocumentSemanticError as e:
+                raise DocumentSemanticError(
+                    f"punishment table of {i_str}, key {k!r}: {e}") from None
         punishment[i] = entries
     return StrategyProfile(
         outcome=Lasso(stem=stem, loop=loop, trace=trace),

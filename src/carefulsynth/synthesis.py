@@ -13,13 +13,15 @@ the certificate, which `certificate.check_certificate` checks without the
 game solver and without building the unfolding (README, step 4).
 """
 
-import itertools
-from operator import contains
-from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
+from collections import deque
+from functools import reduce
+from itertools import combinations, compress
+from operator import contains, or_
+from typing import AbstractSet, Callable, Collection, Hashable, Iterable, Mapping, NamedTuple
+from typing import Optional, Sequence
 
 from . import ltl
-from ._graphs import breadth_first, folded, ids_in_sccs_with, number, path_to
-from ._graphs import shortest_path, strongly_connected_components
+from ._graphs import path_to, strongly_connected_components
 from .arena import Arena, Lasso, checked_bounds
 from .certificate import ParityAutomaton, StrategyProfile, Tracker, objective_tracker
 from .certificate import player_tracker, profile_to_document
@@ -201,6 +203,89 @@ def find_witness_lasso(
 
 
 # ---------------------------------------------------------------------------
+# The witness search's graph passes
+
+
+def ids_in_sccs_with(
+    succ: Sequence[Sequence[int]], bits: Sequence[int], bit: int, at: Sequence[int]
+) -> Sequence[int]:
+    """The ids k whose node at[k] of the graph `succ` lies in a strongly
+    connected component with a cycle and a node whose `bits` have `bit`
+    set, in increasing order, or every id when every node has it set.
+    Either way the ids form a union of the SCCs of a graph on the ids whose
+    edges `at` maps onto edges of `succ`."""
+    if all(b & bit for b in bits):
+        return range(len(at))
+    keep = [False] * len(succ)
+    for comp in strongly_connected_components(range(len(succ)), succ):
+        if any(bits[v] & bit for v in comp):
+            for v in comp:
+                keep[v] = True
+    return list(compress(range(len(at)), map(keep.__getitem__, at)))
+
+
+def folded(comps: Iterable[Sequence[int]], at: Sequence[int], bits: Sequence[int]) -> list[int]:
+    """For each component, the `bits` of the images under `at` of its
+    nodes or-ed together, each distinct image read once."""
+    return [bits[at[comp[0]]] if len(comp) == 1
+            else reduce(or_, map(bits.__getitem__, set(map(at.__getitem__, comp))))
+            for comp in comps]
+
+
+def number(comps: Sequence[Sequence[int]], size: int) -> list[int]:
+    """A list over the ids below `size`: the index in `comps` of the
+    component that holds each, -1 outside them."""
+    index = [-1] * size
+    for j, comp in enumerate(comps):
+        for v in comp:
+            index[v] = j
+    return index
+
+
+def breadth_first(succ: Sequence[Sequence[int]], avoid: Collection[int]) -> dict:
+    """A breadth-first search of the graph `succ` from node 0, which is not
+    in `avoid`, that never enters `avoid`: each node it finds -> the node it
+    was first found from (None at 0), in the order found."""
+    parent: dict = {0: None}
+    order = [0]
+    for v in order:  # the list grows while it is read
+        for w in succ[v]:
+            if w not in parent and w not in avoid:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
+def shortest_path(
+    sources: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    is_target: Callable[[Hashable], bool],
+    allowed: Optional[Callable[[Hashable], bool]] = None,
+) -> Optional[list[Hashable]]:
+    """BFS shortest path from any source to any target, inclusive of both
+    endpoints. Deterministic given deterministic successor order."""
+    parent: dict[Hashable, Optional[Hashable]] = {}
+    queue: deque = deque()
+    for s in sources:
+        if allowed is not None and not allowed(s):
+            continue
+        if s not in parent:
+            parent[s] = None
+            queue.append(s)
+    while queue:
+        v = queue.popleft()
+        if is_target(v):
+            return path_to(parent, v)
+        for w in successors(v):
+            if allowed is not None and not allowed(w):
+                continue
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Solving
 
 
@@ -209,7 +294,7 @@ def _winner_sets(n: int):
     they are tried."""
     players = range(1, n + 1)
     for r in range(n, -1, -1):
-        yield from itertools.combinations(players, r)
+        yield from combinations(players, r)
 
 
 def outcome_lasso(u: UnfoldedArena, stem, loop) -> Lasso:

@@ -30,11 +30,11 @@ from carefulsynth.arena import (
 )
 from carefulsynth.errors import DocumentSemanticError, expect, load_json, member
 from carefulsynth.ltl import FragmentClass
-from carefulsynth._graphs import shortest_path, strongly_connected_components
+from carefulsynth._graphs import strongly_connected_components
 from carefulsynth.certificate import MAX_PRIORITY, StrategyProfile, parse_dpa, player_tracker
 from carefulsynth.synthesis import (
     NoWitness, SolveResult, WitnessProduct, _reached_entries, _winner_sets, outcome_lasso,
-    system_component,
+    shortest_path, system_component,
 )
 from carefulsynth.unfolding import Product, UnfoldedArena, product, unfold
 from carefulsynth.zerosum import (

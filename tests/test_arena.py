@@ -15,6 +15,7 @@ from carefulsynth.arena import (
     multi_energy_check_unbounded,
     parse_arena,
     serialize_arena,
+    validate_history,
     validate_lasso,
 )
 from carefulsynth.errors import (
@@ -455,6 +456,14 @@ def test_lasso_loop_must_close(fig1):
     l = Lasso(stem=("a", "b"), loop=("c", "boxdiam"))
     with pytest.raises(DocumentSemanticError):
         validate_lasso(fig1, l)
+
+
+def test_an_empty_history_is_refused(fig1):
+    # `validate_lasso` and the checker's replay refuse an empty stem before
+    # they call it, so only a direct call reaches this refusal
+    with pytest.raises(DocumentSemanticError) as e:
+        validate_history(fig1, [])
+    assert str(e.value) == "history is empty"
 
 
 @settings(max_examples=120, deadline=None)

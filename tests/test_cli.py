@@ -973,7 +973,23 @@ def test_profile_node_key_without_a_credit_is_an_error(fig1_path, tmp_path, caps
     path = tmp_path / "certificate.json"
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
-    assert (code, out, err) == (EXIT_ERROR, "", "error: bad unfolded state id 'a'\n")
+    assert (code, out, err) == (
+        EXIT_ERROR, "", "error: punishment table of 3, key 'a|False': bad unfolded state id 'a'\n")
+
+
+@pytest.mark.parametrize("key, value, bad", [("|False", "circbox@0,0", ""),
+                                             ("a@0,0|False", "circbox", "circbox")],
+                         ids=["empty-state", "entry-without-credit"])
+def test_a_malformed_unfolded_state_in_a_table_names_its_key(fig1_path, tmp_path, capsys, key,
+                                                            value, bad):
+    # the state alone, '' or 'circbox', would not say where it was read
+    doc = json.loads(fig1_path.with_name("fig1-3-3.solution.json").read_text(encoding="utf-8"))
+    doc["punishment"]["3"] = {key: value}
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", fig1_path, str(path), "--bounds", "3,3")
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: punishment table of 3, key {key!r}: "
+                                f"bad unfolded state id {bad!r}\n")
 
 
 def test_profile_node_key_without_a_tracker_state_is_an_error(fig1_path, tmp_path, capsys):

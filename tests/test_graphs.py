@@ -3,14 +3,8 @@ from collections import deque
 
 import pytest
 
-from carefulsynth._graphs import (
-    breadth_first,
-    ids_in_sccs_with,
-    number,
-    path_to,
-    shortest_path,
-    strongly_connected_components,
-)
+from carefulsynth._graphs import path_to, strongly_connected_components
+from carefulsynth.synthesis import breadth_first, ids_in_sccs_with, number, shortest_path
 
 from genutils import scc_partition
 

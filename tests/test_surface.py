@@ -7,7 +7,8 @@ test is not a caller; the state budgets are the only exceptions. Test-only
 helpers live in `tests/genutils.py`. Importing the package generates no
 code: no module uses `dataclasses`. Every name the benchmark's tracer wraps
 is a callable of the package. Each module loads only the layers beneath it,
-and the package itself loads none."""
+and the package itself loads none; `_graphs` holds only what two modules
+import."""
 
 import ast
 import importlib
@@ -188,3 +189,17 @@ def test_a_module_loads_no_layer_above_it(module):
     loaded = {m.removeprefix("carefulsynth.") for m in proc.stdout.split()
               if m.startswith("carefulsynth.")}
     assert sorted(loaded & ABOVE[module]) == []
+
+
+def test_every_function_of_the_graph_kernel_is_imported_by_two_modules():
+    # a helper with one caller lives beside it, so the checker, which
+    # imports `_graphs`, carries none of the solver's own passes
+    importers: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "_graphs":
+                for alias in node.names:
+                    importers.setdefault(alias.name, set()).add(path.stem)
+    tree = ast.parse((PACKAGE / "_graphs.py").read_text(encoding="utf-8"))
+    functions = [stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)]
+    assert functions and [f for f in functions if len(importers.get(f, ())) < 2] == []

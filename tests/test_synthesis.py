@@ -1187,8 +1187,8 @@ def test_a_certificate_names_each_node_in_one_spelling(tmp_path, capsys):
     assert check(punished)[:2] == (0, '{\n  "verdict": "ok",\n  "violations": []\n}\n')
     assert check({**punished, "e00@0|False": "p00@0"})[0] == 1
     assert check({"e00@\u0660|False": "p00@0", **punished}) == (
-        2, "", "error: a credit in 'e00@\u0660' must be a natural number in ASCII digits, "
-        "with no sign or leading zero, got '\u0660'\n")
+        2, "", "error: punishment table of 1, key 'e00@\u0660|False': a credit in 'e00@\u0660' "
+        "must be a natural number in ASCII digits, with no sign or leading zero, got '\u0660'\n")
 
 
 def test_automaton_loser_table_is_read_after_the_letter(tmp_path, capsys):
